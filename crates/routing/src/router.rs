@@ -97,6 +97,7 @@ impl<R: Router> Protocol for RouteProtocol<'_, R> {
 /// Field widths used to serialise packets on the wire.
 #[derive(Clone, Copy, Debug)]
 struct PacketCodec {
+    n: usize,
     node_bits: usize,
     len_bits: usize,
 }
@@ -110,6 +111,7 @@ impl PacketCodec {
             .max()
             .unwrap_or(0);
         Self {
+            n: demand.n(),
             node_bits: bits_for_universe(demand.n() as u64),
             len_bits: bits_for_universe(max_len as u64 + 1).max(1),
         }
@@ -124,23 +126,41 @@ impl PacketCodec {
         out.extend_from(payload);
     }
 
-    /// Reads back one `[node, len, payload]` record.
+    /// Reads back one `[len, payload]` record sent by `sender` in `phase`;
+    /// the payload is copied a word at a time.
     fn decode(
         &self,
         reader: &mut BitReader<'_>,
-        with_node: bool,
-    ) -> Option<(Option<NodeId>, BitString)> {
-        let node = if with_node {
-            Some(NodeId::new(reader.read_bits(self.node_bits)? as usize))
-        } else {
-            None
-        };
-        let len = reader.read_bits(self.len_bits)? as usize;
-        let mut payload = BitString::with_capacity(len);
-        for _ in 0..len {
-            payload.push_bit(reader.read_bit()?);
-        }
-        Some((node, payload))
+        sender: NodeId,
+        phase: &str,
+    ) -> Result<BitString, SimError> {
+        let malformed = || malformed(sender, phase);
+        let len = reader.read_bits(self.len_bits).ok_or_else(malformed)? as usize;
+        let words = reader.read_words(len).ok_or_else(malformed)?;
+        Ok(BitString::from_words(&words, len))
+    }
+
+    /// Reads back one `[node, len, payload]` record sent by `sender` in
+    /// `phase`, rejecting a node id outside the clique.
+    fn decode_tagged(
+        &self,
+        reader: &mut BitReader<'_>,
+        sender: NodeId,
+        phase: &str,
+    ) -> Result<(NodeId, BitString), SimError> {
+        let node = reader
+            .read_bits(self.node_bits)
+            .map(|id| id as usize)
+            .filter(|&id| id < self.n)
+            .ok_or_else(|| malformed(sender, phase))?;
+        Ok((NodeId::new(node), self.decode(reader, sender, phase)?))
+    }
+}
+
+fn malformed(sender: NodeId, phase: &str) -> SimError {
+    SimError::MalformedPayload {
+        sender,
+        phase: phase.to_owned(),
     }
 }
 
@@ -162,15 +182,14 @@ impl Router for DirectRouter {
             codec.encode(None, &p.payload, &mut wire);
             outs[p.src.index()].send(p.dst, wire);
         }
-        let inboxes = session.exchange("route/direct", outs)?;
+        let phase = "route/direct";
+        let inboxes = session.exchange(phase, outs)?;
         let mut delivered: Delivered = vec![Vec::new(); n];
         for (dst, inbox) in inboxes.iter().enumerate() {
             for (src, wire) in inbox.unicasts() {
                 let mut reader = wire.reader();
                 while !reader.is_exhausted() {
-                    let (_, payload) = codec
-                        .decode(&mut reader, false)
-                        .expect("malformed direct-routing record");
+                    let payload = codec.decode(&mut reader, src, phase)?;
                     delivered[dst].push(Packet::new(src, NodeId::new(dst), payload));
                 }
             }
@@ -288,15 +307,13 @@ fn two_phase_route(
         codec.encode(Some(p.dst), &p.payload, &mut wire);
         outs[p.src.index()].send(NodeId::new(w), wire);
     }
-    let inboxes = session.exchange(&format!("{label}/phase1"), outs)?;
+    let phase1 = format!("{label}/phase1");
+    let inboxes = session.exchange(&phase1, outs)?;
     for (w, inbox) in inboxes.iter().enumerate() {
         for (src, wire) in inbox.unicasts() {
             let mut reader = wire.reader();
             while !reader.is_exhausted() {
-                let (node, payload) = codec
-                    .decode(&mut reader, true)
-                    .expect("malformed phase-1 record");
-                let dst = node.expect("phase-1 records carry a destination");
+                let (dst, payload) = codec.decode_tagged(&mut reader, src, &phase1)?;
                 relay[w].push(Packet::new(src, dst, payload));
             }
         }
@@ -317,15 +334,13 @@ fn two_phase_route(
             outs[w].send(p.dst, wire);
         }
     }
-    let inboxes2 = session.exchange(&format!("{label}/phase2"), outs)?;
+    let phase2 = format!("{label}/phase2");
+    let inboxes2 = session.exchange(&phase2, outs)?;
     for (dst, inbox) in inboxes2.iter().enumerate() {
-        for (_, wire) in inbox.unicasts() {
+        for (relay_node, wire) in inbox.unicasts() {
             let mut reader = wire.reader();
             while !reader.is_exhausted() {
-                let (node, payload) = codec
-                    .decode(&mut reader, true)
-                    .expect("malformed phase-2 record");
-                let src = node.expect("phase-2 records carry a source");
+                let (src, payload) = codec.decode_tagged(&mut reader, relay_node, &phase2)?;
                 delivered[dst].push(Packet::new(src, NodeId::new(dst), payload));
             }
         }
@@ -484,6 +499,56 @@ mod tests {
         assert!(
             rounds < direct_rounds,
             "valiant ({rounds}) should beat direct ({direct_rounds})"
+        );
+    }
+
+    #[test]
+    fn truncated_records_are_typed_errors() {
+        // n = 5 needs 3-bit node tags, so tags 5..=7 are out of range.
+        let mut demand = RoutingDemand::new(5);
+        demand.send(0, 1, payload(0b1011, 9));
+        let codec = PacketCodec::for_demand(&demand);
+        let sender = NodeId::new(2);
+        let expected = Err(SimError::MalformedPayload {
+            sender,
+            phase: "route/test".into(),
+        });
+        let mut wire = BitString::new();
+        codec.encode(Some(NodeId::new(3)), &payload(0b1011, 9), &mut wire);
+        let (node, body) = codec
+            .decode_tagged(&mut wire.reader(), sender, "route/test")
+            .unwrap();
+        assert_eq!((node, body), (NodeId::new(3), payload(0b1011, 9)));
+        // Every proper prefix is rejected: inside the node tag, the length
+        // field, or the payload.
+        for cut in 0..wire.len() {
+            let prefix = BitString::from_words(wire.words(), cut);
+            assert_eq!(
+                codec
+                    .decode_tagged(&mut prefix.reader(), sender, "route/test")
+                    .map(|_| ()),
+                expected,
+                "prefix of {cut} bits"
+            );
+        }
+        let mut bare = BitString::new();
+        codec.encode(None, &payload(0b1011, 9), &mut bare);
+        let prefix = BitString::from_words(bare.words(), bare.len() - 1);
+        assert_eq!(
+            codec
+                .decode(&mut prefix.reader(), sender, "route/test")
+                .map(|_| ()),
+            expected
+        );
+        // A tag naming a node outside the clique is malformed too.
+        let mut stray = BitString::new();
+        stray.push_bits(6, codec.node_bits);
+        codec.encode(None, &payload(1, 1), &mut stray);
+        assert_eq!(
+            codec
+                .decode_tagged(&mut stray.reader(), sender, "route/test")
+                .map(|_| ()),
+            expected
         );
     }
 

@@ -445,6 +445,11 @@ pub enum SimError {
         receiver: Option<NodeId>,
         kind: crate::transport::FaultKind,
     },
+    /// A delivered payload could not be parsed by the protocol reading it
+    /// (truncated, missing, or carrying an out-of-range field). `sender`
+    /// is the node that sent it and `phase` the label of the phase that
+    /// delivered it. Protocols return this instead of trusting wire data.
+    MalformedPayload { sender: NodeId, phase: String },
 }
 
 impl fmt::Display for SimError {
@@ -496,6 +501,9 @@ impl fmt::Display for SimError {
                     "transport fault ({kind}) on broadcast from {sender} after {round} rounds"
                 ),
             },
+            SimError::MalformedPayload { sender, phase } => {
+                write!(f, "malformed payload from {sender} in phase {phase:?}")
+            }
         }
     }
 }
@@ -685,5 +693,11 @@ mod tests {
         assert!(e.to_string().contains("exceeds bandwidth"));
         let e2 = SimError::RoundLimitExceeded { limit: 7 };
         assert!(e2.to_string().contains("7 rounds"));
+        let e3 = SimError::MalformedPayload {
+            sender: NodeId::new(3),
+            phase: "route/direct".into(),
+        };
+        assert!(e3.to_string().contains("malformed payload"));
+        assert!(e3.to_string().contains("route/direct"));
     }
 }

@@ -5,6 +5,15 @@
 //! sketch capacity `k` (so that Newton's identities, which divide by
 //! `1, …, k`, are well defined). All arithmetic is done on `u64` values with
 //! `p < 2³¹`, so products never overflow.
+//!
+//! **Reduced-operand contract.** [`PrimeField::add`], [`PrimeField::sub`],
+//! [`PrimeField::neg`], [`PrimeField::mul`] and [`PrimeField::eval_poly`]
+//! take operands that are already field elements (`< p`) and return field
+//! elements; debug builds assert it. [`PrimeField::reduce`] is the only
+//! entry point for raw integers (element shifts, sums read off the wire).
+//! In exchange, addition and subtraction are a compare-and-subtract with no
+//! division, multiplication costs one `%`, and each Horner step costs one
+//! `%` — the sketch decoders spend nearly all their time in these four.
 
 use std::fmt;
 
@@ -50,24 +59,41 @@ impl PrimeField {
         x % self.p
     }
 
-    /// Addition in `F_p`.
+    /// Addition in `F_p` of two reduced operands.
     pub fn add(&self, a: u64, b: u64) -> u64 {
-        (a + b) % self.p
+        self.debug_assert_reduced(a, b);
+        let sum = a + b;
+        if sum >= self.p {
+            sum - self.p
+        } else {
+            sum
+        }
     }
 
-    /// Subtraction in `F_p`.
+    /// Subtraction in `F_p` of two reduced operands.
     pub fn sub(&self, a: u64, b: u64) -> u64 {
-        (a + self.p - b % self.p) % self.p
+        self.debug_assert_reduced(a, b);
+        if a >= b {
+            a - b
+        } else {
+            a + self.p - b
+        }
     }
 
-    /// Negation in `F_p`.
+    /// Negation in `F_p` of a reduced operand.
     pub fn neg(&self, a: u64) -> u64 {
-        (self.p - a % self.p) % self.p
+        self.debug_assert_reduced(a, 0);
+        if a == 0 {
+            0
+        } else {
+            self.p - a
+        }
     }
 
-    /// Multiplication in `F_p`.
+    /// Multiplication in `F_p` of two reduced operands (`a·b < p² < 2⁶²`).
     pub fn mul(&self, a: u64, b: u64) -> u64 {
-        (a % self.p) * (b % self.p) % self.p
+        self.debug_assert_reduced(a, b);
+        a * b % self.p
     }
 
     /// Exponentiation `a^e` in `F_p`.
@@ -98,14 +124,25 @@ impl PrimeField {
         self.pow(a, self.p - 2)
     }
 
-    /// Evaluates the polynomial with the given coefficients (constant term
-    /// first) at `x`, by Horner's rule.
+    /// Evaluates the polynomial with the given reduced coefficients
+    /// (constant term first) at the reduced point `x`, by Horner's rule.
+    /// Each step `acc·x + c < p² + p < 2⁶³` is reduced with one `%`.
     pub fn eval_poly(&self, coefficients: &[u64], x: u64) -> u64 {
+        self.debug_assert_reduced(x, 0);
         let mut acc = 0u64;
         for &c in coefficients.iter().rev() {
-            acc = self.add(self.mul(acc, x), c);
+            debug_assert!(c < self.p, "coefficient {c} not reduced mod {}", self.p);
+            acc = (acc * x + c) % self.p;
         }
         acc
+    }
+
+    fn debug_assert_reduced(&self, a: u64, b: u64) {
+        debug_assert!(
+            a < self.p && b < self.p,
+            "operands ({a}, {b}) not reduced mod {}",
+            self.p
+        );
     }
 }
 
@@ -254,6 +291,51 @@ mod tests {
         assert_eq!(f.eval_poly(&[3, 2, 1], 5), 38);
         assert_eq!(f.eval_poly(&[], 5), 0);
         assert_eq!(f.eval_poly(&[7], 5), 7);
+    }
+
+    /// The largest prime below `2³¹`, where `a·b` and the Horner step come
+    /// closest to overflowing.
+    const P31: u64 = (1 << 31) - 1;
+
+    #[test]
+    fn reduced_operand_ops_match_u128_reference_at_the_largest_prime() {
+        use rand::{Rng, SeedableRng};
+        let f = PrimeField::new(P31);
+        let p = P31 as u128;
+        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(0xF1E1D);
+        let edges = [0u64, 1, 2, P31 / 2, P31 - 2, P31 - 1];
+        let mut operands: Vec<u64> = edges.to_vec();
+        operands.extend((0..200).map(|_| rng.gen_range(0..P31)));
+        for &a in &operands {
+            for &b in edges.iter().chain(&operands[..40]) {
+                let (wa, wb) = (a as u128, b as u128);
+                assert_eq!(f.add(a, b) as u128, (wa + wb) % p);
+                assert_eq!(f.sub(a, b) as u128, (wa + p - wb) % p);
+                assert_eq!(f.mul(a, b) as u128, wa * wb % p);
+            }
+            assert_eq!(f.neg(a) as u128, (p - a as u128) % p);
+            assert_eq!(f.reduce(a + P31), a);
+        }
+        for len in [0usize, 1, 2, 7, 64] {
+            let coefficients: Vec<u64> = (0..len)
+                .map(|i| if i % 3 == 0 { P31 - 1 } else { rng.gen_range(0..P31) })
+                .collect();
+            for &x in &operands[..20] {
+                let reference = coefficients
+                    .iter()
+                    .rev()
+                    .fold(0u128, |acc, &c| (acc * x as u128 + c as u128) % p);
+                assert_eq!(f.eval_poly(&coefficients, x) as u128, reference);
+            }
+        }
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "not reduced")]
+    fn unreduced_operands_are_caught_in_debug_builds() {
+        let f = PrimeField::new(97);
+        let _ = f.mul(97, 2);
     }
 
     #[test]

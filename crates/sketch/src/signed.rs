@@ -13,10 +13,14 @@
 //!
 //! Decoding no longer gets a support size for free (the signed count can be
 //! zero for a nonempty set), so it runs Berlekamp–Massey on the `2k` sums
-//! to find the minimal linear recurrence, reads the support off the roots
-//! of its characteristic polynomial, and solves the transposed Vandermonde
-//! system for the signs. A final re-sketch verification rejects every
-//! inconsistent input, exactly as in [`PowerSumSketch::decode`].
+//! to find the minimal linear recurrence (`O(k²)`), reads the support off
+//! the roots of its characteristic (locator) polynomial by scanning the `m`
+//! candidate elements (`O(m·k)`), and solves the transposed Vandermonde
+//! system for the signs in closed form from the locator's quotients
+//! (`O(k²)`, no elimination). A final check that every sign is `±1` and a
+//! re-sketch of all `2k` sums reject every inconsistent input, exactly as
+//! in [`PowerSumSketch::decode`]. A whole decode is `O(k² + m·k)` field
+//! operations.
 //!
 //! Because the power-sum map is linear, merging two disjoint summaries,
 //! peeling a recovered part, and the incidence-cancellation above are all
@@ -215,10 +219,27 @@ impl SignedPowerSumSketch {
         self.decode_scan(Some(candidates))
     }
 
+    /// The decoder: Berlekamp–Massey on the `2k` sums (`O(k²)`), a root
+    /// scan of the locator polynomial over the `m` candidates (`O(m·k)`),
+    /// the closed-form sign solve (`O(k²)`), and the ±1 and full re-sketch
+    /// checks (`O(k²)`) — `O(k² + m·k)` in all.
     fn decode_scan(&self, candidates: Option<&[u64]>) -> Option<Vec<(u64, i8)>> {
         if self.is_zero() {
             return Some(Vec::new());
         }
+        let (support, locator) = self.locate_support(candidates)?;
+        let roots: Vec<u64> = support.iter().map(|&x| self.field.reduce(x + 1)).collect();
+        let coefficients = solve_transposed_vandermonde(self.field, &roots, &locator, &self.sums);
+        self.verify_signs(&support, &coefficients)
+    }
+
+    /// Finds the support of a nonzero sketch: the elements whose shifted
+    /// values are the roots of the locator polynomial. Returns the support
+    /// (ascending, in candidate order) and the locator polynomial
+    /// `Π_i (X − r_i)`, constant term first; `None` when the recurrence
+    /// order exceeds the capacity or the locator does not split into
+    /// distinct roots among the candidates.
+    fn locate_support(&self, candidates: Option<&[u64]>) -> Option<(Vec<u64>, Vec<u64>)> {
         let f = self.field;
 
         // Minimal linear recurrence of the sum sequence. A signed set
@@ -233,13 +254,14 @@ impl SignedPowerSumSketch {
             return None;
         }
 
-        // Characteristic polynomial X^t · C(1/X), constant term first.
-        let char_poly: Vec<u64> = connection.iter().rev().copied().collect();
+        // Characteristic polynomial X^t · C(1/X), constant term first: the
+        // monic locator polynomial.
+        let locator: Vec<u64> = connection.iter().rev().copied().collect();
 
         // Roots among the (shifted) candidate elements.
         let mut support = Vec::with_capacity(t);
         let mut scan = |x: u64| -> bool {
-            if f.eval_poly(&char_poly, f.reduce(x + 1)) == 0 {
+            if f.eval_poly(&locator, f.reduce(x + 1)) == 0 {
                 support.push(x);
                 return support.len() > t;
             }
@@ -262,41 +284,27 @@ impl SignedPowerSumSketch {
                 }
             }
         }
-        if support.len() != t {
-            return None;
-        }
+        (support.len() == t).then_some((support, locator))
+    }
 
-        // Solve the transposed Vandermonde system
-        // Σ_i c_i r_i^j = p_j (j = 1, …, t) for the multiplicities c_i.
-        let roots: Vec<u64> = support.iter().map(|&x| f.reduce(x + 1)).collect();
-        let mut matrix = vec![vec![0u64; t + 1]; t];
-        for (j, row) in matrix.iter_mut().enumerate() {
-            for (i, &r) in roots.iter().enumerate() {
-                row[i] = f.pow(r, (j + 1) as u64);
-            }
-            row[t] = self.sums[j];
-        }
-        let coefficients = solve_linear_system(f, &mut matrix)?;
-
-        // Multiplicities must be ±1, and the full 2k sums must reproduce.
-        let mut signed = Vec::with_capacity(t);
+    /// Accepts the solved multiplicities only if every one is `±1` and the
+    /// signed set they describe reproduces all `2k` power sums.
+    fn verify_signs(&self, support: &[u64], coefficients: &[u64]) -> Option<Vec<(u64, i8)>> {
+        let minus_one = self.field.modulus() - 1;
+        let mut signed = Vec::with_capacity(support.len());
         let mut check = SignedPowerSumSketch::new(self.universe, self.capacity);
-        for (&x, &c) in support.iter().zip(&coefficients) {
+        for (&x, &c) in support.iter().zip(coefficients) {
             if c == 1 {
                 check.add(x);
                 signed.push((x, 1i8));
-            } else if c == f.modulus() - 1 {
+            } else if c == minus_one {
                 check.remove(x);
                 signed.push((x, -1i8));
             } else {
                 return None;
             }
         }
-        if check.sums == self.sums {
-            Some(signed)
-        } else {
-            None
-        }
+        (check.sums == self.sums).then_some(signed)
     }
 
     /// Number of bits needed to transmit this sketch: `2 · capacity` field
@@ -349,28 +357,48 @@ fn berlekamp_massey(f: PrimeField, sequence: &[u64]) -> Vec<u64> {
     current
 }
 
-/// Gaussian elimination over `F_p` on an augmented `t × (t + 1)` system;
-/// returns the solution vector, or `None` if the matrix is singular.
-fn solve_linear_system(f: PrimeField, matrix: &mut [Vec<u64>]) -> Option<Vec<u64>> {
-    let t = matrix.len();
-    for col in 0..t {
-        let pivot = (col..t).find(|&r| matrix[r][col] != 0)?;
-        matrix.swap(col, pivot);
-        let inv = f.inv(matrix[col][col]);
-        for value in &mut matrix[col][col..=t] {
-            *value = f.mul(*value, inv);
-        }
-        let pivot_row = matrix[col].clone();
-        for (row, entries) in matrix.iter_mut().enumerate() {
-            if row != col && entries[col] != 0 {
-                let factor = entries[col];
-                for (value, &p) in entries[col..=t].iter_mut().zip(&pivot_row[col..=t]) {
-                    *value = f.sub(*value, f.mul(factor, p));
-                }
+/// Solves the transposed Vandermonde system `Σ_i c_i r_i^j = p_j`
+/// (`j = 1, …, t`) for the multiplicities `c_i`, given the `t` distinct
+/// nonzero roots of the monic locator polynomial `P = Π_i (X − r_i)`
+/// (coefficients constant term first) and at least `t` power sums.
+///
+/// Synthetic division gives `Q_i = P / (X − r_i) = Σ_j q_ij X^j`, which
+/// vanishes at every root but `r_i`. Pairing equation `j + 1` with `q_ij`
+/// therefore isolates one unknown:
+/// `Σ_j q_ij p_{j+1} = Σ_l c_l r_l Q_i(r_l) = c_i r_i Q_i(r_i)`, and
+/// `Q_i(r_i) = P'(r_i) ≠ 0` because the roots are distinct. Each root costs
+/// `O(t)` field operations plus one inversion, `O(t²)` in all — the system
+/// is nonsingular, so this is the unique solution elimination would find.
+fn solve_transposed_vandermonde(
+    f: PrimeField,
+    roots: &[u64],
+    locator: &[u64],
+    sums: &[u64],
+) -> Vec<u64> {
+    let t = roots.len();
+    debug_assert_eq!(locator.len(), t + 1, "locator degree must match the roots");
+    debug_assert_eq!(locator[t], 1, "locator must be monic");
+    roots
+        .iter()
+        .map(|&r| {
+            // q_{t−1} = 1; q_{j} = a_{j+1} + r·q_{j+1}. Accumulate the paired
+            // sum and Q_i(r) (Horner, top coefficient first) in one sweep.
+            let mut q = 1u64;
+            let mut paired = sums[t - 1];
+            let mut q_at_root = 1u64;
+            for j in (0..t - 1).rev() {
+                q = f.add(locator[j + 1], f.mul(r, q));
+                paired = f.add(paired, f.mul(q, sums[j]));
+                q_at_root = f.add(f.mul(q_at_root, r), q);
             }
-        }
-    }
-    Some((0..t).map(|i| matrix[i][t]).collect())
+            debug_assert_eq!(
+                f.add(locator[0], f.mul(r, q)),
+                0,
+                "r must be a root of the locator"
+            );
+            f.mul(paired, f.inv(f.mul(r, q_at_root)))
+        })
+        .collect()
 }
 
 /// Number of bits needed to transmit a signed sketch over
@@ -385,10 +413,127 @@ pub fn signed_sketch_bits(universe: u64, capacity: usize) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use rand::seq::SliceRandom;
     use rand::Rng;
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
+
+    /// Gaussian elimination over `F_p` on an augmented `t × (t + 1)`
+    /// system; returns the solution vector, or `None` if the matrix is
+    /// singular. The `O(t³)` oracle for the closed-form sign solve.
+    fn solve_linear_system(f: PrimeField, matrix: &mut [Vec<u64>]) -> Option<Vec<u64>> {
+        let t = matrix.len();
+        for col in 0..t {
+            let pivot = (col..t).find(|&r| matrix[r][col] != 0)?;
+            matrix.swap(col, pivot);
+            let inv = f.inv(matrix[col][col]);
+            for value in &mut matrix[col][col..=t] {
+                *value = f.mul(*value, inv);
+            }
+            let pivot_row = matrix[col].clone();
+            for (row, entries) in matrix.iter_mut().enumerate() {
+                if row != col && entries[col] != 0 {
+                    let factor = entries[col];
+                    for (value, &p) in entries[col..=t].iter_mut().zip(&pivot_row[col..=t]) {
+                        *value = f.sub(*value, f.mul(factor, p));
+                    }
+                }
+            }
+        }
+        Some((0..t).map(|i| matrix[i][t]).collect())
+    }
+
+    /// The multiplicities of the located support, solved both ways: by the
+    /// closed form and by elimination on the explicit system
+    /// `Σ_i c_i r_i^j = p_j` (`j = 1, …, t`).
+    fn solve_both_ways(sketch: &SignedPowerSumSketch) -> Option<(Vec<u64>, Vec<Option<u64>>)> {
+        let f = sketch.field;
+        let (support, locator) = sketch.locate_support(None)?;
+        let roots: Vec<u64> = support.iter().map(|&x| f.reduce(x + 1)).collect();
+        let t = roots.len();
+        let closed = solve_transposed_vandermonde(f, &roots, &locator, &sketch.sums);
+        let mut matrix = vec![vec![0u64; t + 1]; t];
+        for (j, row) in matrix.iter_mut().enumerate() {
+            for (i, &r) in roots.iter().enumerate() {
+                row[i] = f.pow(r, (j + 1) as u64);
+            }
+            row[t] = sketch.sums[j];
+        }
+        let eliminated = match solve_linear_system(f, &mut matrix) {
+            Some(solution) => solution.into_iter().map(Some).collect(),
+            None => vec![None; t],
+        };
+        Some((closed, eliminated))
+    }
+
+    /// The full decoder with the elimination oracle in place of the closed
+    /// form: the behaviour `decode` had before the closed-form solve.
+    fn oracle_decode(sketch: &SignedPowerSumSketch) -> Option<Vec<(u64, i8)>> {
+        if sketch.is_zero() {
+            return Some(Vec::new());
+        }
+        let (support, _) = sketch.locate_support(None)?;
+        let (_, eliminated) = solve_both_ways(sketch)?;
+        let coefficients: Option<Vec<u64>> = eliminated.into_iter().collect();
+        sketch.verify_signs(&support, &coefficients?)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(40))]
+
+        #[test]
+        fn closed_form_solve_matches_the_elimination_oracle(
+            capacity in 1usize..301,
+            shape in (0u8..3, any::<u64>()),
+        ) {
+            let (kind, seed) = shape;
+            let mut rng = ChaCha8Rng::seed_from_u64(seed);
+            let universe = 4 * capacity as u64 + 64;
+            let size = match kind {
+                0 => rng.gen_range(0..capacity + 1),              // decodable
+                1 => rng.gen_range(capacity + 1..2 * capacity + 1), // over capacity
+                _ => rng.gen_range(1..capacity + 1),              // one |c| ≥ 2
+            };
+            let mut elements: Vec<u64> = (0..universe).collect();
+            elements.shuffle(&mut rng);
+            let mut set: Vec<(u64, i8)> = elements[..size]
+                .iter()
+                .map(|&x| (x, if rng.gen_bool(0.5) { 1i8 } else { -1 }))
+                .collect();
+            let mut sketch = SignedPowerSumSketch::new(universe, capacity);
+            for &(x, sign) in &set {
+                if sign > 0 {
+                    sketch.add(x);
+                } else {
+                    sketch.remove(x);
+                }
+            }
+            if kind == 2 {
+                // Raise one multiplicity to ±2 or ±3.
+                let (x, sign) = set[0];
+                for _ in 0..rng.gen_range(1..3) {
+                    if sign > 0 {
+                        sketch.add(x);
+                    } else {
+                        sketch.remove(x);
+                    }
+                }
+            }
+            if let Some((closed, eliminated)) = solve_both_ways(&sketch) {
+                let closed: Vec<Option<u64>> = closed.into_iter().map(Some).collect();
+                prop_assert_eq!(closed, eliminated);
+            }
+            let decoded = sketch.decode();
+            prop_assert_eq!(&decoded, &oracle_decode(&sketch));
+            if kind == 0 {
+                set.sort_unstable();
+                prop_assert_eq!(decoded, Some(set));
+            } else {
+                prop_assert_eq!(decoded, None);
+            }
+        }
+    }
 
     #[test]
     fn empty_sketch_decodes_to_empty_set() {

@@ -11,6 +11,7 @@ use congested_clique::adaptive::detect_subgraph_adaptive;
 use congested_clique::circuits::builders;
 use congested_clique::graphs::{extremal, generators, iso, weighted, Graph, Pattern};
 use congested_clique::mst::MstProtocol;
+use congested_clique::registry;
 use congested_clique::routing::{
     BalancedRouter, DirectRouter, RouteProtocol, RoutingDemand, ValiantRouter,
 };
@@ -252,6 +253,51 @@ fn mst_protocol_matches_pinned_counts() {
         .execute(&mut MstProtocol::new(&g, 4))
         .unwrap();
     assert_eq!((direct.rounds(), direct.total_bits()), (749, 89400));
+}
+
+#[test]
+fn escalating_mst_matches_pinned_counts() {
+    // The benchmark's dense shape: weighted G(96, 0.2), weights up to 4n,
+    // b = 7. Singleton cuts of ~19 edges force the capacity to double from
+    // 4 through every level up to 512, so this pin covers the large-k
+    // decodes the G(24, 0.3) pin above never reaches.
+    let input = registry::generate_input(
+        registry::InputKind::Weighted,
+        "weighted_erdos_renyi(p=0.2)",
+        96,
+        0x5EED,
+        4 * 96,
+    )
+    .expect("known family");
+    let registry::JobInput::Weighted(g) = &input else {
+        unreachable!("weighted family")
+    };
+    let oracle = iso::minimum_spanning_forest(g);
+    let run = registry::find("mst")
+        .expect("mst is registered")
+        .run(
+            &input,
+            &registry::RunOptions {
+                bandwidth: 7,
+                ..registry::RunOptions::default()
+            },
+        )
+        .unwrap();
+    assert_eq!(
+        (run.metrics.rounds, run.metrics.total_bits),
+        (6425, 4_309_248)
+    );
+    let direct = compute_msf(g, registry::MST_BASE_CAPACITY, 7).unwrap();
+    assert_eq!(direct.forest(), oracle);
+    assert_eq!(
+        (
+            direct.phases,
+            direct.final_capacity,
+            direct.rounds(),
+            direct.total_bits()
+        ),
+        (8, 512, 6425, 4_309_248)
+    );
 }
 
 /// The fixed concentrated demand the router regressions run on.
