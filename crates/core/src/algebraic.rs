@@ -36,14 +36,22 @@
 //! bounds of the operands), so both endpoints of every link agree on the
 //! format without extra communication.
 //!
-//! The per-node local block products run through the
-//! [`clique_sim::linalg`](crate::sim::linalg) kernels, whose dispatchers
-//! split output rows across the [`clique_sim::par`](crate::sim::par)
-//! worker pool from `PAR_MIN_ROWS` rows up; by the
-//! parallelism-never-changes-transcripts invariant (DESIGN.md,
-//! Concurrency) every round/bit count in this module — including the E13
-//! pins — is identical at any worker count. Experiment E14 measures the
-//! wall-clock side of these protocols on the pool.
+//! Host-side, the cubic product moves whole row segments: the operands are
+//! cut once into their `g × g` blocks, and `EntryCodec` packs a block row
+//! into fixed-width fields through a 64-bit accumulator
+//! ([`BitString::push_fields`] / [`BitReader::read_fields`]) — or, when
+//! every input entry is one bit wide, ships and reassembles the rows as
+//! packed [`BitMatrix`] lanes. The segments carry exactly the bits of the
+//! entry-by-entry layout, so the transcripts do not depend on this.
+//!
+//! Each cube's local block product is one player's work and runs on the
+//! serial [`clique_sim::linalg`](crate::sim::linalg) kernels
+//! (`*_with_threads(…, 1)`), never spawning the
+//! [`clique_sim::par`](crate::sim::par) pool. Parallelism stays in the
+//! engines; by the parallelism-never-changes-transcripts invariant
+//! (DESIGN.md, Concurrency) every round/bit count in this module —
+//! including the E13 pins — is identical at any worker count. Experiment
+//! E14 measures the wall-clock side of these protocols on the pool.
 
 use std::collections::{BTreeMap, HashMap};
 use std::ops::Range;
@@ -174,23 +182,91 @@ impl SemiringMatrix {
         self.set_entry(i, j, folded);
     }
 
-    /// The local block product in the given semiring (the word-parallel
-    /// kernel where one exists).
+    /// A block's local product in the given semiring, on the serial
+    /// word-parallel kernels: a block product is one player's local work,
+    /// so it never fans out to the worker pool. Counting operands whose
+    /// entries are all 0/1 arrive packed and multiply by AND+popcount.
     fn product(&self, rhs: &SemiringMatrix, semiring: Semiring) -> SemiringMatrix {
         match (semiring, self, rhs) {
             (Semiring::Boolean, SemiringMatrix::Bits(a), SemiringMatrix::Bits(b)) => {
-                SemiringMatrix::Bits(a.mul_bool(b))
+                SemiringMatrix::Bits(a.mul_bool_with_threads(b, 1))
             }
             (Semiring::F2, SemiringMatrix::Bits(a), SemiringMatrix::Bits(b)) => {
-                SemiringMatrix::Bits(a.mul_f2(b))
+                SemiringMatrix::Bits(a.mul_f2_with_threads(b, 1))
+            }
+            (Semiring::Counting, SemiringMatrix::Bits(a), SemiringMatrix::Bits(b)) => {
+                SemiringMatrix::Ints(a.popcount_product_with_threads(b, 1))
             }
             (Semiring::Counting, SemiringMatrix::Ints(a), SemiringMatrix::Ints(b)) => {
-                SemiringMatrix::Ints(a.mul_counting(b))
+                SemiringMatrix::Ints(a.mul_counting_with_threads(b, 1))
             }
             (Semiring::MinPlus, SemiringMatrix::Ints(a), SemiringMatrix::Ints(b)) => {
-                SemiringMatrix::Ints(a.mul_min_plus(b))
+                SemiringMatrix::Ints(a.mul_min_plus_with_threads(b, 1))
             }
             _ => unreachable!("operand representation checked in SemiringMatMul::new"),
+        }
+    }
+
+    /// An all-zero matrix of the same shape and representation.
+    fn zeros_like(&self) -> SemiringMatrix {
+        match self {
+            SemiringMatrix::Bits(m) => SemiringMatrix::Bits(BitMatrix::zeros(m.rows(), m.cols())),
+            SemiringMatrix::Ints(m) => SemiringMatrix::Ints(IntMatrix::zeros(m.rows(), m.cols())),
+        }
+    }
+
+    /// Overwrites row `i` with row `si` of `src`, a matrix of the same
+    /// width and representation.
+    fn copy_row(&mut self, i: usize, src: &SemiringMatrix, si: usize) {
+        match (self, src) {
+            (SemiringMatrix::Bits(m), SemiringMatrix::Bits(s)) => {
+                m.row_words_mut(i).copy_from_slice(s.row_words(si));
+            }
+            (SemiringMatrix::Ints(m), SemiringMatrix::Ints(s)) => {
+                m.row_mut(i).copy_from_slice(s.row(si));
+            }
+            _ => unreachable!("rows are copied between blocks of one representation"),
+        }
+    }
+
+    /// Folds row `si` of `src` into row `r` from column `col0` on with the
+    /// semiring addition: packed rows a lane at a time (shifted into place
+    /// when `col0` is not lane-aligned), integer rows entry-wise over two
+    /// slices.
+    fn fold_row(
+        &mut self,
+        semiring: Semiring,
+        r: usize,
+        col0: usize,
+        src: &SemiringMatrix,
+        si: usize,
+    ) {
+        match (self, src) {
+            (SemiringMatrix::Bits(m), SemiringMatrix::Bits(s)) => {
+                let lane = <DefaultLane as Word>::BITS;
+                let (word0, shift) = (col0 / lane, col0 % lane);
+                let fold = |acc: &mut DefaultLane, bits: DefaultLane| match semiring {
+                    Semiring::F2 => *acc ^= bits,
+                    _ => *acc |= bits,
+                };
+                let row = m.row_words_mut(r);
+                for (t, &word) in s.row_words(si).iter().enumerate() {
+                    fold(&mut row[word0 + t], word << shift);
+                    // Bits past the source's width are zero, so a nonzero
+                    // spill always lands inside the row.
+                    if shift > 0 && word >> (lane - shift) != DefaultLane::ZERO {
+                        fold(&mut row[word0 + t + 1], word >> (lane - shift));
+                    }
+                }
+            }
+            (SemiringMatrix::Ints(m), SemiringMatrix::Ints(s)) => {
+                let values = s.row(si);
+                let out = &mut m.row_mut(r)[col0..col0 + values.len()];
+                for (o, &v) in out.iter_mut().zip(values) {
+                    *o = semiring.combine(*o, v);
+                }
+            }
+            _ => unreachable!("partials fold into an output of their representation"),
         }
     }
 
@@ -310,55 +386,142 @@ impl EntryCodec {
         }
     }
 
-    fn all_ones(width: usize) -> u64 {
-        if width >= 64 {
-            u64::MAX
-        } else {
-            (1u64 << width) - 1
-        }
+    /// Whether the input blocks travel and multiply packed: every input
+    /// entry is one bit wide and means 0 or 1 (Boolean, `F₂`, and counting
+    /// with both operand bounds at most 1 — not `(min, +)`, whose one-bit
+    /// pattern 1 is the INFINITY sentinel).
+    fn packed_inputs(&self) -> bool {
+        self.input_bits == 1 && self.semiring != Semiring::MinPlus
     }
 
-    fn encode(&self, value: u64, width: usize, out: &mut BitString) {
-        let wire = if self.semiring == Semiring::MinPlus && value == IntMatrix::INFINITY {
-            Self::all_ones(width)
-        } else {
-            // Finite values must fit the width; under (min, +) they must
-            // additionally stay clear of the all-ones sentinel.
-            debug_assert!(value <= Self::all_ones(width));
-            debug_assert!(
-                self.semiring != Semiring::MinPlus || value < Self::all_ones(width),
-                "finite (min, +) value collides with the INFINITY sentinel"
-            );
-            value
+    /// The operand cut into its `g × g` blocks (index `row_block · g +
+    /// col_block`) in the representation they travel and multiply in:
+    /// packed bits when [`Self::packed_inputs`], integers otherwise.
+    fn operand_blocks(&self, m: &SemiringMatrix, part: &Partition) -> Vec<SemiringMatrix> {
+        let packed;
+        let m = match m {
+            SemiringMatrix::Ints(ints) if self.packed_inputs() => {
+                packed = SemiringMatrix::Bits(ints.to_bitmatrix());
+                &packed
+            }
+            _ => m,
         };
-        out.push_bits(wire, width);
+        let g = part.g;
+        (0..g * g)
+            .map(|t| {
+                let (rows, cols) = (part.block(t / g), part.block(t % g));
+                let (r0, c0, h, w) = (rows.start, cols.start, rows.len(), cols.len());
+                match m {
+                    SemiringMatrix::Bits(m) => SemiringMatrix::Bits(m.submatrix(r0, c0, h, w)),
+                    SemiringMatrix::Ints(m) => SemiringMatrix::Ints(m.submatrix(r0, c0, h, w)),
+                }
+            })
+            .collect()
     }
 
-    fn decode(&self, reader: &mut BitReader<'_>, width: usize) -> u64 {
-        let raw = reader
-            .read_bits(width)
-            .expect("malformed semiring-matmul record");
-        if self.semiring == Semiring::MinPlus && raw == Self::all_ones(width) {
-            IntMatrix::INFINITY
-        } else {
-            raw
+    /// The all-ones pattern of a `width`-bit field (`1 ≤ width ≤ 64`).
+    fn all_ones(width: usize) -> u64 {
+        u64::MAX >> (u64::BITS as usize - width)
+    }
+
+    /// Appends `values` as `width`-bit fields. Masking to the width turns
+    /// the `(min, +)` INFINITY into the all-ones sentinel.
+    fn encode(&self, values: &[u64], width: usize, out: &mut BitString) {
+        let ones = Self::all_ones(width);
+        // Finite values must fit the width; under (min, +) they must
+        // additionally stay clear of the all-ones sentinel.
+        debug_assert!(
+            values.iter().all(|&v| match self.semiring {
+                Semiring::MinPlus => v < ones || v == IntMatrix::INFINITY,
+                _ => v <= ones,
+            }),
+            "an entry does not fit its public wire width"
+        );
+        out.push_fields(values, width);
+    }
+
+    /// Reads `out.len()` fields of `width` bits, which `sender` routed in
+    /// `phase`, mapping the all-ones sentinel back to INFINITY under
+    /// `(min, +)`.
+    ///
+    /// # Errors
+    ///
+    /// [`SimError::MalformedPayload`] if the segment is truncated.
+    fn decode(
+        &self,
+        reader: &mut BitReader<'_>,
+        width: usize,
+        out: &mut [u64],
+        sender: usize,
+        phase: &str,
+    ) -> Result<(), SimError> {
+        let sentinel = match self.semiring {
+            Semiring::MinPlus => Some(Self::all_ones(width)),
+            _ => None,
+        };
+        reader
+            .read_fields(out.len(), width, |j, raw| {
+                out[j] = if Some(raw) == sentinel {
+                    IntMatrix::INFINITY
+                } else {
+                    raw
+                };
+            })
+            .ok_or_else(|| malformed(sender, phase))
+    }
+
+    /// Appends row `i` of a block: packed rows a lane at a time, integer
+    /// rows as `width`-bit fields.
+    fn encode_row(&self, block: &SemiringMatrix, i: usize, width: usize, out: &mut BitString) {
+        match block {
+            SemiringMatrix::Bits(m) => out.push_words(m.row_words(i), m.cols()),
+            SemiringMatrix::Ints(m) => self.encode(m.row(i), width, out),
         }
     }
 
-    fn encode_input(&self, value: u64, out: &mut BitString) {
-        self.encode(value, self.input_bits, out);
+    /// Overwrites row `i` of `block` with the next segment `sender` routed
+    /// in `phase` (the inverse of [`Self::encode_row`]).
+    ///
+    /// # Errors
+    ///
+    /// [`SimError::MalformedPayload`] if the segment is truncated.
+    fn decode_row(
+        &self,
+        reader: &mut BitReader<'_>,
+        block: &mut SemiringMatrix,
+        i: usize,
+        width: usize,
+        sender: usize,
+        phase: &str,
+    ) -> Result<(), SimError> {
+        match block {
+            SemiringMatrix::Bits(m) => {
+                let cols = m.cols();
+                reader
+                    .read_words_into(cols, m.row_words_mut(i))
+                    .ok_or_else(|| malformed(sender, phase))
+            }
+            SemiringMatrix::Ints(m) => self.decode(reader, width, m.row_mut(i), sender, phase),
+        }
     }
+}
 
-    fn decode_input(&self, reader: &mut BitReader<'_>) -> u64 {
-        self.decode(reader, self.input_bits)
-    }
+/// Phase label of the cubic product's input-block shipment in
+/// [`SimError::MalformedPayload`] reports.
+const INPUT_PHASE: &str = "semiring-matmul/inputs";
 
-    fn encode_partial(&self, value: u64, out: &mut BitString) {
-        self.encode(value, self.partial_bits, out);
-    }
+/// Phase label of the cubic product's partial-block shipment.
+const PARTIAL_PHASE: &str = "semiring-matmul/partials";
 
-    fn decode_partial(&self, reader: &mut BitReader<'_>) -> u64 {
-        self.decode(reader, self.partial_bits)
+/// Phase labels of the sparse product's two record shipments.
+const SPARSE_INPUT_PHASE: &str = "sparse-matmul/inputs";
+const SPARSE_PARTIAL_PHASE: &str = "sparse-matmul/partials";
+
+/// The typed error for wire data from `sender` that does not parse.
+fn malformed(sender: usize, phase: &str) -> SimError {
+    SimError::MalformedPayload {
+        sender: NodeId::new(sender),
+        phase: phase.to_owned(),
     }
 }
 
@@ -418,9 +581,8 @@ impl Chunker {
             let take = remaining.min(FAST_CHUNK_BITS);
             let mut chunk = BitString::with_capacity(self.seq_width + take);
             chunk.push_bits(seq, self.seq_width);
-            for _ in 0..take {
-                chunk.push_bit(reader.read_bit().expect("chunk within payload"));
-            }
+            let words = reader.read_words(take).expect("chunk within payload");
+            chunk.push_words(&words, take);
             demand.send(src, dst, chunk);
             remaining -= take;
             seq += 1;
@@ -449,9 +611,9 @@ impl Chunker {
                 for (_, payload) in chunks {
                     let mut reader = payload.reader();
                     reader.read_bits(self.seq_width).expect("tag parsed above");
-                    while !reader.is_exhausted() {
-                        merged.push_bit(reader.read_bit().expect("chunk payload bit"));
-                    }
+                    let len = reader.remaining();
+                    let words = reader.read_words(len).expect("chunk payload present");
+                    merged.push_words(&words, len);
                 }
                 (src, merged)
             })
@@ -555,6 +717,12 @@ impl Protocol for SemiringMatMul<'_> {
         let part = Partition::new(n, d);
         let g = part.g;
         let codec = EntryCodec::new(self.semiring, self.a, self.b, part.max_block_len());
+        let a_blocks = codec.operand_blocks(self.a, &part);
+        let b_blocks = codec.operand_blocks(self.b, &part);
+        // The two input blocks of cube (i, j, k): A_{ik} and B_{kj}, each
+        // with its row-block index.
+        let inputs =
+            |i: usize, j: usize, k: usize| [(&a_blocks[i * g + k], i), (&b_blocks[k * g + j], k)];
 
         // Phase 1: the row owners ship the input blocks to the cube nodes.
         // Cube node w = (i, j, k) needs A_{ik} (rows of block i, columns of
@@ -567,16 +735,14 @@ impl Protocol for SemiringMatMul<'_> {
                 for k in 0..g {
                     let w = part.cube_node(i, j, k);
                     let mut payloads: BTreeMap<usize, BitString> = BTreeMap::new();
-                    for (matrix, row_block, col_block) in [(self.a, i, k), (self.b, k, j)] {
-                        for r in part.block(row_block) {
+                    for (block, row_block) in inputs(i, j, k) {
+                        for (bi, r) in part.block(row_block).enumerate() {
                             let v = part.row_owner(r);
                             if v == w {
                                 continue; // own input rows need no routing
                             }
                             let buf = payloads.entry(v).or_default();
-                            for c in part.block(col_block) {
-                                codec.encode_input(matrix.entry(r, c), buf);
-                            }
+                            codec.encode_row(block, bi, codec.input_bits, buf);
                         }
                     }
                     for (v, payload) in payloads {
@@ -598,35 +764,34 @@ impl Protocol for SemiringMatMul<'_> {
                 for k in 0..g {
                     let w = part.cube_node(i, j, k);
                     let mut readers = readers_by_source(&delivered[w]);
-                    let mut blocks: Vec<SemiringMatrix> = Vec::with_capacity(2);
-                    for (matrix, row_block, col_block) in [(self.a, i, k), (self.b, k, j)] {
-                        let (rows, cols) = (part.block(row_block), part.block(col_block));
-                        let mut block =
-                            SemiringMatrix::identity_filled(self.semiring, rows.len(), cols.len());
-                        for (bi, r) in rows.clone().enumerate() {
+                    let mut blocks = Vec::with_capacity(2);
+                    for (source, row_block) in inputs(i, j, k) {
+                        let mut block = source.zeros_like();
+                        for (bi, r) in part.block(row_block).enumerate() {
                             let v = part.row_owner(r);
                             if v == w {
-                                for (bj, c) in cols.clone().enumerate() {
-                                    block.set_entry(bi, bj, matrix.entry(r, c));
-                                }
-                            } else if !cols.is_empty() {
+                                block.copy_row(bi, source, bi);
+                            } else if block.cols() > 0 {
                                 // A zero-width segment was never sent (the
                                 // sender skips empty payloads), so only
                                 // look the reader up when there are entries
                                 // to read.
                                 let reader = readers
                                     .get_mut(&v)
-                                    .expect("missing semiring-matmul input packet");
-                                for bj in 0..cols.len() {
-                                    block.set_entry(bi, bj, codec.decode_input(reader));
-                                }
+                                    .ok_or_else(|| malformed(v, INPUT_PHASE))?;
+                                codec.decode_row(
+                                    reader,
+                                    &mut block,
+                                    bi,
+                                    codec.input_bits,
+                                    v,
+                                    INPUT_PHASE,
+                                )?;
                             }
                         }
                         blocks.push(block);
                     }
-                    let b_block = blocks.pop().expect("two blocks built");
-                    let a_block = blocks.pop().expect("two blocks built");
-                    partials.push(a_block.product(&b_block, self.semiring));
+                    partials.push(blocks[0].product(&blocks[1], self.semiring));
                 }
             }
         }
@@ -642,20 +807,16 @@ impl Protocol for SemiringMatMul<'_> {
                 for k in 0..g {
                     let w = part.cube_node(i, j, k);
                     let partial = partial_iter.next().expect("one partial per cube");
-                    let (rows, cols) = (part.block(i), part.block(j));
+                    let col0 = part.block(j).start;
                     let mut payloads: BTreeMap<usize, BitString> = BTreeMap::new();
-                    for (bi, r) in rows.clone().enumerate() {
+                    for (bi, r) in part.block(i).enumerate() {
                         let v = part.row_owner(r);
                         if v == w {
-                            // The cube node owns these output rows itself.
-                            for (bj, c) in cols.clone().enumerate() {
-                                output.combine_entry(self.semiring, r, c, partial.entry(bi, bj));
-                            }
+                            // The cube node owns this output row itself.
+                            output.fold_row(self.semiring, r, col0, partial, bi);
                         } else {
                             let buf = payloads.entry(v).or_default();
-                            for bj in 0..cols.len() {
-                                codec.encode_partial(partial.entry(bi, bj), buf);
-                            }
+                            codec.encode_row(partial, bi, codec.partial_bits, buf);
                         }
                     }
                     for (v, payload) in payloads {
@@ -669,7 +830,11 @@ impl Protocol for SemiringMatMul<'_> {
         let delivered = BalancedRouter.route(&demand, session)?;
 
         // Fold the routed partials, walking cubes in the same canonical
-        // order the senders used.
+        // order the senders used. Each segment is decoded into a one-row
+        // scratch block of its column block's width, then folded.
+        let mut segments: Vec<SemiringMatrix> = (0..g)
+            .map(|j| SemiringMatrix::identity_filled(self.semiring, 1, part.block(j).len()))
+            .collect();
         for (v, packets) in delivered.iter().enumerate() {
             let mut readers = readers_by_source(packets);
             for i in 0..g {
@@ -677,9 +842,9 @@ impl Protocol for SemiringMatMul<'_> {
                 if owned.is_empty() {
                     continue;
                 }
-                for j in 0..g {
-                    let cols = part.block(j);
-                    if cols.is_empty() {
+                for (j, segment) in segments.iter_mut().enumerate() {
+                    let col0 = part.block(j).start;
+                    if segment.cols() == 0 {
                         continue; // zero-width segments were never sent
                     }
                     for k in 0..g {
@@ -689,12 +854,17 @@ impl Protocol for SemiringMatMul<'_> {
                         }
                         let reader = readers
                             .get_mut(&w)
-                            .expect("missing semiring-matmul partial packet");
+                            .ok_or_else(|| malformed(w, PARTIAL_PHASE))?;
                         for &r in &owned {
-                            for c in cols.clone() {
-                                let value = codec.decode_partial(reader);
-                                output.combine_entry(self.semiring, r, c, value);
-                            }
+                            codec.decode_row(
+                                reader,
+                                segment,
+                                0,
+                                codec.partial_bits,
+                                w,
+                                PARTIAL_PHASE,
+                            )?;
+                            output.fold_row(self.semiring, r, col0, segment, 0);
                         }
                     }
                 }
@@ -1283,7 +1453,9 @@ impl Protocol for FastMatMul<'_> {
                         let (a_bits, a_ints) = fill(i, k, 0);
                         let (b_bits, b_ints) = fill(k, j, 1);
                         cubes.push(match self.semiring {
-                            Semiring::F2 => LeafPartial::Bits(a_bits.mul_f2(&b_bits)),
+                            Semiring::F2 => {
+                                LeafPartial::Bits(a_bits.mul_f2_with_threads(&b_bits, 1))
+                            }
                             _ => LeafPartial::Ints(a_ints.mul_wrapping(&b_ints)),
                         });
                     }
@@ -1597,7 +1769,7 @@ impl Protocol for SparseMatMul<'_> {
             for (kl, rl, value) in entries {
                 payload.push_bits(kl as u64, idx_width(owned[w].len()));
                 payload.push_bits(rl as u64, idx_width(owned[v].len()));
-                codec.encode_input(value, &mut payload);
+                codec.encode(&[value], codec.input_bits, &mut payload);
             }
             demand.send(v, w, payload);
         }
@@ -1626,23 +1798,21 @@ impl Protocol for SparseMatMul<'_> {
                     continue; // no nonzeros from v (empty payloads unsent)
                 };
                 let bound = (owned[v].len() * owned[w].len()) as u64;
-                let count = reader
-                    .read_bits(count_width(bound))
-                    .expect("malformed sparse-matmul count");
+                let field = |reader: &mut BitReader<'_>, width| {
+                    reader
+                        .read_bits(width)
+                        .ok_or_else(|| malformed(v, SPARSE_INPUT_PHASE))
+                };
+                let count = field(reader, count_width(bound))?;
                 for _ in 0..count {
-                    let kl = reader
-                        .read_bits(idx_width(owned[w].len()))
-                        .expect("malformed sparse-matmul record")
-                        as usize;
-                    let rl = reader
-                        .read_bits(idx_width(owned[v].len()))
-                        .expect("malformed sparse-matmul record")
-                        as usize;
-                    let value = codec.decode_input(reader);
+                    let kl = field(reader, idx_width(owned[w].len()))? as usize;
+                    let rl = field(reader, idx_width(owned[v].len()))? as usize;
+                    let mut value = [0];
+                    codec.decode(reader, codec.input_bits, &mut value, v, SPARSE_INPUT_PHASE)?;
                     columns
                         .entry(owned[w].start + kl)
                         .or_default()
-                        .push((owned[v].start + rl, value));
+                        .push((owned[v].start + rl, value[0]));
                 }
             }
             let mut partials: BTreeMap<(usize, usize), u64> = BTreeMap::new();
@@ -1689,7 +1859,7 @@ impl Protocol for SparseMatMul<'_> {
                 for (rl, c, value) in entries {
                     payload.push_bits(rl as u64, idx_width(owned[v].len()));
                     payload.push_bits(c as u64, idx_width(d));
-                    codec.encode_partial(value, &mut payload);
+                    codec.encode(&[value], codec.partial_bits, &mut payload);
                 }
                 demand.send(w, v, payload);
             }
@@ -1703,20 +1873,24 @@ impl Protocol for SparseMatMul<'_> {
                     continue;
                 };
                 let bound = (owned[v].len() * d) as u64;
-                let count = reader
-                    .read_bits(count_width(bound))
-                    .expect("malformed sparse-matmul count");
+                let field = |reader: &mut BitReader<'_>, width| {
+                    reader
+                        .read_bits(width)
+                        .ok_or_else(|| malformed(w, SPARSE_PARTIAL_PHASE))
+                };
+                let count = field(reader, count_width(bound))?;
                 for _ in 0..count {
-                    let rl = reader
-                        .read_bits(idx_width(owned[v].len()))
-                        .expect("malformed sparse-matmul record")
-                        as usize;
-                    let c = reader
-                        .read_bits(idx_width(d))
-                        .expect("malformed sparse-matmul record")
-                        as usize;
-                    let value = codec.decode_partial(reader);
-                    output.combine_entry(self.semiring, owned[v].start + rl, c, value);
+                    let rl = field(reader, idx_width(owned[v].len()))? as usize;
+                    let c = field(reader, idx_width(d))? as usize;
+                    let mut value = [0];
+                    codec.decode(
+                        reader,
+                        codec.partial_bits,
+                        &mut value,
+                        w,
+                        SPARSE_PARTIAL_PHASE,
+                    )?;
+                    output.combine_entry(self.semiring, owned[v].start + rl, c, value[0]);
                 }
             }
         }
@@ -1983,18 +2157,24 @@ impl Protocol for TriangleCount<'_> {
         for (v, out) in outs.iter_mut().enumerate() {
             out.broadcast(BitString::from_bits(locals[v], width));
         }
-        let inboxes = session.exchange("announce closed-walk counts", outs)?;
+        let inboxes = session.exchange(COUNT_PHASE, outs)?;
 
         // Everyone sums the announced counts; trace(A³) = 6·#triangles.
         let mut total = locals[0];
         for (src, payload) in inboxes[0].broadcasts() {
             if src.index() != 0 {
-                total += payload.reader().read_bits(width).expect("count announced");
+                total += payload
+                    .reader()
+                    .read_bits(width)
+                    .ok_or_else(|| malformed(src.index(), COUNT_PHASE))?;
             }
         }
         Ok(total / 6)
     }
 }
+
+/// Label of [`TriangleCount`]'s closed-walk count broadcast.
+const COUNT_PHASE: &str = "announce closed-walk counts";
 
 /// Runs [`TriangleCount`] in `CLIQUE-UCAST(n, b)`.
 ///
@@ -2199,7 +2379,9 @@ mod tests {
 
     #[test]
     fn boolean_product_matches_local_kernel_across_sizes() {
-        for (d, seed) in [(1usize, 1u64), (3, 2), (8, 3), (17, 4), (27, 5)] {
+        // d = 100 (g = 4) folds 25-column partials into lane offsets 25,
+        // 50 and 75, spilling across a lane boundary.
+        for (d, seed) in [(1usize, 1u64), (3, 2), (8, 3), (17, 4), (27, 5), (100, 6)] {
             let a = SemiringMatrix::Bits(random_bitmatrix(d, seed));
             let b = SemiringMatrix::Bits(random_bitmatrix(d, seed + 100));
             let outcome = semiring_matmul(&a, &b, Semiring::Boolean, 4).unwrap();
@@ -2257,6 +2439,82 @@ mod tests {
                 assert_eq!(*outcome, expected, "{} d = {d} on n = 27", semiring.name());
             }
         }
+    }
+
+    #[test]
+    fn truncated_segments_are_typed_errors() {
+        // A (min, +) integer row (3-bit fields, INFINITY as the all-ones
+        // sentinel), a one-bit counting row (packed) and a Boolean row.
+        let square = |row: Vec<u64>| {
+            let mut m = IntMatrix::zeros(7, 7);
+            m.row_mut(2).copy_from_slice(&row);
+            SemiringMatrix::Ints(m)
+        };
+        let ints = square(vec![0, 3, IntMatrix::INFINITY, 5, 1, 4, 2]);
+        let ones = square(vec![1, 0, 1, 1, 0, 0, 1]);
+        let bits = SemiringMatrix::Bits(ones.as_ints().unwrap().to_bitmatrix());
+        // One player: a single 7 × 7 block, of which row 2 travels.
+        let part = Partition::new(1, 7);
+        for (semiring, operand) in [
+            (Semiring::MinPlus, &ints),
+            (Semiring::Counting, &ones),
+            (Semiring::Boolean, &bits),
+        ] {
+            let codec = EntryCodec::new(semiring, operand, operand, 7);
+            let block = &codec.operand_blocks(operand, &part)[0];
+            assert_eq!(
+                matches!(block, SemiringMatrix::Bits(_)),
+                semiring != Semiring::MinPlus
+            );
+            let mut wire = BitString::new();
+            codec.encode_row(block, 2, codec.input_bits, &mut wire);
+            assert_eq!(wire.len(), 7 * codec.input_bits);
+            let mut decoded = block.zeros_like();
+            codec
+                .decode_row(
+                    &mut wire.reader(),
+                    &mut decoded,
+                    2,
+                    codec.input_bits,
+                    5,
+                    INPUT_PHASE,
+                )
+                .unwrap();
+            assert_eq!(&decoded, block, "{} round trip", semiring.name());
+            for cut in 0..wire.len() {
+                let prefix = BitString::from_words(wire.words(), cut);
+                assert_eq!(
+                    codec.decode_row(
+                        &mut prefix.reader(),
+                        &mut decoded,
+                        2,
+                        codec.input_bits,
+                        5,
+                        INPUT_PHASE
+                    ),
+                    Err(SimError::MalformedPayload {
+                        sender: NodeId::new(5),
+                        phase: INPUT_PHASE.into(),
+                    }),
+                    "{} prefix of {cut} bits",
+                    semiring.name()
+                );
+            }
+        }
+        // Single-field reads (the sparse records) fail the same way.
+        let codec = EntryCodec::new(Semiring::MinPlus, &ints, &ints, 7);
+        let mut value = [0];
+        let empty = BitString::new();
+        assert_eq!(
+            codec.decode(
+                &mut empty.reader(),
+                codec.partial_bits,
+                &mut value,
+                2,
+                PARTIAL_PHASE
+            ),
+            Err(malformed(2, PARTIAL_PHASE))
+        );
     }
 
     #[test]
@@ -2325,7 +2583,14 @@ mod tests {
 
     #[test]
     fn f2_product_matches_local_kernel_across_sizes() {
-        for (d, seed) in [(1usize, 41u64), (3, 42), (8, 43), (17, 44), (27, 45)] {
+        for (d, seed) in [
+            (1usize, 41u64),
+            (3, 42),
+            (8, 43),
+            (17, 44),
+            (27, 45),
+            (100, 46),
+        ] {
             let a = SemiringMatrix::Bits(random_bitmatrix(d, seed));
             let b = SemiringMatrix::Bits(random_bitmatrix(d, seed + 100));
             let outcome = semiring_matmul(&a, &b, Semiring::F2, 4).unwrap();

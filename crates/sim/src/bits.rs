@@ -17,6 +17,11 @@ use std::fmt;
 
 use crate::lane::{DefaultLane, Word};
 
+/// Width of the scalar accumulator the field codecs
+/// ([`BitString::push_fields`], [`BitReader::read_fields`]) gather bits in:
+/// fields are at most one `u64` wide, like [`BitString::push_bits`].
+const ACC_BITS: usize = u64::BITS as usize;
+
 /// An append-only sequence of bits used as a message payload.
 ///
 /// Bits are stored least-significant-first inside `W::BITS`-bit words. The
@@ -249,6 +254,42 @@ impl<W: Word> BitString<W> {
         }
     }
 
+    /// Appends every value of `values` as a `width`-bit field (the low
+    /// `width` bits, least-significant first) — the same bits as one
+    /// [`Self::push_bits`] call per value, but gathered in a 64-bit
+    /// accumulator and stored with one lane write per 64 bits.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `width > 64`.
+    pub fn push_fields(&mut self, values: &[u64], width: usize) {
+        assert!(width <= ACC_BITS, "width {width} exceeds 64 bits");
+        if width == 0 || values.is_empty() {
+            return;
+        }
+        let mask = u64::MAX >> (ACC_BITS - width);
+        let words_after = (self.len + values.len() * width).div_ceil(W::BITS);
+        self.words
+            .reserve(words_after.saturating_sub(self.words.len()));
+        let (mut acc, mut filled) = (0u64, 0usize);
+        for &value in values {
+            let value = value & mask;
+            acc |= value << filled;
+            filled += width;
+            if filled >= ACC_BITS {
+                self.push_word_bits(W::from_u64(acc), ACC_BITS);
+                filled -= ACC_BITS;
+                // The bits of `value` that did not fit; `filled < width`.
+                acc = if filled == 0 {
+                    0
+                } else {
+                    value >> (width - filled)
+                };
+            }
+        }
+        self.push_word_bits(W::from_u64(acc), filled);
+    }
+
     /// Appends an unsigned integer using the number of bits needed to
     /// represent values in `0..universe` (i.e. `ceil(log2(universe))` bits).
     ///
@@ -424,17 +465,96 @@ impl<'a, W: Word> BitReader<'a, W> {
     ///
     /// Returns `None` (without advancing) if fewer than `len` bits remain.
     pub fn read_words(&mut self, len: usize) -> Option<Vec<W>> {
-        if self.pos + len > self.bits.len() {
+        if len > self.remaining() {
             return None;
         }
-        let mut out = Vec::with_capacity(len.div_ceil(W::BITS));
+        let mut out = vec![W::ZERO; len.div_ceil(W::BITS)];
+        self.read_words_into(len, &mut out)?;
+        Some(out)
+    }
+
+    /// [`Self::read_words`] into the first `len.div_ceil(W::BITS)` lanes
+    /// of `out` (the bits of the last lane past `len` are cleared), without
+    /// allocating.
+    ///
+    /// Returns `None` (without advancing or writing) if fewer than `len`
+    /// bits remain.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `out` holds fewer than `len` bits.
+    pub fn read_words_into(&mut self, len: usize, out: &mut [W]) -> Option<()> {
+        assert!(
+            len <= out.len() * W::BITS,
+            "{len} bits do not fit {} words",
+            out.len()
+        );
+        if len > self.remaining() {
+            return None;
+        }
         let mut remaining = len;
-        while remaining > 0 {
+        for word in out.iter_mut() {
+            if remaining == 0 {
+                break;
+            }
             let take = remaining.min(W::BITS);
-            out.push(self.read_word_bits(take));
+            *word = self.read_word_bits(take);
             remaining -= take;
         }
-        Some(out)
+        Some(())
+    }
+
+    /// Reads `count` consecutive `width`-bit fields (the inverse of
+    /// [`BitString::push_fields`]), handing each to `sink` with its index.
+    /// The bits are pulled through a 64-bit accumulator with one lane read
+    /// per accumulator load.
+    ///
+    /// Returns `None` (without advancing or calling `sink`) if fewer than
+    /// `count · width` bits remain.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `width > 64`.
+    pub fn read_fields(
+        &mut self,
+        count: usize,
+        width: usize,
+        mut sink: impl FnMut(usize, u64),
+    ) -> Option<()> {
+        assert!(width <= ACC_BITS, "width {width} exceeds 64 bits");
+        let total = count.checked_mul(width)?;
+        if total > self.remaining() {
+            return None;
+        }
+        if width == 0 {
+            (0..count).for_each(|i| sink(i, 0));
+            return Some(());
+        }
+        let mask = u64::MAX >> (ACC_BITS - width);
+        // `acc` holds the `held` not yet consumed bits of the last load;
+        // `unread` counts the segment's bits not yet loaded.
+        let (mut acc, mut held, mut unread) = (0u64, 0usize, total);
+        for i in 0..count {
+            let value = if held >= width {
+                let value = acc & mask;
+                acc = acc.checked_shr(width as u32).unwrap_or(0);
+                held -= width;
+                value
+            } else {
+                // The field straddles two loads; the remaining fields
+                // cover `unread ≥ width − held` bits.
+                let take = unread.min(ACC_BITS);
+                let next = self.read_word_bits(take).low_u64();
+                unread -= take;
+                let used = width - held;
+                let value = (acc | (next << held)) & mask;
+                acc = next.checked_shr(used as u32).unwrap_or(0);
+                held = take - used;
+                value
+            };
+            sink(i, value);
+        }
+        Some(())
     }
 
     /// Reads an unsigned integer encoded with [`BitString::push_uint`] for
@@ -655,6 +775,90 @@ mod tests {
     fn push_words_and_read_words_round_trip() {
         push_words_round_trip::<u64>();
         push_words_round_trip::<u128>();
+    }
+
+    /// `push_fields` / `read_fields` agree bit for bit with one
+    /// `push_bits` / `read_bits` call per field, at every width and from
+    /// start offsets on both sides of a lane boundary (so fields straddle
+    /// both the accumulator and the lane boundaries).
+    fn fields_match_per_field_calls<W: Word>() {
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = || {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1);
+            state ^ (state >> 29)
+        };
+        for width in 0..=64usize {
+            for offset in [0usize, 1, 7, W::BITS - 1, W::BITS + 3] {
+                let values: Vec<u64> = (0..2 * W::BITS / width.max(1) + 3)
+                    .map(|_| next())
+                    .collect();
+                let mut fields = BitString::<W>::new();
+                let mut per_field = BitString::<W>::new();
+                for i in 0..offset {
+                    fields.push_bit(i % 3 == 0);
+                    per_field.push_bit(i % 3 == 0);
+                }
+                fields.push_fields(&values, width);
+                for &v in &values {
+                    per_field.push_bits(v, width);
+                }
+                assert_eq!(fields, per_field, "width {width}, offset {offset}");
+                // A trailing bit checks that the reader stops exactly.
+                fields.push_bit(true);
+
+                let mut reader = fields.reader();
+                reader.read_words(offset).expect("offset bits present");
+                let mut read = vec![u64::MAX; values.len()];
+                reader
+                    .read_fields(values.len(), width, |i, v| read[i] = v)
+                    .expect("fields present");
+                let mask = u64::MAX.checked_shr(64 - width as u32).unwrap_or(0);
+                let expected: Vec<u64> = values.iter().map(|v| v & mask).collect();
+                assert_eq!(read, expected, "width {width}, offset {offset}");
+                assert_eq!(reader.read_bit(), Some(true));
+                assert!(reader.is_exhausted());
+            }
+        }
+    }
+
+    #[test]
+    fn fields_match_per_field_calls_at_both_lanes() {
+        fields_match_per_field_calls::<u64>();
+        fields_match_per_field_calls::<u128>();
+    }
+
+    #[test]
+    fn short_field_reads_do_not_advance() {
+        let mut bs = BitString::<DefaultLane>::new();
+        bs.push_fields(&[5, 6, 7], 3);
+        let mut r = bs.reader();
+        let mut calls = 0;
+        assert_eq!(r.read_fields(4, 3, |_, _| calls += 1), None);
+        assert_eq!((calls, r.position()), (0, 0));
+        assert_eq!(r.read_fields(usize::MAX, 2, |_, _| calls += 1), None);
+        let mut got = Vec::new();
+        assert_eq!(r.read_fields(3, 3, |_, v| got.push(v)), Some(()));
+        assert_eq!(got, vec![5, 6, 7]);
+    }
+
+    #[test]
+    fn read_words_into_fills_and_masks() {
+        let lane = <DefaultLane as Word>::BITS;
+        let bs = BitString::<DefaultLane>::from_bools(&vec![true; lane + 6]);
+        let mut r = bs.reader();
+        let mut out = [DefaultLane::ONES; 3];
+        assert_eq!(r.read_words_into(lane + 7, &mut out), None);
+        assert_eq!(r.read_words_into(lane + 2, &mut out), Some(()));
+        assert_eq!(out[0], DefaultLane::ONES);
+        assert_eq!(out[1], DefaultLane::mask_low(2));
+        assert_eq!(
+            out[2],
+            DefaultLane::ONES,
+            "lanes past the read stay untouched"
+        );
+        assert_eq!(r.remaining(), 4);
     }
 
     #[test]

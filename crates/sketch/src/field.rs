@@ -318,7 +318,13 @@ mod tests {
         }
         for len in [0usize, 1, 2, 7, 64] {
             let coefficients: Vec<u64> = (0..len)
-                .map(|i| if i % 3 == 0 { P31 - 1 } else { rng.gen_range(0..P31) })
+                .map(|i| {
+                    if i % 3 == 0 {
+                        P31 - 1
+                    } else {
+                        rng.gen_range(0..P31)
+                    }
+                })
                 .collect();
             for &x in &operands[..20] {
                 let reference = coefficients

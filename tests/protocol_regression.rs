@@ -341,6 +341,54 @@ fn routers_match_pre_redesign_counts() {
     assert_eq!((valiant.rounds(), valiant.total_bits()), (8, 432));
 }
 
+/// The canonical served record (output, flat ledger and phase-trail
+/// digest) of one registry run on a generated unweighted input.
+fn registry_record(protocol: &str, family: &str, n: usize, seed: u64, bandwidth: usize) -> String {
+    let input = registry::generate_input(registry::InputKind::Unweighted, family, n, seed, 0)
+        .expect("known family");
+    let run = registry::find(protocol)
+        .expect("registered")
+        .run(
+            &input,
+            &registry::RunOptions {
+                bandwidth,
+                ..registry::RunOptions::default()
+            },
+        )
+        .unwrap();
+    congested_clique::serve::encode_record(&run.output, &run.metrics)
+}
+
+#[test]
+fn cubic_matmul_records_match_pinned_bytes() {
+    // n = 100 gives cube side g = 4, so the 25-row blocks straddle lane
+    // words on both the input and the partial-product segments. The
+    // counting product ships one-bit entries; APSP's (min, +) squarings
+    // ship multi-bit entries and the all-ones INFINITY sentinel.
+    assert_eq!(
+        registry_record("triangle-count", "erdos_renyi(p=0.5)", 100, 1, 9),
+        "{\"output\":{\"triangles\":20428},\"rounds\":48,\"total_bits\":795998,\
+         \"messages\":8644,\"max_link_bits_per_round\":9,\"phases\":5,\
+         \"phase_digest\":\"856304c96aaf0f30\"}"
+    );
+    // The 100 × 100 distance matrix is pinned through a digest of the
+    // whole record; the ledger tail is spelled out.
+    let apsp = registry_record("apsp", "erdos_renyi(p=0.15)", 100, 1, 9);
+    assert!(
+        apsp.ends_with(
+            "},\"rounds\":147,\"total_bits\":2100290,\"messages\":25932,\
+             \"max_link_bits_per_round\":9,\"phases\":15,\
+             \"phase_digest\":\"2882466896c07582\"}"
+        ),
+        "apsp ledger moved: {}",
+        &apsp[apsp.rfind("},\"rounds\"").unwrap_or(0)..]
+    );
+    assert_eq!(
+        congested_clique::serve::fnv64(apsp.as_bytes()),
+        0x64d7_430a_ff93_b55d
+    );
+}
+
 #[test]
 fn fast_matmul_schedules_match_pinned_counts() {
     use congested_clique::algebraic::{FastMatMul, Semiring, SemiringMatrix, SparseMatMul};
