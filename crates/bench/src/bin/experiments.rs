@@ -8,19 +8,12 @@
 //! cargo run -p clique-bench --release --bin experiments -- E4 E7   # selected experiments
 //! cargo run -p clique-bench --release --bin experiments -- --json  # machine-readable output
 //! cargo run -p clique-bench --release --bin experiments -- --threads 4 # worker pool size
-//! cargo run -p clique-bench --release --bin experiments -- --lane 64  # assert the lane width
 //! cargo run -p clique-bench --release --bin experiments -- --list  # registered experiments
 //! ```
-//!
-//! `--lane {64,128}` asserts the lane width the binary was compiled with
-//! (the `lane128` feature switches the default from 64 to 128); a mismatch
-//! exits with status 2. Tables are identical at both widths — the flag
-//! exists so lane-comparison runs can prove which width they measured.
 
 use std::time::Instant;
 
 use clique_bench::{parse_experiments_args, ExperimentsCommand, Scale, EXPERIMENTS};
-use clique_core::sim::lane::{DefaultLane, Word};
 use clique_core::sim::par;
 
 fn main() {
@@ -43,16 +36,6 @@ fn main() {
             std::process::exit(2);
         }
     };
-    if let Some(lane) = run.lane {
-        let compiled = <DefaultLane as Word>::BITS;
-        if lane != compiled {
-            eprintln!(
-                "error: --lane {lane} requested but this binary was compiled with a \
-                 {compiled}-bit default lane (toggle the `lane128` feature of clique-sim)"
-            );
-            std::process::exit(2);
-        }
-    }
     par::set_threads(run.threads);
     let scale = if run.quick { Scale::Quick } else { Scale::Full };
 

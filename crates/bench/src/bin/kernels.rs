@@ -6,45 +6,31 @@
 //!
 //! * packed `BitMatrix` multiplication ([`BitMatrix::mul_f2`], plus the
 //!   word-level and Four-Russians kernels individually) against the retained
-//!   bool-at-a-time reference `matmul_f2_scalar`, at `d ∈ {64, 128, 256}`,
-//!   once per lane width (`u64` and `u128`; `--lane {64,128}` restricts the
-//!   sweep to one width);
-//! * the cache-blocked Four-Russians kernel against the retained
-//!   single-table (unblocked) walk, at `d ∈ {256, 512, 1024}`;
+//!   bool-at-a-time reference `matmul_f2_scalar`, at `d ∈ {64, 128, 256}`;
 //! * the counting-semiring product of 0/1 matrices (the local kernel of the
 //!   `SemiringMatMul`/`TriangleCount` protocols): the word-parallel
 //!   AND+popcount path against the schoolbook `u64` triple loop, at the
 //!   same dimensions;
 //! * 64-assignment bit-sliced `Circuit::evaluate_batch` against 64
-//!   sequential `Circuit::evaluate` calls on the Strassen `d = 8` circuit;
-//! * the row-blocked *threaded* counting product against its own
-//!   single-worker path, at the worker count of the pool (`--threads N`
-//!   overrides; the row is honest about `host_parallelism`, so a 1-core
-//!   host reports ~1x while the cross-check still proves the parallel path
-//!   correct).
+//!   sequential `Circuit::evaluate` calls on the Strassen `d = 8` circuit.
+//!
+//! Every kernel is serial, so every row is a single-thread number.
 //!
 //! Usage:
 //!
 //! ```text
 //! cargo run -p clique-bench --release --bin kernels > BENCH_kernels.json
 //! cargo run -p clique-bench --release --bin kernels -- --smoke      # CI smoke
-//! cargo run -p clique-bench --release --bin kernels -- --threads 8  # pool size
-//! cargo run -p clique-bench --release --bin kernels -- --lane 128   # one lane width only
 //! ```
 //!
 //! Every timed result is cross-checked against the scalar oracle before it
-//! is reported; a mismatch aborts the run. The smoke run additionally
-//! asserts that the threaded path really executed with at least two
-//! workers.
+//! is reported; a mismatch aborts the run.
 
 use std::hint::black_box;
 use std::time::Instant;
 
-use clique_bench::{parse_lane_flag, parse_threads_flag};
-use clique_core::circuits::matmul::{matmul_f2_scalar, matmul_f2_strassen};
-use clique_core::sim::lane::Word;
-use clique_core::sim::linalg::{BitMatrix, IntMatrix, PAR_MIN_ROWS};
-use clique_core::sim::par;
+use clique_core::circuits::matmul::{matmul_f2_scalar, strassen_matmul_f2};
+use clique_core::sim::linalg::{BitMatrix, IntMatrix};
 use rand::Rng;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -64,20 +50,15 @@ fn time_ns(budget_ms: u64, max_reps: u32, mut f: impl FnMut()) -> f64 {
     start.elapsed().as_nanos() as f64 / f64::from(reps)
 }
 
-fn random_matrix_lanes<W: Word>(rng: &mut ChaCha8Rng, d: usize) -> BitMatrix<W> {
+fn random_matrix(rng: &mut ChaCha8Rng, d: usize) -> BitMatrix {
     let rows: Vec<Vec<bool>> = (0..d)
         .map(|_| (0..d).map(|_| rng.gen_bool(0.5)).collect())
         .collect();
     BitMatrix::from_rows(&rows)
 }
 
-fn random_matrix(rng: &mut ChaCha8Rng, d: usize) -> BitMatrix {
-    random_matrix_lanes(rng, d)
-}
-
 struct MatMulRow {
     d: usize,
-    lane: usize,
     scalar_ns: f64,
     packed_ns: f64,
     word_ns: f64,
@@ -90,20 +71,15 @@ impl MatMulRow {
     }
 }
 
-fn bench_matmul<W: Word>(
-    d: usize,
-    budget_ms: u64,
-    max_reps: u32,
-    rng: &mut ChaCha8Rng,
-) -> MatMulRow {
-    let a: BitMatrix<W> = random_matrix_lanes(rng, d);
-    let b: BitMatrix<W> = random_matrix_lanes(rng, d);
+fn bench_matmul(d: usize, budget_ms: u64, max_reps: u32, rng: &mut ChaCha8Rng) -> MatMulRow {
+    let a = random_matrix(rng, d);
+    let b = random_matrix(rng, d);
     let a_rows = a.to_rows();
     let b_rows = b.to_rows();
 
     // Correctness gate: all three packed paths must agree with the scalar
     // oracle on this instance before anything is timed.
-    let expected: BitMatrix<W> = BitMatrix::from_rows(&matmul_f2_scalar(&a_rows, &b_rows));
+    let expected = BitMatrix::from_rows(&matmul_f2_scalar(&a_rows, &b_rows));
     for (name, got) in [
         ("mul_f2", a.mul_f2(&b)),
         ("mul_f2_word", a.mul_f2_word(&b)),
@@ -117,71 +93,17 @@ fn bench_matmul<W: Word>(
 
     MatMulRow {
         d,
-        lane: W::BITS,
         scalar_ns: time_ns(budget_ms, max_reps, || {
             black_box(matmul_f2_scalar(black_box(&a_rows), black_box(&b_rows)));
         }),
         packed_ns: time_ns(budget_ms, max_reps, || {
-            // One worker: this row isolates packing; threading is measured
-            // by the matmul_counting_parallel rows.
-            black_box(black_box(&a).mul_f2_with_threads(black_box(&b), 1));
+            black_box(black_box(&a).mul_f2(black_box(&b)));
         }),
         word_ns: time_ns(budget_ms, max_reps, || {
             black_box(black_box(&a).mul_f2_word(black_box(&b)));
         }),
         four_russians_ns: time_ns(budget_ms, max_reps, || {
             black_box(black_box(&a).mul_f2_four_russians(black_box(&b)));
-        }),
-    }
-}
-
-struct StrassenRow {
-    d: usize,
-    lane: usize,
-    four_russians_ns: f64,
-    strassen_ns: f64,
-}
-
-impl StrassenRow {
-    fn speedup(&self) -> f64 {
-        self.four_russians_ns / self.strassen_ns
-    }
-}
-
-/// Benches a forced depth-1 Strassen split against the blocked
-/// Four-Russians kernel it bottoms out in, on both sides of
-/// `STRASSEN_MIN_DIM` — below the threshold the split loses (the leaves
-/// run at worse per-bit efficiency than one big Four-Russians pass), above
-/// it the saved block product dominates, which is exactly the measurement
-/// the dispatch constant encodes.
-fn bench_strassen<W: Word>(
-    d: usize,
-    budget_ms: u64,
-    max_reps: u32,
-    rng: &mut ChaCha8Rng,
-) -> StrassenRow {
-    let a: BitMatrix<W> = random_matrix_lanes(rng, d);
-    let b: BitMatrix<W> = random_matrix_lanes(rng, d);
-
-    // Correctness gate: the forced split must agree with the dispatching
-    // kernel before anything is timed.
-    assert_eq!(
-        a.mul_f2_strassen_with_levels(&b, 1, 1),
-        a.mul_f2(&b),
-        "strassen kernel disagrees with the dispatcher at d={d}"
-    );
-
-    StrassenRow {
-        d,
-        lane: W::BITS,
-        four_russians_ns: time_ns(budget_ms, max_reps, || {
-            black_box(black_box(&a).mul_f2_four_russians(black_box(&b)));
-        }),
-        strassen_ns: time_ns(budget_ms, max_reps, || {
-            // One worker, explicit depth 1: this row isolates the recursion
-            // against the flat kernel independent of where the dispatch
-            // threshold sits; threading is measured by the parallel rows.
-            black_box(black_box(&a).mul_f2_strassen_with_levels(black_box(&b), 1, 1));
         }),
     }
 }
@@ -235,101 +157,7 @@ fn bench_counting(d: usize, budget_ms: u64, max_reps: u32, rng: &mut ChaCha8Rng)
             black_box(counting_scalar(black_box(&a), black_box(&b)));
         }),
         popcount_ns: time_ns(budget_ms, max_reps, || {
-            // One worker: this row isolates the popcount kernel; threading
-            // is measured by the matmul_counting_parallel rows.
-            black_box(black_box(&a).mul_counting_with_threads(black_box(&b), 1));
-        }),
-    }
-}
-
-struct ParallelRow {
-    d: usize,
-    threads: usize,
-    serial_ns: f64,
-    parallel_ns: f64,
-}
-
-impl ParallelRow {
-    fn speedup(&self) -> f64 {
-        self.serial_ns / self.parallel_ns
-    }
-}
-
-/// Benches the row-blocked threaded counting product (0/1 operands, so the
-/// AND+popcount kernel underneath) against its own single-worker path.
-fn bench_counting_parallel(
-    d: usize,
-    threads: usize,
-    budget_ms: u64,
-    max_reps: u32,
-    rng: &mut ChaCha8Rng,
-) -> ParallelRow {
-    assert!(
-        d >= PAR_MIN_ROWS,
-        "d={d} is below PAR_MIN_ROWS={PAR_MIN_ROWS}; the threaded path would not engage"
-    );
-    let a = IntMatrix::from_bitmatrix(&random_matrix(rng, d));
-    let b = IntMatrix::from_bitmatrix(&random_matrix(rng, d));
-
-    // Correctness gate: the parallel path must agree with the serial path
-    // bit for bit before anything is timed.
-    assert_eq!(
-        a.mul_counting_with_threads(&b, threads),
-        a.mul_counting_with_threads(&b, 1),
-        "threaded counting product disagrees with the serial path at d={d}, threads={threads}"
-    );
-
-    ParallelRow {
-        d,
-        threads,
-        serial_ns: time_ns(budget_ms, max_reps, || {
-            black_box(black_box(&a).mul_counting_with_threads(black_box(&b), 1));
-        }),
-        parallel_ns: time_ns(budget_ms, max_reps, || {
-            black_box(black_box(&a).mul_counting_with_threads(black_box(&b), threads));
-        }),
-    }
-}
-
-struct BlockedRow {
-    d: usize,
-    unblocked_ns: f64,
-    blocked_ns: f64,
-}
-
-impl BlockedRow {
-    fn speedup(&self) -> f64 {
-        self.unblocked_ns / self.blocked_ns
-    }
-}
-
-/// Benches the cache-blocked Four-Russians kernel against the retained
-/// single-table (unblocked) walk. Single worker, per the baseline
-/// convention: the row isolates the tiling, not the pool.
-fn bench_four_russians_blocked(
-    d: usize,
-    budget_ms: u64,
-    max_reps: u32,
-    rng: &mut ChaCha8Rng,
-) -> BlockedRow {
-    let a = random_matrix(rng, d);
-    let b = random_matrix(rng, d);
-
-    // Correctness gate: the blocked and unblocked kernels must agree bit
-    // for bit before anything is timed.
-    assert_eq!(
-        a.mul_f2_four_russians(&b),
-        a.mul_f2_four_russians_unblocked(&b),
-        "blocked Four-Russians disagrees with the unblocked kernel at d={d}"
-    );
-
-    BlockedRow {
-        d,
-        unblocked_ns: time_ns(budget_ms, max_reps, || {
-            black_box(black_box(&a).mul_f2_four_russians_unblocked(black_box(&b)));
-        }),
-        blocked_ns: time_ns(budget_ms, max_reps, || {
-            black_box(black_box(&a).mul_f2_four_russians(black_box(&b)));
+            black_box(black_box(&a).mul_counting(black_box(&b)));
         }),
     }
 }
@@ -347,7 +175,7 @@ impl CircuitRow {
 }
 
 fn bench_circuit_eval(budget_ms: u64, max_reps: u32, rng: &mut ChaCha8Rng) -> CircuitRow {
-    let mm = matmul_f2_strassen(8);
+    let mm = strassen_matmul_f2(8);
     let circuit = &mm.circuit;
     let lanes = 64usize;
     let assignments: Vec<Vec<bool>> = (0..lanes)
@@ -382,93 +210,33 @@ fn bench_circuit_eval(budget_ms: u64, max_reps: u32, rng: &mut ChaCha8Rng) -> Ci
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
     let mut smoke = false;
-    let mut threads_flag: Option<usize> = None;
-    let mut lane_flag: Option<usize> = None;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
+    for arg in std::env::args().skip(1) {
+        match arg.as_str() {
             "--smoke" => smoke = true,
-            "--threads" => {
-                threads_flag = Some(parse_threads_flag(args.get(i + 1)));
-                i += 1;
-            }
-            "--lane" => {
-                lane_flag = Some(parse_lane_flag(args.get(i + 1)));
-                i += 1;
-            }
             arg => {
-                eprintln!("error: unknown flag {arg} (expected --smoke, --threads N or --lane W)");
+                eprintln!("error: unknown flag {arg} (expected --smoke)");
                 std::process::exit(2);
             }
         }
-        i += 1;
-    }
-    par::set_threads(threads_flag);
-    // The worker count the parallel rows run at: an explicit --threads is
-    // honored as given; without one, the pool default is floored at 2 so
-    // the row-blocked path is genuinely exercised even on a single-core
-    // host. Smoke mode *requires* >= 2 workers (its contract is that the
-    // threaded path ran), so --smoke --threads 1 is rejected.
-    let pool_threads = threads_flag.unwrap_or_else(|| par::threads().max(2));
-    if smoke && pool_threads < 2 {
-        eprintln!("error: --smoke asserts the threaded path; use --threads 2 or higher");
-        std::process::exit(2);
     }
     // Smoke mode (CI) only proves the harness runs end to end; the committed
     // baseline comes from a full run.
     let (budget_ms, max_reps) = if smoke { (1, 3) } else { (300, 10_000) };
 
-    // `--lane` restricts the packed-matmul rows to one lane width; by
-    // default both widths are measured (the u128 rows are the lane
-    // baseline, not the default path).
-    let lanes: &[usize] = match lane_flag {
-        Some(64) => &[64],
-        Some(128) => &[128],
-        _ => &[64, 128],
-    };
-
     let mut rng = ChaCha8Rng::seed_from_u64(0xF2F2);
-    let mut matmul_rows: Vec<MatMulRow> = Vec::new();
-    for &lane in lanes {
-        for &d in &[64usize, 128, 256] {
-            eprintln!("benchmarking matmul d={d} (u{lane} lanes) …");
-            matmul_rows.push(match lane {
-                64 => bench_matmul::<u64>(d, budget_ms, max_reps, &mut rng),
-                _ => bench_matmul::<u128>(d, budget_ms, max_reps, &mut rng),
-            });
-        }
-    }
-    let blocked_rows: Vec<BlockedRow> = [256usize, 512, 1024]
+    let matmul_rows: Vec<MatMulRow> = [64usize, 128, 256]
         .iter()
         .map(|&d| {
-            eprintln!("benchmarking blocked four-russians d={d} …");
-            bench_four_russians_blocked(d, budget_ms, max_reps, &mut rng)
+            eprintln!("benchmarking matmul d={d} …");
+            bench_matmul(d, budget_ms, max_reps, &mut rng)
         })
         .collect();
-    let mut strassen_rows: Vec<StrassenRow> = Vec::new();
-    for &lane in lanes {
-        for &d in &[2048usize, 4096] {
-            eprintln!("benchmarking strassen matmul d={d} (u{lane} lanes) …");
-            strassen_rows.push(match lane {
-                64 => bench_strassen::<u64>(d, budget_ms, max_reps, &mut rng),
-                _ => bench_strassen::<u128>(d, budget_ms, max_reps, &mut rng),
-            });
-        }
-    }
     let counting_rows: Vec<CountingRow> = [64usize, 128, 256]
         .iter()
         .map(|&d| {
             eprintln!("benchmarking counting matmul d={d} …");
             bench_counting(d, budget_ms, max_reps, &mut rng)
-        })
-        .collect();
-    let parallel_rows: Vec<ParallelRow> = [64usize, 128, 256]
-        .iter()
-        .map(|&d| {
-            eprintln!("benchmarking threaded counting matmul d={d} ({pool_threads} workers) …");
-            bench_counting_parallel(d, pool_threads, budget_ms, max_reps, &mut rng)
         })
         .collect();
     eprintln!("benchmarking circuit eval (Strassen d=8, 64 lanes) …");
@@ -486,40 +254,14 @@ fn main() {
     out.push_str("  \"matmul_f2\": [\n");
     for (i, row) in matmul_rows.iter().enumerate() {
         out.push_str(&format!(
-            "    {{\"d\": {}, \"lane\": {}, \"scalar_ns\": {:.0}, \"packed_ns\": {:.0}, \"word_ns\": {:.0}, \"four_russians_ns\": {:.0}, \"speedup_packed_vs_scalar\": {:.1}}}{}\n",
+            "    {{\"d\": {}, \"scalar_ns\": {:.0}, \"packed_ns\": {:.0}, \"word_ns\": {:.0}, \"four_russians_ns\": {:.0}, \"speedup_packed_vs_scalar\": {:.1}}}{}\n",
             row.d,
-            row.lane,
             row.scalar_ns,
             row.packed_ns,
             row.word_ns,
             row.four_russians_ns,
             row.speedup(),
             if i + 1 < matmul_rows.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("  ],\n");
-    out.push_str("  \"four_russians_blocked\": [\n");
-    for (i, row) in blocked_rows.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"d\": {}, \"unblocked_ns\": {:.0}, \"blocked_ns\": {:.0}, \"speedup_blocked_vs_unblocked\": {:.2}}}{}\n",
-            row.d,
-            row.unblocked_ns,
-            row.blocked_ns,
-            row.speedup(),
-            if i + 1 < blocked_rows.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("  ],\n");
-    out.push_str("  \"matmul_f2_strassen\": [\n");
-    for (i, row) in strassen_rows.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"d\": {}, \"lane\": {}, \"four_russians_ns\": {:.0}, \"strassen_ns\": {:.0}, \"speedup_strassen_vs_four_russians\": {:.2}}}{}\n",
-            row.d,
-            row.lane,
-            row.four_russians_ns,
-            row.strassen_ns,
-            row.speedup(),
-            if i + 1 < strassen_rows.len() { "," } else { "" }
         ));
     }
     out.push_str("  ],\n");
@@ -532,19 +274,6 @@ fn main() {
             row.popcount_ns,
             row.speedup(),
             if i + 1 < counting_rows.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("  ],\n");
-    out.push_str("  \"matmul_counting_parallel\": [\n");
-    for (i, row) in parallel_rows.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"d\": {}, \"threads\": {}, \"serial_ns\": {:.0}, \"parallel_ns\": {:.0}, \"speedup_parallel_vs_serial\": {:.1}}}{}\n",
-            row.d,
-            row.threads,
-            row.serial_ns,
-            row.parallel_ns,
-            row.speedup(),
-            if i + 1 < parallel_rows.len() { "," } else { "" }
         ));
     }
     out.push_str("  ],\n");
@@ -563,28 +292,12 @@ fn main() {
         .iter()
         .find(|r| r.d == 256)
         .expect("d=256 row");
-    let p256 = parallel_rows
-        .iter()
-        .find(|r| r.d == 256)
-        .expect("d=256 row");
-    let b512 = blocked_rows.iter().find(|r| r.d == 512).expect("d=512 row");
     eprintln!(
-        "packed matmul speedup at d=256 (u{} lanes): {:.1}x; counting popcount speedup: {:.1}x; parallel counting speedup ({} workers on {} cores): {:.1}x; blocked four-russians at d=512: {:.2}x; evaluate_batch speedup: {:.1}x",
-        d256.lane,
+        "packed matmul speedup at d=256: {:.1}x; counting popcount speedup: {:.1}x; evaluate_batch speedup: {:.1}x",
         d256.speedup(),
         c256.speedup(),
-        p256.threads,
-        host_parallelism,
-        p256.speedup(),
-        b512.speedup(),
         circuit_row.speedup()
     );
-    if smoke {
-        // The CI smoke contract — a >= 2-worker threaded run — is enforced
-        // up front (the --smoke --threads 1 rejection) and its correctness
-        // by the cross-check in `bench_counting_parallel`.
-        eprintln!("smoke: parallel path exercised with {pool_threads} workers");
-    }
     if !smoke && (d256.speedup() < 10.0 || c256.speedup() < 10.0 || circuit_row.speedup() < 10.0) {
         eprintln!("error: expected >= 10x speedups in the full baseline run");
         std::process::exit(1);

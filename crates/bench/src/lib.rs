@@ -9,9 +9,6 @@
 //! * `cargo run -p clique-bench --release --bin experiments` regenerates the
 //!   full EXPERIMENTS.md tables (pass `--quick` for a fast smoke run, or an
 //!   experiment id such as `E4` to run a single experiment).
-//! * `cargo bench -p clique-bench` runs one Criterion benchmark group per
-//!   experiment on reduced sizes, measuring the wall-clock cost of the
-//!   underlying simulations.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -58,36 +55,6 @@ pub fn try_parse_threads(value: Option<&String>) -> Result<usize, String> {
     }
 }
 
-/// Parses the value of a `--lane` CLI flag for the harness binaries;
-/// anything but `64` or `128` exits with status 2, matching the other flag
-/// errors.
-pub fn parse_lane_flag(value: Option<&String>) -> usize {
-    match try_parse_lane(value) {
-        Ok(w) => w,
-        Err(message) => {
-            eprintln!("error: {message}");
-            std::process::exit(2);
-        }
-    }
-}
-
-/// [`parse_lane_flag`] without the exit, for testability and callers that
-/// report errors themselves.
-///
-/// # Errors
-///
-/// Returns the diagnostic to print when the value is missing or not a
-/// supported lane width.
-pub fn try_parse_lane(value: Option<&String>) -> Result<usize, String> {
-    let Some(value) = value else {
-        return Err("--lane requires a value (64 or 128)".to_owned());
-    };
-    match value.parse::<usize>() {
-        Ok(w) if w == 64 || w == 128 => Ok(w),
-        _ => Err(format!("invalid --lane value {value} (expected 64 or 128)")),
-    }
-}
-
 /// What an `experiments` invocation asks for.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum ExperimentsCommand {
@@ -106,10 +73,6 @@ pub struct ExperimentsRun {
     pub json: bool,
     /// `--threads N`: worker-pool override.
     pub threads: Option<usize>,
-    /// `--lane {64,128}`: the lane width the run is expected to execute
-    /// at. The width is a compile-time choice (the `lane128` feature), so
-    /// the binary verifies the request against what it was built with.
-    pub lane: Option<usize>,
     /// Selected experiment ids (uppercased); empty = all.
     pub selected: Vec<String>,
 }
@@ -133,13 +96,9 @@ pub fn parse_experiments_args(args: &[String]) -> Result<ExperimentsCommand, Str
                 run.threads = Some(try_parse_threads(args.get(i + 1))?);
                 i += 1;
             }
-            "--lane" => {
-                run.lane = Some(try_parse_lane(args.get(i + 1))?);
-                i += 1;
-            }
             flag if flag.starts_with("--") => {
                 return Err(format!(
-                    "unknown flag {flag} (expected --list, --quick, --json, --threads N or --lane W)"
+                    "unknown flag {flag} (expected --list, --quick, --json or --threads N)"
                 ));
             }
             id => run.selected.push(id.to_uppercase()),
@@ -192,7 +151,6 @@ mod tests {
                 quick: true,
                 json: true,
                 threads: None,
-                lane: None,
                 selected: vec!["E4".to_owned(), "E16".to_owned()],
             })
         );
@@ -208,9 +166,11 @@ mod tests {
 
     #[test]
     fn bad_inputs_are_rejected_with_a_diagnostic() {
-        assert!(parse_experiments_args(&args(&["--nope"]))
-            .unwrap_err()
-            .contains("unknown flag"));
+        for flag in ["--nope", "--lane"] {
+            assert!(parse_experiments_args(&args(&[flag, "64"]))
+                .unwrap_err()
+                .contains("unknown flag"));
+        }
         assert!(parse_experiments_args(&args(&["E99"]))
             .unwrap_err()
             .contains("unknown experiment id"));
@@ -222,31 +182,5 @@ mod tests {
             .contains("invalid --threads value"));
         assert!(try_parse_threads(Some(&"x".to_owned())).is_err());
         assert_eq!(try_parse_threads(Some(&"2".to_owned())), Ok(2));
-    }
-
-    #[test]
-    fn lane_flag_accepts_exactly_the_supported_widths() {
-        assert_eq!(try_parse_lane(Some(&"64".to_owned())), Ok(64));
-        assert_eq!(try_parse_lane(Some(&"128".to_owned())), Ok(128));
-        assert!(try_parse_lane(None)
-            .unwrap_err()
-            .contains("--lane requires a value"));
-        for bad in ["0", "32", "256", "x", ""] {
-            assert!(
-                try_parse_lane(Some(&bad.to_owned()))
-                    .unwrap_err()
-                    .contains("invalid --lane value"),
-                "{bad} must be rejected"
-            );
-        }
-        let parsed = parse_experiments_args(&args(&["--lane", "128"])).unwrap();
-        assert_eq!(
-            parsed,
-            ExperimentsCommand::Run(ExperimentsRun {
-                lane: Some(128),
-                ..ExperimentsRun::default()
-            })
-        );
-        assert!(parse_experiments_args(&args(&["--lane", "7"])).is_err());
     }
 }

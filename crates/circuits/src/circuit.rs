@@ -6,7 +6,7 @@
 //! used by the simulation.
 
 use crate::gate::GateKind;
-use clique_sim::lane::{DefaultLane, Word};
+use clique_sim::lane::{mask_low, DefaultLane, LANE_BITS};
 
 /// Identifier of a gate within a [`Circuit`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -287,35 +287,23 @@ impl Circuit {
 
     /// Evaluates the circuit on many assignments at once, bit-sliced: each
     /// gate holds one [`DefaultLane`] word with one bit per assignment, so
-    /// every pass over the gate list evaluates up to `W::BITS` independent
-    /// assignments. Word-parallel gates (`AND`/`OR`/`XOR`/`NOT`/constants —
-    /// see [`GateKind::is_word_parallel`]) cost one word operation per
-    /// input; counting gates fall back to per-assignment evaluation within
-    /// the slice.
+    /// every pass over the gate list evaluates up to [`LANE_BITS`]
+    /// independent assignments. Word-parallel gates
+    /// (`AND`/`OR`/`XOR`/`NOT`/constants — see
+    /// [`GateKind::is_word_parallel`]) cost one word operation per input;
+    /// counting gates fall back to per-assignment evaluation within the
+    /// slice.
     ///
     /// Returns one output vector (in output order) per assignment, equal to
-    /// what [`Self::evaluate`] returns on that assignment. The lane width
-    /// never changes the results — see [`Self::evaluate_batch_lanes`] to
-    /// pin a specific width.
+    /// what [`Self::evaluate`] returns on that assignment.
     ///
     /// # Panics
     ///
     /// Panics if any assignment's length differs from the number of inputs.
     pub fn evaluate_batch(&self, assignments: &[Vec<bool>]) -> Vec<Vec<bool>> {
-        self.evaluate_batch_lanes::<DefaultLane>(assignments)
-    }
-
-    /// [`Self::evaluate_batch`] with an explicit lane word `W`: up to
-    /// `W::BITS` assignments per pass over the gate list. The width only
-    /// affects throughput, never the results.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any assignment's length differs from the number of inputs.
-    pub fn evaluate_batch_lanes<W: Word>(&self, assignments: &[Vec<bool>]) -> Vec<Vec<bool>> {
         let mut results = Vec::with_capacity(assignments.len());
-        let mut lanes = vec![W::ZERO; self.gates.len()];
-        for chunk in assignments.chunks(W::BITS) {
+        let mut lanes: Vec<DefaultLane> = vec![0; self.gates.len()];
+        for chunk in assignments.chunks(LANE_BITS) {
             for assignment in chunk {
                 assert_eq!(
                     assignment.len(),
@@ -330,7 +318,7 @@ impl Circuit {
                 results.push(
                     self.outputs
                         .iter()
-                        .map(|id| lanes[id.index()] >> k & W::ONE == W::ONE)
+                        .map(|id| lanes[id.index()] >> k & 1 == 1)
                         .collect(),
                 );
             }
@@ -338,11 +326,12 @@ impl Circuit {
         results
     }
 
-    /// One bit-sliced pass: evaluates up to `W::BITS` assignments, leaving
-    /// the value of gate `g` on assignment `k` in bit `k` of `lanes[g]`.
-    fn evaluate_slice<W: Word>(&self, chunk: &[Vec<bool>], lanes: &mut [W]) {
-        debug_assert!(chunk.len() <= W::BITS);
-        let active = W::mask_low(chunk.len());
+    /// One bit-sliced pass: evaluates up to [`LANE_BITS`] assignments,
+    /// leaving the value of gate `g` on assignment `k` in bit `k` of
+    /// `lanes[g]`.
+    fn evaluate_slice(&self, chunk: &[Vec<bool>], lanes: &mut [DefaultLane]) {
+        debug_assert!(chunk.len() <= LANE_BITS);
+        let active = mask_low(chunk.len());
         let mut next_input = 0usize;
         for i in 0..self.gates.len() {
             let gate = &self.gates[i];
@@ -350,15 +339,16 @@ impl Circuit {
                 GateKind::Input => {
                     let t = next_input;
                     next_input += 1;
-                    chunk.iter().enumerate().fold(W::ZERO, |acc, (k, a)| {
-                        acc | (W::from_u64(u64::from(a[t])) << k)
-                    })
+                    chunk
+                        .iter()
+                        .enumerate()
+                        .fold(0, |acc, (k, a)| acc | (DefaultLane::from(a[t]) << k))
                 }
                 GateKind::Const(value) => {
                     if *value {
                         active
                     } else {
-                        W::ZERO
+                        0
                     }
                 }
                 GateKind::And => gate
@@ -368,7 +358,7 @@ impl Circuit {
                 GateKind::Or => gate
                     .inputs
                     .iter()
-                    .fold(W::ZERO, |acc, id| acc | lanes[id.index()]),
+                    .fold(0, |acc, id| acc | lanes[id.index()]),
                 GateKind::Not => {
                     assert_eq!(gate.inputs.len(), 1, "NOT gate takes exactly one input");
                     !lanes[gate.inputs[0].index()] & active
@@ -376,17 +366,15 @@ impl Circuit {
                 GateKind::Xor => gate
                     .inputs
                     .iter()
-                    .fold(W::ZERO, |acc, id| acc ^ lanes[id.index()]),
+                    .fold(0, |acc, id| acc ^ lanes[id.index()]),
                 kind => {
                     // Counting gates: evaluate each active lane separately.
-                    let mut word = W::ZERO;
+                    let mut word: DefaultLane = 0;
                     for k in 0..chunk.len() {
                         let value = kind.eval_iter(
-                            gate.inputs
-                                .iter()
-                                .map(|id| lanes[id.index()] >> k & W::ONE == W::ONE),
+                            gate.inputs.iter().map(|id| lanes[id.index()] >> k & 1 == 1),
                         );
-                        word |= W::from_u64(u64::from(value)) << k;
+                        word |= DefaultLane::from(value) << k;
                     }
                     word
                 }

@@ -42,5 +42,5 @@ pub use circuit::{Circuit, Gate, GateId};
 pub use clique_sim::linalg::BitMatrix;
 pub use gate::GateKind;
 pub use matmul::{
-    matmul_f2_naive, matmul_f2_reference, matmul_f2_scalar, matmul_f2_strassen, MatMulCircuit,
+    matmul_f2_naive, matmul_f2_reference, matmul_f2_scalar, strassen_matmul_f2, MatMulCircuit,
 };

@@ -9,7 +9,7 @@
 //! have constructions for —
 //!
 //! * [`matmul_f2_naive`]: `Θ(d³)` wires (`ω = 3`),
-//! * [`matmul_f2_strassen`]: `Θ(d^{log₂ 7}) ≈ Θ(d^{2.81})` wires —
+//! * [`strassen_matmul_f2`]: `Θ(d^{log₂ 7}) ≈ Θ(d^{2.81})` wires —
 //!
 //! and `clique-core` feeds them through the Theorem 2 simulation to obtain
 //! triangle-detection protocols whose bandwidth scales with the circuit's
@@ -124,7 +124,7 @@ pub fn matmul_f2_naive(dim: usize) -> MatMulCircuit {
 /// # Panics
 ///
 /// Panics if `dim` is not a power of two or is zero.
-pub fn matmul_f2_strassen(dim: usize) -> MatMulCircuit {
+pub fn strassen_matmul_f2(dim: usize) -> MatMulCircuit {
     // The circuit splits all the way to 1×1 blocks, so its dimension must
     // be a fixed point of the shared block-split padding seam at the full
     // recursion depth (`MatMulStrategy::padded_dim` produces exactly these).
@@ -327,42 +327,26 @@ mod tests {
 
     #[test]
     fn strassen_circuit_matches_reference() {
+        // The explicit circuit, the packed kernel and the bool-at-a-time
+        // oracle all compute one product.
         let mut rng = ChaCha8Rng::seed_from_u64(42);
         for d in [1usize, 2, 4, 8] {
-            let circuit = matmul_f2_strassen(d);
+            let circuit = strassen_matmul_f2(d);
             for _ in 0..5 {
                 let a = random_matrix(&mut rng, d);
                 let b = random_matrix(&mut rng, d);
+                let lifted = circuit.multiply(&a, &b);
                 assert_eq!(
-                    circuit.multiply(&a, &b),
+                    lifted,
                     matmul_f2_reference(&a, &b),
                     "Strassen mismatch at d = {d}"
                 );
+                assert_eq!(
+                    lifted.to_rows(),
+                    matmul_f2_scalar(&a.to_rows(), &b.to_rows()),
+                    "oracle mismatch at d = {d}"
+                );
             }
-        }
-    }
-
-    #[test]
-    fn strassen_circuit_matches_the_packed_strassen_kernel() {
-        // The lifting seam: the explicit circuit, the packed
-        // `mul_f2_strassen` kernel (recursion forced at small dims) and the
-        // bool-at-a-time oracle all compute one product.
-        let mut rng = ChaCha8Rng::seed_from_u64(45);
-        for (d, levels) in [(2usize, 1u32), (4, 2), (8, 3)] {
-            let circuit = matmul_f2_strassen(d);
-            let a = random_matrix(&mut rng, d);
-            let b = random_matrix(&mut rng, d);
-            let lifted = circuit.multiply(&a, &b);
-            assert_eq!(
-                lifted,
-                a.mul_f2_strassen_with_levels(&b, levels, 1),
-                "kernel mismatch at d = {d}"
-            );
-            assert_eq!(
-                lifted.to_rows(),
-                matmul_f2_scalar(&a.to_rows(), &b.to_rows()),
-                "oracle mismatch at d = {d}"
-            );
         }
     }
 
@@ -381,11 +365,11 @@ mod tests {
     #[test]
     fn wire_counts_reflect_the_exponents() {
         let naive8 = matmul_f2_naive(8).circuit.wire_count();
-        let strassen8 = matmul_f2_strassen(8).circuit.wire_count();
+        let strassen8 = strassen_matmul_f2(8).circuit.wire_count();
         // At d = 8 Strassen already uses fewer multiplication gates; with the
         // XOR overhead total wires are comparable, and the gap widens with d.
         let naive16 = matmul_f2_naive(16).circuit.wire_count();
-        let strassen16 = matmul_f2_strassen(16).circuit.wire_count();
+        let strassen16 = strassen_matmul_f2(16).circuit.wire_count();
         let naive_growth = naive16 as f64 / naive8 as f64;
         let strassen_growth = strassen16 as f64 / strassen8 as f64;
         // Doubling d multiplies the naive wire count by 8 (ω = 3) and the
@@ -400,7 +384,7 @@ mod tests {
     #[test]
     fn depth_profile() {
         assert_eq!(matmul_f2_naive(4).circuit.depth(), 2);
-        let s = matmul_f2_strassen(8);
+        let s = strassen_matmul_f2(8);
         assert!(s.circuit.depth() >= 4);
         assert!(s.circuit.depth() <= 24, "depth {}", s.circuit.depth());
     }
@@ -408,7 +392,7 @@ mod tests {
     #[test]
     fn identity_matrix_behaviour() {
         let d = 4;
-        let circuit = matmul_f2_strassen(d);
+        let circuit = strassen_matmul_f2(d);
         let identity = BitMatrix::identity(d);
         let mut rng = ChaCha8Rng::seed_from_u64(43);
         let a = random_matrix(&mut rng, d);
@@ -419,7 +403,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "power-of-two")]
     fn strassen_rejects_non_power_of_two() {
-        let _ = matmul_f2_strassen(6);
+        let _ = strassen_matmul_f2(6);
     }
 
     #[test]
@@ -437,7 +421,7 @@ mod tests {
         // The caller pads; a 6×6 input against a padded-to-8 circuit must
         // fail immediately with an actionable message, not deep inside the
         // evaluation.
-        let circuit = matmul_f2_strassen(8);
+        let circuit = strassen_matmul_f2(8);
         let unpadded = BitMatrix::zeros(6, 6);
         let _ = circuit.assignment(&unpadded, &unpadded);
     }

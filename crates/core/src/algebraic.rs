@@ -45,10 +45,9 @@
 //! entry-by-entry layout, so the transcripts do not depend on this.
 //!
 //! Each cube's local block product is one player's work and runs on the
-//! serial [`clique_sim::linalg`](crate::sim::linalg) kernels
-//! (`*_with_threads(…, 1)`), never spawning the
-//! [`clique_sim::par`](crate::sim::par) pool. Parallelism stays in the
-//! engines; by the parallelism-never-changes-transcripts invariant
+//! serial [`clique_sim::linalg`](crate::sim::linalg) kernels, never
+//! spawning the [`clique_sim::par`](crate::sim::par) pool. Parallelism
+//! stays in the engines; by the parallelism-never-changes-transcripts invariant
 //! (DESIGN.md, Concurrency) every round/bit count in this module —
 //! including the E13 pins — is identical at any worker count. Experiment
 //! E14 measures the wall-clock side of these protocols on the pool.
@@ -183,25 +182,24 @@ impl SemiringMatrix {
     }
 
     /// A block's local product in the given semiring, on the serial
-    /// word-parallel kernels: a block product is one player's local work,
-    /// so it never fans out to the worker pool. Counting operands whose
-    /// entries are all 0/1 arrive packed and multiply by AND+popcount.
+    /// word-parallel kernels. Counting operands whose entries are all 0/1
+    /// arrive packed and multiply by AND+popcount.
     fn product(&self, rhs: &SemiringMatrix, semiring: Semiring) -> SemiringMatrix {
         match (semiring, self, rhs) {
             (Semiring::Boolean, SemiringMatrix::Bits(a), SemiringMatrix::Bits(b)) => {
-                SemiringMatrix::Bits(a.mul_bool_with_threads(b, 1))
+                SemiringMatrix::Bits(a.mul_bool(b))
             }
             (Semiring::F2, SemiringMatrix::Bits(a), SemiringMatrix::Bits(b)) => {
-                SemiringMatrix::Bits(a.mul_f2_with_threads(b, 1))
+                SemiringMatrix::Bits(a.mul_f2(b))
             }
             (Semiring::Counting, SemiringMatrix::Bits(a), SemiringMatrix::Bits(b)) => {
-                SemiringMatrix::Ints(a.popcount_product_with_threads(b, 1))
+                SemiringMatrix::Ints(a.popcount_product(b))
             }
             (Semiring::Counting, SemiringMatrix::Ints(a), SemiringMatrix::Ints(b)) => {
-                SemiringMatrix::Ints(a.mul_counting_with_threads(b, 1))
+                SemiringMatrix::Ints(a.mul_counting(b))
             }
             (Semiring::MinPlus, SemiringMatrix::Ints(a), SemiringMatrix::Ints(b)) => {
-                SemiringMatrix::Ints(a.mul_min_plus_with_threads(b, 1))
+                SemiringMatrix::Ints(a.mul_min_plus(b))
             }
             _ => unreachable!("operand representation checked in SemiringMatMul::new"),
         }
@@ -243,8 +241,7 @@ impl SemiringMatrix {
     ) {
         match (self, src) {
             (SemiringMatrix::Bits(m), SemiringMatrix::Bits(s)) => {
-                let lane = <DefaultLane as Word>::BITS;
-                let (word0, shift) = (col0 / lane, col0 % lane);
+                let (word0, shift) = (col0 / LANE_BITS, col0 % LANE_BITS);
                 let fold = |acc: &mut DefaultLane, bits: DefaultLane| match semiring {
                     Semiring::F2 => *acc ^= bits,
                     _ => *acc |= bits,
@@ -254,8 +251,8 @@ impl SemiringMatrix {
                     fold(&mut row[word0 + t], word << shift);
                     // Bits past the source's width are zero, so a nonzero
                     // spill always lands inside the row.
-                    if shift > 0 && word >> (lane - shift) != DefaultLane::ZERO {
-                        fold(&mut row[word0 + t + 1], word >> (lane - shift));
+                    if shift > 0 && word >> (LANE_BITS - shift) != 0 {
+                        fold(&mut row[word0 + t + 1], word >> (LANE_BITS - shift));
                     }
                 }
             }
@@ -918,9 +915,8 @@ struct LeafCoeffs {
 /// M1 = (A11+A22)(B11+B22), M2 = (A21+A22)B11, M3 = A11(B12−B22),
 /// M4 = A22(B21−B11), M5 = (A11+A12)B22, M6 = (A21−A11)(B11+B12),
 /// M7 = (A12−A22)(B21+B22); C11 = M1+M4−M5+M7, C12 = M3+M5, C21 = M2+M4,
-/// C22 = M1−M2+M3+M6. The same identities drive the local
-/// `BitMatrix::mul_f2_strassen` kernel and the lifted Strassen circuit, so
-/// all three seams agree block for block.
+/// C22 = M1−M2+M3+M6. The same identities drive the lifted Strassen
+/// circuit, so both seams agree block for block.
 type StrassenRule = (
     &'static [(usize, usize, i64)],
     &'static [(usize, usize, i64)],
@@ -1453,9 +1449,7 @@ impl Protocol for FastMatMul<'_> {
                         let (a_bits, a_ints) = fill(i, k, 0);
                         let (b_bits, b_ints) = fill(k, j, 1);
                         cubes.push(match self.semiring {
-                            Semiring::F2 => {
-                                LeafPartial::Bits(a_bits.mul_f2_with_threads(&b_bits, 1))
-                            }
+                            Semiring::F2 => LeafPartial::Bits(a_bits.mul_f2(&b_bits)),
                             _ => LeafPartial::Ints(a_ints.mul_wrapping(&b_ints)),
                         });
                     }

@@ -110,6 +110,8 @@ impl MsfOutput {
 pub struct MstProtocol<'a> {
     graph: &'a WeightedGraph,
     base_capacity: usize,
+    /// The packed edge-key universe (see [`edge_key_universe`]).
+    universe: u64,
 }
 
 impl<'a> MstProtocol<'a> {
@@ -119,20 +121,15 @@ impl<'a> MstProtocol<'a> {
     /// # Panics
     ///
     /// Panics if `base_capacity == 0`, or if the packed edge keys would
-    /// overflow the sketch field (`(max_weight + 1) · n²` must stay below
-    /// `2³⁰` — polynomially bounded weights, the standard congested-clique
-    /// assumption).
+    /// overflow the sketch field ([`edge_key_universe`] is `None`).
     pub fn new(graph: &'a WeightedGraph, base_capacity: usize) -> Self {
         assert!(base_capacity > 0, "sketch capacity must be positive");
-        let n = graph.vertex_count() as u64;
-        let universe = (graph.max_weight() + 1)
-            .checked_mul(n * n)
-            .filter(|&u| u < 1 << 30)
+        let universe = edge_key_universe(graph.vertex_count(), graph.max_weight())
             .expect("edge-key universe (max_weight + 1)·n² must stay below 2^30");
-        let _ = universe;
         Self {
             graph,
             base_capacity,
+            universe,
         }
     }
 
@@ -247,8 +244,7 @@ impl Protocol for MstProtocol<'_> {
         let mut capacity = 0usize;
 
         if n > 1 {
-            let n_u64 = n as u64;
-            let universe = (self.graph.max_weight() + 1) * n_u64 * n_u64;
+            let universe = self.universe;
             // The decode scan only ever needs to test genuine edge keys:
             // cut elements are edges, and `decode_among` verifies every
             // answer by re-sketching, so restricting the (model-free) local
@@ -360,6 +356,19 @@ pub fn compute_msf(
         .execute(&mut MstProtocol::new(graph, base_capacity))
 }
 
+/// The packed edge-key universe `(max_weight + 1) · n²` of an `n`-vertex
+/// graph with weights up to `max_weight`, or `None` unless it stays below
+/// `2³⁰`, the bound the sketch field is sized for (polynomially bounded
+/// weights, the standard congested-clique assumption). The arithmetic is
+/// checked, so no input overflows.
+pub fn edge_key_universe(n: usize, max_weight: u64) -> Option<u64> {
+    let n = u64::try_from(n).ok()?;
+    max_weight
+        .checked_add(1)?
+        .checked_mul(n.checked_mul(n)?)
+        .filter(|&universe| universe < 1 << 30)
+}
+
 /// The number of blackboard bits one node publishes per phase for an
 /// `n`-vertex graph with maximum weight `max_weight` at sketch capacity
 /// `k`: `O(k log n)` for polynomially bounded weights.
@@ -381,6 +390,15 @@ mod tests {
         let oracle = minimum_spanning_forest(graph);
         assert_eq!(run.forest(), oracle, "protocol vs Kruskal oracle");
         run.output
+    }
+
+    #[test]
+    fn edge_key_universe_is_checked() {
+        assert_eq!(edge_key_universe(4, 7), Some(128));
+        assert_eq!(edge_key_universe(0, 7), Some(0));
+        assert_eq!(edge_key_universe(96, 1 << 20), None);
+        assert_eq!(edge_key_universe(96, u64::MAX), None);
+        assert_eq!(edge_key_universe(usize::MAX, 1), None);
     }
 
     #[test]

@@ -17,7 +17,7 @@
 //!   each player checks one group triple, and a balanced routing phase ships
 //!   every relevant edge to its checkers in `Õ(n^{1/3}/b)` rounds.
 
-use clique_circuits::matmul::{matmul_f2_naive, matmul_f2_strassen, MatMulCircuit};
+use clique_circuits::matmul::{matmul_f2_naive, strassen_matmul_f2, MatMulCircuit};
 use clique_graphs::{Graph, Pattern};
 use clique_routing::{BalancedRouter, Router, RoutingDemand};
 use clique_sim::prelude::*;
@@ -45,8 +45,8 @@ impl MatMulStrategy {
     /// The Strassen arm delegates to the block-split seam
     /// [`clique_sim::linalg::strassen_padded_dim`] at the full recursion
     /// depth (the circuit splits all the way to `1 × 1` blocks), so the
-    /// circuit path, the local `mul_f2_strassen` kernel and the distributed
-    /// `FastMatMul` schedule all pad through one rule and no path re-pads.
+    /// circuit path and the distributed `FastMatMul` schedule pad through
+    /// one rule and no path re-pads.
     pub fn padded_dim(&self, n: usize) -> usize {
         match self {
             MatMulStrategy::Naive => n,
@@ -69,7 +69,7 @@ impl MatMulStrategy {
     pub fn circuit(&self, dim: usize) -> MatMulCircuit {
         match self {
             MatMulStrategy::Naive => matmul_f2_naive(dim),
-            MatMulStrategy::Strassen => matmul_f2_strassen(dim),
+            MatMulStrategy::Strassen => strassen_matmul_f2(dim),
         }
     }
 

@@ -119,7 +119,7 @@ fn read_row_into(matrix: &mut BitMatrix, v: usize, payload: &BitString) {
     let mut reader = payload.reader();
     let take = reader.remaining().min(n);
     if let Some(mut words) = reader.read_words(take) {
-        words.resize(n.div_ceil(<DefaultLane as Word>::BITS), DefaultLane::ZERO);
+        words.resize(n.div_ceil(LANE_BITS), 0);
         matrix.set_row_words(v, &words);
     }
 }

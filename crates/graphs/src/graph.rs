@@ -10,11 +10,8 @@
 use std::fmt;
 
 use clique_sim::bits::BitString;
-use clique_sim::lane::{DefaultLane, Word};
+use clique_sim::lane::{DefaultLane, LANE_BITS};
 use clique_sim::linalg::BitMatrix;
-
-/// Lane width of the packed adjacency representations, in bits.
-const LANE_BITS: usize = <DefaultLane as Word>::BITS;
 
 /// An undirected simple graph on vertices `0..n`.
 ///
@@ -167,15 +164,15 @@ impl Graph {
     /// Panics if `u` is out of range.
     pub fn adjacency_row_bits(&self, u: usize) -> BitString {
         let n = self.vertex_count();
-        let mut words = vec![DefaultLane::ZERO; n.div_ceil(LANE_BITS)];
+        let mut words: Vec<DefaultLane> = vec![0; n.div_ceil(LANE_BITS)];
         for &v in &self.adj[u] {
-            words[v / LANE_BITS] |= DefaultLane::bit(v % LANE_BITS);
+            words[v / LANE_BITS] |= 1 << (v % LANE_BITS);
         }
         BitString::from_words(&words, n)
     }
 
     /// The full adjacency matrix packed into a [`BitMatrix`] (one lane
-    /// word holds `DefaultLane::BITS` entries), the representation the
+    /// word holds [`LANE_BITS`] entries), the representation the
     /// word-parallel `F₂` kernels consume.
     pub fn adjacency_bitmatrix(&self) -> BitMatrix {
         let n = self.vertex_count();
@@ -183,7 +180,7 @@ impl Graph {
         for (u, neighbors) in self.adj.iter().enumerate() {
             let row = m.row_words_mut(u);
             for &v in neighbors {
-                row[v / LANE_BITS] |= DefaultLane::bit(v % LANE_BITS);
+                row[v / LANE_BITS] |= 1 << (v % LANE_BITS);
             }
         }
         m
@@ -203,9 +200,9 @@ impl Graph {
         for u in 0..n {
             for (wi, &word) in m.row_words(u).iter().enumerate() {
                 let mut bits = word;
-                while bits != DefaultLane::ZERO {
+                while bits != 0 {
                     let v = wi * LANE_BITS + bits.trailing_zeros() as usize;
-                    bits = bits.clear_lowest_set_bit();
+                    bits &= bits - 1;
                     if u != v {
                         g.add_edge(u, v);
                     }
@@ -232,7 +229,7 @@ impl Graph {
         for (u, neighbors) in self.adj.iter().enumerate() {
             let row = m.row_words_mut(u);
             for &v in neighbors {
-                row[v / LANE_BITS] |= DefaultLane::bit(v % LANE_BITS);
+                row[v / LANE_BITS] |= 1 << (v % LANE_BITS);
             }
         }
         m

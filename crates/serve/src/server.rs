@@ -46,6 +46,7 @@ use std::collections::HashMap;
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
+use clique_core::mst;
 use clique_core::registry::{self, InputKind, ProtocolRun, RunOptions};
 use clique_core::sim::transport::FaultPlan;
 use clique_core::sim::{par, Metrics, SimError};
@@ -812,8 +813,15 @@ fn validate(spec: &JobSpec) -> Result<(), ServeError> {
     if spec.bandwidth == 0 {
         return invalid("bandwidth must be positive");
     }
-    if entry.kind == InputKind::Weighted && spec.max_weight == 0 {
-        return invalid("weighted families need max_weight >= 1");
+    if entry.kind == InputKind::Weighted {
+        if spec.max_weight == 0 {
+            return invalid("weighted families need max_weight >= 1");
+        }
+        // Weighted inputs feed `mst`, whose edge keys must fit its sketch
+        // field; rejecting here keeps the bound from surfacing as a panic.
+        if mst::edge_key_universe(spec.n, spec.max_weight).is_none() {
+            return invalid("edge-key universe (max_weight + 1)·n² must stay below 2^30");
+        }
     }
     Ok(())
 }
@@ -975,7 +983,24 @@ mod tests {
             server.run_job(&JobSpec::weighted("mst", "weighted_path", 4, 8, 0, 0)),
             Err(ServeError::InvalidSpec { .. })
         ));
+        // Edge-key universes at or past 2^30, including a weight bound
+        // whose `+ 1` would overflow, are rejected before the generator
+        // or the protocol can panic.
+        for max_weight in [1 << 20, u64::MAX] {
+            assert!(matches!(
+                server.run_job(&JobSpec::weighted(
+                    "mst",
+                    "weighted_path",
+                    96,
+                    7,
+                    max_weight,
+                    1
+                )),
+                Err(ServeError::InvalidSpec { .. })
+            ));
+        }
         assert_eq!(server.stats().jobs, 0, "rejected batches count no jobs");
+        assert_eq!(server.stats().faults.panics, 0);
     }
 
     #[test]

@@ -6,16 +6,12 @@
 //! cursor-based reader ([`BitReader`]); it is the payload type used by both
 //! the low-level round engine and the high-level phase engine.
 //!
-//! The backing storage is generic over the machine-word lane
-//! ([`Word`], default [`DefaultLane`]): bits are packed
-//! least-significant-first, `W::BITS` per word. The lane width is purely a
-//! local-throughput knob — lengths, encodings and transcripts are identical
-//! at every width (pinned by the cross-width proptests in
-//! `tests/properties.rs`).
+//! Bits are packed least-significant-first, [`LANE_BITS`] per
+//! [`DefaultLane`] word.
 
 use std::fmt;
 
-use crate::lane::{DefaultLane, Word};
+use crate::lane::{mask_low, DefaultLane, LANE_BITS};
 
 /// Width of the scalar accumulator the field codecs
 /// ([`BitString::push_fields`], [`BitReader::read_fields`]) gather bits in:
@@ -24,7 +20,7 @@ const ACC_BITS: usize = u64::BITS as usize;
 
 /// An append-only sequence of bits used as a message payload.
 ///
-/// Bits are stored least-significant-first inside `W::BITS`-bit words. The
+/// Bits are stored least-significant-first inside [`LANE_BITS`]-bit words. The
 /// type supports appending single bits, fixed-width unsigned integers and
 /// whole bit strings, and reading them back in order with a [`BitReader`].
 ///
@@ -43,22 +39,13 @@ const ACC_BITS: usize = u64::BITS as usize;
 /// assert_eq!(reader.read_bit(), Some(true));
 /// assert!(reader.is_exhausted());
 /// ```
-#[derive(Clone, PartialEq, Eq, Hash)]
-pub struct BitString<W: Word = DefaultLane> {
-    words: Vec<W>,
+#[derive(Clone, Default, PartialEq, Eq, Hash)]
+pub struct BitString {
+    words: Vec<DefaultLane>,
     len: usize,
 }
 
-impl<W: Word> Default for BitString<W> {
-    fn default() -> Self {
-        Self {
-            words: Vec::new(),
-            len: 0,
-        }
-    }
-}
-
-impl<W: Word> BitString<W> {
+impl BitString {
     /// Creates an empty bit string.
     pub fn new() -> Self {
         Self::default()
@@ -67,28 +54,9 @@ impl<W: Word> BitString<W> {
     /// Creates an empty bit string with capacity for at least `bits` bits.
     pub fn with_capacity(bits: usize) -> Self {
         Self {
-            words: Vec::with_capacity(bits.div_ceil(W::BITS)),
+            words: Vec::with_capacity(bits.div_ceil(LANE_BITS)),
             len: 0,
         }
-    }
-
-    /// Creates an empty bit string reusing `backing` (cleared, capacity
-    /// kept) as storage — the constructor [`BufferArena`] hands recycled
-    /// buffers back through.
-    ///
-    /// [`BufferArena`]: crate::arena::BufferArena
-    pub fn from_recycled(mut backing: Vec<W>) -> Self {
-        backing.clear();
-        Self {
-            words: backing,
-            len: 0,
-        }
-    }
-
-    /// Consumes the bit string, returning its backing word buffer (so the
-    /// allocation can be recycled via [`Self::from_recycled`]).
-    pub fn into_backing(self) -> Vec<W> {
-        self.words
     }
 
     /// Creates a bit string containing the `width` low-order bits of `value`.
@@ -104,15 +72,15 @@ impl<W: Word> BitString<W> {
 
     /// Creates a bit string from a slice of booleans, one bit per element.
     ///
-    /// Packs `W::BITS` bits per word instead of appending bit by bit.
+    /// Packs `LANE_BITS` bits per word instead of appending bit by bit.
     pub fn from_bools(bits: &[bool]) -> Self {
         let words = bits
-            .chunks(W::BITS)
+            .chunks(LANE_BITS)
             .map(|chunk| {
-                let mut word = W::ZERO;
+                let mut word = 0;
                 for (i, &bit) in chunk.iter().enumerate() {
                     if bit {
-                        word |= W::bit(i);
+                        word |= 1 << i;
                     }
                 }
                 word
@@ -125,12 +93,12 @@ impl<W: Word> BitString<W> {
     }
 
     /// Creates a bit string of length `len` from packed little-endian words
-    /// (bit `i` is bit `i % W::BITS` of `words[i / W::BITS]`).
+    /// (bit `i` is bit `i % LANE_BITS` of `words[i / LANE_BITS]`).
     ///
     /// # Panics
     ///
     /// Panics if `words` holds fewer than `len` bits.
-    pub fn from_words(words: &[W], len: usize) -> Self {
+    pub fn from_words(words: &[DefaultLane], len: usize) -> Self {
         let mut bs = Self::with_capacity(len);
         bs.push_words(words, len);
         bs
@@ -140,9 +108,9 @@ impl<W: Word> BitString<W> {
     pub fn to_bools(&self) -> Vec<bool> {
         let mut out = Vec::with_capacity(self.len);
         for (w, &word) in self.words.iter().enumerate() {
-            let take = (self.len - w * W::BITS).min(W::BITS);
+            let take = (self.len - w * LANE_BITS).min(LANE_BITS);
             for i in 0..take {
-                out.push((word >> i) & W::ONE == W::ONE);
+                out.push((word >> i) & 1 == 1);
             }
         }
         out
@@ -150,7 +118,7 @@ impl<W: Word> BitString<W> {
 
     /// The packed little-endian words backing the bit string. Bits past
     /// `len()` in the last word are zero.
-    pub fn words(&self) -> &[W] {
+    pub fn words(&self) -> &[DefaultLane] {
         &self.words
     }
 
@@ -166,13 +134,13 @@ impl<W: Word> BitString<W> {
 
     /// Appends a single bit.
     pub fn push_bit(&mut self, bit: bool) {
-        let word_idx = self.len / W::BITS;
-        let bit_idx = self.len % W::BITS;
+        let word_idx = self.len / LANE_BITS;
+        let bit_idx = self.len % LANE_BITS;
         if word_idx == self.words.len() {
-            self.words.push(W::ZERO);
+            self.words.push(0);
         }
         if bit {
-            self.words[word_idx] |= W::bit(bit_idx);
+            self.words[word_idx] |= 1 << bit_idx;
         }
         self.len += 1;
     }
@@ -195,27 +163,27 @@ impl<W: Word> BitString<W> {
         } else {
             value & ((1u64 << width) - 1)
         };
-        self.push_word_bits(W::from_u64(value), width);
+        self.push_word_bits(value, width);
     }
 
     /// Appends the `width` low-order bits of a full lane (`value` must
-    /// already be masked to `width` bits, `width <= W::BITS`).
-    fn push_word_bits(&mut self, value: W, width: usize) {
-        debug_assert!(width <= W::BITS);
-        debug_assert_eq!(value & !W::mask_low(width), W::ZERO);
+    /// already be masked to `width` bits, `width <= LANE_BITS`).
+    fn push_word_bits(&mut self, value: DefaultLane, width: usize) {
+        debug_assert!(width <= LANE_BITS);
+        debug_assert_eq!(value & !mask_low(width), 0);
         if width == 0 {
             return;
         }
-        let word_idx = self.len / W::BITS;
-        let bit_idx = self.len % W::BITS;
-        while self.words.len() * W::BITS < self.len + width {
-            self.words.push(W::ZERO);
+        let word_idx = self.len / LANE_BITS;
+        let bit_idx = self.len % LANE_BITS;
+        while self.words.len() * LANE_BITS < self.len + width {
+            self.words.push(0);
         }
         self.words[word_idx] |= value << bit_idx;
-        if bit_idx + width > W::BITS {
-            // The straddle spills `bit_idx + width - W::BITS` bits into the
-            // next word; the shift amount is `< width <= W::BITS`.
-            self.words[word_idx + 1] |= value >> (W::BITS - bit_idx);
+        if bit_idx + width > LANE_BITS {
+            // The straddle spills `bit_idx + width - LANE_BITS` bits into the
+            // next word; the shift amount is `< width <= LANE_BITS`.
+            self.words[word_idx + 1] |= value >> (LANE_BITS - bit_idx);
         }
         self.len += width;
     }
@@ -229,27 +197,27 @@ impl<W: Word> BitString<W> {
     /// # Panics
     ///
     /// Panics if `words` holds fewer than `len` bits.
-    pub fn push_words(&mut self, words: &[W], len: usize) {
+    pub fn push_words(&mut self, words: &[DefaultLane], len: usize) {
         assert!(
-            len <= words.len() * W::BITS,
+            len <= words.len() * LANE_BITS,
             "{len} bits requested from {} words",
             words.len()
         );
-        let full = len / W::BITS;
-        let rem = len % W::BITS;
-        if self.len.is_multiple_of(W::BITS) {
+        let full = len / LANE_BITS;
+        let rem = len % LANE_BITS;
+        if self.len.is_multiple_of(LANE_BITS) {
             // Word-aligned fast path: memcpy the full words.
             self.words.extend_from_slice(&words[..full]);
             if rem > 0 {
-                self.words.push(words[full] & W::mask_low(rem));
+                self.words.push(words[full] & mask_low(rem));
             }
             self.len += len;
         } else {
             for &word in &words[..full] {
-                self.push_word_bits(word, W::BITS);
+                self.push_word_bits(word, LANE_BITS);
             }
             if rem > 0 {
-                self.push_word_bits(words[full] & W::mask_low(rem), rem);
+                self.push_word_bits(words[full] & mask_low(rem), rem);
             }
         }
     }
@@ -268,7 +236,7 @@ impl<W: Word> BitString<W> {
             return;
         }
         let mask = u64::MAX >> (ACC_BITS - width);
-        let words_after = (self.len + values.len() * width).div_ceil(W::BITS);
+        let words_after = (self.len + values.len() * width).div_ceil(LANE_BITS);
         self.words
             .reserve(words_after.saturating_sub(self.words.len()));
         let (mut acc, mut filled) = (0u64, 0usize);
@@ -277,7 +245,7 @@ impl<W: Word> BitString<W> {
             acc |= value << filled;
             filled += width;
             if filled >= ACC_BITS {
-                self.push_word_bits(W::from_u64(acc), ACC_BITS);
+                self.push_word_bits(acc, ACC_BITS);
                 filled -= ACC_BITS;
                 // The bits of `value` that did not fit; `filled < width`.
                 acc = if filled == 0 {
@@ -287,7 +255,7 @@ impl<W: Word> BitString<W> {
                 };
             }
         }
-        self.push_word_bits(W::from_u64(acc), filled);
+        self.push_word_bits(acc, filled);
     }
 
     /// Appends an unsigned integer using the number of bits needed to
@@ -306,7 +274,7 @@ impl<W: Word> BitString<W> {
     }
 
     /// Appends all bits of `other` (word-at-a-time).
-    pub fn extend_from(&mut self, other: &BitString<W>) {
+    pub fn extend_from(&mut self, other: &BitString) {
         self.push_words(&other.words, other.len);
     }
 
@@ -317,35 +285,34 @@ impl<W: Word> BitString<W> {
     /// Panics if `index >= self.len()`.
     pub fn bit(&self, index: usize) -> bool {
         assert!(index < self.len, "bit index {index} out of range");
-        (self.words[index / W::BITS] >> (index % W::BITS)) & W::ONE == W::ONE
+        (self.words[index / LANE_BITS] >> (index % LANE_BITS)) & 1 == 1
     }
 
     /// Flips the bit at position `index` (used by fault injection; the
-    /// position is a model-level coordinate, so the result is identical at
-    /// every lane width).
+    /// position is a model-level coordinate).
     ///
     /// # Panics
     ///
     /// Panics if `index >= self.len()`.
     pub fn toggle_bit(&mut self, index: usize) {
         assert!(index < self.len, "bit index {index} out of range");
-        self.words[index / W::BITS] ^= W::bit(index % W::BITS);
+        self.words[index / LANE_BITS] ^= 1 << (index % LANE_BITS);
     }
 
     /// The bits serialised as little-endian bytes (`ceil(len / 8)` of them,
-    /// zero-padded in the last byte) — the canonical byte order shared by
-    /// every lane width, which checksums and framing are computed over.
+    /// zero-padded in the last byte) — the canonical byte order checksums
+    /// and framing are computed over.
     pub fn to_le_bytes(&self) -> Vec<u8> {
-        let mut bytes = Vec::with_capacity(self.words.len() * W::BYTES);
-        for &word in &self.words {
-            word.extend_le_bytes(&mut bytes);
+        let mut bytes = Vec::with_capacity(self.words.len() * std::mem::size_of::<DefaultLane>());
+        for word in &self.words {
+            bytes.extend_from_slice(&word.to_le_bytes());
         }
         bytes.truncate(self.len.div_ceil(8));
         bytes
     }
 
     /// Returns a cursor for reading the bits back in order.
-    pub fn reader(&self) -> BitReader<'_, W> {
+    pub fn reader(&self) -> BitReader<'_> {
         BitReader { bits: self, pos: 0 }
     }
 
@@ -355,14 +322,14 @@ impl<W: Word> BitString<W> {
     }
 
     /// Concatenates `self` and `other` into a new bit string.
-    pub fn concat(&self, other: &BitString<W>) -> BitString<W> {
+    pub fn concat(&self, other: &BitString) -> BitString {
         let mut out = self.clone();
         out.extend_from(other);
         out
     }
 }
 
-impl<W: Word> fmt::Debug for BitString<W> {
+impl fmt::Debug for BitString {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "BitString[{} bits: ", self.len)?;
         let shown = self.len.min(64);
@@ -376,7 +343,7 @@ impl<W: Word> fmt::Debug for BitString<W> {
     }
 }
 
-impl<W: Word> fmt::Display for BitString<W> {
+impl fmt::Display for BitString {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         for i in 0..self.len {
             write!(f, "{}", u8::from(self.bit(i)))?;
@@ -385,7 +352,7 @@ impl<W: Word> fmt::Display for BitString<W> {
     }
 }
 
-impl<W: Word> FromIterator<bool> for BitString<W> {
+impl FromIterator<bool> for BitString {
     fn from_iter<T: IntoIterator<Item = bool>>(iter: T) -> Self {
         let mut bs = BitString::new();
         for bit in iter {
@@ -395,7 +362,7 @@ impl<W: Word> FromIterator<bool> for BitString<W> {
     }
 }
 
-impl<W: Word> Extend<bool> for BitString<W> {
+impl Extend<bool> for BitString {
     fn extend<T: IntoIterator<Item = bool>>(&mut self, iter: T) {
         for bit in iter {
             self.push_bit(bit);
@@ -409,12 +376,12 @@ impl<W: Word> Extend<bool> for BitString<W> {
 /// All read methods return `None` once the underlying data is exhausted,
 /// which makes malformed-message handling explicit at the call site.
 #[derive(Clone, Debug)]
-pub struct BitReader<'a, W: Word = DefaultLane> {
-    bits: &'a BitString<W>,
+pub struct BitReader<'a> {
+    bits: &'a BitString,
     pos: usize,
 }
 
-impl<'a, W: Word> BitReader<'a, W> {
+impl BitReader<'_> {
     /// Reads a single bit, advancing the cursor.
     pub fn read_bit(&mut self) -> Option<bool> {
         if self.pos >= self.bits.len() {
@@ -425,23 +392,23 @@ impl<'a, W: Word> BitReader<'a, W> {
         Some(bit)
     }
 
-    /// Reads up to `W::BITS` bits as one lane, least-significant first.
-    /// `width <= W::BITS` and `pos + width <= len` are the caller's
+    /// Reads up to `LANE_BITS` bits as one lane, least-significant first.
+    /// `width <= LANE_BITS` and `pos + width <= len` are the caller's
     /// responsibility.
-    fn read_word_bits(&mut self, width: usize) -> W {
-        debug_assert!(width <= W::BITS);
+    fn read_word_bits(&mut self, width: usize) -> DefaultLane {
+        debug_assert!(width <= LANE_BITS);
         debug_assert!(self.pos + width <= self.bits.len());
         if width == 0 {
-            return W::ZERO;
+            return 0;
         }
-        let word_idx = self.pos / W::BITS;
-        let bit_idx = self.pos % W::BITS;
+        let word_idx = self.pos / LANE_BITS;
+        let bit_idx = self.pos % LANE_BITS;
         let mut value = self.bits.words[word_idx] >> bit_idx;
-        if bit_idx + width > W::BITS {
-            value |= self.bits.words[word_idx + 1] << (W::BITS - bit_idx);
+        if bit_idx + width > LANE_BITS {
+            value |= self.bits.words[word_idx + 1] << (LANE_BITS - bit_idx);
         }
         self.pos += width;
-        value & W::mask_low(width)
+        value & mask_low(width)
     }
 
     /// Reads `width` bits as an unsigned integer (least-significant first).
@@ -457,23 +424,23 @@ impl<'a, W: Word> BitReader<'a, W> {
         if self.pos + width > self.bits.len() {
             return None;
         }
-        Some(self.read_word_bits(width).low_u64())
+        Some(self.read_word_bits(width))
     }
 
     /// Reads `len` bits into packed little-endian words (the inverse of
     /// [`BitString::push_words`]).
     ///
     /// Returns `None` (without advancing) if fewer than `len` bits remain.
-    pub fn read_words(&mut self, len: usize) -> Option<Vec<W>> {
+    pub fn read_words(&mut self, len: usize) -> Option<Vec<DefaultLane>> {
         if len > self.remaining() {
             return None;
         }
-        let mut out = vec![W::ZERO; len.div_ceil(W::BITS)];
+        let mut out = vec![0; len.div_ceil(LANE_BITS)];
         self.read_words_into(len, &mut out)?;
         Some(out)
     }
 
-    /// [`Self::read_words`] into the first `len.div_ceil(W::BITS)` lanes
+    /// [`Self::read_words`] into the first `len.div_ceil(LANE_BITS)` lanes
     /// of `out` (the bits of the last lane past `len` are cleared), without
     /// allocating.
     ///
@@ -483,9 +450,9 @@ impl<'a, W: Word> BitReader<'a, W> {
     /// # Panics
     ///
     /// Panics if `out` holds fewer than `len` bits.
-    pub fn read_words_into(&mut self, len: usize, out: &mut [W]) -> Option<()> {
+    pub fn read_words_into(&mut self, len: usize, out: &mut [DefaultLane]) -> Option<()> {
         assert!(
-            len <= out.len() * W::BITS,
+            len <= out.len() * LANE_BITS,
             "{len} bits do not fit {} words",
             out.len()
         );
@@ -497,7 +464,7 @@ impl<'a, W: Word> BitReader<'a, W> {
             if remaining == 0 {
                 break;
             }
-            let take = remaining.min(W::BITS);
+            let take = remaining.min(LANE_BITS);
             *word = self.read_word_bits(take);
             remaining -= take;
         }
@@ -544,7 +511,7 @@ impl<'a, W: Word> BitReader<'a, W> {
                 // The field straddles two loads; the remaining fields
                 // cover `unread ≥ width − held` bits.
                 let take = unread.min(ACC_BITS);
-                let next = self.read_word_bits(take).low_u64();
+                let next = self.read_word_bits(take);
                 unread -= take;
                 let used = width - held;
                 let value = (acc | (next << held)) & mask;
@@ -605,7 +572,7 @@ mod tests {
 
     #[test]
     fn empty_bitstring() {
-        let bs = BitString::<DefaultLane>::new();
+        let bs = BitString::new();
         assert!(bs.is_empty());
         assert_eq!(bs.len(), 0);
         assert!(bs.reader().is_exhausted());
@@ -613,7 +580,7 @@ mod tests {
 
     #[test]
     fn push_and_read_single_bits() {
-        let mut bs = BitString::<DefaultLane>::new();
+        let mut bs = BitString::new();
         bs.push_bit(true);
         bs.push_bit(false);
         bs.push_bit(true);
@@ -630,7 +597,7 @@ mod tests {
 
     #[test]
     fn push_and_read_fixed_width() {
-        let mut bs = BitString::<DefaultLane>::new();
+        let mut bs = BitString::new();
         bs.push_bits(0xDEAD_BEEF, 32);
         bs.push_bits(7, 3);
         bs.push_bits(u64::MAX, 64);
@@ -643,7 +610,7 @@ mod tests {
 
     #[test]
     fn read_past_end_returns_none() {
-        let bs = BitString::<DefaultLane>::from_bits(5, 3);
+        let bs = BitString::from_bits(5, 3);
         let mut r = bs.reader();
         assert_eq!(r.read_bits(4), None);
         assert_eq!(r.read_bits(3), Some(5));
@@ -652,7 +619,7 @@ mod tests {
 
     #[test]
     fn zero_width_reads_and_writes() {
-        let mut bs = BitString::<DefaultLane>::new();
+        let mut bs = BitString::new();
         bs.push_bits(0, 0);
         assert!(bs.is_empty());
         let mut r = bs.reader();
@@ -661,7 +628,7 @@ mod tests {
 
     #[test]
     fn uint_encoding_round_trip() {
-        let mut bs = BitString::<DefaultLane>::new();
+        let mut bs = BitString::new();
         for v in [0u64, 1, 99, 999] {
             bs.push_uint(v, 1000);
         }
@@ -676,7 +643,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "out of range")]
     fn uint_out_of_range_panics() {
-        let mut bs = BitString::<DefaultLane>::new();
+        let mut bs = BitString::new();
         bs.push_uint(1000, 1000);
     }
 
@@ -694,7 +661,7 @@ mod tests {
 
     #[test]
     fn extend_and_concat() {
-        let a = BitString::<DefaultLane>::from_bools(&[true, false]);
+        let a = BitString::from_bools(&[true, false]);
         let b = BitString::from_bools(&[true, true, false]);
         let c = a.concat(&b);
         assert_eq!(c.len(), 5);
@@ -719,34 +686,29 @@ mod tests {
 
     #[test]
     fn display_and_debug_are_nonempty() {
-        let bs = BitString::<DefaultLane>::from_bools(&[true, false, true]);
+        let bs = BitString::from_bools(&[true, false, true]);
         assert_eq!(format!("{bs}"), "101");
         assert!(format!("{bs:?}").contains("3 bits"));
     }
 
-    /// The per-width round-trip exercised at `u64` and `u128` (width-keyed
-    /// offsets/lengths so straddles hit both lane sizes).
-    fn push_words_round_trip<W: Word>() {
-        let probes = [0usize, 1, 3, W::BITS - 1, W::BITS, W::BITS + 1];
+    #[test]
+    fn push_words_and_read_words_round_trip() {
+        let probes = [0usize, 1, 3, LANE_BITS - 1, LANE_BITS, LANE_BITS + 1];
         let lens = [
             0usize,
             1,
             37,
-            W::BITS,
-            W::BITS + 36,
-            2 * W::BITS,
-            3 * W::BITS + 8,
+            LANE_BITS,
+            LANE_BITS + 36,
+            2 * LANE_BITS,
+            3 * LANE_BITS + 8,
         ];
         for &offset in &probes {
             for &len in &lens {
-                let words: Vec<W> = (0..len.div_ceil(W::BITS).max(1))
-                    .map(|i| {
-                        W::from_u64(0x9E37_79B9_7F4A_7C15u64.wrapping_mul(i as u64 + 1))
-                            | (W::from_u64(0xD1B5_4A32_D192_ED03u64.wrapping_mul(i as u64 + 7))
-                                << (W::BITS - 64).min(63))
-                    })
+                let words: Vec<DefaultLane> = (0..len.div_ceil(LANE_BITS).max(1))
+                    .map(|i| 0x9E37_79B9_7F4A_7C15u64.wrapping_mul(i as u64 + 1))
                     .collect();
-                let mut bs = BitString::<W>::new();
+                let mut bs = BitString::new();
                 for i in 0..offset {
                     bs.push_bit(i % 3 == 0);
                 }
@@ -757,12 +719,12 @@ mod tests {
                     assert_eq!(r.read_bit(), Some(i % 3 == 0));
                 }
                 let got = r.read_words(len).expect("enough bits");
-                assert_eq!(got.len(), len.div_ceil(W::BITS));
+                assert_eq!(got.len(), len.div_ceil(LANE_BITS));
                 for (w, &word) in got.iter().enumerate() {
-                    let width = (len - w * W::BITS).min(W::BITS);
+                    let width = (len - w * LANE_BITS).min(LANE_BITS);
                     assert_eq!(
                         word,
-                        words[w] & W::mask_low(width),
+                        words[w] & mask_low(width),
                         "offset {offset}, len {len}, word {w}"
                     );
                 }
@@ -771,17 +733,12 @@ mod tests {
         }
     }
 
-    #[test]
-    fn push_words_and_read_words_round_trip() {
-        push_words_round_trip::<u64>();
-        push_words_round_trip::<u128>();
-    }
-
     /// `push_fields` / `read_fields` agree bit for bit with one
     /// `push_bits` / `read_bits` call per field, at every width and from
     /// start offsets on both sides of a lane boundary (so fields straddle
     /// both the accumulator and the lane boundaries).
-    fn fields_match_per_field_calls<W: Word>() {
+    #[test]
+    fn fields_match_per_field_calls() {
         let mut state = 0x9E37_79B9_7F4A_7C15u64;
         let mut next = || {
             state = state
@@ -790,12 +747,12 @@ mod tests {
             state ^ (state >> 29)
         };
         for width in 0..=64usize {
-            for offset in [0usize, 1, 7, W::BITS - 1, W::BITS + 3] {
-                let values: Vec<u64> = (0..2 * W::BITS / width.max(1) + 3)
+            for offset in [0usize, 1, 7, LANE_BITS - 1, LANE_BITS + 3] {
+                let values: Vec<u64> = (0..2 * LANE_BITS / width.max(1) + 3)
                     .map(|_| next())
                     .collect();
-                let mut fields = BitString::<W>::new();
-                let mut per_field = BitString::<W>::new();
+                let mut fields = BitString::new();
+                let mut per_field = BitString::new();
                 for i in 0..offset {
                     fields.push_bit(i % 3 == 0);
                     per_field.push_bit(i % 3 == 0);
@@ -824,14 +781,8 @@ mod tests {
     }
 
     #[test]
-    fn fields_match_per_field_calls_at_both_lanes() {
-        fields_match_per_field_calls::<u64>();
-        fields_match_per_field_calls::<u128>();
-    }
-
-    #[test]
     fn short_field_reads_do_not_advance() {
-        let mut bs = BitString::<DefaultLane>::new();
+        let mut bs = BitString::new();
         bs.push_fields(&[5, 6, 7], 3);
         let mut r = bs.reader();
         let mut calls = 0;
@@ -845,17 +796,17 @@ mod tests {
 
     #[test]
     fn read_words_into_fills_and_masks() {
-        let lane = <DefaultLane as Word>::BITS;
-        let bs = BitString::<DefaultLane>::from_bools(&vec![true; lane + 6]);
+        let lane = LANE_BITS;
+        let bs = BitString::from_bools(&vec![true; lane + 6]);
         let mut r = bs.reader();
-        let mut out = [DefaultLane::ONES; 3];
+        let mut out = [DefaultLane::MAX; 3];
         assert_eq!(r.read_words_into(lane + 7, &mut out), None);
         assert_eq!(r.read_words_into(lane + 2, &mut out), Some(()));
-        assert_eq!(out[0], DefaultLane::ONES);
-        assert_eq!(out[1], DefaultLane::mask_low(2));
+        assert_eq!(out[0], DefaultLane::MAX);
+        assert_eq!(out[1], mask_low(2));
         assert_eq!(
             out[2],
-            DefaultLane::ONES,
+            DefaultLane::MAX,
             "lanes past the read stay untouched"
         );
         assert_eq!(r.remaining(), 4);
@@ -863,7 +814,7 @@ mod tests {
 
     #[test]
     fn read_words_past_end_does_not_advance() {
-        let bs: BitString<u64> = BitString::from_bits(0b101, 3);
+        let bs = BitString::from_bits(0b101, 3);
         let mut r = bs.reader();
         assert_eq!(r.read_words(4), None);
         assert_eq!(r.position(), 0);
@@ -873,7 +824,7 @@ mod tests {
     #[test]
     fn from_words_and_to_bools_match_per_bit_paths() {
         let bools: Vec<bool> = (0..150).map(|i| (i * 7) % 5 < 2).collect();
-        let packed = BitString::<DefaultLane>::from_bools(&bools);
+        let packed = BitString::from_bools(&bools);
         let mut per_bit = BitString::new();
         for &b in &bools {
             per_bit.push_bit(b);
@@ -884,25 +835,20 @@ mod tests {
         assert_eq!(rebuilt, packed);
     }
 
-    fn unused_high_bits_stay_zero_for<W: Word>() {
-        // `words()` promises zeroed padding; push paths must maintain it.
-        let mut bs = BitString::<W>::from_bools(&[true; 70]);
-        bs.push_bits(u64::MAX, 3);
-        bs.push_words(&[W::ONES], 5);
-        let last = *bs.words().last().unwrap();
-        let used = bs.len() % W::BITS;
-        assert_eq!(last & !W::mask_low(used), W::ZERO);
-    }
-
     #[test]
     fn unused_high_bits_stay_zero() {
-        unused_high_bits_stay_zero_for::<u64>();
-        unused_high_bits_stay_zero_for::<u128>();
+        // `words()` promises zeroed padding; push paths must maintain it.
+        let mut bs = BitString::from_bools(&[true; 70]);
+        bs.push_bits(u64::MAX, 3);
+        bs.push_words(&[DefaultLane::MAX], 5);
+        let last = *bs.words().last().unwrap();
+        let used = bs.len() % LANE_BITS;
+        assert_eq!(last & !mask_low(used), 0);
     }
 
     #[test]
     fn crossing_word_boundaries() {
-        let mut bs = BitString::<DefaultLane>::new();
+        let mut bs = BitString::new();
         for i in 0..200u64 {
             bs.push_bits(i % 2, 1);
         }
@@ -915,33 +861,8 @@ mod tests {
     }
 
     #[test]
-    fn u64_and_u128_encodings_agree_bit_for_bit() {
-        let mut narrow = BitString::<u64>::new();
-        let mut wide = BitString::<u128>::new();
-        for (i, v) in [(3usize, 5u64), (64, u64::MAX), (17, 0x1F00F), (1, 1)] {
-            narrow.push_bits(v, i.min(64));
-            wide.push_bits(v, i.min(64));
-        }
-        assert_eq!(narrow.len(), wide.len());
-        assert_eq!(narrow.to_bools(), wide.to_bools());
-        assert_eq!(narrow.to_le_bytes(), wide.to_le_bytes());
-    }
-
-    #[test]
-    fn recycled_backing_behaves_like_fresh() {
-        let mut bs = BitString::<u64>::from_bools(&[true; 130]);
-        bs.push_bits(0xAB, 8);
-        let backing = bs.into_backing();
-        assert!(backing.capacity() >= 3);
-        let mut reused = BitString::from_recycled(backing);
-        assert!(reused.is_empty());
-        reused.push_bits(0xCD, 8);
-        assert_eq!(reused, BitString::from_bits(0xCD, 8));
-    }
-
-    #[test]
     fn toggle_bit_flips_exactly_one_bit() {
-        let mut bs = BitString::<u64>::from_bools(&[false; 150]);
+        let mut bs = BitString::from_bools(&[false; 150]);
         bs.toggle_bit(0);
         bs.toggle_bit(149);
         bs.toggle_bit(64);
@@ -953,7 +874,7 @@ mod tests {
 
     #[test]
     fn le_bytes_are_canonical_and_truncated() {
-        let mut bs = BitString::<u64>::new();
+        let mut bs = BitString::new();
         bs.push_bits(0xABCD, 16);
         bs.push_bits(0b101, 3);
         // 19 bits -> 3 bytes: CD AB 05 (bit 16..18 = 101 -> 0b101 = 5).

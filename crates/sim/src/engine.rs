@@ -9,7 +9,6 @@
 //! charges rounds with the same accounting but lets algorithms hand over
 //! arbitrarily long logical messages.
 
-use crate::arena::{ArenaStats, BufferArena};
 use crate::metrics::{Metrics, RunReport};
 use crate::model::{CliqueConfig, SimError};
 use crate::node::{validate_outbox, Inbox, NodeAlgorithm, NodeCtx, NodeId, Outbox};
@@ -75,9 +74,6 @@ pub struct RoundEngine<A> {
     outboxes: Vec<Outbox>,
     /// Scratch for [`validate_outbox`]'s duplicate-destination check.
     seen: Vec<bool>,
-    /// Backing storage reclaimed from consumed inbox payloads, redistributed
-    /// to the per-node outbox pools between rounds (see [`Outbox::payload`]).
-    arena: BufferArena,
     /// Per-engine worker-count override; `None` uses the default
     /// resolution (see [`par::workers`]).
     threads: Option<usize>,
@@ -111,7 +107,6 @@ impl<A: NodeAlgorithm> RoundEngine<A> {
             prev_inboxes: vec![Inbox::empty(n); n],
             outboxes: vec![Outbox::new(); n],
             seen: Vec::with_capacity(n),
-            arena: BufferArena::new(),
             threads: None,
             transport: crate::transport::default_transport(),
         }
@@ -199,19 +194,10 @@ impl<A: NodeAlgorithm> RoundEngine<A> {
         // Double-buffer swap: `prev_inboxes` now holds this round's
         // deliveries; the buffer consumed last round is cleared in place and
         // becomes the delivery target, so no inbox vector is reallocated —
-        // and a silent round touches nothing at all. Clearing also reclaims
-        // the consumed payloads' backing storage into the engine arena,
-        // which is then redistributed (serially, in fixed order) to the
-        // per-node outbox pools so nodes can build this round's payloads
-        // in recycled buffers via [`Outbox::payload`].
+        // and a silent round touches nothing at all.
         std::mem::swap(&mut self.next_inboxes, &mut self.prev_inboxes);
         for inbox in &mut self.next_inboxes {
-            inbox.recycle_into(&mut self.arena);
-        }
-        let mut next_pool = 0usize;
-        while let Some(backing) = self.arena.take_backing() {
-            self.outboxes[next_pool % n].stash_backing(backing);
-            next_pool += 1;
+            inbox.clear();
         }
 
         // Collect outboxes into the per-node scratch. Each player's round is
@@ -297,19 +283,6 @@ impl<A: NodeAlgorithm> RoundEngine<A> {
 
     fn in_flight_empty(&self) -> bool {
         self.next_inboxes.iter().all(Inbox::is_empty)
-    }
-
-    /// Aggregated reuse counters of the per-node payload pools: how many
-    /// [`Outbox::payload`] acquisitions were served from recycled backings
-    /// versus fresh allocations.
-    pub fn arena_stats(&self) -> ArenaStats {
-        let mut total = self.arena.stats();
-        for outbox in &self.outboxes {
-            let s = outbox.arena_stats();
-            total.served_fresh += s.served_fresh;
-            total.served_reused += s.served_reused;
-        }
-        total
     }
 }
 
@@ -485,66 +458,6 @@ mod tests {
     fn node_count_mismatch_panics() {
         let cfg = CliqueConfig::broadcast(3, 1);
         let _ = RoundEngine::new(cfg, vec![Chatterbox, Chatterbox]);
-    }
-
-    /// Two nodes ping-pong a counter, building payloads either from the
-    /// outbox arena or from fresh allocations.
-    struct PingPong {
-        use_arena: bool,
-        remaining: u64,
-    }
-
-    impl NodeAlgorithm for PingPong {
-        fn round(&mut self, ctx: &NodeCtx<'_>, _inbox: &Inbox, outbox: &mut Outbox) {
-            if self.remaining == 0 {
-                return;
-            }
-            self.remaining -= 1;
-            let peer = NodeId::new(1 - ctx.id.index());
-            let mut msg = if self.use_arena {
-                outbox.payload()
-            } else {
-                BitString::new()
-            };
-            msg.push_bits(self.remaining, 8);
-            outbox.send(peer, msg);
-        }
-
-        fn halted(&self) -> bool {
-            self.remaining == 0
-        }
-    }
-
-    #[test]
-    fn arena_payloads_are_reused_and_never_change_the_transcript() {
-        let run = |use_arena: bool| {
-            let cfg = CliqueConfig::unicast(2, 8);
-            let nodes = vec![
-                PingPong {
-                    use_arena,
-                    remaining: 6,
-                },
-                PingPong {
-                    use_arena,
-                    remaining: 6,
-                },
-            ];
-            let mut engine = RoundEngine::new(cfg, nodes);
-            let report = engine.run(20).unwrap();
-            (report, engine.metrics().clone(), engine.arena_stats())
-        };
-        let (fresh_report, fresh_metrics, fresh_stats) = run(false);
-        let (arena_report, arena_metrics, arena_stats) = run(true);
-        assert_eq!(fresh_report, arena_report);
-        assert_eq!(fresh_metrics, arena_metrics);
-        // Nodes that never opt in never touch the pools...
-        assert_eq!(fresh_stats.total(), 0);
-        // ...and opted-in payloads are served from recycled backings once
-        // the first round's messages have been consumed.
-        assert!(
-            arena_stats.served_reused > 0,
-            "expected recycled payload buffers, got {arena_stats:?}"
-        );
     }
 
     #[test]

@@ -1,207 +1,44 @@
-//! Generic machine-word lanes for the packed kernels.
+//! The machine word of the packed kernels.
 //!
 //! Every packed data path in the workspace — [`BitString`](crate::bits),
 //! [`BitMatrix`](crate::linalg), the bit-sliced circuit evaluator in
-//! `clique-circuits` — operates on whole machine words, one column (or one
-//! assignment) per bit. [`Word`] abstracts the lane type those kernels are
-//! generic over, so the word width is chosen in exactly one place
-//! ([`DefaultLane`]) instead of being hard-coded as `u64` across five
-//! crates.
+//! `clique-circuits` — stores bits least-significant-first in
+//! [`DefaultLane`] words, and all of their geometry derives from
+//! [`LANE_BITS`]. Lanes are `u64`: a `u128` lane measured slower end to
+//! end, so there is one width.
 //!
-//! Two lane types are provided out of the box: [`u64`] (the default) and
-//! [`u128`] (twice the columns per operation, selected workspace-wide by
-//! the `lane128` cargo feature). The trait surface is deliberately small —
-//! bitwise operators, shifts, popcount, lowest-set-bit scanning and
-//! little-endian byte serialisation — so a `std::simd` vector type can
-//! implement it later; the only operations a SIMD impl must emulate are the
-//! cross-lane shifts (`<<`/`>>` by a bit count), which the kernels use for
-//! bit offsets that straddle word boundaries.
-//!
-//! # The lanes-never-change-transcripts invariant
-//!
-//! The lane width is an implementation detail of the *local computation*;
-//! it must never be observable in a protocol transcript. Message lengths
-//! are counted in bits ([`BitString::len`](crate::bits::BitString::len)),
-//! integrity checksums are computed over the canonical little-endian byte
-//! serialisation of the bits (not the backing words), and fault plans draw
-//! from message coordinates only. The cross-width proptests in
-//! `tests/properties.rs` and the `lane128` CI pass pin this invariant.
+//! The lane is a detail of the *local computation*. Message lengths are
+//! counted in bits, and integrity checksums are computed over the
+//! canonical little-endian byte serialisation of the bits, never over the
+//! backing words.
 
-use std::fmt::Debug;
-use std::hash::Hash;
-use std::ops::{BitAnd, BitAndAssign, BitOr, BitOrAssign, BitXor, BitXorAssign, Not, Shl, Shr};
-
-/// A machine-word lane: the unit of bit-parallelism in the packed kernels.
-///
-/// Implementations must behave like an unsigned integer of [`Self::BITS`]
-/// bits under the bitwise operators. Shift amounts are always `<
-/// Self::BITS` at the call sites (shifting by the full width is undefined
-/// for primitive integers, and the kernels guard for it).
-pub trait Word:
-    Copy
-    + Eq
-    + Ord
-    + Hash
-    + Debug
-    + Send
-    + Sync
-    + 'static
-    + BitAnd<Output = Self>
-    + BitAndAssign
-    + BitOr<Output = Self>
-    + BitOrAssign
-    + BitXor<Output = Self>
-    + BitXorAssign
-    + Not<Output = Self>
-    + Shl<usize, Output = Self>
-    + Shr<usize, Output = Self>
-{
-    /// Lane width in bits.
-    const BITS: usize;
-    /// Lane width in bytes (`BITS / 8`).
-    const BYTES: usize;
-    /// The all-zeros word.
-    const ZERO: Self;
-    /// The word with only the lowest bit set.
-    const ONE: Self;
-    /// The all-ones word.
-    const ONES: Self;
-
-    /// Number of set bits.
-    fn count_ones(self) -> u32;
-
-    /// Number of trailing zero bits ([`Self::BITS`] for [`Self::ZERO`]).
-    fn trailing_zeros(self) -> u32;
-
-    /// Clears the lowest set bit (`self & (self - 1)`), the idiom the
-    /// set-bit walks in [`linalg`](crate::linalg) iterate with.
-    fn clear_lowest_set_bit(self) -> Self;
-
-    /// Zero-extends a `u64` into a lane. Since `BITS >= 64` for all
-    /// provided impls this is lossless.
-    fn from_u64(value: u64) -> Self;
-
-    /// Truncates the lane to its 64 low-order bits.
-    fn low_u64(self) -> u64;
-
-    /// Appends the lane's little-endian byte serialisation to `out` (the
-    /// canonical byte order used by checksums and framing).
-    fn extend_le_bytes(self, out: &mut Vec<u8>);
-
-    /// The word with only bit `index` set.
-    ///
-    /// Call sites guarantee `index < Self::BITS`.
-    #[inline]
-    fn bit(index: usize) -> Self {
-        Self::ONE << index
-    }
-
-    /// The word whose `bits` low-order bits are set (all of them when
-    /// `bits >= Self::BITS`).
-    #[inline]
-    fn mask_low(bits: usize) -> Self {
-        if bits == 0 {
-            Self::ZERO
-        } else if bits >= Self::BITS {
-            Self::ONES
-        } else {
-            Self::ONES >> (Self::BITS - bits)
-        }
-    }
-}
-
-macro_rules! impl_word {
-    ($ty:ty) => {
-        impl Word for $ty {
-            const BITS: usize = <$ty>::BITS as usize;
-            const BYTES: usize = (<$ty>::BITS / 8) as usize;
-            const ZERO: Self = 0;
-            const ONE: Self = 1;
-            const ONES: Self = <$ty>::MAX;
-
-            #[inline]
-            fn count_ones(self) -> u32 {
-                <$ty>::count_ones(self)
-            }
-
-            #[inline]
-            fn trailing_zeros(self) -> u32 {
-                <$ty>::trailing_zeros(self)
-            }
-
-            #[inline]
-            fn clear_lowest_set_bit(self) -> Self {
-                self & self.wrapping_sub(1)
-            }
-
-            #[inline]
-            #[allow(clippy::cast_lossless)]
-            fn from_u64(value: u64) -> Self {
-                value as $ty
-            }
-
-            #[inline]
-            #[allow(clippy::cast_possible_truncation)]
-            fn low_u64(self) -> u64 {
-                self as u64
-            }
-
-            #[inline]
-            fn extend_le_bytes(self, out: &mut Vec<u8>) {
-                out.extend_from_slice(&self.to_le_bytes());
-            }
-        }
-    };
-}
-
-impl_word!(u64);
-impl_word!(u128);
-
-/// The lane type the whole workspace runs on when none is named
-/// explicitly: `u64` by default, `u128` under the `lane128` cargo feature
-/// (CI runs the full test suite under both).
-#[cfg(not(feature = "lane128"))]
+/// The word the packed kernels run on.
 pub type DefaultLane = u64;
 
-/// The lane type the whole workspace runs on when none is named
-/// explicitly: `u64` by default, `u128` under the `lane128` cargo feature
-/// (CI runs the full test suite under both).
-#[cfg(feature = "lane128")]
-pub type DefaultLane = u128;
+/// Bits per [`DefaultLane`] word.
+pub const LANE_BITS: usize = DefaultLane::BITS as usize;
+
+/// The lane whose `bits` low-order bits are set (all of them when
+/// `bits >= LANE_BITS`).
+#[inline]
+pub fn mask_low(bits: usize) -> DefaultLane {
+    if bits >= LANE_BITS {
+        DefaultLane::MAX
+    } else {
+        (1 << bits) - 1
+    }
+}
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn exercise<W: Word>() {
-        assert_eq!(W::BITS, W::BYTES * 8);
-        assert_eq!(W::ZERO.count_ones(), 0);
-        assert_eq!(W::ONES.count_ones() as usize, W::BITS);
-        assert_eq!(W::ONE.trailing_zeros(), 0);
-        assert_eq!(W::ZERO.trailing_zeros() as usize, W::BITS);
-        assert_eq!(W::bit(3).trailing_zeros(), 3);
-        assert_eq!(W::bit(W::BITS - 1).count_ones(), 1);
-        assert_eq!(W::mask_low(0), W::ZERO);
-        assert_eq!(W::mask_low(W::BITS), W::ONES);
-        assert_eq!(W::mask_low(5).count_ones(), 5);
-        assert_eq!((W::bit(7) | W::bit(2)).clear_lowest_set_bit(), W::bit(7));
-        assert_eq!(W::from_u64(0xDEAD_BEEF).low_u64(), 0xDEAD_BEEF);
-        let mut bytes = Vec::new();
-        W::from_u64(0x0102_0304).extend_le_bytes(&mut bytes);
-        assert_eq!(bytes.len(), W::BYTES);
-        assert_eq!(&bytes[..4], &[0x04, 0x03, 0x02, 0x01]);
-        assert!(bytes[4..].iter().all(|&b| b == 0));
-    }
-
     #[test]
-    fn u64_and_u128_lanes_behave_like_words() {
-        exercise::<u64>();
-        exercise::<u128>();
-    }
-
-    #[test]
-    fn from_u64_zero_extends() {
-        assert_eq!(<u128 as Word>::from_u64(u64::MAX), u128::from(u64::MAX));
-        assert_eq!(<u128 as Word>::from_u64(u64::MAX) >> 64, 0);
+    fn mask_low_covers_the_lane() {
+        assert_eq!(mask_low(0), 0);
+        assert_eq!(mask_low(5), 0b11111);
+        assert_eq!(mask_low(LANE_BITS - 1).count_ones() as usize, LANE_BITS - 1);
+        assert_eq!(mask_low(LANE_BITS), DefaultLane::MAX);
+        assert_eq!(mask_low(LANE_BITS + 3), DefaultLane::MAX);
     }
 }

@@ -32,11 +32,11 @@
 //!
 //! Player-local work runs on a deterministic scoped worker pool ([`par`]):
 //! the round engine steps node algorithms concurrently and merges outboxes
-//! in ascending [`node::NodeId`] order, the phase engine validates senders
-//! concurrently, and the [`linalg`] products split output rows across
-//! workers — transcripts, ledgers and outputs are bit-identical at every
-//! worker count (knob: [`par::set_threads`], `CLIQUE_THREADS`, or the
-//! per-engine `set_threads`).
+//! in ascending [`node::NodeId`] order, and the phase engine validates
+//! senders concurrently — transcripts, ledgers and outputs are
+//! bit-identical at every worker count (knob: [`par::set_threads`],
+//! `CLIQUE_THREADS`, or the per-engine `set_threads`). The [`linalg`]
+//! kernels are serial.
 //!
 //! Message delivery itself is pluggable: both engines hand validated
 //! outboxes to a [`transport::Transport`] backend (zero-copy in-memory by
@@ -75,7 +75,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod arena;
 pub mod bits;
 pub mod engine;
 pub mod lane;
@@ -92,10 +91,9 @@ pub mod transport;
 
 /// Commonly used types, re-exported for convenience.
 pub mod prelude {
-    pub use crate::arena::{ArenaStats, BufferArena};
     pub use crate::bits::{bits_for_universe, BitReader, BitString};
     pub use crate::engine::RoundEngine;
-    pub use crate::lane::{DefaultLane, Word};
+    pub use crate::lane::{DefaultLane, LANE_BITS};
     pub use crate::linalg::{BitMatrix, IntMatrix};
     pub use crate::metrics::{Metrics, PhaseRecord, RunReport};
     pub use crate::model::{
@@ -112,9 +110,8 @@ pub mod prelude {
     };
 }
 
-pub use arena::{ArenaStats, BufferArena};
 pub use bits::BitString;
-pub use lane::{DefaultLane, Word};
+pub use lane::DefaultLane;
 pub use linalg::BitMatrix;
 pub use metrics::{Metrics, RunReport};
 pub use model::{CliqueConfig, CliqueConfigBuilder, CommMode, SimError};

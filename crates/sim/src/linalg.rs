@@ -3,9 +3,9 @@
 //! The Theorem 2 transfer makes `F₂` matrix multiplication the workhorse
 //! primitive of the reproduction (Section 2.1 and the algebraic-methods
 //! follow-ups), so the host-side representation matters: [`BitMatrix`] packs
-//! each row into machine-word lanes ([`Word`], default [`DefaultLane`]) and
-//! multiplies with word operations — `W::BITS` field elements per machine
-//! instruction — instead of one `bool` at a time.
+//! each row into [`DefaultLane`] words and multiplies with word operations —
+//! [`LANE_BITS`] field elements per machine instruction — instead of one
+//! `bool` at a time.
 //!
 //! Two multiplication kernels are provided:
 //!
@@ -14,118 +14,34 @@
 //! * [`BitMatrix::mul_f2_four_russians`] — the Method of Four Russians:
 //!   group the rows of `B` in blocks of 8, precompute all 256 XOR
 //!   combinations per block, then handle 8 columns of `A` per table lookup.
-//!   The tables are built in *tiles* of several blocks
-//!   ([`M4R_TILE_BYTES`]) so each output row is loaded and stored once per
-//!   tile instead of once per block — the unblocked single-table walk is
-//!   kept as [`BitMatrix::mul_f2_four_russians_unblocked`] for comparison
-//!   (the `kernels` bench bin reports the ratio).
 //!
-//! [`BitMatrix::mul_f2`] dispatches between them (Four Russians from
-//! dimension 256 up). On top of the dispatcher sits
-//! [`BitMatrix::mul_f2_strassen`]: Strassen's recursion over `F₂`
-//! (subtraction *is* XOR, so no entry widths grow), splitting from
-//! [`STRASSEN_MIN_DIM`] with the padded dimension decided once by
-//! [`strassen_padded_dim`] — the same block-split seam the distributed
-//! `FastMatMul` schedule and the explicit circuit family pad with.
-//! [`BitMatrix::mul_bool`] (OR/AND) and
-//! [`BitMatrix::popcount_product`] (AND+popcount counting product) serve the
-//! Boolean and counting semirings of the algebraic protocols, and
+//! [`BitMatrix::mul_f2`] dispatches between them (Four Russians from inner
+//! dimension [`FOUR_RUSSIANS_MIN_DIM`] up). [`BitMatrix::mul_bool`] (OR/AND)
+//! and [`BitMatrix::popcount_product`] (AND+popcount counting product) serve
+//! the Boolean and counting semirings of the algebraic protocols, and
 //! [`IntMatrix`] carries the small-integer `(+, ×)` and `(min, +)` semiring
 //! operands with block extraction and transpose helpers for 3D-partitioned
 //! distributed products.
 //!
-//! From [`PAR_MIN_ROWS`] output rows the product dispatchers additionally
-//! split the output rows across the [`par`] worker pool (knob:
-//! [`par::set_threads`] / `CLIQUE_THREADS`; the `*_with_threads` variants
-//! take an explicit budget). Threading sits behind the same dispatcher seam
-//! as the Four-Russians threshold: it selects an execution strategy, never a
-//! different result. Packing, lane width and threading are *host-side*
-//! optimisations only: protocols built on these kernels exchange exactly the
-//! same transcripts as the `Vec<Vec<bool>>` code they replaced (pinned by
-//! `tests/protocol_regression.rs` and the cross-width proptests).
+//! Every product runs serially on the calling thread: the model charges a
+//! player's local product nothing, and the engines, sweeps and server
+//! waves already parallelise across players and jobs. Packing is a
+//! *host-side* optimisation only: protocols built on these kernels exchange
+//! exactly the same transcripts as the `Vec<Vec<bool>>` code they replaced
+//! (pinned by `tests/protocol_regression.rs`).
 
 use std::fmt;
 
 use crate::bits::BitString;
-use crate::lane::{DefaultLane, Word};
-use crate::par;
+use crate::lane::{mask_low, DefaultLane, LANE_BITS};
 
-/// Row count from which [`BitMatrix::mul_f2`] switches to the Method of
-/// Four Russians.
+/// Inner dimension (columns of `A`, rows of `B`) from which
+/// [`BitMatrix::mul_f2`] switches to the Method of Four Russians.
 pub const FOUR_RUSSIANS_MIN_DIM: usize = 256;
-
-/// Output-row count from which the multiplication dispatchers engage the
-/// row-blocked threaded paths (below it, spawn overhead dominates). The
-/// same dispatcher seam as [`FOUR_RUSSIANS_MIN_DIM`]: both pick an
-/// implementation, never a different result.
-pub const PAR_MIN_ROWS: usize = 64;
-
-/// Dimension from which [`BitMatrix::mul_f2_strassen`] keeps splitting;
-/// below it the recursion bottoms out in the [`BitMatrix::mul_f2`]
-/// dispatcher (Four Russians from [`FOUR_RUSSIANS_MIN_DIM`] up). Strassen
-/// trades one eighth of the block products for a constant number of
-/// `O(d²)` XOR passes, but the Four-Russians kernel also gets *more*
-/// efficient per output bit as `d` grows (its tables amortise over longer
-/// rows), so splitting only pays once the leaves are themselves large:
-/// measured best-of-3 on this container, a forced depth-1 split runs at
-/// 0.70×/0.75× (u64/u128) Four Russians at `d = 2048`, ties at `d = 3072`
-/// (1.06×/1.03×) and clearly wins at `d = 4096` (1.65×/1.38×). The
-/// `kernels` bench bin reports both kernels side by side around the
-/// threshold; like the other dispatch constants it selects an execution
-/// schedule, never a different result.
-pub const STRASSEN_MIN_DIM: usize = 3072;
 
 /// Rows-of-`B` block width of the Four-Russians kernel (8 bits → 256-entry
 /// tables).
 const M4R_BLOCK: usize = 8;
-
-/// Combination-table bytes the blocked Four-Russians kernel keeps hot per
-/// tile. Several 8-row tables are built side by side up to this budget and
-/// applied to every output row in one pass, so the output matrix is
-/// streamed once per *tile* instead of once per *block*, bounding the hot
-/// working set independent of the matrix dimension. 64 KiB is the tested
-/// constant: the `probe_tile_sizes` ignored test sweeps tile sizes against
-/// the unblocked walk, and on this single-core container every size from
-/// 16 KiB to 256 KiB measures within noise of the unblocked kernel up to
-/// `d = 2048` (hardware prefetch covers the streaming output passes), while
-/// ≥ 512 KiB tiles measure clearly slower; 64 KiB keeps the tables inside
-/// a typical per-core L2 on wider hosts. The constant only selects an
-/// execution schedule, never a different result.
-pub const M4R_TILE_BYTES: usize = 64 * 1024;
-
-/// Output-row bytes the blocked Four-Russians kernel keeps L1-resident
-/// while it applies the tables of one tile (the inner level of the
-/// two-level tiling in `mul_f2_m4r_tiled_range`).
-const M4R_ROW_TILE_BYTES: usize = 32 * 1024;
-
-/// Number of 8-row blocks whose tables fit one tile (at least 1).
-fn m4r_tile_blocks(words_per_row: usize, bytes_per_word: usize) -> usize {
-    let table_bytes = (1usize << M4R_BLOCK) * words_per_row * bytes_per_word;
-    (M4R_TILE_BYTES / table_bytes.max(1)).max(1)
-}
-
-/// Worker count for a product with `rows` output rows under a `threads`
-/// budget: 1 below [`PAR_MIN_ROWS`], else at most one worker per row.
-fn row_workers(rows: usize, threads: usize) -> usize {
-    if rows >= PAR_MIN_ROWS {
-        threads.min(rows)
-    } else {
-        1
-    }
-}
-
-/// Number of recursive halvings [`BitMatrix::mul_f2_strassen`] applies to a
-/// `d`-dimensional product before bottoming out in the [`BitMatrix::mul_f2`]
-/// dispatcher: halve while the dimension is at least [`STRASSEN_MIN_DIM`].
-pub fn strassen_levels(d: usize) -> u32 {
-    let mut levels = 0;
-    let mut dim = d;
-    while dim >= STRASSEN_MIN_DIM {
-        dim = dim.div_ceil(2);
-        levels += 1;
-    }
-    levels
-}
 
 /// The recursion depth that splits a `d`-dimensional product all the way to
 /// `1 × 1` blocks — the depth of the explicit Strassen *circuit* family
@@ -143,17 +59,16 @@ pub fn strassen_full_levels(d: usize) -> u32 {
 /// `padded_dim` rule of the circuit path (`MatMulStrategy` in
 /// `clique-core`, which uses the full-recursion depth
 /// [`strassen_full_levels`] and therefore rounds to the next power of two)
-/// extended to the bounded-depth block splits of the local
-/// [`BitMatrix::mul_f2_strassen`] kernel and the distributed `FastMatMul`
-/// schedule. Callers pad once at the top with this dimension and split
-/// exactly thereafter; no path re-pads.
+/// extended to the bounded-depth block splits of the distributed
+/// `FastMatMul` schedule. Callers pad once at the top with this dimension
+/// and split exactly thereafter; no path re-pads.
 pub fn strassen_padded_dim(d: usize, levels: u32) -> usize {
     let unit = 1usize << levels;
     d.div_ceil(unit) * unit
 }
 
 /// A dense Boolean matrix with rows packed into little-endian words
-/// (column `j` of row `i` is bit `j % W::BITS` of word `j / W::BITS`).
+/// (column `j` of row `i` is bit `j % LANE_BITS` of word `j / LANE_BITS`).
 ///
 /// Bits past `cols` in the last word of each row are always zero; every
 /// mutating method maintains this invariant, which the multiplication
@@ -170,22 +85,22 @@ pub fn strassen_padded_dim(d: usize, levels: u32) -> usize {
 /// assert!(a.get(1, 1));
 /// ```
 #[derive(Clone, PartialEq, Eq, Hash)]
-pub struct BitMatrix<W: Word = DefaultLane> {
+pub struct BitMatrix {
     rows: usize,
     cols: usize,
     words_per_row: usize,
-    data: Vec<W>,
+    data: Vec<DefaultLane>,
 }
 
-impl<W: Word> BitMatrix<W> {
+impl BitMatrix {
     /// Creates an all-zero `rows × cols` matrix.
     pub fn zeros(rows: usize, cols: usize) -> Self {
-        let words_per_row = cols.div_ceil(W::BITS);
+        let words_per_row = cols.div_ceil(LANE_BITS);
         Self {
             rows,
             cols,
             words_per_row,
-            data: vec![W::ZERO; rows * words_per_row],
+            data: vec![0; rows * words_per_row],
         }
     }
 
@@ -211,7 +126,7 @@ impl<W: Word> BitMatrix<W> {
             let words = m.row_words_mut(i);
             for (j, &bit) in row.iter().enumerate() {
                 if bit {
-                    words[j / W::BITS] |= W::bit(j % W::BITS);
+                    words[j / LANE_BITS] |= 1 << (j % LANE_BITS);
                 }
             }
         }
@@ -230,7 +145,7 @@ impl<W: Word> BitMatrix<W> {
             let words = m.row_words_mut(i);
             for (j, &bit) in row.iter().enumerate() {
                 if bit {
-                    words[j / W::BITS] |= W::bit(j % W::BITS);
+                    words[j / LANE_BITS] |= 1 << (j % LANE_BITS);
                 }
             }
         }
@@ -269,7 +184,7 @@ impl<W: Word> BitMatrix<W> {
             i < self.rows && j < self.cols,
             "index ({i},{j}) out of range"
         );
-        (self.data[i * self.words_per_row + j / W::BITS] >> (j % W::BITS)) & W::ONE == W::ONE
+        (self.data[i * self.words_per_row + j / LANE_BITS] >> (j % LANE_BITS)) & 1 == 1
     }
 
     /// Sets the entry at `(i, j)`.
@@ -282,11 +197,11 @@ impl<W: Word> BitMatrix<W> {
             i < self.rows && j < self.cols,
             "index ({i},{j}) out of range"
         );
-        let word = &mut self.data[i * self.words_per_row + j / W::BITS];
+        let word = &mut self.data[i * self.words_per_row + j / LANE_BITS];
         if value {
-            *word |= W::bit(j % W::BITS);
+            *word |= 1 << (j % LANE_BITS);
         } else {
-            *word &= !W::bit(j % W::BITS);
+            *word &= !(1 << (j % LANE_BITS));
         }
     }
 
@@ -295,7 +210,7 @@ impl<W: Word> BitMatrix<W> {
     /// # Panics
     ///
     /// Panics if `i` is out of range.
-    pub fn row_words(&self, i: usize) -> &[W] {
+    pub fn row_words(&self, i: usize) -> &[DefaultLane] {
         assert!(i < self.rows, "row {i} out of range");
         &self.data[i * self.words_per_row..(i + 1) * self.words_per_row]
     }
@@ -306,14 +221,14 @@ impl<W: Word> BitMatrix<W> {
     /// # Panics
     ///
     /// Panics if `i` is out of range.
-    pub fn row_words_mut(&mut self, i: usize) -> &mut [W] {
+    pub fn row_words_mut(&mut self, i: usize) -> &mut [DefaultLane] {
         assert!(i < self.rows, "row {i} out of range");
         &mut self.data[i * self.words_per_row..(i + 1) * self.words_per_row]
     }
 
     /// Row `i` as a [`BitString`] of `cols()` bits, ready to ship as a
     /// message payload.
-    pub fn row_bits(&self, i: usize) -> BitString<W> {
+    pub fn row_bits(&self, i: usize) -> BitString {
         BitString::from_words(self.row_words(i), self.cols)
     }
 
@@ -324,9 +239,9 @@ impl<W: Word> BitMatrix<W> {
     ///
     /// Panics if `i` is out of range or `words` holds fewer than `cols()`
     /// bits.
-    pub fn set_row_words(&mut self, i: usize, words: &[W]) {
+    pub fn set_row_words(&mut self, i: usize, words: &[DefaultLane]) {
         assert!(
-            words.len() * W::BITS >= self.cols,
+            words.len() * LANE_BITS >= self.cols,
             "{} words cannot hold {} columns",
             words.len(),
             self.cols
@@ -334,10 +249,10 @@ impl<W: Word> BitMatrix<W> {
         let cols = self.cols;
         let row = self.row_words_mut(i);
         row.copy_from_slice(&words[..row.len()]);
-        let rem = cols % W::BITS;
+        let rem = cols % LANE_BITS;
         if rem > 0 {
             if let Some(last) = row.last_mut() {
-                *last &= W::mask_low(rem);
+                *last &= mask_low(rem);
             }
         }
     }
@@ -353,12 +268,12 @@ impl<W: Word> BitMatrix<W> {
     /// # Panics
     ///
     /// Panics if `mask.len() != cols()`.
-    pub fn mask_columns(&self, mask: &[bool]) -> BitMatrix<W> {
+    pub fn mask_columns(&self, mask: &[bool]) -> BitMatrix {
         assert_eq!(mask.len(), self.cols, "mask length must equal cols");
-        let mut packed = vec![W::ZERO; self.words_per_row];
+        let mut packed = vec![0; self.words_per_row];
         for (j, &keep) in mask.iter().enumerate() {
             if keep {
-                packed[j / W::BITS] |= W::bit(j % W::BITS);
+                packed[j / LANE_BITS] |= 1 << (j % LANE_BITS);
             }
         }
         let mut out = self.clone();
@@ -375,7 +290,7 @@ impl<W: Word> BitMatrix<W> {
     /// # Panics
     ///
     /// Panics if the dimensions differ.
-    pub fn xor(&self, other: &BitMatrix<W>) -> BitMatrix<W> {
+    pub fn xor(&self, other: &BitMatrix) -> BitMatrix {
         assert_eq!(
             (self.rows, self.cols),
             (other.rows, other.cols),
@@ -388,27 +303,41 @@ impl<W: Word> BitMatrix<W> {
         out
     }
 
-    /// The matrix product over `F₂`, dispatching to the (cache-blocked)
-    /// Four-Russians kernel for inner dimensions of
-    /// [`FOUR_RUSSIANS_MIN_DIM`] and up and to the plain word kernel below
-    /// that, and — from [`PAR_MIN_ROWS`] output rows — splitting the output
-    /// rows across the [`par::threads`] worker pool. Every path computes
-    /// bit-identical results.
+    /// The matrix product over `F₂`, dispatching to the Four-Russians
+    /// kernel for inner dimensions of [`FOUR_RUSSIANS_MIN_DIM`] and up and to
+    /// the plain word kernel below that. Both compute bit-identical results.
     ///
     /// # Panics
     ///
     /// Panics if `self.cols() != rhs.rows()`.
-    pub fn mul_f2(&self, rhs: &BitMatrix<W>) -> BitMatrix<W> {
-        self.mul_f2_with_threads(rhs, par::threads())
+    pub fn mul_f2(&self, rhs: &BitMatrix) -> BitMatrix {
+        if Self::dispatches_to_four_russians(self.cols) {
+            self.mul_f2_four_russians(rhs)
+        } else {
+            self.mul_f2_word(rhs)
+        }
     }
 
-    /// [`Self::mul_f2`] with an explicit worker budget (1 forces the serial
-    /// path; the result is identical at every worker count).
+    /// Whether [`mul_f2`](Self::mul_f2) routes an inner dimension to the
+    /// Four-Russians kernel instead of the plain word kernel.
+    fn dispatches_to_four_russians(inner_dim: usize) -> bool {
+        inner_dim >= FOUR_RUSSIANS_MIN_DIM
+    }
+
+    /// The word-level product: for every set bit `A[i][k]`, XOR row `k` of
+    /// `B` into output row `i` ([`LANE_BITS`] columns per word operation).
     ///
     /// # Panics
     ///
     /// Panics if `self.cols() != rhs.rows()`.
-    pub fn mul_f2_with_threads(&self, rhs: &BitMatrix<W>, threads: usize) -> BitMatrix<W> {
+    pub fn mul_f2_word(&self, rhs: &BitMatrix) -> BitMatrix {
+        self.fold_rows(rhs, |o, b| *o ^= b)
+    }
+
+    /// For every set bit `A[i][k]`, folds row `k` of `B` into output row `i`
+    /// with `op`, one word at a time — the walk shared by the word `F₂`
+    /// kernel (XOR) and the Boolean product (OR).
+    fn fold_rows(&self, rhs: &BitMatrix, op: impl Fn(&mut DefaultLane, DefaultLane)) -> BitMatrix {
         assert_eq!(
             self.cols, rhs.rows,
             "inner dimensions differ: {} vs {}",
@@ -419,109 +348,54 @@ impl<W: Word> BitMatrix<W> {
         if out.data.is_empty() {
             return out;
         }
-        let four_russians = Self::dispatches_to_four_russians(self.cols);
-        let workers = row_workers(self.rows, threads);
-        par::for_each_chunk_mut(&mut out.data, w, workers, |start, chunk| {
-            let row0 = start / w;
-            if four_russians {
-                self.mul_f2_m4r_blocked_range(rhs, row0, chunk);
-            } else {
-                self.mul_f2_word_range(rhs, row0, chunk);
-            }
-        });
-        out
-    }
-
-    /// Whether [`mul_f2`](Self::mul_f2) routes an inner dimension to the
-    /// Four-Russians kernel instead of the plain word kernel.
-    fn dispatches_to_four_russians(inner_dim: usize) -> bool {
-        inner_dim >= FOUR_RUSSIANS_MIN_DIM
-    }
-
-    /// The word-level product: for every set bit `A[i][k]`, XOR row `k` of
-    /// `B` into output row `i` (`W::BITS` columns per word operation).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `self.cols() != rhs.rows()`.
-    pub fn mul_f2_word(&self, rhs: &BitMatrix<W>) -> BitMatrix<W> {
-        assert_eq!(
-            self.cols, rhs.rows,
-            "inner dimensions differ: {} vs {}",
-            self.cols, rhs.rows
-        );
-        let mut out = BitMatrix::zeros(self.rows, rhs.cols);
-        if !out.data.is_empty() {
-            self.mul_f2_word_range(rhs, 0, &mut out.data);
-        }
-        out
-    }
-
-    /// The word kernel restricted to output rows `row0..`, writing into the
-    /// caller's (zeroed) chunk of `out.data` — the unit the threaded
-    /// dispatcher hands to each worker.
-    fn mul_f2_word_range(&self, rhs: &BitMatrix<W>, row0: usize, out_chunk: &mut [W]) {
-        let w = rhs.words_per_row;
-        for (r, out_row) in out_chunk.chunks_mut(w).enumerate() {
-            let i = row0 + r;
-            let a_row = &self.data[i * self.words_per_row..(i + 1) * self.words_per_row];
-            for (wi, &word) in a_row.iter().enumerate() {
+        for (i, out_row) in out.data.chunks_exact_mut(w).enumerate() {
+            for (wi, &word) in self.row_words(i).iter().enumerate() {
                 let mut bits = word;
-                while bits != W::ZERO {
-                    let k = wi * W::BITS + bits.trailing_zeros() as usize;
-                    bits = bits.clear_lowest_set_bit();
-                    let b_row = &rhs.data[k * w..(k + 1) * w];
-                    for (o, &b) in out_row.iter_mut().zip(b_row) {
-                        *o ^= b;
+                while bits != 0 {
+                    let k = wi * LANE_BITS + bits.trailing_zeros() as usize;
+                    bits &= bits - 1;
+                    for (o, &b) in out_row.iter_mut().zip(&rhs.data[k * w..(k + 1) * w]) {
+                        op(o, b);
                     }
                 }
             }
         }
+        out
     }
 
     /// The Method-of-Four-Russians product: rows of `B` are processed in
     /// blocks of 8; per block all 256 XOR combinations are tabulated
     /// incrementally (one row XOR per entry), then every row of `A` consumes
-    /// 8 of its columns with a single table lookup. Blocks are grouped into
-    /// cache-sized tiles ([`M4R_TILE_BYTES`]) so each output row is loaded
-    /// and stored once per tile instead of once per block.
+    /// 8 of its columns with a single table lookup.
     ///
     /// # Panics
     ///
     /// Panics if `self.cols() != rhs.rows()`.
-    pub fn mul_f2_four_russians(&self, rhs: &BitMatrix<W>) -> BitMatrix<W> {
+    pub fn mul_f2_four_russians(&self, rhs: &BitMatrix) -> BitMatrix {
         assert_eq!(
             self.cols, rhs.rows,
             "inner dimensions differ: {} vs {}",
             self.cols, rhs.rows
         );
+        let w = rhs.words_per_row;
         let mut out = BitMatrix::zeros(self.rows, rhs.cols);
-        if self.rows == 0 || rhs.rows == 0 || rhs.words_per_row == 0 {
+        if self.rows == 0 || rhs.rows == 0 || w == 0 {
             return out;
         }
-        self.mul_f2_m4r_blocked_range(rhs, 0, &mut out.data);
-        out
-    }
-
-    /// The pre-tiling Four-Russians walk (one table at a time, streaming
-    /// the whole output matrix per block). Kept as the baseline the
-    /// `kernels` bench bin compares the blocked kernel against; results are
-    /// bit-identical to [`Self::mul_f2_four_russians`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `self.cols() != rhs.rows()`.
-    pub fn mul_f2_four_russians_unblocked(&self, rhs: &BitMatrix<W>) -> BitMatrix<W> {
-        assert_eq!(
-            self.cols, rhs.rows,
-            "inner dimensions differ: {} vs {}",
-            self.cols, rhs.rows
-        );
-        let mut out = BitMatrix::zeros(self.rows, rhs.cols);
-        if self.rows == 0 || rhs.rows == 0 || rhs.words_per_row == 0 {
-            return out;
+        let mut table = vec![0; (1 << M4R_BLOCK) * w];
+        for block in 0..rhs.rows.div_ceil(M4R_BLOCK) {
+            let base = block * M4R_BLOCK;
+            let size = M4R_BLOCK.min(rhs.rows - base);
+            Self::m4r_build_table(rhs, base, size, &mut table);
+            for (i, out_row) in out.data.chunks_exact_mut(w).enumerate() {
+                let idx = self.extract_row_bits(i, base, size);
+                if idx != 0 {
+                    for (o, &t) in out_row.iter_mut().zip(&table[idx * w..(idx + 1) * w]) {
+                        *o ^= t;
+                    }
+                }
+            }
         }
-        self.mul_f2_m4r_range(rhs, 0, &mut out.data);
         out
     }
 
@@ -532,7 +406,7 @@ impl<W: Word> BitMatrix<W> {
     /// `1..1 << size` is overwritten by plain assignment, `table[0]` is
     /// never written, and no reset between calls is needed (lookups are
     /// masked to `size` bits).
-    fn m4r_build_table(rhs: &BitMatrix<W>, base: usize, size: usize, table: &mut [W]) {
+    fn m4r_build_table(rhs: &BitMatrix, base: usize, size: usize, table: &mut [DefaultLane]) {
         let w = rhs.words_per_row;
         for idx in 1usize..1 << size {
             let low = idx.trailing_zeros() as usize;
@@ -544,99 +418,16 @@ impl<W: Word> BitMatrix<W> {
         }
     }
 
-    /// The unblocked Four-Russians kernel restricted to output rows
-    /// `row0..`: one table at a time, every output row touched per block.
-    fn mul_f2_m4r_range(&self, rhs: &BitMatrix<W>, row0: usize, out_chunk: &mut [W]) {
-        let w = rhs.words_per_row;
-        let chunk_rows = out_chunk.len() / w;
-        let mut table = vec![W::ZERO; (1 << M4R_BLOCK) * w];
-        for block in 0..rhs.rows.div_ceil(M4R_BLOCK) {
-            let base = block * M4R_BLOCK;
-            let size = M4R_BLOCK.min(rhs.rows - base);
-            Self::m4r_build_table(rhs, base, size, &mut table);
-            for r in 0..chunk_rows {
-                let idx = self.extract_row_bits(row0 + r, base, size);
-                if idx != 0 {
-                    let out_row = &mut out_chunk[r * w..(r + 1) * w];
-                    for (o, &t) in out_row.iter_mut().zip(&table[idx * w..(idx + 1) * w]) {
-                        *o ^= t;
-                    }
-                }
-            }
-        }
-    }
-
-    /// The cache-blocked Four-Russians kernel restricted to output rows
-    /// `row0..` — the unit the threaded dispatcher hands to each worker
-    /// (each worker builds its own tile of tables, so workers share nothing
-    /// mutable). Blocks are grouped into tiles of [`M4R_TILE_BYTES`] of
-    /// tables; per tile, every output row of the chunk is loaded once,
-    /// combined with one lookup per block in the tile, and stored once.
-    fn mul_f2_m4r_blocked_range(&self, rhs: &BitMatrix<W>, row0: usize, out_chunk: &mut [W]) {
-        let tile = m4r_tile_blocks(rhs.words_per_row, W::BYTES);
-        self.mul_f2_m4r_tiled_range(rhs, row0, out_chunk, tile);
-    }
-
-    /// [`Self::mul_f2_m4r_blocked_range`] with an explicit tile size in
-    /// blocks (the tuning axis behind [`M4R_TILE_BYTES`]).
-    fn mul_f2_m4r_tiled_range(
-        &self,
-        rhs: &BitMatrix<W>,
-        row0: usize,
-        out_chunk: &mut [W],
-        tile: usize,
-    ) {
-        let w = rhs.words_per_row;
-        let chunk_rows = out_chunk.len() / w;
-        let table_words = (1usize << M4R_BLOCK) * w;
-        let blocks = rhs.rows.div_ceil(M4R_BLOCK);
-        let tile = tile.clamp(1, blocks);
-        // Output rows are swept in chunks sized to stay L1-resident across
-        // every table of the tile, so each table pass is a tight sequential
-        // sweep (the same inner-loop shape as the unblocked kernel) while
-        // the output chunk is loaded from cache, not memory, per table.
-        let row_tile = (M4R_ROW_TILE_BYTES / (w * W::BYTES).max(1)).max(1);
-        let mut tables = vec![W::ZERO; tile * table_words];
-        let mut b0 = 0usize;
-        while b0 < blocks {
-            let in_tile = tile.min(blocks - b0);
-            for (t, table) in tables.chunks_mut(table_words).take(in_tile).enumerate() {
-                let base = (b0 + t) * M4R_BLOCK;
-                let size = M4R_BLOCK.min(rhs.rows - base);
-                Self::m4r_build_table(rhs, base, size, table);
-            }
-            let mut r0 = 0usize;
-            while r0 < chunk_rows {
-                let rows_here = row_tile.min(chunk_rows - r0);
-                for (t, table) in tables.chunks_exact(table_words).take(in_tile).enumerate() {
-                    let base = (b0 + t) * M4R_BLOCK;
-                    let size = M4R_BLOCK.min(rhs.rows - base);
-                    for r in r0..r0 + rows_here {
-                        let idx = self.extract_row_bits(row0 + r, base, size);
-                        if idx != 0 {
-                            let out_row = &mut out_chunk[r * w..(r + 1) * w];
-                            for (o, &v) in out_row.iter_mut().zip(&table[idx * w..idx * w + w]) {
-                                *o ^= v;
-                            }
-                        }
-                    }
-                }
-                r0 += rows_here;
-            }
-            b0 += in_tile;
-        }
-    }
-
     /// The transposed matrix.
-    pub fn transpose(&self) -> BitMatrix<W> {
+    pub fn transpose(&self) -> BitMatrix {
         let mut out = BitMatrix::zeros(self.cols, self.rows);
         for i in 0..self.rows {
             for (wi, &word) in self.row_words(i).iter().enumerate() {
                 let mut bits = word;
-                while bits != W::ZERO {
-                    let j = wi * W::BITS + bits.trailing_zeros() as usize;
-                    bits = bits.clear_lowest_set_bit();
-                    out.data[j * out.words_per_row + i / W::BITS] |= W::bit(i % W::BITS);
+                while bits != 0 {
+                    let j = wi * LANE_BITS + bits.trailing_zeros() as usize;
+                    bits &= bits - 1;
+                    out.data[j * out.words_per_row + i / LANE_BITS] |= 1 << (i % LANE_BITS);
                 }
             }
         }
@@ -644,12 +435,12 @@ impl<W: Word> BitMatrix<W> {
     }
 
     /// The `rows × cols` block starting at `(row0, col0)`, extracted with
-    /// word shifts (`W::BITS` columns per operation).
+    /// word shifts (`LANE_BITS` columns per operation).
     ///
     /// # Panics
     ///
     /// Panics if the block reaches past the matrix.
-    pub fn submatrix(&self, row0: usize, col0: usize, rows: usize, cols: usize) -> BitMatrix<W> {
+    pub fn submatrix(&self, row0: usize, col0: usize, rows: usize, cols: usize) -> BitMatrix {
         assert!(
             row0 + rows <= self.rows && col0 + cols <= self.cols,
             "block {rows}×{cols} at ({row0},{col0}) exceeds {}×{}",
@@ -660,24 +451,24 @@ impl<W: Word> BitMatrix<W> {
         if cols == 0 {
             return out;
         }
-        let word_off = col0 / W::BITS;
-        let bit_off = col0 % W::BITS;
+        let word_off = col0 / LANE_BITS;
+        let bit_off = col0 % LANE_BITS;
         for i in 0..rows {
             let src = self.row_words(row0 + i);
             let dst = &mut out.data[i * out.words_per_row..(i + 1) * out.words_per_row];
             for (wi, d) in dst.iter_mut().enumerate() {
-                let lo = src.get(word_off + wi).copied().unwrap_or(W::ZERO) >> bit_off;
+                let lo = src.get(word_off + wi).copied().unwrap_or(0) >> bit_off;
                 let hi = if bit_off > 0 {
-                    src.get(word_off + wi + 1).copied().unwrap_or(W::ZERO) << (W::BITS - bit_off)
+                    src.get(word_off + wi + 1).copied().unwrap_or(0) << (LANE_BITS - bit_off)
                 } else {
-                    W::ZERO
+                    0
                 };
                 *d = lo | hi;
             }
-            let rem = cols % W::BITS;
+            let rem = cols % LANE_BITS;
             if rem > 0 {
                 if let Some(last) = dst.last_mut() {
-                    *last &= W::mask_low(rem);
+                    *last &= mask_low(rem);
                 }
             }
         }
@@ -690,7 +481,7 @@ impl<W: Word> BitMatrix<W> {
     /// # Panics
     ///
     /// Panics if either dimension shrinks.
-    pub fn padded(&self, rows: usize, cols: usize) -> BitMatrix<W> {
+    pub fn padded(&self, rows: usize, cols: usize) -> BitMatrix {
         assert!(
             rows >= self.rows && cols >= self.cols,
             "cannot pad {}×{} down to {rows}×{cols}",
@@ -712,7 +503,7 @@ impl<W: Word> BitMatrix<W> {
     /// # Panics
     ///
     /// Panics if the block reaches past the matrix.
-    pub fn paste(&mut self, row0: usize, col0: usize, block: &BitMatrix<W>) {
+    pub fn paste(&mut self, row0: usize, col0: usize, block: &BitMatrix) {
         assert!(
             row0 + block.rows <= self.rows && col0 + block.cols <= self.cols,
             "block {}×{} at ({row0},{col0}) exceeds {}×{}",
@@ -724,9 +515,9 @@ impl<W: Word> BitMatrix<W> {
         if block.is_empty() {
             return;
         }
-        if col0.is_multiple_of(W::BITS) {
-            let word0 = col0 / W::BITS;
-            let rem = block.cols % W::BITS;
+        if col0.is_multiple_of(LANE_BITS) {
+            let word0 = col0 / LANE_BITS;
+            let rem = block.cols % LANE_BITS;
             for i in 0..block.rows {
                 let src = block.row_words(i);
                 let dst = &mut self.row_words_mut(row0 + i)[word0..word0 + src.len()];
@@ -735,7 +526,7 @@ impl<W: Word> BitMatrix<W> {
                 } else {
                     let (full, last) = src.split_at(src.len() - 1);
                     dst[..full.len()].copy_from_slice(full);
-                    let mask = W::mask_low(rem);
+                    let mask = mask_low(rem);
                     dst[full.len()] = (dst[full.len()] & !mask) | (last[0] & mask);
                 }
             }
@@ -748,171 +539,26 @@ impl<W: Word> BitMatrix<W> {
         }
     }
 
-    /// The matrix product over `F₂` by Strassen's recursion: operands are
-    /// padded once to [`strassen_padded_dim`] at depth [`strassen_levels`],
-    /// each level trades one of the eight block products for a constant
-    /// number of word-parallel XOR passes (subtraction *is* addition over
-    /// `F₂`, so no widths grow), and the leaves bottom out in the
-    /// [`Self::mul_f2`] dispatcher. Below [`STRASSEN_MIN_DIM`] this *is*
-    /// [`Self::mul_f2`]; results are bit-identical on every path.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `self.cols() != rhs.rows()`.
-    pub fn mul_f2_strassen(&self, rhs: &BitMatrix<W>) -> BitMatrix<W> {
-        self.mul_f2_strassen_with_threads(rhs, par::threads())
-    }
-
-    /// [`Self::mul_f2_strassen`] with an explicit worker budget for the leaf
-    /// products (1 forces the serial path; the result is identical at every
-    /// worker count).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `self.cols() != rhs.rows()`.
-    pub fn mul_f2_strassen_with_threads(&self, rhs: &BitMatrix<W>, threads: usize) -> BitMatrix<W> {
-        let d = self.rows.max(self.cols).max(rhs.cols);
-        self.mul_f2_strassen_with_levels(rhs, strassen_levels(d), threads)
-    }
-
-    /// [`Self::mul_f2_strassen`] at an explicit recursion depth — the
-    /// dispatch seam behind [`strassen_levels`], public so tests and the
-    /// `kernels` bench bin can force recursion on dimensions below the
-    /// crossover and compare depths.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `self.cols() != rhs.rows()`.
-    pub fn mul_f2_strassen_with_levels(
-        &self,
-        rhs: &BitMatrix<W>,
-        levels: u32,
-        threads: usize,
-    ) -> BitMatrix<W> {
-        assert_eq!(
-            self.cols, rhs.rows,
-            "inner dimensions differ: {} vs {}",
-            self.cols, rhs.rows
-        );
-        if levels == 0 {
-            return self.mul_f2_with_threads(rhs, threads);
-        }
-        let d = self.rows.max(self.cols).max(rhs.cols);
-        let p = strassen_padded_dim(d, levels);
-        let a = self.padded(p, p);
-        let b = rhs.padded(p, p);
-        let c = Self::strassen_split(&a, &b, levels, threads);
-        c.submatrix(0, 0, self.rows, rhs.cols)
-    }
-
-    /// One Strassen level on square power-aligned operands: seven recursive
-    /// half-dimension products combined with XOR passes.
-    fn strassen_split(a: &BitMatrix<W>, b: &BitMatrix<W>, levels: u32, threads: usize) -> Self {
-        if levels == 0 {
-            return a.mul_f2_with_threads(b, threads);
-        }
-        let h = a.rows / 2;
-        let a11 = a.submatrix(0, 0, h, h);
-        let a12 = a.submatrix(0, h, h, h);
-        let a21 = a.submatrix(h, 0, h, h);
-        let a22 = a.submatrix(h, h, h, h);
-        let b11 = b.submatrix(0, 0, h, h);
-        let b12 = b.submatrix(0, h, h, h);
-        let b21 = b.submatrix(h, 0, h, h);
-        let b22 = b.submatrix(h, h, h, h);
-        let rec = |x: &Self, y: &Self| Self::strassen_split(x, y, levels - 1, threads);
-        let m1 = rec(&a11.xor(&a22), &b11.xor(&b22));
-        let m2 = rec(&a21.xor(&a22), &b11);
-        let m3 = rec(&a11, &b12.xor(&b22));
-        let m4 = rec(&a22, &b21.xor(&b11));
-        let m5 = rec(&a11.xor(&a12), &b22);
-        let m6 = rec(&a21.xor(&a11), &b11.xor(&b12));
-        let m7 = rec(&a12.xor(&a22), &b21.xor(&b22));
-        let mut out = BitMatrix::zeros(2 * h, 2 * h);
-        out.paste(0, 0, &m1.xor(&m4).xor(&m5).xor(&m7));
-        out.paste(0, h, &m3.xor(&m5));
-        out.paste(h, 0, &m2.xor(&m4));
-        out.paste(h, h, &m1.xor(&m2).xor(&m3).xor(&m6));
-        out
-    }
-
     /// The matrix product over the Boolean semiring `(∨, ∧)`: for every set
-    /// bit `A[i][k]`, OR row `k` of `B` into output row `i` (`W::BITS`
-    /// columns per word operation). From [`PAR_MIN_ROWS`] output rows the
-    /// rows are split across the [`par::threads`] worker pool; results are
-    /// identical at every worker count.
+    /// bit `A[i][k]`, OR row `k` of `B` into output row `i` ([`LANE_BITS`]
+    /// columns per word operation).
     ///
     /// # Panics
     ///
     /// Panics if `self.cols() != rhs.rows()`.
-    pub fn mul_bool(&self, rhs: &BitMatrix<W>) -> BitMatrix<W> {
-        self.mul_bool_with_threads(rhs, par::threads())
-    }
-
-    /// [`Self::mul_bool`] with an explicit worker budget (1 forces the
-    /// serial path).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `self.cols() != rhs.rows()`.
-    pub fn mul_bool_with_threads(&self, rhs: &BitMatrix<W>, threads: usize) -> BitMatrix<W> {
-        assert_eq!(
-            self.cols, rhs.rows,
-            "inner dimensions differ: {} vs {}",
-            self.cols, rhs.rows
-        );
-        let w = rhs.words_per_row;
-        let mut out = BitMatrix::zeros(self.rows, rhs.cols);
-        if out.data.is_empty() {
-            return out;
-        }
-        let workers = row_workers(self.rows, threads);
-        par::for_each_chunk_mut(&mut out.data, w, workers, |start, chunk| {
-            self.mul_bool_range(rhs, start / w, chunk);
-        });
-        out
-    }
-
-    /// The Boolean-semiring kernel restricted to output rows `row0..`.
-    fn mul_bool_range(&self, rhs: &BitMatrix<W>, row0: usize, out_chunk: &mut [W]) {
-        let w = rhs.words_per_row;
-        for (r, out_row) in out_chunk.chunks_mut(w).enumerate() {
-            let i = row0 + r;
-            let a_row = &self.data[i * self.words_per_row..(i + 1) * self.words_per_row];
-            for (wi, &word) in a_row.iter().enumerate() {
-                let mut bits = word;
-                while bits != W::ZERO {
-                    let k = wi * W::BITS + bits.trailing_zeros() as usize;
-                    bits = bits.clear_lowest_set_bit();
-                    let b_row = &rhs.data[k * w..(k + 1) * w];
-                    for (o, &b) in out_row.iter_mut().zip(b_row) {
-                        *o |= b;
-                    }
-                }
-            }
-        }
+    pub fn mul_bool(&self, rhs: &BitMatrix) -> BitMatrix {
+        self.fold_rows(rhs, |o, b| *o |= b)
     }
 
     /// The matrix product over the counting semiring `(+, ×)` of two 0/1
     /// matrices: `C[i][j] = |{k : A[i][k] ∧ B[k][j]}|`, computed as the
-    /// popcount of `row_i(A) ∧ row_j(Bᵀ)` — `W::BITS` multiply-adds per
+    /// popcount of `row_i(A) ∧ row_j(Bᵀ)` — [`LANE_BITS`] multiply-adds per
     /// AND+popcount pair.
     ///
     /// # Panics
     ///
     /// Panics if `self.cols() != rhs.rows()`.
-    pub fn popcount_product(&self, rhs: &BitMatrix<W>) -> IntMatrix {
-        self.popcount_product_with_threads(rhs, par::threads())
-    }
-
-    /// [`Self::popcount_product`] with an explicit worker budget (1 forces
-    /// the serial path). The transpose of `rhs` is computed once and shared
-    /// read-only by all workers.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `self.cols() != rhs.rows()`.
-    pub fn popcount_product_with_threads(&self, rhs: &BitMatrix<W>, threads: usize) -> IntMatrix {
+    pub fn popcount_product(&self, rhs: &BitMatrix) -> IntMatrix {
         assert_eq!(
             self.cols, rhs.rows,
             "inner dimensions differ: {} vs {}",
@@ -923,22 +569,16 @@ impl<W: Word> BitMatrix<W> {
         if out.data.is_empty() {
             return out;
         }
-        let cols = rhs.cols;
-        let workers = row_workers(self.rows, threads);
-        par::for_each_chunk_mut(&mut out.data, cols, workers, |start, chunk| {
-            let row0 = start / cols;
-            for (r, out_row) in chunk.chunks_mut(cols).enumerate() {
-                let a_row = self.row_words(row0 + r);
-                for (j, o) in out_row.iter_mut().enumerate() {
-                    let b_col = rhs_t.row_words(j);
-                    *o = a_row
-                        .iter()
-                        .zip(b_col)
-                        .map(|(&a, &b)| u64::from((a & b).count_ones()))
-                        .sum();
-                }
+        for (i, out_row) in out.data.chunks_exact_mut(rhs.cols).enumerate() {
+            let a_row = self.row_words(i);
+            for (j, o) in out_row.iter_mut().enumerate() {
+                *o = a_row
+                    .iter()
+                    .zip(rhs_t.row_words(j))
+                    .map(|(&a, &b)| u64::from((a & b).count_ones()))
+                    .sum();
             }
-        });
+        }
         out
     }
 
@@ -947,17 +587,17 @@ impl<W: Word> BitMatrix<W> {
     fn extract_row_bits(&self, i: usize, start: usize, len: usize) -> usize {
         debug_assert!(len <= M4R_BLOCK && start + len <= self.cols);
         let row = i * self.words_per_row;
-        let word_idx = start / W::BITS;
-        let bit_idx = start % W::BITS;
+        let word_idx = start / LANE_BITS;
+        let bit_idx = start % LANE_BITS;
         let mut value = self.data[row + word_idx] >> bit_idx;
-        if bit_idx + len > W::BITS {
-            value |= self.data[row + word_idx + 1] << (W::BITS - bit_idx);
+        if bit_idx + len > LANE_BITS {
+            value |= self.data[row + word_idx + 1] << (LANE_BITS - bit_idx);
         }
-        (value.low_u64() & ((1u64 << len) - 1)) as usize
+        (value & ((1u64 << len) - 1)) as usize
     }
 }
 
-impl<W: Word> fmt::Debug for BitMatrix<W> {
+impl fmt::Debug for BitMatrix {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
@@ -969,7 +609,7 @@ impl<W: Word> fmt::Debug for BitMatrix<W> {
     }
 }
 
-impl<W: Word> fmt::Display for BitMatrix<W> {
+impl fmt::Display for BitMatrix {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         for i in 0..self.rows {
             for j in 0..self.cols {
@@ -984,10 +624,6 @@ impl<W: Word> fmt::Display for BitMatrix<W> {
 /// A dense matrix of small non-negative integers (row-major `u64` entries),
 /// the operand type of the counting and `(min, +)` semirings used by the
 /// algebraic clique protocols.
-///
-/// Entries are integer *values*, not lanes, so [`IntMatrix`] is not generic
-/// over [`Word`]; its packed conversions go through the default-lane
-/// [`BitMatrix`].
 ///
 /// [`IntMatrix::INFINITY`] (`u64::MAX`) is the reserved "no path" value of
 /// the `(min, +)` semiring; all arithmetic saturates below it, so finite
@@ -1169,8 +805,7 @@ impl IntMatrix {
             let words = m.row_words_mut(i);
             for (j, &v) in row.iter().enumerate() {
                 if v == 1 {
-                    words[j / <DefaultLane as Word>::BITS] |=
-                        DefaultLane::bit(j % <DefaultLane as Word>::BITS);
+                    words[j / LANE_BITS] |= 1 << (j % LANE_BITS);
                 }
             }
         }
@@ -1183,9 +818,9 @@ impl IntMatrix {
         for i in 0..m.rows() {
             for (wi, &word) in m.row_words(i).iter().enumerate() {
                 let mut bits = word;
-                while bits != DefaultLane::ZERO {
-                    let j = wi * <DefaultLane as Word>::BITS + bits.trailing_zeros() as usize;
-                    bits = bits.clear_lowest_set_bit();
+                while bits != 0 {
+                    let j = wi * LANE_BITS + bits.trailing_zeros() as usize;
+                    bits &= bits - 1;
                     out.data[i * out.cols + j] = 1;
                 }
             }
@@ -1203,46 +838,25 @@ impl IntMatrix {
     ///
     /// Panics if `self.cols() != rhs.rows()`.
     pub fn mul_counting(&self, rhs: &IntMatrix) -> IntMatrix {
-        self.mul_counting_with_threads(rhs, par::threads())
-    }
-
-    /// [`Self::mul_counting`] with an explicit worker budget (1 forces the
-    /// serial path; output rows are split across workers from
-    /// [`PAR_MIN_ROWS`] rows up, with identical results at every count).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `self.cols() != rhs.rows()`.
-    pub fn mul_counting_with_threads(&self, rhs: &IntMatrix, threads: usize) -> IntMatrix {
         assert_eq!(
             self.cols, rhs.rows,
             "inner dimensions differ: {} vs {}",
             self.cols, rhs.rows
         );
         if self.is_binary() && rhs.is_binary() {
-            return self
-                .to_bitmatrix()
-                .popcount_product_with_threads(&rhs.to_bitmatrix(), threads);
+            return self.to_bitmatrix().popcount_product(&rhs.to_bitmatrix());
         }
         let mut out = IntMatrix::zeros(self.rows, rhs.cols);
-        if out.data.is_empty() {
-            return out;
-        }
-        let cols = rhs.cols;
-        let workers = row_workers(self.rows, threads);
-        par::for_each_chunk_mut(&mut out.data, cols, workers, |start, chunk| {
-            let row0 = start / cols;
-            for (r, out_row) in chunk.chunks_mut(cols).enumerate() {
-                for (k, &a) in self.row(row0 + r).iter().enumerate() {
-                    if a == 0 {
-                        continue;
-                    }
-                    for (o, &b) in out_row.iter_mut().zip(rhs.row(k)) {
-                        *o = saturating_counting_add(*o, a.saturating_mul(b));
-                    }
+        for (r, out_row) in out.data.chunks_mut(rhs.cols.max(1)).enumerate() {
+            for (k, &a) in self.row(r).iter().enumerate() {
+                if a == 0 {
+                    continue;
+                }
+                for (o, &b) in out_row.iter_mut().zip(rhs.row(k)) {
+                    *o = saturating_counting_add(*o, a.saturating_mul(b));
                 }
             }
-        });
+        }
         out
     }
 
@@ -1254,41 +868,22 @@ impl IntMatrix {
     ///
     /// Panics if `self.cols() != rhs.rows()`.
     pub fn mul_min_plus(&self, rhs: &IntMatrix) -> IntMatrix {
-        self.mul_min_plus_with_threads(rhs, par::threads())
-    }
-
-    /// [`Self::mul_min_plus`] with an explicit worker budget (1 forces the
-    /// serial path; output rows are split across workers from
-    /// [`PAR_MIN_ROWS`] rows up, with identical results at every count).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `self.cols() != rhs.rows()`.
-    pub fn mul_min_plus_with_threads(&self, rhs: &IntMatrix, threads: usize) -> IntMatrix {
         assert_eq!(
             self.cols, rhs.rows,
             "inner dimensions differ: {} vs {}",
             self.cols, rhs.rows
         );
         let mut out = IntMatrix::filled(self.rows, rhs.cols, Self::INFINITY);
-        if out.data.is_empty() {
-            return out;
-        }
-        let cols = rhs.cols;
-        let workers = row_workers(self.rows, threads);
-        par::for_each_chunk_mut(&mut out.data, cols, workers, |start, chunk| {
-            let row0 = start / cols;
-            for (r, out_row) in chunk.chunks_mut(cols).enumerate() {
-                for (k, &a) in self.row(row0 + r).iter().enumerate() {
-                    if a == Self::INFINITY {
-                        continue;
-                    }
-                    for (o, &b) in out_row.iter_mut().zip(rhs.row(k)) {
-                        *o = (*o).min(min_plus_add(a, b));
-                    }
+        for (r, out_row) in out.data.chunks_mut(rhs.cols.max(1)).enumerate() {
+            for (k, &a) in self.row(r).iter().enumerate() {
+                if a == Self::INFINITY {
+                    continue;
+                }
+                for (o, &b) in out_row.iter_mut().zip(rhs.row(k)) {
+                    *o = (*o).min(min_plus_add(a, b));
                 }
             }
-        });
+        }
         out
     }
 
@@ -1376,53 +971,8 @@ impl fmt::Debug for IntMatrix {
 mod tests {
     use super::*;
 
-    /// Perf probe behind `--ignored`: times the tiled Four-Russians walk at
-    /// several tile sizes so [`M4R_TILE_BYTES`] can be re-tuned per host.
-    #[test]
-    #[ignore = "perf probe; run with --ignored --nocapture on a quiet host"]
-    fn probe_tile_sizes() {
-        for d in [512usize, 1024, 2048] {
-            let a = pseudo_random::<u64>(d, d, 0xA5);
-            let b = pseudo_random::<u64>(d, d, 0x5A);
-            let w = b.words_per_row;
-            let mut out = vec![0u64; d * w];
-            let reps = (64 * 1024 * 1024 / (d * d / 8)).clamp(3, 50);
-            // Interleave the contenders across many short passes so slow
-            // drift on a noisy host biases every variant equally.
-            let variants: &[Option<usize>] = &[None, Some(1), Some(2), Some(4), Some(8), Some(16)];
-            let mut totals = vec![0f64; variants.len()];
-            for _ in 0..reps {
-                for (v, variant) in variants.iter().enumerate() {
-                    out.iter_mut().for_each(|o| *o = 0);
-                    let start = std::time::Instant::now();
-                    match variant {
-                        None => a.mul_f2_m4r_range(&b, 0, &mut out),
-                        Some(tile) => a.mul_f2_m4r_tiled_range(&b, 0, &mut out, *tile),
-                    }
-                    totals[v] += start.elapsed().as_nanos() as f64;
-                    std::hint::black_box(&out);
-                }
-            }
-            for (v, variant) in variants.iter().enumerate() {
-                let label = match variant {
-                    None => "unblocked".to_owned(),
-                    Some(tile) => {
-                        format!(
-                            "tile={tile} ({} KiB)",
-                            tile * (1 << M4R_BLOCK) * w * 8 / 1024
-                        )
-                    }
-                };
-                println!(
-                    "d={d} {label}: {:.0} ns",
-                    totals[v] / f64::from(reps as u32)
-                );
-            }
-        }
-    }
-
     /// The bool-at-a-time product the packed kernels must agree with.
-    fn scalar_product<W: Word>(a: &BitMatrix<W>, b: &BitMatrix<W>) -> BitMatrix<W> {
+    fn scalar_product(a: &BitMatrix, b: &BitMatrix) -> BitMatrix {
         let mut out = BitMatrix::zeros(a.rows(), b.cols());
         for i in 0..a.rows() {
             for j in 0..b.cols() {
@@ -1436,7 +986,7 @@ mod tests {
         out
     }
 
-    fn pseudo_random<W: Word>(rows: usize, cols: usize, seed: u64) -> BitMatrix<W> {
+    fn pseudo_random(rows: usize, cols: usize, seed: u64) -> BitMatrix {
         let mut m = BitMatrix::zeros(rows, cols);
         let mut state = seed | 1;
         for i in 0..rows {
@@ -1457,7 +1007,7 @@ mod tests {
             vec![false, false, false],
             vec![true, true, true],
         ];
-        let m = BitMatrix::<DefaultLane>::from_rows(&rows);
+        let m = BitMatrix::from_rows(&rows);
         assert_eq!(m.to_rows(), rows);
         assert_eq!((m.rows(), m.cols()), (3, 3));
         assert_eq!(m.count_ones(), 5);
@@ -1468,7 +1018,7 @@ mod tests {
 
     #[test]
     fn set_and_get_across_word_boundaries() {
-        let mut m = BitMatrix::<DefaultLane>::zeros(2, 130);
+        let mut m = BitMatrix::zeros(2, 130);
         m.set(0, 0, true);
         m.set(0, 63, true);
         m.set(0, 64, true);
@@ -1480,16 +1030,22 @@ mod tests {
         assert_eq!(m.count_ones(), 3);
     }
 
-    fn kernels_match_scalar_for<W: Word>() {
+    #[test]
+    fn both_kernels_match_the_scalar_product() {
+        // The last two shapes sit at and above FOUR_RUSSIANS_MIN_DIM, so the
+        // dispatcher routes them to Four Russians; an inner dimension of 300
+        // leaves a partial last 8-row block.
         for (ra, c, cb, seed) in [
             (1usize, 1usize, 1usize, 1u64),
             (3, 5, 4, 2),
             (17, 64, 9, 3),
             (8, 65, 70, 4),
             (20, 130, 20, 5),
+            (9, FOUR_RUSSIANS_MIN_DIM, 60, 6),
+            (40, FOUR_RUSSIANS_MIN_DIM + 44, 333, 7),
         ] {
-            let a = pseudo_random::<W>(ra, c, seed);
-            let b = pseudo_random::<W>(c, cb, seed + 100);
+            let a = pseudo_random(ra, c, seed);
+            let b = pseudo_random(c, cb, seed + 100);
             let expected = scalar_product(&a, &b);
             assert_eq!(a.mul_f2_word(&b), expected, "word kernel {ra}x{c}x{cb}");
             assert_eq!(
@@ -1497,58 +1053,29 @@ mod tests {
                 expected,
                 "four russians {ra}x{c}x{cb}"
             );
-            assert_eq!(
-                a.mul_f2_four_russians_unblocked(&b),
-                expected,
-                "unblocked four russians {ra}x{c}x{cb}"
-            );
             assert_eq!(a.mul_f2(&b), expected, "dispatch {ra}x{c}x{cb}");
         }
     }
 
     #[test]
-    fn both_kernels_match_the_scalar_product() {
-        kernels_match_scalar_for::<u64>();
-        kernels_match_scalar_for::<u128>();
-    }
-
-    #[test]
-    fn blocked_four_russians_matches_unblocked_above_threshold() {
-        // Above FOUR_RUSSIANS_MIN_DIM several tiles are in play; rectangular
-        // shapes exercise partial last blocks and partial last tiles.
-        for (ra, c, cb, seed) in [
-            (FOUR_RUSSIANS_MIN_DIM, FOUR_RUSSIANS_MIN_DIM, 60usize, 71u64),
-            (40, 300, 333, 72),
-        ] {
-            let a = pseudo_random::<u64>(ra, c, seed);
-            let b = pseudo_random::<u64>(c, cb, seed + 100);
-            assert_eq!(
-                a.mul_f2_four_russians(&b),
-                a.mul_f2_four_russians_unblocked(&b),
-                "{ra}x{c}x{cb}"
-            );
-        }
-    }
-
-    #[test]
     fn dispatch_threshold_selects_the_expected_kernel() {
-        assert!(!BitMatrix::<u64>::dispatches_to_four_russians(0));
-        assert!(!BitMatrix::<u64>::dispatches_to_four_russians(
+        assert!(!BitMatrix::dispatches_to_four_russians(0));
+        assert!(!BitMatrix::dispatches_to_four_russians(
             FOUR_RUSSIANS_MIN_DIM - 1
         ));
-        assert!(BitMatrix::<u64>::dispatches_to_four_russians(
+        assert!(BitMatrix::dispatches_to_four_russians(
             FOUR_RUSSIANS_MIN_DIM
         ));
         // And the routed kernel agrees with the other path at the threshold.
         let d = FOUR_RUSSIANS_MIN_DIM;
-        let a = pseudo_random::<DefaultLane>(4, d, 7);
+        let a = pseudo_random(4, d, 7);
         let b = pseudo_random(d, 4, 8);
         assert_eq!(a.mul_f2(&b), a.mul_f2_word(&b));
     }
 
     #[test]
     fn identity_is_neutral() {
-        let m = pseudo_random::<DefaultLane>(9, 9, 11);
+        let m = pseudo_random(9, 9, 11);
         let id = BitMatrix::identity(9);
         assert_eq!(m.mul_f2(&id), m);
         assert_eq!(id.mul_f2(&m), m);
@@ -1556,7 +1083,7 @@ mod tests {
 
     #[test]
     fn mask_columns_zeroes_unselected_columns() {
-        let m = pseudo_random::<DefaultLane>(5, 70, 13);
+        let m = pseudo_random(5, 70, 13);
         let mask: Vec<bool> = (0..70).map(|j| j % 3 != 0).collect();
         let masked = m.mask_columns(&mask);
         for i in 0..5 {
@@ -1568,7 +1095,7 @@ mod tests {
 
     #[test]
     fn xor_is_elementwise() {
-        let a = pseudo_random::<DefaultLane>(4, 66, 17);
+        let a = pseudo_random(4, 66, 17);
         let b = pseudo_random(4, 66, 19);
         let c = a.xor(&b);
         for i in 0..4 {
@@ -1579,31 +1106,26 @@ mod tests {
         assert!(a.xor(&a).count_ones() == 0);
     }
 
-    fn set_row_words_masks_padding_for<W: Word>() {
-        let mut m = BitMatrix::<W>::zeros(2, 70);
-        let words = vec![W::ONES; 70usize.div_ceil(W::BITS)];
+    #[test]
+    fn set_row_words_masks_padding() {
+        let mut m = BitMatrix::zeros(2, 70);
+        let words = vec![DefaultLane::MAX; 70usize.div_ceil(LANE_BITS)];
         m.set_row_words(1, &words);
         assert_eq!(m.count_ones(), 70);
-        let rem = 70 % W::BITS;
+        let rem = 70 % LANE_BITS;
         assert_eq!(
-            *m.row_words(1).last().unwrap() & !W::mask_low(rem),
-            W::ZERO,
+            *m.row_words(1).last().unwrap() & !mask_low(rem),
+            0,
             "padding bits must stay zero"
         );
     }
 
     #[test]
-    fn set_row_words_masks_padding() {
-        set_row_words_masks_padding_for::<u64>();
-        set_row_words_masks_padding_for::<u128>();
-    }
-
-    #[test]
     fn empty_matrices_multiply() {
-        let a = BitMatrix::<DefaultLane>::zeros(0, 5);
+        let a = BitMatrix::zeros(0, 5);
         let b = BitMatrix::zeros(5, 3);
         assert_eq!(a.mul_f2(&b).rows(), 0);
-        let a = BitMatrix::<DefaultLane>::zeros(3, 0);
+        let a = BitMatrix::zeros(3, 0);
         let b = BitMatrix::zeros(0, 4);
         let c = a.mul_f2(&b);
         assert_eq!((c.rows(), c.cols()), (3, 4));
@@ -1613,21 +1135,21 @@ mod tests {
     #[test]
     #[should_panic(expected = "inner dimensions differ")]
     fn mismatched_inner_dimensions_panic() {
-        let a = BitMatrix::<DefaultLane>::zeros(2, 3);
+        let a = BitMatrix::zeros(2, 3);
         let b = BitMatrix::zeros(4, 2);
         let _ = a.mul_f2(&b);
     }
 
     #[test]
     fn debug_and_display_are_informative() {
-        let m = BitMatrix::<DefaultLane>::identity(2);
+        let m = BitMatrix::identity(2);
         assert_eq!(format!("{m:?}"), "BitMatrix(2×2, 2 ones)");
         assert_eq!(m.to_string(), "10\n01\n");
     }
 
     #[test]
     fn transpose_round_trips_and_flips_entries() {
-        let m = pseudo_random::<DefaultLane>(7, 130, 23);
+        let m = pseudo_random(7, 130, 23);
         let t = m.transpose();
         assert_eq!((t.rows(), t.cols()), (130, 7));
         for i in 0..7 {
@@ -1638,8 +1160,9 @@ mod tests {
         assert_eq!(t.transpose(), m);
     }
 
-    fn submatrix_blocks_for<W: Word>() {
-        let m = pseudo_random::<W>(10, 200, 29);
+    #[test]
+    fn submatrix_extracts_blocks_across_word_boundaries() {
+        let m = pseudo_random(10, 200, 29);
         for (r0, c0, rows, cols) in [
             (0, 0, 10, 200),
             (3, 60, 4, 70),
@@ -1654,39 +1177,34 @@ mod tests {
                 }
             }
             // The BitMatrix invariant: no bits past `cols`.
-            let rem = cols % W::BITS;
+            let rem = cols % LANE_BITS;
             if rem > 0 {
                 for i in 0..rows {
-                    assert_eq!(*s.row_words(i).last().unwrap() & !W::mask_low(rem), W::ZERO);
+                    assert_eq!(*s.row_words(i).last().unwrap() & !mask_low(rem), 0);
                 }
             }
         }
     }
 
     #[test]
-    fn submatrix_extracts_blocks_across_word_boundaries() {
-        submatrix_blocks_for::<u64>();
-        submatrix_blocks_for::<u128>();
+    #[should_panic(expected = "exceeds")]
+    fn submatrix_rejects_out_of_range_blocks() {
+        let _ = BitMatrix::zeros(3, 3).submatrix(1, 1, 3, 2);
     }
 
     #[test]
-    #[should_panic(expected = "exceeds")]
-    fn submatrix_rejects_out_of_range_blocks() {
-        let _ = BitMatrix::<DefaultLane>::zeros(3, 3).submatrix(1, 1, 3, 2);
-    }
-
-    fn paste_round_trips_for<W: Word>() {
-        let m = pseudo_random::<W>(12, 300, 131);
+    fn paste_writes_blocks_and_preserves_surroundings() {
+        let m = pseudo_random(12, 300, 131);
         // Aligned and unaligned column offsets, straddling word boundaries.
         for (r0, c0, rows, cols) in [
             (0usize, 0usize, 12usize, 300usize),
-            (2, W::BITS, 5, W::BITS),
-            (3, W::BITS, 4, W::BITS + 7),
+            (2, LANE_BITS, 5, LANE_BITS),
+            (3, LANE_BITS, 4, LANE_BITS + 7),
             (1, 37, 6, 91),
             (4, 129, 3, 70),
         ] {
             let block = m.submatrix(r0, c0, rows, cols);
-            let mut target = pseudo_random::<W>(12, 300, 132);
+            let mut target = pseudo_random(12, 300, 132);
             let before = target.clone();
             target.paste(r0, c0, &block);
             for i in 0..12 {
@@ -1704,14 +1222,8 @@ mod tests {
     }
 
     #[test]
-    fn paste_writes_blocks_and_preserves_surroundings() {
-        paste_round_trips_for::<u64>();
-        paste_round_trips_for::<u128>();
-    }
-
-    #[test]
     fn padded_zero_extends() {
-        let m = pseudo_random::<DefaultLane>(5, 70, 141);
+        let m = pseudo_random(5, 70, 141);
         let p = m.padded(9, 133);
         assert_eq!((p.rows(), p.cols()), (9, 133));
         assert_eq!(p.submatrix(0, 0, 5, 70), m);
@@ -1719,13 +1231,7 @@ mod tests {
     }
 
     #[test]
-    fn strassen_levels_and_padding_follow_the_single_seam() {
-        // The crossover: no split below STRASSEN_MIN_DIM, one per halving
-        // above it.
-        assert_eq!(strassen_levels(0), 0);
-        assert_eq!(strassen_levels(STRASSEN_MIN_DIM - 1), 0);
-        assert_eq!(strassen_levels(STRASSEN_MIN_DIM), 1);
-        assert_eq!(strassen_levels(2 * STRASSEN_MIN_DIM - 1), 2);
+    fn strassen_padding_follows_the_single_seam() {
         // Bounded-depth padding rounds to a multiple of 2^levels; the
         // full-recursion depth reproduces the circuit path's
         // next-power-of-two rule exactly.
@@ -1741,52 +1247,15 @@ mod tests {
         }
     }
 
-    fn strassen_matches_dispatch_for<W: Word>() {
-        // Forced recursion on sizes far below the crossover keeps the test
-        // cheap while exercising padding (non-power-of-two dims),
-        // rectangularity and multi-level splits.
-        for (ra, c, cb, levels, seed) in [
-            (1usize, 1usize, 1usize, 1u32, 151u64),
-            (37, 37, 37, 1, 152),
-            (64, 64, 64, 2, 153),
-            (45, 90, 33, 2, 154),
-            (100, 70, 129, 3, 155),
-        ] {
-            let a = pseudo_random::<W>(ra, c, seed);
-            let b = pseudo_random::<W>(c, cb, seed + 50);
-            assert_eq!(
-                a.mul_f2_strassen_with_levels(&b, levels, 1),
-                a.mul_f2(&b),
-                "strassen {ra}x{c}x{cb} levels={levels}"
-            );
-        }
-    }
-
-    #[test]
-    fn strassen_product_matches_the_dispatcher_at_every_depth() {
-        strassen_matches_dispatch_for::<u64>();
-        strassen_matches_dispatch_for::<u128>();
-    }
-
-    #[test]
-    fn strassen_dispatch_below_crossover_is_the_plain_dispatcher() {
-        // Below STRASSEN_MIN_DIM the public entry point must not pad or
-        // split at all — identical to mul_f2 by construction.
-        let d = 90;
-        let a = pseudo_random::<DefaultLane>(d, d, 161);
-        let b = pseudo_random(d, d, 162);
-        assert_eq!(strassen_levels(d), 0);
-        assert_eq!(a.mul_f2_strassen(&b), a.mul_f2(&b));
-    }
-
     #[test]
     fn boolean_product_matches_scalar_or_and() {
         for (ra, c, cb, seed) in [
             (1usize, 1usize, 1usize, 31u64),
             (5, 70, 6, 32),
             (9, 130, 9, 33),
+            (7, FOUR_RUSSIANS_MIN_DIM + 44, 20, 34),
         ] {
-            let a = pseudo_random::<DefaultLane>(ra, c, seed);
+            let a = pseudo_random(ra, c, seed);
             let b = pseudo_random(c, cb, seed + 50);
             let got = a.mul_bool(&b);
             for i in 0..ra {
@@ -1804,8 +1273,9 @@ mod tests {
             (1usize, 1usize, 1usize, 41u64),
             (6, 65, 7, 42),
             (8, 128, 8, 43),
+            (7, FOUR_RUSSIANS_MIN_DIM + 44, 20, 44),
         ] {
-            let a = pseudo_random::<DefaultLane>(ra, c, seed);
+            let a = pseudo_random(ra, c, seed);
             let b = pseudo_random(c, cb, seed + 50);
             let got = a.popcount_product(&b);
             for i in 0..ra {
@@ -1814,44 +1284,6 @@ mod tests {
                     assert_eq!(got.get(i, j), expected, "({i},{j})");
                 }
             }
-        }
-    }
-
-    #[test]
-    fn lane_widths_agree_on_every_kernel() {
-        // The lanes-never-change-results invariant at the kernel level: the
-        // same logical matrices multiplied at u64 and u128 lanes.
-        for (ra, c, cb, seed) in [(9usize, 70usize, 13usize, 97u64), (20, 300, 20, 98)] {
-            let a64 = pseudo_random::<u64>(ra, c, seed);
-            let b64 = pseudo_random::<u64>(c, cb, seed + 1);
-            let a128 = pseudo_random::<u128>(ra, c, seed);
-            let b128 = pseudo_random::<u128>(c, cb, seed + 1);
-            assert_eq!(a64.to_rows(), a128.to_rows(), "inputs must agree");
-            assert_eq!(
-                a64.mul_f2(&b64).to_rows(),
-                a128.mul_f2(&b128).to_rows(),
-                "mul_f2 {ra}x{c}x{cb}"
-            );
-            assert_eq!(
-                a64.mul_bool(&b64).to_rows(),
-                a128.mul_bool(&b128).to_rows(),
-                "mul_bool {ra}x{c}x{cb}"
-            );
-            assert_eq!(
-                a64.popcount_product(&b64),
-                a128.popcount_product(&b128),
-                "popcount {ra}x{c}x{cb}"
-            );
-            assert_eq!(
-                a64.transpose().to_rows(),
-                a128.transpose().to_rows(),
-                "transpose"
-            );
-            assert_eq!(
-                a64.submatrix(1, 3, 5, 60).to_rows(),
-                a128.submatrix(1, 3, 5, 60).to_rows(),
-                "submatrix"
-            );
         }
     }
 
@@ -1968,57 +1400,5 @@ mod tests {
         assert_eq!(p.submatrix(0, 0, 2, 2), m);
         assert_eq!(p.get(2, 3), 9);
         assert_eq!(p.get(0, 2), 9);
-    }
-
-    #[test]
-    fn threaded_bit_products_match_serial_at_any_worker_count() {
-        // Above the PAR_MIN_ROWS seam and (for the dispatcher) on both
-        // sides of the Four-Russians threshold.
-        for d in [PAR_MIN_ROWS + 5, FOUR_RUSSIANS_MIN_DIM] {
-            let a = pseudo_random::<DefaultLane>(d, d, 81);
-            let b = pseudo_random(d, d, 82);
-            let f2 = a.mul_f2_with_threads(&b, 1);
-            let or = a.mul_bool_with_threads(&b, 1);
-            let pop = a.popcount_product_with_threads(&b, 1);
-            for t in [2usize, 3, 8] {
-                assert_eq!(a.mul_f2_with_threads(&b, t), f2, "f2 d={d} t={t}");
-                assert_eq!(a.mul_bool_with_threads(&b, t), or, "bool d={d} t={t}");
-                assert_eq!(
-                    a.popcount_product_with_threads(&b, t),
-                    pop,
-                    "popcount d={d} t={t}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn threaded_int_products_match_serial_at_any_worker_count() {
-        let d = PAR_MIN_ROWS + 3;
-        // Non-binary entries force the schoolbook counting path; the hop
-        // matrix shape (0 diagonal / finite / INFINITY) covers (min, +).
-        let a = pseudo_random_ints(d, d, 5, 91);
-        let b = pseudo_random_ints(d, d, 5, 92);
-        let mut hops = pseudo_random_ints(d, d, 2, 93);
-        for i in 0..d {
-            for j in 0..d {
-                if hops.get(i, j) == 2 {
-                    hops.set(i, j, IntMatrix::INFINITY);
-                }
-            }
-        }
-        let counting = a.mul_counting_with_threads(&b, 1);
-        let binary = pseudo_random_ints(d, d, 1, 94);
-        let counting_binary = binary.mul_counting_with_threads(&binary, 1);
-        let tropical = hops.mul_min_plus_with_threads(&hops, 1);
-        for t in [2usize, 5, 8] {
-            assert_eq!(a.mul_counting_with_threads(&b, t), counting, "t={t}");
-            assert_eq!(
-                binary.mul_counting_with_threads(&binary, t),
-                counting_binary,
-                "binary t={t}"
-            );
-            assert_eq!(hops.mul_min_plus_with_threads(&hops, t), tropical, "t={t}");
-        }
     }
 }

@@ -4,7 +4,6 @@
 use std::fmt;
 use std::sync::Arc;
 
-use crate::arena::{ArenaStats, BufferArena};
 use crate::bits::BitString;
 use crate::model::{CliqueConfig, CommMode};
 
@@ -117,25 +116,12 @@ impl Inbox {
         *slot = Some(message);
     }
 
-    /// Empties the inbox, returning the backing storage of consumed
-    /// payloads to `arena` for reuse. Owned (unicast) payloads are always
-    /// reclaimed; a shared (broadcast) payload is reclaimed by whichever
-    /// inbox drops the last [`Arc`] reference.
-    pub(crate) fn recycle_into(&mut self, arena: &mut BufferArena) {
+    /// Empties the inbox while keeping its slot allocation for reuse.
+    pub(crate) fn clear(&mut self) {
         if self.occupied == 0 {
             return;
         }
-        for slot in &mut self.messages {
-            match slot.take() {
-                Some(Payload::Owned(bits)) => arena.recycle(bits),
-                Some(Payload::Shared(shared)) => {
-                    if let Ok(bits) = Arc::try_unwrap(shared) {
-                        arena.recycle(bits);
-                    }
-                }
-                None => {}
-            }
-        }
+        self.messages.fill(None);
         self.occupied = 0;
     }
 
@@ -175,35 +161,12 @@ impl Inbox {
 pub struct Outbox {
     pub(crate) unicasts: Vec<(NodeId, BitString)>,
     pub(crate) broadcast: Option<BitString>,
-    /// Recycled payload backings, refilled by the engine from consumed
-    /// inbox messages between rounds (see [`Outbox::payload`]).
-    arena: BufferArena,
 }
 
 impl Outbox {
     /// Creates an empty outbox.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Takes an empty [`BitString`] to build a payload in, reusing the
-    /// backing storage of a previously delivered message when one is
-    /// pooled. Purely an allocation optimisation — a payload built here is
-    /// indistinguishable from a freshly constructed one, so transcripts
-    /// never depend on whether nodes opt in.
-    pub fn payload(&mut self) -> BitString {
-        self.arena.acquire()
-    }
-
-    /// Moves a recycled backing into this outbox's pool (engine-side
-    /// refill between rounds).
-    pub(crate) fn stash_backing(&mut self, backing: Vec<crate::lane::DefaultLane>) {
-        self.arena.recycle_backing(backing);
-    }
-
-    /// Reuse counters of this outbox's payload pool.
-    pub(crate) fn arena_stats(&self) -> ArenaStats {
-        self.arena.stats()
     }
 
     /// Queues a unicast message to `dst`.
@@ -374,8 +337,7 @@ mod tests {
         inbox.insert_shared(NodeId::new(2), Arc::new(BitString::from_bits(1, 1)));
         assert_eq!(inbox.len(), 1);
         assert_eq!(inbox.from(NodeId::new(2)).unwrap().len(), 1);
-        let mut arena = BufferArena::new();
-        inbox.recycle_into(&mut arena);
+        inbox.clear();
         assert!(inbox.is_empty());
         assert_eq!(inbox.len(), 0);
     }

@@ -3,9 +3,8 @@
 //! Everything in the simulator that is embarrassingly parallel — the `n`
 //! independent [`NodeAlgorithm::round`](crate::node::NodeAlgorithm::round)
 //! calls of a round, the independent grid points of a
-//! [`Runner::sweep_par`](crate::protocol::Runner::sweep_par), the output
-//! rows of a [`linalg`](crate::linalg) matrix product — runs through this
-//! module. It is a *scoped* pool: each parallel region spawns up to
+//! [`Runner::sweep_par`](crate::protocol::Runner::sweep_par) — runs through
+//! this module. It is a *scoped* pool: each parallel region spawns up to
 //! [`threads()`] OS threads via [`std::thread::scope`], which lets workers
 //! borrow the caller's data directly (no `'static` bounds, no unsafe, no
 //! vendored dependencies) at the cost of a spawn per region.
@@ -15,7 +14,7 @@
 //! The effective worker count is resolved, in order, from
 //!
 //! 1. the process-wide override set with [`set_threads`] (the `--threads N`
-//!    flag of the `experiments` and `kernels` binaries lands here),
+//!    flag of the `experiments` binary lands here),
 //! 2. the `CLIQUE_THREADS` environment variable (CI runs the whole test
 //!    suite under `CLIQUE_THREADS=1` and again under the default),
 //! 3. [`std::thread::available_parallelism`].
@@ -232,46 +231,6 @@ where
     });
 }
 
-/// Splits `items` into contiguous chunks whose lengths are multiples of
-/// `granule` (one granule = one logical row) and runs
-/// `f(start_item_index, chunk)` on up to `threads` scoped workers. The
-/// linalg kernels use this to hand each worker a block of output rows.
-///
-/// With `threads <= 1`, a single call `f(0, items)` runs on the calling
-/// thread.
-///
-/// # Panics
-///
-/// Panics if `granule == 0` while `items` is non-empty, or if `items.len()`
-/// is not a multiple of `granule`.
-pub fn for_each_chunk_mut<T, F>(items: &mut [T], granule: usize, threads: usize, f: F)
-where
-    T: Send,
-    F: Fn(usize, &mut [T]) + Sync,
-{
-    if items.is_empty() {
-        return;
-    }
-    assert!(granule > 0, "granule must be positive for non-empty input");
-    assert_eq!(
-        items.len() % granule,
-        0,
-        "length must be a granule multiple"
-    );
-    let rows = items.len() / granule;
-    if threads <= 1 || rows <= 1 {
-        f(0, items);
-        return;
-    }
-    let per = chunk_len(rows, threads) * granule;
-    std::thread::scope(|s| {
-        for (ci, chunk) in items.chunks_mut(per).enumerate() {
-            let f = &f;
-            s.spawn(move || f(ci * per, chunk));
-        }
-    });
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -330,24 +289,6 @@ mod tests {
             assert_eq!(a, (0..11).map(|i| 2 * i).collect::<Vec<_>>());
             assert!(b.iter().all(|&y| y == 0));
         }
-    }
-
-    #[test]
-    fn for_each_chunk_mut_respects_granules() {
-        for t in [1usize, 2, 4, 9] {
-            let granule = 3;
-            let mut items = vec![0usize; 7 * granule];
-            for_each_chunk_mut(&mut items, granule, t, |start, chunk| {
-                assert_eq!(start % granule, 0);
-                assert_eq!(chunk.len() % granule, 0);
-                for (j, slot) in chunk.iter_mut().enumerate() {
-                    *slot = start + j;
-                }
-            });
-            assert_eq!(items, (0..7 * granule).collect::<Vec<_>>());
-        }
-        // Empty input is a no-op even with granule 0.
-        for_each_chunk_mut::<u8, _>(&mut [], 0, 4, |_, _| panic!("must not run"));
     }
 
     #[test]

@@ -17,7 +17,6 @@
 
 use std::sync::Arc;
 
-use crate::arena::{ArenaStats, BufferArena};
 use crate::bits::BitString;
 use crate::metrics::{Metrics, PhaseRecord};
 use crate::model::{CliqueConfig, CommMode, SimError};
@@ -124,25 +123,6 @@ impl PhaseInbox {
             .filter_map(|(i, m)| m.as_ref().map(|m| (NodeId::new(i), m)))
     }
 
-    /// Empties the inbox, returning the backing storage of consumed
-    /// payloads to `arena`. Unicast payloads are owned and always
-    /// reclaimed; a broadcast payload is reclaimed by whichever inbox
-    /// drops the last [`Arc`] reference.
-    pub(crate) fn recycle_into(&mut self, arena: &mut BufferArena) {
-        for slot in &mut self.broadcasts {
-            if let Some(shared) = slot.take() {
-                if let Ok(bits) = Arc::try_unwrap(shared) {
-                    arena.recycle(bits);
-                }
-            }
-        }
-        for slot in &mut self.unicasts {
-            if let Some(bits) = slot.take() {
-                arena.recycle(bits);
-            }
-        }
-    }
-
     /// Total number of payload bits received.
     pub fn received_bits(&self) -> usize {
         self.broadcasts
@@ -201,9 +181,6 @@ pub struct PhaseEngine {
     /// The message-delivery backend. Accounting (pass 1) never touches it,
     /// so the ledger is identical under every backend.
     transport: Box<dyn Transport>,
-    /// Recycled payload backings (see [`Self::acquire_payload`] /
-    /// [`Self::recycle_inboxes`]). Cloning an engine starts a cold arena.
-    arena: BufferArena,
 }
 
 /// Validation and load accounting of one sender's phase outbox, computed
@@ -303,7 +280,6 @@ impl PhaseEngine {
             dest_load: Vec::new(),
             threads: None,
             transport: crate::transport::default_transport(),
-            arena: BufferArena::new(),
         }
     }
 
@@ -465,40 +441,12 @@ impl PhaseEngine {
             .map(|m| {
                 let mut out = PhaseOutbox::new();
                 if !m.is_empty() {
-                    // Copy into an arena buffer instead of `m.clone()`, so
-                    // recycled backings (see `recycle_inboxes`) are reused.
-                    let mut payload = self.arena.acquire();
-                    payload.extend_from(m);
-                    out.broadcast(payload);
+                    out.broadcast(m.clone());
                 }
                 out
             })
             .collect();
         self.exchange(label, outs)
-    }
-
-    /// Takes an empty payload buffer from the engine's arena, reusing the
-    /// backing storage of a previously recycled message when one is pooled.
-    /// Purely an allocation optimisation: a payload built in an arena
-    /// buffer is indistinguishable from a freshly allocated one, so
-    /// transcripts never depend on whether callers opt in.
-    pub fn acquire_payload(&mut self) -> BitString {
-        self.arena.acquire()
-    }
-
-    /// Returns the backing storage of fully consumed inboxes to the
-    /// engine's arena, to be reused by [`Self::acquire_payload`] and
-    /// [`Self::broadcast_all`]. Call this once a phase's inboxes have been
-    /// read out and are no longer needed.
-    pub fn recycle_inboxes(&mut self, mut inboxes: Vec<PhaseInbox>) {
-        for inbox in &mut inboxes {
-            inbox.recycle_into(&mut self.arena);
-        }
-    }
-
-    /// Reuse counters of the engine's payload arena.
-    pub fn arena_stats(&self) -> ArenaStats {
-        self.arena.stats()
     }
 
     /// Charges additional rounds without moving data, e.g. to account for a
@@ -676,42 +624,6 @@ mod tests {
     fn wrong_outbox_count_panics() {
         let mut engine = PhaseEngine::new(CliqueConfig::broadcast(3, 1));
         let _ = engine.exchange("bad", vec![PhaseOutbox::new()]);
-    }
-
-    #[test]
-    fn arena_recycling_reuses_buffers_and_never_changes_the_ledger() {
-        let n = 3;
-        let msgs: Vec<BitString> = (0..n)
-            .map(|i| BitString::from_bits(i as u64 + 1, 9))
-            .collect();
-        let digest = |inboxes: &[PhaseInbox]| -> Vec<Vec<(usize, Vec<bool>)>> {
-            inboxes
-                .iter()
-                .map(|inbox| {
-                    inbox
-                        .broadcasts()
-                        .map(|(s, m)| (s.index(), m.to_bools()))
-                        .collect()
-                })
-                .collect()
-        };
-        // Baseline: two phases, inboxes simply dropped.
-        let mut plain = PhaseEngine::new(CliqueConfig::broadcast(n, 2));
-        let first = digest(&plain.broadcast_all("p1", &msgs).unwrap());
-        let second = digest(&plain.broadcast_all("p2", &msgs).unwrap());
-        // Recycling path: inboxes handed back between phases.
-        let mut recycled = PhaseEngine::new(CliqueConfig::broadcast(n, 2));
-        let inboxes = recycled.broadcast_all("p1", &msgs).unwrap();
-        assert_eq!(digest(&inboxes), first);
-        recycled.recycle_inboxes(inboxes);
-        let inboxes = recycled.broadcast_all("p2", &msgs).unwrap();
-        assert_eq!(digest(&inboxes), second);
-        assert_eq!(plain.metrics(), recycled.metrics());
-        assert!(
-            recycled.arena_stats().served_reused > 0,
-            "expected recycled payload buffers, got {:?}",
-            recycled.arena_stats()
-        );
     }
 
     #[test]

@@ -237,7 +237,7 @@ pub const FRAME_HEADER_BITS: usize = 96;
 /// FNV-1a over the payload's canonical little-endian byte serialisation
 /// ([`BitString::to_le_bytes`] — `ceil(len / 8)` bytes, zero-padded past
 /// `len`) plus its bit length. Hashing the canonical bytes, not the packed
-/// backing words, keeps the digest independent of the lane width.
+/// backing words, keeps the digest independent of the storage layout.
 fn payload_checksum(payload: &BitString) -> u64 {
     let mut hash = FNV_OFFSET;
     for byte in payload.to_le_bytes() {

@@ -137,7 +137,7 @@ fn matmul_circuits_compose_with_the_simulation() {
     // circuits simulated on the clique equals the reference product.
     let mut r = rng(4);
     let dim = 8usize;
-    let mm = matmul::matmul_f2_strassen(dim);
+    let mm = matmul::strassen_matmul_f2(dim);
     let mut random_packed = || {
         let rows: Vec<Vec<bool>> = (0..dim)
             .map(|_| (0..dim).map(|_| r.gen_bool(0.5)).collect())
