@@ -418,3 +418,53 @@ fn fast_matmul_schedules_match_pinned_counts() {
     assert_eq!(sparse.as_bits().unwrap(), &local);
     assert_eq!((sparse.rounds(), sparse.total_bits()), (46, 14165));
 }
+
+#[test]
+fn fast_matmul_depth_two_records_match_pinned_bytes() {
+    use congested_clique::algebraic::{FastMatMul, Semiring, SemiringMatrix};
+
+    // A forced depth-2 schedule: 49 groups of one or two players on 56
+    // players. d = 53 pads to 56, so the leaf side is q = 14 and the
+    // padding clip drops the last three rows and columns. One generator
+    // feeds both operands, F₂ first.
+    let mut r = ChaCha8Rng::seed_from_u64(0x5EED);
+    let bits: Vec<Vec<bool>> = (0..53)
+        .map(|_| (0..53).map(|_| r.gen_bool(0.5)).collect())
+        .collect();
+    let ints: Vec<Vec<u64>> = (0..53)
+        .map(|_| (0..53).map(|_| r.gen_range(0..4u64)).collect())
+        .collect();
+    let f2 = SemiringMatrix::Bits(BitMatrix::from_rows(&bits));
+    let counting = SemiringMatrix::Ints(IntMatrix::from_rows(&ints));
+    for (m, semiring, tail) in [
+        (
+            &f2,
+            Semiring::F2,
+            "\"rounds\":124,\"total_bits\":242906,\"messages\":6849,\
+             \"max_link_bits_per_round\":4,\"phases\":6,\
+             \"phase_digest\":\"39c232c2af8148ca\"}",
+        ),
+        (
+            &counting,
+            Semiring::Counting,
+            "\"rounds\":228,\"total_bits\":971752,\"messages\":14566,\
+             \"max_link_bits_per_round\":4,\"phases\":6,\
+             \"phase_digest\":\"e159292d5e457f5f\"}",
+        ),
+    ] {
+        let outcome = Runner::new(CliqueConfig::unicast(56, 4))
+            .execute(&mut FastMatMul::new(m, m, semiring).with_levels(2))
+            .unwrap();
+        let local = match m {
+            SemiringMatrix::Bits(b) => SemiringMatrix::Bits(b.mul_f2(b)),
+            SemiringMatrix::Ints(i) => SemiringMatrix::Ints(i.mul_counting(i)),
+        };
+        assert_eq!(outcome.output, local, "{}", semiring.name());
+        let record = congested_clique::serve::encode_record("", &outcome.metrics);
+        assert!(
+            record.ends_with(tail),
+            "{} depth-2 ledger moved: {record}",
+            semiring.name()
+        );
+    }
+}
