@@ -1,5 +1,5 @@
-//! Algebraic protocols: the `O(n^{1/3})`-round distributed semiring matrix
-//! product and its consumers.
+//! Algebraic protocols: distributed semiring matrix products and their
+//! consumers.
 //!
 //! Section 2.1 of the paper treats matrix multiplication as *the* lever for
 //! sub-trivial triangle detection; the follow-up line it opened —
@@ -8,7 +8,8 @@
 //! Clique Model* (DISC 2016) — showed that the unicast clique supports a
 //! genuinely *distributed* semiring matrix product in `O(n^{1/3}/b)` rounds
 //! via 3D partitioning over Lenzen-style routing, with no circuit in sight.
-//! This module implements that product and two workloads on top of it:
+//! This module implements that product, its Strassen-partitioned and
+//! sparsity-aware schedules, and two workloads on top of them:
 //!
 //! * [`SemiringMatMul`] — the 3D-partitioned product. The `d³` scalar
 //!   products of `C = A ⊗ B` are tiled into `g³ ≤ n` cubes (`g = ⌊n^{1/3}⌋`);
@@ -19,6 +20,13 @@
 //!   addition. Every node sends and receives `O(d²/n^{2/3})` entries per
 //!   phase, so for `d = n` and constant-width entries the product costs
 //!   `O(n^{1/3}/b)` rounds — experiment E13 measures exactly this scaling.
+//! * [`FastMatMul`] — the Strassen-partitioned schedule: `7^L` leaf
+//!   products, each one such cube exchange on its own group of players,
+//!   with signed block terms and wrapping `ℤ` arithmetic for counting. The
+//!   cubic product is its depth-0 case: one group of all players, the
+//!   identity term, whole payloads and semiring arithmetic.
+//! * [`SparseMatMul`] — the nnz-charged product, and [`ScheduledMatMul`],
+//!   which picks among the three by a [`MatMulSchedule`].
 //! * [`TriangleCount`] — *exact* triangle counting (not just detection):
 //!   `M = A·A` over the counting semiring, then `trace(A³) = Σ_{v,j}
 //!   M[v][j]·A[v][j]` is assembled from one fixed-width broadcast per node
@@ -28,15 +36,15 @@
 //!   distance products, with a one-bit-per-node early-exit vote after each
 //!   squaring).
 //!
-//! Three semirings are supported (see [`Semiring`]): the Boolean semiring
-//! `(∨, ∧)` over packed [`BitMatrix`] operands, and the counting `(+, ×)`
-//! and tropical `(min, +)` semirings over small-integer [`IntMatrix`]
-//! operands. Like the routers' packet framing, the wire width of an entry
-//! is derived from public quantities (the dimension and the global entry
-//! bounds of the operands), so both endpoints of every link agree on the
-//! format without extra communication.
+//! Four semirings are supported (see [`Semiring`]): the Boolean semiring
+//! `(∨, ∧)` and the field `F₂` over packed [`BitMatrix`] operands, and the
+//! counting `(+, ×)` and tropical `(min, +)` semirings over small-integer
+//! [`IntMatrix`] operands. Like the routers' packet framing, the wire width
+//! of an entry is derived from public quantities (the dimension and the
+//! global entry bounds of the operands), so both endpoints of every link
+//! agree on the format without extra communication.
 //!
-//! Host-side, the cubic product moves whole row segments: the operands are
+//! Host-side, the cube exchange moves whole row segments: the operands are
 //! cut once into their `g × g` blocks, and `EntryCodec` packs a block row
 //! into fixed-width fields through a 64-bit accumulator
 //! ([`BitString::push_fields`] / [`BitReader::read_fields`]) — or, when
@@ -56,7 +64,8 @@ use std::collections::{BTreeMap, HashMap};
 use std::ops::Range;
 
 use clique_graphs::Graph;
-use clique_routing::{BalancedRouter, Router, RoutingDemand};
+use clique_routing::{BalancedRouter, Delivered, Packet, Router, RoutingDemand};
+use clique_sim::lane::mask_low;
 use clique_sim::linalg::{saturating_counting_add, strassen_padded_dim};
 use clique_sim::prelude::*;
 
@@ -92,13 +101,34 @@ impl Semiring {
         }
     }
 
-    /// Semiring addition, used to fold partial products.
+    /// Semiring addition, used to fold partial products. The Boolean and
+    /// `F₂` additions are bitwise, so they fold packed lanes a word at a
+    /// time as well.
     fn combine(&self, a: u64, b: u64) -> u64 {
         match self {
             Semiring::Boolean => a | b,
             Semiring::F2 => a ^ b,
             Semiring::Counting => saturating_counting_add(a, b),
             Semiring::MinPlus => a.min(b),
+        }
+    }
+
+    /// The additive identity ("zero"): [`IntMatrix::INFINITY`] under
+    /// `(min, +)`, 0 elsewhere. The sparse path never communicates it.
+    fn identity(&self) -> u64 {
+        match self {
+            Semiring::MinPlus => IntMatrix::INFINITY,
+            _ => 0,
+        }
+    }
+
+    /// The semiring product of two non-identity entries, matching the
+    /// dense kernels' clamping exactly.
+    fn multiply(&self, a: u64, b: u64) -> u64 {
+        match self {
+            Semiring::Boolean | Semiring::F2 => 1,
+            Semiring::Counting => a.saturating_mul(b),
+            Semiring::MinPlus => saturating_counting_add(a, b),
         }
     }
 }
@@ -160,56 +190,34 @@ impl SemiringMatrix {
     fn identity_filled(semiring: Semiring, rows: usize, cols: usize) -> SemiringMatrix {
         match semiring {
             Semiring::Boolean | Semiring::F2 => SemiringMatrix::Bits(BitMatrix::zeros(rows, cols)),
-            Semiring::Counting => SemiringMatrix::Ints(IntMatrix::zeros(rows, cols)),
-            Semiring::MinPlus => {
-                SemiringMatrix::Ints(IntMatrix::filled(rows, cols, IntMatrix::INFINITY))
-            }
-        }
-    }
-
-    /// Overwrites the entry at `(i, j)`.
-    fn set_entry(&mut self, i: usize, j: usize, value: u64) {
-        match self {
-            SemiringMatrix::Bits(m) => m.set(i, j, value != 0),
-            SemiringMatrix::Ints(m) => m.set(i, j, value),
+            _ => SemiringMatrix::Ints(IntMatrix::filled(rows, cols, semiring.identity())),
         }
     }
 
     /// Folds `value` into the entry at `(i, j)` with the semiring addition.
     fn combine_entry(&mut self, semiring: Semiring, i: usize, j: usize, value: u64) {
-        let folded = semiring.combine(self.entry(i, j), value);
-        self.set_entry(i, j, folded);
-    }
-
-    /// A block's local product in the given semiring, on the serial
-    /// word-parallel kernels. Counting operands whose entries are all 0/1
-    /// arrive packed and multiply by AND+popcount.
-    fn product(&self, rhs: &SemiringMatrix, semiring: Semiring) -> SemiringMatrix {
-        match (semiring, self, rhs) {
-            (Semiring::Boolean, SemiringMatrix::Bits(a), SemiringMatrix::Bits(b)) => {
-                SemiringMatrix::Bits(a.mul_bool(b))
+        match self {
+            SemiringMatrix::Bits(m) => {
+                m.set(i, j, semiring.combine(m.get(i, j).into(), value) != 0)
             }
-            (Semiring::F2, SemiringMatrix::Bits(a), SemiringMatrix::Bits(b)) => {
-                SemiringMatrix::Bits(a.mul_f2(b))
-            }
-            (Semiring::Counting, SemiringMatrix::Bits(a), SemiringMatrix::Bits(b)) => {
-                SemiringMatrix::Ints(a.popcount_product(b))
-            }
-            (Semiring::Counting, SemiringMatrix::Ints(a), SemiringMatrix::Ints(b)) => {
-                SemiringMatrix::Ints(a.mul_counting(b))
-            }
-            (Semiring::MinPlus, SemiringMatrix::Ints(a), SemiringMatrix::Ints(b)) => {
-                SemiringMatrix::Ints(a.mul_min_plus(b))
-            }
-            _ => unreachable!("operand representation checked in SemiringMatMul::new"),
+            SemiringMatrix::Ints(m) => m.set(i, j, semiring.combine(m.get(i, j), value)),
         }
     }
 
-    /// An all-zero matrix of the same shape and representation.
-    fn zeros_like(&self) -> SemiringMatrix {
+    /// The block spanning the given rows and columns.
+    fn submatrix(&self, rows: Range<usize>, cols: Range<usize>) -> SemiringMatrix {
+        let (r0, c0, h, w) = (rows.start, cols.start, rows.len(), cols.len());
         match self {
-            SemiringMatrix::Bits(m) => SemiringMatrix::Bits(BitMatrix::zeros(m.rows(), m.cols())),
-            SemiringMatrix::Ints(m) => SemiringMatrix::Ints(IntMatrix::zeros(m.rows(), m.cols())),
+            SemiringMatrix::Bits(m) => SemiringMatrix::Bits(m.submatrix(r0, c0, h, w)),
+            SemiringMatrix::Ints(m) => SemiringMatrix::Ints(m.submatrix(r0, c0, h, w)),
+        }
+    }
+
+    /// An all-zero `rows × cols` matrix in this matrix's representation.
+    fn zeros_like(&self, rows: usize, cols: usize) -> SemiringMatrix {
+        match self {
+            SemiringMatrix::Bits(_) => SemiringMatrix::Bits(BitMatrix::zeros(rows, cols)),
+            SemiringMatrix::Ints(_) => SemiringMatrix::Ints(IntMatrix::zeros(rows, cols)),
         }
     }
 
@@ -227,40 +235,39 @@ impl SemiringMatrix {
         }
     }
 
-    /// Folds row `si` of `src` into row `r` from column `col0` on with the
-    /// semiring addition: packed rows a lane at a time (shifted into place
-    /// when `col0` is not lane-aligned), integer rows entry-wise over two
-    /// slices.
+    /// Folds the first `len` entries of row `si` of `src` into row `r` from
+    /// column `col0` on with `add`: packed rows a lane at a time (shifted
+    /// into place when `col0` is not lane-aligned, so `add` must be
+    /// bitwise), integer rows entry-wise over two slices.
     fn fold_row(
         &mut self,
-        semiring: Semiring,
         r: usize,
         col0: usize,
         src: &SemiringMatrix,
         si: usize,
+        len: usize,
+        add: impl Fn(u64, u64) -> u64,
     ) {
         match (self, src) {
             (SemiringMatrix::Bits(m), SemiringMatrix::Bits(s)) => {
                 let (word0, shift) = (col0 / LANE_BITS, col0 % LANE_BITS);
-                let fold = |acc: &mut DefaultLane, bits: DefaultLane| match semiring {
-                    Semiring::F2 => *acc ^= bits,
-                    _ => *acc |= bits,
-                };
                 let row = m.row_words_mut(r);
-                for (t, &word) in s.row_words(si).iter().enumerate() {
-                    fold(&mut row[word0 + t], word << shift);
-                    // Bits past the source's width are zero, so a nonzero
-                    // spill always lands inside the row.
+                let words = &s.row_words(si)[..len.div_ceil(LANE_BITS)];
+                for (t, &word) in words.iter().enumerate() {
+                    let word = word & mask_low(len - t * LANE_BITS);
+                    row[word0 + t] = add(row[word0 + t], word << shift);
+                    // Bits past `len` are masked off, so a nonzero spill
+                    // always lands inside the row.
                     if shift > 0 && word >> (LANE_BITS - shift) != 0 {
-                        fold(&mut row[word0 + t + 1], word >> (LANE_BITS - shift));
+                        let spill = word >> (LANE_BITS - shift);
+                        row[word0 + t + 1] = add(row[word0 + t + 1], spill);
                     }
                 }
             }
             (SemiringMatrix::Ints(m), SemiringMatrix::Ints(s)) => {
-                let values = s.row(si);
-                let out = &mut m.row_mut(r)[col0..col0 + values.len()];
-                for (o, &v) in out.iter_mut().zip(values) {
-                    *o = semiring.combine(*o, v);
+                let out = &mut m.row_mut(r)[col0..col0 + len];
+                for (o, &v) in out.iter_mut().zip(&s.row(si)[..len]) {
+                    *o = add(*o, v);
                 }
             }
             _ => unreachable!("partials fold into an output of their representation"),
@@ -281,15 +288,54 @@ impl SemiringMatrix {
     pub fn nnz(&self, semiring: Semiring) -> usize {
         match self {
             SemiringMatrix::Bits(m) => m.count_ones(),
-            SemiringMatrix::Ints(m) => {
-                let identity = match semiring {
-                    Semiring::MinPlus => IntMatrix::INFINITY,
-                    _ => 0,
-                };
-                (0..m.rows())
-                    .map(|r| m.row(r).iter().filter(|&&v| v != identity).count())
-                    .sum()
-            }
+            SemiringMatrix::Ints(m) => (0..m.rows())
+                .map(|r| {
+                    m.row(r)
+                        .iter()
+                        .filter(|&&v| v != semiring.identity())
+                        .count()
+                })
+                .sum(),
+        }
+    }
+}
+
+/// The arithmetic a dense product computes its block products and folds
+/// in.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Arith {
+    /// The semiring's own kernels and addition.
+    Semiring(Semiring),
+    /// `ℤ` as two's-complement wrapping `u64`: the signed counting leaves
+    /// of the Strassen schedule, exact under its headroom precondition.
+    Wrapping,
+}
+
+impl Arith {
+    /// A block's local product on the serial word-parallel kernels.
+    /// Counting operands whose entries are all 0/1 arrive packed and
+    /// multiply by AND+popcount.
+    fn product(self, a: &SemiringMatrix, b: &SemiringMatrix) -> SemiringMatrix {
+        use SemiringMatrix::{Bits, Ints};
+        match (self, a, b) {
+            (Arith::Semiring(Semiring::Boolean), Bits(a), Bits(b)) => Bits(a.mul_bool(b)),
+            (Arith::Semiring(Semiring::F2), Bits(a), Bits(b)) => Bits(a.mul_f2(b)),
+            (Arith::Semiring(Semiring::Counting), Bits(a), Bits(b)) => Ints(a.popcount_product(b)),
+            (Arith::Semiring(Semiring::Counting), Ints(a), Ints(b)) => Ints(a.mul_counting(b)),
+            (Arith::Semiring(Semiring::MinPlus), Ints(a), Ints(b)) => Ints(a.mul_min_plus(b)),
+            (Arith::Wrapping, Ints(a), Ints(b)) => Ints(a.mul_wrapping(b)),
+            _ => unreachable!("operand representation checked in SemiringMatMul::new"),
+        }
+    }
+
+    /// The addition folding a term of the given sign. A semiring adds
+    /// regardless of sign: only `F₂` ever sees a negative term, and there
+    /// subtraction is addition.
+    fn add(self, sign: i64) -> impl Fn(u64, u64) -> u64 {
+        move |acc, value| match self {
+            Arith::Semiring(semiring) => semiring.combine(acc, value),
+            Arith::Wrapping if sign < 0 => acc.wrapping_sub(value),
+            Arith::Wrapping => acc.wrapping_add(value),
         }
     }
 }
@@ -331,18 +377,31 @@ impl Partition {
     }
 }
 
-/// Fixed wire widths for matrix entries, derived from public quantities
+/// One entry's wire field: the value travels as `value + offset` (wrapping)
+/// in `width` bits.
+#[derive(Clone, Copy, Debug)]
+struct Field {
+    width: usize,
+    offset: u64,
+}
+
+/// Fixed wire fields for matrix entries, derived from public quantities
 /// (the dimension and the operands' global entry bounds) so both endpoints
 /// agree on the framing — the same convention the routers' `PacketCodec`
-/// uses. `(min, +)` encodes [`IntMatrix::INFINITY`] as the all-ones
-/// pattern; the widths are chosen so no finite entry collides with it.
+/// uses. The cubic product's fields are unsigned; `(min, +)` encodes
+/// [`IntMatrix::INFINITY`] as the all-ones pattern, and the widths are
+/// chosen so no finite entry collides with it. A Strassen counting leaf's
+/// fields are signed, each with its own public bound as offset.
 #[derive(Clone, Copy, Debug)]
 struct EntryCodec {
-    semiring: Semiring,
-    /// Width of an input-matrix entry (phase 1).
-    input_bits: usize,
-    /// Width of a partial-product entry (phase 2).
-    partial_bits: usize,
+    /// The arithmetic the entries live in.
+    arith: Arith,
+    /// A-side input entries (phase 1).
+    a: Field,
+    /// B-side input entries (phase 1).
+    b: Field,
+    /// Partial-product entries (phase 2).
+    partial: Field,
 }
 
 impl EntryCodec {
@@ -376,28 +435,44 @@ impl EntryCodec {
                 )
             }
         };
+        let unsigned = |width| Field { width, offset: 0 };
         EntryCodec {
-            semiring,
-            input_bits,
-            partial_bits,
+            arith: Arith::Semiring(semiring),
+            a: unsigned(input_bits),
+            b: unsigned(input_bits),
+            partial: unsigned(partial_bits),
         }
     }
 
-    /// Whether the input blocks travel and multiply packed: every input
-    /// entry is one bit wide and means 0 or 1 (Boolean, `F₂`, and counting
-    /// with both operand bounds at most 1 — not `(min, +)`, whose one-bit
-    /// pattern 1 is the INFINITY sentinel).
-    fn packed_inputs(&self) -> bool {
-        self.input_bits == 1 && self.semiring != Semiring::MinPlus
+    /// The codec of a Strassen counting leaf over wrapping `ℤ`: combined
+    /// A and B entries bounded by `ba` and `bb` in absolute value, partial
+    /// entries by `bp`.
+    fn signed(ba: u64, bb: u64, bp: u64) -> EntryCodec {
+        // A value in [-bound, bound] travels as value + bound.
+        let signed = |bound: u64| Field {
+            width: bits_for_universe(2 * bound + 1).max(1),
+            offset: bound,
+        };
+        EntryCodec {
+            arith: Arith::Wrapping,
+            a: signed(ba),
+            b: signed(bb),
+            partial: signed(bp),
+        }
     }
 
     /// The operand cut into its `g × g` blocks (index `row_block · g +
-    /// col_block`) in the representation they travel and multiply in:
-    /// packed bits when [`Self::packed_inputs`], integers otherwise.
+    /// col_block`) in the representation they travel and multiply in.
+    /// Integer blocks travel packed when every input entry is one unsigned
+    /// bit meaning 0 or 1: counting with both operand bounds at most 1, not
+    /// `(min, +)`, whose one-bit pattern 1 is the INFINITY sentinel.
     fn operand_blocks(&self, m: &SemiringMatrix, part: &Partition) -> Vec<SemiringMatrix> {
         let packed;
+        let one_bit = self.a.width == 1 && self.b.width == 1;
         let m = match m {
-            SemiringMatrix::Ints(ints) if self.packed_inputs() => {
+            SemiringMatrix::Ints(ints)
+                if one_bit && self.arith == Arith::Semiring(Semiring::Counting) =>
+            {
                 packed = SemiringMatrix::Bits(ints.to_bitmatrix());
                 &packed
             }
@@ -405,41 +480,37 @@ impl EntryCodec {
         };
         let g = part.g;
         (0..g * g)
-            .map(|t| {
-                let (rows, cols) = (part.block(t / g), part.block(t % g));
-                let (r0, c0, h, w) = (rows.start, cols.start, rows.len(), cols.len());
-                match m {
-                    SemiringMatrix::Bits(m) => SemiringMatrix::Bits(m.submatrix(r0, c0, h, w)),
-                    SemiringMatrix::Ints(m) => SemiringMatrix::Ints(m.submatrix(r0, c0, h, w)),
-                }
-            })
+            .map(|t| m.submatrix(part.block(t / g), part.block(t % g)))
             .collect()
     }
 
-    /// The all-ones pattern of a `width`-bit field (`1 ≤ width ≤ 64`).
-    fn all_ones(width: usize) -> u64 {
-        u64::MAX >> (u64::BITS as usize - width)
-    }
-
-    /// Appends `values` as `width`-bit fields. Masking to the width turns
-    /// the `(min, +)` INFINITY into the all-ones sentinel.
-    fn encode(&self, values: &[u64], width: usize, out: &mut BitString) {
-        let ones = Self::all_ones(width);
+    /// Appends `values` as `field` entries. Masking to the width turns the
+    /// `(min, +)` INFINITY into the all-ones sentinel; unsigned fields go
+    /// straight to [`BitString::push_fields`].
+    fn encode(&self, values: &[u64], field: Field, out: &mut BitString) {
+        let ones = mask_low(field.width);
         // Finite values must fit the width; under (min, +) they must
         // additionally stay clear of the all-ones sentinel.
         debug_assert!(
-            values.iter().all(|&v| match self.semiring {
-                Semiring::MinPlus => v < ones || v == IntMatrix::INFINITY,
-                _ => v <= ones,
+            values.iter().all(|&v| match self.arith {
+                Arith::Semiring(Semiring::MinPlus) => v < ones || v == IntMatrix::INFINITY,
+                _ => v.wrapping_add(field.offset) <= ones,
             }),
             "an entry does not fit its public wire width"
         );
-        out.push_fields(values, width);
+        if field.offset == 0 {
+            out.push_fields(values, field.width);
+        } else {
+            let shifted: Vec<u64> = values
+                .iter()
+                .map(|&v| v.wrapping_add(field.offset))
+                .collect();
+            out.push_fields(&shifted, field.width);
+        }
     }
 
-    /// Reads `out.len()` fields of `width` bits, which `sender` routed in
-    /// `phase`, mapping the all-ones sentinel back to INFINITY under
-    /// `(min, +)`.
+    /// Reads `out.len()` `field` entries, which `sender` routed in `phase`,
+    /// mapping the all-ones sentinel back to INFINITY under `(min, +)`.
     ///
     /// # Errors
     ///
@@ -447,37 +518,44 @@ impl EntryCodec {
     fn decode(
         &self,
         reader: &mut BitReader<'_>,
-        width: usize,
+        field: Field,
         out: &mut [u64],
         sender: usize,
         phase: &str,
     ) -> Result<(), SimError> {
-        let sentinel = match self.semiring {
-            Semiring::MinPlus => Some(Self::all_ones(width)),
+        let sentinel = match self.arith {
+            Arith::Semiring(Semiring::MinPlus) => Some(mask_low(field.width)),
             _ => None,
         };
         reader
-            .read_fields(out.len(), width, |j, raw| {
+            .read_fields(out.len(), field.width, |j, raw| {
                 out[j] = if Some(raw) == sentinel {
                     IntMatrix::INFINITY
                 } else {
-                    raw
+                    raw.wrapping_sub(field.offset)
                 };
             })
             .ok_or_else(|| malformed(sender, phase))
     }
 
-    /// Appends row `i` of a block: packed rows a lane at a time, integer
-    /// rows as `width`-bit fields.
-    fn encode_row(&self, block: &SemiringMatrix, i: usize, width: usize, out: &mut BitString) {
+    /// Appends the first `len` entries of row `i` of a block: packed rows a
+    /// lane at a time, integer rows as `field` entries.
+    fn encode_row(
+        &self,
+        block: &SemiringMatrix,
+        i: usize,
+        len: usize,
+        field: Field,
+        out: &mut BitString,
+    ) {
         match block {
-            SemiringMatrix::Bits(m) => out.push_words(m.row_words(i), m.cols()),
-            SemiringMatrix::Ints(m) => self.encode(m.row(i), width, out),
+            SemiringMatrix::Bits(m) => out.push_words(m.row_words(i), len),
+            SemiringMatrix::Ints(m) => self.encode(&m.row(i)[..len], field, out),
         }
     }
 
     /// Overwrites row `i` of `block` with the next segment `sender` routed
-    /// in `phase` (the inverse of [`Self::encode_row`]).
+    /// in `phase` (the inverse of [`Self::encode_row`] over a whole row).
     ///
     /// # Errors
     ///
@@ -487,7 +565,7 @@ impl EntryCodec {
         reader: &mut BitReader<'_>,
         block: &mut SemiringMatrix,
         i: usize,
-        width: usize,
+        field: Field,
         sender: usize,
         phase: &str,
     ) -> Result<(), SimError> {
@@ -498,17 +576,20 @@ impl EntryCodec {
                     .read_words_into(cols, m.row_words_mut(i))
                     .ok_or_else(|| malformed(sender, phase))
             }
-            SemiringMatrix::Ints(m) => self.decode(reader, width, m.row_mut(i), sender, phase),
+            SemiringMatrix::Ints(m) => self.decode(reader, field, m.row_mut(i), sender, phase),
         }
     }
 }
 
-/// Phase label of the cubic product's input-block shipment in
+/// Phase label of a cube exchange's input-block shipment in
 /// [`SimError::MalformedPayload`] reports.
 const INPUT_PHASE: &str = "semiring-matmul/inputs";
 
-/// Phase label of the cubic product's partial-block shipment.
+/// Phase label of a cube exchange's partial-block shipment.
 const PARTIAL_PHASE: &str = "semiring-matmul/partials";
+
+/// Phase label of the Strassen schedule's pre-combine shipment.
+const PRECOMBINE_PHASE: &str = "fast-matmul/pre-combine";
 
 /// Phase labels of the sparse product's two record shipments.
 const SPARSE_INPUT_PHASE: &str = "sparse-matmul/inputs";
@@ -522,9 +603,8 @@ fn malformed(sender: usize, phase: &str) -> SimError {
     }
 }
 
-/// Per-destination readers over the packets one balanced-routing phase
-/// delivered, keyed by source player.
-fn readers_by_source<'a>(packets: &'a [clique_routing::Packet]) -> HashMap<usize, BitReader<'a>> {
+/// Per-source readers over the logical payloads one player received.
+fn readers(packets: &[Packet]) -> HashMap<usize, BitReader<'_>> {
     packets
         .iter()
         .map(|p| (p.src.index(), p.payload.reader()))
@@ -586,44 +666,337 @@ impl Chunker {
         }
     }
 
-    /// Regroups one destination's delivered chunks into per-source logical
-    /// payloads, restoring sender order from the sequence tags.
-    fn merge(&self, packets: &[clique_routing::Packet]) -> HashMap<usize, BitString> {
-        let mut by_src: HashMap<usize, Vec<(u64, &BitString)>> = HashMap::new();
+    /// Regroups one destination's delivered chunks into one logical packet
+    /// per source, restoring sender order from the sequence tags.
+    ///
+    /// # Errors
+    ///
+    /// [`SimError::MalformedPayload`], labelled `phase`, for a chunk too
+    /// short to hold its sequence tag.
+    fn merge(&self, packets: &[Packet], phase: &str) -> Result<Vec<Packet>, SimError> {
+        let mut by_src: HashMap<usize, Vec<(u64, BitReader<'_>)>> = HashMap::new();
         for p in packets {
             let mut reader = p.payload.reader();
             let seq = reader
                 .read_bits(self.seq_width)
-                .expect("malformed fast-matmul chunk tag");
-            by_src
-                .entry(p.src.index())
-                .or_default()
-                .push((seq, &p.payload));
+                .ok_or_else(|| malformed(p.src.index(), phase))?;
+            by_src.entry(p.src.index()).or_default().push((seq, reader));
         }
-        by_src
+        Ok(by_src
             .into_iter()
             .map(|(src, mut chunks)| {
                 chunks.sort_unstable_by_key(|&(seq, _)| seq);
                 let mut merged = BitString::new();
-                for (_, payload) in chunks {
-                    let mut reader = payload.reader();
-                    reader.read_bits(self.seq_width).expect("tag parsed above");
+                for (_, mut reader) in chunks {
                     let len = reader.remaining();
-                    let words = reader.read_words(len).expect("chunk payload present");
+                    let words = reader
+                        .read_words(len)
+                        .expect("the rest of a chunk is present");
                     merged.push_words(&words, len);
                 }
-                (src, merged)
+                Packet::new(NodeId::new(src), packets[0].dst, merged)
             })
-            .collect()
+            .collect())
     }
 }
 
-/// Per-source readers over one destination's reassembled logical payloads.
-fn readers_by_merged(merged: &HashMap<usize, BitString>) -> HashMap<usize, BitReader<'_>> {
-    merged
+/// How a routed phase frames its logical `(src, dst)` payloads.
+enum Link {
+    /// One packet per pair (the cubic product).
+    Whole,
+    /// Sequence-tagged chunks of at most [`FAST_CHUNK_BITS`] bits (the
+    /// Strassen schedule).
+    Chunked(Chunker),
+}
+
+impl Link {
+    /// Queues `payload` on the `(src, dst)` pair (empty payloads send
+    /// nothing).
+    fn send(&self, demand: &mut RoutingDemand, src: usize, dst: usize, payload: BitString) {
+        match self {
+            Link::Whole if !payload.is_empty() => demand.send(src, dst, payload),
+            Link::Whole => {}
+            Link::Chunked(chunker) => chunker.send(demand, src, dst, &payload),
+        }
+    }
+
+    /// Routes `demand` through the [`BalancedRouter`] and hands every
+    /// player one logical packet per source.
+    ///
+    /// # Errors
+    ///
+    /// Propagates routing errors; a chunk that cannot be reassembled is a
+    /// [`SimError::MalformedPayload`] labelled `phase`.
+    fn route(
+        &self,
+        demand: &RoutingDemand,
+        session: &mut Session,
+        phase: &str,
+    ) -> Result<Delivered, SimError> {
+        let delivered = BalancedRouter.route(demand, session)?;
+        match self {
+            Link::Whole => Ok(delivered),
+            Link::Chunked(chunker) => delivered
+                .iter()
+                .map(|packets| chunker.merge(packets, phase))
+                .collect(),
+        }
+    }
+}
+
+/// A signed block term `(block_row, block_col, sign)` on a block grid.
+type Term = (usize, usize, i64);
+
+/// The cubic product's only output term: its partials feed the output
+/// unchanged.
+const IDENTITY_TERM: &[Term] = &[(0, 0, 1)];
+
+/// One group's cube exchange: the 3D-partitioned block product both dense
+/// schedules run. The group is the `part.n` players from `base` on. They
+/// hold the rows of two `part.d`-dimensional operands under `part`'s
+/// row-owner map, tile the product cube over `g³` cube nodes, and send each
+/// cube's partial to the output blocks its `terms` name, clipped to the
+/// output dimension.
+///
+/// Every node walks the cubes in the canonical `(i, j, k)` order and packs
+/// a payload's rows ascending, entries in column order — a layout both
+/// sides derive from public quantities alone.
+struct CubeExchange<'t> {
+    /// The group's first player.
+    base: usize,
+    /// The group's 3D tiling of its operands.
+    part: Partition,
+    codec: EntryCodec,
+    /// The two operands cut into their `g × g` blocks.
+    blocks: [Vec<SemiringMatrix>; 2],
+    /// The output blocks, on a grid of side `part.d`, each partial feeds.
+    terms: &'t [Term],
+}
+
+impl<'t> CubeExchange<'t> {
+    fn new(
+        base: usize,
+        part: Partition,
+        codec: EntryCodec,
+        operands: [&SemiringMatrix; 2],
+        terms: &'t [Term],
+    ) -> Self {
+        Self {
+            base,
+            part,
+            codec,
+            blocks: operands.map(|m| codec.operand_blocks(m, &part)),
+            terms,
+        }
+    }
+
+    /// The cubes in canonical order.
+    fn cubes(&self) -> impl Iterator<Item = (usize, usize, usize)> {
+        let g = self.part.g;
+        (0..g).flat_map(move |i| (0..g).flat_map(move |j| (0..g).map(move |k| (i, j, k))))
+    }
+
+    /// The player computing cube `(i, j, k)`.
+    fn cube_node(&self, i: usize, j: usize, k: usize) -> usize {
+        self.base + self.part.cube_node(i, j, k)
+    }
+
+    /// The player holding operand row `r`.
+    fn row_owner(&self, r: usize) -> usize {
+        self.base + self.part.row_owner(r)
+    }
+
+    /// The two input blocks of cube `(i, j, k)` — `A_{ik}` and `B_{kj}` —
+    /// each with its row-block index and wire field.
+    fn inputs(&self, i: usize, j: usize, k: usize) -> [(&SemiringMatrix, usize, Field); 2] {
+        let g = self.part.g;
+        [
+            (&self.blocks[0][i * g + k], i, self.codec.a),
+            (&self.blocks[1][k * g + j], k, self.codec.b),
+        ]
+    }
+
+    /// The partial row segments cube `(i, j, ·)` sends, in payload order:
+    /// for each term `(ci, cj, sign)`, partial row `bi` covers output row
+    /// `r` from column `col0` on for `len` entries — clipped to the output
+    /// dimension `d`, so padding is never sent.
+    fn segments(
+        &self,
+        i: usize,
+        j: usize,
+        d: usize,
+    ) -> impl Iterator<Item = (usize, usize, usize, usize, i64)> + '_ {
+        let (q, cols) = (self.part.d, self.part.block(j));
+        self.terms.iter().flat_map(move |&(ci, cj, sign)| {
+            let col0 = cj * q + cols.start;
+            let len = cols.len().min(d.saturating_sub(col0));
+            self.part
+                .block(i)
+                .enumerate()
+                .map(move |(bi, rl)| (bi, ci * q + rl, col0, len, sign))
+                .take_while(move |&(_, r, ..)| r < d && len > 0)
+        })
+    }
+
+    /// Step 1: the row owners append the input blocks to `demand`. Each
+    /// payload `v → w` carries `v`'s rows of `A_{ik}`, then its rows of
+    /// `B_{kj}`.
+    fn send_inputs(&self, link: &Link, demand: &mut RoutingDemand) {
+        for (i, j, k) in self.cubes() {
+            let w = self.cube_node(i, j, k);
+            let mut payloads: BTreeMap<usize, BitString> = BTreeMap::new();
+            for (block, row_block, field) in self.inputs(i, j, k) {
+                for (bi, r) in self.part.block(row_block).enumerate() {
+                    let v = self.row_owner(r);
+                    if v != w {
+                        // Own input rows need no routing.
+                        let buf = payloads.entry(v).or_default();
+                        self.codec.encode_row(block, bi, block.cols(), field, buf);
+                    }
+                }
+            }
+            for (v, payload) in payloads {
+                link.send(demand, v, w, payload);
+            }
+        }
+    }
+
+    /// Step 2: every cube node rebuilds its two blocks from the delivered
+    /// payloads (plus its own rows) and multiplies them.
+    ///
+    /// # Errors
+    ///
+    /// [`SimError::MalformedPayload`] for a missing or truncated segment.
+    fn multiply(&self, delivered: &Delivered) -> Result<Vec<SemiringMatrix>, SimError> {
+        self.cubes()
+            .map(|(i, j, k)| {
+                let w = self.cube_node(i, j, k);
+                let mut inbox = readers(&delivered[w]);
+                let [a, b] = self.inputs(i, j, k).map(|(source, row_block, field)| {
+                    let mut block = source.zeros_like(source.rows(), source.cols());
+                    for (bi, r) in self.part.block(row_block).enumerate() {
+                        let v = self.row_owner(r);
+                        if v == w {
+                            block.copy_row(bi, source, bi);
+                        } else if block.cols() > 0 {
+                            // A zero-width segment was never sent (empty
+                            // payloads are skipped), so only look the
+                            // reader up when there are entries to read.
+                            let reader =
+                                inbox.get_mut(&v).ok_or_else(|| malformed(v, INPUT_PHASE))?;
+                            self.codec
+                                .decode_row(reader, &mut block, bi, field, v, INPUT_PHASE)?;
+                        }
+                    }
+                    Ok::<_, SimError>(block)
+                });
+                Ok(self.codec.arith.product(&a?, &b?))
+            })
+            .collect()
+    }
+
+    /// Step 3: every cube node appends its partial's segments to `demand`,
+    /// one payload per output row owner of `global`; rows it owns itself
+    /// fold into `output` in place.
+    fn send_partials(
+        &self,
+        partials: &[SemiringMatrix],
+        global: &Partition,
+        output: &mut SemiringMatrix,
+        link: &Link,
+        demand: &mut RoutingDemand,
+    ) {
+        for ((i, j, k), partial) in self.cubes().zip(partials) {
+            let w = self.cube_node(i, j, k);
+            let mut payloads: BTreeMap<usize, BitString> = BTreeMap::new();
+            for (bi, r, col0, len, sign) in self.segments(i, j, global.d) {
+                let v = global.row_owner(r);
+                if v == w {
+                    output.fold_row(r, col0, partial, bi, len, self.codec.arith.add(sign));
+                } else {
+                    let buf = payloads.entry(v).or_default();
+                    self.codec
+                        .encode_row(partial, bi, len, self.codec.partial, buf);
+                }
+            }
+            for (v, payload) in payloads {
+                link.send(demand, w, v, payload);
+            }
+        }
+    }
+
+    /// Step 4: the output row owners fold the delivered segments, walking
+    /// them in the order step 3 wrote them.
+    ///
+    /// # Errors
+    ///
+    /// [`SimError::MalformedPayload`] for a missing or truncated segment.
+    fn fold_partials(
+        &self,
+        inbox: &mut [HashMap<usize, BitReader<'_>>],
+        global: &Partition,
+        output: &mut SemiringMatrix,
+    ) -> Result<(), SimError> {
+        // A one-row scratch block holds each segment until it is folded.
+        let mut segment = output.zeros_like(1, 0);
+        for (i, j, k) in self.cubes() {
+            let w = self.cube_node(i, j, k);
+            for (_, r, col0, len, sign) in self.segments(i, j, global.d) {
+                let v = global.row_owner(r);
+                if v != w {
+                    if segment.cols() != len {
+                        segment = output.zeros_like(1, len);
+                    }
+                    let reader = inbox[v]
+                        .get_mut(&w)
+                        .ok_or_else(|| malformed(w, PARTIAL_PHASE))?;
+                    let field = self.codec.partial;
+                    self.codec
+                        .decode_row(reader, &mut segment, 0, field, w, PARTIAL_PHASE)?;
+                    output.fold_row(r, col0, &segment, 0, len, self.codec.arith.add(sign));
+                }
+            }
+        }
+        Ok(())
+    }
+}
+
+/// Runs the cube exchanges of disjoint player groups through their four
+/// steps, with one routing demand per shipment in group order, and folds
+/// every partial into `output` (whose row owners are the session's
+/// `Partition`).
+///
+/// # Errors
+///
+/// Propagates routing errors and malformed-payload reads.
+fn exchange_cubes(
+    session: &mut Session,
+    cubes: &[CubeExchange<'_>],
+    [input_link, partial_link]: [Link; 2],
+    output: &mut SemiringMatrix,
+) -> Result<(), SimError> {
+    let n = session.n();
+    let global = Partition::new(n, output.rows());
+    let mut demand = RoutingDemand::new(n);
+    for cube in cubes {
+        cube.send_inputs(&input_link, &mut demand);
+    }
+    let delivered = input_link.route(&demand, session, INPUT_PHASE)?;
+    let partials = cubes
         .iter()
-        .map(|(&src, payload)| (src, payload.reader()))
-        .collect()
+        .map(|cube| cube.multiply(&delivered))
+        .collect::<Result<Vec<_>, _>>()?;
+
+    let mut demand = RoutingDemand::new(n);
+    for (cube, partials) in cubes.iter().zip(&partials) {
+        cube.send_partials(partials, &global, output, &partial_link, &mut demand);
+    }
+    let delivered = partial_link.route(&demand, session, PARTIAL_PHASE)?;
+    let mut inbox: Vec<_> = delivered.iter().map(|packets| readers(packets)).collect();
+    for cube in cubes {
+        cube.fold_partials(&mut inbox, &global, output)?;
+    }
+    Ok(())
 }
 
 /// The `O(n^{1/3})`-round distributed semiring matrix product as a
@@ -634,7 +1007,9 @@ fn readers_by_merged(merged: &HashMap<usize, BitString>) -> HashMap<usize, BitRe
 /// Player `v` holds rows `r` with `row_owner(r) = v` of both inputs (for
 /// `d = n` this is the standard "player `i` knows row `i`" input
 /// convention) and ends up holding the same rows of the output; the
-/// returned matrix is the assembled whole.
+/// returned matrix is the assembled whole. It is the depth-0 case of
+/// [`FastMatMul`]: one cube exchange over all players, with the identity
+/// output term, whole payloads and the semiring's own arithmetic.
 ///
 /// # Examples
 ///
@@ -706,166 +1081,13 @@ impl Protocol for SemiringMatMul<'_> {
 
     fn run(&mut self, session: &mut Session) -> Result<SemiringMatrix, SimError> {
         session.require_clique();
-        let n = session.n();
         let d = self.a.rows();
-        if d == 0 {
-            return Ok(SemiringMatrix::identity_filled(self.semiring, 0, 0));
-        }
-        let part = Partition::new(n, d);
-        let g = part.g;
-        let codec = EntryCodec::new(self.semiring, self.a, self.b, part.max_block_len());
-        let a_blocks = codec.operand_blocks(self.a, &part);
-        let b_blocks = codec.operand_blocks(self.b, &part);
-        // The two input blocks of cube (i, j, k): A_{ik} and B_{kj}, each
-        // with its row-block index.
-        let inputs =
-            |i: usize, j: usize, k: usize| [(&a_blocks[i * g + k], i), (&b_blocks[k * g + j], k)];
-
-        // Phase 1: the row owners ship the input blocks to the cube nodes.
-        // Cube node w = (i, j, k) needs A_{ik} (rows of block i, columns of
-        // block k) and B_{kj}; each packet (v → w) carries v's rows of
-        // A_{ik} then v's rows of B_{kj}, rows ascending, entries in column
-        // order — a canonical layout both sides derive from (n, d, g) alone.
-        let mut demand = RoutingDemand::new(n);
-        for i in 0..g {
-            for j in 0..g {
-                for k in 0..g {
-                    let w = part.cube_node(i, j, k);
-                    let mut payloads: BTreeMap<usize, BitString> = BTreeMap::new();
-                    for (block, row_block) in inputs(i, j, k) {
-                        for (bi, r) in part.block(row_block).enumerate() {
-                            let v = part.row_owner(r);
-                            if v == w {
-                                continue; // own input rows need no routing
-                            }
-                            let buf = payloads.entry(v).or_default();
-                            codec.encode_row(block, bi, codec.input_bits, buf);
-                        }
-                    }
-                    for (v, payload) in payloads {
-                        if !payload.is_empty() {
-                            demand.send(v, w, payload);
-                        }
-                    }
-                }
-            }
-        }
-        let delivered = BalancedRouter.route(&demand, session)?;
-
-        // Local compute: every cube node reassembles its two blocks from
-        // the delivered packets (plus its own rows) and multiplies them
-        // with the semiring's local kernel.
-        let mut partials: Vec<SemiringMatrix> = Vec::with_capacity(g * g * g);
-        for i in 0..g {
-            for j in 0..g {
-                for k in 0..g {
-                    let w = part.cube_node(i, j, k);
-                    let mut readers = readers_by_source(&delivered[w]);
-                    let mut blocks = Vec::with_capacity(2);
-                    for (source, row_block) in inputs(i, j, k) {
-                        let mut block = source.zeros_like();
-                        for (bi, r) in part.block(row_block).enumerate() {
-                            let v = part.row_owner(r);
-                            if v == w {
-                                block.copy_row(bi, source, bi);
-                            } else if block.cols() > 0 {
-                                // A zero-width segment was never sent (the
-                                // sender skips empty payloads), so only
-                                // look the reader up when there are entries
-                                // to read.
-                                let reader = readers
-                                    .get_mut(&v)
-                                    .ok_or_else(|| malformed(v, INPUT_PHASE))?;
-                                codec.decode_row(
-                                    reader,
-                                    &mut block,
-                                    bi,
-                                    codec.input_bits,
-                                    v,
-                                    INPUT_PHASE,
-                                )?;
-                            }
-                        }
-                        blocks.push(block);
-                    }
-                    partials.push(blocks[0].product(&blocks[1], self.semiring));
-                }
-            }
-        }
-
-        // Phase 2: each cube node routes its partial block to the output
-        // row owners, who fold the g partials per entry with the semiring
-        // addition.
         let mut output = SemiringMatrix::identity_filled(self.semiring, d, d);
-        let mut demand = RoutingDemand::new(n);
-        let mut partial_iter = partials.iter();
-        for i in 0..g {
-            for j in 0..g {
-                for k in 0..g {
-                    let w = part.cube_node(i, j, k);
-                    let partial = partial_iter.next().expect("one partial per cube");
-                    let col0 = part.block(j).start;
-                    let mut payloads: BTreeMap<usize, BitString> = BTreeMap::new();
-                    for (bi, r) in part.block(i).enumerate() {
-                        let v = part.row_owner(r);
-                        if v == w {
-                            // The cube node owns this output row itself.
-                            output.fold_row(self.semiring, r, col0, partial, bi);
-                        } else {
-                            let buf = payloads.entry(v).or_default();
-                            codec.encode_row(partial, bi, codec.partial_bits, buf);
-                        }
-                    }
-                    for (v, payload) in payloads {
-                        if !payload.is_empty() {
-                            demand.send(w, v, payload);
-                        }
-                    }
-                }
-            }
-        }
-        let delivered = BalancedRouter.route(&demand, session)?;
-
-        // Fold the routed partials, walking cubes in the same canonical
-        // order the senders used. Each segment is decoded into a one-row
-        // scratch block of its column block's width, then folded.
-        let mut segments: Vec<SemiringMatrix> = (0..g)
-            .map(|j| SemiringMatrix::identity_filled(self.semiring, 1, part.block(j).len()))
-            .collect();
-        for (v, packets) in delivered.iter().enumerate() {
-            let mut readers = readers_by_source(packets);
-            for i in 0..g {
-                let owned: Vec<usize> = part.block(i).filter(|&r| part.row_owner(r) == v).collect();
-                if owned.is_empty() {
-                    continue;
-                }
-                for (j, segment) in segments.iter_mut().enumerate() {
-                    let col0 = part.block(j).start;
-                    if segment.cols() == 0 {
-                        continue; // zero-width segments were never sent
-                    }
-                    for k in 0..g {
-                        let w = part.cube_node(i, j, k);
-                        if w == v {
-                            continue; // folded locally above
-                        }
-                        let reader = readers
-                            .get_mut(&w)
-                            .ok_or_else(|| malformed(w, PARTIAL_PHASE))?;
-                        for &r in &owned {
-                            codec.decode_row(
-                                reader,
-                                segment,
-                                0,
-                                codec.partial_bits,
-                                w,
-                                PARTIAL_PHASE,
-                            )?;
-                            output.fold_row(self.semiring, r, col0, segment, 0);
-                        }
-                    }
-                }
-            }
+        if d > 0 {
+            let part = Partition::new(session.n(), d);
+            let codec = EntryCodec::new(self.semiring, self.a, self.b, part.max_block_len());
+            let cube = CubeExchange::new(0, part, codec, [self.a, self.b], IDENTITY_TERM);
+            exchange_cubes(session, &[cube], [Link::Whole, Link::Whole], &mut output)?;
         }
         Ok(output)
     }
@@ -902,12 +1124,12 @@ pub fn semiring_matmul(
 /// quantity both wire endpoints derive from `L` alone.
 #[derive(Clone, Debug)]
 struct LeafCoeffs {
-    /// `(block_row, block_col, sign)` terms of the A-side operand.
-    a_terms: Vec<(usize, usize, i64)>,
-    /// `(block_row, block_col, sign)` terms of the B-side operand.
-    b_terms: Vec<(usize, usize, i64)>,
-    /// `(block_row, block_col, sign)` output blocks the product feeds.
-    c_terms: Vec<(usize, usize, i64)>,
+    /// Terms of the A-side operand.
+    a_terms: Vec<Term>,
+    /// Terms of the B-side operand.
+    b_terms: Vec<Term>,
+    /// Output blocks the product feeds.
+    c_terms: Vec<Term>,
 }
 
 /// Per-level Strassen rules: the quadrants (with signs) feeding each of the
@@ -917,11 +1139,7 @@ struct LeafCoeffs {
 /// M7 = (A12−A22)(B21+B22); C11 = M1+M4−M5+M7, C12 = M3+M5, C21 = M2+M4,
 /// C22 = M1−M2+M3+M6. The same identities drive the lifted Strassen
 /// circuit, so both seams agree block for block.
-type StrassenRule = (
-    &'static [(usize, usize, i64)],
-    &'static [(usize, usize, i64)],
-    &'static [(usize, usize, i64)],
-);
+type StrassenRule = (&'static [Term], &'static [Term], &'static [Term]);
 const STRASSEN_RULES: [StrassenRule; 7] = [
     (
         &[(0, 0, 1), (1, 1, 1)],
@@ -965,9 +1183,9 @@ const STRASSEN_RULES: [StrassenRule; 7] = [
 /// (the whole product).
 fn strassen_leaf_coeffs(levels: u32) -> Vec<LeafCoeffs> {
     let mut leaves = vec![LeafCoeffs {
-        a_terms: vec![(0, 0, 1)],
-        b_terms: vec![(0, 0, 1)],
-        c_terms: vec![(0, 0, 1)],
+        a_terms: IDENTITY_TERM.to_vec(),
+        b_terms: IDENTITY_TERM.to_vec(),
+        c_terms: IDENTITY_TERM.to_vec(),
     }];
     for _ in 0..levels {
         let mut next = Vec::with_capacity(leaves.len() * 7);
@@ -975,7 +1193,7 @@ fn strassen_leaf_coeffs(levels: u32) -> Vec<LeafCoeffs> {
             for (rule_a, rule_b, rule_c) in STRASSEN_RULES {
                 // A parent block (pi, pj) splits into quadrants at
                 // (2·pi + qi, 2·pj + qj) on the refined grid; signs multiply.
-                let expand = |parent: &[(usize, usize, i64)], rule: &[(usize, usize, i64)]| {
+                let expand = |parent: &[Term], rule: &[Term]| {
                     parent
                         .iter()
                         .flat_map(|&(pi, pj, ps)| {
@@ -994,56 +1212,6 @@ fn strassen_leaf_coeffs(levels: u32) -> Vec<LeafCoeffs> {
         leaves = next;
     }
     leaves
-}
-
-/// Signed offset wire encoding for the fast path's intermediate values: a
-/// value in `[-bound, bound]` travels as `value + bound` in
-/// `bits_for_universe(2·bound + 1)` bits. Both endpoints derive `bound`
-/// from public quantities (the operands' entry bounds and the leaf's term
-/// counts), mirroring the [`EntryCodec`] convention.
-#[derive(Clone, Copy, Debug)]
-struct SignedCodec {
-    bound: i64,
-    width: usize,
-}
-
-impl SignedCodec {
-    fn new(bound: u64) -> SignedCodec {
-        SignedCodec {
-            bound: bound as i64,
-            width: bits_for_universe(2 * bound + 1).max(1),
-        }
-    }
-
-    fn encode(&self, value: i64, out: &mut BitString) {
-        debug_assert!(
-            value.abs() <= self.bound,
-            "signed value exceeds its public bound"
-        );
-        out.push_bits((value + self.bound) as u64, self.width);
-    }
-
-    fn decode(&self, reader: &mut BitReader<'_>) -> i64 {
-        let raw = reader
-            .read_bits(self.width)
-            .expect("malformed fast-matmul record");
-        raw as i64 - self.bound
-    }
-}
-
-/// The per-leaf combined operands, in the representation the leaf's local
-/// kernel multiplies: packed bits over `F₂` (block combination is XOR, so
-/// entries stay one bit wide at every depth), two's-complement-wrapped
-/// signed integers for counting.
-enum LeafOperands {
-    Bits(BitMatrix, BitMatrix),
-    Ints(IntMatrix, IntMatrix),
-}
-
-/// A cube node's partial product of combined leaf blocks.
-enum LeafPartial {
-    Bits(BitMatrix),
-    Ints(IntMatrix),
 }
 
 /// Whether a depth-`levels` counting-semiring Strassen schedule is exact:
@@ -1075,13 +1243,17 @@ fn counting_headroom_ok(ma: u64, mb: u64, d: usize, levels: u32) -> bool {
 /// 1. **Pre-combine** — the original row owners ship raw row segments of
 ///    every base block a leaf touches to the *leaf-row* owners, who fold
 ///    the signed block combinations (Strassen's `A11 + A22` etc.) locally.
-/// 2. **Leaf products** — each group runs the cubic 3D exchange on its
-///    combined `q × q` operands and multiplies locally (packed
-///    [`BitMatrix::mul_f2`] over `F₂`, wrapping-exact
-///    [`IntMatrix::mul_wrapping`] for counting).
+/// 2. **Leaf products** — every group ships its combined `q × q` operands
+///    through the cube exchange [`SemiringMatMul`] runs, and its cube nodes
+///    multiply locally (packed [`BitMatrix::mul_f2`] over `F₂`,
+///    wrapping-exact [`IntMatrix::mul_wrapping`] for counting).
 /// 3. **Recombine** — signed partials route to the output row owners, who
 ///    fold each leaf's contribution into the output blocks its product
 ///    feeds.
+///
+/// All groups share one routing demand per phase, and the phases route
+/// payloads in 64-bit chunks. At depth 0 the schedule is the cubic product
+/// itself.
 ///
 /// Only *ring-embeddable* semirings are eligible: `F₂` is a field and
 /// counting embeds in `ℤ` (saturation excluded by a public precondition).
@@ -1148,7 +1320,7 @@ impl<'a> FastMatMul<'a> {
     /// Splitting further would hand whole leaf products to single nodes,
     /// concentrating link load instead of spreading it (the very thing the
     /// schedule exists to avoid). Depth 0 means the clique is too small
-    /// and the protocol falls back to the cubic partition in place.
+    /// and the protocol runs the cubic partition in place.
     pub fn levels_for(n: usize, d: usize) -> u32 {
         let mut levels = 0;
         while levels < 3
@@ -1168,10 +1340,8 @@ impl Protocol for FastMatMul<'_> {
         session.require_clique();
         let n = session.n();
         let d = self.a.rows();
-        if d == 0 {
-            return Ok(SemiringMatrix::identity_filled(self.semiring, 0, 0));
-        }
         let levels = match self.levels {
+            _ if d == 0 => 0,
             Some(levels) => {
                 assert!(
                     levels == 0 || 7usize.pow(levels) <= n,
@@ -1182,13 +1352,14 @@ impl Protocol for FastMatMul<'_> {
             None => Self::levels_for(n, d),
         };
         if levels == 0 {
-            // Too few players for 7 disjoint groups: cubic fallback.
+            // The depth-0 schedule is the cubic product: one group, no
+            // pre-combine, whole payloads.
             return session.run_protocol(&mut SemiringMatMul::new(self.a, self.b, self.semiring));
         }
 
         let leaves = strassen_leaf_coeffs(levels);
-        let p = strassen_padded_dim(d, levels);
-        let q = p >> levels;
+        let side = 1usize << levels;
+        let q = strassen_padded_dim(d, levels) >> levels;
         let global = Partition::new(n, d);
         let group_start = |t: usize| t * n / leaves.len();
         let leaf_parts: Vec<Partition> = (0..leaves.len())
@@ -1204,22 +1375,18 @@ impl Protocol for FastMatMul<'_> {
         }
         // Raw input entries (phase 1) are unsigned originals; combined and
         // partial entries (phases 2–3) are signed with per-leaf public
-        // bounds. Over F₂ every width is one bit.
-        let raw_width = match self.semiring {
-            Semiring::F2 => 1,
-            _ => bits_for_universe(ma.max(mb).saturating_add(1)).max(1),
-        };
-        let wires: Vec<(SignedCodec, SignedCodec, SignedCodec)> = leaves
+        // bounds. Over F₂ every field is one bit.
+        let raw = EntryCodec::new(self.semiring, self.a, self.b, 0);
+        let codecs: Vec<EntryCodec> = leaves
             .iter()
-            .map(|leaf| {
-                let ba = leaf.a_terms.len() as u64 * ma;
-                let bb = leaf.b_terms.len() as u64 * mb;
-                let bp = (u128::from(ba) * u128::from(bb) * q as u128) as u64;
-                (
-                    SignedCodec::new(ba),
-                    SignedCodec::new(bb),
-                    SignedCodec::new(bp),
-                )
+            .map(|leaf| match self.semiring {
+                Semiring::F2 => raw,
+                _ => {
+                    let ba = leaf.a_terms.len() as u64 * ma;
+                    let bb = leaf.b_terms.len() as u64 * mb;
+                    let bp = (u128::from(ba) * u128::from(bb) * q as u128) as u64;
+                    EntryCodec::signed(ba, bb, bp)
+                }
             })
             .collect();
 
@@ -1230,388 +1397,109 @@ impl Protocol for FastMatMul<'_> {
         let global_rpo = d.div_ceil(n).max(1);
         let max_a_terms = leaves.iter().map(|l| l.a_terms.len()).max().unwrap_or(1);
         let max_b_terms = leaves.iter().map(|l| l.b_terms.len()).max().unwrap_or(1);
-        let chunk1 = Chunker::new((max_a_terms + max_b_terms) * global_rpo * q * raw_width);
+        let precombine = Link::Chunked(Chunker::new(
+            (max_a_terms + max_b_terms) * global_rpo * q * raw.a.width,
+        ));
         let (mut bound2, mut bound3) = (0usize, 0usize);
-        for (t, leaf) in leaves.iter().enumerate() {
-            let lp = &leaf_parts[t];
+        for ((leaf, lp), codec) in leaves.iter().zip(&leaf_parts).zip(&codecs) {
             let bl = lp.max_block_len();
             let lp_rpo = lp.d.div_ceil(lp.n).max(1);
-            let (w2, w3) = match self.semiring {
-                Semiring::F2 => (1, 1),
-                _ => (wires[t].0.width.max(wires[t].1.width), wires[t].2.width),
-            };
-            bound2 = bound2.max(2 * lp_rpo.min(bl) * bl * w2);
-            bound3 = bound3.max(leaf.c_terms.len() * global_rpo.min(bl) * bl * w3);
+            bound2 = bound2.max(2 * lp_rpo.min(bl) * bl * codec.a.width.max(codec.b.width));
+            bound3 = bound3.max(leaf.c_terms.len() * global_rpo.min(bl) * bl * codec.partial.width);
         }
-        let chunk2 = Chunker::new(bound2);
-        let chunk3 = Chunker::new(bound3);
 
-        // Phase 1 (pre-combine): original row owners → leaf-row owners.
-        // Rows and columns at or beyond d are padding both endpoints skip
-        // (p and the term lists are public).
-        let mut demand = RoutingDemand::new(n);
-        for (t, leaf) in leaves.iter().enumerate() {
-            let (gs, lp) = (group_start(t), &leaf_parts[t]);
-            let mut payloads: BTreeMap<(usize, usize), BitString> = BTreeMap::new();
-            for (matrix, terms) in [(self.a, &leaf.a_terms), (self.b, &leaf.b_terms)] {
-                for rl in 0..q {
-                    let o = gs + lp.row_owner(rl);
-                    for &(bi, bj, _) in terms {
-                        let r = bi * q + rl;
-                        if r >= d || bj * q >= d {
-                            continue;
-                        }
-                        let v = global.row_owner(r);
-                        if v == o {
-                            continue;
-                        }
-                        let buf = payloads.entry((v, o)).or_default();
-                        for c in bj * q..((bj + 1) * q).min(d) {
-                            buf.push_bits(matrix.entry(r, c), raw_width);
+        // Phase 1 (pre-combine): each leaf-row owner gathers, side by side
+        // and leaf row by leaf row, the rows of the base blocks its leaf's
+        // terms name. The base blocks are clipped to d, so padding is never
+        // sent (p and the term lists are public). Senders and receivers
+        // walk the same per-leaf list of (side, leaf row, base block, sign,
+        // holder, leaf-row owner).
+        let clip = |t: usize| (t * q).min(d)..((t + 1) * q).min(d);
+        let bases = [self.a, self.b].map(|m| {
+            (0..side * side)
+                .map(|t| m.submatrix(clip(t / side), clip(t % side)))
+                .collect::<Vec<_>>()
+        });
+        let gathers: Vec<Vec<_>> = leaves
+            .iter()
+            .enumerate()
+            .map(|(t, leaf)| {
+                let mut rows = Vec::new();
+                for (s, terms) in [&leaf.a_terms, &leaf.b_terms].into_iter().enumerate() {
+                    for rl in 0..q {
+                        for &(bi, bj, sign) in terms {
+                            let block = &bases[s][bi * side + bj];
+                            if rl < block.rows() && block.cols() > 0 {
+                                let v = global.row_owner(bi * q + rl);
+                                let o = group_start(t) + leaf_parts[t].row_owner(rl);
+                                rows.push((s, rl, block, sign, v, o));
+                            }
                         }
                     }
+                }
+                rows
+            })
+            .collect();
+        let mut demand = RoutingDemand::new(n);
+        for rows in &gathers {
+            let mut payloads: BTreeMap<(usize, usize), BitString> = BTreeMap::new();
+            for &(_, rl, block, _, v, o) in rows {
+                if v != o {
+                    let buf = payloads.entry((v, o)).or_default();
+                    raw.encode_row(block, rl, block.cols(), raw.a, buf);
                 }
             }
             for ((v, o), payload) in payloads {
-                chunk1.send(&mut demand, v, o, &payload);
+                precombine.send(&mut demand, v, o, payload);
             }
         }
-        let delivered = BalancedRouter.route(&demand, session)?;
-        let merged: Vec<HashMap<usize, BitString>> =
-            delivered.iter().map(|p| chunk1.merge(p)).collect();
+        let delivered = precombine.route(&demand, session, PRECOMBINE_PHASE)?;
+        let mut inbox: Vec<_> = delivered.iter().map(|packets| readers(packets)).collect();
 
-        // The leaf-row owners fold the signed combinations. Signed sums are
-        // kept in i64 (wrapping-safe by the headroom precondition); over F₂
-        // only the parity survives.
-        let mut leaf_ops: Vec<LeafOperands> = Vec::with_capacity(leaves.len());
-        for (t, leaf) in leaves.iter().enumerate() {
-            let (gs, lp) = (group_start(t), &leaf_parts[t]);
-            let mut readers: HashMap<usize, HashMap<usize, BitReader<'_>>> = (0..q)
-                .map(|rl| gs + lp.row_owner(rl))
-                .map(|o| (o, readers_by_merged(&merged[o])))
-                .collect();
-            let mut acc_a = vec![0i64; q * q];
-            let mut acc_b = vec![0i64; q * q];
-            for (matrix, terms, acc) in [
-                (self.a, &leaf.a_terms, &mut acc_a),
-                (self.b, &leaf.b_terms, &mut acc_b),
-            ] {
-                for rl in 0..q {
-                    let o = gs + lp.row_owner(rl);
-                    for &(bi, bj, sign) in terms {
-                        let r = bi * q + rl;
-                        if r >= d || bj * q >= d {
-                            continue;
-                        }
-                        let v = global.row_owner(r);
-                        for c in bj * q..((bj + 1) * q).min(d) {
-                            let value = if v == o {
-                                matrix.entry(r, c)
-                            } else {
-                                readers
-                                    .get_mut(&o)
-                                    .expect("owner readers built above")
-                                    .get_mut(&v)
-                                    .expect("missing fast-matmul input packet")
-                                    .read_bits(raw_width)
-                                    .expect("malformed fast-matmul input record")
-                            };
-                            acc[rl * q + (c - bj * q)] += sign * value as i64;
-                        }
-                    }
+        // The leaf-row owners fold the signed combinations in their leaf's
+        // arithmetic (XOR over F₂, wrapping ℤ for counting), and each group
+        // cuts its combined operands for its cube exchange.
+        let mut cubes = Vec::with_capacity(leaves.len());
+        for (t, (rows, leaf)) in gathers.iter().zip(&leaves).enumerate() {
+            let mut operands =
+                [(); 2].map(|_| SemiringMatrix::identity_filled(self.semiring, q, q));
+            for &(s, rl, block, sign, v, o) in rows {
+                let add = codecs[t].arith.add(sign);
+                if v == o {
+                    operands[s].fold_row(rl, 0, block, rl, block.cols(), add);
+                } else {
+                    let mut segment = block.zeros_like(1, block.cols());
+                    let reader = inbox[o]
+                        .get_mut(&v)
+                        .ok_or_else(|| malformed(v, PRECOMBINE_PHASE))?;
+                    raw.decode_row(reader, &mut segment, 0, raw.a, v, PRECOMBINE_PHASE)?;
+                    operands[s].fold_row(rl, 0, &segment, 0, block.cols(), add);
                 }
             }
-            leaf_ops.push(match self.semiring {
-                Semiring::F2 => {
-                    let to_bits = |acc: &[i64]| {
-                        let mut m = BitMatrix::zeros(q, q);
-                        for r in 0..q {
-                            for c in 0..q {
-                                m.set(r, c, acc[r * q + c] & 1 == 1);
-                            }
-                        }
-                        m
-                    };
-                    LeafOperands::Bits(to_bits(&acc_a), to_bits(&acc_b))
-                }
-                _ => {
-                    let to_ints = |acc: &[i64]| {
-                        let mut m = IntMatrix::zeros(q, q);
-                        for r in 0..q {
-                            for c in 0..q {
-                                m.set(r, c, acc[r * q + c] as u64);
-                            }
-                        }
-                        m
-                    };
-                    LeafOperands::Ints(to_ints(&acc_a), to_ints(&acc_b))
-                }
-            });
+            let (gs, operands) = (group_start(t), operands.each_ref());
+            cubes.push(CubeExchange::new(
+                gs,
+                leaf_parts[t],
+                codecs[t],
+                operands,
+                &leaf.c_terms,
+            ));
         }
 
-        // Phase 2 (leaf products): each group runs the cubic 3D exchange on
-        // its combined operands — the same canonical layout SemiringMatMul
-        // uses, offset into the group and with signed entry widths.
-        let mut demand = RoutingDemand::new(n);
-        for (t, _) in leaves.iter().enumerate() {
-            let (gs, lp) = (group_start(t), &leaf_parts[t]);
-            let (wire_a, wire_b, _) = &wires[t];
-            for i in 0..lp.g {
-                for j in 0..lp.g {
-                    for k in 0..lp.g {
-                        let w = gs + lp.cube_node(i, j, k);
-                        let mut payloads: BTreeMap<usize, BitString> = BTreeMap::new();
-                        for (side, row_block, col_block) in [(0, i, k), (1, k, j)] {
-                            for r in lp.block(row_block) {
-                                let v = gs + lp.row_owner(r);
-                                if v == w {
-                                    continue;
-                                }
-                                let buf = payloads.entry(v).or_default();
-                                for c in lp.block(col_block) {
-                                    match &leaf_ops[t] {
-                                        LeafOperands::Bits(am, bm) => {
-                                            let m = if side == 0 { am } else { bm };
-                                            buf.push_bits(u64::from(m.get(r, c)), 1);
-                                        }
-                                        LeafOperands::Ints(am, bm) => {
-                                            let (m, wire) = if side == 0 {
-                                                (am, wire_a)
-                                            } else {
-                                                (bm, wire_b)
-                                            };
-                                            wire.encode(m.get(r, c) as i64, buf);
-                                        }
-                                    }
-                                }
-                            }
-                        }
-                        for (v, payload) in payloads {
-                            chunk2.send(&mut demand, v, w, &payload);
-                        }
-                    }
-                }
-            }
-        }
-        let delivered = BalancedRouter.route(&demand, session)?;
-        let merged: Vec<HashMap<usize, BitString>> =
-            delivered.iter().map(|p| chunk2.merge(p)).collect();
-
-        // Cube nodes reassemble their blocks and multiply with the packed
-        // (F₂) or wrapping-exact (counting) leaf kernel.
-        let mut partials: Vec<Vec<LeafPartial>> = Vec::with_capacity(leaves.len());
-        for (t, _) in leaves.iter().enumerate() {
-            let (gs, lp) = (group_start(t), &leaf_parts[t]);
-            let (wire_a, wire_b, _) = &wires[t];
-            let mut cubes = Vec::with_capacity(lp.g * lp.g * lp.g);
-            for i in 0..lp.g {
-                for j in 0..lp.g {
-                    for k in 0..lp.g {
-                        let w = gs + lp.cube_node(i, j, k);
-                        let mut readers = readers_by_merged(&merged[w]);
-                        let mut fill = |row_block: usize, col_block: usize, side: usize| {
-                            let (rows, cols) = (lp.block(row_block), lp.block(col_block));
-                            let mut bits = BitMatrix::zeros(rows.len(), cols.len());
-                            let mut ints = IntMatrix::zeros(rows.len(), cols.len());
-                            for (br, r) in rows.clone().enumerate() {
-                                let v = gs + lp.row_owner(r);
-                                for (bc, c) in cols.clone().enumerate() {
-                                    match (&leaf_ops[t], v == w) {
-                                        (LeafOperands::Bits(am, bm), true) => {
-                                            let m = if side == 0 { am } else { bm };
-                                            bits.set(br, bc, m.get(r, c));
-                                        }
-                                        (LeafOperands::Ints(am, bm), true) => {
-                                            let m = if side == 0 { am } else { bm };
-                                            ints.set(br, bc, m.get(r, c));
-                                        }
-                                        (LeafOperands::Bits(..), false) => {
-                                            let reader = readers
-                                                .get_mut(&v)
-                                                .expect("missing fast-matmul block packet");
-                                            let bit = reader
-                                                .read_bits(1)
-                                                .expect("malformed fast-matmul block record");
-                                            bits.set(br, bc, bit == 1);
-                                        }
-                                        (LeafOperands::Ints(..), false) => {
-                                            let wire = if side == 0 { wire_a } else { wire_b };
-                                            let reader = readers
-                                                .get_mut(&v)
-                                                .expect("missing fast-matmul block packet");
-                                            ints.set(br, bc, wire.decode(reader) as u64);
-                                        }
-                                    }
-                                }
-                            }
-                            (bits, ints)
-                        };
-                        let (a_bits, a_ints) = fill(i, k, 0);
-                        let (b_bits, b_ints) = fill(k, j, 1);
-                        cubes.push(match self.semiring {
-                            Semiring::F2 => LeafPartial::Bits(a_bits.mul_f2(&b_bits)),
-                            _ => LeafPartial::Ints(a_ints.mul_wrapping(&b_ints)),
-                        });
-                    }
-                }
-            }
-            partials.push(cubes);
-        }
-
-        // Phase 3 (recombine): signed partials → output row owners. Each
-        // cube's partial feeds every output block in its leaf's c_terms;
-        // the receivers fold contributions in the same canonical
-        // (leaf, cube, term, row, column) order the senders used. The i64
-        // (counting) and XOR (F₂) folds are order-independent, unlike the
-        // cubic path's saturating fold — exactness is the precondition.
-        let mut acc_out = vec![0i64; d * d];
-        let mut bits_out = BitMatrix::zeros(d, d);
-        let fold = |semiring: Semiring,
-                    acc_out: &mut Vec<i64>,
-                    bits_out: &mut BitMatrix,
-                    r: usize,
-                    c: usize,
-                    sign: i64,
-                    value: i64| {
-            match semiring {
-                Semiring::F2 => {
-                    if value & 1 == 1 {
-                        let cur = bits_out.get(r, c);
-                        bits_out.set(r, c, !cur);
-                    }
-                }
-                _ => acc_out[r * d + c] += sign * value,
-            }
-        };
-        let mut demand = RoutingDemand::new(n);
-        for (t, leaf) in leaves.iter().enumerate() {
-            let (gs, lp) = (group_start(t), &leaf_parts[t]);
-            let (_, _, wire_p) = &wires[t];
-            let mut cube_iter = partials[t].iter();
-            for i in 0..lp.g {
-                for j in 0..lp.g {
-                    for k in 0..lp.g {
-                        let w = gs + lp.cube_node(i, j, k);
-                        let partial = cube_iter.next().expect("one partial per cube");
-                        let mut payloads: BTreeMap<usize, BitString> = BTreeMap::new();
-                        for &(ci, cj, sign) in &leaf.c_terms {
-                            if cj * q >= d {
-                                continue;
-                            }
-                            for (pi, rl) in lp.block(i).enumerate() {
-                                let out_r = ci * q + rl;
-                                if out_r >= d {
-                                    continue;
-                                }
-                                let v = global.row_owner(out_r);
-                                for (pj, cl) in lp.block(j).enumerate() {
-                                    let out_c = cj * q + cl;
-                                    if out_c >= d {
-                                        continue;
-                                    }
-                                    let value = match partial {
-                                        LeafPartial::Bits(m) => i64::from(m.get(pi, pj)),
-                                        LeafPartial::Ints(m) => m.get(pi, pj) as i64,
-                                    };
-                                    if v == w {
-                                        fold(
-                                            self.semiring,
-                                            &mut acc_out,
-                                            &mut bits_out,
-                                            out_r,
-                                            out_c,
-                                            sign,
-                                            value,
-                                        );
-                                    } else {
-                                        let buf = payloads.entry(v).or_default();
-                                        match self.semiring {
-                                            Semiring::F2 => buf.push_bits(value as u64, 1),
-                                            _ => wire_p.encode(value, buf),
-                                        }
-                                    }
-                                }
-                            }
-                        }
-                        for (v, payload) in payloads {
-                            chunk3.send(&mut demand, w, v, &payload);
-                        }
-                    }
-                }
-            }
-        }
-        let delivered = BalancedRouter.route(&demand, session)?;
-        let merged: Vec<HashMap<usize, BitString>> =
-            delivered.iter().map(|p| chunk3.merge(p)).collect();
-
-        for (v, merged_sources) in merged.iter().enumerate() {
-            let mut readers = readers_by_merged(merged_sources);
-            for (t, leaf) in leaves.iter().enumerate() {
-                let (gs, lp) = (group_start(t), &leaf_parts[t]);
-                let (_, _, wire_p) = &wires[t];
-                for i in 0..lp.g {
-                    for j in 0..lp.g {
-                        for k in 0..lp.g {
-                            let w = gs + lp.cube_node(i, j, k);
-                            if w == v {
-                                continue; // folded locally above
-                            }
-                            for &(ci, cj, sign) in &leaf.c_terms {
-                                if cj * q >= d {
-                                    continue;
-                                }
-                                for rl in lp.block(i) {
-                                    let out_r = ci * q + rl;
-                                    if out_r >= d || global.row_owner(out_r) != v {
-                                        continue;
-                                    }
-                                    for cl in lp.block(j) {
-                                        let out_c = cj * q + cl;
-                                        if out_c >= d {
-                                            continue;
-                                        }
-                                        let reader = readers
-                                            .get_mut(&w)
-                                            .expect("missing fast-matmul partial packet");
-                                        let value = match self.semiring {
-                                            Semiring::F2 => reader
-                                                .read_bits(1)
-                                                .expect("malformed fast-matmul partial record")
-                                                as i64,
-                                            _ => wire_p.decode(reader),
-                                        };
-                                        fold(
-                                            self.semiring,
-                                            &mut acc_out,
-                                            &mut bits_out,
-                                            out_r,
-                                            out_c,
-                                            sign,
-                                            value,
-                                        );
-                                    }
-                                }
-                            }
-                        }
-                    }
-                }
-            }
-        }
-
-        Ok(match self.semiring {
-            Semiring::F2 => SemiringMatrix::Bits(bits_out),
-            _ => {
-                let mut out = IntMatrix::zeros(d, d);
-                for r in 0..d {
-                    for c in 0..d {
-                        let value = acc_out[r * d + c];
-                        debug_assert!(value >= 0, "the signed fold recovers the exact product");
-                        out.set(r, c, value as u64);
-                    }
-                }
-                SemiringMatrix::Ints(out)
-            }
-        })
+        // Phases 2–3: every group's cube exchange, in one demand per
+        // phase. The XOR (F₂) and wrapping (counting) folds are
+        // order-independent, unlike the cubic path's saturating fold —
+        // exactness is the headroom precondition.
+        let links = [bound2, bound3].map(|bound| Link::Chunked(Chunker::new(bound)));
+        let mut output = SemiringMatrix::identity_filled(self.semiring, d, d);
+        exchange_cubes(session, &cubes, links, &mut output)?;
+        debug_assert!(
+            output
+                .as_ints()
+                .is_none_or(|m| (0..d).all(|r| m.row(r).iter().all(|&v| v as i64 >= 0))),
+            "the signed fold recovers the exact product"
+        );
+        Ok(output)
     }
 }
 
@@ -1687,25 +1575,6 @@ impl<'a> SparseMatMul<'a> {
         let _ = SemiringMatMul::new(a, b, semiring);
         Self { a, b, semiring }
     }
-
-    /// The additive identity ("zero") entries of this semiring never
-    /// communicated by the sparse path.
-    fn identity(semiring: Semiring) -> u64 {
-        match semiring {
-            Semiring::MinPlus => IntMatrix::INFINITY,
-            _ => 0,
-        }
-    }
-
-    /// The semiring product of two non-identity entries, matching the
-    /// dense kernels' clamping exactly.
-    fn multiply(semiring: Semiring, a: u64, b: u64) -> u64 {
-        match semiring {
-            Semiring::Boolean | Semiring::F2 => 1,
-            Semiring::Counting => a.saturating_mul(b),
-            Semiring::MinPlus => saturating_counting_add(a, b),
-        }
-    }
 }
 
 impl Protocol for SparseMatMul<'_> {
@@ -1719,7 +1588,7 @@ impl Protocol for SparseMatMul<'_> {
             return Ok(SemiringMatrix::identity_filled(self.semiring, 0, 0));
         }
         let part = Partition::new(n, d);
-        let identity = Self::identity(self.semiring);
+        let identity = self.semiring.identity();
         let codec = EntryCodec::new(self.semiring, self.a, self.b, d);
         // Rows owned per player form a contiguous range (row_owner is a
         // monotone floor map), so local row indices are offsets from the
@@ -1763,7 +1632,7 @@ impl Protocol for SparseMatMul<'_> {
             for (kl, rl, value) in entries {
                 payload.push_bits(kl as u64, idx_width(owned[w].len()));
                 payload.push_bits(rl as u64, idx_width(owned[v].len()));
-                codec.encode(&[value], codec.input_bits, &mut payload);
+                codec.encode(&[value], codec.a, &mut payload);
             }
             demand.send(v, w, payload);
         }
@@ -1786,9 +1655,9 @@ impl Protocol for SparseMatMul<'_> {
                     }
                 }
             }
-            let mut readers = readers_by_source(&delivered[w]);
+            let mut inbox = readers(&delivered[w]);
             for v in 0..n {
-                let Some(reader) = readers.get_mut(&v) else {
+                let Some(reader) = inbox.get_mut(&v) else {
                     continue; // no nonzeros from v (empty payloads unsent)
                 };
                 let bound = (owned[v].len() * owned[w].len()) as u64;
@@ -1802,7 +1671,7 @@ impl Protocol for SparseMatMul<'_> {
                     let kl = field(reader, idx_width(owned[w].len()))? as usize;
                     let rl = field(reader, idx_width(owned[v].len()))? as usize;
                     let mut value = [0];
-                    codec.decode(reader, codec.input_bits, &mut value, v, SPARSE_INPUT_PHASE)?;
+                    codec.decode(reader, codec.a, &mut value, v, SPARSE_INPUT_PHASE)?;
                     columns
                         .entry(owned[w].start + kl)
                         .or_default()
@@ -1817,7 +1686,7 @@ impl Protocol for SparseMatMul<'_> {
                         continue;
                     }
                     for &(r, a_value) in &col {
-                        let product = Self::multiply(self.semiring, a_value, b_value);
+                        let product = self.semiring.multiply(a_value, b_value);
                         let slot = partials.entry((r, c)).or_insert(identity);
                         *slot = self.semiring.combine(*slot, product);
                     }
@@ -1853,7 +1722,7 @@ impl Protocol for SparseMatMul<'_> {
                 for (rl, c, value) in entries {
                     payload.push_bits(rl as u64, idx_width(owned[v].len()));
                     payload.push_bits(c as u64, idx_width(d));
-                    codec.encode(&[value], codec.partial_bits, &mut payload);
+                    codec.encode(&[value], codec.partial, &mut payload);
                 }
                 demand.send(w, v, payload);
             }
@@ -1861,9 +1730,9 @@ impl Protocol for SparseMatMul<'_> {
         let delivered = BalancedRouter.route(&demand, session)?;
 
         for (v, packets) in delivered.iter().enumerate() {
-            let mut readers = readers_by_source(packets);
+            let mut inbox = readers(packets);
             for w in 0..n {
-                let Some(reader) = readers.get_mut(&w) else {
+                let Some(reader) = inbox.get_mut(&w) else {
                     continue;
                 };
                 let bound = (owned[v].len() * d) as u64;
@@ -1877,13 +1746,7 @@ impl Protocol for SparseMatMul<'_> {
                     let rl = field(reader, idx_width(owned[v].len()))? as usize;
                     let c = field(reader, idx_width(d))? as usize;
                     let mut value = [0];
-                    codec.decode(
-                        reader,
-                        codec.partial_bits,
-                        &mut value,
-                        w,
-                        SPARSE_PARTIAL_PHASE,
-                    )?;
+                    codec.decode(reader, codec.partial, &mut value, w, SPARSE_PARTIAL_PHASE)?;
                     output.combine_entry(self.semiring, owned[v].start + rl, c, value[0]);
                 }
             }
@@ -1983,7 +1846,7 @@ impl MatMulSchedule {
     ) -> MatMulSchedule {
         match self {
             MatMulSchedule::Auto => {
-                let d = a.rows();
+                let (d, levels) = (a.rows(), FastMatMul::levels_for(n, a.rows()));
                 let total = 2 * d * d;
                 let nnz = a.nnz(semiring) + b.nnz(semiring);
                 if total > 0 && nnz * 8 <= total * SPARSE_DENSITY_EIGHTHS {
@@ -1991,14 +1854,9 @@ impl MatMulSchedule {
                 } else if matches!(semiring, Semiring::F2 | Semiring::Counting)
                     && n >= STRASSEN_MIN_PLAYERS
                     && d >= STRASSEN_MIN_ASPECT * n
-                    && FastMatMul::levels_for(n, d) >= 1
+                    && levels >= 1
                     && (semiring != Semiring::Counting
-                        || counting_headroom_ok(
-                            a.max_finite(),
-                            b.max_finite(),
-                            d,
-                            FastMatMul::levels_for(n, d),
-                        ))
+                        || counting_headroom_ok(a.max_finite(), b.max_finite(), d, levels))
                 {
                     MatMulSchedule::Strassen
                 } else {
@@ -2067,28 +1925,6 @@ impl Protocol for ScheduledMatMul<'_> {
     }
 }
 
-/// Runs [`ScheduledMatMul`] on `CLIQUE-UCAST(d, b)`.
-///
-/// # Errors
-///
-/// Propagates simulator errors (which cannot occur for well-formed inputs).
-///
-/// # Panics
-///
-/// Panics on empty operands or any schedule precondition violation.
-pub fn scheduled_matmul(
-    a: &SemiringMatrix,
-    b: &SemiringMatrix,
-    semiring: Semiring,
-    schedule: MatMulSchedule,
-    bandwidth: usize,
-) -> Result<RunOutcome<SemiringMatrix>, SimError> {
-    let n = a.rows();
-    assert!(n > 0, "the operands must have at least one row");
-    Runner::new(CliqueConfig::unicast(n, bandwidth))
-        .execute(&mut ScheduledMatMul::new(a, b, semiring, schedule))
-}
-
 /// Exact triangle counting as a [`Protocol`]: `trace(A³)/6` through one
 /// counting-semiring [`SemiringMatMul`] plus one fixed-width broadcast per
 /// player.
@@ -2132,26 +1968,20 @@ impl Protocol for TriangleCount<'_> {
         ))?;
         let m = product.as_ints().expect("counting products are integers");
 
-        // Player v's closed-3-walk count t_v ≤ n² fits in the fixed width
-        // every player derives from n.
+        // Player v holds row v of both matrices. Its closed-3-walk count
+        // t_v ≤ n² fits in the fixed width every player derives from n.
         let width = bits_for_universe((n as u64).saturating_mul(n as u64).saturating_add(1)).max(1);
-        let part = Partition::new(n, n);
-        let mut outs: Vec<PhaseOutbox> = (0..n).map(|_| PhaseOutbox::new()).collect();
-        let mut locals = vec![0u64; n];
-        for r in 0..n {
-            let v = part.row_owner(r);
-            let walks: u64 = m
-                .row(r)
-                .iter()
-                .zip(adjacency.row(r))
-                .map(|(&paths, &edge)| paths * edge)
-                .sum();
-            locals[v] += walks;
-        }
-        for (v, out) in outs.iter_mut().enumerate() {
-            out.broadcast(BitString::from_bits(locals[v], width));
-        }
-        let inboxes = session.exchange(COUNT_PHASE, outs)?;
+        let locals: Vec<u64> = (0..n)
+            .map(|v| {
+                let walks = m.row(v).iter().zip(adjacency.row(v));
+                walks.map(|(&paths, &edge)| paths * edge).sum()
+            })
+            .collect();
+        let messages: Vec<BitString> = locals
+            .iter()
+            .map(|&walks| BitString::from_bits(walks, width))
+            .collect();
+        let inboxes = session.broadcast_all(COUNT_PHASE, &messages)?;
 
         // Everyone sums the announced counts; trace(A³) = 6·#triangles.
         let mut total = locals[0];
@@ -2183,27 +2013,6 @@ pub fn count_triangles(graph: &Graph, bandwidth: usize) -> Result<RunOutcome<u64
     let n = graph.vertex_count();
     assert!(n > 0, "the input graph must have at least one node");
     Runner::new(CliqueConfig::unicast(n, bandwidth)).execute(&mut TriangleCount::new(graph))
-}
-
-/// Runs [`TriangleCount`] in `CLIQUE-UCAST(n, b)` with an explicit matmul
-/// schedule for the inner counting product.
-///
-/// # Errors
-///
-/// Propagates simulator errors (which cannot occur for well-formed inputs).
-///
-/// # Panics
-///
-/// Panics if the graph is empty or a forced schedule's preconditions fail.
-pub fn count_triangles_scheduled(
-    graph: &Graph,
-    bandwidth: usize,
-    schedule: MatMulSchedule,
-) -> Result<RunOutcome<u64>, SimError> {
-    let n = graph.vertex_count();
-    assert!(n > 0, "the input graph must have at least one node");
-    Runner::new(CliqueConfig::unicast(n, bandwidth))
-        .execute(&mut TriangleCount::with_schedule(graph, schedule))
 }
 
 /// All-pairs shortest paths on an unweighted graph as a [`Protocol`]:
@@ -2264,7 +2073,6 @@ impl Protocol for ApspProtocol<'_> {
         if n <= 1 {
             return Ok(distances);
         }
-        let part = Partition::new(n, n);
         let squarings = (usize::BITS - (n - 1).leading_zeros()) as usize;
         for _ in 0..squarings {
             let operand = SemiringMatrix::Ints(distances);
@@ -2280,19 +2088,14 @@ impl Protocol for ApspProtocol<'_> {
                 .clone();
             let previous = operand.as_ints().expect("operand is integers");
 
-            // Early-exit vote: player v announces whether any of its rows
-            // changed; everyone stops after a unanimous "no".
-            let mut changed = vec![false; n];
-            for r in 0..n {
-                if squared.row(r) != previous.row(r) {
-                    changed[part.row_owner(r)] = true;
-                }
-            }
-            let mut outs: Vec<PhaseOutbox> = (0..n).map(|_| PhaseOutbox::new()).collect();
-            for (v, out) in outs.iter_mut().enumerate() {
-                out.broadcast(BitString::from_bits(u64::from(changed[v]), 1));
-            }
-            session.exchange("announce distance-change flags", outs)?;
+            // Early-exit vote: player v announces whether its row changed;
+            // everyone stops after a unanimous "no".
+            let changed: Vec<bool> = (0..n).map(|v| squared.row(v) != previous.row(v)).collect();
+            let votes: Vec<BitString> = changed
+                .iter()
+                .map(|&c| BitString::from_bits(u64::from(c), 1))
+                .collect();
+            session.broadcast_all("announce distance-change flags", &votes)?;
             distances = squared;
             if !changed.iter().any(|&c| c) {
                 break;
@@ -2315,28 +2118,6 @@ pub fn compute_apsp(graph: &Graph, bandwidth: usize) -> Result<RunOutcome<IntMat
     let n = graph.vertex_count();
     assert!(n > 0, "the input graph must have at least one node");
     Runner::new(CliqueConfig::unicast(n, bandwidth)).execute(&mut ApspProtocol::new(graph))
-}
-
-/// Runs [`ApspProtocol`] in `CLIQUE-UCAST(n, b)` with an explicit matmul
-/// schedule for the `(min, +)` squarings.
-///
-/// # Errors
-///
-/// Propagates simulator errors (which cannot occur for well-formed inputs).
-///
-/// # Panics
-///
-/// Panics if the graph is empty or a forced schedule's preconditions fail
-/// (in particular `Strassen`, which `(min, +)` does not support).
-pub fn compute_apsp_scheduled(
-    graph: &Graph,
-    bandwidth: usize,
-    schedule: MatMulSchedule,
-) -> Result<RunOutcome<IntMatrix>, SimError> {
-    let n = graph.vertex_count();
-    assert!(n > 0, "the input graph must have at least one node");
-    Runner::new(CliqueConfig::unicast(n, bandwidth))
-        .execute(&mut ApspProtocol::with_schedule(graph, schedule))
 }
 
 #[cfg(test)]
@@ -2372,73 +2153,11 @@ mod tests {
     }
 
     #[test]
-    fn boolean_product_matches_local_kernel_across_sizes() {
-        // d = 100 (g = 4) folds 25-column partials into lane offsets 25,
-        // 50 and 75, spilling across a lane boundary.
-        for (d, seed) in [(1usize, 1u64), (3, 2), (8, 3), (17, 4), (27, 5), (100, 6)] {
-            let a = SemiringMatrix::Bits(random_bitmatrix(d, seed));
-            let b = SemiringMatrix::Bits(random_bitmatrix(d, seed + 100));
-            let outcome = semiring_matmul(&a, &b, Semiring::Boolean, 4).unwrap();
-            let expected = a.as_bits().unwrap().mul_bool(b.as_bits().unwrap());
-            assert_eq!(outcome.as_bits().unwrap(), &expected, "d = {d}");
-        }
-    }
-
-    #[test]
-    fn counting_product_matches_local_kernel() {
-        for (d, max, seed) in [(1usize, 1u64, 11u64), (6, 1, 12), (13, 7, 13), (27, 3, 14)] {
-            let a = SemiringMatrix::Ints(random_intmatrix(d, max, false, seed));
-            let b = SemiringMatrix::Ints(random_intmatrix(d, max, false, seed + 100));
-            let outcome = semiring_matmul(&a, &b, Semiring::Counting, 4).unwrap();
-            let expected = a.as_ints().unwrap().mul_counting(b.as_ints().unwrap());
-            assert_eq!(outcome.as_ints().unwrap(), &expected, "d = {d}");
-        }
-    }
-
-    #[test]
-    fn min_plus_product_matches_local_kernel_with_infinities() {
-        for (d, max, seed) in [(2usize, 5u64, 21u64), (9, 9, 22), (27, 4, 23)] {
-            let a = SemiringMatrix::Ints(random_intmatrix(d, max, true, seed));
-            let b = SemiringMatrix::Ints(random_intmatrix(d, max, true, seed + 100));
-            let outcome = semiring_matmul(&a, &b, Semiring::MinPlus, 4).unwrap();
-            let expected = a.as_ints().unwrap().mul_min_plus(b.as_ints().unwrap());
-            assert_eq!(outcome.as_ints().unwrap(), &expected, "d = {d}");
-        }
-    }
-
-    #[test]
-    fn tiny_matrices_on_large_sessions_have_empty_blocks() {
-        // d < g = ⌊n^{1/3}⌋ makes some row/column blocks empty; the empty
-        // segments are never routed, and the decode side must not expect
-        // packets for them.
-        for d in [1usize, 2] {
-            for (semiring, operand) in [
-                (
-                    Semiring::Boolean,
-                    SemiringMatrix::Bits(random_bitmatrix(d, 71)),
-                ),
-                (
-                    Semiring::Counting,
-                    SemiringMatrix::Ints(random_intmatrix(d, 3, false, 72)),
-                ),
-                (
-                    Semiring::MinPlus,
-                    SemiringMatrix::Ints(random_intmatrix(d, 3, true, 73)),
-                ),
-            ] {
-                let outcome = Runner::new(CliqueConfig::unicast(27, 4))
-                    .execute(&mut SemiringMatMul::new(&operand, &operand, semiring))
-                    .unwrap();
-                let expected = operand.product(&operand, semiring);
-                assert_eq!(*outcome, expected, "{} d = {d} on n = 27", semiring.name());
-            }
-        }
-    }
-
-    #[test]
     fn truncated_segments_are_typed_errors() {
         // A (min, +) integer row (3-bit fields, INFINITY as the all-ones
-        // sentinel), a one-bit counting row (packed) and a Boolean row.
+        // sentinel), a one-bit counting row (packed), a Boolean row and a
+        // signed counting row (4-bit fields offset by 6, negative entries
+        // wrapped).
         let square = |row: Vec<u64>| {
             let mut m = IntMatrix::zeros(7, 7);
             m.row_mut(2).copy_from_slice(&row);
@@ -2447,34 +2166,37 @@ mod tests {
         let ints = square(vec![0, 3, IntMatrix::INFINITY, 5, 1, 4, 2]);
         let ones = square(vec![1, 0, 1, 1, 0, 0, 1]);
         let bits = SemiringMatrix::Bits(ones.as_ints().unwrap().to_bitmatrix());
+        let signed = square([0i64, 3, -5, 6, -6, 1, -1].map(|v| v as u64).to_vec());
         // One player: a single 7 × 7 block, of which row 2 travels.
         let part = Partition::new(1, 7);
-        for (semiring, operand) in [
-            (Semiring::MinPlus, &ints),
-            (Semiring::Counting, &ones),
-            (Semiring::Boolean, &bits),
+        for (codec, operand, packed) in [
+            (
+                EntryCodec::new(Semiring::MinPlus, &ints, &ints, 7),
+                &ints,
+                false,
+            ),
+            (
+                EntryCodec::new(Semiring::Counting, &ones, &ones, 7),
+                &ones,
+                true,
+            ),
+            (
+                EntryCodec::new(Semiring::Boolean, &bits, &bits, 7),
+                &bits,
+                true,
+            ),
+            (EntryCodec::signed(6, 6, 0), &signed, false),
         ] {
-            let codec = EntryCodec::new(semiring, operand, operand, 7);
             let block = &codec.operand_blocks(operand, &part)[0];
-            assert_eq!(
-                matches!(block, SemiringMatrix::Bits(_)),
-                semiring != Semiring::MinPlus
-            );
+            assert_eq!(matches!(block, SemiringMatrix::Bits(_)), packed);
             let mut wire = BitString::new();
-            codec.encode_row(block, 2, codec.input_bits, &mut wire);
-            assert_eq!(wire.len(), 7 * codec.input_bits);
-            let mut decoded = block.zeros_like();
+            codec.encode_row(block, 2, 7, codec.a, &mut wire);
+            assert_eq!(wire.len(), 7 * codec.a.width);
+            let mut decoded = block.zeros_like(7, 7);
             codec
-                .decode_row(
-                    &mut wire.reader(),
-                    &mut decoded,
-                    2,
-                    codec.input_bits,
-                    5,
-                    INPUT_PHASE,
-                )
+                .decode_row(&mut wire.reader(), &mut decoded, 2, codec.a, 5, INPUT_PHASE)
                 .unwrap();
-            assert_eq!(&decoded, block, "{} round trip", semiring.name());
+            assert_eq!(&decoded, block, "{:?} round trip", codec.arith);
             for cut in 0..wire.len() {
                 let prefix = BitString::from_words(wire.words(), cut);
                 assert_eq!(
@@ -2482,7 +2204,7 @@ mod tests {
                         &mut prefix.reader(),
                         &mut decoded,
                         2,
-                        codec.input_bits,
+                        codec.a,
                         5,
                         INPUT_PHASE
                     ),
@@ -2490,8 +2212,8 @@ mod tests {
                         sender: NodeId::new(5),
                         phase: INPUT_PHASE.into(),
                     }),
-                    "{} prefix of {cut} bits",
-                    semiring.name()
+                    "{:?} prefix of {cut} bits",
+                    codec.arith
                 );
             }
         }
@@ -2502,13 +2224,68 @@ mod tests {
         assert_eq!(
             codec.decode(
                 &mut empty.reader(),
-                codec.partial_bits,
+                codec.partial,
                 &mut value,
                 2,
                 PARTIAL_PHASE
             ),
             Err(malformed(2, PARTIAL_PHASE))
         );
+        // Chunks reassemble in tag order; a chunk too short to hold its
+        // 2-bit sequence tag is a typed error too.
+        let chunker = Chunker::new(4 * FAST_CHUNK_BITS);
+        let payload = BitString::from_bools(&[true, false, true].repeat(50));
+        let mut demand = RoutingDemand::new(4);
+        chunker.send(&mut demand, 3, 1, &payload);
+        let mut packets = demand.packets().to_vec();
+        packets.reverse();
+        let merged = chunker.merge(&packets, PARTIAL_PHASE).unwrap();
+        assert_eq!(
+            merged,
+            [Packet::new(NodeId::new(3), NodeId::new(1), payload)]
+        );
+        packets[1].payload = BitString::from_bits(1, 1);
+        assert_eq!(
+            chunker.merge(&packets, PARTIAL_PHASE),
+            Err(malformed(3, PARTIAL_PHASE))
+        );
+    }
+
+    #[test]
+    fn cubic_products_match_local_kernels() {
+        // d = 100 (g = 4) folds 25-column partials into lane offsets 25,
+        // 50 and 75, spilling across a lane boundary. On n = 27, d < g = 3
+        // makes some row/column blocks empty; the empty segments are never
+        // routed, and the decode side must not expect packets for them.
+        let bits = |d, seed| SemiringMatrix::Bits(random_bitmatrix(d, seed));
+        let ints = |d, max, inf, seed| SemiringMatrix::Ints(random_intmatrix(d, max, inf, seed));
+        let mut cases = Vec::new(); // (semiring, n, A, B)
+        for (d, seed) in [(1usize, 1u64), (3, 2), (8, 3), (17, 4), (27, 5), (100, 6)] {
+            cases.push((Semiring::Boolean, d, bits(d, seed), bits(d, seed + 100)));
+            cases.push((Semiring::F2, d, bits(d, seed + 40), bits(d, seed + 140)));
+        }
+        for (d, max, seed) in [(1usize, 1u64, 11u64), (6, 1, 12), (13, 7, 13), (27, 3, 14)] {
+            let (a, b) = (ints(d, max, false, seed), ints(d, max, false, seed + 100));
+            cases.push((Semiring::Counting, d, a, b));
+        }
+        for (d, max, seed) in [(2usize, 5u64, 21u64), (9, 9, 22), (27, 4, 23)] {
+            let (a, b) = (ints(d, max, true, seed), ints(d, max, true, seed + 100));
+            cases.push((Semiring::MinPlus, d, a, b));
+        }
+        for d in [1usize, 2] {
+            let (b, c, m) = (bits(d, 71), ints(d, 3, false, 72), ints(d, 3, true, 73));
+            cases.push((Semiring::Boolean, 27, b.clone(), b));
+            cases.push((Semiring::Counting, 27, c.clone(), c));
+            cases.push((Semiring::MinPlus, 27, m.clone(), m));
+        }
+        for (semiring, n, a, b) in cases {
+            let outcome = Runner::new(CliqueConfig::unicast(n, 4))
+                .execute(&mut SemiringMatMul::new(&a, &b, semiring))
+                .unwrap();
+            let expected = Arith::Semiring(semiring).product(&a, &b);
+            let d = a.rows();
+            assert_eq!(*outcome, expected, "{} d = {d} on n = {n}", semiring.name());
+        }
     }
 
     #[test]
@@ -2525,72 +2302,6 @@ mod tests {
             fast.rounds(),
             slow.rounds()
         );
-    }
-
-    #[test]
-    fn triangle_count_matches_the_oracle() {
-        let mut rng = ChaCha8Rng::seed_from_u64(0x713);
-        for (n, p) in [(4usize, 0.9f64), (9, 0.4), (16, 0.25), (27, 0.3)] {
-            let g = generators::erdos_renyi(n, p, &mut rng);
-            let outcome = count_triangles(&g, 4).unwrap();
-            assert_eq!(*outcome, iso::triangle_count(&g), "n = {n}, p = {p}");
-        }
-    }
-
-    #[test]
-    fn triangle_count_on_degenerate_graphs() {
-        assert_eq!(*count_triangles(&Graph::empty(1), 2).unwrap(), 0);
-        assert_eq!(*count_triangles(&generators::complete(3), 2).unwrap(), 1);
-        assert_eq!(*count_triangles(&generators::complete(6), 2).unwrap(), 20);
-        let bip = generators::complete_bipartite(5, 5);
-        assert_eq!(*count_triangles(&bip, 2).unwrap(), 0);
-    }
-
-    #[test]
-    fn apsp_matches_bfs_distances() {
-        let mut rng = ChaCha8Rng::seed_from_u64(0xA5B);
-        for (n, p) in [(5usize, 0.5f64), (12, 0.2), (20, 0.12)] {
-            let g = generators::erdos_renyi(n, p, &mut rng);
-            let outcome = compute_apsp(&g, 4).unwrap();
-            assert_eq!(*outcome, iso::bfs_distances(&g), "n = {n}, p = {p}");
-        }
-        // A path graph exercises the full ⌈log₂(n−1)⌉ squaring schedule.
-        let path = generators::path(17);
-        let outcome = compute_apsp(&path, 4).unwrap();
-        assert_eq!(*outcome, iso::bfs_distances(&path));
-        assert_eq!(outcome.get(0, 16), 16);
-    }
-
-    #[test]
-    fn apsp_early_exit_saves_rounds_on_small_diameter() {
-        // Diameter 2 converges after the first vote; a long path needs the
-        // full schedule.
-        let star = generators::complete_bipartite(1, 16);
-        let path = generators::path(17);
-        let star_rounds = compute_apsp(&star, 4).unwrap().rounds();
-        let path_rounds = compute_apsp(&path, 4).unwrap().rounds();
-        assert!(
-            star_rounds < path_rounds,
-            "star {star_rounds} vs path {path_rounds}"
-        );
-    }
-
-    #[test]
-    fn f2_product_matches_local_kernel_across_sizes() {
-        for (d, seed) in [
-            (1usize, 41u64),
-            (3, 42),
-            (8, 43),
-            (17, 44),
-            (27, 45),
-            (100, 46),
-        ] {
-            let a = SemiringMatrix::Bits(random_bitmatrix(d, seed));
-            let b = SemiringMatrix::Bits(random_bitmatrix(d, seed + 100));
-            let outcome = semiring_matmul(&a, &b, Semiring::F2, 4).unwrap();
-            let expected = a.as_bits().unwrap().mul_f2(b.as_bits().unwrap());
-            assert_eq!(outcome.as_bits().unwrap(), &expected, "d = {d}");
-        }
     }
 
     #[test]
@@ -2647,45 +2358,39 @@ mod tests {
     }
 
     #[test]
-    fn fast_f2_product_matches_cubic_and_local_kernels() {
+    fn fast_products_match_cubic_and_local_kernels() {
         // Non-powers of two exercise the shared padding seam; the depth is
         // forced so small cliques still run the strassen phases.
+        let mut cases = Vec::new(); // (semiring, levels, A, B)
         for (d, levels, seed) in [
-            (8usize, 1u32, 51u64),
+            (8, 1, 51),
             (13, 1, 52),
             (27, 1, 53),
             (49, 2, 54),
             (56, 2, 55),
         ] {
-            let a = SemiringMatrix::Bits(random_bitmatrix(d, seed));
-            let b = SemiringMatrix::Bits(random_bitmatrix(d, seed + 100));
-            let outcome = Runner::new(CliqueConfig::unicast(d, 4))
-                .execute(&mut FastMatMul::new(&a, &b, Semiring::F2).with_levels(levels))
-                .unwrap();
-            let cubic = semiring_matmul(&a, &b, Semiring::F2, 4).unwrap();
-            let local = a.as_bits().unwrap().mul_f2(b.as_bits().unwrap());
-            assert_eq!(outcome.as_bits().unwrap(), &local, "d = {d} local");
-            assert_eq!(*outcome, *cubic, "d = {d} cubic");
+            let [a, b] = [seed, seed + 100].map(|s| SemiringMatrix::Bits(random_bitmatrix(d, s)));
+            cases.push((Semiring::F2, levels, a, b));
         }
-    }
-
-    #[test]
-    fn fast_counting_product_matches_cubic_and_local_kernels() {
         for (d, max, levels, seed) in [
-            (9usize, 3u64, 1u32, 61u64),
+            (9, 3, 1, 61),
             (16, 7, 1, 62),
             (27, 1, 1, 63),
             (50, 5, 2, 64),
         ] {
-            let a = SemiringMatrix::Ints(random_intmatrix(d, max, false, seed));
-            let b = SemiringMatrix::Ints(random_intmatrix(d, max, false, seed + 100));
+            let [a, b] = [seed, seed + 100]
+                .map(|s| SemiringMatrix::Ints(random_intmatrix(d, max, false, s)));
+            cases.push((Semiring::Counting, levels, a, b));
+        }
+        for (semiring, levels, a, b) in cases {
+            let d = a.rows();
             let outcome = Runner::new(CliqueConfig::unicast(d, 4))
-                .execute(&mut FastMatMul::new(&a, &b, Semiring::Counting).with_levels(levels))
+                .execute(&mut FastMatMul::new(&a, &b, semiring).with_levels(levels))
                 .unwrap();
-            let cubic = semiring_matmul(&a, &b, Semiring::Counting, 4).unwrap();
-            let local = a.as_ints().unwrap().mul_counting(b.as_ints().unwrap());
-            assert_eq!(outcome.as_ints().unwrap(), &local, "d = {d} local");
-            assert_eq!(*outcome, *cubic, "d = {d} cubic");
+            let cubic = semiring_matmul(&a, &b, semiring, 4).unwrap();
+            let local = Arith::Semiring(semiring).product(&a, &b);
+            assert_eq!(*outcome, local, "{} d = {d} local", semiring.name());
+            assert_eq!(*outcome, *cubic, "{} d = {d} cubic", semiring.name());
         }
     }
 
@@ -2723,6 +2428,27 @@ mod tests {
     fn fast_matmul_rejects_boolean() {
         let m = SemiringMatrix::Bits(BitMatrix::identity(8));
         let _ = FastMatMul::new(&m, &m, Semiring::Boolean);
+    }
+
+    #[test]
+    #[should_panic(expected = "representation does not match")]
+    fn mismatched_operand_representation_is_rejected() {
+        let a = SemiringMatrix::Bits(BitMatrix::identity(4));
+        let _ = SemiringMatMul::new(&a, &a, Semiring::Counting);
+    }
+
+    #[test]
+    #[should_panic(expected = "reserved INFINITY")]
+    fn counting_rejects_infinity_entries() {
+        let m = SemiringMatrix::Ints(IntMatrix::filled(3, 3, IntMatrix::INFINITY));
+        let _ = SemiringMatMul::new(&m, &m, Semiring::Counting);
+    }
+
+    #[test]
+    #[should_panic(expected = "must be square")]
+    fn rectangular_operands_are_rejected() {
+        let a = SemiringMatrix::Ints(IntMatrix::zeros(3, 4));
+        let _ = SemiringMatMul::new(&a, &a, Semiring::Counting);
     }
 
     #[test]
@@ -2814,9 +2540,58 @@ mod tests {
     }
 
     #[test]
+    fn triangle_count_matches_the_oracle() {
+        let mut rng = ChaCha8Rng::seed_from_u64(0x713);
+        for (n, p) in [(4usize, 0.9f64), (9, 0.4), (16, 0.25), (27, 0.3)] {
+            let g = generators::erdos_renyi(n, p, &mut rng);
+            let outcome = count_triangles(&g, 4).unwrap();
+            assert_eq!(*outcome, iso::triangle_count(&g), "n = {n}, p = {p}");
+        }
+    }
+
+    #[test]
+    fn triangle_count_on_degenerate_graphs() {
+        assert_eq!(*count_triangles(&Graph::empty(1), 2).unwrap(), 0);
+        assert_eq!(*count_triangles(&generators::complete(3), 2).unwrap(), 1);
+        assert_eq!(*count_triangles(&generators::complete(6), 2).unwrap(), 20);
+        let bip = generators::complete_bipartite(5, 5);
+        assert_eq!(*count_triangles(&bip, 2).unwrap(), 0);
+    }
+
+    #[test]
+    fn apsp_matches_bfs_distances() {
+        let mut rng = ChaCha8Rng::seed_from_u64(0xA5B);
+        for (n, p) in [(5usize, 0.5f64), (12, 0.2), (20, 0.12)] {
+            let g = generators::erdos_renyi(n, p, &mut rng);
+            let outcome = compute_apsp(&g, 4).unwrap();
+            assert_eq!(*outcome, iso::bfs_distances(&g), "n = {n}, p = {p}");
+        }
+        // A path graph exercises the full ⌈log₂(n−1)⌉ squaring schedule.
+        let path = generators::path(17);
+        let outcome = compute_apsp(&path, 4).unwrap();
+        assert_eq!(*outcome, iso::bfs_distances(&path));
+        assert_eq!(outcome.get(0, 16), 16);
+    }
+
+    #[test]
+    fn apsp_early_exit_saves_rounds_on_small_diameter() {
+        // Diameter 2 converges after the first vote; a long path needs the
+        // full schedule.
+        let star = generators::complete_bipartite(1, 16);
+        let path = generators::path(17);
+        let star_rounds = compute_apsp(&star, 4).unwrap().rounds();
+        let path_rounds = compute_apsp(&path, 4).unwrap().rounds();
+        assert!(
+            star_rounds < path_rounds,
+            "star {star_rounds} vs path {path_rounds}"
+        );
+    }
+
+    #[test]
     fn scheduled_consumers_match_their_default_counterparts() {
         let mut rng = ChaCha8Rng::seed_from_u64(0x5C4E);
         let g = generators::erdos_renyi(28, 0.3, &mut rng);
+        let runner = Runner::new(CliqueConfig::unicast(28, 4));
         let default_triangles = count_triangles(&g, 4).unwrap();
         for schedule in [
             MatMulSchedule::Cubic,
@@ -2824,39 +2599,23 @@ mod tests {
             MatMulSchedule::Sparse,
             MatMulSchedule::Auto,
         ] {
-            let scheduled = count_triangles_scheduled(&g, 4, schedule).unwrap();
+            let scheduled = runner
+                .execute(&mut TriangleCount::with_schedule(&g, schedule))
+                .unwrap();
             assert_eq!(*scheduled, *default_triangles, "{}", schedule.name());
         }
         let sparse_g = generators::path(20);
+        let runner = Runner::new(CliqueConfig::unicast(20, 4));
         let default_apsp = compute_apsp(&sparse_g, 4).unwrap();
         for schedule in [
             MatMulSchedule::Cubic,
             MatMulSchedule::Sparse,
             MatMulSchedule::Auto,
         ] {
-            let scheduled = compute_apsp_scheduled(&sparse_g, 4, schedule).unwrap();
+            let scheduled = runner
+                .execute(&mut ApspProtocol::with_schedule(&sparse_g, schedule))
+                .unwrap();
             assert_eq!(*scheduled, *default_apsp, "{}", schedule.name());
         }
-    }
-
-    #[test]
-    #[should_panic(expected = "representation does not match")]
-    fn mismatched_operand_representation_is_rejected() {
-        let a = SemiringMatrix::Bits(BitMatrix::identity(4));
-        let _ = SemiringMatMul::new(&a, &a, Semiring::Counting);
-    }
-
-    #[test]
-    #[should_panic(expected = "reserved INFINITY")]
-    fn counting_rejects_infinity_entries() {
-        let m = SemiringMatrix::Ints(IntMatrix::filled(3, 3, IntMatrix::INFINITY));
-        let _ = SemiringMatMul::new(&m, &m, Semiring::Counting);
-    }
-
-    #[test]
-    #[should_panic(expected = "must be square")]
-    fn rectangular_operands_are_rejected() {
-        let a = SemiringMatrix::Ints(IntMatrix::zeros(3, 4));
-        let _ = SemiringMatMul::new(&a, &a, Semiring::Counting);
     }
 }

@@ -274,35 +274,20 @@ impl Protocol for MstProtocol<'_> {
                     .collect();
                 let messages: Vec<BitString> = sketches
                     .iter()
-                    .map(|sketch| {
-                        let mut bits = BitString::with_capacity(2 * capacity * field_bits);
-                        for &sum in sketch.power_sums() {
-                            bits.push_bits(sum, field_bits);
-                        }
-                        bits
-                    })
+                    .map(|sketch| write_sketch(sketch, field_bits))
                     .collect();
-                let inboxes = session.broadcast_all("broadcast incidence sketches", &messages)?;
+                let inboxes = session.broadcast_all(SKETCH_PHASE, &messages)?;
 
                 // Every node now holds the same blackboard (own sketch plus
                 // the n−1 received ones) and contracts identically; the
                 // simulation performs the shared computation once, from
                 // node 0's inbox.
                 let blackboard: Vec<SignedPowerSumSketch> = (0..n)
-                    .map(|v| {
-                        if v == 0 {
-                            return sketches[0].clone();
-                        }
-                        let payload = inboxes[0]
-                            .broadcast_from(NodeId::new(v))
-                            .expect("every node published a sketch");
-                        let mut reader = payload.reader();
-                        let sums: Vec<u64> = (0..2 * capacity)
-                            .map(|_| reader.read_bits(field_bits).expect("well-formed sketch"))
-                            .collect();
-                        SignedPowerSumSketch::from_parts(universe, capacity, sums)
+                    .map(|v| match v {
+                        0 => Ok(sketches[0].clone()),
+                        _ => read_sketch(&inboxes[0], v, universe, capacity, field_bits),
                     })
-                    .collect();
+                    .collect::<Result<_, _>>()?;
                 let done =
                     contract_to_exhaustion(&blackboard, &candidates, n, &mut dsu, &mut forest);
 
@@ -332,6 +317,47 @@ impl Protocol for MstProtocol<'_> {
             final_capacity: capacity,
         })
     }
+}
+
+/// Label of the incidence-sketch broadcast.
+const SKETCH_PHASE: &str = "broadcast incidence sketches";
+
+/// A sketch's blackboard payload: its power sums as `field_bits`-bit
+/// fields.
+fn write_sketch(sketch: &SignedPowerSumSketch, field_bits: usize) -> BitString {
+    let mut bits = BitString::with_capacity(sketch.power_sums().len() * field_bits);
+    bits.push_fields(sketch.power_sums(), field_bits);
+    bits
+}
+
+/// Rebuilds the capacity-`capacity` sketch `sender` published on the
+/// blackboard (the inverse of [`write_sketch`]): `2·capacity` power sums of `field_bits` bits each. Flipped
+/// bits need no check, since [`SignedPowerSumSketch::from_parts`] reduces
+/// every sum mod `p`.
+///
+/// # Errors
+///
+/// [`SimError::MalformedPayload`] if `sender` published nothing or its
+/// broadcast is truncated.
+fn read_sketch(
+    inbox: &PhaseInbox,
+    sender: usize,
+    universe: u64,
+    capacity: usize,
+    field_bits: usize,
+) -> Result<SignedPowerSumSketch, SimError> {
+    let malformed = || SimError::MalformedPayload {
+        sender: NodeId::new(sender),
+        phase: SKETCH_PHASE.to_owned(),
+    };
+    let mut reader = inbox
+        .broadcast_from(NodeId::new(sender))
+        .ok_or_else(malformed)?
+        .reader();
+    let sums = (0..2 * capacity)
+        .map(|_| reader.read_bits(field_bits).ok_or_else(malformed))
+        .collect::<Result<_, _>>()?;
+    Ok(SignedPowerSumSketch::from_parts(universe, capacity, sums))
 }
 
 /// Runs [`MstProtocol`] on `CLIQUE-BCAST(n, b)` — the blackboard model the
@@ -413,6 +439,42 @@ mod tests {
             weighted::weighted_erdos_renyi(16, 0.3, 20, &mut rng),
         ] {
             assert_matches_oracle(&graph, 4);
+        }
+    }
+
+    #[test]
+    fn truncated_or_missing_sketches_are_typed_errors() {
+        let mut rng = ChaCha8Rng::seed_from_u64(0x5EE7);
+        let graph = weighted::weighted_cycle(6, 20, &mut rng);
+        let protocol = MstProtocol::new(&graph, 2);
+        let (universe, capacity) = (protocol.universe, 2);
+        let field_bits = SignedPowerSumSketch::new(universe, 1)
+            .field()
+            .element_bits();
+        let sketch = protocol.incidence_sketch(1, universe, capacity);
+        let payload = write_sketch(&sketch, field_bits);
+        let malformed = |sender| SimError::MalformedPayload {
+            sender: NodeId::new(sender),
+            phase: SKETCH_PHASE.into(),
+        };
+        // Node 1 publishes every prefix of its payload; node 2 publishes
+        // nothing (an empty message is never broadcast).
+        for cut in 0..=payload.len() {
+            let prefix = BitString::from_words(payload.words(), cut);
+            let messages = [BitString::new(), prefix, BitString::new()];
+            let inboxes = PhaseEngine::new(CliqueConfig::broadcast(3, 8))
+                .broadcast_all(SKETCH_PHASE, &messages)
+                .unwrap();
+            let read = read_sketch(&inboxes[0], 1, universe, capacity, field_bits);
+            if cut == payload.len() {
+                assert_eq!(read.unwrap().power_sums(), sketch.power_sums());
+            } else {
+                assert_eq!(read.unwrap_err(), malformed(1), "prefix of {cut} bits");
+            }
+            assert_eq!(
+                read_sketch(&inboxes[0], 2, universe, capacity, field_bits).unwrap_err(),
+                malformed(2)
+            );
         }
     }
 

@@ -166,7 +166,7 @@ pub const PROTOCOLS: &[ProtocolEntry] = &[
     },
     ProtocolEntry {
         id: "triangle-count-fast",
-        description: "triangle counting with auto matmul dispatch (cubic/strassen/sparse) (CLIQUE-UCAST)",
+        description: "triangle counting with auto matmul dispatch (cubic/sparse) (CLIQUE-UCAST)",
         kind: InputKind::Unweighted,
         run: run_triangle_count_fast,
     },
