@@ -17,7 +17,8 @@
 //!   the row owners through the [`BalancedRouter`], multiplies them locally,
 //!   and routes the partial block `A_{ik} ⊗ B_{kj}` back to the owners of
 //!   the rows of `C_{ij}`, who fold the `g` partials with the semiring
-//!   addition. Every node sends and receives `O(d²/n^{2/3})` entries per
+//!   addition. Both shipments carry one payload per player pair, so the
+//!   router sends them directly, one hop each. Every node sends and receives `O(d²/n^{2/3})` entries per
 //!   phase, so for `d = n` and constant-width entries the product costs
 //!   `O(n^{1/3}/b)` rounds — experiment E13 measures exactly this scaling.
 //! * [`FastMatMul`] — the Strassen-partitioned schedule: `7^L` leaf

@@ -285,7 +285,10 @@ pub(super) fn readers(packets: &[Packet]) -> HashMap<usize, BitReader<'_>> {
 /// every logical payload into chunks of at most this many bits, letting
 /// the greedy assignment flatten pair loads down to chunk granularity
 /// while keeping the per-chunk framing (sequence tag plus the router's
-/// node and length fields) a modest fraction of the payload.
+/// node and length fields) a modest fraction of the payload. The router
+/// still sends the chunks directly when that is cheaper, and then the
+/// framing is pure overhead: on E18's dense grid the cubic product, whose
+/// whole payloads go direct, takes fewer rounds than the Strassen schedule.
 const FAST_CHUNK_BITS: usize = 64;
 
 /// Splits logical `(src, dst)` payloads into sequence-tagged chunks before

@@ -272,7 +272,8 @@ pub fn detect_triangle_via_matmul<R: Rng + ?Sized>(
 /// [`Protocol`]: vertices are split into `⌈n^{1/3}⌉` groups, player `w` is
 /// responsible for the `w`-th group triple, and every player ships the
 /// relevant part of its adjacency row to the responsible checkers through
-/// the balanced router.
+/// the balanced router. That demand holds one packet per (player, checker)
+/// pair, so the router delivers it directly in one hop.
 #[derive(Clone, Debug)]
 pub struct DlpTriangleDetection<'a> {
     graph: &'a Graph,

@@ -10,9 +10,14 @@
 //! * [`router::DirectRouter`] — the naive baseline (one hop, possibly
 //!   `Θ(n)` rounds for concentrated demands);
 //! * [`router::ValiantRouter`] — two-phase routing via random intermediaries;
-//! * [`router::BalancedRouter`] — a deterministic two-phase schedule with a
-//!   greedily balanced intermediary assignment, the workspace's stand-in for
-//!   Lenzen's algorithm (see DESIGN.md, substitution table).
+//! * [`router::BalancedRouter`] — the workspace's stand-in for Lenzen's
+//!   algorithm (see DESIGN.md, substitution table): the cheaper of direct
+//!   delivery and a deterministic two-phase schedule with a greedily
+//!   balanced intermediary assignment, priced exactly from each packet's
+//!   endpoints and length, so it never takes more rounds than direct
+//!   delivery;
+//! * [`router::direct_round_bound`] — the rounds direct delivery charges,
+//!   framing included.
 //!
 //! All routers charge their communication (including forwarding headers) to
 //! the caller's [`clique_sim::Session`], so experiment E2 can compare their
@@ -23,7 +28,8 @@
 //! # Examples
 //!
 //! ```
-//! use clique_routing::{demand::RoutingDemand, router::{BalancedRouter, DirectRouter, RouteProtocol}};
+//! use clique_routing::demand::RoutingDemand;
+//! use clique_routing::router::{direct_round_bound, BalancedRouter, DirectRouter, RouteProtocol};
 //! use clique_sim::prelude::*;
 //!
 //! # fn main() -> Result<(), SimError> {
@@ -40,6 +46,8 @@
 //!
 //! // The balanced two-phase schedule spreads the load over all links.
 //! assert!(balanced.rounds() < direct.rounds());
+//! // Direct delivery's cost is known before anything is sent.
+//! assert_eq!(direct_round_bound(&demand, 8), direct.rounds());
 //! # Ok(())
 //! # }
 //! ```
