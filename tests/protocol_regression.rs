@@ -158,7 +158,7 @@ fn dlp_triangle_detection_matches_pre_redesign_counts() {
     let outcome = detect_triangle_dlp(&g, 4).unwrap();
     assert_eq!(
         (outcome.contains, outcome.rounds(), outcome.total_bits()),
-        (true, 15, 10532)
+        (true, 7, 4671)
     );
     let config = CliqueConfig::builder()
         .nodes(24)
@@ -168,7 +168,7 @@ fn dlp_triangle_detection_matches_pre_redesign_counts() {
     let direct = Runner::new(config)
         .execute(&mut DlpTriangleDetection::new(&g))
         .unwrap();
-    assert_eq!((direct.rounds(), direct.total_bits()), (15, 10532));
+    assert_eq!((direct.rounds(), direct.total_bits()), (7, 4671));
 }
 
 #[test]
@@ -367,25 +367,25 @@ fn cubic_matmul_records_match_pinned_bytes() {
     // ship multi-bit entries and the all-ones INFINITY sentinel.
     assert_eq!(
         registry_record("triangle-count", "erdos_renyi(p=0.5)", 100, 1, 9),
-        "{\"output\":{\"triangles\":20428},\"rounds\":48,\"total_bits\":795998,\
-         \"messages\":8644,\"max_link_bits_per_round\":9,\"phases\":5,\
-         \"phase_digest\":\"856304c96aaf0f30\"}"
+        "{\"output\":{\"triangles\":20428},\"rounds\":24,\"total_bits\":442329,\
+         \"messages\":4442,\"max_link_bits_per_round\":9,\"phases\":5,\
+         \"phase_digest\":\"e6b294011208b917\"}"
     );
     // The 100 × 100 distance matrix is pinned through a digest of the
     // whole record; the ledger tail is spelled out.
     let apsp = registry_record("apsp", "erdos_renyi(p=0.15)", 100, 1, 9);
     assert!(
         apsp.ends_with(
-            "},\"rounds\":147,\"total_bits\":2100290,\"messages\":25932,\
+            "},\"rounds\":72,\"total_bits\":990295,\"messages\":13326,\
              \"max_link_bits_per_round\":9,\"phases\":15,\
-             \"phase_digest\":\"2882466896c07582\"}"
+             \"phase_digest\":\"5951815068cbc13e\"}"
         ),
         "apsp ledger moved: {}",
         &apsp[apsp.rfind("},\"rounds\"").unwrap_or(0)..]
     );
     assert_eq!(
         congested_clique::serve::fnv64(apsp.as_bytes()),
-        0x64d7_430a_ff93_b55d
+        0x8fd5_f917_5be0_849d
     );
 }
 
@@ -405,7 +405,7 @@ fn fast_matmul_schedules_match_pinned_counts() {
         .unwrap();
     let local = a.as_bits().unwrap().mul_f2(a.as_bits().unwrap());
     assert_eq!(fast.as_bits().unwrap(), &local);
-    assert_eq!((fast.rounds(), fast.total_bits()), (120, 553066));
+    assert_eq!((fast.rounds(), fast.total_bits()), (112, 455540));
 
     // Sparse schedule on the fixed g24 detection instance (a ~15% dense
     // adjacency, well under the density threshold).
@@ -416,7 +416,7 @@ fn fast_matmul_schedules_match_pinned_counts() {
         .unwrap();
     let local = adj.as_bits().unwrap().mul_bool(adj.as_bits().unwrap());
     assert_eq!(sparse.as_bits().unwrap(), &local);
-    assert_eq!((sparse.rounds(), sparse.total_bits()), (46, 14165));
+    assert_eq!((sparse.rounds(), sparse.total_bits()), (21, 6436));
 }
 
 #[test]
@@ -440,16 +440,16 @@ fn fast_matmul_depth_two_records_match_pinned_bytes() {
         (
             &f2,
             Semiring::F2,
-            "\"rounds\":124,\"total_bits\":242906,\"messages\":6849,\
+            "\"rounds\":76,\"total_bits\":105121,\"messages\":3538,\
              \"max_link_bits_per_round\":4,\"phases\":6,\
-             \"phase_digest\":\"39c232c2af8148ca\"}",
+             \"phase_digest\":\"afe99be5929f09ee\"}",
         ),
         (
             &counting,
             Semiring::Counting,
-            "\"rounds\":228,\"total_bits\":971752,\"messages\":14566,\
+            "\"rounds\":207,\"total_bits\":825065,\"messages\":12177,\
              \"max_link_bits_per_round\":4,\"phases\":6,\
-             \"phase_digest\":\"e159292d5e457f5f\"}",
+             \"phase_digest\":\"1ef3eca0b80f9a48\"}",
         ),
     ] {
         let outcome = Runner::new(CliqueConfig::unicast(56, 4))
