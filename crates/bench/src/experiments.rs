@@ -131,7 +131,7 @@ pub fn e2_routing(scale: Scale) -> ExperimentTable {
     let mut table = ExperimentTable::new(
         "E2",
         "balanced routing substrate (Lenzen [28] stand-in)",
-        "balanced demands (≤ n·b bits in/out per node) are delivered in O(1) rounds; direct delivery degrades to Θ(n) on concentrated demands",
+        "balanced demands (≤ n·b bits in/out per node) are delivered in O(1) rounds; direct delivery degrades to Θ(n) on concentrated demands, and the balanced router never takes more rounds than direct delivery",
         &["n", "demand", "router", "rounds"],
     );
     let sizes: &[usize] = match scale {
@@ -1454,6 +1454,35 @@ mod tests {
         ] {
             assert!(!table.rows.is_empty(), "{} produced no rows", table.id);
             assert!(table.to_markdown().contains(&table.id));
+        }
+    }
+
+    #[test]
+    fn routing_experiment_balanced_never_loses_to_direct() {
+        let table = e2_routing(Scale::Quick);
+        let col = |name: &str| table.headers.iter().position(|h| h == name).unwrap();
+        let (n_col, demand_col) = (col("n"), col("demand"));
+        let (router_col, rounds_col) = (col("router"), col("rounds"));
+        let rounds = |n: &str, demand: &str, router: &str| -> u64 {
+            let row = table.rows.iter().find(|r| {
+                r[n_col] == n && r[demand_col] == demand && r[router_col].starts_with(router)
+            });
+            row.expect("E2 row")[rounds_col].parse().unwrap()
+        };
+        assert!(!table.rows.is_empty());
+        for row in &table.rows {
+            let (n, demand) = (&row[n_col], &row[demand_col]);
+            let (balanced, direct) = (rounds(n, demand, "balanced"), rounds(n, demand, "direct"));
+            assert!(
+                balanced <= direct,
+                "n = {n}, {demand}: {balanced} vs {direct}"
+            );
+            if demand.starts_with("concentrated") {
+                assert!(
+                    balanced < direct,
+                    "n = {n}, {demand}: {balanced} vs {direct}"
+                );
+            }
         }
     }
 
