@@ -105,15 +105,6 @@ impl RoutingDemand {
             .unwrap_or(0)
     }
 
-    /// Maximum over ordered pairs of the bits travelling between that pair.
-    pub fn max_pair_load(&self) -> u64 {
-        let mut pair = std::collections::HashMap::<(usize, usize), u64>::new();
-        for p in &self.packets {
-            *pair.entry((p.src.index(), p.dst.index())).or_default() += p.payload.len() as u64;
-        }
-        pair.values().copied().max().unwrap_or(0)
-    }
-
     /// Returns `true` if every player sends at most `limit` bits and receives
     /// at most `limit` bits in total — the "balanced" precondition of
     /// Lenzen's routing theorem with limit `Θ(n·b)`.
@@ -138,7 +129,6 @@ mod tests {
         assert!(d.is_empty());
         assert_eq!(d.total_bits(), 0);
         assert_eq!(d.max_node_load(), 0);
-        assert_eq!(d.max_pair_load(), 0);
         assert!(d.is_balanced(0));
     }
 
@@ -151,7 +141,6 @@ mod tests {
         d.send(3, 0, payload(7));
         assert_eq!(d.len(), 4);
         assert_eq!(d.total_bits(), 17);
-        assert_eq!(d.max_pair_load(), 8);
         let loads = d.per_node_load();
         assert_eq!(loads[0], (8, 7));
         assert_eq!(loads[1], (0, 10));

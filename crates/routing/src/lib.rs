@@ -6,7 +6,7 @@
 //! This crate provides that black box for the simulation:
 //!
 //! * [`demand::RoutingDemand`] — a demand as a list of packets with per-node
-//!   and per-pair load accounting and the "balanced" predicate;
+//!   load accounting and the "balanced" predicate;
 //! * [`router::DirectRouter`] — the naive baseline (one hop, possibly
 //!   `Θ(n)` rounds for concentrated demands);
 //! * [`router::ValiantRouter`] — two-phase routing via random intermediaries;
