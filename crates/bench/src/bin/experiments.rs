@@ -7,14 +7,12 @@
 //! cargo run -p clique-bench --release --bin experiments -- --quick # smoke run
 //! cargo run -p clique-bench --release --bin experiments -- E4 E7   # selected experiments
 //! cargo run -p clique-bench --release --bin experiments -- --json  # machine-readable output
-//! cargo run -p clique-bench --release --bin experiments -- --threads 4 # worker pool size
 //! cargo run -p clique-bench --release --bin experiments -- --list  # registered experiments
 //! ```
 
 use std::time::Instant;
 
 use clique_bench::{parse_experiments_args, ExperimentsCommand, Scale, EXPERIMENTS};
-use clique_core::sim::par;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -36,7 +34,6 @@ fn main() {
             std::process::exit(2);
         }
     };
-    par::set_threads(run.threads);
     let scale = if run.quick { Scale::Quick } else { Scale::Full };
 
     let mut tables = Vec::new();

@@ -4,9 +4,9 @@
 //!
 //! Measured pairs:
 //!
-//! * packed `BitMatrix` multiplication ([`BitMatrix::mul_f2`], plus the
-//!   word-level and Four-Russians kernels individually) against the retained
-//!   bool-at-a-time reference `matmul_f2_scalar`, at `d ∈ {64, 128, 256}`;
+//! * packed `BitMatrix` multiplication ([`BitMatrix::mul_f2`]) against the
+//!   retained bool-at-a-time reference `matmul_f2_scalar`, at
+//!   `d ∈ {64, 128, 256}`;
 //! * the counting-semiring product of 0/1 matrices (the local kernel of the
 //!   `SemiringMatMul`/`TriangleCount` protocols): the word-parallel
 //!   AND+popcount path against the schoolbook `u64` triple loop, at the
@@ -61,8 +61,6 @@ struct MatMulRow {
     d: usize,
     scalar_ns: f64,
     packed_ns: f64,
-    word_ns: f64,
-    four_russians_ns: f64,
 }
 
 impl MatMulRow {
@@ -77,19 +75,13 @@ fn bench_matmul(d: usize, budget_ms: u64, max_reps: u32, rng: &mut ChaCha8Rng) -
     let a_rows = a.to_rows();
     let b_rows = b.to_rows();
 
-    // Correctness gate: all three packed paths must agree with the scalar
+    // Correctness gate: the packed product must agree with the scalar
     // oracle on this instance before anything is timed.
-    let expected = BitMatrix::from_rows(&matmul_f2_scalar(&a_rows, &b_rows));
-    for (name, got) in [
-        ("mul_f2", a.mul_f2(&b)),
-        ("mul_f2_word", a.mul_f2_word(&b)),
-        ("mul_f2_four_russians", a.mul_f2_four_russians(&b)),
-    ] {
-        assert_eq!(
-            got, expected,
-            "{name} disagrees with the scalar oracle at d={d}"
-        );
-    }
+    assert_eq!(
+        a.mul_f2(&b),
+        BitMatrix::from_rows(&matmul_f2_scalar(&a_rows, &b_rows)),
+        "mul_f2 disagrees with the scalar oracle at d={d}"
+    );
 
     MatMulRow {
         d,
@@ -98,12 +90,6 @@ fn bench_matmul(d: usize, budget_ms: u64, max_reps: u32, rng: &mut ChaCha8Rng) -
         }),
         packed_ns: time_ns(budget_ms, max_reps, || {
             black_box(black_box(&a).mul_f2(black_box(&b)));
-        }),
-        word_ns: time_ns(budget_ms, max_reps, || {
-            black_box(black_box(&a).mul_f2_word(black_box(&b)));
-        }),
-        four_russians_ns: time_ns(budget_ms, max_reps, || {
-            black_box(black_box(&a).mul_f2_four_russians(black_box(&b)));
         }),
     }
 }
@@ -254,12 +240,10 @@ fn main() {
     out.push_str("  \"matmul_f2\": [\n");
     for (i, row) in matmul_rows.iter().enumerate() {
         out.push_str(&format!(
-            "    {{\"d\": {}, \"scalar_ns\": {:.0}, \"packed_ns\": {:.0}, \"word_ns\": {:.0}, \"four_russians_ns\": {:.0}, \"speedup_packed_vs_scalar\": {:.1}}}{}\n",
+            "    {{\"d\": {}, \"scalar_ns\": {:.0}, \"packed_ns\": {:.0}, \"speedup_packed_vs_scalar\": {:.1}}}{}\n",
             row.d,
             row.scalar_ns,
             row.packed_ns,
-            row.word_ns,
-            row.four_russians_ns,
             row.speedup(),
             if i + 1 < matmul_rows.len() { "," } else { "" }
         ));

@@ -3,11 +3,11 @@
 //!
 //! Three measurements:
 //!
-//! * **determinism** — for every distinct spec of the pool, the served
-//!   record (4-worker fleet) is byte-compared against a 1-worker fleet, a
-//!   direct `Runner` run at the default thread count, and a direct run
-//!   pinned to 1 thread; the emitted column must be all-true (the smoke
-//!   run asserts it, so CI fails on any divergence);
+//! * **determinism** — for every distinct spec of the pool, the record
+//!   served by a fleet of `--threads N` workers (default 4) is
+//!   byte-compared against a 1-worker fleet and a direct
+//!   [`Server::run_direct`] run; the emitted column must be all-true (the
+//!   smoke run asserts it, so CI fails on any divergence);
 //! * **throughput** — a Zipf-flavoured stream of repeated jobs is served
 //!   in batches; sustained jobs/sec and the transcript-cache hit-rate are
 //!   reported;
@@ -60,16 +60,18 @@ fn spec_pool(smoke: bool) -> Vec<JobSpec> {
     pool
 }
 
-/// One determinism row: the served record against three independent
+/// One determinism row: the served record against two independent
 /// recomputations.
 struct DeterminismRow {
     spec: JobSpec,
     identical: bool,
 }
 
-fn check_determinism(pool: &[JobSpec]) -> Vec<DeterminismRow> {
+/// Serves `pool` on a fleet of `workers` workers and byte-compares every
+/// record against a 1-worker fleet and a direct run.
+fn check_determinism(pool: &[JobSpec], workers: usize) -> Vec<DeterminismRow> {
     let mut fleet = Server::new(ServerConfig {
-        workers: 4,
+        workers,
         batch_size: 2,
         ..ServerConfig::default()
     });
@@ -79,14 +81,11 @@ fn check_determinism(pool: &[JobSpec]) -> Vec<DeterminismRow> {
     pool.iter()
         .zip(served.iter().zip(&solo_served))
         .map(|(spec, (fleet_result, solo_result))| {
-            let direct_default = Server::run_direct(spec).expect("direct run failed");
-            let direct_pinned =
-                Server::run_direct(&spec.clone().with_threads(1)).expect("direct run failed");
+            let direct = Server::run_direct(spec).expect("direct run failed");
             DeterminismRow {
                 spec: spec.clone(),
                 identical: fleet_result.record == solo_result.record
-                    && fleet_result.record == direct_default
-                    && fleet_result.record == direct_pinned,
+                    && fleet_result.record == direct,
             }
         })
         .collect()
@@ -133,10 +132,12 @@ fn main() {
 
     let pool = spec_pool(smoke);
 
-    // Determinism: served == direct, at 1 and `workers` workers, at pinned
-    // and default thread counts.
-    eprintln!("checking determinism over {} specs …", pool.len());
-    let determinism = check_determinism(&pool);
+    // Determinism: served == direct, at 1 and `workers` workers.
+    eprintln!(
+        "checking determinism over {} specs ({workers} workers) …",
+        pool.len()
+    );
+    let determinism = check_determinism(&pool, workers);
     let all_identical = determinism.iter().all(|row| row.identical);
 
     // Warm vs cold: the same distinct specs, cold then cached.

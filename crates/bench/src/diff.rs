@@ -10,8 +10,8 @@
 //! pattern rather than its first point.
 //!
 //! The grids are deterministic (seeded [`ChaCha8Rng`] per case), so the
-//! same cases run in the oracle-grid integration test, under varying
-//! `CLIQUE_THREADS`-style worker counts, and in CI.
+//! same cases run in the oracle-grid integration test, through the job
+//! server at 1 and 4 workers, and in CI.
 
 use clique_core::graphs::weighted::{self, WeightedGraph};
 use clique_core::graphs::{generators, Graph};

@@ -6,7 +6,7 @@ use std::time::Instant;
 
 use clique_core::algebraic::{
     compute_apsp, count_triangles, semiring_matmul, sparse_matmul, ApspProtocol, FastMatMul,
-    Semiring, SemiringMatMul, SemiringMatrix, TriangleCount,
+    Semiring, SemiringMatMul, SemiringMatrix,
 };
 use clique_core::circuits::builders;
 use clique_core::circuits::Circuit;
@@ -26,7 +26,6 @@ use clique_core::routing::{
     BalancedRouter, DirectRouter, RouteProtocol, Router, RoutingDemand, ValiantRouter,
 };
 use clique_core::sim::linalg::{BitMatrix, IntMatrix};
-use clique_core::sim::par;
 use clique_core::sim::prelude::*;
 use clique_core::sim::transport::INJECTABLE_FAULTS;
 use clique_core::sketch::reconstruct::message_bits;
@@ -800,140 +799,73 @@ pub fn e13_semiring_matmul(scale: Scale) -> ExperimentTable {
     table
 }
 
-/// Worker counts the E14 scaling rows are measured at.
-const E14_WORKER_COUNTS: [usize; 4] = [1, 2, 4, 8];
+/// The registry protocols (and input families) the serving-layer
+/// experiments E14 and E16 submit.
+const SERVED_CASES: &[(&str, &str)] = &[
+    ("mst", "weighted_random_tree"),
+    ("triangle-count", "erdos_renyi(p=0.5)"),
+    ("apsp", "erdos_renyi(p=0.15)"),
+    ("c4-turan-sketch", "erdos_renyi(p=0.15)"),
+    ("c4-full-broadcast", "cycle"),
+];
 
-/// Restores the process-wide worker override on drop, so a panicking E14
-/// workload cannot leak a temporary override into the rest of the process
-/// (the unit tests share it).
-struct ThreadOverrideGuard(Option<usize>);
-
-impl ThreadOverrideGuard {
-    fn save() -> Self {
-        Self(par::threads_override())
+/// A served job on `n` players at `b = ⌈log₂ n⌉`; weighted families draw
+/// weights up to `2n`.
+fn served_spec(protocol: &str, family: &str, n: usize, seed: u64) -> JobSpec {
+    let b = log2_bandwidth(n);
+    if protocol == "mst" {
+        JobSpec::weighted(protocol, family, n, b, 2 * n as u64, seed)
+    } else {
+        JobSpec::unweighted(protocol, family, n, b, seed)
     }
 }
 
-impl Drop for ThreadOverrideGuard {
-    fn drop(&mut self) {
-        par::set_threads(self.0);
-    }
-}
-
-/// Measures one E14 workload at 1/2/4/8 workers, pinning that the outcome
-/// (output *and* full metrics ledger) is identical to the 1-worker run and
-/// reporting the wall-clock scaling. `run` receives the worker count —
-/// workloads with a per-instance knob (e.g. [`Runner::with_threads`]) use
-/// it directly and leave the process-wide override alone.
-fn e14_scaling_rows<T: Clone + PartialEq>(
-    table: &mut ExperimentTable,
-    workload: &str,
-    n: usize,
-    b: usize,
-    mut run: impl FnMut(usize) -> RunOutcome<T>,
-) {
-    let mut baseline: Option<(RunOutcome<T>, f64)> = None;
-    for &workers in &E14_WORKER_COUNTS {
-        let start = Instant::now();
-        let outcome = run(workers);
-        let ms = start.elapsed().as_secs_f64() * 1e3;
-        let (base_outcome, base_ms) = baseline.get_or_insert_with(|| (outcome.clone(), ms));
-        let identical = *base_outcome == outcome;
-        table.push_row(vec![
-            workload.to_owned(),
-            n.to_string(),
-            b.to_string(),
-            workers.to_string(),
-            fmt_f64(ms),
-            fmt_f64(*base_ms / ms),
-            outcome.rounds().to_string(),
-            identical.to_string(),
-        ]);
-    }
-}
-
-/// E14 — the deterministic thread-parallel execution core: wall-clock
-/// scaling of the algebraic consumers and a parallel sweep grid, with the
-/// transcript pinned identical at every worker count.
+/// E14 — the server fleet's wall-clock scaling: one fixed batch of
+/// registry jobs served cold at 1, 2 and 4 workers, with every served
+/// record pinned byte-identical to the 1-worker fleet's.
 pub fn e14_parallel_scaling(scale: Scale) -> ExperimentTable {
     let mut table = ExperimentTable::new(
         "E14",
-        "deterministic thread-parallel execution core (wall-clock scaling)",
-        "rounds, bits and outputs are bit-identical at 1/2/4/8 workers (the parallelism-never-changes-transcripts invariant); wall-clock time scales with the host's cores — a single-core host honestly reports ~1x",
+        "server fleet scaling (wall-clock)",
+        "every record served at 2 and 4 workers is byte-identical to the 1-worker fleet's (a protocol run is serial, so its record cannot depend on the worker that ran it); the wall-clock speedup is bounded by the host's cores",
         &[
-            "workload",
-            "n",
-            "b",
             "workers",
+            "jobs",
+            "waves",
             "wall ms",
             "speedup vs 1 worker",
-            "rounds",
             "transcript identical",
         ],
     );
-
-    // TriangleCount: one counting distributed product + broadcasts. The
-    // per-runner knob sizes the pool, so no global state is touched.
-    let tri_n = scale.pick(24, 64);
-    let tri_b = log2_bandwidth(tri_n);
-    let tri_g = generators::erdos_renyi(tri_n, 0.35, &mut rng(1400 + tri_n as u64));
-    e14_scaling_rows(&mut table, "TriangleCount", tri_n, tri_b, |workers| {
-        Runner::new(CliqueConfig::unicast(tri_n, tri_b))
-            .with_threads(Some(workers))
-            .execute(&mut TriangleCount::new(&tri_g))
-            .expect("triangle count failed")
-    });
-
-    // APSP: repeated (min, +) squaring.
-    let apsp_n = scale.pick(16, 32);
-    let apsp_b = log2_bandwidth(apsp_n);
-    let apsp_g =
-        generators::erdos_renyi(apsp_n, 2.5 / apsp_n as f64, &mut rng(1410 + apsp_n as u64));
-    e14_scaling_rows(&mut table, "ApspProtocol", apsp_n, apsp_b, |workers| {
-        Runner::new(CliqueConfig::unicast(apsp_n, apsp_b))
-            .with_threads(Some(workers))
-            .execute(&mut ApspProtocol::new(&apsp_g))
-            .expect("apsp failed")
-    });
-
-    // A sweep grid of independent TriangleCount points executed on the
-    // pool via `Runner::sweep_par` (which sizes its pool from the
-    // process-wide knob — set through a drop guard so a panicking point
-    // cannot leak the override); the "outcome" folds every point's output
-    // and ledger so the identity check covers the whole grid.
-    let grid_sizes: &[usize] = scale.pick(&[8, 16][..], &[16, 32][..]);
-    let grid_bandwidths: &[usize] = &[4, 8];
-    let grid_n = *grid_sizes.last().expect("non-empty grid");
-    e14_scaling_rows(
-        &mut table,
-        "sweep_par TriangleCount grid",
-        grid_n,
-        8,
-        |workers| {
-            let _guard = ThreadOverrideGuard::save();
-            par::set_threads(Some(workers));
-            let grid = CliqueConfig::builder()
-                .unicast()
-                .grid(grid_sizes, grid_bandwidths);
-            let points = Runner::sweep_par(grid, |config| {
-                let n = config.n;
-                let g = generators::erdos_renyi(n, 0.3, &mut rng(1420 + n as u64));
-                move |session: &mut Session| session.run_protocol(&mut TriangleCount::new(&g))
+    let sizes: &[usize] = scale.pick(&[12, 16][..], &[16, 24, 32][..]);
+    let batch: Vec<JobSpec> = SERVED_CASES
+        .iter()
+        .flat_map(|&(protocol, family)| {
+            sizes.iter().flat_map(move |&n| {
+                (1..=4u64).map(move |seed| served_spec(protocol, family, n, seed))
             })
-            .expect("sweep failed");
-            let mut metrics = Metrics::new();
-            let mut outputs = Vec::new();
-            for point in points {
-                metrics.absorb(&point.outcome.metrics);
-                outputs.push((
-                    point.config.n,
-                    point.config.bandwidth,
-                    point.outcome.into_output(),
-                ));
-            }
-            RunOutcome::new(outputs, metrics)
-        },
-    );
+        })
+        .collect();
+    let mut baseline: Option<(Vec<String>, f64)> = None;
+    for workers in [1usize, 2, 4] {
+        let mut server = Server::new(ServerConfig {
+            workers,
+            ..ServerConfig::default()
+        });
+        let start = Instant::now();
+        let served = server.submit_batch(&batch).expect("E14 batch failed");
+        let ms = start.elapsed().as_secs_f64() * 1e3;
+        let records: Vec<String> = served.into_iter().map(|r| r.record).collect();
+        let (base_records, base_ms) = baseline.get_or_insert_with(|| (records.clone(), ms));
+        table.push_row(vec![
+            workers.to_string(),
+            batch.len().to_string(),
+            server.stats().waves.to_string(),
+            fmt_f64(ms),
+            fmt_f64(*base_ms / ms),
+            (*base_records == records).to_string(),
+        ]);
+    }
     table
 }
 
@@ -1023,27 +955,15 @@ pub fn e16_serve(scale: Scale) -> ExperimentTable {
             "1 worker = 4 workers",
         ],
     );
-    let cases: &[(&str, &str)] = &[
-        ("mst", "weighted_random_tree"),
-        ("triangle-count", "erdos_renyi(p=0.5)"),
-        ("apsp", "erdos_renyi(p=0.15)"),
-        ("c4-turan-sketch", "erdos_renyi(p=0.15)"),
-        ("c4-full-broadcast", "cycle"),
-    ];
     let sizes: &[usize] = scale.pick(&[6, 9][..], &[6, 9, 14, 20][..]);
     let seeds: &[u64] = &[0x5EED, 0xD1FF];
-    for &(protocol, family) in cases {
+    for &(protocol, family) in SERVED_CASES {
         let specs: Vec<JobSpec> = sizes
             .iter()
             .flat_map(|&n| {
-                let b = log2_bandwidth(n);
-                seeds.iter().map(move |&seed| {
-                    if protocol == "mst" {
-                        JobSpec::weighted(protocol, family, n, b, 2 * n as u64, seed)
-                    } else {
-                        JobSpec::unweighted(protocol, family, n, b, seed)
-                    }
-                })
+                seeds
+                    .iter()
+                    .map(move |&seed| served_spec(protocol, family, n, seed))
             })
             .collect();
         // Every spec appears twice in the cold batch, so in-batch dedupe is
@@ -1403,8 +1323,7 @@ pub const EXPERIMENTS: &[ExperimentEntry] = &[
     },
     ExperimentEntry {
         id: "E14",
-        description:
-            "deterministic thread-parallel execution: speedups with byte-identical transcripts",
+        description: "server fleet scaling: one job batch at 1/2/4 workers, byte-identical records",
         run: e14_parallel_scaling,
     },
     ExperimentEntry {
@@ -1508,7 +1427,7 @@ mod tests {
         assert!(!table.rows.is_empty());
         assert!(
             table.rows.iter().all(|r| r[col] == "true"),
-            "an E14 worker count changed a transcript"
+            "an E14 fleet size changed a served record"
         );
     }
 

@@ -23,7 +23,7 @@ pub use diff::{assert_protocol_matches_oracle, unweighted_grid, weighted_grid, L
 pub use experiments::{run_all, ExperimentEntry, Scale, EXPERIMENTS};
 pub use table::ExperimentTable;
 
-/// Parses the value of a `--threads` CLI flag for the harness binaries;
+/// Parses the value of the `serve` harness's `--threads` (fleet size) flag;
 /// anything but a positive integer exits with status 2, matching the other
 /// flag errors.
 pub fn parse_threads_flag(value: Option<&String>) -> usize {
@@ -71,8 +71,6 @@ pub struct ExperimentsRun {
     pub quick: bool,
     /// `--json`: machine-readable output.
     pub json: bool,
-    /// `--threads N`: worker-pool override.
-    pub threads: Option<usize>,
     /// Selected experiment ids (uppercased); empty = all.
     pub selected: Vec<String>,
 }
@@ -82,28 +80,22 @@ pub struct ExperimentsRun {
 /// # Errors
 ///
 /// Returns the diagnostic to print (the caller exits with status 2) on an
-/// unknown flag, a bad `--threads` value, or an unknown experiment id.
+/// unknown flag or an unknown experiment id.
 pub fn parse_experiments_args(args: &[String]) -> Result<ExperimentsCommand, String> {
     let mut run = ExperimentsRun::default();
     let mut list = false;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
+    for arg in args {
+        match arg.as_str() {
             "--list" => list = true,
             "--quick" => run.quick = true,
             "--json" => run.json = true,
-            "--threads" => {
-                run.threads = Some(try_parse_threads(args.get(i + 1))?);
-                i += 1;
-            }
             flag if flag.starts_with("--") => {
                 return Err(format!(
-                    "unknown flag {flag} (expected --list, --quick, --json or --threads N)"
+                    "unknown flag {flag} (expected --list, --quick or --json)"
                 ));
             }
             id => run.selected.push(id.to_uppercase()),
         }
-        i += 1;
     }
     for id in &run.selected {
         if experiments::find_experiment(id).is_none() {
@@ -150,23 +142,14 @@ mod tests {
             ExperimentsCommand::Run(ExperimentsRun {
                 quick: true,
                 json: true,
-                threads: None,
                 selected: vec!["E4".to_owned(), "E16".to_owned()],
-            })
-        );
-        let parsed = parse_experiments_args(&args(&["--threads", "3"])).unwrap();
-        assert_eq!(
-            parsed,
-            ExperimentsCommand::Run(ExperimentsRun {
-                threads: Some(3),
-                ..ExperimentsRun::default()
             })
         );
     }
 
     #[test]
     fn bad_inputs_are_rejected_with_a_diagnostic() {
-        for flag in ["--nope", "--lane"] {
+        for flag in ["--nope", "--lane", "--threads"] {
             assert!(parse_experiments_args(&args(&[flag, "64"]))
                 .unwrap_err()
                 .contains("unknown flag"));
@@ -174,10 +157,10 @@ mod tests {
         assert!(parse_experiments_args(&args(&["E99"]))
             .unwrap_err()
             .contains("unknown experiment id"));
-        assert!(parse_experiments_args(&args(&["--threads"]))
+        assert!(try_parse_threads(None)
             .unwrap_err()
             .contains("--threads requires a value"));
-        assert!(parse_experiments_args(&args(&["--threads", "0"]))
+        assert!(try_parse_threads(Some(&"0".to_owned()))
             .unwrap_err()
             .contains("invalid --threads value"));
         assert!(try_parse_threads(Some(&"x".to_owned())).is_err());

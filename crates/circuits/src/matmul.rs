@@ -274,14 +274,13 @@ fn strassen_rec(c: &mut Circuit, a: &SquareIds, b: &SquareIds) -> SquareIds {
 }
 
 /// Reference `F₂` matrix product used in tests and by the protocol layer:
-/// the word-parallel [`BitMatrix::mul_f2`] kernel (which itself dispatches
-/// to the Method of Four Russians for `d ≥ 256`).
+/// the word-parallel [`BitMatrix::mul_f2`] kernel.
 pub fn matmul_f2_reference(a: &BitMatrix, b: &BitMatrix) -> BitMatrix {
     a.mul_f2(b)
 }
 
-/// The retained bool-at-a-time `F₂` product: the oracle the packed kernels
-/// are property-tested against, and the scalar baseline `BENCH_kernels.json`
+/// The retained bool-at-a-time `F₂` product: the oracle the packed kernel
+/// is property-tested against, and the scalar baseline `BENCH_kernels.json`
 /// measures the word-parallel speedup from.
 pub fn matmul_f2_scalar(a: &[Vec<bool>], b: &[Vec<bool>]) -> Vec<Vec<bool>> {
     let d = a.len();

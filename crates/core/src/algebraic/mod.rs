@@ -27,7 +27,8 @@
 //!   cubic product is its depth-0 case: one group of all players, the
 //!   identity term, whole payloads and semiring arithmetic.
 //! * [`SparseMatMul`] — the nnz-charged product, and [`ScheduledMatMul`],
-//!   which picks among the three by a [`MatMulSchedule`].
+//!   which runs one of the three by a [`MatMulSchedule`] (`Auto` picks
+//!   sparse or cubic).
 //! * [`TriangleCount`] — *exact* triangle counting (not just detection):
 //!   `M = A·A` over the counting semiring, then `trace(A³) = Σ_{v,j}
 //!   M[v][j]·A[v][j]` is assembled from one fixed-width broadcast per node
@@ -54,12 +55,8 @@
 //! entry-by-entry layout, so the transcripts do not depend on this.
 //!
 //! Each cube's local block product is one player's work and runs on the
-//! serial [`clique_sim::linalg`](crate::sim::linalg) kernels, never
-//! spawning the [`clique_sim::par`](crate::sim::par) pool. Parallelism
-//! stays in the engines; by the parallelism-never-changes-transcripts invariant
-//! (DESIGN.md, Concurrency) every round/bit count in this module —
-//! including the E13 pins — is identical at any worker count. Experiment
-//! E14 measures the wall-clock side of these protocols on the pool.
+//! serial [`clique_sim::linalg`](crate::sim::linalg) kernels, like the rest
+//! of a protocol run (DESIGN.md, Concurrency).
 
 mod consumers;
 mod dense;
@@ -70,10 +67,7 @@ mod wire;
 
 pub use consumers::{compute_apsp, count_triangles, ApspProtocol, TriangleCount};
 pub use dense::{fast_matmul, semiring_matmul, FastMatMul, SemiringMatMul};
-pub use schedule::{
-    MatMulSchedule, ScheduledMatMul, SPARSE_DENSITY_EIGHTHS, STRASSEN_MIN_ASPECT,
-    STRASSEN_MIN_PLAYERS,
-};
+pub use schedule::{MatMulSchedule, ScheduledMatMul, SPARSE_DENSITY_EIGHTHS};
 pub use semiring::{Semiring, SemiringMatrix};
 pub use sparse::{sparse_matmul, SparseMatMul};
 
@@ -86,7 +80,6 @@ use clique_sim::lane::mask_low;
 use clique_sim::linalg::{saturating_counting_add, strassen_padded_dim};
 use clique_sim::prelude::*;
 
-use dense::counting_headroom_ok;
 use semiring::Arith;
 #[cfg(test)]
 use tests::*;

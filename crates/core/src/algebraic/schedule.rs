@@ -6,32 +6,16 @@ use super::*;
 /// grid point (experiment E18).
 pub const SPARSE_DENSITY_EIGHTHS: usize = 1;
 
-/// Auto dispatch engages the Strassen schedule from this player count up —
-/// the smallest clique whose seven depth-1 groups each keep the 8 players
-/// a `2×2×2` internal cube needs (see [`FastMatMul::levels_for`]).
-pub const STRASSEN_MIN_PLAYERS: usize = 56;
-
-/// Auto dispatch engages the Strassen schedule only when `d ≥ aspect · n`:
-/// with one row per player (`d = n`) the cubic partition's per-pair loads
-/// are already a handful of bits and the fast path's three routed phases
-/// plus chunk framing cost more than they save; from two rows per player
-/// up, every measured grid point has the fast schedule strictly ahead on
-/// rounds (experiment E18 pins the crossover).
-pub const STRASSEN_MIN_ASPECT: usize = 2;
-
 /// Which distributed product a consumer runs: the cubic 3D partition, the
 /// Strassen-partitioned fast schedule, the nnz-charged sparse path, or an
-/// automatic choice from `(semiring, n, d, density)`.
+/// automatic choice from the operands' density.
 ///
-/// The dispatch rules are explicit (DESIGN.md "Fast algebraic matmul"):
+/// The dispatch rule is explicit (DESIGN.md "Fast algebraic matmul"):
 /// `Auto` resolves to `Sparse` when the operands' density is at most
-/// [`SPARSE_DENSITY_EIGHTHS`]/8; otherwise to `Strassen` when the semiring
-/// is ring-embeddable (`F₂` or counting, with integer headroom), the
-/// clique hosts at least one recursion level (`n` at or above
-/// [`STRASSEN_MIN_PLAYERS`]), and the dimension gives every player at
-/// least [`STRASSEN_MIN_ASPECT`] rows; otherwise — including **always**
-/// for the Boolean and tropical `(min, +)` semirings, which have no
-/// additive inverse for Strassen's subtractions — to `Cubic`.
+/// [`SPARSE_DENSITY_EIGHTHS`]/8 and to `Cubic` otherwise. It never picks
+/// `Strassen`: with the cubic partition's one payload per pair routed
+/// directly, cubic takes fewer rounds at every grid point experiment E18
+/// measures.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
 pub enum MatMulSchedule {
     /// Always the cubic 3D-partitioned [`SemiringMatMul`].
@@ -42,7 +26,7 @@ pub enum MatMulSchedule {
     Strassen,
     /// Always the nnz-charged [`SparseMatMul`].
     Sparse,
-    /// Pick the cheapest eligible schedule from `(semiring, n, d, density)`.
+    /// `Sparse` at low density, else `Cubic`.
     Auto,
 }
 
@@ -58,7 +42,7 @@ impl MatMulSchedule {
     }
 
     /// The concrete schedule this dispatch runs for the given product —
-    /// `Auto` applies the rules above; the explicit variants return
+    /// `Auto` applies the rule above; the explicit variants return
     /// themselves. Deterministic in public quantities plus the operand
     /// nnz, so every player resolves identically.
     pub fn resolve(
@@ -66,23 +50,14 @@ impl MatMulSchedule {
         a: &SemiringMatrix,
         b: &SemiringMatrix,
         semiring: Semiring,
-        n: usize,
     ) -> MatMulSchedule {
         match self {
             MatMulSchedule::Auto => {
-                let (d, levels) = (a.rows(), FastMatMul::levels_for(n, a.rows()));
+                let d = a.rows();
                 let total = 2 * d * d;
                 let nnz = a.nnz(semiring) + b.nnz(semiring);
                 if total > 0 && nnz * 8 <= total * SPARSE_DENSITY_EIGHTHS {
                     MatMulSchedule::Sparse
-                } else if matches!(semiring, Semiring::F2 | Semiring::Counting)
-                    && n >= STRASSEN_MIN_PLAYERS
-                    && d >= STRASSEN_MIN_ASPECT * n
-                    && levels >= 1
-                    && (semiring != Semiring::Counting
-                        || counting_headroom_ok(a.max_finite(), b.max_finite(), d, levels))
-                {
-                    MatMulSchedule::Strassen
                 } else {
                     MatMulSchedule::Cubic
                 }
@@ -131,10 +106,7 @@ impl Protocol for ScheduledMatMul<'_> {
     type Output = SemiringMatrix;
 
     fn run(&mut self, session: &mut Session) -> Result<SemiringMatrix, SimError> {
-        match self
-            .schedule
-            .resolve(self.a, self.b, self.semiring, session.n())
-        {
+        match self.schedule.resolve(self.a, self.b, self.semiring) {
             MatMulSchedule::Cubic => {
                 session.run_protocol(&mut SemiringMatMul::new(self.a, self.b, self.semiring))
             }
@@ -155,46 +127,36 @@ mod tests {
 
     #[test]
     fn auto_schedule_dispatches_by_density_and_semiring() {
-        let (n, d) = (56, 112);
+        let d = 112;
         let dense = SemiringMatrix::Bits(random_bitmatrix(d, 95));
         let sparse = SemiringMatrix::Bits(BitMatrix::identity(d));
         let auto = MatMulSchedule::Auto;
         assert_eq!(
-            auto.resolve(&sparse, &sparse, Semiring::F2, n),
+            auto.resolve(&sparse, &sparse, Semiring::F2),
             MatMulSchedule::Sparse
         );
         assert_eq!(
-            auto.resolve(&dense, &dense, Semiring::F2, n),
-            MatMulSchedule::Strassen
+            auto.resolve(&dense, &dense, Semiring::F2),
+            MatMulSchedule::Cubic,
+            "dense F2: cubic takes fewer rounds than strassen (E18)"
         );
         assert_eq!(
-            auto.resolve(&dense, &dense, Semiring::Boolean, n),
+            auto.resolve(&dense, &dense, Semiring::Boolean),
             MatMulSchedule::Cubic,
             "no additive inverse: boolean stays cubic"
         );
         let mp = SemiringMatrix::Ints(random_intmatrix(d, 4, false, 96));
         assert_eq!(
-            auto.resolve(&mp, &mp, Semiring::MinPlus, n),
+            auto.resolve(&mp, &mp, Semiring::MinPlus),
             MatMulSchedule::Cubic,
             "no additive inverse: (min, +) stays cubic"
-        );
-        assert_eq!(
-            auto.resolve(&dense, &dense, Semiring::F2, 8),
-            MatMulSchedule::Cubic,
-            "below the measured player crossover the cubic path wins"
-        );
-        assert_eq!(
-            auto.resolve(&dense, &dense, Semiring::F2, d),
-            MatMulSchedule::Cubic,
-            "one row per player (d = n): the cubic pair loads are already \
-             tiny and the fast path's routed phases cost more than they save"
         );
         for explicit in [
             MatMulSchedule::Cubic,
             MatMulSchedule::Strassen,
             MatMulSchedule::Sparse,
         ] {
-            assert_eq!(explicit.resolve(&dense, &dense, Semiring::F2, d), explicit);
+            assert_eq!(explicit.resolve(&dense, &dense, Semiring::F2), explicit);
         }
     }
 }

@@ -40,9 +40,8 @@
 //!
 //! Determinism note: the protocol is deterministic end to end — ties are
 //! impossible under the `(w, u, v)` order, the contraction loop visits
-//! components in ascending representative order, and by the
-//! parallelism-never-changes-transcripts invariant (DESIGN.md, Concurrency)
-//! the round/bit ledger is identical at every worker count.
+//! components in ascending representative order, and a protocol run is
+//! serial (DESIGN.md, Concurrency).
 //!
 //! Decoding guarantees: a component cut of size at most `k` decodes
 //! exactly; any cut of size at most `2k` is *detected* as over-capacity

@@ -8,9 +8,8 @@
 //! states its bound for, returning the communication ledger plus a
 //! *canonical output digest* (fixed-key-order JSON, integers and booleans
 //! only). Two runs of the same `(protocol, input, bandwidth)` triple are
-//! byte-identical in both fields at every worker count and under every
-//! transport — the determinism contract the serving layer's transcript
-//! cache is built on.
+//! byte-identical in both fields — the determinism contract the serving
+//! layer's transcript cache is built on.
 //!
 //! Inputs are themselves canonical: [`generate_input`] maps a
 //! `(family, n, seed, max_weight)` label to a graph through a freshly
@@ -90,9 +89,6 @@ pub enum InputKind {
 pub struct RunOptions {
     /// Link bandwidth `b` of the model instance.
     pub bandwidth: usize,
-    /// Worker-count override for the run's engines (`None` = default
-    /// resolution). Never changes outputs or ledgers.
-    pub threads: Option<usize>,
     /// Deterministic fault-injection schedule, wrapped around the default
     /// transport (`None` = clean delivery). An injected fault aborts the
     /// run with [`SimError::TransportFault`]; a run that completes under a
@@ -101,12 +97,10 @@ pub struct RunOptions {
     pub fault: Option<FaultPlan>,
 }
 
-/// The shared `Runner` construction of every registry entry: thread
-/// override plus, when a fault plan is set, a [`FaultyTransport`] wrapped
-/// around the process-default backend (so chaos composes with the
-/// `CLIQUE_TRANSPORT` knob).
+/// The shared `Runner` construction of every registry entry: when a fault
+/// plan is set, a [`FaultyTransport`] wrapped around the default backend.
 fn runner(config: CliqueConfig, options: &RunOptions) -> Runner {
-    let mut runner = Runner::new(config).with_threads(options.threads);
+    let mut runner = Runner::new(config);
     if let Some(plan) = options.fault {
         runner = runner.with_transport(Some(Box::new(FaultyTransport::with_default_inner(plan))));
     }
@@ -514,7 +508,6 @@ mod tests {
                 &input,
                 &RunOptions {
                     bandwidth: 16,
-                    threads: Some(2),
                     ..RunOptions::default()
                 },
             )
@@ -577,7 +570,6 @@ mod tests {
                 &RunOptions {
                     bandwidth: 16,
                     fault: Some(FaultPlan::new(9, 0, &INJECTABLE_FAULTS)),
-                    ..RunOptions::default()
                 },
             )
             .unwrap();
@@ -587,7 +579,6 @@ mod tests {
             &RunOptions {
                 bandwidth: 16,
                 fault: Some(FaultPlan::new(9, 1_000_000, &[FaultKind::Truncate])),
-                ..RunOptions::default()
             },
         );
         assert!(matches!(

@@ -8,8 +8,8 @@
 //! design leans on one invariant inherited from the simulator stack:
 //!
 //! > **A job spec fully determines its transcript.** Same spec ⇒
-//! > byte-identical output digest and communication ledger, at any worker
-//! > count, under any transport.
+//! > byte-identical output digest and communication ledger, whichever
+//! > worker of the fleet runs it.
 //!
 //! So a cache hit *is* the answer — [`ServerConfig::verify_hits`] lets the
 //! server prove it per hit by recomputing and byte-comparing.

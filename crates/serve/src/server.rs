@@ -752,11 +752,6 @@ fn run_registry(spec: &JobSpec, fault: Option<FaultPlan>) -> Result<ProtocolRun,
             })?;
     let options = RunOptions {
         bandwidth: spec.bandwidth,
-        threads: if spec.threads == 0 {
-            None
-        } else {
-            Some(spec.threads)
-        },
         fault,
     };
     entry.run(&input, &options).map_err(ServeError::Sim)
@@ -1018,17 +1013,6 @@ mod tests {
         ));
         assert!(outcomes[2].result.is_ok(), "a bad spec fails only itself");
         assert_eq!(server.stats().ran, 2);
-    }
-
-    #[test]
-    fn thread_hint_does_not_change_records_or_keys() {
-        let spec = mst_spec(9, 0xAB);
-        let hinted = spec.clone().with_threads(4);
-        assert_eq!(spec.canonical_json(), hinted.canonical_json());
-        assert_eq!(
-            Server::run_direct(&spec).unwrap(),
-            Server::run_direct(&hinted).unwrap()
-        );
     }
 
     #[test]

@@ -6,10 +6,8 @@
 //! cache key of the serving layer: equal specs encode to equal bytes, and
 //! distinct `(protocol, family, n, bandwidth, max_weight, seed)` tuples
 //! encode to distinct bytes (pinned by the round-trip and collision
-//! proptests). The `threads` knob is deliberately *not* part of the
-//! encoding: worker counts never change transcripts (the PR-5 determinism
-//! contract), so two jobs differing only in `threads` are the same job and
-//! must share a cache entry.
+//! proptests), and [`JobSpec::from_canonical_json`] accepts exactly the
+//! bytes the encoder produces (pinned by the mutation proptest).
 
 use std::fmt;
 
@@ -30,9 +28,6 @@ pub struct JobSpec {
     pub max_weight: u64,
     /// The input generator seed.
     pub seed: u64,
-    /// Worker count for the job's engines (`0` = default resolution).
-    /// Execution hint only — not part of the canonical encoding.
-    pub threads: usize,
 }
 
 impl JobSpec {
@@ -45,7 +40,6 @@ impl JobSpec {
             bandwidth,
             max_weight: 0,
             seed,
-            threads: 0,
         }
     }
 
@@ -65,19 +59,11 @@ impl JobSpec {
             bandwidth,
             max_weight,
             seed,
-            threads: 0,
         }
     }
 
-    /// Returns the spec with an engine worker-count hint.
-    #[must_use]
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = threads;
-        self
-    }
-
     /// The canonical encoding (and cache key): fixed key order, no
-    /// whitespace, `threads` excluded.
+    /// whitespace.
     pub fn canonical_json(&self) -> String {
         format!(
             "{{\"protocol\":{},\"family\":{},\"n\":{},\"bandwidth\":{},\"max_weight\":{},\"seed\":{}}}",
@@ -90,7 +76,7 @@ impl JobSpec {
         )
     }
 
-    /// Parses a canonical encoding back into a spec (`threads` = 0).
+    /// Parses a canonical encoding back into a spec.
     /// Strict: accepts exactly the bytes [`Self::canonical_json`] produces.
     ///
     /// # Errors
@@ -129,7 +115,6 @@ impl JobSpec {
             bandwidth: to_usize(bandwidth, 0)?,
             max_weight,
             seed,
-            threads: 0,
         })
     }
 }
@@ -223,30 +208,43 @@ impl Parser<'_> {
                         Some(b'r') => out.push(b'\r'),
                         Some(b't') => out.push(b'\t'),
                         Some(b'u') => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos + 1..self.pos + 5)
-                                .and_then(|h| std::str::from_utf8(h).ok())
-                                .and_then(|h| u32::from_str_radix(h, 16).ok())
-                                .ok_or_else(|| self.fail("four hex digits"))?;
-                            // The canonical escaper only emits \u00XX for
-                            // control characters; those are single bytes.
-                            let c = char::from_u32(hex)
-                                .ok_or_else(|| self.fail("a valid codepoint"))?;
-                            let mut buf = [0u8; 4];
-                            out.extend_from_slice(c.encode_utf8(&mut buf).as_bytes());
+                            out.push(self.control_escape()?);
                             self.pos += 4;
                         }
                         _ => return Err(self.fail("a valid escape")),
                     }
                     self.pos += 1;
                 }
-                Some(&b) => {
+                Some(&b) if b >= 0x20 => {
                     out.push(b);
                     self.pos += 1;
                 }
+                Some(_) => return Err(self.fail("an escaped control character")),
             }
         }
+    }
+
+    /// Decodes the four hex digits after a `\u` at `self.pos`. The
+    /// canonical escaper writes `\u` only as lowercase `\u00xx`, and only
+    /// for control characters without a short escape, so anything else is
+    /// rejected.
+    fn control_escape(&self) -> Result<u8, SpecParseError> {
+        let digits = self.bytes.get(self.pos + 1..self.pos + 5);
+        let value = match digits {
+            Some([b'0', b'0', hi @ (b'0' | b'1'), lo]) => {
+                let lo = match lo {
+                    b'0'..=b'9' => lo - b'0',
+                    b'a'..=b'f' => lo - b'a' + 10,
+                    _ => return Err(self.fail("a lowercase \\u00xx escape")),
+                };
+                ((hi - b'0') << 4) | lo
+            }
+            _ => return Err(self.fail("a lowercase \\u00xx escape")),
+        };
+        if matches!(value, b'\n' | b'\r' | b'\t') {
+            return Err(self.fail("the short escape of this character"));
+        }
+        Ok(value)
     }
 
     fn unsigned(&mut self) -> Result<u64, SpecParseError> {
@@ -284,7 +282,7 @@ mod tests {
 
     #[test]
     fn canonical_encoding_is_stable_and_round_trips() {
-        let spec = JobSpec::weighted("mst", "weighted_path", 16, 8, 7, 0xDEADBEEF).with_threads(4);
+        let spec = JobSpec::weighted("mst", "weighted_path", 16, 8, 7, 0xDEADBEEF);
         let encoded = spec.canonical_json();
         assert_eq!(
             encoded,
@@ -292,8 +290,7 @@ mod tests {
              \"bandwidth\":8,\"max_weight\":7,\"seed\":3735928559}"
         );
         let parsed = JobSpec::from_canonical_json(&encoded).unwrap();
-        // threads is an execution hint, not part of the key.
-        assert_eq!(parsed, spec.clone().with_threads(0));
+        assert_eq!(parsed, spec);
         assert_eq!(parsed.canonical_json(), encoded);
     }
 
@@ -319,6 +316,16 @@ mod tests {
             "{\"protocol\":\"apsp\",\"family\":\"path\",\"n\":03,\"bandwidth\":1,\"max_weight\":0,\"seed\":0}",
             // Trailing garbage.
             "{\"protocol\":\"apsp\",\"family\":\"path\",\"n\":3,\"bandwidth\":1,\"max_weight\":0,\"seed\":0} ",
+            // A raw control byte (the escaper writes \u000b).
+            "{\"protocol\":\"ap\u{b}sp\",\"family\":\"path\",\"n\":3,\"bandwidth\":1,\"max_weight\":0,\"seed\":0}",
+            // A \u escape of a printable character.
+            "{\"protocol\":\"\\u0061psp\",\"family\":\"path\",\"n\":3,\"bandwidth\":1,\"max_weight\":0,\"seed\":0}",
+            // Uppercase hex.
+            "{\"protocol\":\"ap\\u001Fsp\",\"family\":\"path\",\"n\":3,\"bandwidth\":1,\"max_weight\":0,\"seed\":0}",
+            // A sign inside the hex digits.
+            "{\"protocol\":\"\\u+061psp\",\"family\":\"path\",\"n\":3,\"bandwidth\":1,\"max_weight\":0,\"seed\":0}",
+            // \u000a where the escaper writes \n.
+            "{\"protocol\":\"ap\\u000asp\",\"family\":\"path\",\"n\":3,\"bandwidth\":1,\"max_weight\":0,\"seed\":0}",
         ] {
             assert!(JobSpec::from_canonical_json(bad).is_err(), "{bad:?}");
         }

@@ -1,6 +1,7 @@
 //! Property tests of the serving layer's canonical encoding: every spec
-//! round-trips through its canonical JSON, and distinct specs never
-//! collide as cache keys (the injectivity the transcript cache relies on).
+//! round-trips through its canonical JSON, distinct specs never collide as
+//! cache keys (the injectivity the transcript cache relies on), and the
+//! parser accepts nothing the encoder would not produce.
 
 use clique_serve::JobSpec;
 use proptest::prelude::*;
@@ -22,7 +23,7 @@ fn name_from(picks: &[usize]) -> String {
 }
 
 /// Builds a spec from primitive strategy outputs.
-fn spec_from(names: &[Vec<usize>; 2], nums: (u64, u64, u64, u64), threads: usize) -> JobSpec {
+fn spec_from(names: &[Vec<usize>; 2], nums: (u64, u64, u64, u64)) -> JobSpec {
     JobSpec {
         protocol: name_from(&names[0]),
         family: name_from(&names[1]),
@@ -30,7 +31,25 @@ fn spec_from(names: &[Vec<usize>; 2], nums: (u64, u64, u64, u64), threads: usize
         bandwidth: nums.1 as usize,
         max_weight: nums.2,
         seed: nums.3,
-        threads,
+    }
+}
+
+/// Bytes the canonical form gives meaning to: escape syntax, hex digits in
+/// both cases, a sign, quotes and raw control characters.
+const EDIT_BYTES: &[u8] = b"\\u0019aAfF+\"nrt\x00\x0a\x0b\x1f\x7f";
+
+/// Applies one byte edit to `bytes`: `kind` picks replace, insert or
+/// delete at `pos % len`; `code` below 256 is the byte itself, otherwise
+/// it picks from [`EDIT_BYTES`].
+fn edit(bytes: &mut Vec<u8>, (kind, pos, code): (u8, usize, u16)) {
+    let byte = u8::try_from(code).unwrap_or(EDIT_BYTES[usize::from(code) % EDIT_BYTES.len()]);
+    let pos = pos % bytes.len();
+    match kind {
+        0 => bytes[pos] = byte,
+        1 => bytes.insert(pos, byte),
+        _ => {
+            bytes.remove(pos);
+        }
     }
 }
 
@@ -42,15 +61,13 @@ proptest! {
         protocol in prop::collection::vec(0usize..22, 0..12),
         family in prop::collection::vec(0usize..22, 0..12),
         nums in (any::<u64>(), any::<u64>(), any::<u64>(), any::<u64>()),
-        threads in 0usize..9,
     ) {
         // Keep n/bandwidth within usize on every platform.
         let nums = (nums.0 >> 1, nums.1 >> 1, nums.2, nums.3);
-        let spec = spec_from(&[protocol, family], nums, threads);
+        let spec = spec_from(&[protocol, family], nums);
         let encoded = spec.canonical_json();
         let parsed = JobSpec::from_canonical_json(&encoded).unwrap();
-        // threads is an execution hint: it is dropped by the encoding.
-        prop_assert_eq!(&parsed, &spec.clone().with_threads(0));
+        prop_assert_eq!(&parsed, &spec);
         prop_assert_eq!(parsed.canonical_json(), encoded);
     }
 
@@ -63,10 +80,9 @@ proptest! {
     ) {
         // Small domains on purpose: equal pairs must actually occur so the
         // "collide" direction of the iff is exercised, not just "differ".
-        let a = spec_from(&[a_names.0, a_names.1], a_nums, 0);
-        let b = spec_from(&[b_names.0, b_names.1], b_nums, 1);
-        let same = a.clone().with_threads(0) == b.clone().with_threads(0);
-        prop_assert_eq!(a.canonical_json() == b.canonical_json(), same);
+        let a = spec_from(&[a_names.0, a_names.1], a_nums);
+        let b = spec_from(&[b_names.0, b_names.1], b_nums);
+        prop_assert_eq!(a.canonical_json() == b.canonical_json(), a == b);
     }
 
     #[test]
@@ -75,7 +91,7 @@ proptest! {
         family in prop::collection::vec(0usize..22, 0..12),
         nums in (0u64..1000, 0u64..1000, any::<u64>(), any::<u64>()),
     ) {
-        let spec = spec_from(&[protocol, family], nums, 0);
+        let spec = spec_from(&[protocol, family], nums);
         let key = spec.canonical_json();
         let mut other = spec.clone();
         other.seed = spec.seed.wrapping_add(1);
@@ -86,5 +102,30 @@ proptest! {
         let mut other = spec.clone();
         other.protocol.push('x');
         prop_assert_ne!(other.canonical_json(), key);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(2048))]
+
+    /// One to three byte edits of a canonical spec never panic the parser,
+    /// and whatever still parses re-encodes to exactly the parsed bytes:
+    /// the parser accepts no second spelling of any spec.
+    #[test]
+    fn mutated_specs_parse_only_when_canonical(
+        protocol in prop::collection::vec(0usize..22, 0..6),
+        family in prop::collection::vec(0usize..22, 0..6),
+        nums in (0u64..1000, 0u64..1000, 0u64..1000, any::<u64>()),
+        edits in prop::collection::vec((0u8..3, 0usize..256, 0u16..512), 1..4),
+    ) {
+        let mut bytes = spec_from(&[protocol, family], nums).canonical_json().into_bytes();
+        for &e in &edits {
+            edit(&mut bytes, e);
+        }
+        if let Ok(text) = std::str::from_utf8(&bytes) {
+            if let Ok(parsed) = JobSpec::from_canonical_json(text) {
+                prop_assert_eq!(parsed.canonical_json(), text);
+            }
+        }
     }
 }

@@ -12,7 +12,6 @@
 use crate::metrics::{Metrics, RunReport};
 use crate::model::{CliqueConfig, SimError};
 use crate::node::{validate_outbox, Inbox, NodeAlgorithm, NodeCtx, NodeId, Outbox};
-use crate::par;
 use crate::transport::Transport;
 
 /// Synchronous round-by-round executor for a homogeneous set of players.
@@ -74,9 +73,6 @@ pub struct RoundEngine<A> {
     outboxes: Vec<Outbox>,
     /// Scratch for [`validate_outbox`]'s duplicate-destination check.
     seen: Vec<bool>,
-    /// Per-engine worker-count override; `None` uses the default
-    /// resolution (see [`par::workers`]).
-    threads: Option<usize>,
     /// The message-delivery backend; accounting happens before delivery,
     /// so the ledger is identical under every backend.
     transport: Box<dyn Transport>,
@@ -107,14 +103,13 @@ impl<A: NodeAlgorithm> RoundEngine<A> {
             prev_inboxes: vec![Inbox::empty(n); n],
             outboxes: vec![Outbox::new(); n],
             seen: Vec::with_capacity(n),
-            threads: None,
             transport: crate::transport::default_transport(),
         }
     }
 
-    /// Replaces the message-delivery backend. Transports never change
-    /// transcripts (see [`transport`](crate::transport)); the knob only
-    /// swaps delivery mechanics.
+    /// Replaces the message-delivery backend (e.g. with a
+    /// [`FaultyTransport`](crate::transport::FaultyTransport)). Transports
+    /// never change transcripts (see [`transport`](crate::transport)).
     pub fn set_transport(&mut self, transport: Box<dyn Transport>) {
         self.transport = transport;
     }
@@ -127,22 +122,6 @@ impl<A: NodeAlgorithm> RoundEngine<A> {
     /// The model configuration.
     pub fn config(&self) -> &CliqueConfig {
         &self.config
-    }
-
-    /// Overrides the worker count used to step node algorithms in parallel
-    /// (`None` restores the default resolution). Transcripts, metrics and
-    /// validation are identical at every worker count; the knob only
-    /// trades wall-clock time.
-    pub fn set_threads(&mut self, threads: Option<usize>) {
-        self.threads = threads;
-    }
-
-    /// The worker count the next round will use: an explicit override
-    /// (per-engine, else [`par::set_threads`]) is honored as given; the
-    /// ambient default engages only from [`par::AMBIENT_MIN_ITEMS`]
-    /// players up, so small simulations skip the per-round spawn overhead.
-    pub fn threads(&self) -> usize {
-        par::workers(self.threads, self.config.n, par::AMBIENT_MIN_ITEMS)
     }
 
     /// Read access to the node algorithms (e.g. to extract outputs).
@@ -177,18 +156,16 @@ impl<A: NodeAlgorithm> RoundEngine<A> {
     /// rolled back on error.
     pub fn step(&mut self) -> Result<bool, SimError> {
         let n = self.config.n;
-        let workers = self.threads();
         if !self.started {
             self.started = true;
-            let config = &self.config;
-            par::for_each_mut(&mut self.nodes, workers, |i, node| {
+            for (i, node) in self.nodes.iter_mut().enumerate() {
                 let ctx = NodeCtx {
                     id: NodeId::new(i),
                     round: 0,
-                    config,
+                    config: &self.config,
                 };
                 node.begin(&ctx);
-            });
+            }
         }
 
         // Double-buffer swap: `prev_inboxes` now holds this round's
@@ -200,30 +177,16 @@ impl<A: NodeAlgorithm> RoundEngine<A> {
             inbox.clear();
         }
 
-        // Collect outboxes into the per-node scratch. Each player's round is
-        // independent of every other player's (it reads only its own inbox),
-        // so the calls run on the worker pool; everything order-sensitive
-        // below — validation, delivery, metrics — is merged in ascending
-        // NodeId order afterwards, keeping transcripts bit-identical at any
-        // worker count.
-        {
-            let config = &self.config;
-            let round = self.round;
-            let inboxes = &self.prev_inboxes;
-            par::for_each_zip_mut(
-                &mut self.nodes,
-                &mut self.outboxes,
-                workers,
-                |i, node, outbox| {
-                    let ctx = NodeCtx {
-                        id: NodeId::new(i),
-                        round,
-                        config,
-                    };
-                    outbox.clear();
-                    node.round(&ctx, &inboxes[i], outbox);
-                },
-            );
+        // Collect outboxes into the per-node scratch. Each player's round
+        // reads only its own inbox.
+        for (i, (node, outbox)) in self.nodes.iter_mut().zip(&mut self.outboxes).enumerate() {
+            let ctx = NodeCtx {
+                id: NodeId::new(i),
+                round: self.round,
+                config: &self.config,
+            };
+            outbox.clear();
+            node.round(&ctx, &self.prev_inboxes[i], outbox);
         }
 
         // Validate, account and deliver, strictly in ascending sender
@@ -458,30 +421,5 @@ mod tests {
     fn node_count_mismatch_panics() {
         let cfg = CliqueConfig::broadcast(3, 1);
         let _ = RoundEngine::new(cfg, vec![Chatterbox, Chatterbox]);
-    }
-
-    #[test]
-    fn worker_count_never_changes_the_transcript() {
-        let inputs: Vec<bool> = (0..13).map(|i| i % 3 == 0).collect();
-        let run = |threads: usize| {
-            let cfg = CliqueConfig::broadcast(inputs.len(), 1);
-            let nodes = inputs
-                .iter()
-                .map(|&input| ParityNode {
-                    input,
-                    result: None,
-                })
-                .collect();
-            let mut engine = RoundEngine::new(cfg, nodes);
-            engine.set_threads(Some(threads));
-            assert_eq!(engine.threads(), threads);
-            let report = engine.run(5).unwrap();
-            let results: Vec<Option<bool>> = engine.nodes().iter().map(|n| n.result).collect();
-            (report, engine.metrics().clone(), results)
-        };
-        let baseline = run(1);
-        for threads in [2, 3, 8] {
-            assert_eq!(run(threads), baseline, "threads={threads}");
-        }
     }
 }

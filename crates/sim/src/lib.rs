@@ -30,25 +30,22 @@
 //!   ([`session::Session::exchange`]); the accounting is identical to
 //!   chunking every long message into `b`-bit pieces.
 //!
-//! Player-local work runs on a deterministic scoped worker pool ([`par`]):
-//! the round engine steps node algorithms concurrently and merges outboxes
-//! in ascending [`node::NodeId`] order, and the phase engine validates
-//! senders concurrently — transcripts, ledgers and outputs are
-//! bit-identical at every worker count (knob: [`par::set_threads`],
-//! `CLIQUE_THREADS`, or the per-engine `set_threads`). The [`linalg`]
-//! kernels are serial.
+//! A protocol run is serial: both engines step players, validate senders
+//! and deliver in ascending [`node::NodeId`] order on the calling thread.
+//! The [`linalg`] kernels are serial too. [`par::map`] runs independent
+//! jobs side by side (the `clique-serve` worker fleet's waves); a job's
+//! transcript never depends on which worker ran it.
 //!
-//! Message delivery itself is pluggable: both engines hand validated
-//! outboxes to a [`transport::Transport`] backend (zero-copy in-memory by
-//! default, mpsc-channel ownership transfer as a cross-check), and because
-//! all accounting happens before delivery, *the transport never changes
-//! transcripts* (knob: [`transport::set_default_kind`], `CLIQUE_TRANSPORT`,
-//! or the per-engine `set_transport`). Delivery can also *fail*, typed:
-//! [`transport::FaultyTransport`] injects a seeded [`transport::FaultPlan`]
-//! of drops, bit flips, duplications and truncations, detected through
-//! per-message integrity framing and surfaced as
-//! [`model::SimError::TransportFault`] — a faulted run aborts cleanly, it
-//! is never silently wrong.
+//! Message delivery goes through a [`transport::Transport`]: both engines
+//! hand validated outboxes to it after all accounting is done, so *the
+//! transport never changes transcripts*. The zero-copy
+//! [`transport::InMemoryTransport`] is the default; a session can carry
+//! another backend ([`session::Session::set_transport`]). Delivery can also
+//! *fail*, typed: [`transport::FaultyTransport`] injects a seeded
+//! [`transport::FaultPlan`] of drops, bit flips, duplications and
+//! truncations, detected through per-message integrity framing and
+//! surfaced as [`model::SimError::TransportFault`] — a faulted run aborts
+//! cleanly, it is never silently wrong.
 //!
 //! # Examples
 //!
@@ -105,8 +102,8 @@ pub mod prelude {
     pub use crate::protocol::{Protocol, Runner, SweepPoint};
     pub use crate::session::{NodeRun, Session};
     pub use crate::transport::{
-        ChannelTransport, FaultKind, FaultPlan, FaultyTransport, InMemoryTransport, Transport,
-        TransportFault, TransportKind,
+        FaultKind, FaultPlan, FaultyTransport, InMemoryTransport, Transport, TransportFault,
+        TransportKind,
     };
 }
 
@@ -121,6 +118,6 @@ pub use phase::PhaseEngine;
 pub use protocol::{Protocol, Runner, SweepPoint};
 pub use session::{NodeRun, Session};
 pub use transport::{
-    ChannelTransport, FaultKind, FaultPlan, FaultyTransport, InMemoryTransport, Transport,
-    TransportFault, TransportKind,
+    FaultKind, FaultPlan, FaultyTransport, InMemoryTransport, Transport, TransportFault,
+    TransportKind,
 };

@@ -7,25 +7,17 @@
 //! [`LANE_BITS`] field elements per machine instruction — instead of one
 //! `bool` at a time.
 //!
-//! Two multiplication kernels are provided:
-//!
-//! * [`BitMatrix::mul_f2_word`] — for every set bit `A[i][k]`, XOR row `k`
-//!   of `B` into the accumulator row, one word at a time;
-//! * [`BitMatrix::mul_f2_four_russians`] — the Method of Four Russians:
-//!   group the rows of `B` in blocks of 8, precompute all 256 XOR
-//!   combinations per block, then handle 8 columns of `A` per table lookup.
-//!
-//! [`BitMatrix::mul_f2`] dispatches between them (Four Russians from inner
-//! dimension [`FOUR_RUSSIANS_MIN_DIM`] up). [`BitMatrix::mul_bool`] (OR/AND)
-//! and [`BitMatrix::popcount_product`] (AND+popcount counting product) serve
+//! [`BitMatrix::mul_f2`] multiplies over `F₂`: for every set bit
+//! `A[i][k]`, it XORs row `k` of `B` into the accumulator row, one word at
+//! a time. [`BitMatrix::mul_bool`] (OR/AND) and
+//! [`BitMatrix::popcount_product`] (AND+popcount counting product) serve
 //! the Boolean and counting semirings of the algebraic protocols, and
 //! [`IntMatrix`] carries the small-integer `(+, ×)` and `(min, +)` semiring
 //! operands with block extraction and transpose helpers for 3D-partitioned
 //! distributed products.
 //!
 //! Every product runs serially on the calling thread: the model charges a
-//! player's local product nothing, and the engines, sweeps and server
-//! waves already parallelise across players and jobs. Packing is a
+//! player's local product nothing, and a protocol run is serial. Packing is a
 //! *host-side* optimisation only: protocols built on these kernels exchange
 //! exactly the same transcripts as the `Vec<Vec<bool>>` code they replaced
 //! (pinned by `tests/protocol_regression.rs`).
@@ -34,14 +26,6 @@ use std::fmt;
 
 use crate::bits::BitString;
 use crate::lane::{mask_low, DefaultLane, LANE_BITS};
-
-/// Inner dimension (columns of `A`, rows of `B`) from which
-/// [`BitMatrix::mul_f2`] switches to the Method of Four Russians.
-pub const FOUR_RUSSIANS_MIN_DIM: usize = 256;
-
-/// Rows-of-`B` block width of the Four-Russians kernel (8 bits → 256-entry
-/// tables).
-const M4R_BLOCK: usize = 8;
 
 /// The recursion depth that splits a `d`-dimensional product all the way to
 /// `1 × 1` blocks — the depth of the explicit Strassen *circuit* family
@@ -303,40 +287,20 @@ impl BitMatrix {
         out
     }
 
-    /// The matrix product over `F₂`, dispatching to the Four-Russians
-    /// kernel for inner dimensions of [`FOUR_RUSSIANS_MIN_DIM`] and up and to
-    /// the plain word kernel below that. Both compute bit-identical results.
+    /// The matrix product over `F₂`: for every set bit `A[i][k]`, XOR row
+    /// `k` of `B` into output row `i` ([`LANE_BITS`] columns per word
+    /// operation).
     ///
     /// # Panics
     ///
     /// Panics if `self.cols() != rhs.rows()`.
     pub fn mul_f2(&self, rhs: &BitMatrix) -> BitMatrix {
-        if Self::dispatches_to_four_russians(self.cols) {
-            self.mul_f2_four_russians(rhs)
-        } else {
-            self.mul_f2_word(rhs)
-        }
-    }
-
-    /// Whether [`mul_f2`](Self::mul_f2) routes an inner dimension to the
-    /// Four-Russians kernel instead of the plain word kernel.
-    fn dispatches_to_four_russians(inner_dim: usize) -> bool {
-        inner_dim >= FOUR_RUSSIANS_MIN_DIM
-    }
-
-    /// The word-level product: for every set bit `A[i][k]`, XOR row `k` of
-    /// `B` into output row `i` ([`LANE_BITS`] columns per word operation).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `self.cols() != rhs.rows()`.
-    pub fn mul_f2_word(&self, rhs: &BitMatrix) -> BitMatrix {
         self.fold_rows(rhs, |o, b| *o ^= b)
     }
 
     /// For every set bit `A[i][k]`, folds row `k` of `B` into output row `i`
-    /// with `op`, one word at a time — the walk shared by the word `F₂`
-    /// kernel (XOR) and the Boolean product (OR).
+    /// with `op`, one word at a time — the walk shared by the `F₂` product
+    /// (XOR) and the Boolean product (OR).
     fn fold_rows(&self, rhs: &BitMatrix, op: impl Fn(&mut DefaultLane, DefaultLane)) -> BitMatrix {
         assert_eq!(
             self.cols, rhs.rows,
@@ -361,61 +325,6 @@ impl BitMatrix {
             }
         }
         out
-    }
-
-    /// The Method-of-Four-Russians product: rows of `B` are processed in
-    /// blocks of 8; per block all 256 XOR combinations are tabulated
-    /// incrementally (one row XOR per entry), then every row of `A` consumes
-    /// 8 of its columns with a single table lookup.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `self.cols() != rhs.rows()`.
-    pub fn mul_f2_four_russians(&self, rhs: &BitMatrix) -> BitMatrix {
-        assert_eq!(
-            self.cols, rhs.rows,
-            "inner dimensions differ: {} vs {}",
-            self.cols, rhs.rows
-        );
-        let w = rhs.words_per_row;
-        let mut out = BitMatrix::zeros(self.rows, rhs.cols);
-        if self.rows == 0 || rhs.rows == 0 || w == 0 {
-            return out;
-        }
-        let mut table = vec![0; (1 << M4R_BLOCK) * w];
-        for block in 0..rhs.rows.div_ceil(M4R_BLOCK) {
-            let base = block * M4R_BLOCK;
-            let size = M4R_BLOCK.min(rhs.rows - base);
-            Self::m4r_build_table(rhs, base, size, &mut table);
-            for (i, out_row) in out.data.chunks_exact_mut(w).enumerate() {
-                let idx = self.extract_row_bits(i, base, size);
-                if idx != 0 {
-                    for (o, &t) in out_row.iter_mut().zip(&table[idx * w..(idx + 1) * w]) {
-                        *o ^= t;
-                    }
-                }
-            }
-        }
-        out
-    }
-
-    /// Builds the 256-entry XOR-combination table of the `M4R_BLOCK` rows
-    /// of `rhs` starting at row `base` into `table` (`256 * w` words).
-    /// Entries are built incrementally — `table[idx] = table[idx without
-    /// its lowest bit] ^ row(lowest bit)` — so every entry in
-    /// `1..1 << size` is overwritten by plain assignment, `table[0]` is
-    /// never written, and no reset between calls is needed (lookups are
-    /// masked to `size` bits).
-    fn m4r_build_table(rhs: &BitMatrix, base: usize, size: usize, table: &mut [DefaultLane]) {
-        let w = rhs.words_per_row;
-        for idx in 1usize..1 << size {
-            let low = idx.trailing_zeros() as usize;
-            let rest = idx & (idx - 1);
-            let b_row = (base + low) * w;
-            for wi in 0..w {
-                table[idx * w + wi] = table[rest * w + wi] ^ rhs.data[b_row + wi];
-            }
-        }
     }
 
     /// The transposed matrix.
@@ -580,20 +489,6 @@ impl BitMatrix {
             }
         }
         out
-    }
-
-    /// Extracts `len ≤ 8` bits of row `i` starting at column `start`
-    /// (straddling at most two words).
-    fn extract_row_bits(&self, i: usize, start: usize, len: usize) -> usize {
-        debug_assert!(len <= M4R_BLOCK && start + len <= self.cols);
-        let row = i * self.words_per_row;
-        let word_idx = start / LANE_BITS;
-        let bit_idx = start % LANE_BITS;
-        let mut value = self.data[row + word_idx] >> bit_idx;
-        if bit_idx + len > LANE_BITS {
-            value |= self.data[row + word_idx + 1] << (LANE_BITS - bit_idx);
-        }
-        (value & ((1u64 << len) - 1)) as usize
     }
 }
 
@@ -1031,46 +926,22 @@ mod tests {
     }
 
     #[test]
-    fn both_kernels_match_the_scalar_product() {
-        // The last two shapes sit at and above FOUR_RUSSIANS_MIN_DIM, so the
-        // dispatcher routes them to Four Russians; an inner dimension of 300
-        // leaves a partial last 8-row block.
+    fn mul_f2_matches_the_scalar_product() {
+        // Inner dimensions 256 and 300 cover a multiple of the lane width
+        // and a partial last word.
         for (ra, c, cb, seed) in [
             (1usize, 1usize, 1usize, 1u64),
             (3, 5, 4, 2),
             (17, 64, 9, 3),
             (8, 65, 70, 4),
             (20, 130, 20, 5),
-            (9, FOUR_RUSSIANS_MIN_DIM, 60, 6),
-            (40, FOUR_RUSSIANS_MIN_DIM + 44, 333, 7),
+            (9, 256, 60, 6),
+            (40, 300, 333, 7),
         ] {
             let a = pseudo_random(ra, c, seed);
             let b = pseudo_random(c, cb, seed + 100);
-            let expected = scalar_product(&a, &b);
-            assert_eq!(a.mul_f2_word(&b), expected, "word kernel {ra}x{c}x{cb}");
-            assert_eq!(
-                a.mul_f2_four_russians(&b),
-                expected,
-                "four russians {ra}x{c}x{cb}"
-            );
-            assert_eq!(a.mul_f2(&b), expected, "dispatch {ra}x{c}x{cb}");
+            assert_eq!(a.mul_f2(&b), scalar_product(&a, &b), "{ra}x{c}x{cb}");
         }
-    }
-
-    #[test]
-    fn dispatch_threshold_selects_the_expected_kernel() {
-        assert!(!BitMatrix::dispatches_to_four_russians(0));
-        assert!(!BitMatrix::dispatches_to_four_russians(
-            FOUR_RUSSIANS_MIN_DIM - 1
-        ));
-        assert!(BitMatrix::dispatches_to_four_russians(
-            FOUR_RUSSIANS_MIN_DIM
-        ));
-        // And the routed kernel agrees with the other path at the threshold.
-        let d = FOUR_RUSSIANS_MIN_DIM;
-        let a = pseudo_random(4, d, 7);
-        let b = pseudo_random(d, 4, 8);
-        assert_eq!(a.mul_f2(&b), a.mul_f2_word(&b));
     }
 
     #[test]
@@ -1253,7 +1124,7 @@ mod tests {
             (1usize, 1usize, 1usize, 31u64),
             (5, 70, 6, 32),
             (9, 130, 9, 33),
-            (7, FOUR_RUSSIANS_MIN_DIM + 44, 20, 34),
+            (7, 300, 20, 34),
         ] {
             let a = pseudo_random(ra, c, seed);
             let b = pseudo_random(c, cb, seed + 50);
@@ -1273,7 +1144,7 @@ mod tests {
             (1usize, 1usize, 1usize, 41u64),
             (6, 65, 7, 42),
             (8, 128, 8, 43),
-            (7, FOUR_RUSSIANS_MIN_DIM + 44, 20, 44),
+            (7, 300, 20, 44),
         ] {
             let a = pseudo_random(ra, c, seed);
             let b = pseudo_random(c, cb, seed + 50);

@@ -206,13 +206,7 @@ impl Outbox {
 /// input). All players typically run the same algorithm type with different
 /// state, so the engine is generic over `A: NodeAlgorithm` and owns a
 /// `Vec<A>` with one element per player.
-///
-/// `Send` is a supertrait because the engine may step disjoint groups of
-/// players on worker threads (see [`par`](crate::par)); node state moves
-/// between threads across rounds but is only ever touched by one thread at
-/// a time, and the NodeId-ordered outbox merge keeps transcripts identical
-/// at every worker count.
-pub trait NodeAlgorithm: Send {
+pub trait NodeAlgorithm {
     /// Called once before round 0, e.g. to queue initial computations.
     fn begin(&mut self, _ctx: &NodeCtx<'_>) {}
 

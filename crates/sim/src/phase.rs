@@ -21,7 +21,6 @@ use crate::bits::BitString;
 use crate::metrics::{Metrics, PhaseRecord};
 use crate::model::{CliqueConfig, CommMode, SimError};
 use crate::node::NodeId;
-use crate::par;
 use crate::transport::Transport;
 
 /// Logical outgoing data of one node during one phase.
@@ -172,20 +171,14 @@ impl PhaseInbox {
 pub struct PhaseEngine {
     config: CliqueConfig,
     metrics: Metrics,
-    /// Per-destination load scratch, reused across senders and phases on
-    /// the single-worker path.
+    /// Per-destination load scratch, reused across senders and phases.
     dest_load: Vec<u64>,
-    /// Per-engine worker-count override; `None` uses the default
-    /// resolution (see [`par::workers`]).
-    threads: Option<usize>,
     /// The message-delivery backend. Accounting (pass 1) never touches it,
     /// so the ledger is identical under every backend.
     transport: Box<dyn Transport>,
 }
 
-/// Validation and load accounting of one sender's phase outbox, computed
-/// independently per sender (and therefore in parallel) and merged in
-/// ascending [`NodeId`] order.
+/// Load accounting of one sender's phase outbox.
 #[derive(Debug, Default)]
 struct SenderSummary {
     /// Unicast model: the heaviest per-destination aggregated load this
@@ -195,18 +188,20 @@ struct SenderSummary {
     bits: u64,
     /// Non-empty messages this sender places on the network.
     messages: u64,
-    /// The first model violation in this outbox, in submission order.
-    error: Option<SimError>,
 }
 
-/// Computes one sender's [`SenderSummary`]. `dest_load` is caller-provided
-/// scratch (reset here) sized to `config.n`.
+/// Validates one sender's outbox and computes its [`SenderSummary`].
+/// `dest_load` is caller-provided scratch (reset here) sized to `config.n`.
+///
+/// # Errors
+///
+/// The first model violation in the outbox, in submission order.
 fn summarize_outbox(
     config: &CliqueConfig,
     sender: NodeId,
     out: &PhaseOutbox,
     dest_load: &mut Vec<u64>,
-) -> SenderSummary {
+) -> Result<SenderSummary, SimError> {
     let n = config.n;
     dest_load.clear();
     dest_load.resize(n, 0);
@@ -235,23 +230,17 @@ fn summarize_outbox(
     }
 
     for (dst, msg) in &out.unicasts {
-        let error = if config.mode == CommMode::Broadcast {
-            Some(SimError::UnicastInBroadcastModel { sender })
+        if config.mode == CommMode::Broadcast {
+            return Err(SimError::UnicastInBroadcastModel { sender });
         } else if dst.index() >= n {
-            Some(SimError::InvalidNode { node: *dst, n })
+            return Err(SimError::InvalidNode { node: *dst, n });
         } else if *dst == sender {
-            Some(SimError::SelfMessage { node: sender })
+            return Err(SimError::SelfMessage { node: sender });
         } else if !config.topology.connected(sender, *dst) {
-            Some(SimError::NotAnEdge {
+            return Err(SimError::NotAnEdge {
                 sender,
                 receiver: *dst,
-            })
-        } else {
-            None
-        };
-        if error.is_some() {
-            summary.error = error;
-            return summary;
+            });
         }
         let len = msg.len() as u64;
         dest_load[dst.index()] += len;
@@ -266,26 +255,24 @@ fn summarize_outbox(
             summary.max_load = summary.max_load.max(load);
         }
     }
-    summary
+    Ok(summary)
 }
 
 impl PhaseEngine {
-    /// Creates a phase engine for the given model, using the process
-    /// default transport (see
-    /// [`transport::default_kind`](crate::transport::default_kind)).
+    /// Creates a phase engine for the given model, delivering through an
+    /// [`InMemoryTransport`](crate::transport::InMemoryTransport).
     pub fn new(config: CliqueConfig) -> Self {
         Self {
             config,
             metrics: Metrics::new(),
             dest_load: Vec::new(),
-            threads: None,
             transport: crate::transport::default_transport(),
         }
     }
 
-    /// Replaces the message-delivery backend. Transports never change
-    /// transcripts (see [`transport`](crate::transport)); the knob only
-    /// swaps delivery mechanics.
+    /// Replaces the message-delivery backend (e.g. with a
+    /// [`FaultyTransport`](crate::transport::FaultyTransport)). Transports
+    /// never change transcripts (see [`transport`](crate::transport)).
     pub fn set_transport(&mut self, transport: Box<dyn Transport>) {
         self.transport = transport;
     }
@@ -293,22 +280,6 @@ impl PhaseEngine {
     /// The message-delivery backend in use.
     pub fn transport(&self) -> &dyn Transport {
         self.transport.as_ref()
-    }
-
-    /// Overrides the worker count used to validate and account phases in
-    /// parallel (`None` restores the default resolution). The ledger, the
-    /// delivered inboxes and error selection are identical at every worker
-    /// count.
-    pub fn set_threads(&mut self, threads: Option<usize>) {
-        self.threads = threads;
-    }
-
-    /// The worker count the next phase will use: an explicit override
-    /// (per-engine, else [`par::set_threads`]) is honored as given; the
-    /// ambient default engages only from [`par::AMBIENT_MIN_ITEMS`]
-    /// players up, so small simulations skip the per-phase spawn overhead.
-    pub fn threads(&self) -> usize {
-        par::workers(self.threads, self.config.n, par::AMBIENT_MIN_ITEMS)
     }
 
     /// Consumes the engine, returning the accumulated metrics.
@@ -363,35 +334,14 @@ impl PhaseEngine {
         let n = self.config.n;
         let b = self.config.bandwidth as u64;
         assert_eq!(outs.len(), n, "expected {} outboxes, got {}", n, outs.len());
-        let workers = self.threads();
 
-        // Pass 1 — validation and load accounting. Each sender's summary
-        // depends only on its own outbox and the (shared, read-only) model
-        // config, so the summaries are computed on the worker pool (with
-        // one reusable `dest_load` scratch per worker); the merge below
-        // walks them in ascending sender order, which keeps the ledger and
-        // the selected error identical at every worker count.
-        let summaries: Vec<SenderSummary> = if workers > 1 {
-            let config = &self.config;
-            par::map_with(n, workers, Vec::new, |i, dest_load| {
-                summarize_outbox(config, NodeId::new(i), &outs[i], dest_load)
-            })
-        } else {
-            let config = &self.config;
-            let dest_load = &mut self.dest_load;
-            outs.iter()
-                .enumerate()
-                .map(|(i, out)| summarize_outbox(config, NodeId::new(i), out, dest_load))
-                .collect()
-        };
-
+        // Pass 1 — validation and load accounting, in ascending sender
+        // order, so the first sender with a model violation reports it.
         let mut max_load = 0u64;
         let mut total_bits = 0u64;
         let mut messages = 0u64;
-        for summary in summaries {
-            if let Some(error) = summary.error {
-                return Err(error);
-            }
+        for (i, out) in outs.iter().enumerate() {
+            let summary = summarize_outbox(&self.config, NodeId::new(i), out, &mut self.dest_load)?;
             max_load = max_load.max(summary.max_load);
             total_bits += summary.bits;
             messages += summary.messages;
@@ -627,55 +577,20 @@ mod tests {
     }
 
     #[test]
-    fn worker_count_never_changes_the_ledger() {
-        let n = 9;
-        let run = |threads: usize| {
-            let mut engine = PhaseEngine::new(CliqueConfig::unicast(n, 2));
-            engine.set_threads(Some(threads));
-            let outs: Vec<PhaseOutbox> = (0..n)
-                .map(|i| {
-                    let mut out = PhaseOutbox::new();
-                    out.broadcast(BitString::from_bits(i as u64, 4));
-                    out.send(NodeId::new((i + 1) % n), BitString::from_bits(1, 3));
-                    out.send(NodeId::new((i + 1) % n), BitString::from_bits(2, 2));
-                    out
-                })
-                .collect();
-            let inboxes = engine.exchange("mixed", outs).unwrap();
-            let digest: Vec<(usize, usize)> = inboxes
-                .iter()
-                .map(|inbox| (inbox.received_bits(), inbox.unicasts().count()))
-                .collect();
-            (engine.metrics().clone(), digest)
-        };
-        let baseline = run(1);
-        for threads in [2, 4, 16] {
-            assert_eq!(run(threads), baseline, "threads={threads}");
-        }
-    }
-
-    #[test]
     fn worker_count_never_changes_error_selection() {
         // Sender 1 has a self-message *after* a valid unicast; sender 4 has
-        // an invalid node. Serial order reports sender 1's error first.
-        let build = || {
-            let mut outs: Vec<PhaseOutbox> = (0..6).map(|_| PhaseOutbox::new()).collect();
-            outs[1].send(NodeId::new(0), BitString::from_bits(1, 1));
-            outs[1].send(NodeId::new(1), BitString::from_bits(1, 1));
-            outs[4].send(NodeId::new(17), BitString::from_bits(1, 1));
-            outs
-        };
-        for threads in [1usize, 2, 8] {
-            let mut engine = PhaseEngine::new(CliqueConfig::unicast(6, 2));
-            engine.set_threads(Some(threads));
-            let err = engine.exchange("bad", build()).unwrap_err();
-            assert_eq!(
-                err,
-                SimError::SelfMessage {
-                    node: NodeId::new(1)
-                },
-                "threads={threads}"
-            );
-        }
+        // an invalid node. The first sender in order reports its error.
+        let mut outs: Vec<PhaseOutbox> = (0..6).map(|_| PhaseOutbox::new()).collect();
+        outs[1].send(NodeId::new(0), BitString::from_bits(1, 1));
+        outs[1].send(NodeId::new(1), BitString::from_bits(1, 1));
+        outs[4].send(NodeId::new(17), BitString::from_bits(1, 1));
+        let mut engine = PhaseEngine::new(CliqueConfig::unicast(6, 2));
+        let err = engine.exchange("bad", outs).unwrap_err();
+        assert_eq!(
+            err,
+            SimError::SelfMessage {
+                node: NodeId::new(1)
+            }
+        );
     }
 }

@@ -15,7 +15,6 @@
 
 use crate::model::{CliqueConfig, SimError};
 use crate::outcome::RunOutcome;
-use crate::par;
 use crate::session::Session;
 use crate::transport::Transport;
 
@@ -92,12 +91,9 @@ where
 #[derive(Clone, Debug)]
 pub struct Runner {
     config: CliqueConfig,
-    /// Worker-count override handed to every session this runner opens;
-    /// `None` uses the default resolution (see [`par::workers`]).
-    threads: Option<usize>,
     /// Transport prototype cloned into every session this runner opens;
-    /// `None` uses the process default (see
-    /// [`transport::default_kind`](crate::transport::default_kind)).
+    /// `None` uses the default
+    /// [`InMemoryTransport`](crate::transport::InMemoryTransport).
     transport: Option<Box<dyn Transport>>,
 }
 
@@ -116,24 +112,13 @@ impl Runner {
     pub fn new(config: CliqueConfig) -> Self {
         Self {
             config,
-            threads: None,
             transport: None,
         }
     }
 
-    /// Returns this runner with a worker-count override that every session
-    /// it opens inherits (`None` restores the default resolution, see
-    /// [`par::workers`]). Parallelism never changes protocol outputs or
-    /// ledgers.
-    #[must_use]
-    pub fn with_threads(mut self, threads: Option<usize>) -> Self {
-        self.threads = threads;
-        self
-    }
-
     /// Returns this runner with a transport prototype that every session it
-    /// opens receives a clone of (`None` restores the process default, see
-    /// [`transport::default_kind`](crate::transport::default_kind)).
+    /// opens receives a clone of (`None` restores the default
+    /// [`InMemoryTransport`](crate::transport::InMemoryTransport)).
     /// Transports never change protocol outputs or ledgers — see
     /// [`transport`](crate::transport).
     #[must_use]
@@ -161,7 +146,6 @@ impl Runner {
         protocol: &mut P,
     ) -> Result<RunOutcome<P::Output>, SimError> {
         let mut session = Session::new(self.config.clone());
-        session.set_threads(self.threads);
         if let Some(transport) = &self.transport {
             session.set_transport(transport.clone_box());
         }
@@ -215,54 +199,6 @@ impl Runner {
         }
         Ok(points)
     }
-
-    /// [`Self::sweep`] with the independent grid points executed on the
-    /// worker pool (up to [`par::threads`] at a time). The returned points
-    /// are in grid order and identical to a serial sweep — each point runs
-    /// on its own fresh session, so outputs and ledgers cannot depend on
-    /// scheduling; on error, the first failing point *in grid order* is
-    /// reported, exactly like [`Self::sweep`].
-    ///
-    /// The pool budget is divided between the two levels: with `t` workers
-    /// and `p` grid points, `min(t, p)` points run concurrently and each
-    /// point's session gets `max(1, t / min(t, p))` workers for its own
-    /// engines — so a many-point sweep runs its points serially inside
-    /// (no quadratic oversubscription), while a sweep of few heavy points
-    /// still parallelizes within each point.
-    ///
-    /// The `Send`/`Sync` bounds are what the pool forces on protocol state:
-    /// `make` is shared by the workers and each built protocol (plus its
-    /// output) crosses a thread boundary once.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the error of the first failing grid point.
-    pub fn sweep_par<P, F>(
-        configs: impl IntoIterator<Item = CliqueConfig>,
-        make: F,
-    ) -> Result<Vec<SweepPoint<P::Output>>, SimError>
-    where
-        P: Protocol + Send,
-        P::Output: Send,
-        F: Fn(&CliqueConfig) -> P + Sync,
-    {
-        let configs: Vec<CliqueConfig> = configs.into_iter().collect();
-        let budget = par::threads();
-        let outer = budget.min(configs.len().max(1));
-        let inner = (budget / outer).max(1);
-        let results = par::map(configs.len(), outer, |i| {
-            let config = &configs[i];
-            let mut protocol = make(config);
-            Runner::new(config.clone())
-                .with_threads(Some(inner))
-                .execute(&mut protocol)
-                .map(|outcome| SweepPoint {
-                    config: config.clone(),
-                    outcome,
-                })
-        });
-        results.into_iter().collect()
-    }
 }
 
 #[cfg(test)]
@@ -305,49 +241,6 @@ mod tests {
         assert_eq!(points[0].outcome.rounds(), 4);
         assert_eq!(points[1].outcome.rounds(), 2);
         assert_eq!(*points[3].outcome, 4);
-    }
-
-    #[test]
-    fn sweep_par_matches_sweep_in_order_and_content() {
-        let make = |config: &CliqueConfig| {
-            let n = config.n;
-            move |session: &mut Session| {
-                let msgs: Vec<BitString> =
-                    (0..n).map(|_| BitString::from_bools(&[true; 4])).collect();
-                session.broadcast_all("msgs", &msgs)?;
-                Ok(n)
-            }
-        };
-        let grid = || {
-            CliqueConfig::builder()
-                .broadcast()
-                .grid(&[2, 4, 8], &[1, 2])
-        };
-        let serial = Runner::sweep(grid(), make).unwrap();
-        let parallel = Runner::sweep_par(grid(), make).unwrap();
-        assert_eq!(serial.len(), parallel.len());
-        for (s, p) in serial.iter().zip(&parallel) {
-            assert_eq!(s.config, p.config);
-            assert_eq!(*s.outcome, *p.outcome);
-            assert_eq!(s.outcome.metrics, p.outcome.metrics);
-        }
-    }
-
-    #[test]
-    fn sweep_par_reports_the_first_failing_point_in_grid_order() {
-        let grid = CliqueConfig::builder().broadcast().grid(&[2, 4, 8], &[1]);
-        let err = Runner::sweep_par(grid, |config| {
-            let n = config.n;
-            move |_session: &mut Session| -> Result<(), SimError> {
-                if n >= 4 {
-                    return Err(SimError::RoundLimitExceeded { limit: n as u64 });
-                }
-                Ok(())
-            }
-        })
-        .unwrap_err();
-        // Both n = 4 and n = 8 fail; grid order reports n = 4 first.
-        assert_eq!(err, SimError::RoundLimitExceeded { limit: 4 });
     }
 
     #[test]

@@ -40,10 +40,6 @@ use crate::transport::Transport;
 #[derive(Clone, Debug)]
 pub struct Session {
     engine: PhaseEngine,
-    /// Per-session worker-count override, inherited by nested sessions and
-    /// strict-engine runs; `None` uses the default resolution (see
-    /// [`par::workers`](crate::par::workers)).
-    threads: Option<usize>,
 }
 
 /// The result of driving [`NodeAlgorithm`]s to completion inside a session:
@@ -62,24 +58,7 @@ impl Session {
     pub fn new(config: CliqueConfig) -> Self {
         Self {
             engine: PhaseEngine::new(config),
-            threads: None,
         }
-    }
-
-    /// Overrides the worker count for this session's engines (`None`
-    /// restores the default resolution, see
-    /// [`par::workers`](crate::par::workers)).
-    /// Nested sessions and strict-engine runs inherit the override.
-    /// Parallelism never changes transcripts, ledgers or outputs — only
-    /// wall-clock time.
-    pub fn set_threads(&mut self, threads: Option<usize>) {
-        self.threads = threads;
-        self.engine.set_threads(threads);
-    }
-
-    /// The worker count this session's engines use.
-    pub fn threads(&self) -> usize {
-        self.engine.threads()
     }
 
     /// Replaces the message-delivery backend for this session's engines.
@@ -247,7 +226,6 @@ impl Session {
         protocol: &mut P,
     ) -> Result<RunOutcome<P::Output>, SimError> {
         let mut sub = Session::new(config);
-        sub.set_threads(self.threads);
         sub.set_transport(self.engine.transport().clone_box());
         let result = protocol.run(&mut sub);
         let metrics = sub.into_metrics();
@@ -274,7 +252,6 @@ impl Session {
         max_rounds: u64,
     ) -> Result<NodeRun<A>, SimError> {
         let mut engine = RoundEngine::new(self.config().clone(), nodes);
-        engine.set_threads(self.threads);
         engine.set_transport(self.engine.transport().clone_box());
         let result = engine.run(max_rounds);
         self.absorb_metrics(engine.metrics());

@@ -4,8 +4,8 @@
 //!
 //! 1. **Transparency** — a [`FaultyTransport`] carrying an empty (zero
 //!    rate) [`FaultPlan`] is byte-identical to the bare transport it
-//!    wraps, for both inner backends and across the protocol registry
-//!    (property-based).
+//!    wraps, whether that is the in-memory backend or another wrapper, and
+//!    across the protocol registry (property-based).
 //! 2. **Cache integrity** — a deliberately corrupted transcript-cache
 //!    entry is caught by `verify_hits`, evicted, and the job is served the
 //!    fresh recomputation.
@@ -45,7 +45,6 @@ fn run_with_plan(
     let options = RunOptions {
         bandwidth: 8,
         fault,
-        ..RunOptions::default()
     };
     entry
         .run(&input, &options)
@@ -76,9 +75,10 @@ proptest! {
         prop_assert_eq!(&bare, &wrapped, "{} diverged under a zero-rate plan", entry.id);
     }
 
-    /// Both inner transports behave identically under the empty wrapper: a
-    /// broadcast protocol run over in-memory and channel delivery, each
-    /// bare and each wrapped, produces four byte-identical outcomes.
+    /// The empty wrapper is transparent over both kinds of inner transport,
+    /// the in-memory backend and another wrapper: a broadcast protocol run
+    /// bare (on the default and on an explicit in-memory backend), wrapped
+    /// once and wrapped twice produces four byte-identical outcomes.
     #[test]
     fn empty_wrapper_is_transparent_over_both_inner_transports(
         n in 2usize..8,
@@ -99,11 +99,12 @@ proptest! {
                 .expect("probe protocol failed")
         };
         let plan = FaultPlan::new(seed, 0, &INJECTABLE_FAULTS);
-        let baseline = run(Some(Box::new(InMemoryTransport)));
+        let wrapper = || Box::new(FaultyTransport::new(plan, Box::new(InMemoryTransport)));
+        let baseline = run(None);
         for wrapped in [
-            run(Some(Box::new(ChannelTransport::default()))),
-            run(Some(Box::new(FaultyTransport::new(plan, Box::new(InMemoryTransport))))),
-            run(Some(Box::new(FaultyTransport::new(plan, Box::new(ChannelTransport::default()))))),
+            run(Some(Box::new(InMemoryTransport))),
+            run(Some(wrapper())),
+            run(Some(Box::new(FaultyTransport::new(plan, wrapper())))),
         ] {
             prop_assert_eq!(baseline.output.clone(), wrapped.output);
             prop_assert_eq!(baseline.metrics.clone(), wrapped.metrics);
