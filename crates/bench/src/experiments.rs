@@ -2,8 +2,6 @@
 //! per-experiment index). Each returns an [`ExperimentTable`] with the
 //! measured quantities next to what the corresponding theorem predicts.
 
-use std::time::Instant;
-
 use clique_core::algebraic::{
     compute_apsp, count_triangles, semiring_matmul, sparse_matmul, ApspProtocol, FastMatMul,
     Semiring, SemiringMatMul, SemiringMatrix,
@@ -820,22 +818,15 @@ fn served_spec(protocol: &str, family: &str, n: usize, seed: u64) -> JobSpec {
     }
 }
 
-/// E14 — the server fleet's wall-clock scaling: one fixed batch of
-/// registry jobs served cold at 1, 2 and 4 workers, with every served
-/// record pinned byte-identical to the 1-worker fleet's.
+/// E14 — server fleet determinism: one fixed batch of registry jobs
+/// served cold at 1, 2 and 4 workers, with every served record pinned
+/// byte-identical to the 1-worker fleet's.
 pub fn e14_parallel_scaling(scale: Scale) -> ExperimentTable {
     let mut table = ExperimentTable::new(
         "E14",
-        "server fleet scaling (wall-clock)",
-        "every record served at 2 and 4 workers is byte-identical to the 1-worker fleet's (a protocol run is serial, so its record cannot depend on the worker that ran it); the wall-clock speedup is bounded by the host's cores",
-        &[
-            "workers",
-            "jobs",
-            "waves",
-            "wall ms",
-            "speedup vs 1 worker",
-            "transcript identical",
-        ],
+        "server fleet determinism",
+        "every record served at 2 and 4 workers is byte-identical to the 1-worker fleet's (a protocol run is serial, so its record cannot depend on the worker that ran it)",
+        &["workers", "jobs", "waves", "transcript identical"],
     );
     let sizes: &[usize] = scale.pick(&[12, 16][..], &[16, 24, 32][..]);
     let batch: Vec<JobSpec> = SERVED_CASES
@@ -846,23 +837,19 @@ pub fn e14_parallel_scaling(scale: Scale) -> ExperimentTable {
             })
         })
         .collect();
-    let mut baseline: Option<(Vec<String>, f64)> = None;
+    let mut baseline: Option<Vec<String>> = None;
     for workers in [1usize, 2, 4] {
         let mut server = Server::new(ServerConfig {
             workers,
             ..ServerConfig::default()
         });
-        let start = Instant::now();
         let served = server.submit_batch(&batch).expect("E14 batch failed");
-        let ms = start.elapsed().as_secs_f64() * 1e3;
         let records: Vec<String> = served.into_iter().map(|r| r.record).collect();
-        let (base_records, base_ms) = baseline.get_or_insert_with(|| (records.clone(), ms));
+        let base_records = baseline.get_or_insert_with(|| records.clone());
         table.push_row(vec![
             workers.to_string(),
             batch.len().to_string(),
             server.stats().waves.to_string(),
-            fmt_f64(ms),
-            fmt_f64(*base_ms / ms),
             (*base_records == records).to_string(),
         ]);
     }
@@ -1323,7 +1310,8 @@ pub const EXPERIMENTS: &[ExperimentEntry] = &[
     },
     ExperimentEntry {
         id: "E14",
-        description: "server fleet scaling: one job batch at 1/2/4 workers, byte-identical records",
+        description:
+            "server fleet determinism: one job batch at 1/2/4 workers, byte-identical records",
         run: e14_parallel_scaling,
     },
     ExperimentEntry {

@@ -23,38 +23,6 @@ pub use diff::{assert_protocol_matches_oracle, unweighted_grid, weighted_grid, L
 pub use experiments::{run_all, ExperimentEntry, Scale, EXPERIMENTS};
 pub use table::ExperimentTable;
 
-/// Parses the value of the `serve` harness's `--threads` (fleet size) flag;
-/// anything but a positive integer exits with status 2, matching the other
-/// flag errors.
-pub fn parse_threads_flag(value: Option<&String>) -> usize {
-    match try_parse_threads(value) {
-        Ok(t) => t,
-        Err(message) => {
-            eprintln!("error: {message}");
-            std::process::exit(2);
-        }
-    }
-}
-
-/// [`parse_threads_flag`] without the exit, for testability and callers
-/// that report errors themselves.
-///
-/// # Errors
-///
-/// Returns the diagnostic to print when the value is missing or not a
-/// positive integer.
-pub fn try_parse_threads(value: Option<&String>) -> Result<usize, String> {
-    let Some(value) = value else {
-        return Err("--threads requires a value (a positive integer)".to_owned());
-    };
-    match value.parse::<usize>() {
-        Ok(t) if t >= 1 => Ok(t),
-        _ => Err(format!(
-            "invalid --threads value {value} (expected a positive integer)"
-        )),
-    }
-}
-
 /// What an `experiments` invocation asks for.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum ExperimentsCommand {
@@ -157,13 +125,5 @@ mod tests {
         assert!(parse_experiments_args(&args(&["E99"]))
             .unwrap_err()
             .contains("unknown experiment id"));
-        assert!(try_parse_threads(None)
-            .unwrap_err()
-            .contains("--threads requires a value"));
-        assert!(try_parse_threads(Some(&"0".to_owned()))
-            .unwrap_err()
-            .contains("invalid --threads value"));
-        assert!(try_parse_threads(Some(&"x".to_owned())).is_err());
-        assert_eq!(try_parse_threads(Some(&"2".to_owned())), Ok(2));
     }
 }

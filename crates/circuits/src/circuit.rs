@@ -6,7 +6,6 @@
 //! used by the simulation.
 
 use crate::gate::GateKind;
-use clique_sim::lane::{mask_low, DefaultLane, LANE_BITS};
 
 /// Identifier of a gate within a [`Circuit`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -284,103 +283,6 @@ impl Circuit {
         let values = self.evaluate_all(assignment);
         self.outputs.iter().map(|id| values[id.index()]).collect()
     }
-
-    /// Evaluates the circuit on many assignments at once, bit-sliced: each
-    /// gate holds one [`DefaultLane`] word with one bit per assignment, so
-    /// every pass over the gate list evaluates up to [`LANE_BITS`]
-    /// independent assignments. Word-parallel gates
-    /// (`AND`/`OR`/`XOR`/`NOT`/constants — see
-    /// [`GateKind::is_word_parallel`]) cost one word operation per input;
-    /// counting gates fall back to per-assignment evaluation within the
-    /// slice.
-    ///
-    /// Returns one output vector (in output order) per assignment, equal to
-    /// what [`Self::evaluate`] returns on that assignment.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any assignment's length differs from the number of inputs.
-    pub fn evaluate_batch(&self, assignments: &[Vec<bool>]) -> Vec<Vec<bool>> {
-        let mut results = Vec::with_capacity(assignments.len());
-        let mut lanes: Vec<DefaultLane> = vec![0; self.gates.len()];
-        for chunk in assignments.chunks(LANE_BITS) {
-            for assignment in chunk {
-                assert_eq!(
-                    assignment.len(),
-                    self.inputs.len(),
-                    "expected {} input bits, got {}",
-                    self.inputs.len(),
-                    assignment.len()
-                );
-            }
-            self.evaluate_slice(chunk, &mut lanes);
-            for (k, _) in chunk.iter().enumerate() {
-                results.push(
-                    self.outputs
-                        .iter()
-                        .map(|id| lanes[id.index()] >> k & 1 == 1)
-                        .collect(),
-                );
-            }
-        }
-        results
-    }
-
-    /// One bit-sliced pass: evaluates up to [`LANE_BITS`] assignments,
-    /// leaving the value of gate `g` on assignment `k` in bit `k` of
-    /// `lanes[g]`.
-    fn evaluate_slice(&self, chunk: &[Vec<bool>], lanes: &mut [DefaultLane]) {
-        debug_assert!(chunk.len() <= LANE_BITS);
-        let active = mask_low(chunk.len());
-        let mut next_input = 0usize;
-        for i in 0..self.gates.len() {
-            let gate = &self.gates[i];
-            lanes[i] = match &gate.kind {
-                GateKind::Input => {
-                    let t = next_input;
-                    next_input += 1;
-                    chunk
-                        .iter()
-                        .enumerate()
-                        .fold(0, |acc, (k, a)| acc | (DefaultLane::from(a[t]) << k))
-                }
-                GateKind::Const(value) => {
-                    if *value {
-                        active
-                    } else {
-                        0
-                    }
-                }
-                GateKind::And => gate
-                    .inputs
-                    .iter()
-                    .fold(active, |acc, id| acc & lanes[id.index()]),
-                GateKind::Or => gate
-                    .inputs
-                    .iter()
-                    .fold(0, |acc, id| acc | lanes[id.index()]),
-                GateKind::Not => {
-                    assert_eq!(gate.inputs.len(), 1, "NOT gate takes exactly one input");
-                    !lanes[gate.inputs[0].index()] & active
-                }
-                GateKind::Xor => gate
-                    .inputs
-                    .iter()
-                    .fold(0, |acc, id| acc ^ lanes[id.index()]),
-                kind => {
-                    // Counting gates: evaluate each active lane separately.
-                    let mut word: DefaultLane = 0;
-                    for k in 0..chunk.len() {
-                        let value = kind.eval_iter(
-                            gate.inputs.iter().map(|id| lanes[id.index()] >> k & 1 == 1),
-                        );
-                        word |= DefaultLane::from(value) << k;
-                    }
-                    word
-                }
-            };
-        }
-    }
 }
 
 #[cfg(test)]
@@ -491,45 +393,6 @@ mod tests {
     fn wrong_assignment_length_panics() {
         let c = xor3_circuit();
         let _ = c.evaluate(&[true]);
-    }
-
-    #[test]
-    fn evaluate_batch_matches_sequential_evaluate() {
-        // Mix word-parallel and counting gates so both batch paths run.
-        let mut c = Circuit::new();
-        let xs = c.add_inputs(6);
-        let and = c.add_gate(GateKind::And, &[xs[0], xs[1], xs[2]]);
-        let xor = c.add_gate(GateKind::Xor, &[xs[3], xs[4], and]);
-        let not = c.add_gate(GateKind::Not, &[xor]);
-        let maj = c.add_gate(GateKind::Majority, &[xs[0], xs[5], not]);
-        let thr = c.add_gate(GateKind::Threshold(2), &[and, xor, maj]);
-        let t = c.add_gate(GateKind::Const(true), &[]);
-        let out = c.add_gate(GateKind::Or, &[thr, t, xs[5]]);
-        c.mark_output(maj);
-        c.mark_output(out);
-
-        // More than one 64-lane slice, including a partial final slice.
-        let assignments: Vec<Vec<bool>> = (0..130u32)
-            .map(|k| (0..6).map(|i| (k * 37 + 11) >> i & 1 == 1).collect())
-            .collect();
-        let batch = c.evaluate_batch(&assignments);
-        assert_eq!(batch.len(), assignments.len());
-        for (k, assignment) in assignments.iter().enumerate() {
-            assert_eq!(batch[k], c.evaluate(assignment), "lane {k}");
-        }
-    }
-
-    #[test]
-    fn evaluate_batch_on_empty_input_sets() {
-        let c = xor3_circuit();
-        assert!(c.evaluate_batch(&[]).is_empty());
-    }
-
-    #[test]
-    #[should_panic(expected = "expected 3 input bits")]
-    fn evaluate_batch_rejects_wrong_assignment_length() {
-        let c = xor3_circuit();
-        let _ = c.evaluate_batch(&[vec![true; 2]]);
     }
 
     #[test]

@@ -114,16 +114,6 @@ impl GateKind {
         }
     }
 
-    /// Returns `true` if the gate is a plain `F₂`/lattice word operation
-    /// (`AND`/`OR`/`XOR`/`NOT`/constant) that [`crate::Circuit::evaluate_batch`]
-    /// can evaluate 64 assignments at a time with one machine word per gate.
-    pub fn is_word_parallel(&self) -> bool {
-        matches!(
-            self,
-            GateKind::Const(_) | GateKind::And | GateKind::Or | GateKind::Not | GateKind::Xor
-        )
-    }
-
     /// Checks that `fan_in` is a legal fan-in for this gate kind.
     pub fn validate_fan_in(&self, fan_in: usize) -> bool {
         match self {

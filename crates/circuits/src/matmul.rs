@@ -280,8 +280,7 @@ pub fn matmul_f2_reference(a: &BitMatrix, b: &BitMatrix) -> BitMatrix {
 }
 
 /// The retained bool-at-a-time `F₂` product: the oracle the packed kernel
-/// is property-tested against, and the scalar baseline `BENCH_kernels.json`
-/// measures the word-parallel speedup from.
+/// is property-tested against.
 pub fn matmul_f2_scalar(a: &[Vec<bool>], b: &[Vec<bool>]) -> Vec<Vec<bool>> {
     let d = a.len();
     let mut out = vec![vec![false; d]; d];

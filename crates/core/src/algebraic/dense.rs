@@ -336,7 +336,6 @@ impl Protocol for SemiringMatMul<'_> {
     type Output = SemiringMatrix;
 
     fn run(&mut self, session: &mut Session) -> Result<SemiringMatrix, SimError> {
-        session.require_clique();
         let d = self.a.rows();
         let mut output = SemiringMatrix::identity_filled(self.semiring, d, d);
         if d > 0 {
@@ -593,7 +592,6 @@ impl Protocol for FastMatMul<'_> {
     type Output = SemiringMatrix;
 
     fn run(&mut self, session: &mut Session) -> Result<SemiringMatrix, SimError> {
-        session.require_clique();
         let n = session.n();
         let d = self.a.rows();
         let levels = match self.levels {

@@ -57,7 +57,6 @@ impl Protocol for SparseMatMul<'_> {
     type Output = SemiringMatrix;
 
     fn run(&mut self, session: &mut Session) -> Result<SemiringMatrix, SimError> {
-        session.require_clique();
         let n = session.n();
         let d = self.a.rows();
         if d == 0 {

@@ -179,7 +179,6 @@ fn run_circuit_simulation(
     partition: InputPartition,
     session: &mut Session,
 ) -> Result<CircuitOutput, SimError> {
-    session.require_clique();
     let n = session.n();
     let plan = plan_simulation(circuit, n);
 

@@ -461,7 +461,7 @@ mod tests {
         for cut in 0..=payload.len() {
             let prefix = BitString::from_words(payload.words(), cut);
             let messages = [BitString::new(), prefix, BitString::new()];
-            let inboxes = PhaseEngine::new(CliqueConfig::broadcast(3, 8))
+            let inboxes = Session::new(CliqueConfig::broadcast(3, 8))
                 .broadcast_all(SKETCH_PHASE, &messages)
                 .unwrap();
             let read = read_sketch(&inboxes[0], 1, universe, capacity, field_bits);

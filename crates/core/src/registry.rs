@@ -1,7 +1,7 @@
 //! The protocol registry: one `protocol_id -> entry` table shared by every
 //! harness that dispatches protocols by name (the `clique-serve` job
-//! server, the `serve` bench bin, tests), replacing per-binary match arms —
-//! adding a servable protocol is one [`PROTOCOLS`] row.
+//! server, the benchmark, tests), replacing per-binary match arms — adding
+//! a servable protocol is one [`PROTOCOLS`] row.
 //!
 //! An entry bundles a stable id, a one-line description, the input kind it
 //! consumes and a runner that executes the protocol on the model the paper

@@ -231,23 +231,6 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "complete clique topology")]
-    fn full_broadcast_rejects_restricted_topologies() {
-        // On a CONGEST topology a broadcast reaches only neighbours, so the
-        // reconstruct-and-search protocol would silently work from a partial
-        // view; the session guard rejects it up front.
-        let adj = AdjacencyTopology::from_edges(3, &[(0, 1)]);
-        let g = generators::cycle(3);
-        let pattern = Pattern::Clique(3);
-        let config = CliqueConfig::builder()
-            .bandwidth(2)
-            .topology(adj)
-            .broadcast()
-            .build();
-        let _ = Runner::new(config).execute(&mut FullBroadcastDetection::new(&g, &pattern));
-    }
-
-    #[test]
     fn protocols_run_on_explicit_runners() {
         // The same protocol instance type runs on models the wrappers never
         // pick, e.g. a wider-bandwidth broadcast clique.

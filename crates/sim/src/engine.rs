@@ -5,9 +5,10 @@
 //! exactly: in each round a player may put at most `b` bits on each of its
 //! links (unicast) or write a single message of at most `b` bits on the
 //! blackboard (broadcast). It is the engine of record for round complexity
-//! claims; the more convenient [`PhaseEngine`](crate::phase::PhaseEngine)
-//! charges rounds with the same accounting but lets algorithms hand over
-//! arbitrarily long logical messages.
+//! claims; the more convenient phases of a
+//! [`Session`](crate::session::Session) charge rounds with the same
+//! accounting but let algorithms hand over arbitrarily long logical
+//! messages.
 
 use crate::metrics::{Metrics, RunReport};
 use crate::model::{CliqueConfig, SimError};
@@ -152,8 +153,8 @@ impl<A: NodeAlgorithm> RoundEngine<A> {
     /// # Errors
     ///
     /// Returns a [`SimError`] if any node violates the model rules
-    /// (bandwidth, duplicate messages, topology, …). The engine state is not
-    /// rolled back on error.
+    /// (bandwidth, duplicate messages, invalid destinations, …). The engine
+    /// state is not rolled back on error.
     pub fn step(&mut self) -> Result<bool, SimError> {
         let n = self.config.n;
         if !self.started {
@@ -207,7 +208,7 @@ impl<A: NodeAlgorithm> RoundEngine<A> {
             }
             if let Some(msg) = &outbox.broadcast {
                 max_link = max_link.max(msg.len() as u64);
-                messages += self.config.topology.degree(sender, n) as u64;
+                messages += n as u64 - 1;
             }
             self.transport
                 .deliver_round(&self.config, sender, outbox, &mut self.next_inboxes)
@@ -339,8 +340,8 @@ mod tests {
         assert_eq!(engine.metrics().rounds, 3);
     }
 
-    /// Relay along a path topology: node 0 forwards a token to node 1, which
-    /// forwards it to node 2.
+    /// Relay along a path: node 0 forwards a token to node 1, which forwards
+    /// it to node 2.
     struct Relay {
         token: Option<u64>,
         done: bool,
@@ -373,10 +374,8 @@ mod tests {
     }
 
     #[test]
-    fn congest_topology_relay() {
-        use crate::model::AdjacencyTopology;
-        let adj = AdjacencyTopology::from_edges(3, &[(0, 1), (1, 2)]);
-        let cfg = CliqueConfig::congest(3, 4, adj);
+    fn token_relays_over_two_rounds() {
+        let cfg = CliqueConfig::unicast(3, 4);
         let nodes = vec![
             Relay {
                 token: Some(9),

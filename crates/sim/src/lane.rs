@@ -1,8 +1,8 @@
 //! The machine word of the packed kernels.
 //!
 //! Every packed data path in the workspace — [`BitString`](crate::bits),
-//! [`BitMatrix`](crate::linalg), the bit-sliced circuit evaluator in
-//! `clique-circuits` — stores bits least-significant-first in
+//! [`BitMatrix`](crate::linalg), the packed adjacency rows of
+//! `clique-graphs` — stores bits least-significant-first in
 //! [`DefaultLane`] words, and all of their geometry derives from
 //! [`LANE_BITS`]. Lanes are `u64`: a `u128` lane measured slower end to
 //! end, so there is one width.

@@ -1,15 +1,17 @@
 //! # clique-sim — a bit-exact simulator for the congested clique
 //!
-//! This crate implements the communication models studied in Drucker, Kuhn &
-//! Oshman, *On the Power of the Congested Clique Model* (PODC 2014):
+//! This crate implements the two congested-clique models defined in
+//! Drucker, Kuhn & Oshman, *On the Power of the Congested Clique Model*
+//! (PODC 2014), both on the complete network of `n` players:
 //!
-//! * **`CLIQUE-UCAST(n, b)`** — `n` players on a complete network; each
-//!   player may send a *different* `b`-bit message on each link per round.
+//! * **`CLIQUE-UCAST(n, b)`** — each player may send a *different* `b`-bit
+//!   message on each link per round.
 //! * **`CLIQUE-BCAST(n, b)`** — each player writes a single `b`-bit message
 //!   per round that every other player sees (the multi-party shared
 //!   blackboard with number-in-hand inputs).
-//! * **`CONGEST-UCAST(n, b)`** — unicast, but only along the edges of an
-//!   arbitrary topology (the communication network equals the input graph).
+//!
+//! The paper's `CONGEST-UCAST(n, b)` only receives a transferred lower
+//! bound (Theorem 19), computed from a formula; nothing runs on it.
 //!
 //! Protocols are written against the [`protocol::Protocol`] /
 //! [`session::Session`] API: a protocol is model-independent, a
@@ -18,27 +20,28 @@
 //! [`outcome::RunOutcome`] with the full round/bit ledger.
 //! [`protocol::Runner::sweep`] measures a protocol across an `(n, b)` grid.
 //!
-//! Underneath, two execution engines do the accounting — a [`Session`]
-//! fronts both:
+//! A [`Session`] owns the round/bit ledger and charges it in two ways:
 //!
-//! * [`engine::RoundEngine`] — strict, round-by-round execution of a
-//!   [`node::NodeAlgorithm`] per player, rejecting any message longer than
-//!   `b` bits. Use it (via [`session::Session::run_nodes`]) when the
-//!   per-round behaviour itself is the object of study.
-//! * [`phase::PhaseEngine`] — bulk-synchronous phases carrying arbitrarily
-//!   long logical messages, charged `ceil(max link load / b)` rounds
-//!   ([`session::Session::exchange`]); the accounting is identical to
-//!   chunking every long message into `b`-bit pieces.
+//! * bulk-synchronous phases carrying arbitrarily long logical messages
+//!   ([`session::Session::exchange`] over [`phase::PhaseOutbox`]es), charged
+//!   `ceil(max link load / b)` rounds; the accounting is identical to
+//!   chunking every long message into `b`-bit pieces;
+//! * strict, round-by-round execution of a [`node::NodeAlgorithm`] per
+//!   player on the [`engine::RoundEngine`]
+//!   ([`session::Session::run_nodes`]), rejecting any message longer than
+//!   `b` bits, for when the per-round behaviour itself is the object of
+//!   study.
 //!
-//! A protocol run is serial: both engines step players, validate senders
-//! and deliver in ascending [`node::NodeId`] order on the calling thread.
+//! A protocol run is serial: sessions and the round engine step players,
+//! validate senders and deliver in ascending [`node::NodeId`] order on the
+//! calling thread.
 //! The [`linalg`] kernels are serial too. [`par::map`] runs independent
 //! jobs side by side (the `clique-serve` worker fleet's waves); a job's
 //! transcript never depends on which worker ran it.
 //!
-//! Message delivery goes through a [`transport::Transport`]: both engines
-//! hand validated outboxes to it after all accounting is done, so *the
-//! transport never changes transcripts*. The zero-copy
+//! Message delivery goes through a [`transport::Transport`]: validated
+//! outboxes reach it only after all accounting is done, so *the transport
+//! never changes transcripts*. The zero-copy
 //! [`transport::InMemoryTransport`] is the default; a session can carry
 //! another backend ([`session::Session::set_transport`]). Delivery can also
 //! *fail*, typed: [`transport::FaultyTransport`] injects a seeded
@@ -93,12 +96,10 @@ pub mod prelude {
     pub use crate::lane::{DefaultLane, LANE_BITS};
     pub use crate::linalg::{BitMatrix, IntMatrix};
     pub use crate::metrics::{Metrics, PhaseRecord, RunReport};
-    pub use crate::model::{
-        AdjacencyTopology, CliqueConfig, CliqueConfigBuilder, CommMode, SimError, Topology,
-    };
+    pub use crate::model::{CliqueConfig, CliqueConfigBuilder, CommMode, SimError};
     pub use crate::node::{Inbox, NodeAlgorithm, NodeCtx, NodeId, Outbox};
     pub use crate::outcome::RunOutcome;
-    pub use crate::phase::{PhaseEngine, PhaseInbox, PhaseOutbox};
+    pub use crate::phase::{PhaseInbox, PhaseOutbox};
     pub use crate::protocol::{Protocol, Runner, SweepPoint};
     pub use crate::session::{NodeRun, Session};
     pub use crate::transport::{
@@ -114,7 +115,6 @@ pub use metrics::{Metrics, RunReport};
 pub use model::{CliqueConfig, CliqueConfigBuilder, CommMode, SimError};
 pub use node::NodeId;
 pub use outcome::RunOutcome;
-pub use phase::PhaseEngine;
 pub use protocol::{Protocol, Runner, SweepPoint};
 pub use session::{NodeRun, Session};
 pub use transport::{

@@ -1,4 +1,4 @@
-//! Round and bit accounting shared by the round engine and the phase engine.
+//! Round and bit accounting shared by the round engine and session phases.
 
 use std::borrow::Cow;
 use std::fmt;

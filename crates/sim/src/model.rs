@@ -1,17 +1,18 @@
-//! Model definitions: which machines exist, who may talk to whom, and how
-//! many bits fit on a link per round.
+//! Model definitions: how many players there are, how they may use their
+//! links, and how many bits fit on a link per round.
 //!
-//! The paper studies three models:
+//! The simulator runs the paper's two models, both on the complete network
+//! (every ordered pair of players is connected):
 //!
-//! * `CLIQUE-UCAST(n, b)` — [`CommMode::Unicast`] over [`Topology::Clique`]:
-//!   every ordered pair of players is connected and each player may send a
+//! * `CLIQUE-UCAST(n, b)` — [`CommMode::Unicast`]: each player may send a
 //!   *different* `b`-bit message on each of its links per round.
-//! * `CLIQUE-BCAST(n, b)` — [`CommMode::Broadcast`] over [`Topology::Clique`]:
-//!   each player writes a single `b`-bit message per round, seen by everyone
-//!   (the shared-blackboard / number-in-hand multiparty model).
-//! * `CONGEST-UCAST(n, b)` — [`CommMode::Unicast`] over a
-//!   [`Topology::Graph`]: unicast, but only along the edges of the input
-//!   graph.
+//! * `CLIQUE-BCAST(n, b)` — [`CommMode::Broadcast`]: each player writes a
+//!   single `b`-bit message per round, seen by everyone (the
+//!   shared-blackboard / number-in-hand multiparty model).
+//!
+//! The paper's third model, `CONGEST-UCAST(n, b)`, only receives
+//! Theorem 19's transferred lower bound, which is computed from a formula
+//! and never simulated.
 
 use std::fmt;
 
@@ -22,8 +23,8 @@ use crate::node::NodeId;
 pub enum CommMode {
     /// A different `b`-bit message may be sent on every outgoing link.
     Unicast,
-    /// A single `b`-bit message is written per round and delivered to all
-    /// neighbours (the shared blackboard).
+    /// A single `b`-bit message is written per round and delivered to every
+    /// other player (the shared blackboard).
     Broadcast,
 }
 
@@ -33,113 +34,6 @@ impl fmt::Display for CommMode {
             CommMode::Unicast => write!(f, "unicast"),
             CommMode::Broadcast => write!(f, "broadcast"),
         }
-    }
-}
-
-/// The communication topology: who is directly connected to whom.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum Topology {
-    /// The complete graph on `n` players (the congested clique).
-    Clique,
-    /// An arbitrary undirected topology given by adjacency lists
-    /// (the CONGEST setting, where the communication network equals the
-    /// input graph).
-    Graph(AdjacencyTopology),
-}
-
-impl Topology {
-    /// Returns `true` if player `u` may send directly to player `v`.
-    pub fn connected(&self, u: NodeId, v: NodeId) -> bool {
-        if u == v {
-            return false;
-        }
-        match self {
-            Topology::Clique => true,
-            Topology::Graph(adj) => adj.has_edge(u, v),
-        }
-    }
-
-    /// The number of neighbours of `u` among `n` players (`u` must be a
-    /// valid player), without materializing the neighbour list.
-    pub fn degree(&self, u: NodeId, n: usize) -> usize {
-        match self {
-            Topology::Clique => n.saturating_sub(1),
-            Topology::Graph(adj) => adj.degree(u),
-        }
-    }
-
-    /// The neighbours of `u` among `n` players.
-    pub fn neighbors(&self, u: NodeId, n: usize) -> Vec<NodeId> {
-        match self {
-            Topology::Clique => (0..n)
-                .filter(|&v| v != u.index())
-                .map(NodeId::new)
-                .collect(),
-            Topology::Graph(adj) => adj.neighbors(u),
-        }
-    }
-}
-
-/// An explicit adjacency-list topology for CONGEST-style simulations.
-#[derive(Clone, Debug, PartialEq, Eq, Default)]
-pub struct AdjacencyTopology {
-    adjacency: Vec<Vec<usize>>,
-}
-
-impl AdjacencyTopology {
-    /// Builds a topology on `n` nodes from an undirected edge list.
-    ///
-    /// Self-loops are ignored; duplicate edges are stored once.
-    ///
-    /// # Panics
-    ///
-    /// Panics if an endpoint is `>= n`.
-    pub fn from_edges(n: usize, edges: &[(usize, usize)]) -> Self {
-        let mut adjacency = vec![Vec::new(); n];
-        for &(u, v) in edges {
-            assert!(u < n && v < n, "edge ({u},{v}) out of range for n={n}");
-            if u == v {
-                continue;
-            }
-            if !adjacency[u].contains(&v) {
-                adjacency[u].push(v);
-                adjacency[v].push(u);
-            }
-        }
-        for list in &mut adjacency {
-            list.sort_unstable();
-        }
-        Self { adjacency }
-    }
-
-    /// Number of nodes.
-    pub fn len(&self) -> usize {
-        self.adjacency.len()
-    }
-
-    /// Returns `true` if the topology has no nodes.
-    pub fn is_empty(&self) -> bool {
-        self.adjacency.is_empty()
-    }
-
-    /// Returns `true` if `{u, v}` is an edge.
-    pub fn has_edge(&self, u: NodeId, v: NodeId) -> bool {
-        self.adjacency
-            .get(u.index())
-            .is_some_and(|list| list.binary_search(&v.index()).is_ok())
-    }
-
-    /// The neighbours of `u`.
-    pub fn neighbors(&self, u: NodeId) -> Vec<NodeId> {
-        self.adjacency
-            .get(u.index())
-            .map(|list| list.iter().copied().map(NodeId::new).collect())
-            .unwrap_or_default()
-    }
-
-    /// The degree of `u` (0 for out-of-range nodes).
-    pub fn degree(&self, u: NodeId) -> usize {
-        self.adjacency.get(u.index()).map_or(0, Vec::len)
     }
 }
 
@@ -164,15 +58,13 @@ pub struct CliqueConfig {
     pub bandwidth: usize,
     /// Unicast or broadcast use of the bandwidth.
     pub mode: CommMode,
-    /// Communication topology (clique unless simulating CONGEST).
-    pub topology: Topology,
 }
 
 impl CliqueConfig {
     /// Starts a [`CliqueConfigBuilder`] — the composable way to describe a
     /// model instance (and the only constructor the algorithm crates use).
     ///
-    /// Defaults: unicast mode, clique topology, `⌈log₂ n⌉` bandwidth.
+    /// Defaults: unicast mode, `⌈log₂ n⌉` bandwidth.
     ///
     /// # Examples
     ///
@@ -196,7 +88,7 @@ impl CliqueConfig {
     ///
     /// Panics if `n == 0` or `bandwidth == 0`.
     pub fn unicast(n: usize, bandwidth: usize) -> Self {
-        Self::validated(n, bandwidth, CommMode::Unicast, Topology::Clique)
+        Self::validated(n, bandwidth, CommMode::Unicast)
     }
 
     /// `CLIQUE-BCAST(n, b)`: broadcast congested clique (shared blackboard).
@@ -205,23 +97,7 @@ impl CliqueConfig {
     ///
     /// Panics if `n == 0` or `bandwidth == 0`.
     pub fn broadcast(n: usize, bandwidth: usize) -> Self {
-        Self::validated(n, bandwidth, CommMode::Broadcast, Topology::Clique)
-    }
-
-    /// `CONGEST-UCAST(n, b)`: unicast over the given topology.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n == 0`, `bandwidth == 0`, or the topology has a different
-    /// number of nodes than `n`.
-    pub fn congest(n: usize, bandwidth: usize, topology: AdjacencyTopology) -> Self {
-        assert_eq!(
-            topology.len(),
-            n,
-            "topology has {} nodes but n = {n}",
-            topology.len()
-        );
-        Self::validated(n, bandwidth, CommMode::Unicast, Topology::Graph(topology))
+        Self::validated(n, bandwidth, CommMode::Broadcast)
     }
 
     /// `CLIQUE-UCAST(n, O(log n))`: the bandwidth regime of [8, 28].
@@ -234,15 +110,10 @@ impl CliqueConfig {
         Self::broadcast(n, log2_ceil(n).max(1))
     }
 
-    fn validated(n: usize, bandwidth: usize, mode: CommMode, topology: Topology) -> Self {
+    fn validated(n: usize, bandwidth: usize, mode: CommMode) -> Self {
         assert!(n > 0, "a model needs at least one player");
         assert!(bandwidth > 0, "bandwidth must be at least one bit");
-        Self {
-            n,
-            bandwidth,
-            mode,
-            topology,
-        }
+        Self { n, bandwidth, mode }
     }
 
     /// Total number of bits that may cross the network in one round
@@ -258,14 +129,13 @@ impl CliqueConfig {
 /// Builder for [`CliqueConfig`], obtained from [`CliqueConfig::builder`].
 ///
 /// The builder doubles as a *prototype* for parameter sweeps: fix the mode
-/// and topology once, then [`CliqueConfigBuilder::grid`] stamps out one
-/// config per `(n, b)` point.
+/// once, then [`CliqueConfigBuilder::grid`] stamps out one config per
+/// `(n, b)` point.
 #[derive(Clone, Debug)]
 pub struct CliqueConfigBuilder {
     n: Option<usize>,
     bandwidth: Option<usize>,
     mode: CommMode,
-    topology: Topology,
 }
 
 impl Default for CliqueConfigBuilder {
@@ -274,7 +144,6 @@ impl Default for CliqueConfigBuilder {
             n: None,
             bandwidth: None,
             mode: CommMode::Unicast,
-            topology: Topology::Clique,
         }
     }
 }
@@ -321,42 +190,21 @@ impl CliqueConfigBuilder {
         self.mode(CommMode::Broadcast)
     }
 
-    /// Restricts communication to the edges of `topology`
-    /// (the CONGEST setting); also infers `nodes` when unset.
-    #[must_use]
-    pub fn topology(mut self, topology: AdjacencyTopology) -> Self {
-        if self.n.is_none() {
-            self.n = Some(topology.len());
-        }
-        self.topology = Topology::Graph(topology);
-        self
-    }
-
     /// Finalises the configuration.
     ///
     /// # Panics
     ///
-    /// Panics if `nodes` was never set, if `n == 0` or `bandwidth == 0`, or
-    /// if an explicit topology disagrees with `n`.
+    /// Panics if `nodes` was never set, or if `n == 0` or `bandwidth == 0`.
     pub fn build(self) -> CliqueConfig {
         let n = self.n.expect("CliqueConfigBuilder: nodes(n) must be set");
         let bandwidth = self.bandwidth.unwrap_or_else(|| log2_ceil(n).max(1));
-        if let Topology::Graph(adj) = &self.topology {
-            assert_eq!(adj.len(), n, "topology has {} nodes but n = {n}", adj.len());
-        }
-        CliqueConfig::validated(n, bandwidth, self.mode, self.topology)
+        CliqueConfig::validated(n, bandwidth, self.mode)
     }
 
     /// Stamps out one config per `(n, b)` grid point, using this builder as
     /// the prototype for everything else. An empty `bandwidths` slice uses
     /// the builder's own bandwidth choice (explicit or `⌈log₂ n⌉`) for
     /// every `n`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the prototype carries an explicit [`Topology::Graph`]: a
-    /// fixed CONGEST graph has one node count and cannot be resized across
-    /// a grid — build such configs individually instead.
     ///
     /// # Examples
     ///
@@ -371,11 +219,6 @@ impl CliqueConfigBuilder {
     /// assert_eq!(logs[0].bandwidth, 8);
     /// ```
     pub fn grid(&self, nodes: &[usize], bandwidths: &[usize]) -> Vec<CliqueConfig> {
-        assert!(
-            matches!(self.topology, Topology::Clique),
-            "grid() needs a clique-topology prototype; a fixed CONGEST graph \
-             cannot be resized across the grid"
-        );
         let mut configs = Vec::new();
         for &n in nodes {
             if bandwidths.is_empty() {
@@ -392,19 +235,15 @@ impl CliqueConfigBuilder {
 
 impl fmt::Display for CliqueConfig {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let topo = match &self.topology {
-            Topology::Clique => "CLIQUE",
-            Topology::Graph(_) => "CONGEST",
-        };
         let mode = match self.mode {
             CommMode::Unicast => "UCAST",
             CommMode::Broadcast => "BCAST",
         };
-        write!(f, "{topo}-{mode}(n={}, b={})", self.n, self.bandwidth)
+        write!(f, "CLIQUE-{mode}(n={}, b={})", self.n, self.bandwidth)
     }
 }
 
-/// Errors produced by the simulation engines.
+/// Errors produced by sessions and the round engine.
 ///
 /// Variant fields name the offending node(s) and, where relevant, the
 /// message size and the configured bandwidth.
@@ -419,26 +258,23 @@ pub enum SimError {
     SelfMessage { node: NodeId },
     /// Two messages were sent on the same link in the same round.
     DuplicateMessage { sender: NodeId, receiver: NodeId },
-    /// A message exceeded the per-round link bandwidth (low-level engine
-    /// only; the phase engine chunks long messages automatically).
+    /// A message exceeded the per-round link bandwidth (round engine only;
+    /// session phases charge long messages by their chunk count).
     BandwidthExceeded {
         sender: NodeId,
         receiver: Option<NodeId>,
         bits: usize,
         bandwidth: usize,
     },
-    /// A message was sent along a pair that is not an edge of the topology.
-    NotAnEdge { sender: NodeId, receiver: NodeId },
     /// The protocol did not terminate within the allowed number of rounds.
     RoundLimitExceeded { limit: u64 },
     /// A transport backend lost or damaged a delivery — an injected fault
     /// detected through the integrity framing (see
-    /// [`transport::FaultyTransport`](crate::transport::FaultyTransport))
-    /// or a real backend failure such as a disconnected channel. The run
-    /// aborts instead of computing from a damaged transcript. `round`
-    /// counts ledger rounds charged before the fault (under the phase
-    /// engine: before the faulted phase); `receiver` is `None` for a
-    /// broadcast.
+    /// [`transport::FaultyTransport`](crate::transport::FaultyTransport)).
+    /// The run aborts instead of computing from a damaged transcript.
+    /// `round` counts ledger rounds charged before the fault (in a
+    /// [`Session`](crate::session::Session): before the faulted phase);
+    /// `receiver` is `None` for a broadcast.
     TransportFault {
         round: u64,
         sender: NodeId,
@@ -480,9 +316,6 @@ impl fmt::Display for SimError {
                     "broadcast of {bits} bits from {sender} exceeds bandwidth {bandwidth}"
                 ),
             },
-            SimError::NotAnEdge { sender, receiver } => {
-                write!(f, "pair ({sender}, {receiver}) is not an edge of the topology")
-            }
             SimError::RoundLimitExceeded { limit } => {
                 write!(f, "protocol did not terminate within {limit} rounds")
             }
@@ -557,14 +390,6 @@ mod tests {
             CliqueConfig::builder().nodes(1024).log_bandwidth().build(),
             CliqueConfig::unicast_logn(1024)
         );
-        let adj = AdjacencyTopology::from_edges(3, &[(0, 1)]);
-        assert_eq!(
-            CliqueConfig::builder()
-                .bandwidth(2)
-                .topology(adj.clone())
-                .build(),
-            CliqueConfig::congest(3, 2, adj)
-        );
     }
 
     #[test]
@@ -582,30 +407,9 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "clique-topology prototype")]
-    fn grid_rejects_fixed_topology_prototypes() {
-        let adj = AdjacencyTopology::from_edges(3, &[(0, 1)]);
-        let _ = CliqueConfig::builder()
-            .bandwidth(2)
-            .topology(adj)
-            .grid(&[8], &[2]);
-    }
-
-    #[test]
     #[should_panic(expected = "nodes(n) must be set")]
     fn builder_without_nodes_panics() {
         let _ = CliqueConfig::builder().bandwidth(2).build();
-    }
-
-    #[test]
-    #[should_panic(expected = "topology has")]
-    fn builder_topology_mismatch_panics() {
-        let adj = AdjacencyTopology::from_edges(3, &[(0, 1)]);
-        let _ = CliqueConfig::builder()
-            .nodes(5)
-            .bandwidth(1)
-            .topology(adj)
-            .build();
     }
 
     #[test]
@@ -621,41 +425,6 @@ mod tests {
     }
 
     #[test]
-    fn clique_topology_connectivity() {
-        let t = Topology::Clique;
-        assert!(t.connected(NodeId::new(0), NodeId::new(5)));
-        assert!(!t.connected(NodeId::new(3), NodeId::new(3)));
-        assert_eq!(t.neighbors(NodeId::new(1), 4).len(), 3);
-    }
-
-    #[test]
-    fn graph_topology_connectivity() {
-        let adj = AdjacencyTopology::from_edges(4, &[(0, 1), (1, 2), (2, 2)]);
-        let t = Topology::Graph(adj.clone());
-        assert!(t.connected(NodeId::new(0), NodeId::new(1)));
-        assert!(t.connected(NodeId::new(2), NodeId::new(1)));
-        assert!(!t.connected(NodeId::new(0), NodeId::new(2)));
-        assert!(!t.connected(NodeId::new(2), NodeId::new(2)));
-        assert_eq!(adj.neighbors(NodeId::new(1)).len(), 2);
-        assert_eq!(adj.neighbors(NodeId::new(3)).len(), 0);
-        assert_eq!(adj.len(), 4);
-    }
-
-    #[test]
-    fn congest_config_checks_size() {
-        let adj = AdjacencyTopology::from_edges(3, &[(0, 1)]);
-        let cfg = CliqueConfig::congest(3, 2, adj);
-        assert!(matches!(cfg.topology, Topology::Graph(_)));
-    }
-
-    #[test]
-    #[should_panic(expected = "topology has")]
-    fn congest_config_size_mismatch_panics() {
-        let adj = AdjacencyTopology::from_edges(3, &[(0, 1)]);
-        let _ = CliqueConfig::congest(4, 2, adj);
-    }
-
-    #[test]
     fn display_formats() {
         assert_eq!(
             CliqueConfig::unicast(16, 4).to_string(),
@@ -664,11 +433,6 @@ mod tests {
         assert_eq!(
             CliqueConfig::broadcast(16, 4).to_string(),
             "CLIQUE-BCAST(n=16, b=4)"
-        );
-        let adj = AdjacencyTopology::from_edges(2, &[(0, 1)]);
-        assert_eq!(
-            CliqueConfig::congest(2, 1, adj).to_string(),
-            "CONGEST-UCAST(n=2, b=1)"
         );
     }
 

@@ -1,27 +1,28 @@
-//! The high-level bulk-synchronous phase engine.
+//! The data of one bulk-synchronous phase: outboxes, inboxes and the
+//! per-sender load accounting.
 //!
 //! Most of the paper's algorithms are naturally described in *phases*: "every
 //! node broadcasts an `O(k log n)`-bit message", "route this balanced demand",
 //! "each player sends its `b`-bit summary to the owner of the heavy gate".
 //! Writing these against the bit-strict [`RoundEngine`](crate::engine) would
 //! force every algorithm to re-implement chunking of long messages into
-//! `b`-bit pieces. [`PhaseEngine`] does this accounting centrally: a phase
-//! delivers arbitrarily long logical messages and is charged
+//! `b`-bit pieces. [`Session::exchange`](crate::session::Session::exchange)
+//! does this accounting centrally: a phase delivers arbitrarily long logical
+//! [`PhaseOutbox`] messages into [`PhaseInbox`]es and is charged
 //! `ceil(max link load / b)` rounds, which is exactly the number of rounds the
 //! chunked execution would take in the respective model.
 //!
-//! The engine never interprets payloads; information-flow discipline (a node
-//! may only use what it has received) is the responsibility of the protocol
-//! implementation, and the protocol implementations in `clique-core` are
-//! structured so that per-node state is only updated from delivered inboxes.
+//! The accounting never interprets payloads; information-flow discipline (a
+//! node may only use what it has received) is the responsibility of the
+//! protocol implementation, and the protocol implementations in
+//! `clique-core` are structured so that per-node state is only updated from
+//! delivered inboxes.
 
 use std::sync::Arc;
 
 use crate::bits::BitString;
-use crate::metrics::{Metrics, PhaseRecord};
 use crate::model::{CliqueConfig, CommMode, SimError};
 use crate::node::NodeId;
-use crate::transport::Transport;
 
 /// Logical outgoing data of one node during one phase.
 #[derive(Clone, Debug, Default)]
@@ -71,7 +72,8 @@ pub struct PhaseInbox {
 }
 
 impl PhaseInbox {
-    fn empty(n: usize) -> Self {
+    /// An inbox with no deliveries, for a model with `n` players.
+    pub(crate) fn empty(n: usize) -> Self {
         Self {
             broadcasts: vec![None; n],
             unicasts: vec![None; n],
@@ -138,56 +140,16 @@ impl PhaseInbox {
     }
 }
 
-/// Bulk-synchronous executor with exact round accounting.
-///
-/// # Examples
-///
-/// ```
-/// use clique_sim::prelude::*;
-/// use clique_sim::phase::{PhaseEngine, PhaseOutbox};
-///
-/// # fn main() -> Result<(), clique_sim::model::SimError> {
-/// // Four players, blackboard bandwidth 2 bits/round.
-/// let mut engine = PhaseEngine::new(CliqueConfig::broadcast(4, 2));
-///
-/// // Every node broadcasts a 6-bit value: ceil(6 / 2) = 3 rounds.
-/// let outs: Vec<PhaseOutbox> = (0..4)
-///     .map(|i| {
-///         let mut out = PhaseOutbox::new();
-///         out.broadcast(BitString::from_bits(i as u64, 6));
-///         out
-///     })
-///     .collect();
-/// let inboxes = engine.exchange("announce", outs)?;
-/// assert_eq!(engine.rounds(), 3);
-/// assert_eq!(
-///     inboxes[0].broadcast_from(NodeId::new(3)).unwrap().reader().read_bits(6),
-///     Some(3)
-/// );
-/// # Ok(())
-/// # }
-/// ```
-#[derive(Clone, Debug)]
-pub struct PhaseEngine {
-    config: CliqueConfig,
-    metrics: Metrics,
-    /// Per-destination load scratch, reused across senders and phases.
-    dest_load: Vec<u64>,
-    /// The message-delivery backend. Accounting (pass 1) never touches it,
-    /// so the ledger is identical under every backend.
-    transport: Box<dyn Transport>,
-}
-
 /// Load accounting of one sender's phase outbox.
 #[derive(Debug, Default)]
-struct SenderSummary {
+pub(crate) struct SenderSummary {
     /// Unicast model: the heaviest per-destination aggregated load this
     /// sender puts on any link. Broadcast model: its blackboard length.
-    max_load: u64,
+    pub(crate) max_load: u64,
     /// Payload bits this sender places on the network.
-    bits: u64,
+    pub(crate) bits: u64,
     /// Non-empty messages this sender places on the network.
-    messages: u64,
+    pub(crate) messages: u64,
 }
 
 /// Validates one sender's outbox and computes its [`SenderSummary`].
@@ -196,7 +158,7 @@ struct SenderSummary {
 /// # Errors
 ///
 /// The first model violation in the outbox, in submission order.
-fn summarize_outbox(
+pub(crate) fn summarize_outbox(
     config: &CliqueConfig,
     sender: NodeId,
     out: &PhaseOutbox,
@@ -216,11 +178,12 @@ fn summarize_outbox(
             }
             CommMode::Unicast => {
                 // A broadcast in the unicast model occupies every outgoing
-                // link.
-                let receivers = config.topology.neighbors(sender, n);
-                summary.bits += len * receivers.len() as u64;
-                for dst in receivers {
-                    dest_load[dst.index()] += len;
+                // link: one to each of the other n - 1 players.
+                summary.bits += len * (n as u64 - 1);
+                for (dst, load) in dest_load.iter_mut().enumerate() {
+                    if dst != sender.index() {
+                        *load += len;
+                    }
                 }
             }
         }
@@ -236,11 +199,6 @@ fn summarize_outbox(
             return Err(SimError::InvalidNode { node: *dst, n });
         } else if *dst == sender {
             return Err(SimError::SelfMessage { node: sender });
-        } else if !config.topology.connected(sender, *dst) {
-            return Err(SimError::NotAnEdge {
-                sender,
-                receiver: *dst,
-            });
         }
         let len = msg.len() as u64;
         dest_load[dst.index()] += len;
@@ -258,169 +216,10 @@ fn summarize_outbox(
     Ok(summary)
 }
 
-impl PhaseEngine {
-    /// Creates a phase engine for the given model, delivering through an
-    /// [`InMemoryTransport`](crate::transport::InMemoryTransport).
-    pub fn new(config: CliqueConfig) -> Self {
-        Self {
-            config,
-            metrics: Metrics::new(),
-            dest_load: Vec::new(),
-            transport: crate::transport::default_transport(),
-        }
-    }
-
-    /// Replaces the message-delivery backend (e.g. with a
-    /// [`FaultyTransport`](crate::transport::FaultyTransport)). Transports
-    /// never change transcripts (see [`transport`](crate::transport)).
-    pub fn set_transport(&mut self, transport: Box<dyn Transport>) {
-        self.transport = transport;
-    }
-
-    /// The message-delivery backend in use.
-    pub fn transport(&self) -> &dyn Transport {
-        self.transport.as_ref()
-    }
-
-    /// Consumes the engine, returning the accumulated metrics.
-    pub fn into_metrics(self) -> Metrics {
-        self.metrics
-    }
-
-    /// The model configuration.
-    pub fn config(&self) -> &CliqueConfig {
-        &self.config
-    }
-
-    /// Metrics accumulated so far.
-    pub fn metrics(&self) -> &Metrics {
-        &self.metrics
-    }
-
-    /// Rounds charged so far.
-    pub fn rounds(&self) -> u64 {
-        self.metrics.rounds
-    }
-
-    /// Total bits charged so far.
-    pub fn total_bits(&self) -> u64 {
-        self.metrics.total_bits
-    }
-
-    /// Executes one phase: `outs[i]` is node `i`'s outgoing data.
-    ///
-    /// The phase is charged `ceil(L / b)` rounds where `L` is the maximum
-    /// load of any link (unicast) or any node's blackboard message
-    /// (broadcast). An all-silent phase is charged zero rounds.
-    ///
-    /// # Errors
-    ///
-    /// * [`SimError::UnicastInBroadcastModel`] if a unicast payload is
-    ///   submitted in a broadcast model.
-    /// * [`SimError::InvalidNode`], [`SimError::SelfMessage`],
-    ///   [`SimError::NotAnEdge`] for malformed destinations.
-    /// * [`SimError::TransportFault`] if the transport loses or damages a
-    ///   delivery (the phase is validated and charged before delivery, but
-    ///   the engine state is not rolled back).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `outs.len() != config.n`.
-    pub fn exchange(
-        &mut self,
-        label: &str,
-        outs: Vec<PhaseOutbox>,
-    ) -> Result<Vec<PhaseInbox>, SimError> {
-        let n = self.config.n;
-        let b = self.config.bandwidth as u64;
-        assert_eq!(outs.len(), n, "expected {} outboxes, got {}", n, outs.len());
-
-        // Pass 1 — validation and load accounting, in ascending sender
-        // order, so the first sender with a model violation reports it.
-        let mut max_load = 0u64;
-        let mut total_bits = 0u64;
-        let mut messages = 0u64;
-        for (i, out) in outs.iter().enumerate() {
-            let summary = summarize_outbox(&self.config, NodeId::new(i), out, &mut self.dest_load)?;
-            max_load = max_load.max(summary.max_load);
-            total_bits += summary.bits;
-            messages += summary.messages;
-        }
-
-        // Pass 2 — delivery through the transport, strictly in ascending
-        // sender order. The ledger was fully computed in pass 1, so the
-        // backend cannot affect the accounting; the default in-memory
-        // backend moves payloads and Arc-shares broadcasts (one allocation
-        // per broadcast, a pointer clone per receiver).
-        let mut inboxes: Vec<PhaseInbox> = (0..n).map(|_| PhaseInbox::empty(n)).collect();
-        for (i, out) in outs.into_iter().enumerate() {
-            self.transport
-                .deliver_phase(&self.config, NodeId::new(i), out, &mut inboxes)
-                .map_err(|fault| fault.at_round(self.metrics.rounds))?;
-        }
-
-        let rounds = max_load.div_ceil(b);
-        self.metrics.record_phase(PhaseRecord {
-            label: label.to_owned().into(),
-            rounds,
-            bits: total_bits,
-            messages,
-            max_link_bits_per_round: max_load.min(b),
-            strict_rounds: false,
-        });
-        Ok(inboxes)
-    }
-
-    /// Convenience wrapper for a pure broadcast phase: node `i` broadcasts
-    /// `messages[i]`. Returns the per-node inboxes.
-    ///
-    /// # Errors
-    ///
-    /// Propagates errors from [`Self::exchange`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `messages.len() != config.n`.
-    pub fn broadcast_all(
-        &mut self,
-        label: &str,
-        messages: &[BitString],
-    ) -> Result<Vec<PhaseInbox>, SimError> {
-        let outs = messages
-            .iter()
-            .map(|m| {
-                let mut out = PhaseOutbox::new();
-                if !m.is_empty() {
-                    out.broadcast(m.clone());
-                }
-                out
-            })
-            .collect();
-        self.exchange(label, outs)
-    }
-
-    /// Charges additional rounds without moving data, e.g. to account for a
-    /// black-box subroutine whose round cost is known analytically.
-    pub fn charge_rounds(&mut self, label: &str, rounds: u64) {
-        self.metrics.record_phase(PhaseRecord {
-            label: label.to_owned().into(),
-            rounds,
-            bits: 0,
-            messages: 0,
-            max_link_bits_per_round: 0,
-            strict_rounds: false,
-        });
-    }
-
-    /// Merges the metrics of a nested execution into this engine.
-    pub fn absorb_metrics(&mut self, other: &Metrics) {
-        self.metrics.absorb(other);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::session::Session;
 
     fn broadcast_out(value: u64, width: usize) -> PhaseOutbox {
         let mut out = PhaseOutbox::new();
@@ -430,17 +229,17 @@ mod tests {
 
     #[test]
     fn broadcast_phase_round_accounting() {
-        let mut engine = PhaseEngine::new(CliqueConfig::broadcast(3, 4));
+        let mut session = Session::new(CliqueConfig::broadcast(3, 4));
         let outs = vec![
             broadcast_out(1, 10),
             broadcast_out(2, 3),
             PhaseOutbox::new(),
         ];
-        let inboxes = engine.exchange("test", outs).unwrap();
+        let inboxes = session.exchange("test", outs).unwrap();
         // Longest blackboard message is 10 bits, bandwidth 4 => 3 rounds.
-        assert_eq!(engine.rounds(), 3);
+        assert_eq!(session.rounds(), 3);
         // Blackboard bits: 10 + 3.
-        assert_eq!(engine.total_bits(), 13);
+        assert_eq!(session.total_bits(), 13);
         assert_eq!(
             inboxes[2]
                 .broadcast_from(NodeId::new(0))
@@ -456,16 +255,16 @@ mod tests {
 
     #[test]
     fn silent_phase_costs_nothing() {
-        let mut engine = PhaseEngine::new(CliqueConfig::broadcast(2, 1));
+        let mut session = Session::new(CliqueConfig::broadcast(2, 1));
         let outs = vec![PhaseOutbox::new(), PhaseOutbox::new()];
-        engine.exchange("silent", outs).unwrap();
-        assert_eq!(engine.rounds(), 0);
-        assert_eq!(engine.total_bits(), 0);
+        session.exchange("silent", outs).unwrap();
+        assert_eq!(session.rounds(), 0);
+        assert_eq!(session.total_bits(), 0);
     }
 
     #[test]
     fn unicast_phase_aggregates_per_destination() {
-        let mut engine = PhaseEngine::new(CliqueConfig::unicast(4, 2));
+        let mut session = Session::new(CliqueConfig::unicast(4, 2));
         let mut out0 = PhaseOutbox::new();
         out0.send(NodeId::new(1), BitString::from_bits(0b11, 2));
         out0.send(NodeId::new(1), BitString::from_bits(0b01, 2));
@@ -476,10 +275,10 @@ mod tests {
             PhaseOutbox::new(),
             PhaseOutbox::new(),
         ];
-        let inboxes = engine.exchange("route", outs).unwrap();
+        let inboxes = session.exchange("route", outs).unwrap();
         // Link 0->1 carries 4 bits, bandwidth 2 => 2 rounds.
-        assert_eq!(engine.rounds(), 2);
-        assert_eq!(engine.total_bits(), 5);
+        assert_eq!(session.rounds(), 2);
+        assert_eq!(session.total_bits(), 5);
         let agg = inboxes[1].unicast_from(NodeId::new(0)).unwrap();
         assert_eq!(agg.len(), 4);
         let mut r = agg.reader();
@@ -489,7 +288,7 @@ mod tests {
 
     #[test]
     fn unicast_broadcast_counts_every_link() {
-        let mut engine = PhaseEngine::new(CliqueConfig::unicast(5, 3));
+        let mut session = Session::new(CliqueConfig::unicast(5, 3));
         let outs = vec![
             broadcast_out(0b101, 3),
             PhaseOutbox::new(),
@@ -497,72 +296,47 @@ mod tests {
             PhaseOutbox::new(),
             PhaseOutbox::new(),
         ];
-        engine.exchange("bcast-as-unicast", outs).unwrap();
-        assert_eq!(engine.rounds(), 1);
-        assert_eq!(engine.total_bits(), 3 * 4);
+        session.exchange("bcast-as-unicast", outs).unwrap();
+        assert_eq!(session.rounds(), 1);
+        assert_eq!(session.total_bits(), 3 * 4);
     }
 
     #[test]
     fn unicast_rejected_in_broadcast_model() {
-        let mut engine = PhaseEngine::new(CliqueConfig::broadcast(3, 2));
+        let mut session = Session::new(CliqueConfig::broadcast(3, 2));
         let mut out = PhaseOutbox::new();
         out.send(NodeId::new(1), BitString::from_bits(1, 1));
         let outs = vec![out, PhaseOutbox::new(), PhaseOutbox::new()];
         assert!(matches!(
-            engine.exchange("bad", outs),
+            session.exchange("bad", outs),
             Err(SimError::UnicastInBroadcastModel { .. })
         ));
     }
 
     #[test]
-    fn congest_topology_enforced() {
-        use crate::model::AdjacencyTopology;
-        let adj = AdjacencyTopology::from_edges(3, &[(0, 1)]);
-        let mut engine = PhaseEngine::new(CliqueConfig::congest(3, 2, adj));
-        let mut out = PhaseOutbox::new();
-        out.send(NodeId::new(2), BitString::from_bits(1, 1));
-        let outs = vec![out, PhaseOutbox::new(), PhaseOutbox::new()];
-        assert!(matches!(
-            engine.exchange("bad edge", outs),
-            Err(SimError::NotAnEdge { .. })
-        ));
-    }
-
-    #[test]
-    fn congest_broadcast_reaches_only_neighbors() {
-        use crate::model::AdjacencyTopology;
-        let adj = AdjacencyTopology::from_edges(3, &[(0, 1)]);
-        let mut engine = PhaseEngine::new(CliqueConfig::congest(3, 8, adj));
-        let outs = vec![broadcast_out(5, 3), PhaseOutbox::new(), PhaseOutbox::new()];
-        let inboxes = engine.exchange("local bcast", outs).unwrap();
-        assert!(inboxes[1].broadcast_from(NodeId::new(0)).is_some());
-        assert!(inboxes[2].broadcast_from(NodeId::new(0)).is_none());
-    }
-
-    #[test]
     fn broadcast_all_and_charge_rounds() {
-        let mut engine = PhaseEngine::new(CliqueConfig::broadcast(3, 1));
+        let mut session = Session::new(CliqueConfig::broadcast(3, 1));
         let msgs = vec![
             BitString::from_bits(1, 1),
             BitString::new(),
             BitString::from_bits(0, 2),
         ];
-        let inboxes = engine.broadcast_all("announce", &msgs).unwrap();
-        assert_eq!(engine.rounds(), 2);
+        let inboxes = session.broadcast_all("announce", &msgs).unwrap();
+        assert_eq!(session.rounds(), 2);
         assert!(inboxes[0].broadcast_from(NodeId::new(1)).is_none());
-        engine.charge_rounds("black box", 7);
-        assert_eq!(engine.rounds(), 9);
-        assert_eq!(engine.metrics().phases.len(), 2);
+        session.charge_rounds("black box", 7);
+        assert_eq!(session.rounds(), 9);
+        assert_eq!(session.metrics().phases.len(), 2);
     }
 
     #[test]
     fn received_bits_counts_everything() {
-        let mut engine = PhaseEngine::new(CliqueConfig::unicast(3, 4));
+        let mut session = Session::new(CliqueConfig::unicast(3, 4));
         let mut out0 = PhaseOutbox::new();
         out0.broadcast(BitString::from_bits(1, 2));
         out0.send(NodeId::new(1), BitString::from_bits(3, 3));
         let outs = vec![out0, PhaseOutbox::new(), PhaseOutbox::new()];
-        let inboxes = engine.exchange("mixed", outs).unwrap();
+        let inboxes = session.exchange("mixed", outs).unwrap();
         assert_eq!(inboxes[1].received_bits(), 5);
         assert_eq!(inboxes[2].received_bits(), 2);
         assert_eq!(inboxes[1].unicasts().count(), 1);
@@ -572,20 +346,20 @@ mod tests {
     #[test]
     #[should_panic(expected = "expected 3 outboxes")]
     fn wrong_outbox_count_panics() {
-        let mut engine = PhaseEngine::new(CliqueConfig::broadcast(3, 1));
-        let _ = engine.exchange("bad", vec![PhaseOutbox::new()]);
+        let mut session = Session::new(CliqueConfig::broadcast(3, 1));
+        let _ = session.exchange("bad", vec![PhaseOutbox::new()]);
     }
 
     #[test]
-    fn worker_count_never_changes_error_selection() {
+    fn first_sender_in_order_reports_its_error() {
         // Sender 1 has a self-message *after* a valid unicast; sender 4 has
         // an invalid node. The first sender in order reports its error.
         let mut outs: Vec<PhaseOutbox> = (0..6).map(|_| PhaseOutbox::new()).collect();
         outs[1].send(NodeId::new(0), BitString::from_bits(1, 1));
         outs[1].send(NodeId::new(1), BitString::from_bits(1, 1));
         outs[4].send(NodeId::new(17), BitString::from_bits(1, 1));
-        let mut engine = PhaseEngine::new(CliqueConfig::unicast(6, 2));
-        let err = engine.exchange("bad", outs).unwrap_err();
+        let mut session = Session::new(CliqueConfig::unicast(6, 2));
+        let err = session.exchange("bad", outs).unwrap_err();
         assert_eq!(
             err,
             SimError::SelfMessage {

@@ -1,22 +1,22 @@
 //! The execution context handed to [`Protocol`] implementations.
 //!
-//! A [`Session`] is one protocol execution on one model instance: it owns
-//! the round/bit ledger and fronts *both* engines behind a single
-//! interface — bulk-synchronous phases (the [`PhaseEngine`] accounting:
-//! `⌈max link load / b⌉` rounds per phase) and strict round-by-round
-//! execution of [`NodeAlgorithm`]s (the [`RoundEngine`]). Sub-protocols run
-//! through [`Session::run_protocol`] (same ledger) or
+//! A [`Session`] is one protocol execution on one model instance, and the
+//! one type that charges its round/bit ledger. It runs bulk-synchronous
+//! phases itself ([`Session::exchange`]: `⌈max link load / b⌉` rounds per
+//! phase, over the [`phase`](crate::phase) outboxes and inboxes) and hands
+//! strict round-by-round execution of [`NodeAlgorithm`]s to the
+//! [`RoundEngine`] ([`Session::run_nodes`]), absorbing its ledger.
+//! Sub-protocols run through [`Session::run_protocol`] (same ledger) or
 //! [`Session::run_nested`] (own ledger, absorbed into the parent), so a
-//! composed protocol gets one coherent metrics trail no matter how many
-//! engines it touched.
+//! composed protocol gets one coherent metrics trail.
 
 use crate::bits::BitString;
 use crate::engine::RoundEngine;
-use crate::metrics::{Metrics, RunReport};
+use crate::metrics::{Metrics, PhaseRecord, RunReport};
 use crate::model::{CliqueConfig, SimError};
-use crate::node::NodeAlgorithm;
+use crate::node::{NodeAlgorithm, NodeId};
 use crate::outcome::RunOutcome;
-use crate::phase::{PhaseEngine, PhaseInbox, PhaseOutbox};
+use crate::phase::{summarize_outbox, PhaseInbox, PhaseOutbox};
 use crate::protocol::Protocol;
 use crate::transport::Transport;
 
@@ -39,7 +39,13 @@ use crate::transport::Transport;
 /// ```
 #[derive(Clone, Debug)]
 pub struct Session {
-    engine: PhaseEngine,
+    config: CliqueConfig,
+    metrics: Metrics,
+    /// Per-destination load scratch, reused across senders and phases.
+    dest_load: Vec<u64>,
+    /// The message-delivery backend. Accounting never touches it, so the
+    /// ledger is identical under every backend.
+    transport: Box<dyn Transport>,
 }
 
 /// The result of driving [`NodeAlgorithm`]s to completion inside a session:
@@ -54,67 +60,54 @@ pub struct NodeRun<A> {
 }
 
 impl Session {
-    /// Opens a session on the given model.
+    /// Opens a session on the given model, delivering through an
+    /// [`InMemoryTransport`](crate::transport::InMemoryTransport).
     pub fn new(config: CliqueConfig) -> Self {
         Self {
-            engine: PhaseEngine::new(config),
+            config,
+            metrics: Metrics::new(),
+            dest_load: Vec::new(),
+            transport: crate::transport::default_transport(),
         }
     }
 
-    /// Replaces the message-delivery backend for this session's engines.
-    /// Nested sessions and strict-engine runs inherit a clone of the
-    /// backend. Transports never change transcripts, ledgers or outputs
-    /// (see [`transport`](crate::transport)) — only delivery mechanics.
+    /// Replaces the message-delivery backend (e.g. with a
+    /// [`FaultyTransport`](crate::transport::FaultyTransport)). Nested
+    /// sessions and strict-engine runs inherit a clone of the backend.
+    /// Transports never change transcripts, ledgers or outputs (see
+    /// [`transport`](crate::transport)) — only delivery mechanics.
     pub fn set_transport(&mut self, transport: Box<dyn Transport>) {
-        self.engine.set_transport(transport);
+        self.transport = transport;
     }
 
     /// The message-delivery backend in use.
     pub fn transport(&self) -> &dyn Transport {
-        self.engine.transport()
+        self.transport.as_ref()
     }
 
     /// The model configuration.
     pub fn config(&self) -> &CliqueConfig {
-        self.engine.config()
+        &self.config
     }
 
     /// Number of players.
     pub fn n(&self) -> usize {
-        self.engine.config().n
+        self.config.n
     }
 
     /// Link bandwidth in bits per round.
     pub fn bandwidth(&self) -> usize {
-        self.engine.config().bandwidth
+        self.config.bandwidth
     }
 
-    /// Asserts the session runs on the complete clique topology — the
-    /// connectivity every clique protocol assumes. Call first in
-    /// [`Protocol::run`] of protocols that address arbitrary pairs or rely
-    /// on broadcasts reaching everyone; on a restricted CONGEST topology
-    /// such protocols would otherwise silently compute from partial views.
+    /// Asserts the session has as many players as the protocol's input
+    /// has vertices — the one-player-per-vertex layout every clique
+    /// protocol on a graph input assumes.
     ///
     /// # Panics
     ///
-    /// Panics if the topology is not [`Topology::Clique`](crate::model::Topology).
-    pub fn require_clique(&self) {
-        assert!(
-            matches!(self.config().topology, crate::model::Topology::Clique),
-            "this protocol requires the complete clique topology, got {}",
-            self.config()
-        );
-    }
-
-    /// [`Self::require_clique`] plus a player-count check against the
-    /// protocol's input size.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the topology is not a clique or the session has a
-    /// different number of players than `n`.
+    /// Panics if the session has a different number of players than `n`.
     pub fn require_clique_of(&self, n: usize) {
-        self.require_clique();
         assert_eq!(
             self.n(),
             n,
@@ -125,62 +118,134 @@ impl Session {
 
     /// Metrics accumulated so far.
     pub fn metrics(&self) -> &Metrics {
-        self.engine.metrics()
+        &self.metrics
     }
 
     /// Rounds charged so far.
     pub fn rounds(&self) -> u64 {
-        self.engine.rounds()
+        self.metrics.rounds
     }
 
     /// Total bits charged so far.
     pub fn total_bits(&self) -> u64 {
-        self.engine.total_bits()
+        self.metrics.total_bits
     }
 
-    /// Executes one bulk-synchronous phase; see [`PhaseEngine::exchange`]
-    /// for the exact accounting and error conditions.
+    /// Executes one phase: `outs[i]` is node `i`'s outgoing data.
+    ///
+    /// The phase is charged `ceil(L / b)` rounds where `L` is the maximum
+    /// load of any link (unicast) or any node's blackboard message
+    /// (broadcast). An all-silent phase is charged zero rounds.
     ///
     /// # Errors
     ///
-    /// Propagates [`PhaseEngine::exchange`] errors.
+    /// * [`SimError::UnicastInBroadcastModel`] if a unicast payload is
+    ///   submitted in a broadcast model.
+    /// * [`SimError::InvalidNode`], [`SimError::SelfMessage`] for malformed
+    ///   destinations.
+    /// * [`SimError::TransportFault`] if the transport loses or damages a
+    ///   delivery (the phase is validated and charged before delivery, but
+    ///   the session state is not rolled back).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `outs.len() != config.n`.
     pub fn exchange(
         &mut self,
         label: &str,
         outs: Vec<PhaseOutbox>,
     ) -> Result<Vec<PhaseInbox>, SimError> {
-        self.engine.exchange(label, outs)
+        let n = self.config.n;
+        let b = self.config.bandwidth as u64;
+        assert_eq!(outs.len(), n, "expected {} outboxes, got {}", n, outs.len());
+
+        // Pass 1 — validation and load accounting, in ascending sender
+        // order, so the first sender with a model violation reports it.
+        let mut max_load = 0u64;
+        let mut total_bits = 0u64;
+        let mut messages = 0u64;
+        for (i, out) in outs.iter().enumerate() {
+            let summary = summarize_outbox(&self.config, NodeId::new(i), out, &mut self.dest_load)?;
+            max_load = max_load.max(summary.max_load);
+            total_bits += summary.bits;
+            messages += summary.messages;
+        }
+
+        // Pass 2 — delivery through the transport, strictly in ascending
+        // sender order. The ledger was fully computed in pass 1, so the
+        // backend cannot affect the accounting; the default in-memory
+        // backend moves payloads and Arc-shares broadcasts (one allocation
+        // per broadcast, a pointer clone per receiver).
+        let mut inboxes: Vec<PhaseInbox> = (0..n).map(|_| PhaseInbox::empty(n)).collect();
+        for (i, out) in outs.into_iter().enumerate() {
+            self.transport
+                .deliver_phase(&self.config, NodeId::new(i), out, &mut inboxes)
+                .map_err(|fault| fault.at_round(self.metrics.rounds))?;
+        }
+
+        let rounds = max_load.div_ceil(b);
+        self.metrics.record_phase(PhaseRecord {
+            label: label.to_owned().into(),
+            rounds,
+            bits: total_bits,
+            messages,
+            max_link_bits_per_round: max_load.min(b),
+            strict_rounds: false,
+        });
+        Ok(inboxes)
     }
 
-    /// Convenience wrapper for a pure broadcast phase; see
-    /// [`PhaseEngine::broadcast_all`].
+    /// Convenience wrapper for a pure broadcast phase: node `i` broadcasts
+    /// `messages[i]` (an empty message is not sent). Returns the per-node
+    /// inboxes.
     ///
     /// # Errors
     ///
-    /// Propagates [`PhaseEngine::exchange`] errors.
+    /// Propagates errors from [`Self::exchange`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `messages.len() != config.n`.
     pub fn broadcast_all(
         &mut self,
         label: &str,
         messages: &[BitString],
     ) -> Result<Vec<PhaseInbox>, SimError> {
-        self.engine.broadcast_all(label, messages)
+        let outs = messages
+            .iter()
+            .map(|m| {
+                let mut out = PhaseOutbox::new();
+                if !m.is_empty() {
+                    out.broadcast(m.clone());
+                }
+                out
+            })
+            .collect();
+        self.exchange(label, outs)
     }
 
     /// Charges additional rounds without moving data (e.g. an analytically
     /// accounted black-box subroutine).
     pub fn charge_rounds(&mut self, label: &str, rounds: u64) {
-        self.engine.charge_rounds(label, rounds);
+        self.metrics.record_phase(PhaseRecord {
+            label: label.to_owned().into(),
+            rounds,
+            bits: 0,
+            messages: 0,
+            max_link_bits_per_round: 0,
+            strict_rounds: false,
+        });
     }
 
     /// Merges the metrics of an externally executed sub-run into this
     /// session.
     pub fn absorb_metrics(&mut self, other: &Metrics) {
-        self.engine.absorb_metrics(other);
+        self.metrics.absorb(other);
     }
 
     /// Closes the session, returning the accumulated metrics.
     pub fn into_metrics(self) -> Metrics {
-        self.engine.into_metrics()
+        self.metrics
     }
 
     /// Runs a sub-protocol *on this session's ledger*: everything it
@@ -226,7 +291,7 @@ impl Session {
         protocol: &mut P,
     ) -> Result<RunOutcome<P::Output>, SimError> {
         let mut sub = Session::new(config);
-        sub.set_transport(self.engine.transport().clone_box());
+        sub.set_transport(self.transport.clone_box());
         let result = protocol.run(&mut sub);
         let metrics = sub.into_metrics();
         self.absorb_metrics(&metrics);
@@ -252,7 +317,7 @@ impl Session {
         max_rounds: u64,
     ) -> Result<NodeRun<A>, SimError> {
         let mut engine = RoundEngine::new(self.config().clone(), nodes);
-        engine.set_transport(self.engine.transport().clone_box());
+        engine.set_transport(self.transport.clone_box());
         let result = engine.run(max_rounds);
         self.absorb_metrics(engine.metrics());
         let report = result?;
@@ -266,10 +331,10 @@ impl Session {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::node::{Inbox, NodeCtx, NodeId, Outbox};
+    use crate::node::{Inbox, NodeCtx, Outbox};
 
     #[test]
-    fn session_fronts_the_phase_engine() {
+    fn session_charges_phases_and_black_boxes() {
         let mut session = Session::new(CliqueConfig::broadcast(3, 2));
         let msgs = vec![
             BitString::from_bits(0b101, 3),
@@ -324,17 +389,7 @@ mod tests {
     #[test]
     fn require_clique_accepts_cliques() {
         let session = Session::new(CliqueConfig::unicast(4, 2));
-        session.require_clique();
         session.require_clique_of(4);
-    }
-
-    #[test]
-    #[should_panic(expected = "complete clique topology")]
-    fn require_clique_rejects_graph_topologies() {
-        use crate::model::AdjacencyTopology;
-        let adj = AdjacencyTopology::from_edges(3, &[(0, 1)]);
-        let session = Session::new(CliqueConfig::congest(3, 2, adj));
-        session.require_clique();
     }
 
     #[test]

@@ -1,13 +1,14 @@
-//! The message-delivery seam of both engines.
+//! The message-delivery seam of [`Session`](crate::session::Session)
+//! phases and the strict [`RoundEngine`](crate::engine::RoundEngine).
 //!
 //! A [`Transport`] moves validated payloads from a sender's outbox into the
 //! receivers' inboxes — nothing else. All round/bit accounting is computed
-//! by the engines *before* delivery, from the outbox contents alone, so a
-//! transport physically cannot change the ledger; and because both engines
-//! call [`Transport::deliver_round`] / [`Transport::deliver_phase`] once
-//! per sender in ascending [`NodeId`] order, delivery order (and therefore
-//! the transcript every node observes) is fixed by the engine, not the
-//! backend. This is the serving-layer invariant: **the transport never
+//! *before* delivery, from the outbox contents alone, so a transport
+//! physically cannot change the ledger; and because a session calls
+//! [`Transport::deliver_phase`] and the round engine
+//! [`Transport::deliver_round`] once per sender in ascending [`NodeId`]
+//! order, delivery order (and therefore the transcript every node observes)
+//! is fixed by the caller, not the backend. This is the serving-layer invariant: **the transport never
 //! changes transcripts** — a backend decides how bytes travel, never what
 //! a run computes or charges.
 //!
@@ -24,7 +25,7 @@
 //! # Fault injection
 //!
 //! Delivery can fail: [`Transport::deliver_round`] / [`deliver_phase`]
-//! return a [`TransportFault`] that the engines wrap (with the current
+//! return a [`TransportFault`] that the caller wraps (with the current
 //! round) into [`SimError::TransportFault`] and abort the run — a faulty
 //! delivery is *never* silently absorbed into a transcript.
 //! [`FaultyTransport`] wraps any inner backend and injects a seeded
@@ -60,18 +61,18 @@ use crate::phase::{PhaseInbox, PhaseOutbox};
 /// A message-delivery backend.
 ///
 /// Implementations deliver one sender's validated outbox into the inbox
-/// array; the engines call this once per sender in ascending [`NodeId`]
-/// order and have already charged the ledger, so a conforming transport
+/// array; the caller invokes this once per sender in ascending [`NodeId`]
+/// order and has already charged the ledger, so a conforming transport
 /// must deliver exactly the submitted payloads to exactly the addressed
-/// receivers (broadcasts to every neighbour of `sender`) and may differ
-/// only in *how* the bytes travel.
+/// receivers (broadcasts to every player but `sender`) and may differ only
+/// in *how* the bytes travel.
 pub trait Transport: fmt::Debug + Send {
     /// A short stable identifier (e.g. for reports): `"memory"`, `"faulty"`.
     fn name(&self) -> &'static str;
 
     /// Delivers one strict-round outbox: each unicast into its
     /// destination's slot for `sender`, the broadcast (if any) to every
-    /// neighbour of `sender`. The outbox is drained.
+    /// other player. The outbox is drained.
     ///
     /// # Errors
     ///
@@ -87,9 +88,9 @@ pub trait Transport: fmt::Debug + Send {
         inboxes: &mut [Inbox],
     ) -> Result<(), TransportFault>;
 
-    /// Delivers one phase outbox: the broadcast (if any) to every neighbour,
-    /// unicasts appended to the destination's per-sender aggregate in
-    /// submission order.
+    /// Delivers one phase outbox: the broadcast (if any) to every other
+    /// player, unicasts appended to the destination's per-sender aggregate
+    /// in submission order.
     ///
     /// # Errors
     ///
@@ -102,9 +103,11 @@ pub trait Transport: fmt::Debug + Send {
         inboxes: &mut [PhaseInbox],
     ) -> Result<(), TransportFault>;
 
-    /// Clones the backend for a nested engine (fresh delivery state, same
-    /// mechanics); this is what makes `Box<dyn Transport>` fields of the
-    /// `Clone` engine types work.
+    /// Clones the backend for a nested session or a strict-engine run
+    /// (fresh delivery state, same mechanics); this is what makes the
+    /// `Box<dyn Transport>` field of the `Clone` [`Session`] work.
+    ///
+    /// [`Session`]: crate::session::Session
     fn clone_box(&self) -> Box<dyn Transport>;
 }
 
@@ -164,7 +167,7 @@ impl fmt::Display for FaultKind {
     }
 }
 
-/// A delivery failure detected by a [`Transport`]. The engines wrap it with
+/// A delivery failure detected by a [`Transport`]. The caller wraps it with
 /// the round it hit into
 /// [`SimError::TransportFault`](crate::model::SimError).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -420,11 +423,11 @@ fn flip_bit(bits: &BitString, position: usize) -> BitString {
 /// wrapper with an empty plan is byte-identical to the bare inner
 /// transport.
 ///
-/// The schedule's round coordinate is derived from the engines' delivery
-/// discipline (both engines call the transport exactly once per sender per
-/// round/phase, in ascending order), so under the phase engine it counts
+/// The schedule's round coordinate is derived from the delivery discipline
+/// (sessions and the round engine call the transport exactly once per
+/// sender per round/phase, in ascending order), so in a session it counts
 /// *phases*. [`Transport::clone_box`] restarts the schedule: a nested
-/// engine replays the plan from round 0.
+/// session replays the plan from round 0.
 #[derive(Debug)]
 pub struct FaultyTransport {
     plan: FaultPlan,
@@ -536,7 +539,7 @@ impl Transport for FaultyTransport {
     }
 
     /// The same plan over a clone of the inner backend, with the schedule
-    /// restarted at round 0 (nested engines replay the plan from the top).
+    /// restarted at round 0 (nested sessions replay the plan from the top).
     fn clone_box(&self) -> Box<dyn Transport> {
         Box::new(Self {
             plan: self.plan,
@@ -558,7 +561,7 @@ impl Transport for InMemoryTransport {
 
     fn deliver_round(
         &mut self,
-        config: &CliqueConfig,
+        _config: &CliqueConfig,
         sender: NodeId,
         outbox: &mut Outbox,
         inboxes: &mut [Inbox],
@@ -570,8 +573,10 @@ impl Transport for InMemoryTransport {
             // One shared allocation per broadcast, a pointer clone per
             // receiver.
             let shared = Arc::new(msg);
-            for dst in config.topology.neighbors(sender, config.n) {
-                inboxes[dst.index()].insert_shared(sender, Arc::clone(&shared));
+            for (dst, inbox) in inboxes.iter_mut().enumerate() {
+                if dst != sender.index() {
+                    inbox.insert_shared(sender, Arc::clone(&shared));
+                }
             }
         }
         Ok(())
@@ -579,7 +584,7 @@ impl Transport for InMemoryTransport {
 
     fn deliver_phase(
         &mut self,
-        config: &CliqueConfig,
+        _config: &CliqueConfig,
         sender: NodeId,
         outbox: PhaseOutbox,
         inboxes: &mut [PhaseInbox],
@@ -587,8 +592,10 @@ impl Transport for InMemoryTransport {
         let (broadcast, unicasts) = outbox.into_parts();
         if let Some(msg) = broadcast {
             let shared = Arc::new(msg);
-            for dst in config.topology.neighbors(sender, config.n) {
-                inboxes[dst.index()].deliver_broadcast(sender, Arc::clone(&shared));
+            for (dst, inbox) in inboxes.iter_mut().enumerate() {
+                if dst != sender.index() {
+                    inbox.deliver_broadcast(sender, Arc::clone(&shared));
+                }
             }
         }
         for (dst, msg) in unicasts {
@@ -618,12 +625,12 @@ impl TransportKind {
     }
 }
 
-/// The backend newly created engines use.
+/// The backend newly created sessions and engines use.
 pub fn default_kind() -> TransportKind {
     TransportKind::InMemory
 }
 
-/// Instantiates the backend newly created engines use: an
+/// Instantiates the backend newly created sessions and engines use: an
 /// [`InMemoryTransport`].
 pub fn default_transport() -> Box<dyn Transport> {
     Box::new(InMemoryTransport)
@@ -634,7 +641,7 @@ mod tests {
     use super::*;
     use crate::engine::RoundEngine;
     use crate::node::{NodeAlgorithm, NodeCtx};
-    use crate::phase::PhaseEngine;
+    use crate::session::Session;
 
     /// Mixed round traffic: everyone broadcasts, node 0 also unicasts (in
     /// unicast mode a broadcast and a unicast to the same destination
@@ -685,8 +692,8 @@ mod tests {
 
     fn phase_run(transport: Box<dyn Transport>) -> (crate::metrics::Metrics, Vec<Vec<u8>>) {
         let n = 5;
-        let mut engine = PhaseEngine::new(CliqueConfig::unicast(n, 2));
-        engine.set_transport(transport);
+        let mut session = Session::new(CliqueConfig::unicast(n, 2));
+        session.set_transport(transport);
         let outs: Vec<PhaseOutbox> = (0..n)
             .map(|i| {
                 let mut out = PhaseOutbox::new();
@@ -696,7 +703,7 @@ mod tests {
                 out
             })
             .collect();
-        let inboxes = engine.exchange("mixed", outs).unwrap();
+        let inboxes = session.exchange("mixed", outs).unwrap();
         let digests = inboxes
             .iter()
             .map(|inbox| {
@@ -712,7 +719,7 @@ mod tests {
                 bytes
             })
             .collect();
-        (engine.metrics().clone(), digests)
+        (session.metrics().clone(), digests)
     }
 
     #[test]
@@ -822,11 +829,11 @@ mod tests {
     }
 
     #[test]
-    fn phase_engine_surfaces_injected_faults() {
+    fn session_exchange_surfaces_injected_faults() {
         let plan = FaultPlan::new(11, 1_000_000, &[FaultKind::Drop]);
         let n = 5;
-        let mut engine = PhaseEngine::new(CliqueConfig::unicast(n, 2));
-        engine.set_transport(Box::new(FaultyTransport::with_default_inner(plan)));
+        let mut session = Session::new(CliqueConfig::unicast(n, 2));
+        session.set_transport(Box::new(FaultyTransport::with_default_inner(plan)));
         let outs: Vec<PhaseOutbox> = (0..n)
             .map(|i| {
                 let mut out = PhaseOutbox::new();
@@ -834,7 +841,7 @@ mod tests {
                 out
             })
             .collect();
-        let err = engine.exchange("chaos", outs).unwrap_err();
+        let err = session.exchange("chaos", outs).unwrap_err();
         assert!(matches!(
             err,
             crate::model::SimError::TransportFault {

@@ -163,33 +163,6 @@ proptest! {
     }
 
     #[test]
-    fn evaluate_batch_lane_equals_sequential_evaluate(
-        inputs in 2usize..30,
-        arity in 2usize..5,
-        batch in 1usize..140,
-        seed in 0u64..1000,
-    ) {
-        let mut rng = ChaCha8Rng::seed_from_u64(seed);
-        // A mix of word-parallel circuits and counting-gate circuits.
-        let circuits: Vec<Circuit> = vec![
-            builders::parity_tree(inputs, arity),
-            builders::majority(inputs),
-            builders::mod_m(inputs, 3),
-            builders::inner_product_mod2(inputs / 2),
-        ];
-        for circuit in &circuits {
-            let assignments: Vec<Vec<bool>> = (0..batch)
-                .map(|_| (0..circuit.inputs().len()).map(|_| rng.gen_bool(0.5)).collect())
-                .collect();
-            let batch_out = circuit.evaluate_batch(&assignments);
-            prop_assert_eq!(batch_out.len(), assignments.len());
-            for (k, assignment) in assignments.iter().enumerate() {
-                prop_assert_eq!(&batch_out[k], &circuit.evaluate(assignment), "lane {}", k);
-            }
-        }
-    }
-
-    #[test]
     fn packed_adjacency_round_trips_and_matches_rows(n in 1usize..80, p in 0.0f64..0.6, seed in 0u64..1000) {
         let g = seeded_graph(n, p, seed);
         let m = g.adjacency_bitmatrix();
@@ -546,7 +519,7 @@ proptest! {
 
     #[test]
     fn phase_charge_equals_chunked_round_execution(n in 2usize..7, b in 1usize..6, seed in 0u64..500) {
-        // The phase engine's `⌈max link load / b⌉` charge must equal the
+        // A session phase's `⌈max link load / b⌉` charge must equal the
         // number of rounds a bit-strict chunked execution of the same phase
         // takes on the round engine, and the payload bits must agree, for
         // random mixed broadcast/unicast phases in both modes.
@@ -594,9 +567,9 @@ proptest! {
                 }
             }
 
-            // Phase-engine charge.
-            let mut engine = PhaseEngine::new(cfg.clone());
-            engine.exchange("mixed phase", outs).unwrap();
+            // Session phase charge.
+            let mut session = Session::new(cfg.clone());
+            session.exchange("mixed phase", outs).unwrap();
 
             // Bit-strict chunked replay of the same link loads.
             let nodes: Vec<ChunkedSender> = queues
@@ -609,14 +582,14 @@ proptest! {
                 strict.step().unwrap();
                 rounds += 1;
             }
-            prop_assert_eq!(rounds, engine.rounds(), "mode {}", mode);
-            prop_assert_eq!(strict.metrics().total_bits, engine.total_bits(), "mode {}", mode);
+            prop_assert_eq!(rounds, session.rounds(), "mode {}", mode);
+            prop_assert_eq!(strict.metrics().total_bits, session.total_bits(), "mode {}", mode);
         }
     }
 }
 
 /// Replays precomputed per-link loads in `b`-bit chunks on the strict
-/// engine: one chunk per busy link per round, exactly as the phase engine's
+/// engine: one chunk per busy link per round, exactly as a session phase's
 /// `⌈max link load / b⌉` accounting assumes.
 struct ChunkedSender {
     /// Per-destination queues with read cursors. In broadcast mode the
