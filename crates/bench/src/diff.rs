@@ -3,31 +3,33 @@
 //! The protocols in `clique-core` all have cheap sequential oracles
 //! (`iso::triangle_count`, `iso::bfs_distances`,
 //! `iso::minimum_spanning_forest`, …). This module provides the shared
-//! harness that pins a protocol to its oracle over a *seeded grid* of graph
-//! families: every case is labelled `(family, n, seed)` so a failure
-//! reproduces with one generator call, and all mismatches in a grid are
-//! collected before the harness panics, so one run shows the whole failure
-//! pattern rather than its first point.
+//! harness that pins a protocol to its oracle over a *seeded grid* of the
+//! registry's input families: every case is labelled `(family, n, seed)`
+//! and is one [`registry::generate_input`] call on that label (plus the
+//! grid's `max_weight` for weighted families), so a failure reproduces
+//! with that one call. All mismatches in a grid are collected before the
+//! harness panics, so one run shows the whole failure pattern rather than
+//! its first point.
 //!
-//! The grids are deterministic (seeded [`ChaCha8Rng`] per case), so the
+//! The grids are deterministic (a freshly seeded RNG per case), and the
+//! job server regenerates the same inputs from the same labels, so the
 //! same cases run in the oracle-grid integration test, through the job
 //! server at 1 and 4 workers, and in CI.
 
-use clique_core::graphs::weighted::{self, WeightedGraph};
-use clique_core::graphs::{generators, Graph};
-use rand::SeedableRng;
-use rand_chacha::ChaCha8Rng;
+use clique_core::graphs::weighted::WeightedGraph;
+use clique_core::graphs::Graph;
+use clique_core::registry::{self, InputKind, JobInput};
 use std::fmt::Debug;
 
 /// One grid point: a generated input labelled by how to regenerate it.
 #[derive(Clone, Debug)]
 pub struct LabeledCase<I> {
-    /// Generator family name, e.g. `"erdos_renyi(p=0.2)"`.
+    /// Registry family name, e.g. `"erdos_renyi(p=0.15)"`.
     pub family: &'static str,
     /// Number of vertices of the generated graph.
     pub n: usize,
-    /// The RNG seed the case was generated from (0 for deterministic
-    /// families).
+    /// The RNG seed the case was generated from (0 for the registry's
+    /// seedless families).
     pub seed: u64,
     /// The generated input itself.
     pub input: I,
@@ -42,37 +44,31 @@ impl<I> LabeledCase<I> {
     }
 }
 
-/// The standard unweighted grid: deterministic families at every size plus
-/// seeded random families at every `(size, seed)` pair.
-pub fn unweighted_grid(sizes: &[usize], seeds: &[u64]) -> Vec<LabeledCase<Graph>> {
+/// Every registry family of `kind` at every size: a seedless family once
+/// per `n`, a seeded one at every seed; `graph` unwraps each input.
+fn grid<I>(
+    kind: InputKind,
+    sizes: &[usize],
+    seeds: &[u64],
+    max_weight: u64,
+    graph: fn(JobInput) -> Option<I>,
+) -> Vec<LabeledCase<I>> {
+    let families = match kind {
+        InputKind::Unweighted => registry::UNWEIGHTED_FAMILIES,
+        InputKind::Weighted => registry::WEIGHTED_FAMILIES,
+    };
     let mut cases = Vec::new();
     for &n in sizes {
-        for (family, input) in [
-            ("path", generators::path(n)),
-            ("cycle", generators::cycle(n)),
-            ("star", generators::star(n.saturating_sub(1))),
-            ("complete", generators::complete(n)),
-        ] {
-            cases.push(LabeledCase {
-                family,
-                n,
-                seed: 0,
-                input,
-            });
-        }
-        for &seed in seeds {
-            let mut rng = ChaCha8Rng::seed_from_u64(seed);
-            for (family, input) in [
-                (
-                    "erdos_renyi(p=0.15)",
-                    generators::erdos_renyi(n, 0.15, &mut rng),
-                ),
-                (
-                    "erdos_renyi(p=0.5)",
-                    generators::erdos_renyi(n, 0.5, &mut rng),
-                ),
-                ("random_tree", generators::random_tree(n, &mut rng)),
-            ] {
+        for &family in families {
+            let seeds = if registry::SEEDLESS_FAMILIES.contains(&family) {
+                &[0][..]
+            } else {
+                seeds
+            };
+            for &seed in seeds {
+                let input = registry::generate_input(kind, family, n, seed, max_weight)
+                    .and_then(graph)
+                    .expect("a registry family of the grid's kind");
                 cases.push(LabeledCase {
                     family,
                     n,
@@ -85,54 +81,39 @@ pub fn unweighted_grid(sizes: &[usize], seeds: &[u64]) -> Vec<LabeledCase<Graph>
     cases
 }
 
-/// The standard weighted grid over the same family mix, with weights drawn
-/// uniformly from `1..=max_weight` (small `max_weight` forces duplicate
-/// weights, exercising the `(w, u, v)` tie-break).
+/// The standard unweighted grid: every unweighted registry family at every
+/// size, seeded families at every seed.
+pub fn unweighted_grid(sizes: &[usize], seeds: &[u64]) -> Vec<LabeledCase<Graph>> {
+    grid(
+        InputKind::Unweighted,
+        sizes,
+        seeds,
+        0,
+        |input| match input {
+            JobInput::Unweighted(graph) => Some(graph),
+            JobInput::Weighted(_) => None,
+        },
+    )
+}
+
+/// The standard weighted grid over the weighted registry families, with
+/// weights drawn uniformly from `1..=max_weight` (small `max_weight`
+/// forces duplicate weights, exercising the `(w, u, v)` tie-break).
 pub fn weighted_grid(
     sizes: &[usize],
     seeds: &[u64],
     max_weight: u64,
 ) -> Vec<LabeledCase<WeightedGraph>> {
-    let mut cases = Vec::new();
-    for &n in sizes {
-        for &seed in seeds {
-            let mut rng = ChaCha8Rng::seed_from_u64(seed);
-            for (family, input) in [
-                (
-                    "weighted_path",
-                    weighted::weighted_path(n, max_weight, &mut rng),
-                ),
-                (
-                    "weighted_cycle",
-                    weighted::weighted_cycle(n, max_weight, &mut rng),
-                ),
-                (
-                    "weighted_star",
-                    weighted::weighted_star(n.saturating_sub(1), max_weight, &mut rng),
-                ),
-                (
-                    "weighted_random_tree",
-                    weighted::weighted_random_tree(n, max_weight, &mut rng),
-                ),
-                (
-                    "weighted_erdos_renyi(p=0.2)",
-                    weighted::weighted_erdos_renyi(n, 0.2, max_weight, &mut rng),
-                ),
-                (
-                    "constant_weights(complete)",
-                    weighted::constant_weights(&generators::complete(n), max_weight),
-                ),
-            ] {
-                cases.push(LabeledCase {
-                    family,
-                    n,
-                    seed,
-                    input,
-                });
-            }
-        }
-    }
-    cases
+    grid(
+        InputKind::Weighted,
+        sizes,
+        seeds,
+        max_weight,
+        |input| match input {
+            JobInput::Weighted(graph) => Some(graph),
+            JobInput::Unweighted(_) => None,
+        },
+    )
 }
 
 /// Runs `protocol` and `oracle` on every case and panics with the full list
@@ -179,6 +160,7 @@ pub fn assert_protocol_matches_oracle<I, O, P, Q>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use clique_core::graphs::generators;
 
     #[test]
     fn grids_are_deterministic() {

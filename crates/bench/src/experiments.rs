@@ -32,7 +32,7 @@ use clique_core::triangle::{
     detect_triangle_dlp, detect_triangle_trivial, detect_triangle_via_matmul, MatMulStrategy,
 };
 use clique_core::{compute_msf, detect_subgraph_adaptive, simulate_circuit, InputPartition};
-use clique_serve::{JobSpec, Server, ServerConfig};
+use clique_serve::{JobResult, JobSpec, Server, ServerConfig};
 use rand::Rng;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -818,6 +818,20 @@ fn served_spec(protocol: &str, family: &str, n: usize, seed: u64) -> JobSpec {
     }
 }
 
+/// Serves `specs` through `server`; an experiment submits only valid
+/// specs, so a failed job is a defect.
+fn serve_all(server: &mut Server, specs: &[JobSpec]) -> Vec<JobResult> {
+    server
+        .submit_jobs(specs)
+        .into_iter()
+        .map(|outcome| {
+            outcome
+                .result
+                .unwrap_or_else(|err| panic!("served job {} failed: {err}", outcome.key))
+        })
+        .collect()
+}
+
 /// E14 — server fleet determinism: one fixed batch of registry jobs
 /// served cold at 1, 2 and 4 workers, with every served record pinned
 /// byte-identical to the 1-worker fleet's.
@@ -843,8 +857,10 @@ pub fn e14_parallel_scaling(scale: Scale) -> ExperimentTable {
             workers,
             ..ServerConfig::default()
         });
-        let served = server.submit_batch(&batch).expect("E14 batch failed");
-        let records: Vec<String> = served.into_iter().map(|r| r.record).collect();
+        let records: Vec<String> = serve_all(&mut server, &batch)
+            .into_iter()
+            .map(|r| r.record)
+            .collect();
         let base_records = baseline.get_or_insert_with(|| records.clone());
         table.push_row(vec![
             workers.to_string(),
@@ -962,15 +978,18 @@ pub fn e16_serve(scale: Scale) -> ExperimentTable {
             ..ServerConfig::default()
         });
         let mut solo = Server::new(ServerConfig::default());
-        let cold = fleet.submit_batch(&mix).expect("cold batch failed");
+        let cold = serve_all(&mut fleet, &mix);
         let cold_ran = fleet.stats().ran;
-        let warm = fleet.submit_batch(&mix).expect("warm batch failed");
+        let warm = serve_all(&mut fleet, &mix);
         let warm_hits = warm.iter().filter(|r| r.cached).count();
-        let solo_results = solo.submit_batch(&mix).expect("solo batch failed");
-        let direct_ok = cold.iter().zip(&warm).all(|(c, w)| {
-            let direct = Server::run_direct(&c.spec).expect("direct run failed");
-            c.record == direct && w.record == direct
-        });
+        let solo_results = serve_all(&mut solo, &mix);
+        let direct_ok = mix
+            .iter()
+            .zip(cold.iter().zip(&warm))
+            .all(|(spec, (c, w))| {
+                let direct = Server::run_direct(spec).expect("direct run failed");
+                c.record == direct && w.record == direct
+            });
         let fleet_ok = cold
             .iter()
             .zip(&solo_results)

@@ -20,7 +20,7 @@ use clique_graphs::weighted::{self, WeightedGraph};
 use clique_graphs::{generators, Graph, Pattern};
 use clique_sim::linalg::IntMatrix;
 use clique_sim::transport::{FaultPlan, FaultyTransport};
-use clique_sim::{BitString, CliqueConfig, Metrics, Runner, Session, SimError};
+use clique_sim::{BitString, CliqueConfig, Metrics, Protocol, Runner, Session, SimError};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
@@ -95,16 +95,6 @@ pub struct RunOptions {
     /// plan is byte-identical to the fault-free run — unfaulted messages
     /// pass through untouched.
     pub fault: Option<FaultPlan>,
-}
-
-/// The shared `Runner` construction of every registry entry: when a fault
-/// plan is set, a [`FaultyTransport`] wrapped around the default backend.
-fn runner(config: CliqueConfig, options: &RunOptions) -> Runner {
-    let mut runner = Runner::new(config);
-    if let Some(plan) = options.fault {
-        runner = runner.with_transport(Some(Box::new(FaultyTransport::with_default_inner(plan))));
-    }
-    runner
 }
 
 /// What a registry run produces: the canonical output digest plus the full
@@ -223,6 +213,17 @@ pub const WEIGHTED_FAMILIES: &[&str] = &[
     "constant_weights(complete)",
 ];
 
+/// The families [`generate_input`] builds without drawing from its RNG:
+/// their input depends on `n` (and `max_weight`) alone, so one seed stands
+/// for all.
+pub const SEEDLESS_FAMILIES: &[&str] = &[
+    "path",
+    "cycle",
+    "star",
+    "complete",
+    "constant_weights(complete)",
+];
+
 /// Generates the canonical input for a `(family, n, seed)` label: the RNG
 /// is freshly seeded per call, so the result depends on the label alone.
 /// `max_weight` is only read by weighted families (weights are uniform in
@@ -271,30 +272,39 @@ pub fn generate_input(
     }
 }
 
+impl RunOptions {
+    /// The one runner behind every registry entry: executes `protocol` on
+    /// `model(n, b)` for the input's `n` and these options' `b`, with a
+    /// [`FaultyTransport`] around the default backend when a fault plan is
+    /// set, and digests its output.
+    fn execute<P: Protocol>(
+        &self,
+        model: fn(usize, usize) -> CliqueConfig,
+        input: &JobInput,
+        mut protocol: P,
+        digest: impl FnOnce(&P::Output) -> String,
+    ) -> Result<ProtocolRun, SimError> {
+        let mut runner = Runner::new(model(input.vertex_count(), self.bandwidth));
+        if let Some(plan) = self.fault {
+            let transport = FaultyTransport::with_default_inner(plan);
+            runner = runner.with_transport(Some(Box::new(transport)));
+        }
+        let outcome = runner.execute(&mut protocol)?;
+        Ok(ProtocolRun {
+            output: digest(&outcome.output),
+            metrics: outcome.metrics,
+        })
+    }
+}
+
 fn run_mst(input: &JobInput, options: &RunOptions) -> Result<ProtocolRun, SimError> {
-    let graph = input.weighted("mst");
-    let outcome = runner(
-        CliqueConfig::broadcast(graph.vertex_count(), options.bandwidth),
-        options,
-    )
-    .execute(&mut MstProtocol::new(graph, MST_BASE_CAPACITY))?;
-    Ok(ProtocolRun {
-        output: msf_digest(&outcome.output),
-        metrics: outcome.metrics,
-    })
+    let mst = MstProtocol::new(input.weighted("mst"), MST_BASE_CAPACITY);
+    options.execute(CliqueConfig::broadcast, input, mst, msf_digest)
 }
 
 fn run_triangle_count(input: &JobInput, options: &RunOptions) -> Result<ProtocolRun, SimError> {
-    let graph = input.unweighted("triangle-count");
-    let outcome = runner(
-        CliqueConfig::unicast(graph.vertex_count(), options.bandwidth),
-        options,
-    )
-    .execute(&mut TriangleCount::new(graph))?;
-    Ok(ProtocolRun {
-        output: format!("{{\"triangles\":{}}}", outcome.output),
-        metrics: outcome.metrics,
-    })
+    let count = TriangleCount::new(input.unweighted("triangle-count"));
+    options.execute(CliqueConfig::unicast, input, count, triangle_digest)
 }
 
 fn run_triangle_count_fast(
@@ -302,73 +312,30 @@ fn run_triangle_count_fast(
     options: &RunOptions,
 ) -> Result<ProtocolRun, SimError> {
     let graph = input.unweighted("triangle-count-fast");
-    let outcome = runner(
-        CliqueConfig::unicast(graph.vertex_count(), options.bandwidth),
-        options,
-    )
-    .execute(&mut TriangleCount::with_schedule(
-        graph,
-        MatMulSchedule::Auto,
-    ))?;
-    Ok(ProtocolRun {
-        output: format!("{{\"triangles\":{}}}", outcome.output),
-        metrics: outcome.metrics,
-    })
+    let count = TriangleCount::with_schedule(graph, MatMulSchedule::Auto);
+    options.execute(CliqueConfig::unicast, input, count, triangle_digest)
 }
 
 fn run_apsp(input: &JobInput, options: &RunOptions) -> Result<ProtocolRun, SimError> {
-    let graph = input.unweighted("apsp");
-    let outcome = runner(
-        CliqueConfig::unicast(graph.vertex_count(), options.bandwidth),
-        options,
-    )
-    .execute(&mut ApspProtocol::new(graph))?;
-    Ok(ProtocolRun {
-        output: apsp_digest(&outcome.output),
-        metrics: outcome.metrics,
-    })
+    let apsp = ApspProtocol::new(input.unweighted("apsp"));
+    options.execute(CliqueConfig::unicast, input, apsp, apsp_digest)
 }
 
 fn run_apsp_fast(input: &JobInput, options: &RunOptions) -> Result<ProtocolRun, SimError> {
-    let graph = input.unweighted("apsp-fast");
-    let outcome = runner(
-        CliqueConfig::unicast(graph.vertex_count(), options.bandwidth),
-        options,
-    )
-    .execute(&mut ApspProtocol::with_schedule(
-        graph,
-        MatMulSchedule::Auto,
-    ))?;
-    Ok(ProtocolRun {
-        output: apsp_digest(&outcome.output),
-        metrics: outcome.metrics,
-    })
+    let apsp = ApspProtocol::with_schedule(input.unweighted("apsp-fast"), MatMulSchedule::Auto);
+    options.execute(CliqueConfig::unicast, input, apsp, apsp_digest)
 }
 
 fn run_c4_turan(input: &JobInput, options: &RunOptions) -> Result<ProtocolRun, SimError> {
-    let graph = input.unweighted("c4-turan-sketch");
-    let outcome = runner(
-        CliqueConfig::broadcast(graph.vertex_count(), options.bandwidth),
-        options,
-    )
-    .execute(&mut TuranSketchDetection::new(graph, &Pattern::Cycle(4)))?;
-    Ok(ProtocolRun {
-        output: detection_digest(&outcome.output),
-        metrics: outcome.metrics,
-    })
+    let c4 = Pattern::Cycle(4);
+    let detect = TuranSketchDetection::new(input.unweighted("c4-turan-sketch"), &c4);
+    options.execute(CliqueConfig::broadcast, input, detect, detection_digest)
 }
 
 fn run_c4_full_broadcast(input: &JobInput, options: &RunOptions) -> Result<ProtocolRun, SimError> {
-    let graph = input.unweighted("c4-full-broadcast");
-    let outcome = runner(
-        CliqueConfig::broadcast(graph.vertex_count(), options.bandwidth),
-        options,
-    )
-    .execute(&mut FullBroadcastDetection::new(graph, &Pattern::Cycle(4)))?;
-    Ok(ProtocolRun {
-        output: detection_digest(&outcome.output),
-        metrics: outcome.metrics,
-    })
+    let c4 = Pattern::Cycle(4);
+    let detect = FullBroadcastDetection::new(input.unweighted("c4-full-broadcast"), &c4);
+    options.execute(CliqueConfig::broadcast, input, detect, detection_digest)
 }
 
 /// The deliberately misbehaving entry backing the serving layer's
@@ -377,25 +344,25 @@ fn run_c4_full_broadcast(input: &JobInput, options: &RunOptions) -> Result<Proto
 /// The panic is deterministic in the job spec, so retrying it can never
 /// succeed — the recovery layer must isolate it and quarantine the job.
 fn run_chaos_probe(input: &JobInput, options: &RunOptions) -> Result<ProtocolRun, SimError> {
-    let graph = input.unweighted("chaos-probe");
-    let n = graph.vertex_count();
+    let n = input.unweighted("chaos-probe").vertex_count();
     assert!(
         n.is_multiple_of(2),
         "chaos-probe: deliberate panic for odd n ({n})"
     );
-    let outcome = runner(CliqueConfig::broadcast(n, options.bandwidth), options).execute(
-        &mut |session: &mut Session| {
-            let rows: Vec<BitString> = (0..n)
-                .map(|i| BitString::from_bits((i % 2) as u64, 1))
-                .collect();
-            session.broadcast_all("probe broadcast", &rows)?;
-            Ok(n as u64)
-        },
-    )?;
-    Ok(ProtocolRun {
-        output: format!("{{\"probe\":{}}}", outcome.output),
-        metrics: outcome.metrics,
+    let probe = |session: &mut Session| {
+        let rows: Vec<BitString> = (0..n)
+            .map(|i| BitString::from_bits((i % 2) as u64, 1))
+            .collect();
+        session.broadcast_all("probe broadcast", &rows)?;
+        Ok(n)
+    };
+    options.execute(CliqueConfig::broadcast, input, probe, |n| {
+        format!("{{\"probe\":{n}}}")
     })
+}
+
+fn triangle_digest(triangles: &u64) -> String {
+    format!("{{\"triangles\":{triangles}}}")
 }
 
 fn msf_digest(out: &MsfOutput) -> String {
@@ -474,12 +441,19 @@ mod tests {
             let b = generate_input(InputKind::Unweighted, family, 9, 0xFEED, 0).unwrap();
             assert_eq!(a, b, "family {family}");
             assert_eq!(a.vertex_count(), 9, "family {family}");
+            let other = generate_input(InputKind::Unweighted, family, 9, 0xBEEF, 0).unwrap();
+            assert_eq!(a == other, SEEDLESS_FAMILIES.contains(family), "{family}");
         }
         for family in WEIGHTED_FAMILIES {
             let a = generate_input(InputKind::Weighted, family, 7, 3, 5).unwrap();
             let b = generate_input(InputKind::Weighted, family, 7, 3, 5).unwrap();
             assert_eq!(a, b, "family {family}");
+            let other = generate_input(InputKind::Weighted, family, 7, 4, 5).unwrap();
+            assert_eq!(a == other, SEEDLESS_FAMILIES.contains(family), "{family}");
         }
+        assert!(SEEDLESS_FAMILIES
+            .iter()
+            .all(|f| UNWEIGHTED_FAMILIES.contains(f) || WEIGHTED_FAMILIES.contains(f)));
         assert!(generate_input(InputKind::Unweighted, "hypercube", 8, 0, 0).is_none());
         assert!(generate_input(InputKind::Weighted, "path", 8, 0, 3).is_none());
     }

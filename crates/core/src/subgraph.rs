@@ -67,20 +67,14 @@ impl Protocol for SketchReconstruction<'_> {
         // Each node publishes its sketch.
         let sketches = encode_graph(self.graph, self.capacity);
         let messages: Vec<BitString> = sketches.iter().map(|s| encode_sketch(s, n)).collect();
-        let inboxes = session.broadcast_all("broadcast neighbourhood sketches", &messages)?;
+        let inboxes = session.broadcast_all(SKETCH_PHASE, &messages)?;
 
         // Node 0 (like every node) decodes the blackboard. It combines the
         // received sketches with its own.
         let mut received: Vec<NodeSketch> = Vec::with_capacity(n);
-        for v in 0..n {
-            if v == 0 {
-                received.push(sketches[0].clone());
-            } else {
-                let payload = inboxes[0]
-                    .broadcast_from(NodeId::new(v))
-                    .expect("every node broadcasts a sketch");
-                received.push(decode_sketch(payload, n, self.capacity));
-            }
+        received.push(sketches[0].clone());
+        for v in 1..n {
+            received.push(read_sketch(&inboxes[0], v, n, self.capacity)?);
         }
         Ok(Reconstruction {
             result: decode_graph(&received),
@@ -122,25 +116,39 @@ fn encode_sketch(sketch: &NodeSketch, n: usize) -> BitString {
     bits
 }
 
-/// Parses a sketch broadcast by another node.
-fn decode_sketch(payload: &BitString, n: usize, capacity: usize) -> NodeSketch {
-    let mut reader = payload.reader();
+/// The phase label of the sketch broadcast.
+const SKETCH_PHASE: &str = "broadcast neighbourhood sketches";
+
+/// Parses the sketch `sender` broadcast. A missing or truncated sketch is
+/// [`SimError::MalformedPayload`]; the power sums need no range check,
+/// because [`PowerSumSketch::from_parts`] reduces them mod p.
+fn read_sketch(
+    inbox: &PhaseInbox,
+    sender: usize,
+    n: usize,
+    capacity: usize,
+) -> Result<NodeSketch, SimError> {
+    let malformed = || SimError::MalformedPayload {
+        sender: NodeId::new(sender),
+        phase: SKETCH_PHASE.to_owned(),
+    };
+    let mut reader = inbox
+        .broadcast_from(NodeId::new(sender))
+        .ok_or_else(malformed)?
+        .reader();
     let degree = reader
         .read_bits(bits_for_universe(n as u64).max(1))
-        .expect("sketch payload too short") as usize;
-    let probe = PowerSumSketch::new(n as u64, capacity);
-    let element_bits = probe.field().element_bits();
-    let sums: Vec<u64> = (0..capacity)
-        .map(|_| {
-            reader
-                .read_bits(element_bits)
-                .expect("sketch payload too short")
-        })
-        .collect();
-    NodeSketch {
+        .ok_or_else(malformed)? as usize;
+    let element_bits = PowerSumSketch::new(n as u64, capacity)
+        .field()
+        .element_bits();
+    let sums = (0..capacity)
+        .map(|_| reader.read_bits(element_bits).ok_or_else(malformed))
+        .collect::<Result<_, _>>()?;
+    Ok(NodeSketch {
         degree,
         sketch: PowerSumSketch::from_parts(n as u64, capacity, degree as i64, sums),
-    }
+    })
 }
 
 /// Theorem 7 as a [`Protocol`]: `H`-subgraph detection with the
@@ -297,14 +305,51 @@ mod tests {
         }
     }
 
+    /// Broadcasts `messages` on the sketch phase of a fresh `n`-player
+    /// session and returns node 0's inbox.
+    fn blackboard(messages: &[BitString]) -> PhaseInbox {
+        let n = messages.len();
+        Session::new(CliqueConfig::broadcast(n, 8))
+            .broadcast_all(SKETCH_PHASE, messages)
+            .unwrap()
+            .swap_remove(0)
+    }
+
     #[test]
     fn sketch_serialisation_round_trips() {
         let g = generators::turan_graph(20, 4);
         let sketches = encode_graph(&g, 6);
-        for s in &sketches {
-            let bits = encode_sketch(s, 20);
-            let back = decode_sketch(&bits, 20, 6);
-            assert_eq!(&back, s);
+        let messages: Vec<BitString> = sketches.iter().map(|s| encode_sketch(s, 20)).collect();
+        let inbox = blackboard(&messages);
+        for (v, s) in sketches.iter().enumerate().skip(1) {
+            assert_eq!(&read_sketch(&inbox, v, 20, 6).unwrap(), s);
+        }
+    }
+
+    #[test]
+    fn truncated_or_missing_sketches_are_typed_errors() {
+        let (n, capacity) = (3, 2);
+        let sketch = &encode_graph(&generators::path(n), capacity)[1];
+        let payload = encode_sketch(sketch, n);
+        let malformed = |sender| SimError::MalformedPayload {
+            sender: NodeId::new(sender),
+            phase: SKETCH_PHASE.into(),
+        };
+        // Node 1 publishes every prefix of its payload; node 2 publishes
+        // nothing (an empty message is never broadcast).
+        for cut in 0..=payload.len() {
+            let prefix = BitString::from_words(payload.words(), cut);
+            let inbox = blackboard(&[BitString::new(), prefix, BitString::new()]);
+            let read = read_sketch(&inbox, 1, n, capacity);
+            if cut == payload.len() {
+                assert_eq!(&read.unwrap(), sketch);
+            } else {
+                assert_eq!(read.unwrap_err(), malformed(1), "prefix of {cut} bits");
+            }
+            assert_eq!(
+                read_sketch(&inbox, 2, n, capacity).unwrap_err(),
+                malformed(2)
+            );
         }
     }
 }

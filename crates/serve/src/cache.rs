@@ -112,16 +112,6 @@ impl TranscriptCache {
         self.map.insert(key, record);
     }
 
-    /// Removes `key`, returning its record. Used by the server to evict a
-    /// divergent entry; not counted as a capacity eviction.
-    pub fn remove(&mut self, key: &str) -> Option<String> {
-        let record = self.map.remove(key)?;
-        if let Some(pos) = self.order.iter().position(|k| k == key) {
-            self.order.remove(pos);
-        }
-        Some(record)
-    }
-
     /// Moves `key` (which must be present in `order`) to the back.
     fn touch(&mut self, key: &str) {
         if let Some(pos) = self.order.iter().position(|k| k == key) {
@@ -169,26 +159,17 @@ mod tests {
         assert!(cache.get("b").is_none(), "LRU entry was evicted");
         assert!(cache.get("a").is_some());
         assert!(cache.get("c").is_some());
+        // A replacing insert is a use too: "a" outlives "c".
+        cache.insert("a".into(), "4".into());
+        cache.insert("d".into(), "5".into());
+        assert!(cache.get("c").is_none());
+        assert_eq!(cache.get("a").as_deref(), Some("4"));
+        assert_eq!(cache.stats().evictions, 2);
     }
 
     #[test]
     #[should_panic(expected = "capacity must be positive")]
     fn zero_capacity_is_rejected() {
         let _ = TranscriptCache::new(0);
-    }
-
-    #[test]
-    fn remove_drops_the_entry_without_counting_an_eviction() {
-        let mut cache = TranscriptCache::new(2);
-        cache.insert("a".into(), "1".into());
-        cache.insert("b".into(), "2".into());
-        assert_eq!(cache.remove("a").as_deref(), Some("1"));
-        assert!(cache.remove("a").is_none());
-        assert_eq!(cache.len(), 1);
-        assert_eq!(cache.stats().evictions, 0);
-        // The freed slot is reusable without displacing "b".
-        cache.insert("c".into(), "3".into());
-        assert_eq!(cache.stats().evictions, 0);
-        assert!(cache.get("b").is_some() && cache.get("c").is_some());
     }
 }

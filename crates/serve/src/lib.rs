@@ -14,18 +14,16 @@
 //! So a cache hit *is* the answer — [`ServerConfig::verify_hits`] lets the
 //! server prove it per hit by recomputing and byte-comparing.
 //!
-//! [`Server::submit_batch`] shards uncached jobs across a worker fleet by
-//! an FNV-1a hash of the key and runs them in waves on
+//! [`Server::submit_jobs`] is the one submission path: it returns one
+//! [`JobOutcome`] per spec and shards uncached jobs across a worker fleet
+//! by an FNV-1a hash of the key, running them in waves on
 //! [`clique_core::sim::par`], each worker draining up to
-//! [`ServerConfig::batch_size`] jobs of its shard per spawn.
-//!
-//! [`Server::submit_jobs`] is the fault-tolerant entry point: one
-//! [`JobOutcome`] per spec, panics isolated per job, transient failures
-//! (transport faults injected by a [`ServerConfig::chaos`] plan, panics)
-//! retried deterministically up to [`ServerConfig::max_retries`] times,
-//! retry-exhausted keys quarantined, runaway jobs cut off by
-//! [`ServerConfig::max_rounds`] / [`ServerConfig::max_bits`] — every
-//! failure is a typed [`ServeError`], never a silently wrong record.
+//! [`ServerConfig::batch_size`] jobs of its shard per spawn. Panics are
+//! isolated per job, transient failures (transport faults injected by a
+//! [`ServerConfig::chaos`] plan, panics) retry in the next wave up to
+//! [`ServerConfig::max_retries`] times, and retry-exhausted keys are
+//! quarantined — every failure is a typed [`ServeError`], never a silently
+//! wrong record.
 //!
 //! # Examples
 //!
@@ -34,13 +32,13 @@
 //!
 //! # fn main() -> Result<(), clique_serve::ServeError> {
 //! let mut server = Server::new(ServerConfig::default());
-//! let spec = JobSpec::weighted("mst", "weighted_random_tree", 12, 8, 7, 0x5EED);
+//! let specs = [JobSpec::weighted("mst", "weighted_random_tree", 12, 8, 7, 0x5EED)];
 //!
-//! let cold = server.run_job(&spec)?;
-//! let warm = server.run_job(&spec)?;
+//! let cold = server.submit_jobs(&specs).remove(0).result?;
+//! let warm = server.submit_jobs(&specs).remove(0).result?;
 //! assert!(!cold.cached && warm.cached);
 //! assert_eq!(cold.record, warm.record);
-//! assert_eq!(cold.record, Server::run_direct(&spec)?);
+//! assert_eq!(cold.record, Server::run_direct(&specs[0])?);
 //! # Ok(())
 //! # }
 //! ```

@@ -62,7 +62,9 @@ pub struct CliqueConfig {
 
 impl CliqueConfig {
     /// Starts a [`CliqueConfigBuilder`] — the composable way to describe a
-    /// model instance (and the only constructor the algorithm crates use).
+    /// model instance, used by the experiment harness, the examples and the
+    /// tests. The algorithm crates construct theirs with [`Self::unicast`]
+    /// and [`Self::broadcast`].
     ///
     /// Defaults: unicast mode, `⌈log₂ n⌉` bandwidth.
     ///

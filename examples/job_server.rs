@@ -12,7 +12,7 @@
 //! cargo run --release --example job_server
 //! ```
 
-use congested_clique::serve::{JobSpec, ServeError, Server, ServerConfig};
+use congested_clique::serve::{JobOutcome, JobSpec, ServeError, Server, ServerConfig};
 
 fn main() -> Result<(), ServeError> {
     let mut server = Server::new(ServerConfig {
@@ -34,10 +34,10 @@ fn main() -> Result<(), ServeError> {
     ];
 
     println!("cold batch ({} jobs, 4 workers):", jobs.len());
-    print_batch(&server.submit_batch(&jobs)?)?;
+    print_batch(&server.submit_jobs(&jobs))?;
 
     println!("\nwarm batch (same jobs):");
-    print_batch(&server.submit_batch(&jobs)?)?;
+    print_batch(&server.submit_jobs(&jobs))?;
 
     let stats = server.stats();
     println!(
@@ -52,22 +52,23 @@ fn main() -> Result<(), ServeError> {
     Ok(())
 }
 
-fn print_batch(results: &[congested_clique::serve::JobResult]) -> Result<(), ServeError> {
+fn print_batch(outcomes: &[JobOutcome]) -> Result<(), ServeError> {
     println!(
         "  {:<18} {:<28} {:>3} {:>7} {:>10} {:>7} {:>16}",
         "protocol", "family", "n", "cached", "record B", "= dup", "= direct run"
     );
-    for result in results {
-        let direct = Server::run_direct(&result.spec)?;
-        let duplicate = results
+    for outcome in outcomes {
+        let result = outcome.result.clone()?;
+        let direct = Server::run_direct(&outcome.spec)?;
+        let duplicate = outcomes
             .iter()
-            .filter(|other| other.key == result.key)
-            .all(|other| other.record == result.record);
+            .filter(|other| other.key == outcome.key)
+            .all(|other| other.result == outcome.result);
         println!(
             "  {:<18} {:<28} {:>3} {:>7} {:>10} {:>7} {:>16}",
-            result.spec.protocol,
-            result.spec.family,
-            result.spec.n,
+            outcome.spec.protocol,
+            outcome.spec.family,
+            outcome.spec.n,
             result.cached,
             result.record.len(),
             duplicate,

@@ -7,7 +7,7 @@
 //!    wraps, whether that is the in-memory backend or another wrapper, and
 //!    across the protocol registry (property-based).
 //! 2. **Cache integrity** — a deliberately corrupted transcript-cache
-//!    entry is caught by `verify_hits`, evicted, and the job is served the
+//!    entry is caught by `verify_hits`, replaced, and the job is served the
 //!    fresh recomputation.
 //! 3. **The chaos grid** — every fault kind x injection rate x protocol
 //!    cell, seeded and retried, yields only fault-free-identical records
@@ -113,8 +113,8 @@ proptest! {
 }
 
 /// A corrupted cache entry never reaches a caller when `verify_hits` is
-/// on: the byte-compare catches it, the entry is evicted, and the fresh
-/// recomputation is served (and re-cached) instead.
+/// on: the byte-compare catches it, and the fresh recomputation replaces
+/// the entry and is served instead.
 #[test]
 fn corrupted_cache_entries_are_caught_evicted_and_recomputed() {
     let mut server = Server::new(ServerConfig {
@@ -128,7 +128,8 @@ fn corrupted_cache_entries_are_caught_evicted_and_recomputed() {
         let mut damaged = truth.clone().into_bytes();
         damaged[truth.len() / 2] ^= 0x10;
         server.inject_cache_record(spec, String::from_utf8_lossy(&damaged).into_owned());
-        let served = server.run_job(spec).expect("degraded serve failed");
+        let served = server.submit_jobs(std::slice::from_ref(spec)).remove(0);
+        let served = served.result.expect("degraded serve failed");
         assert!(!served.cached, "a corrupted hit was served as cached");
         assert_eq!(served.record, truth, "degradation served a wrong record");
     }
@@ -137,9 +138,9 @@ fn corrupted_cache_entries_are_caught_evicted_and_recomputed() {
         specs.len() as u64,
         "a corrupted entry slipped through verification"
     );
-    // Every evicted entry was replaced by the truth: all warm now.
-    for spec in &specs {
-        assert!(server.run_job(spec).expect("warm serve failed").cached);
+    // Every divergent entry was replaced by the truth: all warm now.
+    for outcome in server.submit_jobs(&specs) {
+        assert!(outcome.result.expect("warm serve failed").cached);
     }
 }
 

@@ -94,19 +94,20 @@ fn served_records_match_direct_runs() {
             batch_size: 3,
             ..ServerConfig::default()
         });
-        let cold = server.submit_batch(&specs).unwrap();
-        let warm = server.submit_batch(&specs).unwrap();
-        for (spec, (c, w)) in specs.iter().zip(cold.iter().zip(&warm)) {
-            let direct = Server::run_direct(spec).unwrap();
+        let cold = server.submit_jobs(&specs);
+        let warm = server.submit_jobs(&specs);
+        for (cold, warm) in cold.iter().zip(&warm) {
+            let direct = Server::run_direct(&cold.spec).unwrap();
+            let (c, w) = (cold.result.as_ref().unwrap(), warm.result.as_ref().unwrap());
             assert_eq!(
                 c.record, direct,
                 "cold served record diverged at {workers} workers for {}",
-                c.key
+                cold.key
             );
             assert_eq!(
                 w.record, direct,
                 "warm served record diverged at {workers} workers for {}",
-                w.key
+                warm.key
             );
             assert!(!c.cached, "cold pass unexpectedly hit the cache");
             assert!(w.cached, "warm pass unexpectedly missed the cache");
@@ -128,7 +129,9 @@ fn served_cache_hits_survive_verification() {
         verify_hits: true,
         ..ServerConfig::default()
     });
-    server.submit_batch(&specs).unwrap();
-    let warm = server.submit_batch(&specs).unwrap();
-    assert!(warm.iter().all(|r| r.cached));
+    server.submit_jobs(&specs);
+    let warm = server.submit_jobs(&specs);
+    assert!(warm
+        .iter()
+        .all(|o| o.result.as_ref().is_ok_and(|r| r.cached)));
 }
