@@ -154,13 +154,7 @@ pub fn e2_routing(scale: Scale) -> ExperimentTable {
             }
         }
         demands.push(("all-to-all", all_to_all));
-        let runner = Runner::new(
-            CliqueConfig::builder()
-                .nodes(n)
-                .bandwidth(b)
-                .unicast()
-                .build(),
-        );
+        let runner = Runner::new(CliqueConfig::unicast(n, b));
         for (name, demand) in demands {
             let routers: Vec<(&str, Box<dyn Router>)> = vec![
                 ("direct", Box::new(DirectRouter)),
@@ -626,45 +620,33 @@ pub fn e12_sketch_reconstruction(scale: Scale) -> ExperimentTable {
         Scale::Quick => &[64],
         Scale::Full => &[64, 128, 256],
     };
-    // One sweep point per n at b = ceil(log2 n); each point runs every
-    // (instance, capacity) pair as a nested reconstruction on its session.
-    let grid = CliqueConfig::builder().broadcast().grid(sizes, &[]);
-    let points = Runner::sweep(grid, |config| {
-        let n = config.n;
+    for &n in sizes {
         let mut r = rng(1200 + n as u64);
         let instances: Vec<Graph> = [2usize, 4, 8]
             .iter()
             .map(|&d| generators::random_bounded_degeneracy(n, d, &mut r))
             .collect();
-        move |session: &mut Session| {
-            let mut rows = Vec::new();
-            for g in &instances {
-                let true_d = degeneracy(g);
-                for capacity in [true_d.max(1), (true_d / 2).max(1)] {
-                    let run = session.run_nested(&mut SketchReconstruction::new(g, capacity))?;
-                    let rounds = run.rounds();
-                    let outcome = match &run.result {
-                        Ok(decoded) if decoded == g => "exact reconstruction",
-                        Ok(_) => "WRONG reconstruction",
-                        Err(_) => "failure reported",
-                    };
-                    rows.push(vec![
-                        n.to_string(),
-                        true_d.to_string(),
-                        capacity.to_string(),
-                        message_bits(n, capacity).to_string(),
-                        rounds.to_string(),
-                        outcome.to_owned(),
-                    ]);
-                }
+        let runner = Runner::new(CliqueConfig::broadcast(n, log2_bandwidth(n)));
+        for g in &instances {
+            let true_d = degeneracy(g);
+            for capacity in [true_d.max(1), (true_d / 2).max(1)] {
+                let run = runner
+                    .execute(&mut SketchReconstruction::new(g, capacity))
+                    .expect("reconstruction run failed");
+                let outcome = match &run.result {
+                    Ok(decoded) if decoded == g => "exact reconstruction",
+                    Ok(_) => "WRONG reconstruction",
+                    Err(_) => "failure reported",
+                };
+                table.push_row(vec![
+                    n.to_string(),
+                    true_d.to_string(),
+                    capacity.to_string(),
+                    message_bits(n, capacity).to_string(),
+                    run.rounds().to_string(),
+                    outcome.to_owned(),
+                ]);
             }
-            Ok(rows)
-        }
-    })
-    .expect("reconstruction sweep failed");
-    for point in points {
-        for row in point.outcome.into_output() {
-            table.push_row(row);
         }
     }
     table
@@ -1247,111 +1229,108 @@ pub fn e18_fast_matmul(scale: Scale) -> ExperimentTable {
     table
 }
 
-/// One registered experiment: its id, a one-line description for
-/// `--list`-style output, and the function regenerating its table.
+/// One registered experiment: its id, its table's title for `--list`
+/// output, and the function regenerating its table.
 pub struct ExperimentEntry {
-    /// Stable identifier (`"E1"` … `"E16"`).
+    /// Stable identifier (`"E1"` … `"E18"`).
     pub id: &'static str,
-    /// One-line description of what the experiment reproduces.
+    /// The title of the experiment's table.
     pub description: &'static str,
     /// Regenerates the experiment's table at the given scale.
     pub run: fn(Scale) -> ExperimentTable,
 }
 
 /// The experiment registry: the single id → runner table shared by the
-/// `experiments` binary, `run_all` and the docs index.
+/// `experiments` binary and the docs index.
 pub const EXPERIMENTS: &[ExperimentEntry] = &[
     ExperimentEntry {
         id: "E1",
-        description:
-            "Theorem 2: bounded-depth separable-gate circuits simulated in O(depth) rounds",
+        description: "circuit-to-clique simulation (Theorem 2)",
         run: e1_circuit_simulation,
     },
     ExperimentEntry {
         id: "E2",
-        description: "Lemma 1 routing: balanced vs direct vs Valiant delivery of bounded demands",
+        description: "balanced routing substrate (Lenzen [28] stand-in)",
         run: e2_routing,
     },
     ExperimentEntry {
         id: "E3",
-        description: "Section 2.1: triangle detection via F2 matrix-multiplication circuits",
+        description: "triangle detection via matrix multiplication (Section 2.1)",
         run: e3_triangle_matmul,
     },
     ExperimentEntry {
         id: "E4",
-        description: "Theorem 7: subgraph detection with degeneracy sketches vs Turan-number bound",
+        description: "H-subgraph detection with Turán-derived sketches (Theorem 7)",
         run: e4_subgraph_turan,
     },
     ExperimentEntry {
         id: "E5",
-        description: "Theorem 9: adaptive detection without knowing ex(n, H)",
+        description: "adaptive detection without knowing ex(n,H) (Theorem 9, Lemma 8)",
         run: e5_adaptive,
     },
     ExperimentEntry {
         id: "E6",
-        description: "Section 3.4: clique detection lower bounds from disjointness gadgets",
+        description: "K_ℓ-detection lower bound (Theorem 15 via Lemmas 13/14)",
         run: e6_lower_bound_cliques,
     },
     ExperimentEntry {
         id: "E7",
-        description: "Section 3.5: cycle detection lower bounds",
+        description: "C_ℓ-detection lower bound (Theorem 19 via Lemma 18)",
         run: e7_lower_bound_cycles,
     },
     ExperimentEntry {
         id: "E8",
-        description: "Section 3.6: bipartite detection lower bounds",
+        description: "K_{ℓ,ℓ}-detection lower bound (Theorem 22 via Lemma 21)",
         run: e8_lower_bound_bipartite,
     },
     ExperimentEntry {
         id: "E9",
-        description: "Section 3.3: triangle number-on-forehead lower bound construction",
+        description: "triangle-detection lower bound from 3-party NOF disjointness (Theorem 24, Corollary 25)",
         run: e9_triangle_nof,
     },
     ExperimentEntry {
         id: "E10",
-        description: "counting bounds: Behrend-set sizes behind the lower-bound graphs",
+        description: "non-explicit counting bound vs trivial upper bound",
         run: e10_counting,
     },
     ExperimentEntry {
         id: "E11",
-        description: "degeneracy vs Turan: the quantities driving Theorems 7-9",
+        description: "degeneracy of H-free graphs (Claim 6)",
         run: e11_degeneracy_turan,
     },
     ExperimentEntry {
         id: "E12",
-        description: "Becker et al. sketch reconstruction A(G, k): message bits vs bound",
+        description: "one-round reconstruction from degeneracy sketches (Becker et al. [2])",
         run: e12_sketch_reconstruction,
     },
     ExperimentEntry {
         id: "E13",
-        description: "O(n^(1/3))-round distributed semiring matmul, triangle counting, APSP",
+        description: "O(n^{1/3})-round semiring matrix product and consumers (algebraic congested clique)",
         run: e13_semiring_matmul,
     },
     ExperimentEntry {
         id: "E14",
-        description:
-            "server fleet determinism: one job batch at 1/2/4 workers, byte-identical records",
+        description: "server fleet determinism",
         run: e14_parallel_scaling,
     },
     ExperimentEntry {
         id: "E15",
-        description:
-            "deterministic MST on incidence sketches: constant-round plateau vs escalation",
+        description: "deterministic MST on graph sketches (signed-incidence Borůvka)",
         run: e15_mst_sketches,
     },
     ExperimentEntry {
         id: "E16",
-        description: "serving layer: sharded caching job server vs direct runs, byte-identical",
+        description: "serving layer: sharded caching job server vs direct runs",
         run: e16_serve,
     },
     ExperimentEntry {
         id: "E17",
-        description: "chaos: seeded fault injection, never silently wrong, retry recovery rates",
+        description: "chaos: seeded fault injection vs detection and retry recovery",
         run: e17_chaos,
     },
     ExperimentEntry {
         id: "E18",
-        description: "sub-cubic matmul: strassen-partitioned and nnz-charged schedules vs cubic",
+        description: "sub-cubic distributed matmul: strassen and sparse schedules vs the cubic partition",
         run: e18_fast_matmul,
     },
 ];
@@ -1361,25 +1340,19 @@ pub fn find_experiment(id: &str) -> Option<&'static ExperimentEntry> {
     EXPERIMENTS.iter().find(|entry| entry.id == id)
 }
 
-/// Runs every experiment at the given scale.
-pub fn run_all(scale: Scale) -> Vec<ExperimentTable> {
-    EXPERIMENTS.iter().map(|entry| (entry.run)(scale)).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn quick_experiments_produce_rows() {
-        // The cheap experiments can be exercised end-to-end in unit tests.
-        for table in [
-            e2_routing(Scale::Quick),
-            e10_counting(Scale::Quick),
-            e11_degeneracy_turan(Scale::Quick),
-        ] {
+    fn every_entry_is_named_by_its_table_title() {
+        for entry in EXPERIMENTS {
+            let table = (entry.run)(Scale::Quick);
+            assert_eq!(
+                (table.id.as_str(), table.title.as_str()),
+                (entry.id, entry.description)
+            );
             assert!(!table.rows.is_empty(), "{} produced no rows", table.id);
-            assert!(table.to_markdown().contains(&table.id));
         }
     }
 

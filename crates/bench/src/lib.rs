@@ -20,7 +20,7 @@ pub mod table;
 
 pub use chaos::{chaos_job_pool, run_chaos_cell, ChaosReport, CHAOS_PROTOCOLS};
 pub use diff::{assert_protocol_matches_oracle, unweighted_grid, weighted_grid, LabeledCase};
-pub use experiments::{run_all, ExperimentEntry, Scale, EXPERIMENTS};
+pub use experiments::{ExperimentEntry, Scale, EXPERIMENTS};
 pub use table::ExperimentTable;
 
 /// What an `experiments` invocation asks for.

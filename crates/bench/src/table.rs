@@ -135,6 +135,21 @@ mod tests {
     }
 
     #[test]
+    fn json_rendering_escapes_cells() {
+        let mut t = ExperimentTable::new("E0", "demo", "demo claim", &["a", "b"]);
+        t.push_row(vec!["say \"hi\"".into(), "back\\slash".into()]);
+        t.push_row(vec!["two\nlines".into(), "bell\u{7}".into()]);
+        let expected = r#"{
+  "id": "E0",
+  "title": "demo",
+  "claim": "demo claim",
+  "headers": ["a", "b"],
+  "rows": [["say \"hi\"", "back\\slash"], ["two\nlines", "bell\u0007"]]
+}"#;
+        assert_eq!(t.to_json(), expected);
+    }
+
+    #[test]
     #[should_panic(expected = "row width")]
     fn mismatched_row_rejected() {
         let mut t = ExperimentTable::new("E0", "demo", "demo claim", &["a", "b"]);

@@ -285,10 +285,11 @@ pub(super) fn readers(packets: &[Packet]) -> HashMap<usize, BitReader<'_>> {
 /// every logical payload into chunks of at most this many bits, letting
 /// the greedy assignment flatten pair loads down to chunk granularity
 /// while keeping the per-chunk framing (sequence tag plus the router's
-/// node and length fields) a modest fraction of the payload. The router
-/// still sends the chunks directly when that is cheaper, and then the
-/// framing is pure overhead: on E18's dense grid the cubic product, whose
-/// whole payloads go direct, takes fewer rounds than the Strassen schedule.
+/// node and length fields) a modest fraction of the payload. On
+/// full-scale E18 this keeps the Strassen schedule within 2× of the cubic
+/// product's rounds (1.95× on its worst row); sent whole, its payloads
+/// took 1.9–3.4× the chunked rounds. The cubic product, whose whole
+/// payloads go direct, still takes fewer rounds at every E18 point.
 const FAST_CHUNK_BITS: usize = 64;
 
 /// Splits logical `(src, dst)` payloads into sequence-tagged chunks before

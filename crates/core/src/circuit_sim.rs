@@ -29,6 +29,7 @@
 use std::collections::HashMap;
 
 use clique_circuits::{Circuit, GateId, GateKind};
+use clique_routing::greedy_intermediaries;
 use clique_sim::prelude::*;
 
 use crate::outcome::{CircuitOutput, CircuitSimOutcome};
@@ -480,28 +481,14 @@ fn route_bits_two_phase(
     if wires.is_empty() {
         return Ok(());
     }
-    // Greedy intermediary assignment (identical for every player because the
-    // wire list and iteration order are canonical).
-    let mut up_load = vec![vec![0u32; n]; n];
-    let mut down_load = vec![vec![0u32; n]; n];
-    let mut assignment = Vec::with_capacity(wires.len());
-    for &(gate, dst) in wires {
-        let src = plan.owner[gate];
-        let mut best_w = 0usize;
-        let mut best_key = (u32::MAX, u32::MAX);
-        for w in 0..n {
-            let a = up_load[src][w] + 1;
-            let b = down_load[w][dst] + 1;
-            let key = (a.max(b), a + b);
-            if key < best_key {
-                best_key = key;
-                best_w = w;
-            }
-        }
-        up_load[src][best_w] += 1;
-        down_load[best_w][dst] += 1;
-        assignment.push(best_w);
-    }
+    // The balanced router's greedy intermediary assignment, one bit per
+    // wire (identical for every player because the wire list and iteration
+    // order are canonical).
+    let hops: Vec<_> = wires
+        .iter()
+        .map(|&(gate, dst)| (plan.owner[gate], dst, 1))
+        .collect();
+    let assignment = greedy_intermediaries(n, &hops);
 
     // Phase 1: src -> intermediary, bits in canonical wire order.
     let mut outs: Vec<PhaseOutbox> = (0..n).map(|_| PhaseOutbox::new()).collect();

@@ -14,7 +14,7 @@ use clique_comm::nof_reduction::TriangleNofReduction;
 use clique_comm::reduction::{
     run_nof_reduction, run_two_party_reduction, DetectionRun, ReductionReport,
 };
-use clique_graphs::{Graph, Pattern};
+use clique_graphs::Graph;
 use rand::Rng;
 
 use crate::subgraph::detect_subgraph_turan;
@@ -30,22 +30,35 @@ pub enum DetectorKind {
     TuranSketch,
 }
 
-fn detector(
-    kind: DetectorKind,
-    pattern: Pattern,
+/// Runs `trials` random two-party disjointness instances through the built
+/// gadget `lbg` against the `kind` detector at `bandwidth`.
+fn run_gadget<R: Rng + ?Sized>(
+    lbg: LowerBoundGraph,
     bandwidth: usize,
-) -> impl FnMut(&Graph) -> DetectionRun {
-    move |g: &Graph| {
-        let outcome = match kind {
-            DetectorKind::TrivialBroadcast => detect_by_full_broadcast(g, &pattern, bandwidth),
-            DetectorKind::TuranSketch => detect_subgraph_turan(g, &pattern, bandwidth),
-        }
-        .expect("detection protocol failed on a well-formed input");
-        DetectionRun {
-            contains: outcome.contains,
-            rounds: outcome.rounds(),
-        }
-    }
+    kind: DetectorKind,
+    trials: usize,
+    rng: &mut R,
+) -> (LowerBoundGraph, ReductionReport) {
+    let pattern = lbg.pattern();
+    let report = run_two_party_reduction(
+        &lbg,
+        bandwidth,
+        DisjointnessBound::TwoPartyDeterministic,
+        trials,
+        rng,
+        |g: &Graph| {
+            let outcome = match kind {
+                DetectorKind::TrivialBroadcast => detect_by_full_broadcast(g, pattern, bandwidth),
+                DetectorKind::TuranSketch => detect_subgraph_turan(g, pattern, bandwidth),
+            }
+            .expect("detection protocol failed on a well-formed input");
+            DetectionRun {
+                contains: outcome.contains,
+                rounds: outcome.rounds(),
+            }
+        },
+    );
+    (lbg, report)
 }
 
 /// Theorem 15: runs the (K_ℓ, K_{N,N}) reduction against a detection
@@ -64,16 +77,7 @@ pub fn clique_detection_lower_bound<R: Rng + ?Sized>(
     rng: &mut R,
 ) -> Result<(LowerBoundGraph, ReductionReport), String> {
     let lbg = LowerBoundGraph::for_clique(l, n)?;
-    let det = detector(kind, lbg.pattern().clone(), bandwidth);
-    let report = run_two_party_reduction(
-        &lbg,
-        bandwidth,
-        DisjointnessBound::TwoPartyDeterministic,
-        trials,
-        rng,
-        det,
-    );
-    Ok((lbg, report))
+    Ok(run_gadget(lbg, bandwidth, kind, trials, rng))
 }
 
 /// Theorem 19: the (C_ℓ, F) reduction with `F` a dense bipartite
@@ -90,17 +94,9 @@ pub fn cycle_detection_lower_bound<R: Rng + ?Sized>(
     trials: usize,
     rng: &mut R,
 ) -> Result<(LowerBoundGraph, ReductionReport), String> {
+    // The gadget draws from `rng` before the trials do.
     let lbg = LowerBoundGraph::for_cycle(l, n, rng)?;
-    let det = detector(kind, lbg.pattern().clone(), bandwidth);
-    let report = run_two_party_reduction(
-        &lbg,
-        bandwidth,
-        DisjointnessBound::TwoPartyDeterministic,
-        trials,
-        rng,
-        det,
-    );
-    Ok((lbg, report))
+    Ok(run_gadget(lbg, bandwidth, kind, trials, rng))
 }
 
 /// Theorem 22: the (K_{ℓ,ℓ}, C₄-free F) reduction.
@@ -117,16 +113,7 @@ pub fn bipartite_detection_lower_bound<R: Rng + ?Sized>(
     rng: &mut R,
 ) -> Result<(LowerBoundGraph, ReductionReport), String> {
     let lbg = LowerBoundGraph::for_complete_bipartite(l, l, n)?;
-    let det = detector(kind, lbg.pattern().clone(), bandwidth);
-    let report = run_two_party_reduction(
-        &lbg,
-        bandwidth,
-        DisjointnessBound::TwoPartyDeterministic,
-        trials,
-        rng,
-        det,
-    );
-    Ok((lbg, report))
+    Ok(run_gadget(lbg, bandwidth, kind, trials, rng))
 }
 
 /// Theorem 24 / Corollary 25: the Ruzsa–Szemerédi NOF reduction run against

@@ -236,12 +236,7 @@ mod tests {
         // pick, e.g. a wider-bandwidth broadcast clique.
         let g = generators::complete(6);
         let pattern = Pattern::Clique(3);
-        let config = CliqueConfig::builder()
-            .nodes(6)
-            .bandwidth(6)
-            .broadcast()
-            .build();
-        let outcome = Runner::new(config)
+        let outcome = Runner::new(CliqueConfig::broadcast(6, 6))
             .execute(&mut FullBroadcastDetection::new(&g, &pattern))
             .unwrap();
         assert!(outcome.contains);

@@ -17,7 +17,10 @@
 //!   endpoints and length, so it never takes more rounds than direct
 //!   delivery;
 //! * [`router::direct_round_bound`] — the rounds direct delivery charges,
-//!   framing included.
+//!   framing included;
+//! * [`router::greedy_intermediaries`] — the balanced router's greedy
+//!   intermediary scan over `(src, dst, bits)` hops, which Theorem 2's
+//!   circuit simulation also runs on its one-bit wires.
 //!
 //! All routers charge their communication (including forwarding headers) to
 //! the caller's [`clique_sim::Session`], so experiment E2 can compare their
@@ -40,7 +43,7 @@
 //!     demand.send(0, 1, BitString::from_bits(i, 8));
 //! }
 //!
-//! let runner = Runner::new(CliqueConfig::builder().nodes(8).bandwidth(8).unicast().build());
+//! let runner = Runner::new(CliqueConfig::unicast(8, 8));
 //! let direct = runner.execute(&mut RouteProtocol::new(DirectRouter, &demand))?;
 //! let balanced = runner.execute(&mut RouteProtocol::new(BalancedRouter, &demand))?;
 //!
@@ -60,6 +63,6 @@ pub mod router;
 
 pub use demand::{Packet, RoutingDemand};
 pub use router::{
-    direct_round_bound, BalancedRouter, Delivered, DirectRouter, RouteProtocol, Router,
-    ValiantRouter,
+    direct_round_bound, greedy_intermediaries, BalancedRouter, Delivered, DirectRouter,
+    RouteProtocol, Router, ValiantRouter,
 };

@@ -412,25 +412,45 @@ fn max_link_load(n: usize, hops: &[(usize, usize, u64)]) -> u64 {
 const SCAN_LANES: usize = 4;
 
 /// The [`BalancedRouter`]'s intermediary for every packet of `demand`, in
-/// demand order. Adding a packet's length to both candidate loads shifts
-/// every key by the same amount, so the scan compares the loads as they
-/// stand: `(max, sum)` packed into one word — the max in the high half,
-/// the sum in the low half. Each lane keeps its first minimum, so the
-/// least `(key, w)` pair over the lanes is the first minimum overall.
+/// demand order: the greedy scan over each packet's `(src, dst, length)`.
 fn greedy_assignment(demand: &RoutingDemand) -> Vec<usize> {
-    let total = demand.total_bits();
+    let hops: Vec<_> = demand
+        .packets()
+        .iter()
+        .map(|p| (p.src.index(), p.dst.index(), p.payload.len() as u64))
+        .collect();
+    greedy_intermediaries(demand.n(), &hops)
+}
+
+/// The greedy intermediary scan of the [`BalancedRouter`], over `hops` on
+/// `n` players, each a `(src, dst, bits)` triple. Hops are assigned in
+/// order: each gets the intermediary `w` that minimises the larger of its
+/// two link loads `(src, w)` and `(w, dst)` after adding its bits, then
+/// their sum, then `w` itself. Theorem 2's circuit simulation runs it on
+/// one-bit wires.
+///
+/// Adding a hop's bits to both candidate loads shifts every key by the
+/// same amount, so the scan compares the loads as they stand: `(max, sum)`
+/// packed into one word — the max in the high half, the sum in the low
+/// half. Each lane keeps its first minimum, so the least `(key, w)` pair
+/// over the lanes is the first minimum overall.
+///
+/// # Panics
+///
+/// Panics if the hops carry `2³¹` bits or more in total, the bound that
+/// keeps the 32-bit loads exact, or if an endpoint is not below `n`.
+pub fn greedy_intermediaries(n: usize, hops: &[(usize, usize, u64)]) -> Vec<usize> {
+    let total: u64 = hops.iter().map(|&(_, _, bits)| bits).sum();
     assert!(
         total < MAX_GREEDY_BITS,
         "a demand of {total} payload bits exceeds the balanced router's 2^31-bit load bound"
     );
-    let n = demand.n();
     let mut up = vec![0u32; n * n]; // row src: loads of links (src, w)
     let mut down = vec![0u32; n * n]; // row dst: loads of links (w, dst)
-    let mut assignment = Vec::with_capacity(demand.len());
+    let mut assignment = Vec::with_capacity(hops.len());
     let whole = n - n % SCAN_LANES;
     let key = |a: u32, b: u32| u64::from(a.max(b)) << 32 | u64::from(a + b);
-    for p in demand.packets() {
-        let (s, d) = (p.src.index(), p.dst.index());
+    for &(s, d, bits) in hops {
         let up_row = &up[s * n..(s + 1) * n];
         let down_row = &down[d * n..(d + 1) * n];
         let mut lanes = [(u64::MAX, 0); SCAN_LANES];
@@ -449,7 +469,7 @@ fn greedy_assignment(demand: &RoutingDemand) -> Vec<usize> {
             best = best.min((key(up_row[w], down_row[w]), w));
         }
         let best_w = best.1;
-        let bits = p.payload.len() as u32; // at most `total`
+        let bits = bits as u32; // at most `total`
         up[s * n + best_w] += bits;
         down[d * n + best_w] += bits;
         assignment.push(best_w);
@@ -724,13 +744,7 @@ mod tests {
     /// Routes `demand` at bandwidth `b`, checks the delivery and returns
     /// the ledger.
     fn route_metrics<R: Router>(router: &mut R, demand: &RoutingDemand, b: usize) -> Metrics {
-        let mut session = Session::new(
-            CliqueConfig::builder()
-                .nodes(demand.n())
-                .bandwidth(b)
-                .unicast()
-                .build(),
-        );
+        let mut session = Session::new(CliqueConfig::unicast(demand.n(), b));
         let delivered = router.route(demand, &mut session).expect("routing failed");
         check_delivery(demand, &delivered);
         session.metrics().clone()

@@ -258,21 +258,6 @@ impl BitString {
         self.push_word_bits(acc, filled);
     }
 
-    /// Appends an unsigned integer using the number of bits needed to
-    /// represent values in `0..universe` (i.e. `ceil(log2(universe))` bits).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `value >= universe` or `universe == 0`.
-    pub fn push_uint(&mut self, value: u64, universe: u64) {
-        assert!(universe > 0, "universe must be positive");
-        assert!(
-            value < universe,
-            "value {value} out of range for universe {universe}"
-        );
-        self.push_bits(value, bits_for_universe(universe));
-    }
-
     /// Appends all bits of `other` (word-at-a-time).
     pub fn extend_from(&mut self, other: &BitString) {
         self.push_words(&other.words, other.len);
@@ -524,12 +509,6 @@ impl BitReader<'_> {
         Some(())
     }
 
-    /// Reads an unsigned integer encoded with [`BitString::push_uint`] for
-    /// the same `universe`.
-    pub fn read_uint(&mut self, universe: u64) -> Option<u64> {
-        self.read_bits(bits_for_universe(universe))
-    }
-
     /// Number of bits remaining.
     pub fn remaining(&self) -> usize {
         self.bits.len() - self.pos
@@ -624,27 +603,6 @@ mod tests {
         assert!(bs.is_empty());
         let mut r = bs.reader();
         assert_eq!(r.read_bits(0), Some(0));
-    }
-
-    #[test]
-    fn uint_encoding_round_trip() {
-        let mut bs = BitString::new();
-        for v in [0u64, 1, 99, 999] {
-            bs.push_uint(v, 1000);
-        }
-        let mut r = bs.reader();
-        for v in [0u64, 1, 99, 999] {
-            assert_eq!(r.read_uint(1000), Some(v));
-        }
-        assert!(r.is_exhausted());
-        assert_eq!(bs.len(), 4 * 10);
-    }
-
-    #[test]
-    #[should_panic(expected = "out of range")]
-    fn uint_out_of_range_panics() {
-        let mut bs = BitString::new();
-        bs.push_uint(1000, 1000);
     }
 
     #[test]

@@ -15,10 +15,10 @@
 //!
 //! Protocols are written against the [`protocol::Protocol`] /
 //! [`session::Session`] API: a protocol is model-independent, a
-//! [`model::CliqueConfig`] (built with [`model::CliqueConfig::builder`])
-//! picks the model, and [`protocol::Runner`] pairs the two and returns an
+//! [`model::CliqueConfig`] picks the model
+//! ([`CliqueConfig::unicast`]`(n, b)` or [`CliqueConfig::broadcast`]`(n, b)`),
+//! and [`protocol::Runner::execute`] pairs the two and returns an
 //! [`outcome::RunOutcome`] with the full round/bit ledger.
-//! [`protocol::Runner::sweep`] measures a protocol across an `(n, b)` grid.
 //!
 //! A [`Session`] owns the round/bit ledger and charges it in two ways:
 //!
@@ -59,7 +59,7 @@
 //! // The trivial algorithm of Section 3.1: in CLIQUE-BCAST(n, b) every node
 //! // broadcasts its whole neighbourhood (n bits), taking ceil(n / b) rounds.
 //! let n = 16;
-//! let config = CliqueConfig::builder().nodes(n).bandwidth(4).broadcast().build();
+//! let config = CliqueConfig::broadcast(n, 4);
 //! let outcome = Runner::new(config).execute(&mut |session: &mut Session| {
 //!     let rows: Vec<BitString> = (0..n)
 //!         .map(|i| BitString::from_bools(&vec![i % 2 == 0; n]))
@@ -96,11 +96,11 @@ pub mod prelude {
     pub use crate::lane::{DefaultLane, LANE_BITS};
     pub use crate::linalg::{BitMatrix, IntMatrix};
     pub use crate::metrics::{Metrics, PhaseRecord, RunReport};
-    pub use crate::model::{CliqueConfig, CliqueConfigBuilder, CommMode, SimError};
+    pub use crate::model::{CliqueConfig, CommMode, SimError};
     pub use crate::node::{Inbox, NodeAlgorithm, NodeCtx, NodeId, Outbox};
     pub use crate::outcome::RunOutcome;
     pub use crate::phase::{PhaseInbox, PhaseOutbox};
-    pub use crate::protocol::{Protocol, Runner, SweepPoint};
+    pub use crate::protocol::{Protocol, Runner};
     pub use crate::session::{NodeRun, Session};
     pub use crate::transport::{
         FaultKind, FaultPlan, FaultyTransport, InMemoryTransport, Transport, TransportFault,
@@ -112,10 +112,10 @@ pub use bits::BitString;
 pub use lane::DefaultLane;
 pub use linalg::BitMatrix;
 pub use metrics::{Metrics, RunReport};
-pub use model::{CliqueConfig, CliqueConfigBuilder, CommMode, SimError};
+pub use model::{CliqueConfig, CommMode, SimError};
 pub use node::NodeId;
 pub use outcome::RunOutcome;
-pub use protocol::{Protocol, Runner, SweepPoint};
+pub use protocol::{Protocol, Runner};
 pub use session::{NodeRun, Session};
 pub use transport::{
     FaultKind, FaultPlan, FaultyTransport, InMemoryTransport, Transport, TransportFault,

@@ -269,24 +269,6 @@ impl BitMatrix {
         out
     }
 
-    /// Elementwise XOR (addition over `F₂`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the dimensions differ.
-    pub fn xor(&self, other: &BitMatrix) -> BitMatrix {
-        assert_eq!(
-            (self.rows, self.cols),
-            (other.rows, other.cols),
-            "dimension mismatch"
-        );
-        let mut out = self.clone();
-        for (w, &o) in out.data.iter_mut().zip(&other.data) {
-            *w ^= o;
-        }
-        out
-    }
-
     /// The matrix product over `F₂`: for every set bit `A[i][k]`, XOR row
     /// `k` of `B` into output row `i` ([`LANE_BITS`] columns per word
     /// operation).
@@ -382,70 +364,6 @@ impl BitMatrix {
             }
         }
         out
-    }
-
-    /// The matrix zero-extended to `rows × cols` (entries keep their
-    /// positions; new cells are zero).
-    ///
-    /// # Panics
-    ///
-    /// Panics if either dimension shrinks.
-    pub fn padded(&self, rows: usize, cols: usize) -> BitMatrix {
-        assert!(
-            rows >= self.rows && cols >= self.cols,
-            "cannot pad {}×{} down to {rows}×{cols}",
-            self.rows,
-            self.cols
-        );
-        let mut out = BitMatrix::zeros(rows, cols);
-        for i in 0..self.rows {
-            out.data[i * out.words_per_row..i * out.words_per_row + self.words_per_row]
-                .copy_from_slice(self.row_words(i));
-        }
-        out
-    }
-
-    /// Overwrites the block at `(row0, col0)` with `block` (the inverse of
-    /// [`Self::submatrix`]). Word-aligned column offsets copy whole words;
-    /// unaligned offsets fall back to per-bit writes.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the block reaches past the matrix.
-    pub fn paste(&mut self, row0: usize, col0: usize, block: &BitMatrix) {
-        assert!(
-            row0 + block.rows <= self.rows && col0 + block.cols <= self.cols,
-            "block {}×{} at ({row0},{col0}) exceeds {}×{}",
-            block.rows,
-            block.cols,
-            self.rows,
-            self.cols
-        );
-        if block.is_empty() {
-            return;
-        }
-        if col0.is_multiple_of(LANE_BITS) {
-            let word0 = col0 / LANE_BITS;
-            let rem = block.cols % LANE_BITS;
-            for i in 0..block.rows {
-                let src = block.row_words(i);
-                let dst = &mut self.row_words_mut(row0 + i)[word0..word0 + src.len()];
-                if rem == 0 {
-                    dst.copy_from_slice(src);
-                } else {
-                    let (full, last) = src.split_at(src.len() - 1);
-                    dst[..full.len()].copy_from_slice(full);
-                    let mask = mask_low(rem);
-                    dst[full.len()] = (dst[full.len()] & !mask) | (last[0] & mask);
-                }
-            }
-        } else {
-            for i in 0..block.rows {
-                for j in 0..block.cols {
-                    self.set(row0 + i, col0 + j, block.get(i, j));
-                }
-            }
-        }
     }
 
     /// The matrix product over the Boolean semiring `(∨, ∧)`: for every set
@@ -811,26 +729,6 @@ impl IntMatrix {
         }
         out
     }
-
-    /// The matrix extended to `rows × cols` with every new cell set to
-    /// `fill` (entries keep their positions).
-    ///
-    /// # Panics
-    ///
-    /// Panics if either dimension shrinks.
-    pub fn padded(&self, rows: usize, cols: usize, fill: u64) -> IntMatrix {
-        assert!(
-            rows >= self.rows && cols >= self.cols,
-            "cannot pad {}×{} down to {rows}×{cols}",
-            self.rows,
-            self.cols
-        );
-        let mut out = IntMatrix::filled(rows, cols, fill);
-        for i in 0..self.rows {
-            out.row_mut(i)[..self.cols].copy_from_slice(self.row(i));
-        }
-        out
-    }
 }
 
 /// Counting-semiring addition saturating strictly below
@@ -965,19 +863,6 @@ mod tests {
     }
 
     #[test]
-    fn xor_is_elementwise() {
-        let a = pseudo_random(4, 66, 17);
-        let b = pseudo_random(4, 66, 19);
-        let c = a.xor(&b);
-        for i in 0..4 {
-            for j in 0..66 {
-                assert_eq!(c.get(i, j), a.get(i, j) ^ b.get(i, j));
-            }
-        }
-        assert!(a.xor(&a).count_ones() == 0);
-    }
-
-    #[test]
     fn set_row_words_masks_padding() {
         let mut m = BitMatrix::zeros(2, 70);
         let words = vec![DefaultLane::MAX; 70usize.div_ceil(LANE_BITS)];
@@ -1061,44 +946,6 @@ mod tests {
     #[should_panic(expected = "exceeds")]
     fn submatrix_rejects_out_of_range_blocks() {
         let _ = BitMatrix::zeros(3, 3).submatrix(1, 1, 3, 2);
-    }
-
-    #[test]
-    fn paste_writes_blocks_and_preserves_surroundings() {
-        let m = pseudo_random(12, 300, 131);
-        // Aligned and unaligned column offsets, straddling word boundaries.
-        for (r0, c0, rows, cols) in [
-            (0usize, 0usize, 12usize, 300usize),
-            (2, LANE_BITS, 5, LANE_BITS),
-            (3, LANE_BITS, 4, LANE_BITS + 7),
-            (1, 37, 6, 91),
-            (4, 129, 3, 70),
-        ] {
-            let block = m.submatrix(r0, c0, rows, cols);
-            let mut target = pseudo_random(12, 300, 132);
-            let before = target.clone();
-            target.paste(r0, c0, &block);
-            for i in 0..12 {
-                for j in 0..300 {
-                    let inside = (r0..r0 + rows).contains(&i) && (c0..c0 + cols).contains(&j);
-                    let expected = if inside {
-                        m.get(i, j)
-                    } else {
-                        before.get(i, j)
-                    };
-                    assert_eq!(target.get(i, j), expected, "({i},{j}) block at ({r0},{c0})");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn padded_zero_extends() {
-        let m = pseudo_random(5, 70, 141);
-        let p = m.padded(9, 133);
-        assert_eq!((p.rows(), p.cols()), (9, 133));
-        assert_eq!(p.submatrix(0, 0, 5, 70), m);
-        assert_eq!(p.count_ones(), m.count_ones());
     }
 
     #[test]
@@ -1262,14 +1109,5 @@ mod tests {
         // 1·5 − 6·1 = −1.
         let a = IntMatrix::from_rows(&[vec![1, (-6i64) as u64]]);
         assert_eq!(a.mul_wrapping(&b).get(0, 0) as i64, -1);
-    }
-
-    #[test]
-    fn int_padding_fills_new_cells() {
-        let m = IntMatrix::from_rows(&[vec![1, 2], vec![3, 4]]);
-        let p = m.padded(3, 4, 9);
-        assert_eq!(p.submatrix(0, 0, 2, 2), m);
-        assert_eq!(p.get(2, 3), 9);
-        assert_eq!(p.get(0, 2), 9);
     }
 }

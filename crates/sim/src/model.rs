@@ -2,13 +2,16 @@
 //! links, and how many bits fit on a link per round.
 //!
 //! The simulator runs the paper's two models, both on the complete network
-//! (every ordered pair of players is connected):
+//! (every ordered pair of players is connected), and names each by one
+//! constructor:
 //!
-//! * `CLIQUE-UCAST(n, b)` — [`CommMode::Unicast`]: each player may send a
-//!   *different* `b`-bit message on each of its links per round.
-//! * `CLIQUE-BCAST(n, b)` — [`CommMode::Broadcast`]: each player writes a
-//!   single `b`-bit message per round, seen by everyone (the
-//!   shared-blackboard / number-in-hand multiparty model).
+//! * `CLIQUE-UCAST(n, b)` — [`CliqueConfig::unicast`]
+//!   ([`CommMode::Unicast`]): each player may send a *different* `b`-bit
+//!   message on each of its links per round.
+//! * `CLIQUE-BCAST(n, b)` — [`CliqueConfig::broadcast`]
+//!   ([`CommMode::Broadcast`]): each player writes a single `b`-bit message
+//!   per round, seen by everyone (the shared-blackboard / number-in-hand
+//!   multiparty model).
 //!
 //! The paper's third model, `CONGEST-UCAST(n, b)`, only receives
 //! Theorem 19's transferred lower bound, which is computed from a formula
@@ -37,7 +40,8 @@ impl fmt::Display for CommMode {
     }
 }
 
-/// Full configuration of a simulated model instance.
+/// Full configuration of a simulated model instance, built by
+/// [`CliqueConfig::unicast`] or [`CliqueConfig::broadcast`].
 ///
 /// # Examples
 ///
@@ -61,29 +65,6 @@ pub struct CliqueConfig {
 }
 
 impl CliqueConfig {
-    /// Starts a [`CliqueConfigBuilder`] — the composable way to describe a
-    /// model instance, used by the experiment harness, the examples and the
-    /// tests. The algorithm crates construct theirs with [`Self::unicast`]
-    /// and [`Self::broadcast`].
-    ///
-    /// Defaults: unicast mode, `⌈log₂ n⌉` bandwidth.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use clique_sim::model::{CliqueConfig, CommMode};
-    ///
-    /// let cfg = CliqueConfig::builder().nodes(64).bandwidth(6).broadcast().build();
-    /// assert_eq!(cfg, CliqueConfig::broadcast(64, 6));
-    ///
-    /// // Omitting the bandwidth picks the O(log n) regime of [8, 28].
-    /// let cfg = CliqueConfig::builder().nodes(1024).unicast().build();
-    /// assert_eq!(cfg.bandwidth, 10);
-    /// ```
-    pub fn builder() -> CliqueConfigBuilder {
-        CliqueConfigBuilder::default()
-    }
-
     /// `CLIQUE-UCAST(n, b)`: unicast congested clique.
     ///
     /// # Panics
@@ -102,136 +83,10 @@ impl CliqueConfig {
         Self::validated(n, bandwidth, CommMode::Broadcast)
     }
 
-    /// `CLIQUE-UCAST(n, O(log n))`: the bandwidth regime of [8, 28].
-    pub fn unicast_logn(n: usize) -> Self {
-        Self::unicast(n, log2_ceil(n).max(1))
-    }
-
-    /// `CLIQUE-BCAST(n, O(log n))`.
-    pub fn broadcast_logn(n: usize) -> Self {
-        Self::broadcast(n, log2_ceil(n).max(1))
-    }
-
     fn validated(n: usize, bandwidth: usize, mode: CommMode) -> Self {
         assert!(n > 0, "a model needs at least one player");
         assert!(bandwidth > 0, "bandwidth must be at least one bit");
         Self { n, bandwidth, mode }
-    }
-
-    /// Total number of bits that may cross the network in one round
-    /// (`Θ(b·n²)` for unicast, `Θ(b·n)` for broadcast).
-    pub fn bits_per_round(&self) -> u64 {
-        match self.mode {
-            CommMode::Unicast => (self.n as u64) * (self.n as u64 - 1) * self.bandwidth as u64,
-            CommMode::Broadcast => (self.n as u64) * self.bandwidth as u64,
-        }
-    }
-}
-
-/// Builder for [`CliqueConfig`], obtained from [`CliqueConfig::builder`].
-///
-/// The builder doubles as a *prototype* for parameter sweeps: fix the mode
-/// once, then [`CliqueConfigBuilder::grid`] stamps out one config per
-/// `(n, b)` point.
-#[derive(Clone, Debug)]
-pub struct CliqueConfigBuilder {
-    n: Option<usize>,
-    bandwidth: Option<usize>,
-    mode: CommMode,
-}
-
-impl Default for CliqueConfigBuilder {
-    fn default() -> Self {
-        Self {
-            n: None,
-            bandwidth: None,
-            mode: CommMode::Unicast,
-        }
-    }
-}
-
-impl CliqueConfigBuilder {
-    /// Sets the number of players.
-    #[must_use]
-    pub fn nodes(mut self, n: usize) -> Self {
-        self.n = Some(n);
-        self
-    }
-
-    /// Sets the link bandwidth in bits per round.
-    #[must_use]
-    pub fn bandwidth(mut self, bandwidth: usize) -> Self {
-        self.bandwidth = Some(bandwidth);
-        self
-    }
-
-    /// Uses the `O(log n)` bandwidth regime (`⌈log₂ n⌉`, at least 1 bit).
-    /// This is also the default when no bandwidth is set.
-    #[must_use]
-    pub fn log_bandwidth(mut self) -> Self {
-        self.bandwidth = None;
-        self
-    }
-
-    /// Sets the communication mode.
-    #[must_use]
-    pub fn mode(mut self, mode: CommMode) -> Self {
-        self.mode = mode;
-        self
-    }
-
-    /// Shorthand for `mode(CommMode::Unicast)`.
-    #[must_use]
-    pub fn unicast(self) -> Self {
-        self.mode(CommMode::Unicast)
-    }
-
-    /// Shorthand for `mode(CommMode::Broadcast)`.
-    #[must_use]
-    pub fn broadcast(self) -> Self {
-        self.mode(CommMode::Broadcast)
-    }
-
-    /// Finalises the configuration.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `nodes` was never set, or if `n == 0` or `bandwidth == 0`.
-    pub fn build(self) -> CliqueConfig {
-        let n = self.n.expect("CliqueConfigBuilder: nodes(n) must be set");
-        let bandwidth = self.bandwidth.unwrap_or_else(|| log2_ceil(n).max(1));
-        CliqueConfig::validated(n, bandwidth, self.mode)
-    }
-
-    /// Stamps out one config per `(n, b)` grid point, using this builder as
-    /// the prototype for everything else. An empty `bandwidths` slice uses
-    /// the builder's own bandwidth choice (explicit or `⌈log₂ n⌉`) for
-    /// every `n`.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use clique_sim::model::CliqueConfig;
-    ///
-    /// let grid = CliqueConfig::builder().broadcast().grid(&[16, 32], &[1, 4]);
-    /// assert_eq!(grid.len(), 4);
-    /// assert_eq!(grid[3], CliqueConfig::broadcast(32, 4));
-    ///
-    /// let logs = CliqueConfig::builder().unicast().grid(&[256], &[]);
-    /// assert_eq!(logs[0].bandwidth, 8);
-    /// ```
-    pub fn grid(&self, nodes: &[usize], bandwidths: &[usize]) -> Vec<CliqueConfig> {
-        let mut configs = Vec::new();
-        for &n in nodes {
-            if bandwidths.is_empty() {
-                configs.push(self.clone().nodes(n).build());
-            } else {
-                for &b in bandwidths {
-                    configs.push(self.clone().nodes(n).bandwidth(b).build());
-                }
-            }
-        }
-        configs
     }
 }
 
@@ -345,15 +200,6 @@ impl fmt::Display for SimError {
 
 impl std::error::Error for SimError {}
 
-/// `ceil(log2(x))` for `x >= 1`, and 0 for `x == 0` or `x == 1`.
-pub fn log2_ceil(x: usize) -> usize {
-    if x <= 1 {
-        0
-    } else {
-        (usize::BITS - (x - 1).leading_zeros()) as usize
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -361,57 +207,9 @@ mod tests {
     #[test]
     fn config_constructors() {
         let u = CliqueConfig::unicast(8, 3);
-        assert_eq!(u.mode, CommMode::Unicast);
-        assert_eq!(u.bits_per_round(), 8 * 7 * 3);
+        assert_eq!((u.n, u.bandwidth, u.mode), (8, 3, CommMode::Unicast));
         let b = CliqueConfig::broadcast(8, 3);
-        assert_eq!(b.mode, CommMode::Broadcast);
-        assert_eq!(b.bits_per_round(), 8 * 3);
-        assert_eq!(CliqueConfig::unicast_logn(1024).bandwidth, 10);
-        assert_eq!(CliqueConfig::broadcast_logn(2).bandwidth, 1);
-    }
-
-    #[test]
-    fn builder_matches_constructors() {
-        assert_eq!(
-            CliqueConfig::builder()
-                .nodes(8)
-                .bandwidth(3)
-                .unicast()
-                .build(),
-            CliqueConfig::unicast(8, 3)
-        );
-        assert_eq!(
-            CliqueConfig::builder()
-                .nodes(8)
-                .bandwidth(3)
-                .broadcast()
-                .build(),
-            CliqueConfig::broadcast(8, 3)
-        );
-        assert_eq!(
-            CliqueConfig::builder().nodes(1024).log_bandwidth().build(),
-            CliqueConfig::unicast_logn(1024)
-        );
-    }
-
-    #[test]
-    fn builder_grid_stamps_configs() {
-        let grid = CliqueConfig::builder()
-            .broadcast()
-            .grid(&[4, 8], &[1, 2, 3]);
-        assert_eq!(grid.len(), 6);
-        assert!(grid.iter().all(|c| c.mode == CommMode::Broadcast));
-        assert_eq!(grid[5], CliqueConfig::broadcast(8, 3));
-        // Empty bandwidth grid: one config per n at log bandwidth.
-        let logs = CliqueConfig::builder().grid(&[2, 16], &[]);
-        assert_eq!(logs[0].bandwidth, 1);
-        assert_eq!(logs[1].bandwidth, 4);
-    }
-
-    #[test]
-    #[should_panic(expected = "nodes(n) must be set")]
-    fn builder_without_nodes_panics() {
-        let _ = CliqueConfig::builder().bandwidth(2).build();
+        assert_eq!((b.n, b.bandwidth, b.mode), (8, 3, CommMode::Broadcast));
     }
 
     #[test]
@@ -436,16 +234,6 @@ mod tests {
             CliqueConfig::broadcast(16, 4).to_string(),
             "CLIQUE-BCAST(n=16, b=4)"
         );
-    }
-
-    #[test]
-    fn log2_ceil_values() {
-        assert_eq!(log2_ceil(0), 0);
-        assert_eq!(log2_ceil(1), 0);
-        assert_eq!(log2_ceil(2), 1);
-        assert_eq!(log2_ceil(3), 2);
-        assert_eq!(log2_ceil(8), 3);
-        assert_eq!(log2_ceil(9), 4);
     }
 
     #[test]

@@ -21,7 +21,7 @@ use crate::metrics::Metrics;
 /// use clique_sim::prelude::*;
 ///
 /// # fn main() -> Result<(), clique_sim::model::SimError> {
-/// let config = CliqueConfig::builder().nodes(4).bandwidth(2).broadcast().build();
+/// let config = CliqueConfig::broadcast(4, 2);
 /// let outcome = Runner::new(config).execute(&mut |session: &mut Session| {
 ///     let msgs: Vec<BitString> = (0..4).map(|i| BitString::from_bits(i, 6)).collect();
 ///     session.broadcast_all("announce", &msgs)?;

@@ -123,21 +123,6 @@ impl PhaseInbox {
             .enumerate()
             .filter_map(|(i, m)| m.as_ref().map(|m| (NodeId::new(i), m)))
     }
-
-    /// Total number of payload bits received.
-    pub fn received_bits(&self) -> usize {
-        self.broadcasts
-            .iter()
-            .filter_map(|m| m.as_deref())
-            .map(BitString::len)
-            .sum::<usize>()
-            + self
-                .unicasts
-                .iter()
-                .filter_map(|m| m.as_ref())
-                .map(BitString::len)
-                .sum::<usize>()
-    }
 }
 
 /// Load accounting of one sender's phase outbox.
@@ -330,15 +315,19 @@ mod tests {
     }
 
     #[test]
-    fn received_bits_counts_everything() {
+    fn mixed_phase_delivers_unicasts_and_broadcasts() {
         let mut session = Session::new(CliqueConfig::unicast(3, 4));
         let mut out0 = PhaseOutbox::new();
         out0.broadcast(BitString::from_bits(1, 2));
         out0.send(NodeId::new(1), BitString::from_bits(3, 3));
         let outs = vec![out0, PhaseOutbox::new(), PhaseOutbox::new()];
         let inboxes = session.exchange("mixed", outs).unwrap();
-        assert_eq!(inboxes[1].received_bits(), 5);
-        assert_eq!(inboxes[2].received_bits(), 2);
+        let sender = NodeId::new(0);
+        assert_eq!(inboxes[1].unicast_from(sender).map(BitString::len), Some(3));
+        assert_eq!(inboxes[2].unicast_from(sender), None);
+        for inbox in &inboxes[1..] {
+            assert_eq!(inbox.broadcast_from(sender).map(BitString::len), Some(2));
+        }
         assert_eq!(inboxes[1].unicasts().count(), 1);
         assert_eq!(inboxes[1].broadcasts().count(), 1);
     }

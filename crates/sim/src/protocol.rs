@@ -6,9 +6,9 @@
 //! mirrors it: a [`Protocol`] is the algorithm (model-independent), a
 //! [`CliqueConfig`] is the model, and [`Runner::execute`] pairs the two,
 //! returning the protocol's output together with the full communication
-//! ledger as a [`RunOutcome`]. [`Runner::sweep`] runs one protocol instance
-//! per configuration of an `(n, b)` grid (see
-//! [`CliqueConfigBuilder::grid`](crate::model::CliqueConfigBuilder::grid)).
+//! ledger as a [`RunOutcome`]. A model is named by
+//! [`CliqueConfig::unicast`] or [`CliqueConfig::broadcast`]; measuring a
+//! protocol across several models is a loop over `execute`.
 //!
 //! Closures `FnMut(&mut Session) -> Result<T, SimError>` implement
 //! [`Protocol`] directly, so one-off measurements need no struct.
@@ -50,7 +50,7 @@ use crate::transport::Transport;
 /// }
 ///
 /// # fn main() -> Result<(), SimError> {
-/// let config = CliqueConfig::builder().nodes(4).bandwidth(1).broadcast().build();
+/// let config = CliqueConfig::broadcast(4, 1);
 /// let outcome = Runner::new(config).execute(&mut BroadcastOr {
 ///     inputs: vec![false, false, true, false],
 /// })?;
@@ -97,16 +97,6 @@ pub struct Runner {
     transport: Option<Box<dyn Transport>>,
 }
 
-/// One point of a [`Runner::sweep`]: the configuration and the outcome of
-/// the protocol instance that ran on it.
-#[derive(Clone, Debug)]
-pub struct SweepPoint<T> {
-    /// The model instance of this grid point.
-    pub config: CliqueConfig,
-    /// The protocol outcome measured on it.
-    pub outcome: RunOutcome<T>,
-}
-
 impl Runner {
     /// Creates a runner for the given model instance.
     pub fn new(config: CliqueConfig) -> Self {
@@ -125,11 +115,6 @@ impl Runner {
     pub fn with_transport(mut self, transport: Option<Box<dyn Transport>>) -> Self {
         self.transport = transport;
         self
-    }
-
-    /// The model configuration.
-    pub fn config(&self) -> &CliqueConfig {
-        &self.config
     }
 
     /// Executes `protocol` on a fresh session, returning its output paired
@@ -152,59 +137,11 @@ impl Runner {
         let output = protocol.run(&mut session)?;
         Ok(RunOutcome::new(output, session.into_metrics()))
     }
-
-    /// Runs one protocol instance per configuration: `make` builds the
-    /// protocol for each grid point (so inputs can be sized to `config.n`),
-    /// then the instance executes on a fresh session.
-    ///
-    /// # Errors
-    ///
-    /// Stops at and propagates the first failing point.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use clique_sim::prelude::*;
-    ///
-    /// # fn main() -> Result<(), SimError> {
-    /// // How many rounds does "everyone broadcasts n bits" take, per (n, b)?
-    /// let grid = CliqueConfig::builder().broadcast().grid(&[8, 16], &[1, 4]);
-    /// let points = Runner::sweep(grid, |config| {
-    ///     let n = config.n;
-    ///     move |session: &mut Session| {
-    ///         let rows: Vec<BitString> =
-    ///             (0..n).map(|_| BitString::from_bools(&vec![true; n])).collect();
-    ///         session.broadcast_all("rows", &rows)?;
-    ///         Ok(())
-    ///     }
-    /// })?;
-    /// assert_eq!(points.len(), 4);
-    /// assert_eq!(points[1].outcome.rounds(), 2); // n = 8, b = 4
-    /// # Ok(())
-    /// # }
-    /// ```
-    pub fn sweep<P, F>(
-        configs: impl IntoIterator<Item = CliqueConfig>,
-        mut make: F,
-    ) -> Result<Vec<SweepPoint<P::Output>>, SimError>
-    where
-        P: Protocol,
-        F: FnMut(&CliqueConfig) -> P,
-    {
-        let mut points = Vec::new();
-        for config in configs {
-            let mut protocol = make(&config);
-            let outcome = Runner::new(config.clone()).execute(&mut protocol)?;
-            points.push(SweepPoint { config, outcome });
-        }
-        Ok(points)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::bits::BitString;
 
     #[test]
     fn execute_runs_closures_with_fresh_sessions() {
@@ -220,27 +157,6 @@ mod tests {
             // Each execution starts from a zeroed ledger.
             assert_eq!(outcome.rounds(), 3);
         }
-        assert_eq!(runner.config().n, 2);
-    }
-
-    #[test]
-    fn sweep_visits_every_grid_point() {
-        let grid = CliqueConfig::builder().broadcast().grid(&[2, 4], &[1, 2]);
-        let points = Runner::sweep(grid, |config| {
-            let n = config.n;
-            move |session: &mut Session| {
-                let msgs: Vec<BitString> =
-                    (0..n).map(|_| BitString::from_bools(&[true; 4])).collect();
-                session.broadcast_all("msgs", &msgs)?;
-                Ok(n)
-            }
-        })
-        .unwrap();
-        assert_eq!(points.len(), 4);
-        // 4-bit messages: b = 1 -> 4 rounds, b = 2 -> 2 rounds.
-        assert_eq!(points[0].outcome.rounds(), 4);
-        assert_eq!(points[1].outcome.rounds(), 2);
-        assert_eq!(*points[3].outcome, 4);
     }
 
     #[test]

@@ -7,8 +7,8 @@
 //! strict round-by-round execution of [`NodeAlgorithm`]s to the
 //! [`RoundEngine`] ([`Session::run_nodes`]), absorbing its ledger.
 //! Sub-protocols run through [`Session::run_protocol`] (same ledger) or
-//! [`Session::run_nested`] (own ledger, absorbed into the parent), so a
-//! composed protocol gets one coherent metrics trail.
+//! [`Session::run_nested`] (own ledger over the same model, absorbed into
+//! the parent), so a composed protocol gets one coherent metrics trail.
 
 use crate::bits::BitString;
 use crate::engine::RoundEngine;
@@ -28,8 +28,7 @@ use crate::transport::Transport;
 /// use clique_sim::prelude::*;
 ///
 /// # fn main() -> Result<(), clique_sim::model::SimError> {
-/// let config = CliqueConfig::builder().nodes(4).bandwidth(2).broadcast().build();
-/// let mut session = Session::new(config);
+/// let mut session = Session::new(CliqueConfig::broadcast(4, 2));
 /// let msgs: Vec<BitString> = (0..4).map(|i| BitString::from_bits(i, 6)).collect();
 /// let inboxes = session.broadcast_all("announce", &msgs)?;
 /// assert_eq!(session.rounds(), 3); // ceil(6 / 2)
@@ -78,11 +77,6 @@ impl Session {
     /// [`transport`](crate::transport)) — only delivery mechanics.
     pub fn set_transport(&mut self, transport: Box<dyn Transport>) {
         self.transport = transport;
-    }
-
-    /// The message-delivery backend in use.
-    pub fn transport(&self) -> &dyn Transport {
-        self.transport.as_ref()
     }
 
     /// The model configuration.
@@ -237,12 +231,6 @@ impl Session {
         });
     }
 
-    /// Merges the metrics of an externally executed sub-run into this
-    /// session.
-    pub fn absorb_metrics(&mut self, other: &Metrics) {
-        self.metrics.absorb(other);
-    }
-
     /// Closes the session, returning the accumulated metrics.
     pub fn into_metrics(self) -> Metrics {
         self.metrics
@@ -261,40 +249,24 @@ impl Session {
         protocol.run(self)
     }
 
-    /// Runs a sub-protocol on a fresh ledger over the *same* model, then
+    /// Runs a sub-protocol on a fresh ledger over the same model, then
     /// absorbs its metrics into this session. Use this when the caller needs
     /// the sub-run's own round/bit counts (e.g. per-attempt reporting).
-    ///
-    /// # Errors
-    ///
-    /// Propagates the sub-protocol's error.
-    pub fn run_nested<P: Protocol + ?Sized>(
-        &mut self,
-        protocol: &mut P,
-    ) -> Result<RunOutcome<P::Output>, SimError> {
-        let config = self.config().clone();
-        self.run_nested_with(config, protocol)
-    }
-
-    /// Runs a sub-protocol on a fresh ledger over a *different* model (e.g.
-    /// a sub-clique or another bandwidth regime), then absorbs its metrics
-    /// into this session.
     ///
     /// # Errors
     ///
     /// Propagates the sub-protocol's error. Rounds and bits the sub-run
     /// charged before failing are still absorbed into this session (the
     /// traffic happened), matching [`Self::run_nodes`].
-    pub fn run_nested_with<P: Protocol + ?Sized>(
+    pub fn run_nested<P: Protocol + ?Sized>(
         &mut self,
-        config: CliqueConfig,
         protocol: &mut P,
     ) -> Result<RunOutcome<P::Output>, SimError> {
-        let mut sub = Session::new(config);
+        let mut sub = Session::new(self.config.clone());
         sub.set_transport(self.transport.clone_box());
         let result = protocol.run(&mut sub);
         let metrics = sub.into_metrics();
-        self.absorb_metrics(&metrics);
+        self.metrics.absorb(&metrics);
         Ok(RunOutcome::new(result?, metrics))
     }
 
@@ -319,7 +291,7 @@ impl Session {
         let mut engine = RoundEngine::new(self.config().clone(), nodes);
         engine.set_transport(self.transport.clone_box());
         let result = engine.run(max_rounds);
-        self.absorb_metrics(engine.metrics());
+        self.metrics.absorb(engine.metrics());
         let report = result?;
         Ok(NodeRun {
             nodes: engine.into_nodes(),
@@ -363,18 +335,6 @@ mod tests {
         assert_eq!(sub.rounds(), 4);
         assert_eq!(parent.rounds(), 4);
 
-        // A nested run on a different model still charges the parent.
-        let other = CliqueConfig::unicast(5, 3);
-        let sub = parent
-            .run_nested_with(other.clone(), &mut |session: &mut Session| {
-                assert_eq!(session.config(), &other);
-                session.charge_rounds("inner", 1);
-                Ok(())
-            })
-            .unwrap();
-        assert_eq!(sub.rounds(), 1);
-        assert_eq!(parent.rounds(), 5);
-
         // A failing nested run charges what it used before the error.
         let err = parent
             .run_nested(&mut |session: &mut Session| -> Result<(), SimError> {
@@ -383,7 +343,7 @@ mod tests {
             })
             .unwrap_err();
         assert_eq!(err, SimError::RoundLimitExceeded { limit: 9 });
-        assert_eq!(parent.rounds(), 7);
+        assert_eq!(parent.rounds(), 6);
     }
 
     #[test]

@@ -41,15 +41,12 @@ fn main() -> Result<(), SimError> {
         trivial.total_bits()
     );
 
-    // The same protocols are plain `Protocol` values: pick any model with
-    // the config builder and execute them through a `Runner`. Here: the
-    // Dolev–Lenzen–Peled-style deterministic protocol (group triples +
-    // balanced routing, Õ(n^{1/3}/b) rounds) on CLIQUE-UCAST(n, b).
-    let config = CliqueConfig::builder()
-        .nodes(n)
-        .bandwidth(bandwidth)
-        .unicast()
-        .build();
+    // The same protocols are plain `Protocol` values: name any model with
+    // `CliqueConfig::unicast` or `CliqueConfig::broadcast` and execute them
+    // through a `Runner`. Here: the Dolev–Lenzen–Peled-style deterministic
+    // protocol (group triples + balanced routing, Õ(n^{1/3}/b) rounds) on
+    // CLIQUE-UCAST(n, b).
+    let config = CliqueConfig::unicast(n, bandwidth);
     let dlp = Runner::new(config).execute(&mut DlpTriangleDetection::new(&graph))?;
     println!(
         "DLP (deterministic) : contains = {:5}, rounds = {:3}, network bits   = {}",
@@ -61,20 +58,19 @@ fn main() -> Result<(), SimError> {
         println!("                      witness triangle: {witness:?}");
     }
 
-    // Sweeps are one call: the same detection protocol across a bandwidth
+    // A sweep is a loop: the same detection protocol across a bandwidth
     // grid, each point on a fresh session.
     println!();
     println!("bandwidth sweep of the trivial protocol (rounds = ⌈n/b⌉):");
     let pattern = Pattern::Clique(3);
-    let grid = CliqueConfig::builder()
-        .broadcast()
-        .grid(&[n], &[1, 2, 4, 8, 16]);
-    let points = Runner::sweep(grid, |_| FullBroadcastDetection::new(&graph, &pattern))?;
-    for point in &points {
+    for b in [1, 2, 4, 8, 16] {
+        let config = CliqueConfig::broadcast(n, b);
+        let outcome = Runner::new(config.clone())
+            .execute(&mut FullBroadcastDetection::new(&graph, &pattern))?;
         println!(
             "  {:>26} : rounds = {:3}",
-            point.config.to_string(),
-            point.outcome.rounds()
+            config.to_string(),
+            outcome.rounds()
         );
     }
 

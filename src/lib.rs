@@ -33,3 +33,9 @@ pub use clique_core::*;
 /// Re-export of the job-server layer (`clique-serve`): [`serve::Server`]
 /// shards cached, batched simulation jobs over the protocol [`registry`].
 pub use clique_serve as serve;
+
+/// The Rust examples of `README.md`, compiled and run by `cargo test` as
+/// doctests of this crate.
+#[cfg(doctest)]
+#[doc = include_str!("../README.md")]
+pub struct ReadmeDoctests;

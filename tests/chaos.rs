@@ -86,7 +86,7 @@ proptest! {
         seed in 0u64..500,
     ) {
         let run = |transport: Option<Box<dyn Transport>>| {
-            let config = CliqueConfig::builder().nodes(n).bandwidth(b).broadcast().build();
+            let config = CliqueConfig::broadcast(n, b);
             Runner::new(config)
                 .with_transport(transport)
                 .execute(&mut |session: &mut Session| {

@@ -509,7 +509,7 @@ proptest! {
 
     #[test]
     fn phase_engine_round_accounting_matches_ceiling(msg_bits in 0usize..200, b in 1usize..32, n in 2usize..10) {
-        let mut session = Session::new(CliqueConfig::builder().nodes(n).bandwidth(b).broadcast().build());
+        let mut session = Session::new(CliqueConfig::broadcast(n, b));
         let messages: Vec<BitString> = (0..n)
             .map(|i| if i == 0 { BitString::from_bools(&vec![true; msg_bits]) } else { BitString::new() })
             .collect();
@@ -524,8 +524,8 @@ proptest! {
         // takes on the round engine, and the payload bits must agree, for
         // random mixed broadcast/unicast phases in both modes.
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
-        for mode in [CommMode::Unicast, CommMode::Broadcast] {
-            let cfg = CliqueConfig::builder().nodes(n).bandwidth(b).mode(mode).build();
+        for cfg in [CliqueConfig::unicast(n, b), CliqueConfig::broadcast(n, b)] {
+            let mode = cfg.mode;
 
             // Random phase: every node may broadcast, and (in unicast mode)
             // may send a few unicasts; repeated sends to one destination are

@@ -48,11 +48,7 @@ fn full_broadcast_matches_pre_redesign_counts() {
         (true, 6, 576)
     );
     // The explicit Runner route reports identical numbers.
-    let config = CliqueConfig::builder()
-        .nodes(24)
-        .bandwidth(4)
-        .broadcast()
-        .build();
+    let config = CliqueConfig::broadcast(24, 4);
     let direct = Runner::new(config)
         .execute(&mut FullBroadcastDetection::new(&g, &pattern))
         .unwrap();
@@ -68,11 +64,7 @@ fn gather_to_leader_matches_pre_redesign_counts() {
         (outcome.contains, outcome.rounds(), outcome.total_bits()),
         (true, 6, 552)
     );
-    let config = CliqueConfig::builder()
-        .nodes(24)
-        .bandwidth(4)
-        .unicast()
-        .build();
+    let config = CliqueConfig::unicast(24, 4);
     let direct = Runner::new(config)
         .execute(&mut GatherToLeaderDetection::new(&g, &pattern))
         .unwrap();
@@ -96,11 +88,7 @@ fn turan_sketch_detection_matches_pre_redesign_counts() {
         (true, 27, 2520)
     );
     // Through an explicit Runner as well.
-    let config = CliqueConfig::builder()
-        .nodes(24)
-        .bandwidth(4)
-        .broadcast()
-        .build();
+    let config = CliqueConfig::broadcast(24, 4);
     let direct = Runner::new(config)
         .execute(&mut TuranSketchDetection::new(&g, &pattern))
         .unwrap();
@@ -114,11 +102,7 @@ fn sketch_reconstruction_matches_pre_redesign_counts() {
     assert!(run.success());
     assert_eq!((run.rounds(), run.total_bits()), (5, 720));
 
-    let config = CliqueConfig::builder()
-        .nodes(40)
-        .bandwidth(4)
-        .broadcast()
-        .build();
+    let config = CliqueConfig::broadcast(40, 4);
     let direct = Runner::new(config)
         .execute(&mut SketchReconstruction::new(&g, 2))
         .unwrap();
@@ -160,11 +144,7 @@ fn dlp_triangle_detection_matches_pre_redesign_counts() {
         (outcome.contains, outcome.rounds(), outcome.total_bits()),
         (true, 7, 4671)
     );
-    let config = CliqueConfig::builder()
-        .nodes(24)
-        .bandwidth(4)
-        .unicast()
-        .build();
+    let config = CliqueConfig::unicast(24, 4);
     let direct = Runner::new(config)
         .execute(&mut DlpTriangleDetection::new(&g))
         .unwrap();
@@ -201,11 +181,7 @@ fn circuit_simulation_matches_pre_redesign_counts() {
     );
     assert_eq!(sim.outputs, vec![true]);
     // Through an explicit Runner as well.
-    let config = CliqueConfig::builder()
-        .nodes(6)
-        .bandwidth(4)
-        .unicast()
-        .build();
+    let config = CliqueConfig::unicast(6, 4);
     let direct = Runner::new(config)
         .execute(&mut CircuitSimulation::new(
             &circuit,
@@ -244,11 +220,7 @@ fn mst_protocol_matches_pinned_counts() {
         (5, 64, 749, 89400)
     );
     // Through an explicit Runner as well.
-    let config = CliqueConfig::builder()
-        .nodes(24)
-        .bandwidth(5)
-        .broadcast()
-        .build();
+    let config = CliqueConfig::broadcast(24, 5);
     let direct = Runner::new(config)
         .execute(&mut MstProtocol::new(&g, 4))
         .unwrap();
@@ -314,13 +286,7 @@ fn concentrated_demand() -> RoutingDemand {
 #[test]
 fn routers_match_pre_redesign_counts() {
     let demand = concentrated_demand();
-    let runner = Runner::new(
-        CliqueConfig::builder()
-            .nodes(16)
-            .bandwidth(8)
-            .unicast()
-            .build(),
-    );
+    let runner = Runner::new(CliqueConfig::unicast(16, 8));
 
     let direct = runner
         .execute(&mut RouteProtocol::new(DirectRouter, &demand))
