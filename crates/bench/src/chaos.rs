@@ -70,7 +70,7 @@ impl ChaosReport {
 }
 
 /// The protocol pool the chaos sweep exercises: four registry protocols
-/// spanning both engines and both input kinds.
+/// spanning both models and both input kinds.
 pub const CHAOS_PROTOCOLS: &[(&str, &str)] = &[
     ("mst", "weighted_random_tree"),
     ("triangle-count", "erdos_renyi(p=0.5)"),

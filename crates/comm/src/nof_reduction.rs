@@ -45,11 +45,6 @@ impl TriangleNofReduction {
         }
     }
 
-    /// The underlying Ruzsa–Szemerédi graph.
-    pub fn ruzsa_szemeredi(&self) -> &RuzsaSzemeredi {
-        &self.rs
-    }
-
     /// Number of players of the resulting clique instance (`|A ∪ B ∪ C|`).
     pub fn vertex_count(&self) -> usize {
         self.rs.vertex_count()

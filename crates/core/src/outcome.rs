@@ -56,7 +56,6 @@ mod tests {
             bits: 17,
             messages: 2,
             max_link_bits_per_round: 4,
-            strict_rounds: false,
         });
         let outcome = RunOutcome::new(
             Detection {

@@ -342,13 +342,6 @@ impl Graph {
     pub fn is_bipartite(&self) -> bool {
         self.bipartition().is_some()
     }
-
-    /// Number of vertex pairs `{u, v}`, i.e. the edge count of the complete
-    /// graph on the same vertex set.
-    pub fn max_possible_edges(&self) -> usize {
-        let n = self.vertex_count();
-        n * (n.saturating_sub(1)) / 2
-    }
 }
 
 impl fmt::Debug for Graph {

@@ -259,7 +259,7 @@ impl<R: Rng> Router for ValiantRouter<R> {
 /// [`DirectRouter`].
 ///
 /// Both costs are exact and read only the demand's shape — each packet's
-/// endpoints and length. They follow the engine's rule: record bits summed
+/// endpoints and length. They follow the session's rule: record bits summed
 /// per link, `⌈max / b⌉` rounds per phase. Ties go to direct delivery,
 /// which sends the [`DirectRouter`]'s records in one hop. Every call
 /// records two ledger phases, `route/balanced/phase1` and
@@ -373,7 +373,7 @@ fn two_phase_rounds(demand: &RoutingDemand, assignment: &[usize], bandwidth: usi
 }
 
 /// The heaviest link of one phase whose records are `hops`, each a
-/// `(sender, receiver, wire bits)` triple, by the engine's rule: record
+/// `(sender, receiver, wire bits)` triple, by the session's rule: record
 /// bits summed per `(sender, receiver)`. The hops are bucketed by sender,
 /// so one `n`-word row holds a sender's loads and the cost is
 /// `O(hops + n)`.

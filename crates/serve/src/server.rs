@@ -663,7 +663,9 @@ pub fn encode_record(output: &str, metrics: &Metrics) -> String {
         trail.extend_from_slice(&phase.bits.to_le_bytes());
         trail.extend_from_slice(&phase.messages.to_le_bytes());
         trail.extend_from_slice(&phase.max_link_bits_per_round.to_le_bytes());
-        trail.push(u8::from(phase.strict_rounds));
+        // A constant zero byte closes each row: the pinned phase digests
+        // and cached records include it.
+        trail.push(0);
     }
     format!(
         "{{\"output\":{},\"rounds\":{},\"total_bits\":{},\"messages\":{},\

@@ -3,8 +3,8 @@
 //! The congested clique model is parameterised by a bandwidth `b` measured in
 //! *bits* per link per round, so all message accounting in this workspace is
 //! done at bit granularity. [`BitString`] is an append-only bit vector with a
-//! cursor-based reader ([`BitReader`]); it is the payload type of both the
-//! low-level round engine and the phases of a session.
+//! cursor-based reader ([`BitReader`]); it is the payload type of a
+//! session's phases.
 //!
 //! Bits are packed least-significant-first, [`LANE_BITS`] per
 //! [`DefaultLane`] word.

@@ -20,28 +20,24 @@
 //! and [`protocol::Runner::execute`] pairs the two and returns an
 //! [`outcome::RunOutcome`] with the full round/bit ledger.
 //!
-//! A [`Session`] owns the round/bit ledger and charges it in two ways:
+//! A [`Session`] owns the round/bit ledger and is the one path that moves
+//! and charges communication. Messages move in bulk-synchronous phases
+//! carrying arbitrarily long logical messages
+//! ([`session::Session::exchange`] over [`phase::PhaseOutbox`]es), each
+//! charged `ceil(max link load / b)` rounds: the accounting is identical to
+//! chunking every long message into `b`-bit pieces and sending one piece
+//! per link per round. Analytically accounted black boxes are charged with
+//! [`session::Session::charge_rounds`].
 //!
-//! * bulk-synchronous phases carrying arbitrarily long logical messages
-//!   ([`session::Session::exchange`] over [`phase::PhaseOutbox`]es), charged
-//!   `ceil(max link load / b)` rounds; the accounting is identical to
-//!   chunking every long message into `b`-bit pieces;
-//! * strict, round-by-round execution of a [`node::NodeAlgorithm`] per
-//!   player on the [`engine::RoundEngine`]
-//!   ([`session::Session::run_nodes`]), rejecting any message longer than
-//!   `b` bits, for when the per-round behaviour itself is the object of
-//!   study.
-//!
-//! A protocol run is serial: sessions and the round engine step players,
-//! validate senders and deliver in ascending [`node::NodeId`] order on the
-//! calling thread.
+//! A protocol run is serial: a session validates senders and delivers in
+//! ascending [`node::NodeId`] order on the calling thread.
 //! The [`linalg`] kernels are serial too. [`par::map`] runs independent
 //! jobs side by side (the `clique-serve` worker fleet's waves); a job's
 //! transcript never depends on which worker ran it.
 //!
-//! Message delivery goes through a [`transport::Transport`]: validated
-//! outboxes reach it only after all accounting is done, so *the transport
-//! never changes transcripts*. The zero-copy
+//! Message delivery goes through a [`transport::Transport`]: a phase's
+//! charge is computed from its validated outboxes before any delivery, so
+//! *the transport never changes transcripts*. The zero-copy
 //! [`transport::InMemoryTransport`] is the default; a session can carry
 //! another backend ([`session::Session::set_transport`]). Delivery can also
 //! *fail*, typed: [`transport::FaultyTransport`] injects a seeded
@@ -76,7 +72,6 @@
 #![warn(missing_docs)]
 
 pub mod bits;
-pub mod engine;
 pub mod lane;
 pub mod linalg;
 pub mod metrics;
@@ -92,16 +87,15 @@ pub mod transport;
 /// Commonly used types, re-exported for convenience.
 pub mod prelude {
     pub use crate::bits::{bits_for_universe, BitReader, BitString};
-    pub use crate::engine::RoundEngine;
     pub use crate::lane::{DefaultLane, LANE_BITS};
     pub use crate::linalg::{BitMatrix, IntMatrix};
-    pub use crate::metrics::{Metrics, PhaseRecord, RunReport};
+    pub use crate::metrics::{Metrics, PhaseRecord};
     pub use crate::model::{CliqueConfig, CommMode, SimError};
-    pub use crate::node::{Inbox, NodeAlgorithm, NodeCtx, NodeId, Outbox};
+    pub use crate::node::NodeId;
     pub use crate::outcome::RunOutcome;
     pub use crate::phase::{PhaseInbox, PhaseOutbox};
     pub use crate::protocol::{Protocol, Runner};
-    pub use crate::session::{NodeRun, Session};
+    pub use crate::session::Session;
     pub use crate::transport::{
         FaultKind, FaultPlan, FaultyTransport, InMemoryTransport, Transport, TransportFault,
         TransportKind,
@@ -111,12 +105,12 @@ pub mod prelude {
 pub use bits::BitString;
 pub use lane::DefaultLane;
 pub use linalg::BitMatrix;
-pub use metrics::{Metrics, RunReport};
+pub use metrics::Metrics;
 pub use model::{CliqueConfig, CommMode, SimError};
 pub use node::NodeId;
 pub use outcome::RunOutcome;
 pub use protocol::{Protocol, Runner};
-pub use session::{NodeRun, Session};
+pub use session::Session;
 pub use transport::{
     FaultKind, FaultPlan, FaultyTransport, InMemoryTransport, Transport, TransportFault,
     TransportKind,

@@ -100,10 +100,10 @@ impl fmt::Display for CliqueConfig {
     }
 }
 
-/// Errors produced by sessions and the round engine.
+/// Errors a [`Session`](crate::session::Session) or a protocol returns.
 ///
-/// Variant fields name the offending node(s) and, where relevant, the
-/// message size and the configured bandwidth.
+/// Variant fields name the offending node and, where relevant, the model
+/// size, the faulted round or the phase that delivered a bad payload.
 #[derive(Clone, Debug, PartialEq, Eq)]
 #[allow(missing_docs)]
 pub enum SimError {
@@ -113,25 +113,12 @@ pub enum SimError {
     InvalidNode { node: NodeId, n: usize },
     /// A node attempted to send to itself.
     SelfMessage { node: NodeId },
-    /// Two messages were sent on the same link in the same round.
-    DuplicateMessage { sender: NodeId, receiver: NodeId },
-    /// A message exceeded the per-round link bandwidth (round engine only;
-    /// session phases charge long messages by their chunk count).
-    BandwidthExceeded {
-        sender: NodeId,
-        receiver: Option<NodeId>,
-        bits: usize,
-        bandwidth: usize,
-    },
-    /// The protocol did not terminate within the allowed number of rounds.
-    RoundLimitExceeded { limit: u64 },
     /// A transport backend lost or damaged a delivery — an injected fault
     /// detected through the integrity framing (see
     /// [`transport::FaultyTransport`](crate::transport::FaultyTransport)).
     /// The run aborts instead of computing from a damaged transcript.
-    /// `round` counts ledger rounds charged before the fault (in a
-    /// [`Session`](crate::session::Session): before the faulted phase);
-    /// `receiver` is `None` for a broadcast.
+    /// `round` counts the ledger rounds charged before the faulted phase,
+    /// which never reaches the ledger; `receiver` is `None` for a broadcast.
     TransportFault {
         round: u64,
         sender: NodeId,
@@ -155,27 +142,6 @@ impl fmt::Display for SimError {
                 write!(f, "node id {node} out of range for n = {n}")
             }
             SimError::SelfMessage { node } => write!(f, "node {node} attempted to message itself"),
-            SimError::DuplicateMessage { sender, receiver } => {
-                write!(f, "duplicate message from {sender} to {receiver} in one round")
-            }
-            SimError::BandwidthExceeded {
-                sender,
-                receiver,
-                bits,
-                bandwidth,
-            } => match receiver {
-                Some(receiver) => write!(
-                    f,
-                    "message of {bits} bits from {sender} to {receiver} exceeds bandwidth {bandwidth}"
-                ),
-                None => write!(
-                    f,
-                    "broadcast of {bits} bits from {sender} exceeds bandwidth {bandwidth}"
-                ),
-            },
-            SimError::RoundLimitExceeded { limit } => {
-                write!(f, "protocol did not terminate within {limit} rounds")
-            }
             SimError::TransportFault {
                 round,
                 sender,
@@ -238,15 +204,15 @@ mod tests {
 
     #[test]
     fn sim_error_display() {
-        let e = SimError::BandwidthExceeded {
-            sender: NodeId::new(1),
-            receiver: Some(NodeId::new(2)),
-            bits: 10,
-            bandwidth: 4,
+        let e = SimError::InvalidNode {
+            node: NodeId::new(9),
+            n: 4,
         };
-        assert!(e.to_string().contains("exceeds bandwidth"));
-        let e2 = SimError::RoundLimitExceeded { limit: 7 };
-        assert!(e2.to_string().contains("7 rounds"));
+        assert!(e.to_string().contains("out of range for n = 4"));
+        let e2 = SimError::SelfMessage {
+            node: NodeId::new(2),
+        };
+        assert!(e2.to_string().contains("v2 attempted to message itself"));
         let e3 = SimError::MalformedPayload {
             sender: NodeId::new(3),
             phase: "route/direct".into(),

@@ -1,11 +1,17 @@
-//! Player identities and the per-round interface implemented by node
-//! algorithms for the low-level round engine.
+//! Player identities, plus the per-round [`Inbox`] and [`Outbox`] that
+//! [`Transport::deliver_round`](crate::transport::Transport::deliver_round)
+//! moves messages between.
+//!
+//! No simulator path executes single rounds: every protocol runs in
+//! [`Session`](crate::session::Session) phases. `Inbox`, `Outbox` and
+//! `deliver_round` are kept only because the benchmark package
+//! (`perfbench`) implements `deliver_round` in its `TimingTransport`; they
+//! are deleted together with that implementation (ROADMAP.md, item 2).
 
 use std::fmt;
 use std::sync::Arc;
 
 use crate::bits::BitString;
-use crate::model::{CliqueConfig, CommMode};
 
 /// Identifier of a player (node) in the model, in `0..n`.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -38,29 +44,6 @@ impl From<usize> for NodeId {
 impl From<NodeId> for usize {
     fn from(id: NodeId) -> Self {
         id.0
-    }
-}
-
-/// Read-only per-node view of the model handed to [`NodeAlgorithm`] callbacks.
-#[derive(Clone, Debug)]
-pub struct NodeCtx<'a> {
-    /// This node's identity.
-    pub id: NodeId,
-    /// Current round number, starting at 0.
-    pub round: u64,
-    /// The model configuration shared by all nodes.
-    pub config: &'a CliqueConfig,
-}
-
-impl NodeCtx<'_> {
-    /// Number of players.
-    pub fn n(&self) -> usize {
-        self.config.n
-    }
-
-    /// Link bandwidth in bits.
-    pub fn bandwidth(&self) -> usize {
-        self.config.bandwidth
     }
 }
 
@@ -116,15 +99,6 @@ impl Inbox {
         *slot = Some(message);
     }
 
-    /// Empties the inbox while keeping its slot allocation for reuse.
-    pub(crate) fn clear(&mut self) {
-        if self.occupied == 0 {
-            return;
-        }
-        self.messages.fill(None);
-        self.occupied = 0;
-    }
-
     /// The message received from `sender` this round, if any.
     pub fn from(&self, sender: NodeId) -> Option<&BitString> {
         self.messages
@@ -151,12 +125,8 @@ impl Inbox {
     }
 }
 
-/// Messages submitted by one node in one round.
-///
-/// In a unicast model each destination may receive at most one message per
-/// round; in a broadcast model only [`Outbox::broadcast`] may be used. The
-/// engine validates these rules and the bandwidth bound when the round is
-/// executed.
+/// Messages submitted by one node in one round, for
+/// [`Transport::deliver_round`](crate::transport::Transport::deliver_round).
 #[derive(Clone, Debug, Default)]
 pub struct Outbox {
     pub(crate) unicasts: Vec<(NodeId, BitString)>,
@@ -185,119 +155,11 @@ impl Outbox {
     pub fn is_empty(&self) -> bool {
         self.unicasts.is_empty() && self.broadcast.is_none()
     }
-
-    /// Empties the outbox while keeping its allocation for reuse.
-    pub(crate) fn clear(&mut self) {
-        self.unicasts.clear();
-        self.broadcast = None;
-    }
-
-    /// Total number of payload bits queued (counting a broadcast once).
-    pub fn queued_bits(&self) -> usize {
-        self.unicasts.iter().map(|(_, m)| m.len()).sum::<usize>()
-            + self.broadcast.as_ref().map_or(0, BitString::len)
-    }
-}
-
-/// The behaviour of a single player, invoked once per round by the
-/// [`RoundEngine`](crate::engine::RoundEngine).
-///
-/// Implementations hold the node's local state (including its share of the
-/// input). All players typically run the same algorithm type with different
-/// state, so the engine is generic over `A: NodeAlgorithm` and owns a
-/// `Vec<A>` with one element per player.
-pub trait NodeAlgorithm {
-    /// Called once before round 0, e.g. to queue initial computations.
-    fn begin(&mut self, _ctx: &NodeCtx<'_>) {}
-
-    /// Executes one round: read this round's `inbox`, update local state and
-    /// queue next-round messages into `outbox`.
-    fn round(&mut self, ctx: &NodeCtx<'_>, inbox: &Inbox, outbox: &mut Outbox);
-
-    /// Returns `true` once this node has terminated. The engine stops when
-    /// every node has halted and no messages are in flight.
-    fn halted(&self) -> bool {
-        false
-    }
-}
-
-/// Validates an outbox against the model rules, returning the number of
-/// payload bits it will place on the network.
-///
-/// `seen` is caller-provided scratch (reset here), so per-round validation
-/// does not allocate.
-pub(crate) fn validate_outbox(
-    sender: NodeId,
-    outbox: &Outbox,
-    config: &CliqueConfig,
-    strict_bandwidth: bool,
-    seen: &mut Vec<bool>,
-) -> Result<u64, crate::model::SimError> {
-    use crate::model::SimError;
-
-    let n = config.n;
-    if config.mode == CommMode::Broadcast && !outbox.unicasts.is_empty() {
-        return Err(SimError::UnicastInBroadcastModel { sender });
-    }
-    seen.clear();
-    seen.resize(n, false);
-    let mut bits_on_network = 0u64;
-    for (dst, msg) in &outbox.unicasts {
-        if dst.index() >= n {
-            return Err(SimError::InvalidNode { node: *dst, n });
-        }
-        if *dst == sender {
-            return Err(SimError::SelfMessage { node: sender });
-        }
-        if seen[dst.index()] {
-            return Err(SimError::DuplicateMessage {
-                sender,
-                receiver: *dst,
-            });
-        }
-        seen[dst.index()] = true;
-        if strict_bandwidth && msg.len() > config.bandwidth {
-            return Err(SimError::BandwidthExceeded {
-                sender,
-                receiver: Some(*dst),
-                bits: msg.len(),
-                bandwidth: config.bandwidth,
-            });
-        }
-        bits_on_network += msg.len() as u64;
-    }
-    if let Some(msg) = &outbox.broadcast {
-        if strict_bandwidth && msg.len() > config.bandwidth {
-            return Err(SimError::BandwidthExceeded {
-                sender,
-                receiver: None,
-                bits: msg.len(),
-                bandwidth: config.bandwidth,
-            });
-        }
-        // In the blackboard (broadcast) model a message is written once; in a
-        // unicast model a broadcast occupies every outgoing link.
-        bits_on_network += match config.mode {
-            CommMode::Broadcast => msg.len() as u64,
-            CommMode::Unicast => msg.len() as u64 * (n as u64 - 1),
-        };
-    }
-    Ok(bits_on_network)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::model::SimError;
-
-    fn validate(
-        sender: NodeId,
-        outbox: &Outbox,
-        config: &CliqueConfig,
-        strict: bool,
-    ) -> Result<u64, SimError> {
-        validate_outbox(sender, outbox, config, strict, &mut Vec::new())
-    }
 
     #[test]
     fn node_id_conversions() {
@@ -323,9 +185,6 @@ mod tests {
         inbox.insert_shared(NodeId::new(2), Arc::new(BitString::from_bits(1, 1)));
         assert_eq!(inbox.len(), 1);
         assert_eq!(inbox.from(NodeId::new(2)).unwrap().len(), 1);
-        inbox.clear();
-        assert!(inbox.is_empty());
-        assert_eq!(inbox.len(), 0);
     }
 
     #[test]
@@ -335,65 +194,7 @@ mod tests {
         out.send(NodeId::new(1), BitString::from_bits(1, 1));
         out.broadcast(BitString::from_bits(3, 2));
         assert!(!out.is_empty());
-        assert_eq!(out.queued_bits(), 3);
-    }
-
-    #[test]
-    fn validate_rejects_unicast_in_broadcast_model() {
-        let cfg = CliqueConfig::broadcast(4, 8);
-        let mut out = Outbox::new();
-        out.send(NodeId::new(1), BitString::from_bits(1, 1));
-        let err = validate(NodeId::new(0), &out, &cfg, true).unwrap_err();
-        assert!(matches!(err, SimError::UnicastInBroadcastModel { .. }));
-    }
-
-    #[test]
-    fn validate_rejects_self_and_duplicate_and_invalid() {
-        let cfg = CliqueConfig::unicast(4, 8);
-        let mut out = Outbox::new();
-        out.send(NodeId::new(0), BitString::new());
-        assert!(matches!(
-            validate(NodeId::new(0), &out, &cfg, true),
-            Err(SimError::SelfMessage { .. })
-        ));
-
-        let mut out = Outbox::new();
-        out.send(NodeId::new(1), BitString::new());
-        out.send(NodeId::new(1), BitString::new());
-        assert!(matches!(
-            validate(NodeId::new(0), &out, &cfg, true),
-            Err(SimError::DuplicateMessage { .. })
-        ));
-
-        let mut out = Outbox::new();
-        out.send(NodeId::new(9), BitString::new());
-        assert!(matches!(
-            validate(NodeId::new(0), &out, &cfg, true),
-            Err(SimError::InvalidNode { .. })
-        ));
-    }
-
-    #[test]
-    fn validate_bandwidth_strict_and_lenient() {
-        let cfg = CliqueConfig::unicast(4, 2);
-        let mut out = Outbox::new();
-        out.send(NodeId::new(1), BitString::from_bits(7, 3));
-        assert!(matches!(
-            validate(NodeId::new(0), &out, &cfg, true),
-            Err(SimError::BandwidthExceeded { .. })
-        ));
-        assert_eq!(validate(NodeId::new(0), &out, &cfg, false), Ok(3));
-    }
-
-    #[test]
-    fn validate_counts_broadcast_bits_per_receiver() {
-        let cfg = CliqueConfig::unicast(5, 8);
-        let mut out = Outbox::new();
-        out.broadcast(BitString::from_bits(0b101, 3));
-        // 3 bits to each of the 4 other players.
-        assert_eq!(validate(NodeId::new(0), &out, &cfg, true), Ok(12));
-        // In the blackboard model the same message is only written once.
-        let cfg_b = CliqueConfig::broadcast(5, 8);
-        assert_eq!(validate(NodeId::new(0), &out, &cfg_b, true), Ok(3));
+        assert_eq!(out.unicasts.len(), 1);
+        assert_eq!(out.broadcast.as_ref().map(BitString::len), Some(2));
     }
 }

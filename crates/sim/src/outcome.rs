@@ -62,22 +62,11 @@ impl<T> RunOutcome<T> {
     }
 
     /// The maximum number of rounds charged to any single phase of the run.
-    ///
-    /// An aggregated strict-round record
-    /// ([`PhaseRecord::strict_rounds`](crate::metrics::PhaseRecord::strict_rounds))
-    /// represents `k` consecutive one-round steps, not one `k`-round phase,
-    /// so it contributes 1 here.
     pub fn max_phase_rounds(&self) -> u64 {
         self.metrics
             .phases
             .iter()
-            .map(|p| {
-                if p.strict_rounds {
-                    p.rounds.min(1)
-                } else {
-                    p.rounds
-                }
-            })
+            .map(|p| p.rounds)
             .max()
             .unwrap_or(0)
     }
@@ -123,7 +112,6 @@ mod tests {
             bits: 9,
             messages: 3,
             max_link_bits_per_round: 4,
-            strict_rounds: false,
         });
         m.record_phase(PhaseRecord {
             label: "b".into(),
@@ -131,7 +119,6 @@ mod tests {
             bits: 1,
             messages: 1,
             max_link_bits_per_round: 1,
-            strict_rounds: false,
         });
         m
     }
@@ -144,27 +131,6 @@ mod tests {
         assert_eq!(o.messages(), 4);
         assert_eq!(o.max_phase_rounds(), 5);
         assert!(*o);
-    }
-
-    #[test]
-    fn max_phase_rounds_counts_strict_rounds_individually() {
-        // k aggregated strict rounds are k one-round steps, not one k-round
-        // phase.
-        let mut m = Metrics::new();
-        for _ in 0..5 {
-            m.record_round(1, 1, 1);
-        }
-        m.record_phase(PhaseRecord {
-            label: "bulk".into(),
-            rounds: 3,
-            bits: 6,
-            messages: 2,
-            max_link_bits_per_round: 2,
-            strict_rounds: false,
-        });
-        let o = RunOutcome::new((), m);
-        assert_eq!(o.rounds(), 8);
-        assert_eq!(o.max_phase_rounds(), 3);
     }
 
     #[test]

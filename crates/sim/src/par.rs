@@ -1,9 +1,9 @@
 //! Deterministic thread-parallel execution for independent jobs.
 //!
-//! A protocol run is serial: sessions and the round engine step players
-//! and validate senders on the calling thread, in ascending
-//! [`NodeId`](crate::NodeId) order. Parallelism lives one level up, across *jobs*: the
-//! `clique-serve` worker fleet runs each wave of independent jobs through
+//! A protocol run is serial: a session validates and delivers senders on
+//! the calling thread, in ascending [`NodeId`](crate::NodeId) order.
+//! Parallelism lives one level up, across *jobs*: the `clique-serve`
+//! worker fleet runs each wave of independent jobs through
 //! [`map`]. It is a *scoped* pool: each call spawns up to `threads` OS
 //! threads via [`std::thread::scope`], which lets workers borrow the
 //! caller's data directly (no `'static` bounds, no unsafe, no vendored
@@ -18,8 +18,8 @@
 
 use std::ops::Range;
 
-/// The worker count a protocol run uses: always 1, since sessions and the
-/// round engine are serial. Reports that record the execution set-up print it.
+/// The worker count a protocol run uses: always 1, since sessions are
+/// serial. Reports that record the execution set-up print it.
 pub fn threads() -> usize {
     1
 }

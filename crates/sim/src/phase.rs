@@ -4,13 +4,13 @@
 //! Most of the paper's algorithms are naturally described in *phases*: "every
 //! node broadcasts an `O(k log n)`-bit message", "route this balanced demand",
 //! "each player sends its `b`-bit summary to the owner of the heavy gate".
-//! Writing these against the bit-strict [`RoundEngine`](crate::engine) would
-//! force every algorithm to re-implement chunking of long messages into
-//! `b`-bit pieces. [`Session::exchange`](crate::session::Session::exchange)
+//! Rather than have every algorithm chunk long messages into `b`-bit
+//! pieces, [`Session::exchange`](crate::session::Session::exchange)
 //! does this accounting centrally: a phase delivers arbitrarily long logical
 //! [`PhaseOutbox`] messages into [`PhaseInbox`]es and is charged
 //! `ceil(max link load / b)` rounds, which is exactly the number of rounds the
-//! chunked execution would take in the respective model.
+//! chunked execution would take in the respective model (a property test
+//! checks this against an independent chunk-by-chunk replay).
 //!
 //! The accounting never interprets payloads; information-flow discipline (a
 //! node may only use what it has received) is the responsibility of the
@@ -343,17 +343,32 @@ mod tests {
     fn first_sender_in_order_reports_its_error() {
         // Sender 1 has a self-message *after* a valid unicast; sender 4 has
         // an invalid node. The first sender in order reports its error.
-        let mut outs: Vec<PhaseOutbox> = (0..6).map(|_| PhaseOutbox::new()).collect();
-        outs[1].send(NodeId::new(0), BitString::from_bits(1, 1));
-        outs[1].send(NodeId::new(1), BitString::from_bits(1, 1));
-        outs[4].send(NodeId::new(17), BitString::from_bits(1, 1));
+        let outs = |sender_1_valid: bool| {
+            let mut outs: Vec<PhaseOutbox> = (0..6).map(|_| PhaseOutbox::new()).collect();
+            outs[1].send(NodeId::new(0), BitString::from_bits(1, 1));
+            if !sender_1_valid {
+                outs[1].send(NodeId::new(1), BitString::from_bits(1, 1));
+            }
+            outs[4].send(NodeId::new(17), BitString::from_bits(1, 1));
+            outs
+        };
         let mut session = Session::new(CliqueConfig::unicast(6, 2));
-        let err = session.exchange("bad", outs).unwrap_err();
+        let err = session.exchange("bad", outs(false)).unwrap_err();
         assert_eq!(
             err,
             SimError::SelfMessage {
                 node: NodeId::new(1)
             }
         );
+        // With sender 1 valid, sender 4's out-of-range destination reports.
+        let err = session.exchange("bad", outs(true)).unwrap_err();
+        assert_eq!(
+            err,
+            SimError::InvalidNode {
+                node: NodeId::new(17),
+                n: 6
+            }
+        );
+        assert_eq!(session.rounds(), 0);
     }
 }

@@ -21,7 +21,7 @@ use crate::transport::Transport;
 /// A distributed algorithm that can run on any model instance.
 ///
 /// Implementations read their input from `self`, drive all communication
-/// through the [`Session`] (phases, strict rounds, nested sub-protocols),
+/// through the [`Session`] (phases, charged black boxes, sub-protocols),
 /// and return their protocol-specific output; the caller gets the round and
 /// bit accounting from the session's ledger.
 ///
@@ -67,8 +67,8 @@ pub trait Protocol {
     ///
     /// # Errors
     ///
-    /// Returns a [`SimError`] if the protocol violates the model rules or a
-    /// round limit.
+    /// Returns a [`SimError`] if the protocol violates the model rules, a
+    /// delivery faults, or a payload it reads is malformed.
     fn run(&mut self, session: &mut Session) -> Result<Self::Output, SimError>;
 }
 
@@ -162,11 +162,13 @@ mod tests {
     #[test]
     fn errors_propagate_from_execute() {
         let runner = Runner::new(CliqueConfig::broadcast(2, 1));
+        let failure = SimError::InvalidNode {
+            node: crate::NodeId::new(5),
+            n: 2,
+        };
         let err = runner
-            .execute(&mut |_session: &mut Session| -> Result<(), SimError> {
-                Err(SimError::RoundLimitExceeded { limit: 1 })
-            })
+            .execute(&mut |_session: &mut Session| -> Result<(), SimError> { Err(failure.clone()) })
             .unwrap_err();
-        assert_eq!(err, SimError::RoundLimitExceeded { limit: 1 });
+        assert_eq!(err, failure);
     }
 }

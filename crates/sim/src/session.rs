@@ -1,20 +1,19 @@
 //! The execution context handed to [`Protocol`] implementations.
 //!
 //! A [`Session`] is one protocol execution on one model instance, and the
-//! one type that charges its round/bit ledger. It runs bulk-synchronous
-//! phases itself ([`Session::exchange`]: `⌈max link load / b⌉` rounds per
-//! phase, over the [`phase`](crate::phase) outboxes and inboxes) and hands
-//! strict round-by-round execution of [`NodeAlgorithm`]s to the
-//! [`RoundEngine`] ([`Session::run_nodes`]), absorbing its ledger.
-//! Sub-protocols run through [`Session::run_protocol`] (same ledger) or
-//! [`Session::run_nested`] (own ledger over the same model, absorbed into
-//! the parent), so a composed protocol gets one coherent metrics trail.
+//! one path that executes and charges communication. Every message moves
+//! in a bulk-synchronous phase ([`Session::exchange`]: `⌈max link load / b⌉`
+//! rounds per phase, over the [`phase`](crate::phase) outboxes and
+//! inboxes); [`Session::charge_rounds`] charges analytically accounted
+//! black boxes. Sub-protocols run through [`Session::run_protocol`] (same
+//! ledger) or [`Session::run_nested`] (own ledger over the same model,
+//! absorbed into the parent), so a composed protocol gets one coherent
+//! metrics trail.
 
 use crate::bits::BitString;
-use crate::engine::RoundEngine;
-use crate::metrics::{Metrics, PhaseRecord, RunReport};
+use crate::metrics::{Metrics, PhaseRecord};
 use crate::model::{CliqueConfig, SimError};
-use crate::node::{NodeAlgorithm, NodeId};
+use crate::node::NodeId;
 use crate::outcome::RunOutcome;
 use crate::phase::{summarize_outbox, PhaseInbox, PhaseOutbox};
 use crate::protocol::Protocol;
@@ -47,17 +46,6 @@ pub struct Session {
     transport: Box<dyn Transport>,
 }
 
-/// The result of driving [`NodeAlgorithm`]s to completion inside a session:
-/// the final node states plus the run report of the strict engine.
-#[derive(Debug)]
-pub struct NodeRun<A> {
-    /// The node algorithms after the run (e.g. to extract outputs).
-    pub nodes: Vec<A>,
-    /// Completion status and the metrics of the strict execution (already
-    /// absorbed into the session as well).
-    pub report: RunReport,
-}
-
 impl Session {
     /// Opens a session on the given model, delivering through an
     /// [`InMemoryTransport`](crate::transport::InMemoryTransport).
@@ -72,7 +60,7 @@ impl Session {
 
     /// Replaces the message-delivery backend (e.g. with a
     /// [`FaultyTransport`](crate::transport::FaultyTransport)). Nested
-    /// sessions and strict-engine runs inherit a clone of the backend.
+    /// sessions inherit a clone of the backend.
     /// Transports never change transcripts, ledgers or outputs (see
     /// [`transport`](crate::transport)) — only delivery mechanics.
     pub fn set_transport(&mut self, transport: Box<dyn Transport>) {
@@ -138,8 +126,10 @@ impl Session {
     /// * [`SimError::InvalidNode`], [`SimError::SelfMessage`] for malformed
     ///   destinations.
     /// * [`SimError::TransportFault`] if the transport loses or damages a
-    ///   delivery (the phase is validated and charged before delivery, but
-    ///   the session state is not rolled back).
+    ///   delivery. The phase is validated before any delivery but recorded
+    ///   only after every delivery succeeds, so a faulted phase never
+    ///   reaches the ledger: the error's `round` is the rounds charged
+    ///   before it, and the session keeps exactly those.
     ///
     /// # Panics
     ///
@@ -179,12 +169,11 @@ impl Session {
 
         let rounds = max_load.div_ceil(b);
         self.metrics.record_phase(PhaseRecord {
-            label: label.to_owned().into(),
+            label: label.to_owned(),
             rounds,
             bits: total_bits,
             messages,
             max_link_bits_per_round: max_load.min(b),
-            strict_rounds: false,
         });
         Ok(inboxes)
     }
@@ -222,12 +211,11 @@ impl Session {
     /// accounted black-box subroutine).
     pub fn charge_rounds(&mut self, label: &str, rounds: u64) {
         self.metrics.record_phase(PhaseRecord {
-            label: label.to_owned().into(),
+            label: label.to_owned(),
             rounds,
             bits: 0,
             messages: 0,
             max_link_bits_per_round: 0,
-            strict_rounds: false,
         });
     }
 
@@ -257,7 +245,7 @@ impl Session {
     ///
     /// Propagates the sub-protocol's error. Rounds and bits the sub-run
     /// charged before failing are still absorbed into this session (the
-    /// traffic happened), matching [`Self::run_nodes`].
+    /// traffic happened).
     pub fn run_nested<P: Protocol + ?Sized>(
         &mut self,
         protocol: &mut P,
@@ -269,41 +257,11 @@ impl Session {
         self.metrics.absorb(&metrics);
         Ok(RunOutcome::new(result?, metrics))
     }
-
-    /// Runs one [`NodeAlgorithm`] instance per player on the strict
-    /// [`RoundEngine`] over this session's model, charging every round and
-    /// bit to this session.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError::RoundLimitExceeded`] if the nodes do not halt in
-    /// time, or any model violation raised by the engine. Rounds executed
-    /// before the error are still charged.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `nodes.len()` differs from the session's `n`.
-    pub fn run_nodes<A: NodeAlgorithm>(
-        &mut self,
-        nodes: Vec<A>,
-        max_rounds: u64,
-    ) -> Result<NodeRun<A>, SimError> {
-        let mut engine = RoundEngine::new(self.config().clone(), nodes);
-        engine.set_transport(self.transport.clone_box());
-        let result = engine.run(max_rounds);
-        self.metrics.absorb(engine.metrics());
-        let report = result?;
-        Ok(NodeRun {
-            nodes: engine.into_nodes(),
-            report,
-        })
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::node::{Inbox, NodeCtx, Outbox};
 
     #[test]
     fn session_charges_phases_and_black_boxes() {
@@ -336,13 +294,16 @@ mod tests {
         assert_eq!(parent.rounds(), 4);
 
         // A failing nested run charges what it used before the error.
+        let failure = SimError::SelfMessage {
+            node: NodeId::new(1),
+        };
         let err = parent
             .run_nested(&mut |session: &mut Session| -> Result<(), SimError> {
                 session.charge_rounds("partial", 2);
-                Err(SimError::RoundLimitExceeded { limit: 9 })
+                Err(failure.clone())
             })
             .unwrap_err();
-        assert_eq!(err, SimError::RoundLimitExceeded { limit: 9 });
+        assert_eq!(err, failure);
         assert_eq!(parent.rounds(), 6);
     }
 
@@ -357,61 +318,5 @@ mod tests {
     fn require_clique_of_rejects_size_mismatch() {
         let session = Session::new(CliqueConfig::broadcast(4, 2));
         session.require_clique_of(5);
-    }
-
-    /// Every node broadcasts its bit; afterwards everyone knows the OR.
-    struct OrNode {
-        input: bool,
-        result: Option<bool>,
-    }
-
-    impl NodeAlgorithm for OrNode {
-        fn round(&mut self, ctx: &NodeCtx<'_>, inbox: &Inbox, outbox: &mut Outbox) {
-            if ctx.round == 0 {
-                outbox.broadcast(BitString::from_bits(u64::from(self.input), 1));
-            } else {
-                let mut any = self.input;
-                for (_, msg) in inbox.iter() {
-                    any |= msg.bit(0);
-                }
-                self.result = Some(any);
-            }
-        }
-
-        fn halted(&self) -> bool {
-            self.result.is_some()
-        }
-    }
-
-    #[test]
-    fn run_nodes_charges_the_session() {
-        let mut session = Session::new(CliqueConfig::broadcast(4, 1));
-        let nodes = vec![false, true, false, false]
-            .into_iter()
-            .map(|input| OrNode {
-                input,
-                result: None,
-            })
-            .collect();
-        let run = session.run_nodes(nodes, 10).unwrap();
-        assert!(run.report.completed);
-        assert!(run.nodes.iter().all(|n| n.result == Some(true)));
-        assert_eq!(session.rounds(), run.report.rounds());
-        assert!(session.rounds() >= 2);
-    }
-
-    #[test]
-    fn run_nodes_round_limit_still_charges() {
-        #[derive(Debug)]
-        struct Chatter;
-        impl NodeAlgorithm for Chatter {
-            fn round(&mut self, _: &NodeCtx<'_>, _: &Inbox, outbox: &mut Outbox) {
-                outbox.broadcast(BitString::from_bits(1, 1));
-            }
-        }
-        let mut session = Session::new(CliqueConfig::broadcast(2, 1));
-        let err = session.run_nodes(vec![Chatter, Chatter], 3).unwrap_err();
-        assert_eq!(err, SimError::RoundLimitExceeded { limit: 3 });
-        assert_eq!(session.rounds(), 3);
     }
 }

@@ -1,16 +1,16 @@
 //! The message-delivery seam of [`Session`](crate::session::Session)
-//! phases and the strict [`RoundEngine`](crate::engine::RoundEngine).
+//! phases.
 //!
 //! A [`Transport`] moves validated payloads from a sender's outbox into the
-//! receivers' inboxes — nothing else. All round/bit accounting is computed
-//! *before* delivery, from the outbox contents alone, so a transport
-//! physically cannot change the ledger; and because a session calls
-//! [`Transport::deliver_phase`] and the round engine
-//! [`Transport::deliver_round`] once per sender in ascending [`NodeId`]
-//! order, delivery order (and therefore the transcript every node observes)
-//! is fixed by the caller, not the backend. This is the serving-layer invariant: **the transport never
-//! changes transcripts** — a backend decides how bytes travel, never what
-//! a run computes or charges.
+//! receivers' inboxes — nothing else. A phase's round/bit charge is
+//! computed *before* delivery, from the outbox contents alone, so a
+//! transport physically cannot change the ledger; and because a session
+//! calls [`Transport::deliver_phase`] once per sender in ascending
+//! [`NodeId`] order, delivery order (and therefore the transcript every
+//! node observes) is fixed by the caller, not the backend. This is the
+//! serving-layer invariant: **the transport never changes transcripts** —
+//! a backend decides how bytes travel, never what a run computes or
+//! charges.
 //!
 //! One backend ships with the simulator, [`InMemoryTransport`]: unicasts
 //! are moved into the receiving inbox, broadcasts are [`Arc`]-shared (one
@@ -24,10 +24,11 @@
 //!
 //! # Fault injection
 //!
-//! Delivery can fail: [`Transport::deliver_round`] / [`deliver_phase`]
-//! return a [`TransportFault`] that the caller wraps (with the current
-//! round) into [`SimError::TransportFault`] and abort the run — a faulty
-//! delivery is *never* silently absorbed into a transcript.
+//! Delivery can fail: [`deliver_phase`] returns a [`TransportFault`] that
+//! the session wraps (with the rounds charged so far) into
+//! [`SimError::TransportFault`], aborting the run before the phase reaches
+//! the ledger — a faulty delivery is *never* silently absorbed into a
+//! transcript.
 //! [`FaultyTransport`] wraps any inner backend and injects a seeded
 //! [`FaultPlan`] schedule of per-`(round, sender, receiver)` message drops,
 //! bit flips, duplications and truncations. Each scheduled fault is applied
@@ -70,16 +71,18 @@ pub trait Transport: fmt::Debug + Send {
     /// A short stable identifier (e.g. for reports): `"memory"`, `"faulty"`.
     fn name(&self) -> &'static str;
 
-    /// Delivers one strict-round outbox: each unicast into its
-    /// destination's slot for `sender`, the broadcast (if any) to every
-    /// other player. The outbox is drained.
+    /// Delivers one per-round outbox: each unicast into its destination's
+    /// slot for `sender`, the broadcast (if any) to every other player. The
+    /// outbox is drained.
+    ///
+    /// No session calls this: it is kept, with [`Inbox`] and [`Outbox`],
+    /// only because the benchmark package (`perfbench`) implements it in
+    /// its `TimingTransport` (see the [`node`](crate::node) module).
     ///
     /// # Errors
     ///
     /// Returns a [`TransportFault`] when delivery is lost or damaged (e.g.
-    /// an injected fault detected through the integrity framing); the
-    /// engine aborts the run with
-    /// [`SimError::TransportFault`](crate::model::SimError).
+    /// an injected fault detected through the integrity framing).
     fn deliver_round(
         &mut self,
         config: &CliqueConfig,
@@ -94,7 +97,10 @@ pub trait Transport: fmt::Debug + Send {
     ///
     /// # Errors
     ///
-    /// As [`Self::deliver_round`].
+    /// Returns a [`TransportFault`] when delivery is lost or damaged (e.g.
+    /// an injected fault detected through the integrity framing); the
+    /// session aborts the run with
+    /// [`SimError::TransportFault`](crate::model::SimError).
     fn deliver_phase(
         &mut self,
         config: &CliqueConfig,
@@ -103,9 +109,9 @@ pub trait Transport: fmt::Debug + Send {
         inboxes: &mut [PhaseInbox],
     ) -> Result<(), TransportFault>;
 
-    /// Clones the backend for a nested session or a strict-engine run
-    /// (fresh delivery state, same mechanics); this is what makes the
-    /// `Box<dyn Transport>` field of the `Clone` [`Session`] work.
+    /// Clones the backend for a nested session (fresh delivery state, same
+    /// mechanics); this is what makes the `Box<dyn Transport>` field of the
+    /// `Clone` [`Session`] work.
     ///
     /// [`Session`]: crate::session::Session
     fn clone_box(&self) -> Box<dyn Transport>;
@@ -181,7 +187,7 @@ pub struct TransportFault {
 }
 
 impl TransportFault {
-    /// The engine-level error for a fault observed in `round`.
+    /// The session-level error for a fault hit after `round` charged rounds.
     pub fn at_round(self, round: u64) -> SimError {
         SimError::TransportFault {
             round,
@@ -424,10 +430,9 @@ fn flip_bit(bits: &BitString, position: usize) -> BitString {
 /// transport.
 ///
 /// The schedule's round coordinate is derived from the delivery discipline
-/// (sessions and the round engine call the transport exactly once per
-/// sender per round/phase, in ascending order), so in a session it counts
-/// *phases*. [`Transport::clone_box`] restarts the schedule: a nested
-/// session replays the plan from round 0.
+/// (a session calls the transport exactly once per sender per phase, in
+/// ascending order), so it counts *phases*. [`Transport::clone_box`]
+/// restarts the schedule: a nested session replays the plan from round 0.
 #[derive(Debug)]
 pub struct FaultyTransport {
     plan: FaultPlan,
@@ -448,11 +453,6 @@ impl FaultyTransport {
     /// Wraps the default backend (see [`default_transport`]).
     pub fn with_default_inner(plan: FaultPlan) -> Self {
         Self::new(plan, default_transport())
-    }
-
-    /// The schedule this wrapper injects.
-    pub fn plan(&self) -> FaultPlan {
-        self.plan
     }
 
     /// Screens one message: on a scheduled fault, frames the payload,
@@ -625,13 +625,12 @@ impl TransportKind {
     }
 }
 
-/// The backend newly created sessions and engines use.
+/// The backend newly created sessions use.
 pub fn default_kind() -> TransportKind {
     TransportKind::InMemory
 }
 
-/// Instantiates the backend newly created sessions and engines use: an
-/// [`InMemoryTransport`].
+/// Instantiates the backend newly created sessions use: an [`InMemoryTransport`].
 pub fn default_transport() -> Box<dyn Transport> {
     Box::new(InMemoryTransport)
 }
@@ -639,56 +638,7 @@ pub fn default_transport() -> Box<dyn Transport> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::RoundEngine;
-    use crate::node::{NodeAlgorithm, NodeCtx};
     use crate::session::Session;
-
-    /// Mixed round traffic: everyone broadcasts, node 0 also unicasts (in
-    /// unicast mode a broadcast and a unicast to the same destination
-    /// overwrite deterministically).
-    struct Mixed {
-        done: bool,
-        digest: u64,
-    }
-
-    impl NodeAlgorithm for Mixed {
-        fn round(&mut self, ctx: &NodeCtx<'_>, inbox: &crate::node::Inbox, outbox: &mut Outbox) {
-            if ctx.round == 0 {
-                outbox.broadcast(BitString::from_bits(ctx.id.index() as u64, 3));
-                if ctx.id.index() == 0 && ctx.n() > 1 {
-                    outbox.send(NodeId::new(1), BitString::from_bits(0b101, 3));
-                }
-            } else {
-                for (sender, msg) in inbox.iter() {
-                    self.digest = self
-                        .digest
-                        .wrapping_mul(31)
-                        .wrapping_add(sender.index() as u64)
-                        .wrapping_add(msg.reader().read_bits(msg.len().min(8)).unwrap_or(0));
-                }
-                self.done = true;
-            }
-        }
-
-        fn halted(&self) -> bool {
-            self.done
-        }
-    }
-
-    fn round_run(transport: Box<dyn Transport>) -> (crate::metrics::Metrics, Vec<u64>) {
-        let cfg = CliqueConfig::unicast(6, 8);
-        let nodes = (0..6)
-            .map(|_| Mixed {
-                done: false,
-                digest: 0,
-            })
-            .collect();
-        let mut engine = RoundEngine::new(cfg, nodes);
-        engine.set_transport(transport);
-        engine.run(4).unwrap();
-        let digests = engine.nodes().iter().map(|n| n.digest).collect();
-        (engine.metrics().clone(), digests)
-    }
 
     fn phase_run(transport: Box<dyn Transport>) -> (crate::metrics::Metrics, Vec<Vec<u8>>) {
         let n = 5;
@@ -787,12 +737,6 @@ mod tests {
 
     #[test]
     fn empty_plan_wrapper_is_byte_identical_to_bare_inner() {
-        let bare = round_run(Box::new(InMemoryTransport));
-        let wrapped = round_run(Box::new(FaultyTransport::new(
-            FaultPlan::none(),
-            Box::new(InMemoryTransport),
-        )));
-        assert_eq!(bare, wrapped);
         let bare = phase_run(Box::new(InMemoryTransport));
         let wrapped = phase_run(Box::new(FaultyTransport::new(
             FaultPlan::none(),
@@ -802,30 +746,54 @@ mod tests {
     }
 
     #[test]
-    fn saturated_plan_faults_the_first_delivery_with_a_typed_error() {
+    fn deliver_round_delivers_cleanly_and_faults_typed() {
+        let n = 4;
+        let cfg = CliqueConfig::unicast(n, 8);
+        // Sender 1 broadcasts, then sender 2 unicasts to player 0.
+        let deliver = |transport: &mut dyn Transport| -> Result<Vec<Inbox>, TransportFault> {
+            let mut inboxes = vec![Inbox::empty(n); n];
+            let mut broadcast = Outbox::new();
+            broadcast.broadcast(BitString::from_bits(0b10, 2));
+            transport.deliver_round(&cfg, NodeId::new(1), &mut broadcast, &mut inboxes)?;
+            let mut unicast = Outbox::new();
+            unicast.send(NodeId::new(0), BitString::from_bits(0b101, 3));
+            transport.deliver_round(&cfg, NodeId::new(2), &mut unicast, &mut inboxes)?;
+            assert!(broadcast.is_empty() && unicast.is_empty(), "outboxes drain");
+            Ok(inboxes)
+        };
+        let received = |inboxes: &[Inbox]| -> Vec<Vec<(usize, BitString)>> {
+            inboxes
+                .iter()
+                .map(|inbox| inbox.iter().map(|(s, m)| (s.index(), m.clone())).collect())
+                .collect()
+        };
+        let two = BitString::from_bits(0b10, 2);
+        let expected = vec![
+            vec![(1, two.clone()), (2, BitString::from_bits(0b101, 3))],
+            vec![],
+            vec![(1, two.clone())],
+            vec![(1, two)],
+        ];
+
+        // A clean delivery, and the same through an empty-plan wrapper.
+        assert_eq!(
+            received(&deliver(&mut InMemoryTransport).unwrap()),
+            expected
+        );
+        let mut empty = FaultyTransport::with_default_inner(FaultPlan::none());
+        assert_eq!(received(&deliver(&mut empty).unwrap()), expected);
+
+        // A saturated plan faults the first delivery, typed.
         let plan = FaultPlan::new(7, 1_000_000, &[FaultKind::Corrupt]);
-        let cfg = CliqueConfig::unicast(4, 8);
-        let nodes = (0..4)
-            .map(|_| Mixed {
-                done: false,
-                digest: 0,
-            })
-            .collect();
-        let mut engine = RoundEngine::new(cfg, nodes);
-        engine.set_transport(Box::new(FaultyTransport::with_default_inner(plan)));
-        let err = engine.run(4).unwrap_err();
-        match err {
-            crate::model::SimError::TransportFault {
-                round,
-                sender: _,
-                receiver: _,
-                kind,
-            } => {
-                assert_eq!(round, 0, "the first exchanging round faults");
-                assert_eq!(kind, FaultKind::Corrupt);
+        let mut saturated = FaultyTransport::with_default_inner(plan);
+        assert_eq!(
+            deliver(&mut saturated).unwrap_err(),
+            TransportFault {
+                sender: NodeId::new(1),
+                receiver: None,
+                kind: FaultKind::Corrupt,
             }
-            other => panic!("expected a transport fault, got {other:?}"),
-        }
+        );
     }
 
     #[test]
@@ -834,6 +802,7 @@ mod tests {
         let n = 5;
         let mut session = Session::new(CliqueConfig::unicast(n, 2));
         session.set_transport(Box::new(FaultyTransport::with_default_inner(plan)));
+        session.charge_rounds("pre", 3);
         let outs: Vec<PhaseOutbox> = (0..n)
             .map(|i| {
                 let mut out = PhaseOutbox::new();
@@ -844,11 +813,15 @@ mod tests {
         let err = session.exchange("chaos", outs).unwrap_err();
         assert!(matches!(
             err,
-            crate::model::SimError::TransportFault {
+            SimError::TransportFault {
+                round: 3,
                 kind: FaultKind::Drop,
                 receiver: None,
                 ..
             }
         ));
+        // The faulted phase never reaches the ledger.
+        assert_eq!(session.rounds(), 3);
+        assert_eq!(session.metrics().phases.len(), 1);
     }
 }

@@ -520,24 +520,25 @@ proptest! {
     #[test]
     fn phase_charge_equals_chunked_round_execution(n in 2usize..7, b in 1usize..6, seed in 0u64..500) {
         // A session phase's `⌈max link load / b⌉` charge must equal the
-        // number of rounds a bit-strict chunked execution of the same phase
-        // takes on the round engine, and the payload bits must agree, for
-        // random mixed broadcast/unicast phases in both modes.
+        // number of rounds a chunk-by-chunk execution of the same phase
+        // takes, and the payload bits must agree, for random mixed
+        // broadcast/unicast phases in both modes.
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
         for cfg in [CliqueConfig::unicast(n, b), CliqueConfig::broadcast(n, b)] {
             let mode = cfg.mode;
 
             // Random phase: every node may broadcast, and (in unicast mode)
             // may send a few unicasts; repeated sends to one destination are
-            // legal and concatenate.
+            // legal and concatenate. `queues[src][dst]` counts the bits
+            // queued on each link.
             let mut outs: Vec<PhaseOutbox> = (0..n).map(|_| PhaseOutbox::new()).collect();
-            let mut queues: Vec<Vec<BitString>> = (0..n).map(|_| vec![BitString::new(); n]).collect();
+            let mut queues = vec![vec![0usize; n]; n];
             for (src, out) in outs.iter_mut().enumerate() {
                 if rng.gen_bool(0.7) {
                     let len = rng.gen_range(0..24);
                     let payload: BitString = (0..len).map(|_| rng.gen_bool(0.5)).collect();
                     if !payload.is_empty() {
-                        out.broadcast(payload.clone());
+                        out.broadcast(payload);
                         // A broadcast occupies every outgoing link in the
                         // unicast model, and the blackboard (queue slot
                         // `src`) in the broadcast model.
@@ -545,11 +546,11 @@ proptest! {
                             CommMode::Unicast => {
                                 for (dst, queue) in queues[src].iter_mut().enumerate() {
                                     if dst != src {
-                                        queue.extend_from(&payload);
+                                        *queue += len;
                                     }
                                 }
                             }
-                            CommMode::Broadcast => queues[src][src].extend_from(&payload),
+                            CommMode::Broadcast => queues[src][src] += len,
                         }
                     }
                 }
@@ -561,86 +562,38 @@ proptest! {
                         }
                         let len = rng.gen_range(0..24);
                         let payload: BitString = (0..len).map(|_| rng.gen_bool(0.5)).collect();
-                        out.send(NodeId::new(dst), payload.clone());
-                        queues[src][dst].extend_from(&payload);
+                        out.send(NodeId::new(dst), payload);
+                        queues[src][dst] += len;
                     }
                 }
             }
 
             // Session phase charge.
-            let mut session = Session::new(cfg.clone());
+            let mut session = Session::new(cfg);
             session.exchange("mixed phase", outs).unwrap();
 
-            // Bit-strict chunked replay of the same link loads.
-            let nodes: Vec<ChunkedSender> = queues
-                .into_iter()
-                .map(|per_dst| ChunkedSender::new(per_dst, mode))
-                .collect();
-            let mut strict = RoundEngine::new(cfg, nodes);
-            let mut rounds = 0u64;
-            while strict.nodes().iter().any(ChunkedSender::pending) {
-                strict.step().unwrap();
-                rounds += 1;
-            }
+            // Chunk-by-chunk replay of the same queues.
+            let (rounds, bits) = replay_in_chunks(queues.concat(), b);
             prop_assert_eq!(rounds, session.rounds(), "mode {}", mode);
-            prop_assert_eq!(strict.metrics().total_bits, session.total_bits(), "mode {}", mode);
+            prop_assert_eq!(bits, session.total_bits(), "mode {}", mode);
         }
     }
 }
 
-/// Replays precomputed per-link loads in `b`-bit chunks on the strict
-/// engine: one chunk per busy link per round, exactly as a session phase's
-/// `⌈max link load / b⌉` accounting assumes.
-struct ChunkedSender {
-    /// Per-destination queues with read cursors. In broadcast mode the
-    /// node's own slot holds the blackboard queue.
-    queues: Vec<(BitString, usize)>,
-    mode: CommMode,
-}
-
-impl ChunkedSender {
-    fn new(per_dst: Vec<BitString>, mode: CommMode) -> Self {
-        Self {
-            queues: per_dst.into_iter().map(|q| (q, 0)).collect(),
-            mode,
+/// Replays per-link queues (their lengths in bits) in synchronous rounds:
+/// each round, every busy queue sends one chunk of at most `b` bits.
+/// Returns the rounds taken and the bits sent.
+fn replay_in_chunks(mut queues: Vec<usize>, b: usize) -> (u64, u64) {
+    let (mut rounds, mut bits) = (0u64, 0u64);
+    while queues.iter().any(|&left| left > 0) {
+        for left in queues.iter_mut().filter(|left| **left > 0) {
+            let chunk = (*left).min(b);
+            *left -= chunk;
+            bits += chunk as u64;
         }
+        rounds += 1;
     }
-
-    fn pending(&self) -> bool {
-        self.queues.iter().any(|(q, pos)| *pos < q.len())
-    }
-
-    fn chunk(queue: &BitString, pos: &mut usize, b: usize) -> BitString {
-        let take = b.min(queue.len() - *pos);
-        let mut chunk = BitString::with_capacity(take);
-        for i in 0..take {
-            chunk.push_bit(queue.bit(*pos + i));
-        }
-        *pos += take;
-        chunk
-    }
-}
-
-impl NodeAlgorithm for ChunkedSender {
-    fn round(&mut self, ctx: &NodeCtx<'_>, _inbox: &Inbox, outbox: &mut Outbox) {
-        let b = ctx.bandwidth();
-        match self.mode {
-            CommMode::Unicast => {
-                for (dst, (queue, pos)) in self.queues.iter_mut().enumerate() {
-                    if *pos < queue.len() {
-                        outbox.send(NodeId::new(dst), Self::chunk(queue, pos, b));
-                    }
-                }
-            }
-            CommMode::Broadcast => {
-                let me = ctx.id.index();
-                let (queue, pos) = &mut self.queues[me];
-                if *pos < queue.len() {
-                    outbox.broadcast(Self::chunk(queue, pos, b));
-                }
-            }
-        }
-    }
+    (rounds, bits)
 }
 
 /// Where the clique hosts a recursion level (n = 56 players, d = 113 rows,
