@@ -3,8 +3,8 @@
 //! measured quantities next to what the corresponding theorem predicts.
 
 use clique_core::algebraic::{
-    compute_apsp, count_triangles, semiring_matmul, sparse_matmul, ApspProtocol, FastMatMul,
-    Semiring, SemiringMatMul, SemiringMatrix,
+    compute_apsp, count_triangles, semiring_matmul, sparse_matmul, ApspProtocol, Semiring,
+    SemiringMatrix,
 };
 use clique_core::circuits::builders;
 use clique_core::circuits::Circuit;
@@ -23,7 +23,7 @@ use clique_core::lower_bounds::{
 use clique_core::routing::{
     BalancedRouter, DirectRouter, RouteProtocol, Router, RoutingDemand, ValiantRouter,
 };
-use clique_core::sim::linalg::{BitMatrix, IntMatrix};
+use clique_core::sim::linalg::IntMatrix;
 use clique_core::sim::prelude::*;
 use clique_core::sim::transport::INJECTABLE_FAULTS;
 use clique_core::sketch::reconstruct::message_bits;
@@ -1055,23 +1055,20 @@ pub fn e17_chaos(scale: Scale) -> ExperimentTable {
     table
 }
 
-/// E18 — the sub-cubic schedules (Censor-Hillel et al. / Le Gall): the
-/// Strassen-partitioned [`FastMatMul`] and the nnz-charged
-/// `SparseMatMul` against the cubic 3D partition, rounds and bits at
-/// equal bandwidth with an oracle-equality column.
-pub fn e18_fast_matmul(scale: Scale) -> ExperimentTable {
+/// E18 — the nnz-charged `SparseMatMul` (Le Gall) against the cubic 3D
+/// partition on sparse operands: rounds and bits at equal bandwidth with an
+/// oracle-equality column.
+pub fn e18_sparse_matmul(scale: Scale) -> ExperimentTable {
     let mut table = ExperimentTable::new(
         "E18",
-        "sub-cubic distributed matmul: strassen and sparse schedules vs the cubic partition",
-        "on dense ring-embeddable operands (F2, counting) with at least two rows per player, the depth-L Strassen partition spreads 7^L quarter-size leaf products over disjoint groups, but its chunked leaf traffic takes more rounds than the cubic 3D partition, whose one block payload per pair routes directly: cubic takes strictly fewer rounds at equal bandwidth at every dense point from n = 56 up (at n=28 the dispatcher falls back to cubic, the crossover floor); on sparse operands the nnz-charged path moves a fraction of the cubic partition's bits everywhere and, from n = 56 up, never more rounds — strictly fewer on the wide-entry semirings, and on all four at n = 98; every schedule's product equals the local-kernel oracle",
+        "sparse distributed matmul: the nnz-charged schedule vs the cubic partition",
+        "on sparse operands the nnz-charged path moves a fraction of the cubic partition's bits everywhere and, from n = 56 up, never more rounds — strictly fewer on the wide-entry semirings, and on all four at n = 98; every schedule's product equals the local-kernel oracle",
         &[
-            "what",
             "n",
             "d",
             "b",
             "semiring",
             "schedule",
-            "levels",
             "rounds",
             "total bits",
             "rounds/cubic",
@@ -1079,91 +1076,8 @@ pub fn e18_fast_matmul(scale: Scale) -> ExperimentTable {
         ],
     );
 
-    let random_bits = |d: usize, seed: u64| {
-        let mut r = rng(1800 + seed);
-        let mut m = BitMatrix::zeros(d, d);
-        for row in 0..d {
-            for col in 0..d {
-                m.set(row, col, r.gen_bool(0.5));
-            }
-        }
-        m
-    };
-    let random_ints = |d: usize, max: u64, seed: u64| {
-        let mut r = rng(1850 + seed);
-        let mut m = IntMatrix::zeros(d, d);
-        for row in 0..d {
-            for col in 0..d {
-                m.set(row, col, r.gen_range(0..max + 1));
-            }
-        }
-        m
-    };
-
-    // Dense grid: d rows over n players (d ≥ 2n engages the fast
-    // schedule; the n = 28 point is below the 7-group minimum and pins
-    // the cubic fallback).
-    let dense_points: &[(usize, usize)] = scale.pick(
-        &[(28, 84), (56, 112)][..],
-        &[(28, 84), (56, 112), (56, 168), (98, 196), (98, 294)][..],
-    );
-    let bandwidths: &[usize] = scale.pick(&[4][..], &[4, 16][..]);
-    for &(n, d) in dense_points {
-        let seed = (n * d) as u64;
-        let operands: Vec<(Semiring, SemiringMatrix, SemiringMatrix, SemiringMatrix)> = vec![
-            {
-                let (a, b) = (random_bits(d, seed), random_bits(d, seed + 1));
-                let oracle = a.mul_f2(&b);
-                (
-                    Semiring::F2,
-                    SemiringMatrix::Bits(a),
-                    SemiringMatrix::Bits(b),
-                    SemiringMatrix::Bits(oracle),
-                )
-            },
-            {
-                let (a, b) = (random_ints(d, 3, seed), random_ints(d, 3, seed + 1));
-                let oracle = a.mul_counting(&b);
-                (
-                    Semiring::Counting,
-                    SemiringMatrix::Ints(a),
-                    SemiringMatrix::Ints(b),
-                    SemiringMatrix::Ints(oracle),
-                )
-            },
-        ];
-        for &b in bandwidths {
-            for (semiring, ma, mb, oracle) in &operands {
-                let run = |p: &mut dyn Protocol<Output = SemiringMatrix>| {
-                    Runner::new(CliqueConfig::unicast(n, b)).execute(p).unwrap()
-                };
-                let cubic = run(&mut SemiringMatMul::new(ma, mb, *semiring));
-                let fast = run(&mut FastMatMul::new(ma, mb, *semiring));
-                let levels = FastMatMul::levels_for(n, d);
-                for (schedule, levels, outcome) in
-                    [("cubic", 0u32, &cubic), ("strassen", levels, &fast)]
-                {
-                    table.push_row(vec![
-                        "dense A·B".to_owned(),
-                        n.to_string(),
-                        d.to_string(),
-                        b.to_string(),
-                        semiring.name().to_owned(),
-                        schedule.to_owned(),
-                        levels.to_string(),
-                        outcome.rounds().to_string(),
-                        outcome.total_bits().to_string(),
-                        fmt_f64(outcome.rounds() as f64 / cubic.rounds() as f64),
-                        (**outcome == *oracle).to_string(),
-                    ]);
-                }
-            }
-        }
-    }
-
-    // Sparse grid: d = n, ~2 non-identity entries per row — the
-    // nnz-charged path against the dense-charged cubic exchange, on all
-    // four semirings (the sparse path needs no additive inverse).
+    // d = n with about 2 non-identity entries per row: the nnz-charged
+    // path against the dense-charged cubic exchange on all four semirings.
     let sparse_sizes: &[usize] = scale.pick(&[27, 56][..], &[27, 56, 98][..]);
     for &n in sparse_sizes {
         let mut r = rng(1880 + n as u64);
@@ -1211,13 +1125,11 @@ pub fn e18_fast_matmul(scale: Scale) -> ExperimentTable {
             let sparse = sparse_matmul(operand, operand, *semiring, b).unwrap();
             for (schedule, outcome) in [("cubic", &cubic), ("sparse", &sparse)] {
                 table.push_row(vec![
-                    "sparse A·A".to_owned(),
                     n.to_string(),
                     n.to_string(),
                     b.to_string(),
                     semiring.name().to_owned(),
                     schedule.to_owned(),
-                    "0".to_owned(),
                     outcome.rounds().to_string(),
                     outcome.total_bits().to_string(),
                     fmt_f64(outcome.rounds() as f64 / cubic.rounds() as f64),
@@ -1330,8 +1242,8 @@ pub const EXPERIMENTS: &[ExperimentEntry] = &[
     },
     ExperimentEntry {
         id: "E18",
-        description: "sub-cubic distributed matmul: strassen and sparse schedules vs the cubic partition",
-        run: e18_fast_matmul,
+        description: "sparse distributed matmul: the nnz-charged schedule vs the cubic partition",
+        run: e18_sparse_matmul,
     },
 ];
 
@@ -1454,80 +1366,53 @@ mod tests {
     }
 
     #[test]
-    fn fast_matmul_experiment_holds_where_claimed() {
-        let table = e18_fast_matmul(Scale::Quick);
-        let what_col = table.headers.iter().position(|h| h == "what").unwrap();
-        let n_col = table.headers.iter().position(|h| h == "n").unwrap();
-        let schedule_col = table.headers.iter().position(|h| h == "schedule").unwrap();
-        let rounds_col = table.headers.iter().position(|h| h == "rounds").unwrap();
-        let oracle_col = table.headers.iter().position(|h| h == "oracle =").unwrap();
-        assert!(!table.rows.is_empty());
+    fn sparse_matmul_experiment_holds_where_claimed() {
+        let table = e18_sparse_matmul(Scale::Full);
+        let col = |name: &str| table.headers.iter().position(|h| h == name).unwrap();
+        let (n_col, semiring_col, schedule_col) = (col("n"), col("semiring"), col("schedule"));
+        let (rounds_col, bits_col, oracle_col) =
+            (col("rounds"), col("total bits"), col("oracle ="));
         assert!(
             table.rows.iter().all(|r| r[oracle_col] == "true"),
             "an E18 schedule disagrees with the local-kernel oracle"
         );
-        let rounds = |what: &str, n: &str, schedule: &str| -> Vec<u64> {
-            table
-                .rows
-                .iter()
-                .filter(|r| r[what_col] == what && r[n_col] == n && r[schedule_col] == schedule)
-                .map(|r| r[rounds_col].parse().unwrap())
-                .collect()
-        };
-        // At n = 56, d = 2n the cubic partition, whose one payload per
-        // pair routes directly, is strictly ahead of the strassen schedule
-        // on every dense row; n = 28 pins the fallback (identical rounds —
-        // the dispatcher would choose cubic anyway).
-        for (fast, cubic) in rounds("dense A·B", "56", "strassen")
-            .into_iter()
-            .zip(rounds("dense A·B", "56", "cubic"))
-        {
-            assert!(cubic < fast, "cubic {cubic} rounds vs strassen {fast}");
-        }
-        for (fast, cubic) in rounds("dense A·B", "28", "strassen")
-            .into_iter()
-            .zip(rounds("dense A·B", "28", "cubic"))
-        {
-            assert_eq!(fast, cubic, "the n = 28 fallback diverged from cubic");
-        }
-        // The nnz-charged path never loses rounds at n = 56 and moves a
-        // fraction of the cubic bits on every sparse row (the wide-entry
-        // semirings also win rounds strictly; the 1-bit ones tie on the
-        // round floor while moving ~6x fewer bits).
-        let semiring_col = table.headers.iter().position(|h| h == "semiring").unwrap();
-        let bits_col = table
-            .headers
+        let sparse_rows: Vec<_> = table
+            .rows
             .iter()
-            .position(|h| h == "total bits")
-            .unwrap();
-        for row in table.rows.iter().filter(|r| {
-            r[what_col] == "sparse A·A" && r[n_col] == "56" && r[schedule_col] == "sparse"
-        }) {
+            .filter(|r| r[schedule_col] == "sparse")
+            .collect();
+        assert_eq!(sparse_rows.len(), 12, "three sizes × four semirings");
+        for row in sparse_rows {
+            let (n, semiring) = (row[n_col].as_str(), row[semiring_col].as_str());
             let cubic_row = table
                 .rows
                 .iter()
                 .find(|r| {
-                    r[what_col] == "sparse A·A"
-                        && r[n_col] == "56"
-                        && r[schedule_col] == "cubic"
-                        && r[semiring_col] == row[semiring_col]
+                    r[n_col] == n && r[semiring_col] == semiring && r[schedule_col] == "cubic"
                 })
                 .unwrap();
-            let (sparse, cubic): (u64, u64) = (
-                row[rounds_col].parse().unwrap(),
-                cubic_row[rounds_col].parse().unwrap(),
-            );
-            let (sparse_bits, cubic_bits): (u64, u64) = (
-                row[bits_col].parse().unwrap(),
-                cubic_row[bits_col].parse().unwrap(),
-            );
-            assert!(sparse <= cubic, "sparse {sparse} rounds vs cubic {cubic}");
+            let cell = |r: &[String], c: usize| -> u64 { r[c].parse().unwrap() };
+            let (sparse, cubic) = (cell(row, rounds_col), cell(cubic_row, rounds_col));
+            let (sparse_bits, cubic_bits) = (cell(row, bits_col), cell(cubic_row, bits_col));
+            let at = format!("{semiring} at n = {n}");
+            // A fraction of the cubic bits everywhere.
             assert!(
                 sparse_bits * 3 < cubic_bits,
-                "sparse {sparse_bits} bits vs cubic {cubic_bits}"
+                "{at}: sparse {sparse_bits} bits vs cubic {cubic_bits}"
             );
-            if matches!(row[semiring_col].as_str(), "counting" | "min-plus") {
-                assert!(sparse < cubic, "sparse {sparse} rounds vs cubic {cubic}");
+            // From n = 56 never more rounds: strictly fewer on the
+            // wide-entry semirings, and on all four at n = 98.
+            if n != "27" {
+                assert!(
+                    sparse <= cubic,
+                    "{at}: sparse {sparse} rounds vs cubic {cubic}"
+                );
+            }
+            if n == "98" || (n == "56" && matches!(semiring, "counting" | "min-plus")) {
+                assert!(
+                    sparse < cubic,
+                    "{at}: sparse {sparse} rounds vs cubic {cubic}"
+                );
             }
         }
     }

@@ -125,15 +125,10 @@ pub fn matmul_f2_naive(dim: usize) -> MatMulCircuit {
 ///
 /// Panics if `dim` is not a power of two or is zero.
 pub fn strassen_matmul_f2(dim: usize) -> MatMulCircuit {
-    // The circuit splits all the way to 1×1 blocks, so its dimension must
-    // be a fixed point of the shared block-split padding seam at the full
-    // recursion depth (`MatMulStrategy::padded_dim` produces exactly these).
+    // The circuit splits all the way to 1×1 blocks
+    // (`MatMulStrategy::padded_dim` produces exactly these dimensions).
     assert!(
-        dim > 0
-            && clique_sim::linalg::strassen_padded_dim(
-                dim,
-                clique_sim::linalg::strassen_full_levels(dim),
-            ) == dim,
+        dim.is_power_of_two(),
         "Strassen circuit needs a power-of-two dimension"
     );
     let mut c = Circuit::new();

@@ -112,11 +112,10 @@ impl<'a> ApspProtocol<'a> {
         Self::with_schedule(graph, MatMulSchedule::Cubic)
     }
 
-    /// Prepares the protocol with an explicit [`MatMulSchedule`]. `(min, +)`
-    /// has no Strassen analogue, so `Auto` only ever picks between the
-    /// sparse path (hop matrices of sparse graphs start mostly-INFINITY)
-    /// and the cubic one — re-resolved before every squaring as the
-    /// distance matrix densifies.
+    /// Prepares the protocol with an explicit [`MatMulSchedule`]. `Auto`
+    /// picks between the sparse path (hop matrices of sparse graphs start
+    /// mostly-INFINITY) and the cubic one, re-resolved before every
+    /// squaring as the distance matrix densifies.
     pub fn with_schedule(graph: &'a Graph, schedule: MatMulSchedule) -> Self {
         Self { graph, schedule }
     }
@@ -255,7 +254,6 @@ mod tests {
         let default_triangles = count_triangles(&g, 4).unwrap();
         for schedule in [
             MatMulSchedule::Cubic,
-            MatMulSchedule::Strassen,
             MatMulSchedule::Sparse,
             MatMulSchedule::Auto,
         ] {

@@ -8,8 +8,8 @@
 //! Clique Model* (DISC 2016) — showed that the unicast clique supports a
 //! genuinely *distributed* semiring matrix product in `O(n^{1/3}/b)` rounds
 //! via 3D partitioning over Lenzen-style routing, with no circuit in sight.
-//! This module implements that product, its Strassen-partitioned and
-//! sparsity-aware schedules, and two workloads on top of them:
+//! This module implements that product, its sparsity-aware schedule, and
+//! two workloads on top of them:
 //!
 //! * [`SemiringMatMul`] — the 3D-partitioned product. The `d³` scalar
 //!   products of `C = A ⊗ B` are tiled into `g³ ≤ n` cubes (`g = ⌊n^{1/3}⌋`);
@@ -18,16 +18,12 @@
 //!   and routes the partial block `A_{ik} ⊗ B_{kj}` back to the owners of
 //!   the rows of `C_{ij}`, who fold the `g` partials with the semiring
 //!   addition. Both shipments carry one payload per player pair, so the
-//!   router sends them directly, one hop each. Every node sends and receives `O(d²/n^{2/3})` entries per
-//!   phase, so for `d = n` and constant-width entries the product costs
-//!   `O(n^{1/3}/b)` rounds — experiment E13 measures exactly this scaling.
-//! * [`FastMatMul`] — the Strassen-partitioned schedule: `7^L` leaf
-//!   products, each one such cube exchange on its own group of players,
-//!   with signed block terms and wrapping `ℤ` arithmetic for counting. The
-//!   cubic product is its depth-0 case: one group of all players, the
-//!   identity term, whole payloads and semiring arithmetic.
+//!   router sends them directly, one hop each. Every node sends and
+//!   receives `O(d²/n^{2/3})` entries per phase, so for `d = n` and
+//!   constant-width entries the product costs `O(n^{1/3}/b)` rounds —
+//!   experiment E13 measures exactly this scaling.
 //! * [`SparseMatMul`] — the nnz-charged product, and [`ScheduledMatMul`],
-//!   which runs one of the three by a [`MatMulSchedule`] (`Auto` picks
+//!   which runs one of the two by a [`MatMulSchedule`] (`Auto` picks
 //!   sparse or cubic).
 //! * [`TriangleCount`] — *exact* triangle counting (not just detection):
 //!   `M = A·A` over the counting semiring, then `trace(A³) = Σ_{v,j}
@@ -66,7 +62,7 @@ mod sparse;
 mod wire;
 
 pub use consumers::{compute_apsp, count_triangles, ApspProtocol, TriangleCount};
-pub use dense::{fast_matmul, semiring_matmul, FastMatMul, SemiringMatMul};
+pub use dense::{semiring_matmul, SemiringMatMul};
 pub use schedule::{MatMulSchedule, ScheduledMatMul, SPARSE_DENSITY_EIGHTHS};
 pub use semiring::{Semiring, SemiringMatrix};
 pub use sparse::{sparse_matmul, SparseMatMul};
@@ -77,15 +73,14 @@ use std::ops::Range;
 use clique_graphs::Graph;
 use clique_routing::{BalancedRouter, Delivered, Packet, Router, RoutingDemand};
 use clique_sim::lane::mask_low;
-use clique_sim::linalg::{saturating_counting_add, strassen_padded_dim};
+use clique_sim::linalg::saturating_counting_add;
 use clique_sim::prelude::*;
 
-use semiring::Arith;
 #[cfg(test)]
 use tests::*;
 use wire::{
-    malformed, readers, Chunker, EntryCodec, Field, Link, Partition, INPUT_PHASE, PARTIAL_PHASE,
-    PRECOMBINE_PHASE, SPARSE_INPUT_PHASE, SPARSE_PARTIAL_PHASE,
+    malformed, readers, EntryCodec, Partition, INPUT_PHASE, PARTIAL_PHASE, SPARSE_INPUT_PHASE,
+    SPARSE_PARTIAL_PHASE,
 };
 
 #[cfg(test)]

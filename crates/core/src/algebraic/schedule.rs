@@ -1,29 +1,25 @@
 use super::*;
 
 /// Auto dispatch sends a product to [`SparseMatMul`] when at most this
-/// many eighths of the operands' entries are non-identity — below that the
-/// nnz-charged phases beat the dense `d²`-charged ones at every measured
-/// grid point (experiment E18).
+/// many eighths of the operands' entries are non-identity. Experiment E18
+/// measures operands of density about `2/n`: there the nnz-charged phases
+/// move fewer bits than the dense `d²`-charged ones at every point, and
+/// from n = 56 on they never take more rounds (at n = 27 the one-bit
+/// semirings take 12 rounds against the cubic 10). No E18 point sits near
+/// the 1/8 threshold itself.
 pub const SPARSE_DENSITY_EIGHTHS: usize = 1;
 
 /// Which distributed product a consumer runs: the cubic 3D partition, the
-/// Strassen-partitioned fast schedule, the nnz-charged sparse path, or an
-/// automatic choice from the operands' density.
+/// nnz-charged sparse path, or an automatic choice from the operands'
+/// density.
 ///
-/// The dispatch rule is explicit (DESIGN.md "Fast algebraic matmul"):
+/// The dispatch rule is explicit (DESIGN.md "Sparse algebraic matmul"):
 /// `Auto` resolves to `Sparse` when the operands' density is at most
-/// [`SPARSE_DENSITY_EIGHTHS`]/8 and to `Cubic` otherwise. It never picks
-/// `Strassen`: with the cubic partition's one payload per pair routed
-/// directly, cubic takes fewer rounds at every grid point experiment E18
-/// measures.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
+/// [`SPARSE_DENSITY_EIGHTHS`]/8 and to `Cubic` otherwise.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum MatMulSchedule {
     /// Always the cubic 3D-partitioned [`SemiringMatMul`].
-    #[default]
     Cubic,
-    /// Always the Strassen-partitioned [`FastMatMul`] (panics on
-    /// semirings without additive inverses; use `Auto` for dispatch).
-    Strassen,
     /// Always the nnz-charged [`SparseMatMul`].
     Sparse,
     /// `Sparse` at low density, else `Cubic`.
@@ -35,7 +31,6 @@ impl MatMulSchedule {
     pub fn name(&self) -> &'static str {
         match self {
             MatMulSchedule::Cubic => "cubic",
-            MatMulSchedule::Strassen => "strassen",
             MatMulSchedule::Sparse => "sparse",
             MatMulSchedule::Auto => "auto",
         }
@@ -83,9 +78,7 @@ impl<'a> ScheduledMatMul<'a> {
     ///
     /// # Panics
     ///
-    /// Panics on any [`SemiringMatMul::new`] precondition violation (an
-    /// explicit `Strassen` schedule additionally needs a ring-embeddable
-    /// semiring, checked at run time).
+    /// Panics on any [`SemiringMatMul::new`] precondition violation.
     pub fn new(
         a: &'a SemiringMatrix,
         b: &'a SemiringMatrix,
@@ -110,9 +103,6 @@ impl Protocol for ScheduledMatMul<'_> {
             MatMulSchedule::Cubic => {
                 session.run_protocol(&mut SemiringMatMul::new(self.a, self.b, self.semiring))
             }
-            MatMulSchedule::Strassen => {
-                session.run_protocol(&mut FastMatMul::new(self.a, self.b, self.semiring))
-            }
             MatMulSchedule::Sparse => {
                 session.run_protocol(&mut SparseMatMul::new(self.a, self.b, self.semiring))
             }
@@ -135,27 +125,21 @@ mod tests {
             auto.resolve(&sparse, &sparse, Semiring::F2),
             MatMulSchedule::Sparse
         );
-        assert_eq!(
-            auto.resolve(&dense, &dense, Semiring::F2),
-            MatMulSchedule::Cubic,
-            "dense F2: cubic takes fewer rounds than strassen (E18)"
-        );
-        assert_eq!(
-            auto.resolve(&dense, &dense, Semiring::Boolean),
-            MatMulSchedule::Cubic,
-            "no additive inverse: boolean stays cubic"
-        );
+        for semiring in [Semiring::F2, Semiring::Boolean] {
+            assert_eq!(
+                auto.resolve(&dense, &dense, semiring),
+                MatMulSchedule::Cubic,
+                "dense {} operands stay cubic",
+                semiring.name()
+            );
+        }
         let mp = SemiringMatrix::Ints(random_intmatrix(d, 4, false, 96));
         assert_eq!(
             auto.resolve(&mp, &mp, Semiring::MinPlus),
             MatMulSchedule::Cubic,
-            "no additive inverse: (min, +) stays cubic"
+            "dense (min, +) operands stay cubic"
         );
-        for explicit in [
-            MatMulSchedule::Cubic,
-            MatMulSchedule::Strassen,
-            MatMulSchedule::Sparse,
-        ] {
+        for explicit in [MatMulSchedule::Cubic, MatMulSchedule::Sparse] {
             assert_eq!(explicit.resolve(&dense, &dense, Semiring::F2), explicit);
         }
     }

@@ -9,9 +9,7 @@ pub enum Semiring {
     /// The field `F₂ = (⊕, ∧)` over 0/1 entries (packed [`BitMatrix`]
     /// operands) — the ring the algebraic-methods line actually multiplies
     /// over (Shamir's reduction turns Boolean products into a few `F₂`
-    /// products), and the natural home of the Strassen-partitioned
-    /// [`FastMatMul`] schedule: subtraction *is* addition, so block
-    /// combinations never widen an entry.
+    /// products).
     F2,
     /// The counting semiring `(+, ×)` over small non-negative integers,
     /// saturating strictly below [`IntMatrix::INFINITY`].
@@ -60,6 +58,21 @@ impl Semiring {
             Semiring::Boolean | Semiring::F2 => 1,
             Semiring::Counting => a.saturating_mul(b),
             Semiring::MinPlus => saturating_counting_add(a, b),
+        }
+    }
+
+    /// A block's local product on the serial word-parallel kernels.
+    /// Counting operands whose entries are all 0/1 arrive packed and
+    /// multiply by AND+popcount.
+    pub(super) fn product(&self, a: &SemiringMatrix, b: &SemiringMatrix) -> SemiringMatrix {
+        use SemiringMatrix::{Bits, Ints};
+        match (self, a, b) {
+            (Semiring::Boolean, Bits(a), Bits(b)) => Bits(a.mul_bool(b)),
+            (Semiring::F2, Bits(a), Bits(b)) => Bits(a.mul_f2(b)),
+            (Semiring::Counting, Bits(a), Bits(b)) => Ints(a.popcount_product(b)),
+            (Semiring::Counting, Ints(a), Ints(b)) => Ints(a.mul_counting(b)),
+            (Semiring::MinPlus, Ints(a), Ints(b)) => Ints(a.mul_min_plus(b)),
+            _ => unreachable!("operand representation checked in SemiringMatMul::new"),
         }
     }
 }
@@ -167,17 +180,18 @@ impl SemiringMatrix {
     }
 
     /// Folds the first `len` entries of row `si` of `src` into row `r` from
-    /// column `col0` on with `add`: packed rows a lane at a time (shifted
-    /// into place when `col0` is not lane-aligned, so `add` must be
-    /// bitwise), integer rows entry-wise over two slices.
+    /// column `col0` on with the semiring addition: packed rows a lane at a
+    /// time (shifted into place when `col0` is not lane-aligned; the
+    /// Boolean and `F₂` additions are bitwise), integer rows entry-wise
+    /// over two slices.
     pub(super) fn fold_row(
         &mut self,
+        semiring: Semiring,
         r: usize,
         col0: usize,
         src: &SemiringMatrix,
         si: usize,
         len: usize,
-        add: impl Fn(u64, u64) -> u64,
     ) {
         match (self, src) {
             (SemiringMatrix::Bits(m), SemiringMatrix::Bits(s)) => {
@@ -186,19 +200,19 @@ impl SemiringMatrix {
                 let words = &s.row_words(si)[..len.div_ceil(LANE_BITS)];
                 for (t, &word) in words.iter().enumerate() {
                     let word = word & mask_low(len - t * LANE_BITS);
-                    row[word0 + t] = add(row[word0 + t], word << shift);
+                    row[word0 + t] = semiring.combine(row[word0 + t], word << shift);
                     // Bits past `len` are masked off, so a nonzero spill
                     // always lands inside the row.
                     if shift > 0 && word >> (LANE_BITS - shift) != 0 {
                         let spill = word >> (LANE_BITS - shift);
-                        row[word0 + t + 1] = add(row[word0 + t + 1], spill);
+                        row[word0 + t + 1] = semiring.combine(row[word0 + t + 1], spill);
                     }
                 }
             }
             (SemiringMatrix::Ints(m), SemiringMatrix::Ints(s)) => {
                 let out = &mut m.row_mut(r)[col0..col0 + len];
                 for (o, &v) in out.iter_mut().zip(&s.row(si)[..len]) {
-                    *o = add(*o, v);
+                    *o = semiring.combine(*o, v);
                 }
             }
             _ => unreachable!("partials fold into an output of their representation"),
@@ -227,46 +241,6 @@ impl SemiringMatrix {
                         .count()
                 })
                 .sum(),
-        }
-    }
-}
-
-/// The arithmetic a dense product computes its block products and folds
-/// in.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub(super) enum Arith {
-    /// The semiring's own kernels and addition.
-    Semiring(Semiring),
-    /// `ℤ` as two's-complement wrapping `u64`: the signed counting leaves
-    /// of the Strassen schedule, exact under its headroom precondition.
-    Wrapping,
-}
-
-impl Arith {
-    /// A block's local product on the serial word-parallel kernels.
-    /// Counting operands whose entries are all 0/1 arrive packed and
-    /// multiply by AND+popcount.
-    pub(super) fn product(self, a: &SemiringMatrix, b: &SemiringMatrix) -> SemiringMatrix {
-        use SemiringMatrix::{Bits, Ints};
-        match (self, a, b) {
-            (Arith::Semiring(Semiring::Boolean), Bits(a), Bits(b)) => Bits(a.mul_bool(b)),
-            (Arith::Semiring(Semiring::F2), Bits(a), Bits(b)) => Bits(a.mul_f2(b)),
-            (Arith::Semiring(Semiring::Counting), Bits(a), Bits(b)) => Ints(a.popcount_product(b)),
-            (Arith::Semiring(Semiring::Counting), Ints(a), Ints(b)) => Ints(a.mul_counting(b)),
-            (Arith::Semiring(Semiring::MinPlus), Ints(a), Ints(b)) => Ints(a.mul_min_plus(b)),
-            (Arith::Wrapping, Ints(a), Ints(b)) => Ints(a.mul_wrapping(b)),
-            _ => unreachable!("operand representation checked in SemiringMatMul::new"),
-        }
-    }
-
-    /// The addition folding a term of the given sign. A semiring adds
-    /// regardless of sign: only `F₂` ever sees a negative term, and there
-    /// subtraction is addition.
-    pub(super) fn add(self, sign: i64) -> impl Fn(u64, u64) -> u64 {
-        move |acc, value| match self {
-            Arith::Semiring(semiring) => semiring.combine(acc, value),
-            Arith::Wrapping if sign < 0 => acc.wrapping_sub(value),
-            Arith::Wrapping => acc.wrapping_add(value),
         }
     }
 }

@@ -19,10 +19,10 @@ type SparseRecords = BTreeMap<(usize, usize), Vec<(usize, usize, u64)>>;
 /// framing) — the fixed-width, data-oblivious layouts of the dense paths
 /// do not apply.
 ///
-/// Valid over **all four** semirings: unlike Strassen's subtractions, the
-/// sparse path only reorders the same semiring additions the cubic path
-/// performs (the folds are associative and commutative, saturation
-/// included), so the result is identical entry for entry.
+/// Valid over **all four** semirings: the sparse path only reorders the
+/// same semiring additions the cubic path performs (the folds are
+/// associative and commutative, saturation included), so the result is
+/// identical entry for entry.
 ///
 /// # Examples
 ///
@@ -107,7 +107,7 @@ impl Protocol for SparseMatMul<'_> {
             for (kl, rl, value) in entries {
                 payload.push_bits(kl as u64, idx_width(owned[w].len()));
                 payload.push_bits(rl as u64, idx_width(owned[v].len()));
-                codec.encode(&[value], codec.a, &mut payload);
+                codec.encode(&[value], codec.input, &mut payload);
             }
             demand.send(v, w, payload);
         }
@@ -146,7 +146,7 @@ impl Protocol for SparseMatMul<'_> {
                     let kl = field(reader, idx_width(owned[w].len()))? as usize;
                     let rl = field(reader, idx_width(owned[v].len()))? as usize;
                     let mut value = [0];
-                    codec.decode(reader, codec.a, &mut value, v, SPARSE_INPUT_PHASE)?;
+                    codec.decode(reader, codec.input, &mut value, v, SPARSE_INPUT_PHASE)?;
                     columns
                         .entry(owned[w].start + kl)
                         .or_default()

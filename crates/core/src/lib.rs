@@ -19,15 +19,12 @@
 //! * [`algebraic`] — the `O(n^{1/3})`-round 3D-partitioned distributed
 //!   semiring matrix product ([`algebraic::SemiringMatMul`]; Censor-Hillel
 //!   et al. / Le Gall, the algebraic follow-up line Section 2.1 opened),
-//!   the Strassen-partitioned [`algebraic::FastMatMul`] whose depth-0 case
-//!   it is (both run one cube exchange per group of players), the
-//!   nnz-charged [`algebraic::SparseMatMul`], and their consumers: exact
-//!   triangle counting ([`algebraic::TriangleCount`]) and `(min, +)`
+//!   the nnz-charged [`algebraic::SparseMatMul`], and their consumers:
+//!   exact triangle counting ([`algebraic::TriangleCount`]) and `(min, +)`
 //!   all-pairs shortest paths ([`algebraic::ApspProtocol`]). Its modules:
 //!   `semiring` (semirings and their matrices), `wire` (partition, entry
-//!   codecs, chunking, typed read errors), `dense` (the cube exchange and
-//!   both dense products), `sparse`, `schedule` (the dispatcher) and
-//!   `consumers`;
+//!   codecs, typed read errors), `dense` (the cube exchange and the cubic
+//!   product), `sparse`, `schedule` (the dispatcher) and `consumers`;
 //! * [`subgraph`] — the Becker et al. reconstruction protocol `A(G, k)`
 //!   ([`subgraph::SketchReconstruction`]) and the Theorem 7 upper bound
 //!   driven by Turán numbers ([`subgraph::TuranSketchDetection`]);

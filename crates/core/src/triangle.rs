@@ -17,9 +17,11 @@
 //!   each player checks one group triple, and a balanced routing phase ships
 //!   every relevant edge to its checkers in `Õ(n^{1/3}/b)` rounds.
 
+use std::collections::HashMap;
+
 use clique_circuits::matmul::{matmul_f2_naive, strassen_matmul_f2, MatMulCircuit};
 use clique_graphs::{Graph, Pattern};
-use clique_routing::{BalancedRouter, Router, RoutingDemand};
+use clique_routing::{BalancedRouter, Packet, Router, RoutingDemand};
 use clique_sim::prelude::*;
 use rand::Rng;
 
@@ -38,22 +40,14 @@ pub enum MatMulStrategy {
 
 impl MatMulStrategy {
     /// The circuit dimension the strategy needs for an `n × n` input — the
-    /// *single* place padding is decided (Strassen rounds up to a power of
-    /// two, the naive circuit takes any dimension). Pad the input matrices
-    /// to this dimension and pass it unchanged to [`Self::circuit`].
-    ///
-    /// The Strassen arm delegates to the block-split seam
-    /// [`clique_sim::linalg::strassen_padded_dim`] at the full recursion
-    /// depth (the circuit splits all the way to `1 × 1` blocks), so the
-    /// circuit path and the distributed `FastMatMul` schedule pad through
-    /// one rule and no path re-pads.
+    /// *single* place padding is decided. The Strassen circuit splits all
+    /// the way to `1 × 1` blocks, so it rounds up to the next power of two;
+    /// the naive circuit takes any dimension. Pad the input matrices to
+    /// this dimension and pass it unchanged to [`Self::circuit`].
     pub fn padded_dim(&self, n: usize) -> usize {
         match self {
             MatMulStrategy::Naive => n,
-            MatMulStrategy::Strassen => clique_sim::linalg::strassen_padded_dim(
-                n,
-                clique_sim::linalg::strassen_full_levels(n),
-            ),
+            MatMulStrategy::Strassen => n.next_power_of_two(),
         }
     }
 
@@ -340,29 +334,7 @@ impl Protocol for DlpTriangleDetection<'_> {
             let relevant: Vec<usize> = (0..n)
                 .filter(|&v| [a, b, c].contains(&group_of(v)))
                 .collect();
-            // Rebuild the local view from the delivered packets (plus the
-            // checker's own row if it belongs to the triple).
-            let index_of: std::collections::HashMap<usize, usize> =
-                relevant.iter().enumerate().map(|(i, &v)| (v, i)).collect();
-            let mut local = Graph::empty(relevant.len());
-            for packet in &delivered[checker] {
-                let Some(&src_idx) = index_of.get(&packet.src.index()) else {
-                    continue;
-                };
-                let mut reader = packet.payload.reader();
-                for (dst_idx, _) in relevant.iter().enumerate() {
-                    if reader.read_bit() == Some(true) {
-                        local.add_edge(src_idx, dst_idx);
-                    }
-                }
-            }
-            if let Some(&own_idx) = index_of.get(&checker) {
-                for (dst_idx, &u) in relevant.iter().enumerate() {
-                    if graph.has_edge(checker, u) {
-                        local.add_edge(own_idx, dst_idx);
-                    }
-                }
-            }
+            let local = checker_view(graph, checker, &relevant, &delivered[checker])?;
             if let Some(t) = clique_graphs::iso::triangles(&local).first() {
                 local_hit[checker] = true;
                 if witness.is_none() {
@@ -385,6 +357,52 @@ impl Protocol for DlpTriangleDetection<'_> {
             witness,
         })
     }
+}
+
+/// Phase label of the DLP shipment of relevant rows in
+/// [`SimError::MalformedPayload`] reports.
+const DLP_ROWS_PHASE: &str = "dlp/relevant rows";
+
+/// A DLP checker's view of its group triple: the subgraph induced on
+/// `relevant`, rebuilt from the rows delivered in `packets` plus the
+/// checker's own row when it belongs to the triple.
+///
+/// # Errors
+///
+/// [`SimError::MalformedPayload`] naming the sender when a relevant
+/// player's row is missing or shorter than `relevant.len()` bits.
+fn checker_view(
+    graph: &Graph,
+    checker: usize,
+    relevant: &[usize],
+    packets: &[Packet],
+) -> Result<Graph, SimError> {
+    let mut rows: HashMap<usize, BitReader<'_>> = packets
+        .iter()
+        .map(|p| (p.src.index(), p.payload.reader()))
+        .collect();
+    let mut local = Graph::empty(relevant.len());
+    for (src_idx, &v) in relevant.iter().enumerate() {
+        if v == checker {
+            for (dst_idx, &u) in relevant.iter().enumerate() {
+                if graph.has_edge(checker, u) {
+                    local.add_edge(src_idx, dst_idx);
+                }
+            }
+            continue;
+        }
+        let malformed = || SimError::MalformedPayload {
+            sender: NodeId::new(v),
+            phase: DLP_ROWS_PHASE.to_owned(),
+        };
+        let reader = rows.get_mut(&v).ok_or_else(malformed)?;
+        for dst_idx in 0..relevant.len() {
+            if reader.read_bit().ok_or_else(malformed)? {
+                local.add_edge(src_idx, dst_idx);
+            }
+        }
+    }
+    Ok(local)
 }
 
 /// Runs [`DlpTriangleDetection`] in `CLIQUE-UCAST(n, b)`.
@@ -490,8 +508,13 @@ mod tests {
         // pad again, so the circuit dimension always equals the dimension
         // the caller padded its matrices to.
         assert_eq!(MatMulStrategy::Naive.padded_dim(6), 6);
-        assert_eq!(MatMulStrategy::Strassen.padded_dim(6), 8);
-        assert_eq!(MatMulStrategy::Strassen.padded_dim(8), 8);
+        for d in 1..=70usize {
+            assert_eq!(
+                MatMulStrategy::Strassen.padded_dim(d),
+                d.next_power_of_two(),
+                "d = {d}"
+            );
+        }
         for (strategy, n) in [
             (MatMulStrategy::Naive, 5),
             (MatMulStrategy::Naive, 8),
@@ -539,6 +562,38 @@ mod tests {
                 check_witness(g, &outcome);
             }
         }
+    }
+
+    #[test]
+    fn dlp_checkers_reject_missing_or_short_rows() {
+        // Checker 0 of a triangle's triple: players 1 and 2 each send their
+        // 3-bit row, and player 0 holds its own.
+        let g = generators::complete(3);
+        let relevant = [0, 1, 2];
+        let row = |v: usize| -> BitString { relevant.iter().map(|&u| g.has_edge(v, u)).collect() };
+        let packet = |v: usize, payload| Packet::new(NodeId::new(v), NodeId::new(0), payload);
+        let full = [packet(1, row(1)), packet(2, row(2))];
+        assert_eq!(checker_view(&g, 0, &relevant, &full).unwrap(), g);
+        let malformed = |sender| {
+            Err(SimError::MalformedPayload {
+                sender: NodeId::new(sender),
+                phase: DLP_ROWS_PHASE.into(),
+            })
+        };
+        for cut in 0..relevant.len() {
+            let prefix = BitString::from_words(row(2).words(), cut);
+            let short = [packet(1, row(1)), packet(2, prefix)];
+            assert_eq!(
+                checker_view(&g, 0, &relevant, &short),
+                malformed(2),
+                "a {cut}-bit row"
+            );
+        }
+        assert_eq!(
+            checker_view(&g, 0, &relevant, &full[1..]),
+            malformed(1),
+            "a dropped row"
+        );
     }
 
     #[test]

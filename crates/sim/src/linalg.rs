@@ -27,30 +27,6 @@ use std::fmt;
 use crate::bits::BitString;
 use crate::lane::{mask_low, DefaultLane, LANE_BITS};
 
-/// The recursion depth that splits a `d`-dimensional product all the way to
-/// `1 × 1` blocks — the depth of the explicit Strassen *circuit* family
-/// (`clique-circuits`), whose padded dimension is therefore
-/// `strassen_padded_dim(d, strassen_full_levels(d)) = d.next_power_of_two()`.
-pub fn strassen_full_levels(d: usize) -> u32 {
-    d.max(1).next_power_of_two().trailing_zeros()
-}
-
-/// The dimension a Strassen-partitioned product pads its operands to before
-/// splitting: the smallest dimension `≥ d` divisible by `2^levels`, so
-/// `levels` exact halvings need no re-padding along the way.
-///
-/// This is the *single* place block-split padding is decided — the
-/// `padded_dim` rule of the circuit path (`MatMulStrategy` in
-/// `clique-core`, which uses the full-recursion depth
-/// [`strassen_full_levels`] and therefore rounds to the next power of two)
-/// extended to the bounded-depth block splits of the distributed
-/// `FastMatMul` schedule. Callers pad once at the top with this dimension
-/// and split exactly thereafter; no path re-pads.
-pub fn strassen_padded_dim(d: usize, levels: u32) -> usize {
-    let unit = 1usize << levels;
-    d.div_ceil(unit) * unit
-}
-
 /// A dense Boolean matrix with rows packed into little-endian words
 /// (column `j` of row `i` is bit `j % LANE_BITS` of word `j / LANE_BITS`).
 ///
@@ -699,36 +675,6 @@ impl IntMatrix {
         }
         out
     }
-
-    /// The matrix product over `ℤ/2⁶⁴` (wrapping multiply-accumulate):
-    /// entries are treated as two's-complement integers, so the result is
-    /// the exact integer product whenever the true values fit `i64` — the
-    /// local leaf kernel of the distributed Strassen schedule, whose
-    /// intermediate block combinations are signed even though the semiring
-    /// operands are not.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `self.cols() != rhs.rows()`.
-    pub fn mul_wrapping(&self, rhs: &IntMatrix) -> IntMatrix {
-        assert_eq!(
-            self.cols, rhs.rows,
-            "inner dimensions differ: {} vs {}",
-            self.cols, rhs.rows
-        );
-        let mut out = IntMatrix::zeros(self.rows, rhs.cols);
-        for (r, out_row) in out.data.chunks_mut(rhs.cols.max(1)).enumerate() {
-            for (k, &a) in self.row(r).iter().enumerate() {
-                if a == 0 {
-                    continue;
-                }
-                for (o, &b) in out_row.iter_mut().zip(rhs.row(k)) {
-                    *o = o.wrapping_add(a.wrapping_mul(b));
-                }
-            }
-        }
-        out
-    }
 }
 
 /// Counting-semiring addition saturating strictly below
@@ -949,23 +895,6 @@ mod tests {
     }
 
     #[test]
-    fn strassen_padding_follows_the_single_seam() {
-        // Bounded-depth padding rounds to a multiple of 2^levels; the
-        // full-recursion depth reproduces the circuit path's
-        // next-power-of-two rule exactly.
-        assert_eq!(strassen_padded_dim(13, 0), 13);
-        assert_eq!(strassen_padded_dim(13, 2), 16);
-        assert_eq!(strassen_padded_dim(16, 2), 16);
-        for d in 1..=70usize {
-            assert_eq!(
-                strassen_padded_dim(d, strassen_full_levels(d)),
-                d.next_power_of_two(),
-                "d = {d}"
-            );
-        }
-    }
-
-    #[test]
     fn boolean_product_matches_scalar_or_and() {
         for (ra, c, cb, seed) in [
             (1usize, 1usize, 1usize, 31u64),
@@ -1091,23 +1020,5 @@ mod tests {
         let a = IntMatrix::filled(3, 3, IntMatrix::INFINITY);
         assert_eq!(a.mul_min_plus(&a), a);
         assert_eq!(a.max_finite(), 0);
-    }
-
-    #[test]
-    fn wrapping_product_is_exact_integer_arithmetic_with_signs() {
-        // Non-negative operands agree with the counting product (no
-        // saturation in range)...
-        let a = pseudo_random_ints(7, 9, 6, 171);
-        let b = pseudo_random_ints(9, 5, 6, 172);
-        assert_eq!(a.mul_wrapping(&b), a.mul_counting(&b));
-        // ...and two's-complement entries multiply as signed integers: with
-        // A = [2, -3] and B = [[5], [1]], C = 2·5 − 3·1 = 7.
-        let a = IntMatrix::from_rows(&[vec![2, (-3i64) as u64]]);
-        let b = IntMatrix::from_rows(&[vec![5], vec![1]]);
-        assert_eq!(a.mul_wrapping(&b).get(0, 0), 7);
-        // A negative result round-trips through the representation:
-        // 1·5 − 6·1 = −1.
-        let a = IntMatrix::from_rows(&[vec![1, (-6i64) as u64]]);
-        assert_eq!(a.mul_wrapping(&b).get(0, 0) as i64, -1);
     }
 }

@@ -7,8 +7,7 @@
 //! semantics of Observation 11.
 
 use congested_clique::algebraic::{
-    fast_matmul, semiring_matmul, sparse_matmul, FastMatMul, MatMulSchedule, Semiring,
-    SemiringMatrix,
+    semiring_matmul, sparse_matmul, MatMulSchedule, ScheduledMatMul, Semiring, SemiringMatrix,
 };
 use congested_clique::circuits::matmul::{matmul_f2_reference, matmul_f2_scalar};
 use congested_clique::circuits::{builders, BitMatrix, Circuit, GateKind};
@@ -257,17 +256,15 @@ proptest! {
     }
 
     #[test]
-    fn fast_and_sparse_schedules_match_cubic_and_local_kernels(
+    fn sparse_schedule_matches_cubic_and_local_kernels(
         d in 1usize..14,
         density in 0.0f64..1.0,
         seed in 0u64..1000,
     ) {
-        // Every schedule is an execution plan for the *same* product: on
+        // Both schedules are execution plans for the *same* product: on
         // random operands of every density (including d = 1 and other
-        // degenerate dims) the fast and sparse paths must equal the cubic
-        // partition and the local kernel entry for entry. Below the
-        // crossover the fast path is its documented cubic fallback, so this
-        // also pins that seam.
+        // degenerate dims) the sparse path and the cubic partition must
+        // equal the local kernel entry for entry.
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
         let bits = |salt: u64| {
             let mut rng = ChaCha8Rng::seed_from_u64(seed ^ salt);
@@ -288,10 +285,6 @@ proptest! {
             prop_assert_eq!(cubic.as_bits().unwrap(), &local, "cubic {}", semiring.name());
             let sparse = sparse_matmul(&a, &b, semiring, 3).expect("sparse failed");
             prop_assert_eq!(sparse.as_bits().unwrap(), &local, "sparse {}", semiring.name());
-            if semiring == Semiring::F2 {
-                let fast = fast_matmul(&a, &b, semiring, 3).expect("fast failed");
-                prop_assert_eq!(fast.as_bits().unwrap(), &local, "fast f2");
-            }
         }
         let mut ints = |minplus: bool| {
             let m = IntMatrix::from_rows(&(0..d).map(|_| (0..d).map(|_| {
@@ -307,26 +300,10 @@ proptest! {
         let counting_local = ca.as_ints().unwrap().mul_counting(cb.as_ints().unwrap());
         let cubic = semiring_matmul(&ca, &cb, Semiring::Counting, 3).expect("cubic failed");
         prop_assert_eq!(cubic.as_ints().unwrap(), &counting_local, "cubic counting");
-        let fast = fast_matmul(&ca, &cb, Semiring::Counting, 3).expect("fast failed");
-        prop_assert_eq!(fast.as_ints().unwrap(), &counting_local, "fast counting");
         let sparse = sparse_matmul(&ca, &cb, Semiring::Counting, 3).expect("sparse failed");
         prop_assert_eq!(sparse.as_ints().unwrap(), &counting_local, "sparse counting");
-        // Tropical (min, +) has no additive inverse, so no density may
-        // ever steer Auto dispatch onto the Strassen schedule — it falls
-        // back to cubic (or the always-valid sparse path), and the cubic
-        // result is the local kernel's.
         let (ta, tb) = (ints(true), ints(true));
         let tropical_local = ta.as_ints().unwrap().mul_min_plus(tb.as_ints().unwrap());
-        prop_assert_ne!(
-            MatMulSchedule::Auto.resolve(&ta, &tb, Semiring::MinPlus),
-            MatMulSchedule::Strassen,
-            "tropical must never dispatch to strassen"
-        );
-        prop_assert_ne!(
-            MatMulSchedule::Auto.resolve(&a, &b, Semiring::Boolean),
-            MatMulSchedule::Strassen,
-            "boolean must never dispatch to strassen"
-        );
         let cubic = semiring_matmul(&ta, &tb, Semiring::MinPlus, 3).expect("cubic failed");
         prop_assert_eq!(cubic.as_ints().unwrap(), &tropical_local, "cubic min-plus");
         let sparse = sparse_matmul(&ta, &tb, Semiring::MinPlus, 3).expect("sparse failed");
@@ -596,38 +573,75 @@ fn replay_in_chunks(mut queues: Vec<usize>, b: usize) -> (u64, u64) {
     (rounds, bits)
 }
 
-/// Where the clique hosts a recursion level (n = 56 players, d = 113 rows,
-/// an odd `d` so every level of the split exercises the non-power-of-two
-/// padding seam) the Strassen schedule must (a) equal the local kernel
-/// entry for entry; (b) the cubic partition, whose one payload per pair
-/// routes directly, takes fewer rounds at equal bandwidth — the ordering
-/// experiment E18 tabulates, pinned here on one grid point.
+/// With more rows than players (n = 56 players, d = 113 rows, so each
+/// player owns two or three rows and the cube side g = 3 cuts the odd `d`
+/// into blocks of 37 and 38) both distributed schedules must equal the
+/// local kernel entry for entry, on every semiring. The proptest above
+/// keeps `d` to the player count; this grid point exercises the row-owner
+/// map and the uneven blocks where one payload carries several rows.
 #[test]
-fn strassen_schedule_above_crossover_is_exact_parallel_safe() {
+fn schedules_with_several_rows_per_player_match_local_kernels() {
     let (n, d, b) = (56usize, 113usize, 4usize);
-    assert!(FastMatMul::levels_for(n, d) >= 1, "grid point must recurse");
     let mut rng = ChaCha8Rng::seed_from_u64(0x5EED);
-    let rows: Vec<Vec<bool>> = (0..d)
-        .map(|_| (0..d).map(|_| rng.gen_bool(0.5)).collect())
-        .collect();
-    let a = SemiringMatrix::Bits(BitMatrix::from_rows(&rows));
-    let one = Runner::new(CliqueConfig::unicast(n, b))
-        .execute(&mut FastMatMul::new(&a, &a, Semiring::F2))
-        .expect("fast run failed");
-    let local = a.as_bits().unwrap().mul_f2(a.as_bits().unwrap());
-    assert_eq!(one.as_bits().unwrap(), &local, "fast != local kernel");
-    let cubic = Runner::new(CliqueConfig::unicast(n, b))
-        .execute(&mut congested_clique::algebraic::SemiringMatMul::new(
-            &a,
-            &a,
-            Semiring::F2,
+    let bits = SemiringMatrix::Bits(BitMatrix::from_rows(
+        &(0..d)
+            .map(|_| (0..d).map(|_| rng.gen_bool(0.5)).collect::<Vec<_>>())
+            .collect::<Vec<_>>(),
+    ));
+    let mut ints = |minplus: bool| {
+        SemiringMatrix::Ints(IntMatrix::from_rows(
+            &(0..d)
+                .map(|_| {
+                    (0..d)
+                        .map(|_| {
+                            if minplus && rng.gen_bool(0.3) {
+                                IntMatrix::INFINITY
+                            } else {
+                                rng.gen_range(0..4u64)
+                            }
+                        })
+                        .collect::<Vec<_>>()
+                })
+                .collect::<Vec<_>>(),
         ))
-        .expect("cubic run failed");
-    assert_eq!(cubic.as_bits().unwrap(), &local, "cubic != local kernel");
-    assert!(
-        cubic.rounds() < one.rounds(),
-        "cubic ({} rounds) must stay ahead of strassen ({} rounds)",
-        cubic.rounds(),
-        one.rounds()
+    };
+    let (counting, tropical) = (ints(false), ints(true));
+    let (m, c, t) = (
+        bits.as_bits().unwrap(),
+        counting.as_ints().unwrap(),
+        tropical.as_ints().unwrap(),
     );
+    for (operand, semiring, local) in [
+        (
+            &bits,
+            Semiring::Boolean,
+            SemiringMatrix::Bits(m.mul_bool(m)),
+        ),
+        (&bits, Semiring::F2, SemiringMatrix::Bits(m.mul_f2(m))),
+        (
+            &counting,
+            Semiring::Counting,
+            SemiringMatrix::Ints(c.mul_counting(c)),
+        ),
+        (
+            &tropical,
+            Semiring::MinPlus,
+            SemiringMatrix::Ints(t.mul_min_plus(t)),
+        ),
+    ] {
+        for schedule in [MatMulSchedule::Cubic, MatMulSchedule::Sparse] {
+            let outcome = Runner::new(CliqueConfig::unicast(n, b))
+                .execute(&mut ScheduledMatMul::new(
+                    operand, operand, semiring, schedule,
+                ))
+                .expect("protocol failed");
+            assert_eq!(
+                outcome.output,
+                local,
+                "{} {} != local kernel",
+                schedule.name(),
+                semiring.name()
+            );
+        }
+    }
 }

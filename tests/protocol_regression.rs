@@ -356,43 +356,14 @@ fn cubic_matmul_records_match_pinned_bytes() {
 }
 
 #[test]
-fn fast_matmul_schedules_match_pinned_counts() {
-    use congested_clique::algebraic::{FastMatMul, Semiring, SemiringMatrix, SparseMatMul};
+fn cubic_matmul_uneven_partition_records_match_pinned_bytes() {
+    use congested_clique::algebraic::{Semiring, SemiringMatMul, SemiringMatrix};
 
-    // Strassen schedule above the dispatch crossover: 56 players, two rows
-    // each, the E18 (56, 112) grid point at bandwidth 4.
-    let mut r = ChaCha8Rng::seed_from_u64(0x5EED);
-    let rows: Vec<Vec<bool>> = (0..112)
-        .map(|_| (0..112).map(|_| r.gen_bool(0.5)).collect())
-        .collect();
-    let a = SemiringMatrix::Bits(BitMatrix::from_rows(&rows));
-    let fast = Runner::new(CliqueConfig::unicast(56, 4))
-        .execute(&mut FastMatMul::new(&a, &a, Semiring::F2))
-        .unwrap();
-    let local = a.as_bits().unwrap().mul_f2(a.as_bits().unwrap());
-    assert_eq!(fast.as_bits().unwrap(), &local);
-    assert_eq!((fast.rounds(), fast.total_bits()), (112, 455540));
-
-    // Sparse schedule on the fixed g24 detection instance (a ~15% dense
-    // adjacency, well under the density threshold).
-    let g = g24();
-    let adj = SemiringMatrix::Bits(g.adjacency_bitmatrix());
-    let sparse = Runner::new(CliqueConfig::unicast(24, 4))
-        .execute(&mut SparseMatMul::new(&adj, &adj, Semiring::Boolean))
-        .unwrap();
-    let local = adj.as_bits().unwrap().mul_bool(adj.as_bits().unwrap());
-    assert_eq!(sparse.as_bits().unwrap(), &local);
-    assert_eq!((sparse.rounds(), sparse.total_bits()), (21, 6436));
-}
-
-#[test]
-fn fast_matmul_depth_two_records_match_pinned_bytes() {
-    use congested_clique::algebraic::{FastMatMul, Semiring, SemiringMatrix};
-
-    // A forced depth-2 schedule: 49 groups of one or two players on 56
-    // players. d = 53 pads to 56, so the leaf side is q = 14 and the
-    // padding clip drops the last three rows and columns. One generator
-    // feeds both operands, F₂ first.
+    // 53 rows on 56 players: the cube side is g = 3, so 27 players compute
+    // cubes, the rows split into blocks of 17, 18 and 18, and three players
+    // own no row. One generator feeds both operands, F₂ first. The records
+    // are the ones the cubic exchange produced while it still carried the
+    // Strassen schedule's player groups and signed output terms.
     let mut r = ChaCha8Rng::seed_from_u64(0x5EED);
     let bits: Vec<Vec<bool>> = (0..53)
         .map(|_| (0..53).map(|_| r.gen_bool(0.5)).collect())
@@ -406,20 +377,20 @@ fn fast_matmul_depth_two_records_match_pinned_bytes() {
         (
             &f2,
             Semiring::F2,
-            "\"rounds\":76,\"total_bits\":105121,\"messages\":3538,\
-             \"max_link_bits_per_round\":4,\"phases\":6,\
-             \"phase_digest\":\"afe99be5929f09ee\"}",
+            "\"rounds\":17,\"total_bits\":31777,\"messages\":1246,\
+             \"max_link_bits_per_round\":4,\"phases\":4,\
+             \"phase_digest\":\"08810f3a41f34804\"}",
         ),
         (
             &counting,
             Semiring::Counting,
-            "\"rounds\":207,\"total_bits\":825065,\"messages\":12177,\
-             \"max_link_bits_per_round\":4,\"phases\":6,\
-             \"phase_digest\":\"1ef3eca0b80f9a48\"}",
+            "\"rounds\":58,\"total_bits\":108225,\"messages\":1246,\
+             \"max_link_bits_per_round\":4,\"phases\":4,\
+             \"phase_digest\":\"8e212d446a626fd7\"}",
         ),
     ] {
         let outcome = Runner::new(CliqueConfig::unicast(56, 4))
-            .execute(&mut FastMatMul::new(m, m, semiring).with_levels(2))
+            .execute(&mut SemiringMatMul::new(m, m, semiring))
             .unwrap();
         let local = match m {
             SemiringMatrix::Bits(b) => SemiringMatrix::Bits(b.mul_f2(b)),
@@ -429,8 +400,24 @@ fn fast_matmul_depth_two_records_match_pinned_bytes() {
         let record = congested_clique::serve::encode_record("", &outcome.metrics);
         assert!(
             record.ends_with(tail),
-            "{} depth-2 ledger moved: {record}",
+            "{} cubic ledger moved: {record}",
             semiring.name()
         );
     }
+}
+
+#[test]
+fn sparse_matmul_schedule_matches_pinned_counts() {
+    use congested_clique::algebraic::{Semiring, SemiringMatrix, SparseMatMul};
+
+    // Sparse schedule on the fixed g24 detection instance (a ~15% dense
+    // adjacency, well under the density threshold).
+    let g = g24();
+    let adj = SemiringMatrix::Bits(g.adjacency_bitmatrix());
+    let sparse = Runner::new(CliqueConfig::unicast(24, 4))
+        .execute(&mut SparseMatMul::new(&adj, &adj, Semiring::Boolean))
+        .unwrap();
+    let local = adj.as_bits().unwrap().mul_bool(adj.as_bits().unwrap());
+    assert_eq!(sparse.as_bits().unwrap(), &local);
+    assert_eq!((sparse.rounds(), sparse.total_bits()), (21, 6436));
 }
