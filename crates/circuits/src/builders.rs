@@ -81,31 +81,6 @@ pub fn exactly_k(n: usize, k: u64) -> Circuit {
     c
 }
 
-/// A depth-2 AND-of-ORs (monotone CNF): clause `j` is the OR of the listed
-/// input indices; the output is the AND of all clauses.
-///
-/// # Panics
-///
-/// Panics if a clause references an input `>= n`.
-pub fn and_of_ors(n: usize, clauses: &[Vec<usize>]) -> Circuit {
-    let mut c = Circuit::new();
-    let xs = c.add_inputs(n);
-    let mut clause_gates = Vec::with_capacity(clauses.len());
-    for clause in clauses {
-        let literals: Vec<GateId> = clause
-            .iter()
-            .map(|&i| {
-                assert!(i < n, "clause literal {i} out of range");
-                xs[i]
-            })
-            .collect();
-        clause_gates.push(c.add_gate(GateKind::Or, &literals));
-    }
-    let out = c.add_gate(GateKind::And, &clause_gates);
-    c.mark_output(out);
-    c
-}
-
 /// The inner product mod 2 of two `n`-bit vectors (inputs `x₀…x_{n−1}` then
 /// `y₀…y_{n−1}`): `⊕_i (x_i ∧ y_i)`. Depth 2, `3n` wires.
 pub fn inner_product_mod2(n: usize) -> Circuit {
@@ -191,17 +166,6 @@ mod tests {
             let expected = mask.count_ones() == 2;
             assert_eq!(c.evaluate(&bits_of(mask, 6)), vec![expected]);
         }
-    }
-
-    #[test]
-    fn and_of_ors_is_a_cnf() {
-        let c = and_of_ors(4, &[vec![0, 1], vec![2, 3], vec![0, 3]]);
-        assert_eq!(c.depth(), 2);
-        // x0 ∨ x3 fails: x0 = x3 = false.
-        assert_eq!(c.evaluate(&[false, true, true, false]), vec![false]);
-        assert_eq!(c.evaluate(&[true, false, false, true]), vec![true]);
-        assert_eq!(c.evaluate(&[false, true, true, true]), vec![true]);
-        assert_eq!(c.evaluate(&[false, false, true, true]), vec![false]);
     }
 
     #[test]

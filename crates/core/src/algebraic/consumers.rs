@@ -33,8 +33,7 @@ impl Protocol for TriangleCount<'_> {
     fn run(&mut self, session: &mut Session) -> Result<u64, SimError> {
         let n = self.graph.vertex_count();
         session.require_clique_of(n);
-        let adjacency = IntMatrix::from_bitmatrix(&self.graph.adjacency_bitmatrix());
-        let operand = SemiringMatrix::Ints(adjacency.clone());
+        let operand = SemiringMatrix::Bits(self.graph.adjacency_bitmatrix());
         let product = session.run_protocol(&mut ScheduledMatMul::new(
             &operand,
             &operand,
@@ -43,14 +42,12 @@ impl Protocol for TriangleCount<'_> {
         ))?;
         let m = product.as_ints().expect("counting products are integers");
 
-        // Player v holds row v of both matrices. Its closed-3-walk count
-        // t_v ≤ n² fits in the fixed width every player derives from n.
+        // Player v holds row v of both matrices and folds its closed
+        // 3-walks over its neighbours. t_v ≤ n² fits in the fixed width
+        // every player derives from n.
         let width = bits_for_universe((n as u64).saturating_mul(n as u64).saturating_add(1)).max(1);
         let locals: Vec<u64> = (0..n)
-            .map(|v| {
-                let walks = m.row(v).iter().zip(adjacency.row(v));
-                walks.map(|(&paths, &edge)| paths * edge).sum()
-            })
+            .map(|v| self.graph.neighbors(v).iter().map(|&u| m.get(v, u)).sum())
             .collect();
         let messages: Vec<BitString> = locals
             .iter()

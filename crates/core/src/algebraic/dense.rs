@@ -210,9 +210,9 @@ impl<'a> SemiringMatMul<'a> {
     ///
     /// Panics if the operands are not square matrices of the same
     /// dimension, if their representation does not match the semiring
-    /// (Boolean needs [`SemiringMatrix::Bits`], counting and `(min, +)`
-    /// need [`SemiringMatrix::Ints`]), or if a counting operand contains
-    /// the reserved [`IntMatrix::INFINITY`] entry.
+    /// (Boolean and `F₂` need [`SemiringMatrix::Bits`], `(min, +)` needs
+    /// [`SemiringMatrix::Ints`], counting takes either for both), or if a
+    /// counting operand contains the reserved [`IntMatrix::INFINITY`] entry.
     pub fn new(a: &'a SemiringMatrix, b: &'a SemiringMatrix, semiring: Semiring) -> Self {
         let d = a.rows();
         assert!(
@@ -226,7 +226,8 @@ impl<'a> SemiringMatMul<'a> {
         for (name, m) in [("A", a), ("B", b)] {
             match (semiring, m) {
                 (Semiring::Boolean | Semiring::F2, SemiringMatrix::Bits(_))
-                | (Semiring::Counting | Semiring::MinPlus, SemiringMatrix::Ints(_)) => {}
+                | (Semiring::MinPlus, SemiringMatrix::Ints(_)) => {}
+                (Semiring::Counting, _) if m.as_bits().is_some() == a.as_bits().is_some() => {}
                 _ => panic!(
                     "operand {name} representation does not match the {} semiring",
                     semiring.name()
@@ -305,6 +306,12 @@ mod tests {
         for (d, seed) in [(1usize, 1u64), (3, 2), (8, 3), (17, 4), (27, 5), (100, 6)] {
             cases.push((Semiring::Boolean, d, bits(d, seed), bits(d, seed + 100)));
             cases.push((Semiring::F2, d, bits(d, seed + 40), bits(d, seed + 140)));
+            cases.push((
+                Semiring::Counting,
+                d,
+                bits(d, seed + 80),
+                bits(d, seed + 180),
+            ));
         }
         for (d, max, seed) in [(1usize, 1u64, 11u64), (6, 1, 12), (13, 7, 13), (27, 3, 14)] {
             let (a, b) = (ints(d, max, false, seed), ints(d, max, false, seed + 100));
@@ -349,8 +356,8 @@ mod tests {
     #[test]
     #[should_panic(expected = "representation does not match")]
     fn mismatched_operand_representation_is_rejected() {
-        let a = SemiringMatrix::Bits(BitMatrix::identity(4));
-        let _ = SemiringMatMul::new(&a, &a, Semiring::Counting);
+        let a = SemiringMatrix::Ints(IntMatrix::zeros(4, 4));
+        let _ = SemiringMatMul::new(&a, &a, Semiring::F2);
     }
 
     #[test]

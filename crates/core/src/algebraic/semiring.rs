@@ -78,11 +78,11 @@ impl Semiring {
 }
 
 /// A square matrix in the representation its semiring multiplies fastest:
-/// packed bits for the Boolean semiring, small integers for the counting
-/// and `(min, +)` semirings.
+/// packed bits for the Boolean and `F₂` semirings and for 0/1 counting
+/// operands, small integers for the counting and `(min, +)` semirings.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum SemiringMatrix {
-    /// Packed 0/1 entries (Boolean semiring operands).
+    /// Packed 0/1 entries (Boolean, `F₂` and 0/1 counting operands).
     Bits(BitMatrix),
     /// Small-integer entries (counting and `(min, +)` semiring operands).
     Ints(IntMatrix),

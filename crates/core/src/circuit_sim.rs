@@ -15,18 +15,22 @@
 //!      to the gate's owner, who combines them (Definition 1),
 //!    * owners of heavy gates send their (single-bit) values to the owners
 //!      of light gates that read them,
-//!    * the light-to-light wires form a balanced demand that is delivered by
-//!      a deterministic two-phase balanced schedule (the stand-in for
-//!      Lenzen's routing algorithm — see DESIGN.md);
+//!    * the light-to-light wires form a balanced demand, relayed in two hops
+//!      through the balanced router's greedy intermediaries (the stand-in
+//!      for Lenzen's routing algorithm — see DESIGN.md);
 //! 4. the owners of the output gates finally ship the outputs to player 0.
 //!
-//! Round and bit accounting is exact and charged to the protocol's
-//! [`Session`]; because the gate assignment and the routing schedule are
-//! deterministic functions of the (publicly known) circuit, no message
-//! needs headers and the per-link load per layer is `O(b_sep + s)` bits,
-//! matching the theorem.
+//! Every one of these phases is one *headerless exchange*: a list of
+//! `(src, dst, value, width)` fields whose order and layout both ends derive
+//! from the public circuit and gate assignment. All fields from `src` to
+//! `dst` travel as one payload in list order, a field a player sends to
+//! itself stays in place, and receivers read their payloads front to back,
+//! so a missing or short payload is a [`SimError::MalformedPayload`] naming
+//! its sender. No message needs a header and the per-link load per layer is
+//! `O(b_sep + s)` bits, matching the theorem. Round and bit accounting is
+//! exact and charged to the protocol's [`Session`].
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 
 use clique_circuits::{Circuit, GateId, GateKind};
 use clique_routing::greedy_intermediaries;
@@ -147,7 +151,158 @@ impl Protocol for CircuitSimulation<'_> {
     type Output = CircuitOutput;
 
     fn run(&mut self, session: &mut Session) -> Result<CircuitOutput, SimError> {
-        run_circuit_simulation(self.circuit, self.input, self.partition, session)
+        let (circuit, input, partition) = (self.circuit, self.input, self.partition);
+        let n = session.n();
+        let plan = plan_simulation(circuit, n);
+
+        // Per-player knowledge of gate values; only ever updated from local
+        // evaluation or received messages.
+        let mut known: Vec<HashMap<usize, bool>> = vec![HashMap::new(); n];
+
+        // --- Step 1: distribute input bits to the owners of the input
+        // gates, in increasing input index order. ---
+        let inputs = circuit.inputs();
+        let holder = |t| partition.owner(t, inputs.len(), n);
+        let fields: Vec<Field> = (0..inputs.len())
+            .map(|t| Field::bit(holder(t), plan.owner[inputs[t].index()], input[t]))
+            .collect();
+        let values = exchange_fields(session, "distribute inputs", &fields)?;
+        for ((gate, field), value) in inputs.iter().zip(&fields).zip(values) {
+            known[field.dst].insert(gate.index(), value != 0);
+        }
+
+        // Constants are known to their owners without communication.
+        for (g, gate) in circuit.gates().iter().enumerate() {
+            if let GateKind::Const(value) = gate.kind {
+                known[plan.owner[g]].insert(g, value);
+            }
+        }
+
+        // --- Step 2: evaluate layer by layer. ---
+        for (layer_idx, layer) in circuit.layers().iter().enumerate().skip(1) {
+            let (heavy_in_layer, light_in_layer): (Vec<GateId>, Vec<GateId>) =
+                layer.iter().partition(|g| plan.heavy[g.index()]);
+
+            // (a) Every player owning inputs of a heavy gate sends the summary
+            // of its part to the gate's owner, gates ascending and players
+            // ascending within a gate.
+            if !heavy_in_layer.is_empty() {
+                let (mut fields, mut spans) = (Vec::new(), Vec::new());
+                for &gid in &heavy_in_layer {
+                    let gate = circuit.gate(gid);
+                    let mut parts: BTreeMap<usize, Vec<(usize, bool)>> = BTreeMap::new();
+                    for (pos, input_gate) in gate.inputs.iter().enumerate() {
+                        let p = plan.owner[input_gate.index()];
+                        let value = known[p][&input_gate.index()];
+                        parts.entry(p).or_default().push((pos, value));
+                    }
+                    let (dst, start) = (plan.owner[gid.index()], fields.len());
+                    let width = gate.kind.separability_bits(gate.inputs.len()).max(1);
+                    for (src, part) in parts {
+                        fields.push(Field::new(src, dst, gate.kind.summary(&part), width));
+                    }
+                    spans.push(start..fields.len());
+                }
+                let label = format!("layer {layer_idx}: heavy summaries");
+                let summaries = exchange_fields(session, &label, &fields)?;
+                for (&gid, span) in heavy_in_layer.iter().zip(spans) {
+                    let gate = circuit.gate(gid);
+                    let value = gate.kind.combine(&summaries[span], gate.inputs.len());
+                    known[plan.owner[gid.index()]].insert(gid.index(), value);
+                }
+            }
+
+            // The values light gates of this layer read from other players and
+            // do not hold yet: one bit per (input gate, reader) wire, sorted.
+            let mut wires: Vec<(usize, usize)> = Vec::new();
+            for &gid in &light_in_layer {
+                let dst = plan.owner[gid.index()];
+                for input_gate in &circuit.gate(gid).inputs {
+                    let gate = input_gate.index();
+                    if plan.owner[gate] != dst && !known[dst].contains_key(&gate) {
+                        wires.push((gate, dst));
+                    }
+                }
+            }
+            wires.sort_unstable();
+            wires.dedup();
+            let (heavy_wires, light_wires): (Vec<_>, Vec<_>) =
+                wires.into_iter().partition(|&(gate, _)| plan.heavy[gate]);
+
+            // (b) Heavy owners send their values straight to the readers. A
+            // heavy owner owns one heavy gate, so each pair carries one bit.
+            if !heavy_wires.is_empty() {
+                let fields: Vec<Field> = heavy_wires
+                    .iter()
+                    .map(|&(gate, dst)| {
+                        let src = plan.owner[gate];
+                        Field::bit(src, dst, known[src][&gate])
+                    })
+                    .collect();
+                let label = format!("layer {layer_idx}: heavy values");
+                let values = exchange_fields(session, &label, &fields)?;
+                for (&(gate, dst), value) in heavy_wires.iter().zip(values) {
+                    known[dst].insert(gate, value != 0);
+                }
+            }
+
+            // (c) Light wires take two hops, through the balanced router's
+            // greedy intermediaries for the public wire list.
+            if !light_wires.is_empty() {
+                let label = format!("layer {layer_idx}: light wires");
+                let hops: Vec<_> = light_wires
+                    .iter()
+                    .map(|&(gate, dst)| (plan.owner[gate], dst, 1))
+                    .collect();
+                let relays = greedy_intermediaries(n, &hops);
+                let first: Vec<Field> = light_wires
+                    .iter()
+                    .zip(&relays)
+                    .map(|(&(gate, _), &w)| {
+                        let src = plan.owner[gate];
+                        Field::bit(src, w, known[src][&gate])
+                    })
+                    .collect();
+                let relayed = exchange_fields(session, &format!("{label} (phase 1)"), &first)?;
+                let second: Vec<Field> = light_wires
+                    .iter()
+                    .zip(&relays)
+                    .zip(relayed)
+                    .map(|((&(_, dst), &w), value)| Field::bit(w, dst, value != 0))
+                    .collect();
+                let values = exchange_fields(session, &format!("{label} (phase 2)"), &second)?;
+                for (&(gate, dst), value) in light_wires.iter().zip(values) {
+                    known[dst].insert(gate, value != 0);
+                }
+            }
+
+            // (d) Local evaluation of the light gates, whose input values (b)
+            // and (c) delivered (input and constant gates sit in layer 0).
+            for &gid in &light_in_layer {
+                let gate = circuit.gate(gid);
+                let p = plan.owner[gid.index()];
+                let value = gate
+                    .kind
+                    .eval_iter(gate.inputs.iter().map(|ig| known[p][&ig.index()]));
+                known[p].insert(gid.index(), value);
+            }
+        }
+
+        // --- Step 3: collect the outputs at player 0, in output order. ---
+        let fields: Vec<Field> = circuit
+            .outputs()
+            .iter()
+            .map(|gid| {
+                let p = plan.owner[gid.index()];
+                Field::bit(p, 0, known[p][&gid.index()])
+            })
+            .collect();
+        let values = exchange_fields(session, "collect outputs", &fields)?;
+        Ok(CircuitOutput {
+            outputs: values.iter().map(|&value| value != 0).collect(),
+            output_owners: fields.iter().map(|f| f.src).collect(),
+            depth: circuit.depth(),
+        })
     }
 }
 
@@ -173,399 +328,90 @@ pub fn simulate_circuit(
         .execute(&mut CircuitSimulation::new(circuit, input, partition))
 }
 
-/// The protocol body: evaluates the circuit on the session's model.
-fn run_circuit_simulation(
-    circuit: &Circuit,
-    input: &[bool],
-    partition: InputPartition,
-    session: &mut Session,
-) -> Result<CircuitOutput, SimError> {
-    let n = session.n();
-    let plan = plan_simulation(circuit, n);
-
-    // Per-player knowledge of gate values; only ever updated from local
-    // evaluation or received messages.
-    let mut known: Vec<HashMap<usize, bool>> = vec![HashMap::new(); n];
-
-    // --- Step 1: distribute input bits to the owners of the input gates. ---
-    // The initial holder of bit t and the owner of input gate t are both
-    // publicly known, so the exchange needs no headers: player p sends to
-    // player q the values of the input bits it holds whose gate is owned by
-    // q, in increasing input index order.
-    {
-        let inputs = circuit.inputs();
-        let mut outs: Vec<PhaseOutbox> = (0..n).map(|_| PhaseOutbox::new()).collect();
-        let mut per_pair: HashMap<(usize, usize), BitString> = HashMap::new();
-        for (t, &gate) in inputs.iter().enumerate() {
-            let holder = partition.owner(t, inputs.len(), n);
-            let target = plan.owner[gate.index()];
-            if holder == target {
-                known[target].insert(gate.index(), input[t]);
-            } else {
-                per_pair
-                    .entry((holder, target))
-                    .or_default()
-                    .push_bit(input[t]);
-            }
-        }
-        for (&(src, dst), bits) in &per_pair {
-            outs[src].send(NodeId::new(dst), bits.clone());
-        }
-        let inboxes = session.exchange("distribute inputs", outs)?;
-        // Receivers re-derive which input gates the received bits refer to.
-        for (dst, inbox) in inboxes.iter().enumerate() {
-            let mut cursors: HashMap<usize, BitReader<'_>> = inbox
-                .unicasts()
-                .map(|(src, payload)| (src.index(), payload.reader()))
-                .collect();
-            for (t, &gate) in inputs.iter().enumerate() {
-                let holder = partition.owner(t, inputs.len(), n);
-                if plan.owner[gate.index()] == dst && holder != dst {
-                    if let Some(reader) = cursors.get_mut(&holder) {
-                        let bit = reader.read_bit().expect("missing routed input bit");
-                        known[dst].insert(gate.index(), bit);
-                    }
-                }
-            }
-        }
-    }
-
-    // Constants are known to their owners without communication.
-    for (g, gate) in circuit.gates().iter().enumerate() {
-        if let GateKind::Const(value) = gate.kind {
-            known[plan.owner[g]].insert(g, value);
-        }
-    }
-
-    // --- Step 2: evaluate layer by layer. ---
-    let layers = circuit.layers();
-    // Tracks which (heavy gate value, player) and (light gate value, player)
-    // pairs have already been delivered, to avoid duplicate sends.
-    let mut delivered: std::collections::HashSet<(usize, usize)> = std::collections::HashSet::new();
-
-    for (layer_idx, layer) in layers.iter().enumerate().skip(1) {
-        // (a) Summaries for heavy gates of this layer.
-        let heavy_in_layer: Vec<GateId> = layer
-            .iter()
-            .copied()
-            .filter(|g| plan.heavy[g.index()])
-            .collect();
-        if !heavy_in_layer.is_empty() {
-            let mut outs: Vec<PhaseOutbox> = (0..n).map(|_| PhaseOutbox::new()).collect();
-            // For positional decoding, both sides iterate heavy gates in the
-            // same (ascending) order.
-            for &gid in &heavy_in_layer {
-                let gate = circuit.gate(gid);
-                let gate_owner = plan.owner[gid.index()];
-                let sep_bits = gate.kind.separability_bits(gate.inputs.len()).max(1);
-                // Group the gate's inputs by the owner of the input gate.
-                let mut parts: HashMap<usize, Vec<(usize, bool)>> = HashMap::new();
-                for (pos, input_gate) in gate.inputs.iter().enumerate() {
-                    let p = plan.owner[input_gate.index()];
-                    let value = known[p]
-                        .get(&input_gate.index())
-                        .copied()
-                        .expect("owner must know the value of its evaluated gate");
-                    parts.entry(p).or_default().push((pos, value));
-                }
-                for (p, indexed) in parts {
-                    if p == gate_owner {
-                        // The owner's own part needs no message; it recomputes
-                        // its local summary when combining.
-                        continue;
-                    }
-                    let summary = gate.kind.summary(&indexed);
-                    outs[p].send(
-                        NodeId::new(gate_owner),
-                        BitString::from_bits(summary, sep_bits),
-                    );
-                }
-            }
-            let inboxes = session.exchange(&format!("layer {layer_idx}: heavy summaries"), outs)?;
-            // Combine at the owners.
-            for &gid in &heavy_in_layer {
-                let gate = circuit.gate(gid);
-                let gate_owner = plan.owner[gid.index()];
-                let sep_bits = gate.kind.separability_bits(gate.inputs.len()).max(1);
-                // Recompute the (publicly known) set of contributing players
-                // and read their summaries positionally.
-                let mut contributing: Vec<usize> = gate
-                    .inputs
-                    .iter()
-                    .map(|ig| plan.owner[ig.index()])
-                    .collect();
-                contributing.sort_unstable();
-                contributing.dedup();
-                let mut summaries = Vec::with_capacity(contributing.len());
-                for p in contributing {
-                    if p == gate_owner {
-                        // Recompute the local summary directly.
-                        let indexed: Vec<(usize, bool)> = gate
-                            .inputs
-                            .iter()
-                            .enumerate()
-                            .filter(|(_, ig)| plan.owner[ig.index()] == gate_owner)
-                            .map(|(pos, ig)| (pos, known[gate_owner][&ig.index()]))
-                            .collect();
-                        summaries.push(gate.kind.summary(&indexed));
-                    } else {
-                        let payload = inboxes[gate_owner]
-                            .unicast_from(NodeId::new(p))
-                            .expect("expected a summary from this player");
-                        // A player sends at most one summary per heavy gate,
-                        // and owns at most one heavy gate itself, so the
-                        // payload for this gate starts at the offset
-                        // accumulated from earlier heavy gates of this layer
-                        // owned by `gate_owner` — but there is exactly one
-                        // heavy gate per owner, so the offset is 0.
-                        let mut reader = payload.reader();
-                        summaries.push(
-                            reader
-                                .read_bits(sep_bits)
-                                .expect("summary payload too short"),
-                        );
-                    }
-                }
-                let value = gate.kind.combine(&summaries, gate.inputs.len());
-                known[gate_owner].insert(gid.index(), value);
-            }
-        }
-
-        // (b) Heavy-gate values needed by light gates of this layer.
-        let light_in_layer: Vec<GateId> = layer
-            .iter()
-            .copied()
-            .filter(|g| !plan.heavy[g.index()])
-            .collect();
-        {
-            let mut outs: Vec<PhaseOutbox> = (0..n).map(|_| PhaseOutbox::new()).collect();
-            let mut pending: Vec<(usize, usize, usize)> = Vec::new(); // (heavy gate, src, dst)
-            for &gid in &light_in_layer {
-                let gate_owner = plan.owner[gid.index()];
-                for input_gate in &circuit.gate(gid).inputs {
-                    if plan.heavy[input_gate.index()] {
-                        let src = plan.owner[input_gate.index()];
-                        if src != gate_owner && delivered.insert((input_gate.index(), gate_owner)) {
-                            pending.push((input_gate.index(), src, gate_owner));
-                        }
-                    }
-                }
-            }
-            // A heavy owner owns exactly one heavy gate, so (src, dst)
-            // determines the gate; one bit per pair suffices.
-            for &(gate, src, dst) in &pending {
-                let value = known[src][&gate];
-                outs[src].send(NodeId::new(dst), BitString::from_bits(u64::from(value), 1));
-            }
-            if !pending.is_empty() {
-                let inboxes =
-                    session.exchange(&format!("layer {layer_idx}: heavy values"), outs)?;
-                for &(gate, src, dst) in &pending {
-                    let payload = inboxes[dst]
-                        .unicast_from(NodeId::new(src))
-                        .expect("expected a heavy value");
-                    known[dst].insert(gate, payload.bit(0));
-                }
-            }
-        }
-
-        // (c) Light-to-light wires of this layer: a balanced two-phase
-        // delivery with a deterministic, publicly computable schedule.
-        {
-            // Canonical wire list: (source gate, destination player).
-            let mut wires: Vec<(usize, usize)> = Vec::new();
-            for &gid in &light_in_layer {
-                let gate_owner = plan.owner[gid.index()];
-                for input_gate in &circuit.gate(gid).inputs {
-                    if !plan.heavy[input_gate.index()] {
-                        let src_owner = plan.owner[input_gate.index()];
-                        if src_owner != gate_owner {
-                            wires.push((input_gate.index(), gate_owner));
-                        }
-                    }
-                }
-            }
-            wires.sort_unstable();
-            wires.dedup();
-            let wires: Vec<(usize, usize)> = wires
-                .into_iter()
-                .filter(|&(gate, dst)| !known[dst].contains_key(&gate))
-                .collect();
-            route_bits_two_phase(
-                session,
-                n,
-                &format!("layer {layer_idx}: light wires"),
-                &wires,
-                &plan,
-                &mut known,
-            )?;
-        }
-
-        // (d) Local evaluation of the light gates of this layer.
-        for &gid in &light_in_layer {
-            let gate = circuit.gate(gid);
-            let p = plan.owner[gid.index()];
-            if matches!(gate.kind, GateKind::Input | GateKind::Const(_)) {
-                continue;
-            }
-            let value = gate.kind.eval_iter(gate.inputs.iter().map(|ig| {
-                known[p]
-                    .get(&ig.index())
-                    .copied()
-                    .expect("light gate input value must have been delivered")
-            }));
-            known[p].insert(gid.index(), value);
-        }
-    }
-
-    // --- Step 3: collect the outputs at player 0. ---
-    let outputs = {
-        let mut outs: Vec<PhaseOutbox> = (0..n).map(|_| PhaseOutbox::new()).collect();
-        let mut per_sender: HashMap<usize, BitString> = HashMap::new();
-        for gid in circuit.outputs() {
-            let p = plan.owner[gid.index()];
-            let value = known[p][&gid.index()];
-            if p != 0 {
-                per_sender.entry(p).or_default().push_bit(value);
-            }
-        }
-        for (&p, bits) in &per_sender {
-            outs[p].send(NodeId::new(0), bits.clone());
-        }
-        let inboxes = session.exchange("collect outputs", outs)?;
-        let mut cursors: HashMap<usize, BitReader<'_>> = inboxes[0]
-            .unicasts()
-            .map(|(src, payload)| (src.index(), payload.reader()))
-            .collect();
-        circuit
-            .outputs()
-            .iter()
-            .map(|gid| {
-                let p = plan.owner[gid.index()];
-                if p == 0 {
-                    known[0][&gid.index()]
-                } else {
-                    cursors
-                        .get_mut(&p)
-                        .and_then(BitReader::read_bit)
-                        .expect("missing output bit")
-                }
-            })
-            .collect::<Vec<bool>>()
-    };
-
-    let output_owners = circuit
-        .outputs()
-        .iter()
-        .map(|gid| plan.owner[gid.index()])
-        .collect();
-    Ok(CircuitOutput {
-        outputs,
-        output_owners,
-        depth: circuit.depth(),
-    })
+/// One field of a headerless phase: the low `width` bits of `value`, which
+/// player `src` holds and player `dst` needs.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct Field {
+    pub(crate) src: usize,
+    pub(crate) dst: usize,
+    pub(crate) value: u64,
+    pub(crate) width: usize,
 }
 
-/// Delivers one bit per `(source gate, destination player)` wire using the
-/// deterministic two-phase balanced schedule. Both endpoints (and the
-/// intermediaries) recompute the schedule from the public wire list, so the
-/// payloads carry no headers.
-fn route_bits_two_phase(
+impl Field {
+    fn new(src: usize, dst: usize, value: u64, width: usize) -> Self {
+        Self {
+            src,
+            dst,
+            value,
+            width,
+        }
+    }
+
+    /// A one-bit field.
+    pub(crate) fn bit(src: usize, dst: usize, value: bool) -> Self {
+        Self::new(src, dst, u64::from(value), 1)
+    }
+}
+
+/// Runs one headerless phase labelled `label` and returns, in list order,
+/// the value each field's `dst` holds afterwards: one payload per
+/// `(src, dst)` pair, its fields in list order, and no payload for a field
+/// with `src == dst`.
+///
+/// # Errors
+///
+/// [`SimError::MalformedPayload`] naming the sender of a missing or short
+/// payload, and whatever [`Session::exchange`] reports.
+fn exchange_fields(
     session: &mut Session,
-    n: usize,
     label: &str,
-    wires: &[(usize, usize)],
-    plan: &SimulationPlan,
-    known: &mut [HashMap<usize, bool>],
-) -> Result<(), SimError> {
-    if wires.is_empty() {
-        return Ok(());
+    fields: &[Field],
+) -> Result<Vec<u64>, SimError> {
+    let mut payloads: BTreeMap<(usize, usize), BitString> = BTreeMap::new();
+    for f in fields.iter().filter(|f| f.src != f.dst) {
+        let payload = payloads.entry((f.src, f.dst)).or_default();
+        payload.push_bits(f.value, f.width);
     }
-    // The balanced router's greedy intermediary assignment, one bit per
-    // wire (identical for every player because the wire list and iteration
-    // order are canonical).
-    let hops: Vec<_> = wires
-        .iter()
-        .map(|&(gate, dst)| (plan.owner[gate], dst, 1))
-        .collect();
-    let assignment = greedy_intermediaries(n, &hops);
+    let mut outs: Vec<PhaseOutbox> = (0..session.n()).map(|_| PhaseOutbox::new()).collect();
+    for ((src, dst), payload) in payloads {
+        outs[src].send(NodeId::new(dst), payload);
+    }
+    let inboxes = session.exchange(label, outs)?;
+    read_fields(label, fields, &inboxes)
+}
 
-    // Phase 1: src -> intermediary, bits in canonical wire order.
-    let mut outs: Vec<PhaseOutbox> = (0..n).map(|_| PhaseOutbox::new()).collect();
-    let mut phase1: HashMap<(usize, usize), BitString> = HashMap::new();
-    for (&(gate, _dst), &w) in wires.iter().zip(&assignment) {
-        let src = plan.owner[gate];
-        let value = known[src][&gate];
-        if src == w {
-            continue; // the intermediary already holds the value
-        }
-        phase1.entry((src, w)).or_default().push_bit(value);
-    }
-    for (&(src, w), bits) in &phase1 {
-        outs[src].send(NodeId::new(w), bits.clone());
-    }
-    let inboxes = session.exchange(&format!("{label} (phase 1)"), outs)?;
-    // Intermediaries reconstruct the values they must forward.
-    let mut relay_value: HashMap<(usize, usize, usize), bool> = HashMap::new(); // (w, gate, dst)
-    {
-        let mut cursors: Vec<HashMap<usize, BitReader<'_>>> = inboxes
-            .iter()
-            .map(|inbox| {
-                inbox
-                    .unicasts()
-                    .map(|(src, payload)| (src.index(), payload.reader()))
-                    .collect()
+/// The receiving half of [`exchange_fields`], also used by the Section 2.1
+/// follow-up: each field's `dst` reads it from the front of what remains of
+/// `src`'s payload.
+///
+/// # Errors
+///
+/// [`SimError::MalformedPayload`] naming `src` when its payload is missing
+/// or ends before the field does.
+pub(crate) fn read_fields(
+    label: &str,
+    fields: &[Field],
+    inboxes: &[PhaseInbox],
+) -> Result<Vec<u64>, SimError> {
+    let mut readers: HashMap<(usize, usize), Option<BitReader<'_>>> = HashMap::new();
+    fields
+        .iter()
+        .map(|f| {
+            if f.src == f.dst {
+                return Ok(f.value);
+            }
+            let sender = NodeId::new(f.src);
+            let reader = readers
+                .entry((f.src, f.dst))
+                .or_insert_with(|| inboxes[f.dst].unicast_from(sender).map(BitString::reader));
+            let value = reader.as_mut().and_then(|r| r.read_bits(f.width));
+            value.ok_or_else(|| SimError::MalformedPayload {
+                sender,
+                phase: label.to_owned(),
             })
-            .collect();
-        for (&(gate, dst), &w) in wires.iter().zip(&assignment) {
-            let src = plan.owner[gate];
-            let value = if src == w {
-                known[src][&gate]
-            } else {
-                cursors[w]
-                    .get_mut(&src)
-                    .and_then(BitReader::read_bit)
-                    .expect("missing phase-1 bit")
-            };
-            relay_value.insert((w, gate, dst), value);
-        }
-    }
-
-    // Phase 2: intermediary -> destination, bits in canonical wire order.
-    let mut outs: Vec<PhaseOutbox> = (0..n).map(|_| PhaseOutbox::new()).collect();
-    let mut phase2: HashMap<(usize, usize), BitString> = HashMap::new();
-    for (&(gate, dst), &w) in wires.iter().zip(&assignment) {
-        let value = relay_value[&(w, gate, dst)];
-        if w == dst {
-            known[dst].insert(gate, value);
-            continue;
-        }
-        phase2.entry((w, dst)).or_default().push_bit(value);
-    }
-    for (&(w, dst), bits) in &phase2 {
-        outs[w].send(NodeId::new(dst), bits.clone());
-    }
-    let inboxes = session.exchange(&format!("{label} (phase 2)"), outs)?;
-    let mut cursors: Vec<HashMap<usize, BitReader<'_>>> = inboxes
-        .iter()
-        .map(|inbox| {
-            inbox
-                .unicasts()
-                .map(|(src, payload)| (src.index(), payload.reader()))
-                .collect()
         })
-        .collect();
-    for (&(gate, dst), &w) in wires.iter().zip(&assignment) {
-        if w == dst {
-            continue;
-        }
-        let bit = cursors[dst]
-            .get_mut(&w)
-            .and_then(BitReader::read_bit)
-            .expect("missing phase-2 bit");
-        known[dst].insert(gate, bit);
-    }
-    Ok(())
+        .collect()
 }
 
 #[cfg(test)]
@@ -665,6 +511,39 @@ mod tests {
     fn single_player_simulation_works() {
         let circuit = builders::exactly_k(9, 2);
         check_simulation(&circuit, 1, 4, 3, 10);
+    }
+
+    #[test]
+    fn missing_or_short_payloads_name_their_sender() {
+        // Player 0 reads a 3-bit field from player 1 and two one-bit fields
+        // from player 2; its own field stays in place.
+        let fields = [
+            Field::new(1, 0, 0b101, 3),
+            Field::bit(2, 0, true),
+            Field::bit(0, 0, true),
+            Field::bit(2, 0, false),
+        ];
+        let read = |from_1: Option<BitString>, from_2: BitString| {
+            let mut outs: Vec<PhaseOutbox> = (0..3).map(|_| PhaseOutbox::new()).collect();
+            if let Some(payload) = from_1 {
+                outs[1].send(NodeId::new(0), payload);
+            }
+            outs[2].send(NodeId::new(0), from_2);
+            let mut session = Session::new(CliqueConfig::unicast(3, 4));
+            read_fields("test", &fields, &session.exchange("test", outs).unwrap())
+        };
+        let one = BitString::from_bits(0b101, 3);
+        let full = read(Some(one.clone()), BitString::from_bits(0b01, 2));
+        assert_eq!(full, Ok(vec![0b101, 1, 1, 0]));
+        let malformed = |sender| {
+            Err(SimError::MalformedPayload {
+                sender: NodeId::new(sender),
+                phase: "test".into(),
+            })
+        };
+        // Player 1 sends nothing; player 2 sends one bit short.
+        assert_eq!(read(None, BitString::from_bits(0b01, 2)), malformed(1));
+        assert_eq!(read(Some(one), BitString::from_bits(1, 1)), malformed(2));
     }
 
     #[test]

@@ -25,8 +25,8 @@ use clique_routing::{BalancedRouter, Packet, Router, RoutingDemand};
 use clique_sim::prelude::*;
 use rand::Rng;
 
-use crate::circuit_sim::{CircuitSimulation, InputPartition};
-use crate::outcome::{Detection, DetectionOutcome};
+use crate::circuit_sim::{read_fields, CircuitSimulation, Field, InputPartition};
+use crate::outcome::{CircuitOutput, Detection, DetectionOutcome};
 use crate::trivial::detect_by_full_broadcast;
 
 /// Which matrix-multiplication circuit powers the Section 2.1 protocol.
@@ -153,58 +153,21 @@ impl<R: Rng + ?Sized> Protocol for MatMulTriangleDetection<'_, R> {
             ))?;
 
             // Follow-up phase: the owner of output entry (i, j) sends the bit
-            // to player i (who knows row i of A), and every player then
-            // broadcasts a one-bit flag.
+            // to player i (who knows row i of A), one message per entry, and
+            // every player then broadcasts a one-bit flag.
+            let entries = product_entries(&sim, n, dim);
             let mut outs: Vec<PhaseOutbox> = (0..n).map(|_| PhaseOutbox::new()).collect();
-            // Canonical order: outputs are row-major, so both sides can parse
-            // positionally.
-            for (idx, (&value, &owner)) in sim.outputs.iter().zip(&sim.output_owners).enumerate() {
-                let row = idx / dim;
-                if row >= n {
-                    continue; // padding rows
-                }
-                if owner == row {
-                    continue;
-                }
-                outs[owner].send(NodeId::new(row), BitString::from_bits(u64::from(value), 1));
+            for entry in entries.iter().filter(|e| e.src != e.dst) {
+                outs[entry.src].send(NodeId::new(entry.dst), BitString::from_bits(entry.value, 1));
             }
-            let inboxes = session.exchange("deliver product entries to row owners", outs)?;
-            // Row owners recombine their row of M.
-            let mut row_of_m = vec![vec![false; dim]; n];
-            {
-                let mut cursors: Vec<std::collections::HashMap<usize, BitReader<'_>>> = inboxes
-                    .iter()
-                    .map(|inbox| {
-                        inbox
-                            .unicasts()
-                            .map(|(src, payload)| (src.index(), payload.reader()))
-                            .collect()
-                    })
-                    .collect();
-                for (idx, (&value, &owner)) in
-                    sim.outputs.iter().zip(&sim.output_owners).enumerate()
-                {
-                    let row = idx / dim;
-                    let col = idx % dim;
-                    if row >= n {
-                        continue;
-                    }
-                    row_of_m[row][col] = if owner == row {
-                        value
-                    } else {
-                        cursors[row]
-                            .get_mut(&owner)
-                            .and_then(BitReader::read_bit)
-                            .expect("missing product entry")
-                    };
-                }
-            }
+            let inboxes = session.exchange(ENTRIES_PHASE, outs)?;
+            let m = read_fields(ENTRIES_PHASE, &entries, &inboxes)?;
             // Each player checks its own row and broadcasts a one-bit flag.
             let mut flag_outs: Vec<PhaseOutbox> = (0..n).map(|_| PhaseOutbox::new()).collect();
             let mut local_hit: Vec<Option<(usize, usize)>> = vec![None; n];
             for i in 0..n {
-                for (j, &hit) in row_of_m[i].iter().enumerate() {
-                    if self.graph.has_edge(i, j) && hit {
+                for (j, &hit) in m[i * dim..(i + 1) * dim].iter().enumerate() {
+                    if self.graph.has_edge(i, j) && hit != 0 {
                         local_hit[i] = Some((i, j));
                         break;
                     }
@@ -237,6 +200,22 @@ impl<R: Rng + ?Sized> Protocol for MatMulTriangleDetection<'_, R> {
             witness,
         })
     }
+}
+
+/// Label of the Section 2.1 follow-up that ships product entries to their
+/// row owners.
+const ENTRIES_PHASE: &str = "deliver product entries to row owners";
+
+/// The entries of the Section 2.1 follow-up in the product's row-major
+/// order: entry `(i, j)` of the `dim × dim` product, `i < n`, travels from
+/// its owner to player `i`.
+fn product_entries(product: &CircuitOutput, n: usize, dim: usize) -> Vec<Field> {
+    let entries = product.outputs.iter().zip(&product.output_owners);
+    entries
+        .take(n * dim)
+        .enumerate()
+        .map(|(idx, (&value, &owner))| Field::bit(owner, idx / dim, value))
+        .collect()
 }
 
 /// Runs [`MatMulTriangleDetection`] in `CLIQUE-UCAST(n, b)`.
@@ -594,6 +573,39 @@ mod tests {
             malformed(1),
             "a dropped row"
         );
+    }
+
+    #[test]
+    fn row_owners_reject_missing_or_short_entries() {
+        // A 2 × 2 product: player 1 owns row 0's entries, player 0 row 1's.
+        let product = CircuitOutput {
+            outputs: vec![true, false, false, true],
+            output_owners: vec![1, 1, 0, 0],
+            depth: 1,
+        };
+        let entries = product_entries(&product, 2, 2);
+        // Player 1 sends only its first `sent` entries, one message each.
+        let read = |sent: usize| {
+            let mut outs: Vec<PhaseOutbox> = (0..2).map(|_| PhaseOutbox::new()).collect();
+            let (from_0, from_1): (Vec<&Field>, Vec<&Field>) =
+                entries.iter().partition(|e| e.src == 0);
+            for e in from_0.into_iter().chain(from_1.into_iter().take(sent)) {
+                outs[e.src].send(NodeId::new(e.dst), BitString::from_bits(e.value, 1));
+            }
+            let mut session = Session::new(CliqueConfig::unicast(2, 1));
+            read_fields(
+                ENTRIES_PHASE,
+                &entries,
+                &session.exchange(ENTRIES_PHASE, outs).unwrap(),
+            )
+        };
+        assert_eq!(read(2), Ok(vec![1, 0, 0, 1]));
+        let malformed = Err(SimError::MalformedPayload {
+            sender: NodeId::new(1),
+            phase: ENTRIES_PHASE.into(),
+        });
+        assert_eq!(read(0), malformed, "no entries");
+        assert_eq!(read(1), malformed, "one entry short");
     }
 
     #[test]

@@ -47,15 +47,13 @@ impl Protocol for FullBroadcastDetection<'_> {
 
         // Every node broadcasts its adjacency row (n bits, packed).
         let rows: Vec<BitString> = (0..n).map(|v| self.graph.adjacency_row_bits(v)).collect();
-        let inboxes = session.broadcast_all("broadcast adjacency rows", &rows)?;
+        let inboxes = session.broadcast_all(BROADCAST_PHASE, &rows)?;
 
         // Node 0 reconstructs the graph from what it received (plus its own
         // row) and searches locally. Every other node could do the same.
-        let mut matrix = BitMatrix::zeros(n, n);
-        matrix.set_row_words(0, self.graph.adjacency_row_bits(0).words());
-        for (sender, payload) in inboxes[0].broadcasts() {
-            read_row_into(&mut matrix, sender.index(), payload);
-        }
+        let matrix = gather_rows(self.graph, BROADCAST_PHASE, |v| {
+            inboxes[0].broadcast_from(v)
+        })?;
         let reconstructed = Graph::from_adjacency_bitmatrix(&matrix);
         debug_assert_eq!(&reconstructed, self.graph);
         let witness = find_subgraph(&reconstructed, &self.pattern.graph());
@@ -93,13 +91,9 @@ impl Protocol for GatherToLeaderDetection<'_> {
         for (v, out) in outs.iter_mut().enumerate().skip(1) {
             out.send(NodeId::new(0), self.graph.adjacency_row_bits(v));
         }
-        let inboxes = session.exchange("gather rows at leader", outs)?;
+        let inboxes = session.exchange(GATHER_PHASE, outs)?;
 
-        let mut matrix = BitMatrix::zeros(n, n);
-        matrix.set_row_words(0, self.graph.adjacency_row_bits(0).words());
-        for (sender, payload) in inboxes[0].unicasts() {
-            read_row_into(&mut matrix, sender.index(), payload);
-        }
+        let matrix = gather_rows(self.graph, GATHER_PHASE, |v| inboxes[0].unicast_from(v))?;
         let reconstructed = Graph::from_adjacency_bitmatrix(&matrix);
         debug_assert_eq!(&reconstructed, self.graph);
         let witness = find_subgraph(&reconstructed, &self.pattern.graph());
@@ -111,17 +105,38 @@ impl Protocol for GatherToLeaderDetection<'_> {
     }
 }
 
-/// Copies a received adjacency row into row `v` of the matrix via the
-/// word-level reader fast path. Missing trailing bits (a short payload)
-/// read as `false`, matching the old per-bit `unwrap_or(false)` decode.
-fn read_row_into(matrix: &mut BitMatrix, v: usize, payload: &BitString) {
-    let n = matrix.cols();
-    let mut reader = payload.reader();
-    let take = reader.remaining().min(n);
-    if let Some(mut words) = reader.read_words(take) {
-        words.resize(n.div_ceil(LANE_BITS), 0);
-        matrix.set_row_words(v, &words);
+/// Label of [`FullBroadcastDetection`]'s row broadcast.
+const BROADCAST_PHASE: &str = "broadcast adjacency rows";
+
+/// Label of [`GatherToLeaderDetection`]'s row shipment.
+const GATHER_PHASE: &str = "gather rows at leader";
+
+/// Player 0's view of the whole adjacency matrix: its own row, and the
+/// `n`-bit row every other player `v` sent in `phase` (`row(v)`), read
+/// straight into the matrix.
+///
+/// # Errors
+///
+/// [`SimError::MalformedPayload`] naming the first player whose row is
+/// missing or shorter than `n` bits.
+fn gather_rows<'a>(
+    graph: &Graph,
+    phase: &str,
+    row: impl Fn(NodeId) -> Option<&'a BitString>,
+) -> Result<BitMatrix, SimError> {
+    let n = graph.vertex_count();
+    let mut matrix = BitMatrix::zeros(n, n);
+    matrix.set_row_words(0, graph.adjacency_row_bits(0).words());
+    for v in 1..n {
+        let sender = NodeId::new(v);
+        row(sender)
+            .and_then(|bits| bits.reader().read_words_into(n, matrix.row_words_mut(v)))
+            .ok_or_else(|| SimError::MalformedPayload {
+                sender,
+                phase: phase.to_owned(),
+            })?;
     }
+    Ok(matrix)
 }
 
 /// Runs [`FullBroadcastDetection`] in `CLIQUE-BCAST(n, b)`.
@@ -228,6 +243,31 @@ mod tests {
         for (u, v) in pattern.edges() {
             assert!(g.has_edge(witness[u], witness[v]));
         }
+    }
+
+    #[test]
+    fn missing_or_short_rows_name_their_sender() {
+        let g = generators::complete(3);
+        let rows: Vec<BitString> = (0..3).map(|v| g.adjacency_row_bits(v)).collect();
+        let gathered = gather_rows(&g, GATHER_PHASE, |v| rows.get(v.index()));
+        assert_eq!(Graph::from_adjacency_bitmatrix(&gathered.unwrap()), g);
+        let malformed = Err(SimError::MalformedPayload {
+            sender: NodeId::new(2),
+            phase: GATHER_PHASE.into(),
+        });
+        let missing = gather_rows(&g, GATHER_PHASE, |v| {
+            rows.get(v.index()).filter(|_| v.index() != 2)
+        });
+        assert_eq!(missing, malformed, "a dropped row");
+        let short = BitString::from_words(rows[2].words(), 2);
+        let cut = gather_rows(&g, GATHER_PHASE, |v| {
+            if v.index() == 2 {
+                Some(&short)
+            } else {
+                rows.get(v.index())
+            }
+        });
+        assert_eq!(cut, malformed, "a row one bit short");
     }
 
     #[test]

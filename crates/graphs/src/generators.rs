@@ -152,28 +152,6 @@ pub fn plant_copy<R: Rng + ?Sized>(
     (g, vertices)
 }
 
-/// A graph consisting of `copies` vertex-disjoint copies of `pattern`,
-/// padded with isolated vertices up to `n` vertices.
-///
-/// # Panics
-///
-/// Panics if the copies do not fit into `n` vertices.
-pub fn disjoint_copies(pattern: &Graph, copies: usize, n: usize) -> Graph {
-    let h = pattern.vertex_count();
-    assert!(
-        copies * h <= n,
-        "{copies} copies of a {h}-vertex pattern do not fit into {n} vertices"
-    );
-    let mut g = Graph::empty(n);
-    for c in 0..copies {
-        let offset = c * h;
-        for (u, v) in pattern.edges() {
-            g.add_edge(offset + u, offset + v);
-        }
-    }
-    g
-}
-
 /// A perfect matching on `2k` vertices: edges `{2i, 2i+1}`.
 pub fn perfect_matching(k: usize) -> Graph {
     let mut g = Graph::empty(2 * k);
@@ -291,10 +269,7 @@ mod tests {
     }
 
     #[test]
-    fn disjoint_copies_and_matching() {
-        let g = disjoint_copies(&complete(3), 4, 20);
-        assert_eq!(g.edge_count(), 12);
-        assert_eq!(g.vertex_count(), 20);
+    fn perfect_matching_has_degree_one() {
         let m = perfect_matching(5);
         assert_eq!(m.edge_count(), 5);
         assert_eq!(m.max_degree(), 1);

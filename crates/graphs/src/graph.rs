@@ -175,15 +175,7 @@ impl Graph {
     /// word holds [`LANE_BITS`] entries), the representation the
     /// word-parallel `F₂` kernels consume.
     pub fn adjacency_bitmatrix(&self) -> BitMatrix {
-        let n = self.vertex_count();
-        let mut m = BitMatrix::zeros(n, n);
-        for (u, neighbors) in self.adj.iter().enumerate() {
-            let row = m.row_words_mut(u);
-            for &v in neighbors {
-                row[v / LANE_BITS] |= 1 << (v % LANE_BITS);
-            }
-        }
-        m
+        self.adjacency_bitmatrix_padded(self.vertex_count())
     }
 
     /// Builds a graph on `m.rows()` vertices from a packed adjacency
@@ -269,20 +261,6 @@ impl Graph {
             if keep(u, v) {
                 g.add_edge(u, v);
             }
-        }
-        g
-    }
-
-    /// The disjoint union of `self` and `other` (vertices of `other` are
-    /// shifted by `self.vertex_count()`).
-    pub fn disjoint_union(&self, other: &Graph) -> Graph {
-        let offset = self.vertex_count();
-        let mut g = Graph::empty(offset + other.vertex_count());
-        for (u, v) in self.edges() {
-            g.add_edge(u, v);
-        }
-        for (u, v) in other.edges() {
-            g.add_edge(u + offset, v + offset);
         }
         g
     }
@@ -461,17 +439,6 @@ mod tests {
         assert_eq!(sub.edge_count(), 1);
         assert!(sub.has_edge(0, 1)); // 1--2 in the original
         assert_eq!(map, vec![1, 2, 4]);
-    }
-
-    #[test]
-    fn disjoint_union_shifts_labels() {
-        let a = Graph::from_edges(2, &[(0, 1)]);
-        let b = Graph::from_edges(3, &[(0, 2)]);
-        let c = a.disjoint_union(&b);
-        assert_eq!(c.vertex_count(), 5);
-        assert_eq!(c.edge_count(), 2);
-        assert!(c.has_edge(0, 1));
-        assert!(c.has_edge(2, 4));
     }
 
     #[test]

@@ -549,17 +549,6 @@ impl IntMatrix {
         self.data.iter().all(|&v| v <= 1)
     }
 
-    /// The transposed matrix.
-    pub fn transpose(&self) -> IntMatrix {
-        let mut out = IntMatrix::zeros(self.cols, self.rows);
-        for i in 0..self.rows {
-            for j in 0..self.cols {
-                out.data[j * self.rows + i] = self.data[i * self.cols + j];
-            }
-        }
-        out
-    }
-
     /// The `rows × cols` block starting at `(row0, col0)`.
     ///
     /// # Panics
@@ -957,9 +946,6 @@ mod tests {
         assert_eq!(m.row(0), &[3, 0, 7]);
         assert_eq!(m.max_finite(), 7);
         assert!(!m.is_binary());
-        let t = m.transpose();
-        assert_eq!((t.rows(), t.cols()), (3, 2));
-        assert_eq!(t.get(2, 0), 7);
         let s = m.submatrix(0, 1, 2, 2);
         assert_eq!(s, IntMatrix::from_rows(&[vec![0, 7], vec![2, 5]]));
         assert_eq!(format!("{m:?}"), "IntMatrix(2×3, max finite 7)");

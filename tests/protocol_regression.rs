@@ -5,7 +5,9 @@
 //! The pinned constants were captured by running the pre-redesign code
 //! (commit `ac339b6`) on the inputs below. A change in any of these values
 //! means the redesign changed the *accounting semantics*, not just the API,
-//! and must be investigated.
+//! and must be investigated. The full records of the Theorem 2 runs
+//! (circuits and the Section 2.1 pipeline) were captured while the circuit
+//! simulation still wrote each of its phases by hand.
 
 use congested_clique::adaptive::detect_subgraph_adaptive;
 use congested_clique::circuits::builders;
@@ -167,6 +169,18 @@ fn matmul_triangle_detection_matches_pre_redesign_counts() {
         (strassen.contains, strassen.rounds(), strassen.total_bits()),
         (true, 111, 363449)
     );
+    // The full ledgers: every Theorem 2 phase, the follow-up's one message
+    // per product entry and the flag broadcasts.
+    assert_eq!(
+        record(naive.contains, &naive.metrics),
+        "{\"output\":true,\"rounds\":33,\"total_bits\":32865,\"messages\":2358,\
+         \"max_link_bits_per_round\":8,\"phases\":8,\"phase_digest\":\"945050ee9b5268cb\"}"
+    );
+    assert_eq!(
+        record(strassen.contains, &strassen.metrics),
+        "{\"output\":true,\"rounds\":111,\"total_bits\":363449,\"messages\":13465,\
+         \"max_link_bits_per_round\":8,\"phases\":26,\"phase_digest\":\"ecb6f90c6e2e1d28\"}"
+    );
 }
 
 #[test]
@@ -190,6 +204,11 @@ fn circuit_simulation_matches_pre_redesign_counts() {
         ))
         .unwrap();
     assert_eq!((direct.rounds(), direct.total_bits()), (8, 66));
+    assert_eq!(
+        record(&sim.outputs, &sim.metrics),
+        "{\"output\":[true],\"rounds\":8,\"total_bits\":66,\"messages\":66,\
+         \"max_link_bits_per_round\":1,\"phases\":10,\"phase_digest\":\"fa0edfb6526f58d9\"}"
+    );
 
     let circuit = builders::majority(25);
     let mut r = ChaCha8Rng::seed_from_u64(0xC2);
@@ -200,6 +219,43 @@ fn circuit_simulation_matches_pre_redesign_counts() {
         (2, 40, 1)
     );
     assert_eq!(sim.outputs, vec![false]);
+    assert_eq!(
+        record(&sim.outputs, &sim.metrics),
+        "{\"output\":[false],\"rounds\":2,\"total_bits\":40,\"messages\":24,\
+         \"max_link_bits_per_round\":5,\"phases\":3,\"phase_digest\":\"078115f7a7b40876\"}"
+    );
+}
+
+#[test]
+fn circuit_simulation_covers_every_phase_kind() {
+    // Two heavy threshold gates over 64 inputs on 8 players: the run has
+    // all six kinds of Theorem 2 phase, the first relay hop silent.
+    let circuit = builders::exactly_k(64, 21);
+    let input: Vec<bool> = (0..64).map(|t| t % 3 == 1).collect();
+    let sim = simulate_circuit(&circuit, &input, 8, 4, InputPartition::Blocks).unwrap();
+    let labels: Vec<&str> = sim
+        .metrics
+        .phases
+        .iter()
+        .map(|p| p.label.as_str())
+        .collect();
+    assert_eq!(
+        labels,
+        [
+            "distribute inputs",
+            "layer 1: heavy summaries",
+            "layer 2: heavy values",
+            "layer 3: heavy values",
+            "layer 3: light wires (phase 1)",
+            "layer 3: light wires (phase 2)",
+            "collect outputs"
+        ]
+    );
+    assert_eq!(
+        record(&sim.outputs, &sim.metrics),
+        "{\"output\":[true],\"rounds\":7,\"total_bits\":130,\"messages\":74,\
+         \"max_link_bits_per_round\":4,\"phases\":7,\"phase_digest\":\"2abca262d3d6c9da\"}"
+    );
 }
 
 #[test]
@@ -305,6 +361,12 @@ fn routers_match_pre_redesign_counts() {
         ))
         .unwrap();
     assert_eq!((valiant.rounds(), valiant.total_bits()), (8, 432));
+}
+
+/// The canonical served record of a run whose output prints as JSON
+/// through `Debug`: the output, the flat ledger and the phase-trail digest.
+fn record(output: impl std::fmt::Debug, metrics: &Metrics) -> String {
+    congested_clique::serve::encode_record(&format!("{output:?}"), metrics)
 }
 
 /// The canonical served record (output, flat ledger and phase-trail
