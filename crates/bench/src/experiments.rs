@@ -26,7 +26,6 @@ use clique_core::routing::{
 use clique_core::sim::linalg::IntMatrix;
 use clique_core::sim::prelude::*;
 use clique_core::sim::transport::INJECTABLE_FAULTS;
-use clique_core::sketch::reconstruct::message_bits;
 use clique_core::subgraph::{detect_subgraph_turan, SketchReconstruction};
 use clique_core::triangle::{
     detect_triangle_dlp, detect_triangle_trivial, detect_triangle_via_matmul, MatMulStrategy,
@@ -638,11 +637,12 @@ pub fn e12_sketch_reconstruction(scale: Scale) -> ExperimentTable {
                     Ok(_) => "WRONG reconstruction",
                     Err(_) => "failure reported",
                 };
+                // Every node broadcasts one sketch of the same length.
                 table.push_row(vec![
                     n.to_string(),
                     true_d.to_string(),
                     capacity.to_string(),
-                    message_bits(n, capacity).to_string(),
+                    (run.total_bits() / n as u64).to_string(),
                     run.rounds().to_string(),
                     outcome.to_owned(),
                 ]);
@@ -1351,6 +1351,37 @@ mod tests {
                     "the clique contrast did not escalate"
                 );
             }
+        }
+    }
+
+    #[test]
+    fn reconstruction_experiment_holds_at_full_scale() {
+        let table = e12_sketch_reconstruction(Scale::Full);
+        let col = |name: &str| table.headers.iter().position(|h| h == name).unwrap();
+        let (n_col, degeneracy_col, k_col) = (col("n"), col("true degeneracy"), col("capacity k"));
+        let (bits_col, rounds_col, outcome_col) = (
+            col("message bits/node"),
+            col("rounds (b = log n)"),
+            col("outcome"),
+        );
+        assert_eq!(table.rows.len(), 18, "three sizes × three graphs × two k");
+        for row in &table.rows {
+            let cell = |c: usize| -> usize { row[c].parse().unwrap() };
+            let n = cell(n_col);
+            let at = format!("n = {n}, k = {}", row[k_col]);
+            // One sketch broadcast: ⌈bits/b⌉ rounds at b = ⌈log₂ n⌉.
+            assert_eq!(
+                cell(bits_col).div_ceil(log2_bandwidth(n)),
+                cell(rounds_col),
+                "{at}"
+            );
+            assert_ne!(row[outcome_col], "WRONG reconstruction", "{at}");
+            assert_eq!(
+                row[outcome_col] == "exact reconstruction",
+                cell(k_col) >= cell(degeneracy_col),
+                "{at}: {}",
+                row[outcome_col]
+            );
         }
     }
 

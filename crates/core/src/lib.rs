@@ -35,8 +35,8 @@
 //!   sketches ([`mst::MstProtocol`]: Borůvka phases of sketch broadcast,
 //!   local contraction and capacity escalation — the constant-round
 //!   plateau workload of the Nowicki / Ghaffari–Parter line);
-//! * [`trivial`] — the broadcast-everything ([`trivial::FullBroadcastDetection`])
-//!   and gather-at-a-leader ([`trivial::GatherToLeaderDetection`]) baselines;
+//! * [`trivial`] — the broadcast-everything baseline
+//!   ([`trivial::FullBroadcastDetection`]);
 //! * [`lower_bounds`] — executable versions of the Section 3.2–3.6 lower
 //!   bound reductions, run against the upper-bound protocols.
 //!
@@ -106,7 +106,7 @@ pub use algebraic::{
 pub use circuit_sim::{
     plan_simulation, simulate_circuit, CircuitSimulation, InputPartition, SimulationPlan,
 };
-pub use mst::{compute_msf, mst_message_bits, MsfOutput, MstProtocol};
+pub use mst::{compute_msf, MsfOutput, MstProtocol};
 pub use outcome::{CircuitOutput, CircuitSimOutcome, Detection, DetectionOutcome};
 pub use registry::{
     generate_input, InputKind, JobInput, ProtocolEntry, ProtocolRun, RunOptions, PROTOCOLS,
@@ -119,7 +119,4 @@ pub use triangle::{
     detect_triangle_dlp, detect_triangle_trivial, detect_triangle_via_matmul, DlpTriangleDetection,
     MatMulStrategy, MatMulTriangleDetection,
 };
-pub use trivial::{
-    detect_by_full_broadcast, detect_by_gather_to_leader, FullBroadcastDetection,
-    GatherToLeaderDetection,
-};
+pub use trivial::{detect_by_full_broadcast, FullBroadcastDetection};

@@ -56,7 +56,6 @@ use clique_graphs::iso::SpanningForest;
 use clique_graphs::weighted::UnionFind;
 use clique_graphs::WeightedGraph;
 use clique_sim::prelude::*;
-use clique_sketch::signed::signed_sketch_bits;
 use clique_sketch::SignedPowerSumSketch;
 
 /// The output of [`MstProtocol`]: the minimum spanning forest plus the
@@ -261,9 +260,6 @@ impl Protocol for MstProtocol<'_> {
             };
             let max_capacity = self.graph.edge_count().max(1);
             capacity = self.base_capacity.min(max_capacity);
-            let field_bits = SignedPowerSumSketch::new(universe, 1)
-                .field()
-                .element_bits();
 
             loop {
                 phases += 1;
@@ -271,10 +267,8 @@ impl Protocol for MstProtocol<'_> {
                 let sketches: Vec<SignedPowerSumSketch> = (0..n)
                     .map(|v| self.incidence_sketch(v, universe, capacity))
                     .collect();
-                let messages: Vec<BitString> = sketches
-                    .iter()
-                    .map(|sketch| write_sketch(sketch, field_bits))
-                    .collect();
+                let messages: Vec<BitString> =
+                    sketches.iter().map(SignedPowerSumSketch::write).collect();
                 let inboxes = session.broadcast_all(SKETCH_PHASE, &messages)?;
 
                 // Every node now holds the same blackboard (own sketch plus
@@ -284,7 +278,7 @@ impl Protocol for MstProtocol<'_> {
                 let blackboard: Vec<SignedPowerSumSketch> = (0..n)
                     .map(|v| match v {
                         0 => Ok(sketches[0].clone()),
-                        _ => read_sketch(&inboxes[0], v, universe, capacity, field_bits),
+                        _ => read_sketch(&inboxes[0], v, universe, capacity),
                     })
                     .collect::<Result<_, _>>()?;
                 let done =
@@ -321,18 +315,8 @@ impl Protocol for MstProtocol<'_> {
 /// Label of the incidence-sketch broadcast.
 const SKETCH_PHASE: &str = "broadcast incidence sketches";
 
-/// A sketch's blackboard payload: its power sums as `field_bits`-bit
-/// fields.
-fn write_sketch(sketch: &SignedPowerSumSketch, field_bits: usize) -> BitString {
-    let mut bits = BitString::with_capacity(sketch.power_sums().len() * field_bits);
-    bits.push_fields(sketch.power_sums(), field_bits);
-    bits
-}
-
-/// Rebuilds the capacity-`capacity` sketch `sender` published on the
-/// blackboard (the inverse of [`write_sketch`]): `2·capacity` power sums of `field_bits` bits each. Flipped
-/// bits need no check, since [`SignedPowerSumSketch::from_parts`] reduces
-/// every sum mod `p`.
+/// Reads the capacity-`capacity` sketch `sender` published on the
+/// blackboard ([`SignedPowerSumSketch::read`]).
 ///
 /// # Errors
 ///
@@ -343,20 +327,15 @@ fn read_sketch(
     sender: usize,
     universe: u64,
     capacity: usize,
-    field_bits: usize,
 ) -> Result<SignedPowerSumSketch, SimError> {
-    let malformed = || SimError::MalformedPayload {
-        sender: NodeId::new(sender),
-        phase: SKETCH_PHASE.to_owned(),
-    };
-    let mut reader = inbox
-        .broadcast_from(NodeId::new(sender))
-        .ok_or_else(malformed)?
-        .reader();
-    let sums = (0..2 * capacity)
-        .map(|_| reader.read_bits(field_bits).ok_or_else(malformed))
-        .collect::<Result<_, _>>()?;
-    Ok(SignedPowerSumSketch::from_parts(universe, capacity, sums))
+    let sender = NodeId::new(sender);
+    inbox
+        .broadcast_from(sender)
+        .and_then(|bits| SignedPowerSumSketch::read(&mut bits.reader(), universe, capacity))
+        .ok_or_else(|| SimError::MalformedPayload {
+            sender,
+            phase: SKETCH_PHASE.to_owned(),
+        })
 }
 
 /// Runs [`MstProtocol`] on `CLIQUE-BCAST(n, b)` — the blackboard model the
@@ -392,14 +371,6 @@ pub fn edge_key_universe(n: usize, max_weight: u64) -> Option<u64> {
         .checked_add(1)?
         .checked_mul(n.checked_mul(n)?)
         .filter(|&universe| universe < 1 << 30)
-}
-
-/// The number of blackboard bits one node publishes per phase for an
-/// `n`-vertex graph with maximum weight `max_weight` at sketch capacity
-/// `k`: `O(k log n)` for polynomially bounded weights.
-pub fn mst_message_bits(n: usize, max_weight: u64, capacity: usize) -> usize {
-    let n = n as u64;
-    signed_sketch_bits((max_weight + 1) * n * n, capacity)
 }
 
 #[cfg(test)]
@@ -447,34 +418,26 @@ mod tests {
         let graph = weighted::weighted_cycle(6, 20, &mut rng);
         let protocol = MstProtocol::new(&graph, 2);
         let (universe, capacity) = (protocol.universe, 2);
-        let field_bits = SignedPowerSumSketch::new(universe, 1)
-            .field()
-            .element_bits();
         let sketch = protocol.incidence_sketch(1, universe, capacity);
-        let payload = write_sketch(&sketch, field_bits);
-        let malformed = |sender| SimError::MalformedPayload {
-            sender: NodeId::new(sender),
-            phase: SKETCH_PHASE.into(),
+        let payload = sketch.write();
+        let short = BitString::from_words(payload.words(), payload.len() - 1);
+        let malformed = |sender| {
+            Err(SimError::MalformedPayload {
+                sender: NodeId::new(sender),
+                phase: SKETCH_PHASE.into(),
+            })
         };
-        // Node 1 publishes every prefix of its payload; node 2 publishes
-        // nothing (an empty message is never broadcast).
-        for cut in 0..=payload.len() {
-            let prefix = BitString::from_words(payload.words(), cut);
-            let messages = [BitString::new(), prefix, BitString::new()];
-            let inboxes = Session::new(CliqueConfig::broadcast(3, 8))
-                .broadcast_all(SKETCH_PHASE, &messages)
-                .unwrap();
-            let read = read_sketch(&inboxes[0], 1, universe, capacity, field_bits);
-            if cut == payload.len() {
-                assert_eq!(read.unwrap().power_sums(), sketch.power_sums());
-            } else {
-                assert_eq!(read.unwrap_err(), malformed(1), "prefix of {cut} bits");
-            }
-            assert_eq!(
-                read_sketch(&inboxes[0], 2, universe, capacity, field_bits).unwrap_err(),
-                malformed(2)
-            );
-        }
+        // Node 2 publishes nothing (an empty message is never broadcast).
+        let inboxes = |payload| {
+            Session::new(CliqueConfig::broadcast(3, 8))
+                .broadcast_all(SKETCH_PHASE, &[BitString::new(), payload, BitString::new()])
+                .unwrap()
+        };
+        let inbox = &inboxes(payload)[0];
+        assert_eq!(read_sketch(inbox, 1, universe, capacity), Ok(sketch));
+        assert_eq!(read_sketch(inbox, 2, universe, capacity), malformed(2));
+        let inbox = &inboxes(short)[0];
+        assert_eq!(read_sketch(inbox, 1, universe, capacity), malformed(1));
     }
 
     #[test]
@@ -561,7 +524,8 @@ mod tests {
         let graph = weighted::weighted_cycle(24, 50, &mut rng);
         let run = compute_msf(&graph, 4, 6).unwrap();
         assert_eq!(run.phases, 1);
-        let sketch_bits = mst_message_bits(24, 50, 4);
+        let universe = MstProtocol::new(&graph, 4).universe;
+        let sketch_bits = SignedPowerSumSketch::new(universe, 4).encoded_bits();
         let expected_rounds = sketch_bits.div_ceil(6) as u64 + 1; // + the vote
         assert_eq!(run.rounds(), expected_rounds);
         assert_eq!(

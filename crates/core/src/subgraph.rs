@@ -13,9 +13,8 @@
 
 use clique_graphs::iso::find_subgraph;
 use clique_graphs::{Graph, Pattern};
-use clique_sim::bits::bits_for_universe;
 use clique_sim::prelude::*;
-use clique_sketch::reconstruct::{decode_graph, encode_graph, DecodeError, NodeSketch};
+use clique_sketch::reconstruct::{decode_graph, encode_graph, DecodeError};
 use clique_sketch::PowerSumSketch;
 
 use crate::outcome::{Detection, DetectionOutcome};
@@ -66,16 +65,17 @@ impl Protocol for SketchReconstruction<'_> {
 
         // Each node publishes its sketch.
         let sketches = encode_graph(self.graph, self.capacity);
-        let messages: Vec<BitString> = sketches.iter().map(|s| encode_sketch(s, n)).collect();
+        let messages: Vec<BitString> = sketches.iter().map(PowerSumSketch::write).collect();
         let inboxes = session.broadcast_all(SKETCH_PHASE, &messages)?;
 
         // Node 0 (like every node) decodes the blackboard. It combines the
         // received sketches with its own.
-        let mut received: Vec<NodeSketch> = Vec::with_capacity(n);
-        received.push(sketches[0].clone());
-        for v in 1..n {
-            received.push(read_sketch(&inboxes[0], v, n, self.capacity)?);
-        }
+        let received: Vec<PowerSumSketch> = (0..n)
+            .map(|v| match v {
+                0 => Ok(sketches[0].clone()),
+                _ => read_sketch(&inboxes[0], v, n, self.capacity),
+            })
+            .collect::<Result<_, _>>()?;
         Ok(Reconstruction {
             result: decode_graph(&received),
             capacity: self.capacity,
@@ -104,51 +104,29 @@ pub fn run_reconstruction_protocol(
         .execute(&mut SketchReconstruction::new(graph, capacity))
 }
 
-/// Serialises a [`NodeSketch`] for the blackboard: the degree followed by
-/// the `k` power sums.
-fn encode_sketch(sketch: &NodeSketch, n: usize) -> BitString {
-    let mut bits = BitString::new();
-    bits.push_bits(sketch.degree as u64, bits_for_universe(n as u64).max(1));
-    let element_bits = sketch.sketch.field().element_bits();
-    for &sum in sketch.sketch.power_sums() {
-        bits.push_bits(sum, element_bits);
-    }
-    bits
-}
-
 /// The phase label of the sketch broadcast.
 const SKETCH_PHASE: &str = "broadcast neighbourhood sketches";
 
-/// Parses the sketch `sender` broadcast. A missing or truncated sketch is
-/// [`SimError::MalformedPayload`]; the power sums need no range check,
-/// because [`PowerSumSketch::from_parts`] reduces them mod p.
+/// Reads the sketch `sender` broadcast ([`PowerSumSketch::read`]).
+///
+/// # Errors
+///
+/// [`SimError::MalformedPayload`] if `sender` published nothing or its
+/// broadcast is truncated.
 fn read_sketch(
     inbox: &PhaseInbox,
     sender: usize,
     n: usize,
     capacity: usize,
-) -> Result<NodeSketch, SimError> {
-    let malformed = || SimError::MalformedPayload {
-        sender: NodeId::new(sender),
-        phase: SKETCH_PHASE.to_owned(),
-    };
-    let mut reader = inbox
-        .broadcast_from(NodeId::new(sender))
-        .ok_or_else(malformed)?
-        .reader();
-    let degree = reader
-        .read_bits(bits_for_universe(n as u64).max(1))
-        .ok_or_else(malformed)? as usize;
-    let element_bits = PowerSumSketch::new(n as u64, capacity)
-        .field()
-        .element_bits();
-    let sums = (0..capacity)
-        .map(|_| reader.read_bits(element_bits).ok_or_else(malformed))
-        .collect::<Result<_, _>>()?;
-    Ok(NodeSketch {
-        degree,
-        sketch: PowerSumSketch::from_parts(n as u64, capacity, degree as i64, sums),
-    })
+) -> Result<PowerSumSketch, SimError> {
+    let sender = NodeId::new(sender);
+    inbox
+        .broadcast_from(sender)
+        .and_then(|bits| PowerSumSketch::read(&mut bits.reader(), n as u64, capacity))
+        .ok_or_else(|| SimError::MalformedPayload {
+            sender,
+            phase: SKETCH_PHASE.to_owned(),
+        })
 }
 
 /// Theorem 7 as a [`Protocol`]: `H`-subgraph detection with the
@@ -316,40 +294,22 @@ mod tests {
     }
 
     #[test]
-    fn sketch_serialisation_round_trips() {
-        let g = generators::turan_graph(20, 4);
-        let sketches = encode_graph(&g, 6);
-        let messages: Vec<BitString> = sketches.iter().map(|s| encode_sketch(s, 20)).collect();
-        let inbox = blackboard(&messages);
-        for (v, s) in sketches.iter().enumerate().skip(1) {
-            assert_eq!(&read_sketch(&inbox, v, 20, 6).unwrap(), s);
-        }
-    }
-
-    #[test]
     fn truncated_or_missing_sketches_are_typed_errors() {
         let (n, capacity) = (3, 2);
-        let sketch = &encode_graph(&generators::path(n), capacity)[1];
-        let payload = encode_sketch(sketch, n);
-        let malformed = |sender| SimError::MalformedPayload {
-            sender: NodeId::new(sender),
-            phase: SKETCH_PHASE.into(),
+        let sketch = encode_graph(&generators::path(n), capacity).swap_remove(1);
+        let payload = sketch.write();
+        let short = BitString::from_words(payload.words(), payload.len() - 1);
+        let malformed = |sender| {
+            Err(SimError::MalformedPayload {
+                sender: NodeId::new(sender),
+                phase: SKETCH_PHASE.into(),
+            })
         };
-        // Node 1 publishes every prefix of its payload; node 2 publishes
-        // nothing (an empty message is never broadcast).
-        for cut in 0..=payload.len() {
-            let prefix = BitString::from_words(payload.words(), cut);
-            let inbox = blackboard(&[BitString::new(), prefix, BitString::new()]);
-            let read = read_sketch(&inbox, 1, n, capacity);
-            if cut == payload.len() {
-                assert_eq!(&read.unwrap(), sketch);
-            } else {
-                assert_eq!(read.unwrap_err(), malformed(1), "prefix of {cut} bits");
-            }
-            assert_eq!(
-                read_sketch(&inbox, 2, n, capacity).unwrap_err(),
-                malformed(2)
-            );
-        }
+        // Node 2 publishes nothing (an empty message is never broadcast).
+        let inbox = blackboard(&[BitString::new(), payload, BitString::new()]);
+        assert_eq!(read_sketch(&inbox, 1, n, capacity), Ok(sketch));
+        assert_eq!(read_sketch(&inbox, 2, n, capacity), malformed(2));
+        let inbox = blackboard(&[BitString::new(), short, BitString::new()]);
+        assert_eq!(read_sketch(&inbox, 1, n, capacity), malformed(1));
     }
 }

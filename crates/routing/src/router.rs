@@ -695,6 +695,64 @@ mod tests {
         }
     }
 
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Records off the wire: every proper prefix of a
+        /// `[node, len, payload]` or `[len, payload]` record is
+        /// `MalformedPayload`. With 1–3 bits flipped anywhere in a stream
+        /// of records, reading the records back never panics: each read
+        /// yields a record, a tagged one naming a node of the clique, or
+        /// `MalformedPayload`.
+        #[test]
+        fn tampered_records_never_panic(
+            n in 2usize..40,
+            packets in 1usize..24,
+            max_len in 0usize..130,
+            seed in any::<u64>(),
+        ) {
+            let demand = random_demand(n, packets, max_len, 0, seed);
+            let codec = PacketCodec::for_demand(&demand);
+            let (sender, phase) = (NodeId::new(1), "route/fuzz");
+            let rejected = Err(malformed(sender, phase));
+            let (mut tagged, mut bare) = (BitString::new(), BitString::new());
+            for packet in demand.packets() {
+                let (mut with_tag, mut without) = (BitString::new(), BitString::new());
+                codec.encode(Some(packet.dst), &packet.payload, &mut with_tag);
+                codec.encode(None, &packet.payload, &mut without);
+                for cut in 0..with_tag.len() {
+                    let prefix = BitString::from_words(with_tag.words(), cut);
+                    let read = codec.decode_tagged(&mut prefix.reader(), sender, phase);
+                    prop_assert_eq!(read.map(|_| ()), rejected.clone());
+                }
+                for cut in 0..without.len() {
+                    let prefix = BitString::from_words(without.words(), cut);
+                    let read = codec.decode(&mut prefix.reader(), sender, phase);
+                    prop_assert_eq!(read.map(|_| ()), rejected.clone());
+                }
+                tagged.extend_from(&with_tag);
+                bare.extend_from(&without);
+            }
+
+            let mut rng = ChaCha8Rng::seed_from_u64(seed ^ 0xF11B);
+            for stream in [&mut tagged, &mut bare] {
+                for _ in 0..rng.gen_range(1..4) {
+                    stream.toggle_bit(rng.gen_range(0..stream.len()));
+                }
+            }
+            let (mut tagged, mut bare) = (tagged.reader(), bare.reader());
+            for _ in demand.packets() {
+                match codec.decode_tagged(&mut tagged, sender, phase) {
+                    Ok((node, _)) => prop_assert!(node.index() < n),
+                    Err(error) => prop_assert_eq!(Err(error), rejected.clone()),
+                }
+                if let Err(error) = codec.decode(&mut bare, sender, phase) {
+                    prop_assert_eq!(Err(error), rejected.clone());
+                }
+            }
+        }
+    }
+
     /// A balanced all-to-all demand: every ordered pair exchanges `bits` bits.
     fn all_to_all(n: usize, bits: usize) -> RoutingDemand {
         let mut d = RoutingDemand::new(n);

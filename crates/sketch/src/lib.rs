@@ -16,17 +16,26 @@
 //!   component-wise sums cancel internal edges, the edge-incidence
 //!   summaries behind the sketch-based MST protocol.
 //!
+//! Both sketch types are built on one private power-sum core (the field
+//! choice, the ±1 update, merge and subtraction, the locator root scan,
+//! verify-by-re-sketch and the wire layout of the sums), and each owns its
+//! wire format: `write` puts the sketch on the blackboard, `read` parses it
+//! back (`None` when the payload runs short), and `encoded_bits` is the one
+//! statement of its size.
+//!
 //! # Examples
 //!
 //! ```
 //! use clique_graphs::generators;
-//! use clique_sketch::reconstruct::{message_bits, reconstruct};
+//! use clique_sketch::reconstruct::{encode_graph, reconstruct};
 //!
 //! // A cycle has degeneracy 2, so capacity-2 sketches reconstruct it.
 //! let g = generators::cycle(32);
 //! assert_eq!(reconstruct(&g, 2).unwrap(), g);
-//! // Each node's message is O(k log n) bits.
-//! assert!(message_bits(32, 2) <= 3 * 6 + 6);
+//! // Each node's message is O(k log n) bits: a 5-bit degree and two
+//! // elements of F_37.
+//! let sketch = &encode_graph(&g, 2)[0];
+//! assert_eq!(sketch.write().len(), 5 + 2 * 6);
 //!
 //! // A clique has degeneracy n-1: capacity-2 sketches report failure instead
 //! // of reconstructing something wrong.
@@ -38,11 +47,12 @@
 #![warn(missing_docs)]
 
 pub mod field;
+mod power_sums;
 pub mod reconstruct;
 pub mod signed;
 pub mod sketch;
 
 pub use field::PrimeField;
-pub use reconstruct::{decode_graph, encode_graph, reconstruct, DecodeError, NodeSketch};
+pub use reconstruct::{decode_graph, encode_graph, reconstruct, DecodeError};
 pub use signed::SignedPowerSumSketch;
 pub use sketch::PowerSumSketch;

@@ -8,37 +8,21 @@
 //! the entire graph *provided its degeneracy is at most `k`* — and detect
 //! that the degeneracy exceeds `k` otherwise.
 //!
-//! Encoding: node `v` publishes `(deg(v), power sums of N(v))` with sketch
-//! capacity `k` ([`encode_graph`]). Decoding ([`decode_graph`]) peels the
-//! graph: while some vertex has at most `k` unrecovered incident edges, its
-//! residual sketch is decoded exactly, the recovered edges are added to the
-//! output and subtracted from the other endpoint's sketch. Because every
-//! subgraph of a degeneracy-`k` graph has a vertex of degree at most `k`,
-//! peeling never gets stuck when the degeneracy bound holds; when it does
-//! get stuck (or any decoded data is inconsistent) the decoder reports
-//! failure, which the detection algorithms of Theorems 7 and 9 interpret as
-//! "degeneracy larger than `k`".
+//! Encoding: node `v` publishes the [`PowerSumSketch`] of `N(v)` with
+//! capacity `k` ([`encode_graph`]); the sketch's count is `deg(v)`, so the
+//! message is the degree plus `k` power sums. Decoding ([`decode_graph`])
+//! peels the graph: while some vertex has at most `k` unrecovered incident
+//! edges, its residual sketch is decoded exactly, the recovered edges are
+//! added to the output and removed from the other endpoint's sketch.
+//! Because every subgraph of a degeneracy-`k` graph has a vertex of degree
+//! at most `k`, peeling never gets stuck when the degeneracy bound holds;
+//! when it does get stuck (or any decoded data is inconsistent) the decoder
+//! reports failure, which the detection algorithms of Theorems 7 and 9
+//! interpret as "degeneracy larger than `k`".
 
 use clique_graphs::Graph;
 
-use crate::sketch::{sketch_bits, PowerSumSketch};
-
-/// The sketch a single node publishes: its degree and the power-sum sketch of
-/// its neighbourhood.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct NodeSketch {
-    /// The node's degree in the input graph.
-    pub degree: usize,
-    /// Power-sum sketch of the neighbour set (capacity `k`).
-    pub sketch: PowerSumSketch,
-}
-
-impl NodeSketch {
-    /// Number of bits this sketch occupies on the blackboard.
-    pub fn encoded_bits(&self) -> usize {
-        self.sketch.encoded_bits()
-    }
-}
+use crate::sketch::PowerSumSketch;
 
 /// Why decoding failed.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -70,12 +54,13 @@ impl std::fmt::Display for DecodeError {
 impl std::error::Error for DecodeError {}
 
 /// Encodes the neighbourhood sketches of every node of `graph` with capacity
-/// `k` (the messages of algorithm `A(G, k)`).
+/// `k` (the messages of algorithm `A(G, k)`): node `v`'s sketch has
+/// universe `n` and count `deg(v)`.
 ///
 /// # Panics
 ///
 /// Panics if `k == 0` or the graph has no vertices.
-pub fn encode_graph(graph: &Graph, k: usize) -> Vec<NodeSketch> {
+pub fn encode_graph(graph: &Graph, k: usize) -> Vec<PowerSumSketch> {
     let n = graph.vertex_count();
     assert!(n > 0, "cannot sketch the empty graph");
     assert!(k > 0, "sketch capacity must be positive");
@@ -85,15 +70,13 @@ pub fn encode_graph(graph: &Graph, k: usize) -> Vec<NodeSketch> {
             for &u in graph.neighbors(v) {
                 sketch.add(u as u64);
             }
-            NodeSketch {
-                degree: graph.degree(v),
-                sketch,
-            }
+            sketch
         })
         .collect()
 }
 
-/// Reconstructs the graph from the published sketches.
+/// Reconstructs the graph from the published sketches, one per node, all
+/// over the universe `{0, …, n-1}` with one capacity.
 ///
 /// # Errors
 ///
@@ -101,27 +84,21 @@ pub fn encode_graph(graph: &Graph, k: usize) -> Vec<NodeSketch> {
 /// stuck (the input graph has degeneracy larger than the sketch capacity) and
 /// [`DecodeError::Inconsistent`] when a residual sketch cannot be decoded or
 /// decodes to data inconsistent with the other sketches.
-pub fn decode_graph(sketches: &[NodeSketch]) -> Result<Graph, DecodeError> {
+pub fn decode_graph(sketches: &[PowerSumSketch]) -> Result<Graph, DecodeError> {
     let n = sketches.len();
-    let capacity = sketches
-        .first()
-        .map(|s| s.sketch.capacity())
-        .unwrap_or_default();
+    let capacity = sketches.first().map_or(0, PowerSumSketch::capacity);
     let mut graph = Graph::empty(n);
-    if n == 0 {
-        return Ok(graph);
-    }
 
-    // Residual state: sketches minus recovered edges.
-    let mut residual: Vec<PowerSumSketch> = sketches.iter().map(|s| s.sketch.clone()).collect();
-    let mut residual_degree: Vec<i64> = sketches.iter().map(|s| s.degree as i64).collect();
+    // Residual state: sketches minus recovered edges. A residual sketch's
+    // count is its vertex's residual degree.
+    let mut residual = sketches.to_vec();
     let mut finished = vec![false; n];
 
     loop {
         // Anything with residual degree 0 is finished (its sketch must be
         // zero; otherwise the input is inconsistent).
         for v in 0..n {
-            if !finished[v] && residual_degree[v] == 0 {
+            if !finished[v] && residual[v].count() == 0 {
                 if !residual[v].is_zero() {
                     return Err(DecodeError::Inconsistent);
                 }
@@ -130,47 +107,28 @@ pub fn decode_graph(sketches: &[NodeSketch]) -> Result<Graph, DecodeError> {
         }
         // Pick an unfinished vertex with residual degree at most k.
         let candidate = (0..n).find(|&v| {
-            !finished[v] && residual_degree[v] > 0 && residual_degree[v] <= capacity as i64
+            let degree = residual[v].count();
+            !finished[v] && degree > 0 && degree <= capacity as i64
         });
-        let v = match candidate {
-            Some(v) => v,
-            None => {
-                return if finished.iter().all(|&f| f) {
-                    Ok(graph)
-                } else {
-                    Err(DecodeError::DegeneracyExceeded { capacity })
-                };
-            }
+        let Some(v) = candidate else {
+            return if finished.iter().all(|&f| f) {
+                Ok(graph)
+            } else {
+                Err(DecodeError::DegeneracyExceeded { capacity })
+            };
         };
 
+        // `decode` returns exactly `count` neighbours that re-sketch to the
+        // residual, so recovering them consumes `v`'s sketch entirely.
         let neighbors = residual[v].decode().ok_or(DecodeError::Inconsistent)?;
-        if neighbors.len() as i64 != residual_degree[v] {
-            return Err(DecodeError::Inconsistent);
-        }
         for &u64_u in &neighbors {
             let u = u64_u as usize;
-            if u >= n || u == v {
-                return Err(DecodeError::Inconsistent);
-            }
-            if finished[u] || residual_degree[u] <= 0 || graph.has_edge(u, v) {
+            if u >= n || u == v || finished[u] || residual[u].count() <= 0 || graph.has_edge(u, v) {
                 return Err(DecodeError::Inconsistent);
             }
             graph.add_edge(u, v);
             // Peel the edge out of u's residual sketch.
             residual[u].remove(v as u64);
-            residual_degree[u] -= 1;
-        }
-        // v is fully recovered.
-        residual_degree[v] = 0;
-        let expected_count = neighbors.len() as i64;
-        // Its own residual sketch is consumed entirely.
-        let mut consumed = PowerSumSketch::new(residual[v].universe(), capacity);
-        for &u in &neighbors {
-            consumed.add(u);
-        }
-        residual[v].subtract(&consumed);
-        if residual[v].count() != 0 && expected_count != 0 && !residual[v].is_zero() {
-            return Err(DecodeError::Inconsistent);
         }
         finished[v] = true;
     }
@@ -186,23 +144,13 @@ pub fn reconstruct(graph: &Graph, k: usize) -> Result<Graph, DecodeError> {
     decode_graph(&encode_graph(graph, k))
 }
 
-/// The number of blackboard bits each node publishes for a graph on `n`
-/// nodes with sketch capacity `k`: `O(k log n)`.
-pub fn message_bits(n: usize, k: usize) -> usize {
-    // Degree (⌈log₂ n⌉ bits) + the power-sum sketch.
-    let degree_bits = if n <= 1 {
-        0
-    } else {
-        (usize::BITS - (n - 1).leading_zeros()) as usize
-    };
-    degree_bits + sketch_bits(n as u64, k)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use clique_graphs::{degeneracy::degeneracy, generators};
-    use rand::SeedableRng;
+    use clique_sim::bits::BitString;
+    use proptest::prelude::*;
+    use rand::{Rng, SeedableRng};
     use rand_chacha::ChaCha8Rng;
 
     #[test]
@@ -261,30 +209,71 @@ mod tests {
     }
 
     #[test]
-    fn tampered_sketches_are_rejected_not_misdecoded() {
+    fn a_tampered_degree_is_rejected_not_misdecoded() {
         let graph = generators::cycle(10);
         let mut sketches = encode_graph(&graph, 2);
-        // Corrupt one node's degree field.
-        sketches[3].degree = 7;
+        // Flip the low bit of node 3's count on the wire: degree 2 reads 3.
+        let mut payload = sketches[3].write();
+        payload.toggle_bit(0);
+        sketches[3] = PowerSumSketch::read(&mut payload.reader(), 10, 2).unwrap();
+        assert_eq!(sketches[3].count(), 3);
         let result = decode_graph(&sketches);
         assert!(result.is_err(), "tampered input must not decode silently");
     }
 
-    #[test]
-    fn message_bits_grow_with_k_and_n() {
-        let base = message_bits(64, 2);
-        assert!(message_bits(64, 8) > base * 2);
-        assert!(message_bits(1024, 2) > base);
-        // O(k log n): generous explicit cap.
-        assert!(message_bits(1024, 8) <= 8 * 12 + 24);
-    }
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
 
-    #[test]
-    fn encoded_bits_reported_per_node() {
-        let graph = generators::cycle(16);
-        let sketches = encode_graph(&graph, 2);
-        for s in &sketches {
-            assert_eq!(s.encoded_bits(), sketch_bits(16, 2));
+        /// Payloads off the wire: intact ones reconstruct the graph exactly
+        /// when `k` reaches its degeneracy, and every proper prefix reads as
+        /// `None`. With 1–3 bits flipped in up to three payloads, nothing
+        /// panics and whatever decodes is sound: a decoded set re-sketches
+        /// to its sketch, and a reconstructed graph to all of them.
+        #[test]
+        fn tampered_payloads_never_panic_or_misdecode(
+            n in 2usize..40,
+            density in 1usize..6,
+            seed in any::<u64>(),
+        ) {
+            let mut rng = ChaCha8Rng::seed_from_u64(seed);
+            let graph = generators::random_bounded_degeneracy(n, density, &mut rng);
+            // Capacities on both sides of the degeneracy.
+            let d = degeneracy(&graph);
+            let k = rng.gen_range(1..d + 3);
+            let read = |payload: &BitString| {
+                PowerSumSketch::read(&mut payload.reader(), n as u64, k)
+            };
+            let mut payloads: Vec<BitString> =
+                encode_graph(&graph, k).iter().map(PowerSumSketch::write).collect();
+            let read_all = |payloads: &[BitString]| -> Vec<PowerSumSketch> {
+                payloads.iter().map(|payload| read(payload).unwrap()).collect()
+            };
+            let expected = if k >= d { Ok(&graph) } else { Err(()) };
+            let intact = decode_graph(&read_all(&payloads));
+            prop_assert_eq!(intact.as_ref().map_err(|_| ()), expected);
+
+            let victim = &payloads[rng.gen_range(0..n)];
+            for cut in 0..victim.len() {
+                prop_assert_eq!(read(&BitString::from_words(victim.words(), cut)), None);
+            }
+
+            for _ in 0..rng.gen_range(1..4) {
+                let payload = &mut payloads[rng.gen_range(0..n)];
+                for _ in 0..rng.gen_range(1..4) {
+                    payload.toggle_bit(rng.gen_range(0..payload.len()));
+                }
+            }
+            let sketches = read_all(&payloads);
+            for sketch in &sketches {
+                if let Some(set) = sketch.decode() {
+                    let mut check = PowerSumSketch::new(n as u64, k);
+                    set.iter().for_each(|&x| check.add(x));
+                    prop_assert_eq!(&check, sketch);
+                }
+            }
+            if let Ok(decoded) = decode_graph(&sketches) {
+                prop_assert_eq!(encode_graph(&decoded, k), sketches);
+            }
         }
     }
 }

@@ -18,18 +18,26 @@
 //! candidate elements (`O(m·k)`), and solves the transposed Vandermonde
 //! system for the signs in closed form from the locator's quotients
 //! (`O(k²)`, no elimination). A final check that every sign is `±1` and a
-//! re-sketch of all `2k` sums reject every inconsistent input, exactly as
-//! in [`PowerSumSketch::decode`]. A whole decode is `O(k² + m·k)` field
-//! operations.
+//! re-sketch of all `2k` sums reject every inconsistent input. A whole
+//! decode is `O(k² + m·k)` field operations. The root scan, the re-sketch,
+//! the update and the wire layout of the sums are the ones
+//! [`PowerSumSketch`] uses, from the crate's shared power-sum core.
 //!
 //! Because the power-sum map is linear, merging two disjoint summaries,
 //! peeling a recovered part, and the incidence-cancellation above are all
 //! pointwise field operations ([`SignedPowerSumSketch::merge`] /
 //! [`SignedPowerSumSketch::subtract`]).
 //!
-//! [`PowerSumSketch::decode`]: crate::sketch::PowerSumSketch::decode
+//! The sketch owns its wire format: [`SignedPowerSumSketch::write`],
+//! [`SignedPowerSumSketch::read`] and [`SignedPowerSumSketch::encoded_bits`],
+//! its size.
+//!
+//! [`PowerSumSketch`]: crate::sketch::PowerSumSketch
+
+use clique_sim::bits::{BitReader, BitString};
 
 use crate::field::PrimeField;
+use crate::power_sums::PowerSums;
 
 /// A linear sketch of a signed set over `{0, …, universe-1}` (multiplicities
 /// in `{−1, 0, +1}`) that can be decoded exactly while at most `capacity`
@@ -51,15 +59,18 @@ use crate::field::PrimeField;
 /// mirror.remove(7);
 /// sketch.merge(&mirror);
 /// assert_eq!(sketch.decode(), Some(vec![(13, -1), (42, 1)]));
+///
+/// // On the wire: the 2k power sums.
+/// let payload = sketch.write();
+/// assert_eq!(payload.len(), sketch.encoded_bits());
+/// let read = SignedPowerSumSketch::read(&mut payload.reader(), 100, 3);
+/// assert_eq!(read, Some(sketch));
 /// ```
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct SignedPowerSumSketch {
-    field: PrimeField,
-    universe: u64,
-    capacity: usize,
-    /// `sums[i]` is the `(i+1)`-st signed power sum; `2 * capacity` of them,
-    /// so Berlekamp–Massey can pin recurrences of order up to `capacity`.
-    sums: Vec<u64>,
+    /// The `2 * capacity` signed power sums, so Berlekamp–Massey can pin
+    /// recurrences of order up to `capacity`.
+    core: PowerSums,
 }
 
 impl SignedPowerSumSketch {
@@ -70,30 +81,24 @@ impl SignedPowerSumSketch {
     ///
     /// Panics if `capacity == 0` or `universe == 0`.
     pub fn new(universe: u64, capacity: usize) -> Self {
-        assert!(universe > 0, "universe must be non-empty");
-        assert!(capacity > 0, "capacity must be positive");
-        let field = PrimeField::for_universe(universe + 1, capacity as u64);
         Self {
-            field,
-            universe,
-            capacity,
-            sums: vec![0; 2 * capacity],
+            core: PowerSums::new(universe, capacity, 2 * capacity),
         }
     }
 
     /// The sketch capacity `k` (maximum decodable support size).
     pub fn capacity(&self) -> usize {
-        self.capacity
+        self.core.capacity()
     }
 
     /// The universe size.
     pub fn universe(&self) -> u64 {
-        self.universe
+        self.core.universe()
     }
 
     /// The underlying field.
     pub fn field(&self) -> PrimeField {
-        self.field
+        self.core.field()
     }
 
     /// Returns `true` if the sketch is identically zero. For honestly
@@ -102,7 +107,7 @@ impl SignedPowerSumSketch {
     /// the `2k` power sums of ≤ 2k distinct nonzero field elements form a
     /// full-rank Vandermonde system, which has no nonzero kernel.
     pub fn is_zero(&self) -> bool {
-        self.sums.iter().all(|&s| s == 0)
+        self.core.is_zero()
     }
 
     /// Adds element `x` with multiplicity `+1`.
@@ -111,7 +116,7 @@ impl SignedPowerSumSketch {
     ///
     /// Panics if `x >= universe`.
     pub fn add(&mut self, x: u64) {
-        self.update(x, true);
+        self.core.update(x, true);
     }
 
     /// Adds element `x` with multiplicity `−1`.
@@ -120,25 +125,7 @@ impl SignedPowerSumSketch {
     ///
     /// Panics if `x >= universe`.
     pub fn remove(&mut self, x: u64) {
-        self.update(x, false);
-    }
-
-    fn update(&mut self, x: u64, positive: bool) {
-        assert!(
-            x < self.universe,
-            "element {x} outside universe {}",
-            self.universe
-        );
-        let shifted = self.field.reduce(x + 1);
-        let mut power = 1u64;
-        for sum in &mut self.sums {
-            power = self.field.mul(power, shifted);
-            *sum = if positive {
-                self.field.add(*sum, power)
-            } else {
-                self.field.sub(*sum, power)
-            };
-        }
+        self.core.update(x, false);
     }
 
     /// Pointwise sum `self + other`: the sketch of the multiplicity-wise
@@ -148,11 +135,7 @@ impl SignedPowerSumSketch {
     ///
     /// Panics if the sketches have different parameters.
     pub fn merge(&mut self, other: &SignedPowerSumSketch) {
-        assert_eq!(self.capacity, other.capacity, "capacity mismatch");
-        assert_eq!(self.universe, other.universe, "universe mismatch");
-        for (s, o) in self.sums.iter_mut().zip(&other.sums) {
-            *s = self.field.add(*s, *o);
-        }
+        self.core.combine(&other.core, true);
     }
 
     /// Pointwise difference `self − other`.
@@ -161,34 +144,7 @@ impl SignedPowerSumSketch {
     ///
     /// Panics if the sketches have different parameters.
     pub fn subtract(&mut self, other: &SignedPowerSumSketch) {
-        assert_eq!(self.capacity, other.capacity, "capacity mismatch");
-        assert_eq!(self.universe, other.universe, "universe mismatch");
-        for (s, o) in self.sums.iter_mut().zip(&other.sums) {
-            *s = self.field.sub(*s, *o);
-        }
-    }
-
-    /// The raw power sums (for serialisation): `2 * capacity` field
-    /// elements.
-    pub fn power_sums(&self) -> &[u64] {
-        &self.sums
-    }
-
-    /// Rebuilds a sketch from raw parts (as received over the network).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `sums.len() != 2 * capacity` or the parameters are invalid.
-    pub fn from_parts(universe: u64, capacity: usize, sums: Vec<u64>) -> Self {
-        assert_eq!(
-            sums.len(),
-            2 * capacity,
-            "expected {} power sums",
-            2 * capacity
-        );
-        let mut sketch = Self::new(universe, capacity);
-        sketch.sums = sums.into_iter().map(|s| sketch.field.reduce(s)).collect();
-        sketch
+        self.core.combine(&other.core, false);
     }
 
     /// Decodes the signed set by scanning the whole universe for roots.
@@ -197,7 +153,7 @@ impl SignedPowerSumSketch {
     /// when the sketch does not correspond to a signed set of at most
     /// `capacity` elements with multiplicities `±1`.
     pub fn decode(&self) -> Option<Vec<(u64, i8)>> {
-        self.decode_scan(None)
+        self.decode_scan(0..self.universe())
     }
 
     /// Decodes the signed set, restricting the root scan to `candidates`.
@@ -216,20 +172,21 @@ impl SignedPowerSumSketch {
             candidates.windows(2).all(|w| w[0] < w[1]),
             "candidates must be strictly increasing"
         );
-        self.decode_scan(Some(candidates))
+        self.decode_scan(candidates.iter().copied())
     }
 
     /// The decoder: Berlekamp–Massey on the `2k` sums (`O(k²)`), a root
     /// scan of the locator polynomial over the `m` candidates (`O(m·k)`),
     /// the closed-form sign solve (`O(k²)`), and the ±1 and full re-sketch
     /// checks (`O(k²)`) — `O(k² + m·k)` in all.
-    fn decode_scan(&self, candidates: Option<&[u64]>) -> Option<Vec<(u64, i8)>> {
+    fn decode_scan(&self, candidates: impl IntoIterator<Item = u64>) -> Option<Vec<(u64, i8)>> {
         if self.is_zero() {
             return Some(Vec::new());
         }
         let (support, locator) = self.locate_support(candidates)?;
-        let roots: Vec<u64> = support.iter().map(|&x| self.field.reduce(x + 1)).collect();
-        let coefficients = solve_transposed_vandermonde(self.field, &roots, &locator, &self.sums);
+        let f = self.core.field();
+        let roots: Vec<u64> = support.iter().map(|&x| f.reduce(x + 1)).collect();
+        let coefficients = solve_transposed_vandermonde(f, &roots, &locator, self.core.sums());
         self.verify_signs(&support, &coefficients)
     }
 
@@ -239,78 +196,68 @@ impl SignedPowerSumSketch {
     /// `Π_i (X − r_i)`, constant term first; `None` when the recurrence
     /// order exceeds the capacity or the locator does not split into
     /// distinct roots among the candidates.
-    fn locate_support(&self, candidates: Option<&[u64]>) -> Option<(Vec<u64>, Vec<u64>)> {
-        let f = self.field;
-
+    fn locate_support(
+        &self,
+        candidates: impl IntoIterator<Item = u64>,
+    ) -> Option<(Vec<u64>, Vec<u64>)> {
         // Minimal linear recurrence of the sum sequence. A signed set
         // {(x_i, c_i)} has p_j = Σ_i (c_i r_i) r_i^(j-1) with r_i = x_i + 1
         // distinct and nonzero and c_i r_i ≠ 0, so the minimal recurrence
         // has order exactly the support size and characteristic polynomial
         // Π_i (X − r_i) — recoverable from 2·capacity sums while the
         // support is at most `capacity`.
-        let connection = berlekamp_massey(f, &self.sums);
+        let connection = berlekamp_massey(self.core.field(), self.core.sums());
         let t = connection.len() - 1;
-        if t == 0 || t > self.capacity {
+        if t == 0 || t > self.capacity() {
             return None;
         }
 
         // Characteristic polynomial X^t · C(1/X), constant term first: the
         // monic locator polynomial.
         let locator: Vec<u64> = connection.iter().rev().copied().collect();
-
-        // Roots among the (shifted) candidate elements.
-        let mut support = Vec::with_capacity(t);
-        let mut scan = |x: u64| -> bool {
-            if f.eval_poly(&locator, f.reduce(x + 1)) == 0 {
-                support.push(x);
-                return support.len() > t;
-            }
-            false
-        };
-        match candidates {
-            Some(list) => {
-                for &x in list {
-                    debug_assert!(x < self.universe, "candidate outside universe");
-                    if scan(x) {
-                        break;
-                    }
-                }
-            }
-            None => {
-                for x in 0..self.universe {
-                    if scan(x) {
-                        break;
-                    }
-                }
-            }
-        }
-        (support.len() == t).then_some((support, locator))
+        let support = self.core.roots(&locator, candidates)?;
+        Some((support, locator))
     }
 
     /// Accepts the solved multiplicities only if every one is `±1` and the
     /// signed set they describe reproduces all `2k` power sums.
     fn verify_signs(&self, support: &[u64], coefficients: &[u64]) -> Option<Vec<(u64, i8)>> {
-        let minus_one = self.field.modulus() - 1;
-        let mut signed = Vec::with_capacity(support.len());
-        let mut check = SignedPowerSumSketch::new(self.universe, self.capacity);
-        for (&x, &c) in support.iter().zip(coefficients) {
-            if c == 1 {
-                check.add(x);
-                signed.push((x, 1i8));
-            } else if c == minus_one {
-                check.remove(x);
-                signed.push((x, -1i8));
-            } else {
-                return None;
-            }
-        }
-        (check.sums == self.sums).then_some(signed)
+        let minus_one = self.core.field().modulus() - 1;
+        let signed = support
+            .iter()
+            .zip(coefficients)
+            .map(|(&x, &c)| match c {
+                1 => Some((x, 1i8)),
+                _ if c == minus_one => Some((x, -1i8)),
+                _ => None,
+            })
+            .collect::<Option<Vec<_>>>()?;
+        let set = signed.iter().map(|&(x, sign)| (x, sign > 0));
+        self.core.reproduced_by(set).then_some(signed)
     }
 
-    /// Number of bits needed to transmit this sketch: `2 · capacity` field
-    /// elements.
+    /// The blackboard payload: the `2 · capacity` power sums in `⌈log₂ p⌉`
+    /// bits each, and no count, which carries no support information.
+    pub fn write(&self) -> BitString {
+        let mut bits = BitString::with_capacity(self.encoded_bits());
+        self.core.write(&mut bits);
+        bits
+    }
+
+    /// Reads the sketch [`Self::write`] put at the front of `reader`,
+    /// reducing every power sum mod `p`; `None` if the reader runs short.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `capacity == 0` or `universe == 0`.
+    pub fn read(reader: &mut BitReader<'_>, universe: u64, capacity: usize) -> Option<Self> {
+        let core = PowerSums::new(universe, capacity, 2 * capacity).read(reader)?;
+        Some(Self { core })
+    }
+
+    /// The length of [`Self::write`]'s payload: `O(k log universe)` bits.
     pub fn encoded_bits(&self) -> usize {
-        signed_sketch_bits(self.universe, self.capacity)
+        self.core.encoded_bits()
     }
 }
 
@@ -401,15 +348,6 @@ fn solve_transposed_vandermonde(
         .collect()
 }
 
-/// Number of bits needed to transmit a signed sketch over
-/// `{0,…,universe-1}` with the given capacity: `2 · capacity` field
-/// elements of `O(log universe)` bits each — no count word, since the
-/// signed cardinality carries no support information.
-pub fn signed_sketch_bits(universe: u64, capacity: usize) -> usize {
-    let field = PrimeField::for_universe(universe + 1, capacity as u64);
-    2 * capacity * field.element_bits()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -448,17 +386,17 @@ mod tests {
     /// closed form and by elimination on the explicit system
     /// `Σ_i c_i r_i^j = p_j` (`j = 1, …, t`).
     fn solve_both_ways(sketch: &SignedPowerSumSketch) -> Option<(Vec<u64>, Vec<Option<u64>>)> {
-        let f = sketch.field;
-        let (support, locator) = sketch.locate_support(None)?;
+        let (f, sums) = (sketch.core.field(), sketch.core.sums());
+        let (support, locator) = sketch.locate_support(0..sketch.universe())?;
         let roots: Vec<u64> = support.iter().map(|&x| f.reduce(x + 1)).collect();
         let t = roots.len();
-        let closed = solve_transposed_vandermonde(f, &roots, &locator, &sketch.sums);
+        let closed = solve_transposed_vandermonde(f, &roots, &locator, sums);
         let mut matrix = vec![vec![0u64; t + 1]; t];
         for (j, row) in matrix.iter_mut().enumerate() {
             for (i, &r) in roots.iter().enumerate() {
                 row[i] = f.pow(r, (j + 1) as u64);
             }
-            row[t] = sketch.sums[j];
+            row[t] = sums[j];
         }
         let eliminated = match solve_linear_system(f, &mut matrix) {
             Some(solution) => solution.into_iter().map(Some).collect(),
@@ -473,7 +411,7 @@ mod tests {
         if sketch.is_zero() {
             return Some(Vec::new());
         }
-        let (support, _) = sketch.locate_support(None)?;
+        let (support, _) = sketch.locate_support(0..sketch.universe())?;
         let (_, eliminated) = solve_both_ways(sketch)?;
         let coefficients: Option<Vec<u64>> = eliminated.into_iter().collect();
         sketch.verify_signs(&support, &coefficients?)
@@ -531,6 +469,67 @@ mod tests {
                 prop_assert_eq!(decoded, Some(set));
             } else {
                 prop_assert_eq!(decoded, None);
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Payloads off the wire: every proper prefix reads as `None`. A
+        /// payload with 1–3 bits flipped, or one of random field values,
+        /// still reads, and `decode_among` never panics on it. Whatever
+        /// decodes is sound: the signed set re-sketches to the sketch it
+        /// came from.
+        #[test]
+        fn tampered_payloads_never_panic_or_misdecode(
+            capacity in 1usize..12,
+            size in 0usize..24,
+            seed in any::<u64>(),
+        ) {
+            let mut rng = ChaCha8Rng::seed_from_u64(seed);
+            let universe = 16 * capacity as u64 + 64;
+            let candidates: Vec<u64> = (0..universe).filter(|_| rng.gen_bool(0.5)).collect();
+            let mut support = candidates.clone();
+            support.shuffle(&mut rng);
+            let mut sketch = SignedPowerSumSketch::new(universe, capacity);
+            for &x in support.iter().take(size) {
+                if rng.gen_bool(0.5) {
+                    sketch.add(x);
+                } else {
+                    sketch.remove(x);
+                }
+            }
+            let read = |payload: &BitString| {
+                SignedPowerSumSketch::read(&mut payload.reader(), universe, capacity)
+            };
+
+            let payload = sketch.write();
+            for cut in 0..payload.len() {
+                prop_assert_eq!(read(&BitString::from_words(payload.words(), cut)), None);
+            }
+
+            let mut flipped = payload.clone();
+            for _ in 0..rng.gen_range(1..4) {
+                flipped.toggle_bit(rng.gen_range(0..flipped.len()));
+            }
+            let mut random = BitString::new();
+            for _ in 0..2 * capacity {
+                random.push_bits(rng.gen(), sketch.field().element_bits());
+            }
+            for tampered in [flipped, random] {
+                let tampered = read(&tampered).expect("a full-length payload reads");
+                if let Some(set) = tampered.decode_among(&candidates) {
+                    let mut check = SignedPowerSumSketch::new(universe, capacity);
+                    for &(x, sign) in &set {
+                        if sign > 0 {
+                            check.add(x);
+                        } else {
+                            check.remove(x);
+                        }
+                    }
+                    prop_assert_eq!(&check, &tampered);
+                }
             }
         }
     }
@@ -650,24 +649,11 @@ mod tests {
     }
 
     #[test]
-    fn from_parts_round_trip() {
-        let mut sketch = SignedPowerSumSketch::new(100, 4);
-        sketch.add(7);
-        sketch.remove(77);
-        let rebuilt = SignedPowerSumSketch::from_parts(100, 4, sketch.power_sums().to_vec());
-        assert_eq!(rebuilt, sketch);
-        assert_eq!(rebuilt.decode(), Some(vec![(7, 1), (77, -1)]));
-    }
-
-    #[test]
     fn encoded_bits_scale_as_k_log_n() {
-        assert!(signed_sketch_bits(100, 8) > 3 * signed_sketch_bits(100, 2) / 2);
-        // 2k field elements of ⌈log₂ p⌉ ≈ 7 bits each.
-        assert!(signed_sketch_bits(100, 8) <= 2 * 8 * 8);
-        assert_eq!(
-            SignedPowerSumSketch::new(100, 8).encoded_bits(),
-            signed_sketch_bits(100, 8)
-        );
+        let bits = |capacity| SignedPowerSumSketch::new(100, capacity).encoded_bits();
+        assert!(bits(8) > 3 * bits(2) / 2);
+        // 2k field elements of ⌈log₂ 103⌉ = 7 bits each.
+        assert_eq!(bits(8), 2 * 8 * 7);
     }
 
     #[test]

@@ -8,13 +8,18 @@
 //! sums into the elementary symmetric polynomials, these are the coefficients
 //! of the locator polynomial `Π_{x ∈ S}(X − (x+1))`, and the roots are found
 //! by evaluating the polynomial over the (known, polynomially small)
-//! universe.
+//! universe. A re-sketch of the roots rejects every inconsistent input.
 //!
 //! Sketches are linear: adding or removing an element updates every power sum
 //! in `O(k)` time, which is what allows the graph-reconstruction decoder to
 //! "peel" recovered edges out of the remaining sketches.
+//!
+//! The sketch owns its wire format: [`PowerSumSketch::write`],
+//! [`PowerSumSketch::read`] and [`PowerSumSketch::encoded_bits`], its size.
 
-use crate::field::PrimeField;
+use clique_sim::bits::{bits_for_universe, BitReader, BitString};
+
+use crate::power_sums::PowerSums;
 
 /// A linear sketch of a subset of `{0, …, universe-1}` that can be decoded
 /// exactly while the set has at most `capacity` elements.
@@ -32,17 +37,20 @@ use crate::field::PrimeField;
 ///
 /// sketch.remove(17);
 /// assert_eq!(sketch.decode(), Some(vec![3, 42]));
+///
+/// // On the wire: the count, then the power sums.
+/// let payload = sketch.write();
+/// assert_eq!(payload.len(), sketch.encoded_bits());
+/// let read = PowerSumSketch::read(&mut payload.reader(), 100, 4);
+/// assert_eq!(read, Some(sketch));
 /// ```
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct PowerSumSketch {
-    field: PrimeField,
-    universe: u64,
-    capacity: usize,
-    /// Signed cardinality of the sketched (multi)set; removals below zero are
-    /// tracked so that `subtract` is a total operation.
+    /// The `capacity` power sums.
+    core: PowerSums,
+    /// Insertions minus removals: the set's size (a node's degree, when it
+    /// sketches its neighbourhood).
     count: i64,
-    /// `sums[i]` is the `(i+1)`-st power sum.
-    sums: Vec<u64>,
 }
 
 impl PowerSumSketch {
@@ -53,31 +61,15 @@ impl PowerSumSketch {
     ///
     /// Panics if `capacity == 0` or `universe == 0`.
     pub fn new(universe: u64, capacity: usize) -> Self {
-        assert!(universe > 0, "universe must be non-empty");
-        assert!(capacity > 0, "capacity must be positive");
-        let field = PrimeField::for_universe(universe + 1, capacity as u64);
         Self {
-            field,
-            universe,
-            capacity,
+            core: PowerSums::new(universe, capacity, capacity),
             count: 0,
-            sums: vec![0; capacity],
         }
     }
 
     /// The sketch capacity `k`.
     pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    /// The universe size.
-    pub fn universe(&self) -> u64 {
-        self.universe
-    }
-
-    /// The underlying field.
-    pub fn field(&self) -> PrimeField {
-        self.field
+        self.core.capacity()
     }
 
     /// Net number of elements currently sketched (insertions minus removals).
@@ -87,7 +79,7 @@ impl PowerSumSketch {
 
     /// Returns `true` if the sketch is identically zero (empty set).
     pub fn is_zero(&self) -> bool {
-        self.count == 0 && self.sums.iter().all(|&s| s == 0)
+        self.count == 0 && self.core.is_zero()
     }
 
     /// Adds element `x` to the sketch.
@@ -96,7 +88,8 @@ impl PowerSumSketch {
     ///
     /// Panics if `x >= universe`.
     pub fn add(&mut self, x: u64) {
-        self.update(x, true);
+        self.core.update(x, true);
+        self.count += 1;
     }
 
     /// Removes element `x` from the sketch (the inverse of [`Self::add`]).
@@ -105,59 +98,8 @@ impl PowerSumSketch {
     ///
     /// Panics if `x >= universe`.
     pub fn remove(&mut self, x: u64) {
-        self.update(x, false);
-    }
-
-    fn update(&mut self, x: u64, insert: bool) {
-        assert!(
-            x < self.universe,
-            "element {x} outside universe {}",
-            self.universe
-        );
-        let shifted = self.field.reduce(x + 1);
-        let mut power = 1u64;
-        for sum in &mut self.sums {
-            power = self.field.mul(power, shifted);
-            *sum = if insert {
-                self.field.add(*sum, power)
-            } else {
-                self.field.sub(*sum, power)
-            };
-        }
-        self.count += if insert { 1 } else { -1 };
-    }
-
-    /// The raw power sums (for serialisation).
-    pub fn power_sums(&self) -> &[u64] {
-        &self.sums
-    }
-
-    /// Rebuilds a sketch from raw parts (as received over the network).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `sums.len() != capacity` or the parameters are invalid.
-    pub fn from_parts(universe: u64, capacity: usize, count: i64, sums: Vec<u64>) -> Self {
-        assert_eq!(sums.len(), capacity, "expected {capacity} power sums");
-        let mut sketch = Self::new(universe, capacity);
-        sketch.count = count;
-        sketch.sums = sums.into_iter().map(|s| sketch.field.reduce(s)).collect();
-        sketch
-    }
-
-    /// Pointwise difference `self − other`, used by the peeling decoder to
-    /// remove already-recovered edges.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the sketches have different parameters.
-    pub fn subtract(&mut self, other: &PowerSumSketch) {
-        assert_eq!(self.capacity, other.capacity, "capacity mismatch");
-        assert_eq!(self.universe, other.universe, "universe mismatch");
-        for (s, o) in self.sums.iter_mut().zip(&other.sums) {
-            *s = self.field.sub(*s, *o);
-        }
-        self.count -= other.count;
+        self.core.update(x, false);
+        self.count -= 1;
     }
 
     /// Decodes the sketched set, provided it has between 0 and `capacity`
@@ -168,7 +110,7 @@ impl PowerSumSketch {
     /// most `capacity` distinct universe elements (e.g. the true set was
     /// larger than the capacity, or removals made it inconsistent).
     pub fn decode(&self) -> Option<Vec<u64>> {
-        if self.count < 0 || self.count as usize > self.capacity {
+        if self.count < 0 || self.count as usize > self.capacity() {
             return None;
         }
         let d = self.count as usize;
@@ -179,7 +121,7 @@ impl PowerSumSketch {
                 None
             };
         }
-        let f = self.field;
+        let (f, sums) = (self.core.field(), self.core.sums());
 
         // Newton's identities: i·e_i = Σ_{j=1..i} (−1)^{j−1} e_{i−j} p_j,
         // with e_0 = 1.
@@ -188,7 +130,7 @@ impl PowerSumSketch {
         for i in 1..=d {
             let mut acc = 0u64;
             for j in 1..=i {
-                let term = f.mul(elementary[i - j], self.sums[j - 1]);
+                let term = f.mul(elementary[i - j], sums[j - 1]);
                 if j % 2 == 1 {
                     acc = f.add(acc, term);
                 } else {
@@ -206,46 +148,53 @@ impl PowerSumSketch {
             coeffs[d - i] = signed;
         }
 
-        // Find roots among the (shifted) universe elements.
-        let mut roots = Vec::with_capacity(d);
-        for x in 0..self.universe {
-            if f.eval_poly(&coeffs, f.reduce(x + 1)) == 0 {
-                roots.push(x);
-                if roots.len() > d {
-                    break;
-                }
-            }
-        }
-        if roots.len() != d {
-            return None;
-        }
-        // Verify: re-sketch the recovered set and compare, to reject
-        // accidental factorisations that do not match the original sums.
-        let mut check = PowerSumSketch::new(self.universe, self.capacity);
-        for &r in &roots {
-            check.add(r);
-        }
-        if check.sums == self.sums {
-            Some(roots)
-        } else {
-            None
-        }
+        // Roots among the (shifted) universe, kept only if they re-sketch.
+        let roots = self.core.roots(&coeffs, 0..self.core.universe())?;
+        let set = roots.iter().map(|&r| (r, true));
+        self.core.reproduced_by(set).then_some(roots)
     }
 
-    /// Number of bits needed to transmit this sketch: the count plus
-    /// `capacity` field elements.
+    /// The blackboard payload: the count in `max(⌈log₂ universe⌉, 1)` bits,
+    /// then the `capacity` power sums in `⌈log₂ p⌉` bits each.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the count is negative or does not fit its field, which the
+    /// count of a set smaller than the universe always does.
+    pub fn write(&self) -> BitString {
+        let width = count_bits(self.core.universe());
+        assert!(
+            (0..1 << width).contains(&self.count),
+            "count {} does not fit {width} bits",
+            self.count
+        );
+        let mut bits = BitString::with_capacity(self.encoded_bits());
+        bits.push_bits(self.count as u64, width);
+        self.core.write(&mut bits);
+        bits
+    }
+
+    /// Reads the sketch [`Self::write`] put at the front of `reader`,
+    /// reducing every power sum mod `p`; `None` if the reader runs short.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `capacity == 0` or `universe == 0`.
+    pub fn read(reader: &mut BitReader<'_>, universe: u64, capacity: usize) -> Option<Self> {
+        let count = reader.read_bits(count_bits(universe))? as i64;
+        let core = PowerSums::new(universe, capacity, capacity).read(reader)?;
+        Some(Self { core, count })
+    }
+
+    /// The length of [`Self::write`]'s payload: the `O(k log n)` message of
+    /// Becker et al.
     pub fn encoded_bits(&self) -> usize {
-        sketch_bits(self.universe, self.capacity)
+        count_bits(self.core.universe()) + self.core.encoded_bits()
     }
 }
 
-/// Number of bits needed to transmit a sketch over `{0,…,universe-1}` with
-/// the given capacity: a set size in `0..=universe` plus `capacity` field
-/// elements. This is the `O(k log n)` message of Becker et al.
-pub fn sketch_bits(universe: u64, capacity: usize) -> usize {
-    let field = PrimeField::for_universe(universe + 1, capacity as u64);
-    let count_bits = clique_sim::bits::bits_for_universe(universe + 1);
-    count_bits + capacity * field.element_bits()
+fn count_bits(universe: u64) -> usize {
+    bits_for_universe(universe).max(1)
 }
 
 #[cfg(test)]
@@ -315,31 +264,6 @@ mod tests {
     }
 
     #[test]
-    fn subtract_peels_correctly() {
-        let mut a = PowerSumSketch::new(64, 5);
-        for x in [1u64, 2, 3, 10, 20] {
-            a.add(x);
-        }
-        let mut b = PowerSumSketch::new(64, 5);
-        for x in [2u64, 20] {
-            b.add(x);
-        }
-        a.subtract(&b);
-        assert_eq!(a.decode(), Some(vec![1, 3, 10]));
-    }
-
-    #[test]
-    fn from_parts_round_trip() {
-        let mut sketch = PowerSumSketch::new(100, 4);
-        for x in [7u64, 77] {
-            sketch.add(x);
-        }
-        let rebuilt =
-            PowerSumSketch::from_parts(100, 4, sketch.count(), sketch.power_sums().to_vec());
-        assert_eq!(rebuilt.decode(), Some(vec![7, 77]));
-    }
-
-    #[test]
     fn random_sets_round_trip() {
         let mut rng = ChaCha8Rng::seed_from_u64(12);
         for trial in 0..30 {
@@ -360,15 +284,10 @@ mod tests {
 
     #[test]
     fn encoded_bits_scale_as_k_log_n() {
-        let small = sketch_bits(100, 2);
-        let large = sketch_bits(100, 8);
-        assert!(large > 3 * small / 2);
-        // O(k log n): 8 elements of ~7 bits plus a 7-bit count.
-        assert!(sketch_bits(100, 8) <= 8 * 8 + 8);
-        assert_eq!(
-            PowerSumSketch::new(100, 8).encoded_bits(),
-            sketch_bits(100, 8)
-        );
+        let bits = |capacity| PowerSumSketch::new(100, capacity).encoded_bits();
+        assert!(bits(8) > 3 * bits(2) / 2);
+        // O(k log n): a 7-bit count and 8 field elements of 7 bits each.
+        assert_eq!(bits(8), 7 + 8 * 7);
     }
 
     #[test]

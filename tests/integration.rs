@@ -3,18 +3,21 @@
 
 use congested_clique::adaptive::detect_subgraph_adaptive;
 use congested_clique::circuits::{builders, matmul};
-use congested_clique::graphs::{degeneracy, extremal, generators, iso, Pattern};
+use congested_clique::graphs::{degeneracy, extremal, generators, iso, weighted, Pattern};
 use congested_clique::lower_bounds::{
     clique_detection_lower_bound, cycle_detection_lower_bound, triangle_nof_lower_bound,
     DetectorKind,
 };
+use congested_clique::mst::edge_key_universe;
 use congested_clique::sim::linalg::BitMatrix;
-use congested_clique::subgraph::detect_subgraph_turan;
+use congested_clique::sim::prelude::Metrics;
+use congested_clique::sketch::{PowerSumSketch, SignedPowerSumSketch};
+use congested_clique::subgraph::{detect_subgraph_turan, run_reconstruction_protocol};
 use congested_clique::triangle::{
     detect_triangle_dlp, detect_triangle_trivial, detect_triangle_via_matmul, MatMulStrategy,
 };
 use congested_clique::trivial::detect_by_full_broadcast;
-use congested_clique::{simulate_circuit, InputPartition};
+use congested_clique::{compute_msf, simulate_circuit, InputPartition};
 use rand::Rng;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -105,6 +108,38 @@ fn theorem7_round_counts_scale_sublinearly_for_bipartite_patterns() {
         tree.rounds(),
         trivial_tree.rounds()
     );
+}
+
+#[test]
+fn sketch_broadcasts_charge_exactly_their_encoded_bits() {
+    // Every node's sketch broadcast costs its sketch type's `encoded_bits`,
+    // in the reconstruction protocol and at each MST escalation level.
+    let charged = |metrics: &Metrics, label: &str| -> Vec<(u64, u64)> {
+        let phases = metrics.phases.iter().filter(|p| p.label == label);
+        phases.map(|p| (p.bits, p.rounds)).collect()
+    };
+    let mut r = rng(7);
+    for (n, b) in [(1usize, 1u64), (2, 4), (3, 9), (9, 1), (24, 4), (24, 9)] {
+        for k in [1, 2, 5] {
+            let g = generators::erdos_renyi(n, 0.3, &mut r);
+            let size = PowerSumSketch::new(n as u64, k).encoded_bits() as u64;
+            let run = run_reconstruction_protocol(&g, k, b as usize).unwrap();
+            let got = charged(&run.metrics, "broadcast neighbourhood sketches");
+            assert_eq!(got, [(n as u64 * size, size.div_ceil(b))]);
+        }
+        let g = weighted::weighted_erdos_renyi(n, 0.4, 50, &mut r);
+        let universe = edge_key_universe(n, g.max_weight()).unwrap();
+        let run = compute_msf(&g, 1, b as usize).unwrap();
+        let expected: Vec<_> = (0..run.phases)
+            .map(|level| {
+                let capacity = (1 << level).min(g.edge_count().max(1));
+                let size = SignedPowerSumSketch::new(universe, capacity).encoded_bits() as u64;
+                (n as u64 * size, size.div_ceil(b))
+            })
+            .collect();
+        let got = charged(&run.metrics, "broadcast incidence sketches");
+        assert_eq!(got, expected);
+    }
 }
 
 #[test]

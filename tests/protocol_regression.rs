@@ -23,10 +23,7 @@ use congested_clique::triangle::{
     detect_triangle_dlp, detect_triangle_trivial, detect_triangle_via_matmul, DlpTriangleDetection,
     MatMulStrategy,
 };
-use congested_clique::trivial::{
-    detect_by_full_broadcast, detect_by_gather_to_leader, FullBroadcastDetection,
-    GatherToLeaderDetection,
-};
+use congested_clique::trivial::{detect_by_full_broadcast, FullBroadcastDetection};
 use congested_clique::{
     compute_msf, simulate_circuit, CircuitSimulation, InputPartition, TuranSketchDetection,
 };
@@ -55,22 +52,6 @@ fn full_broadcast_matches_pre_redesign_counts() {
         .execute(&mut FullBroadcastDetection::new(&g, &pattern))
         .unwrap();
     assert_eq!((direct.rounds(), direct.total_bits()), (6, 576));
-}
-
-#[test]
-fn gather_to_leader_matches_pre_redesign_counts() {
-    let g = g24();
-    let pattern = Pattern::Clique(3);
-    let outcome = detect_by_gather_to_leader(&g, &pattern, 4).unwrap();
-    assert_eq!(
-        (outcome.contains, outcome.rounds(), outcome.total_bits()),
-        (true, 6, 552)
-    );
-    let config = CliqueConfig::unicast(24, 4);
-    let direct = Runner::new(config)
-        .execute(&mut GatherToLeaderDetection::new(&g, &pattern))
-        .unwrap();
-    assert_eq!((direct.rounds(), direct.total_bits()), (6, 552));
 }
 
 #[test]
