@@ -168,6 +168,13 @@ fn unpack_key(key: u64, n: u64) -> (usize, usize, u64) {
 /// are summed, decoded against the (public-order) candidate key list, and
 /// merged on their minimum cut key until no component makes progress.
 /// Returns `true` when every component decoded an empty cut (forest done).
+///
+/// A component whose decode fails, or yields an edge that does not cross
+/// its cut, is *stalled*: its sketch and its membership change only when
+/// it merges, and decoding is a pure function of both, so it is skipped
+/// until a merge absorbs it (the merged root starts unstalled). The
+/// merges, their order and the forest are those of re-decoding every
+/// component on every pass.
 fn contract_to_exhaustion(
     blackboard: &[SignedPowerSumSketch],
     candidates: &[u64],
@@ -186,15 +193,17 @@ fn contract_to_exhaustion(
         }
     }
     let mut finished = vec![false; n];
+    let mut stalled = vec![false; n];
     loop {
         let mut progress = false;
         for r in 0..n {
-            if dsu.find(r) != r || finished[r] {
+            if dsu.find(r) != r || finished[r] || stalled[r] {
                 continue;
             }
             let sketch = component[r].as_ref().expect("every root has a sketch");
             let Some(cut) = sketch.decode_among(candidates) else {
-                continue; // cut larger than capacity: wait for escalation
+                stalled[r] = true; // cut larger than capacity: wait for a merge or escalation
+                continue;
             };
             if cut.is_empty() {
                 finished[r] = true;
@@ -205,7 +214,8 @@ fn contract_to_exhaustion(
             let (u, v, w) = unpack_key(cut[0].0, n as u64);
             let (ru, rv) = (dsu.find(u), dsu.find(v));
             if (ru == r) == (rv == r) {
-                continue; // not a crossing edge: spurious decode, treat as over-capacity
+                stalled[r] = true; // not a crossing edge: spurious decode, treat as over-capacity
+                continue;
             }
             let other = if ru == r { rv } else { ru };
             let merged = {
@@ -220,7 +230,9 @@ fn contract_to_exhaustion(
             };
             dsu.union(u, v);
             forest.push((u, v, w));
-            component[dsu.find(r)] = Some(merged);
+            let root = dsu.find(r);
+            component[root] = Some(merged);
+            stalled[root] = false;
             progress = true;
         }
         if !progress {

@@ -7,20 +7,37 @@
 //! `p < 2³¹`, so products never overflow.
 //!
 //! **Reduced-operand contract.** [`PrimeField::add`], [`PrimeField::sub`],
-//! [`PrimeField::neg`], [`PrimeField::mul`] and [`PrimeField::eval_poly`]
-//! take operands that are already field elements (`< p`) and return field
-//! elements; debug builds assert it. [`PrimeField::reduce`] is the only
-//! entry point for raw integers (element shifts, sums read off the wire).
-//! In exchange, addition and subtraction are a compare-and-subtract with no
-//! division, multiplication costs one `%`, and each Horner step costs one
-//! `%` — the sketch decoders spend nearly all their time in these four.
+//! [`PrimeField::neg`], [`PrimeField::mul`] and the crate's Horner step
+//! and polynomial evaluation take operands that are already field elements
+//! (`< p`) and return field elements; debug builds assert it.
+//! [`PrimeField::reduce`] is the entry point for raw integers (element
+//! shifts, sums read off the wire), and the crate's wide reduction for
+//! `u128` sums of products.
+//!
+//! **No hardware divide.** Every reduction is Barrett's: the field stores
+//! `m = ⌊(2⁶⁴ − 1)/p⌋`, and `x mod p` is `x − q·p` for the estimate
+//! `q = ⌊x·m / 2⁶⁴⌋`. Because `2⁶⁴ − p ≤ m·p < 2⁶⁴`, the estimate is
+//! `⌊x/p⌋` or one less for every `u64` `x`, so one conditional subtraction
+//! finishes it: a reduction is one multiply-high, one multiply and one
+//! compare. Addition and subtraction are a compare-and-subtract;
+//! multiplication (`a·b < p² < 2⁶²`) and the Horner step
+//! (`acc·x + c < p² < 2⁶²`) each cost one reduction, and a `u128` sum of
+//! products costs three and a Horner step. The sketch decoders spend
+//! nearly all their time in these.
 
 use std::fmt;
+
+/// Points [`PrimeField::eval_poly`] evaluates per call, as independent
+/// Horner chains.
+pub(crate) const LANES: usize = 4;
 
 /// A prime field `F_p` with `p < 2³¹`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct PrimeField {
     p: u64,
+    /// Barrett's reciprocal `⌊(2⁶⁴ − 1)/p⌋`: a function of `p`, so the
+    /// derived `Eq` and `Hash` still compare moduli.
+    reciprocal: u64,
 }
 
 impl PrimeField {
@@ -35,13 +52,26 @@ impl PrimeField {
             "modulus {p} out of supported range"
         );
         assert!(is_prime_u64(p), "modulus {p} is not prime");
-        Self { p }
+        Self {
+            p,
+            reciprocal: u64::MAX / p,
+        }
     }
 
     /// The field suitable for sketching subsets of `{0, …, universe-1}` with
     /// capacity `k`: the smallest prime exceeding both `universe` and `k`.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `universe` and `k` are below `2³¹ − 1`, which keeps the
+    /// prime below `2³¹`.
     pub fn for_universe(universe: u64, k: u64) -> Self {
-        Self::new(next_prime(universe.max(k).max(2) + 1))
+        let floor = universe.max(k).max(2).saturating_add(1);
+        assert!(
+            floor < 1 << 31,
+            "universe {universe} and capacity {k} out of supported range"
+        );
+        Self::new(next_prime(floor))
     }
 
     /// The modulus `p`.
@@ -56,7 +86,22 @@ impl PrimeField {
 
     /// Reduces an arbitrary integer into the field.
     pub fn reduce(&self, x: u64) -> u64 {
-        x % self.p
+        let estimate = ((u128::from(x) * u128::from(self.reciprocal)) >> 64) as u64;
+        let r = x - estimate * self.p;
+        if r >= self.p {
+            r - self.p
+        } else {
+            r
+        }
+    }
+
+    /// Reduces a `u128` into the field without a divide: with
+    /// `x = h·2⁶⁴ + l`, it is the Horner step `h·(2⁶⁴ mod p) + l` on the
+    /// reduced words.
+    pub(crate) fn reduce_wide(&self, x: u128) -> u64 {
+        let two_pow_64 = self.add(self.reduce(u64::MAX), 1);
+        let (high, low) = (self.reduce((x >> 64) as u64), self.reduce(x as u64));
+        self.mul_add(high, two_pow_64, low)
     }
 
     /// Addition in `F_p` of two reduced operands.
@@ -93,12 +138,20 @@ impl PrimeField {
     /// Multiplication in `F_p` of two reduced operands (`a·b < p² < 2⁶²`).
     pub fn mul(&self, a: u64, b: u64) -> u64 {
         self.debug_assert_reduced(a, b);
-        a * b % self.p
+        self.reduce(a * b)
+    }
+
+    /// The Horner step `a·b + c` in `F_p` of three reduced operands
+    /// (`a·b + c < p² < 2⁶²`), with one reduction.
+    pub(crate) fn mul_add(&self, a: u64, b: u64, c: u64) -> u64 {
+        self.debug_assert_reduced(a, b);
+        self.debug_assert_reduced(c, 0);
+        self.reduce(a * b + c)
     }
 
     /// Exponentiation `a^e` in `F_p`.
     pub fn pow(&self, a: u64, mut e: u64) -> u64 {
-        let mut base = a % self.p;
+        let mut base = self.reduce(a);
         let mut acc = 1u64;
         while e > 0 {
             if e & 1 == 1 {
@@ -117,22 +170,20 @@ impl PrimeField {
     ///
     /// Panics if `a ≡ 0 (mod p)`.
     pub fn inv(&self, a: u64) -> u64 {
-        assert!(
-            !a.is_multiple_of(self.p),
-            "zero has no multiplicative inverse"
-        );
+        assert!(self.reduce(a) != 0, "zero has no multiplicative inverse");
         self.pow(a, self.p - 2)
     }
 
     /// Evaluates the polynomial with the given reduced coefficients
-    /// (constant term first) at the reduced point `x`, by Horner's rule.
-    /// Each step `acc·x + c < p² + p < 2⁶³` is reduced with one `%`.
-    pub fn eval_poly(&self, coefficients: &[u64], x: u64) -> u64 {
-        self.debug_assert_reduced(x, 0);
-        let mut acc = 0u64;
+    /// (constant term first) at each of the [`LANES`] reduced `points`, by
+    /// Horner's rule. The chains are independent, so the multiplies of one
+    /// point overlap the reductions of the others.
+    pub(crate) fn eval_poly(&self, coefficients: &[u64], points: [u64; LANES]) -> [u64; LANES] {
+        let mut acc = [0u64; LANES];
         for &c in coefficients.iter().rev() {
-            debug_assert!(c < self.p, "coefficient {c} not reduced mod {}", self.p);
-            acc = (acc * x + c) % self.p;
+            for (acc, &x) in acc.iter_mut().zip(&points) {
+                *acc = self.mul_add(*acc, x, c);
+            }
         }
         acc
     }
@@ -156,39 +207,52 @@ fn clique_element_bits(p: u64) -> usize {
     (64 - (p - 1).leading_zeros()) as usize
 }
 
-/// Deterministic Miller–Rabin primality test, exact for all `u64` values.
-pub fn is_prime_u64(n: u64) -> bool {
+/// Below this bound the Miller–Rabin [`WITNESSES`] decide primality
+/// exactly (Jaeschke, 1993); the bound itself, `48,781 · 97,561`, is the
+/// least composite all three pass.
+const THREE_WITNESS_BOUND: u64 = 4_759_123_141;
+
+/// The Miller–Rabin bases of [`is_prime_u64`].
+const WITNESSES: [u64; 3] = [2, 7, 61];
+
+/// Deterministic primality test for `n <` [`THREE_WITNESS_BOUND`], which
+/// covers every modulus a field accepts: trial division by the first
+/// twelve primes, then Miller–Rabin to the bases [`WITNESSES`].
+fn is_prime_u64(n: u64) -> bool {
+    const SMALL_PRIMES: [u64; 12] = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37];
+    debug_assert!(n < THREE_WITNESS_BOUND, "{n} is beyond the exact witnesses");
     if n < 2 {
         return false;
     }
-    for small in [2u64, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37] {
+    for small in SMALL_PRIMES {
         if n.is_multiple_of(small) {
             return n == small;
         }
     }
-    let mut d = n - 1;
-    let mut r = 0u32;
-    while d.is_multiple_of(2) {
-        d /= 2;
-        r += 1;
-    }
-    'witness: for &a in &[2u64, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37] {
-        let mut x = mod_pow_u128(a, d, n);
-        if x == 1 || x == n - 1 {
-            continue;
-        }
-        for _ in 0..r - 1 {
-            x = ((x as u128 * x as u128) % n as u128) as u64;
-            if x == n - 1 {
-                continue 'witness;
-            }
-        }
-        return false;
-    }
-    true
+    // A witness that is a multiple of `n` (61 for `n = 61`) proves nothing.
+    WITNESSES
+        .into_iter()
+        .filter(|a| !a.is_multiple_of(n))
+        .all(|a| is_strong_probable_prime(n, a))
 }
 
-fn mod_pow_u128(mut base: u64, mut exp: u64, modulus: u64) -> u64 {
+/// Whether the odd `n > 2` passes the Miller–Rabin round to base `a`.
+fn is_strong_probable_prime(n: u64, a: u64) -> bool {
+    let r = (n - 1).trailing_zeros();
+    let mut x = mod_pow_u128(a, (n - 1) >> r, n);
+    if x == 1 || x == n - 1 {
+        return true;
+    }
+    for _ in 1..r {
+        x = ((x as u128 * x as u128) % n as u128) as u64;
+        if x == n - 1 {
+            return true;
+        }
+    }
+    false
+}
+
+fn mod_pow_u128(base: u64, mut exp: u64, modulus: u64) -> u64 {
     let mut acc: u128 = 1;
     let m = modulus as u128;
     let mut b = base as u128 % m;
@@ -199,12 +263,12 @@ fn mod_pow_u128(mut base: u64, mut exp: u64, modulus: u64) -> u64 {
         b = b * b % m;
         exp >>= 1;
     }
-    base = acc as u64;
-    base
+    acc as u64
 }
 
-/// The smallest prime `≥ x`.
-pub fn next_prime(mut x: u64) -> u64 {
+/// The smallest prime `≥ x`; for `x ≤ 2³¹` it is below
+/// [`THREE_WITNESS_BOUND`], so every number it tests is too.
+fn next_prime(mut x: u64) -> u64 {
     if x <= 2 {
         return 2;
     }
@@ -220,6 +284,7 @@ pub fn next_prime(mut x: u64) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::{Rng, SeedableRng};
 
     #[test]
     fn primality_and_next_prime() {
@@ -234,6 +299,47 @@ mod tests {
         assert_eq!(next_prime(8), 11);
         assert_eq!(next_prime(11), 11);
         assert_eq!(next_prime(1000), 1009);
+    }
+
+    #[test]
+    fn primality_agrees_with_trial_division_below_2_pow_16() {
+        let trial_division = |n: u64| {
+            n >= 2
+                && (2..)
+                    .take_while(|d| d * d <= n)
+                    .all(|d| !n.is_multiple_of(d))
+        };
+        for n in 0..1 << 16 {
+            assert_eq!(is_prime_u64(n), trial_division(n), "n = {n}");
+        }
+    }
+
+    #[test]
+    fn three_witness_range_edges() {
+        // 61 is itself a witness: skipped, not mistaken for a liar.
+        assert!(is_prime_u64(61));
+        // The least strong pseudoprime to 2, 3, 5 and 7, below the bound.
+        assert!(!is_prime_u64(3_215_031_751));
+        // The bound is a composite that all three witnesses pass, so the
+        // test's domain must stop strictly below it.
+        assert_eq!(THREE_WITNESS_BOUND, 48_781 * 97_561);
+        assert!(WITNESSES
+            .into_iter()
+            .all(|a| is_strong_probable_prime(THREE_WITNESS_BOUND, a)));
+        assert!(is_prime_u64(4_294_967_291)); // the largest prime below 2^32
+        assert_eq!(next_prime(1 << 31), 2_147_483_659);
+    }
+
+    #[test]
+    #[should_panic(expected = "out of supported range")]
+    fn universe_beyond_the_largest_modulus_rejected() {
+        let _ = PrimeField::for_universe(1 << 31, 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "out of supported range")]
+    fn largest_universe_rejected_not_wrapped() {
+        let _ = crate::signed::SignedPowerSumSketch::new(u64::MAX, 1);
     }
 
     #[test]
@@ -287,51 +393,96 @@ mod tests {
     #[test]
     fn polynomial_evaluation() {
         let f = PrimeField::new(97);
-        // 3 + 2x + x^2 at x = 5 -> 3 + 10 + 25 = 38.
-        assert_eq!(f.eval_poly(&[3, 2, 1], 5), 38);
-        assert_eq!(f.eval_poly(&[], 5), 0);
-        assert_eq!(f.eval_poly(&[7], 5), 7);
+        // 3 + 2x + x^2 at x = 5, 0, 96, 1 -> 38, 3, 2, 6.
+        assert_eq!(f.eval_poly(&[3, 2, 1], [5, 0, 96, 1]), [38, 3, 2, 6]);
+        assert_eq!(f.eval_poly(&[], [5, 0, 96, 1]), [0; LANES]);
+        assert_eq!(f.eval_poly(&[7], [5, 0, 96, 1]), [7; LANES]);
     }
 
-    /// The largest prime below `2³¹`, where `a·b` and the Horner step come
-    /// closest to overflowing.
-    const P31: u64 = (1 << 31) - 1;
+    /// Primes from the smallest to the largest a field accepts: `2³¹ − 1`
+    /// is where `a·b` and the Horner step come closest to overflowing, and
+    /// `2²⁰ − 3` is the largest prime below `2²⁰`.
+    const PRIMES: [u64; 5] = [2, 3, 97, 1_048_573, (1 << 31) - 1];
 
     #[test]
-    fn reduced_operand_ops_match_u128_reference_at_the_largest_prime() {
-        use rand::{Rng, SeedableRng};
-        let f = PrimeField::new(P31);
-        let p = P31 as u128;
+    fn reduced_operand_ops_match_u128_reference_at_several_primes() {
         let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(0xF1E1D);
-        let edges = [0u64, 1, 2, P31 / 2, P31 - 2, P31 - 1];
-        let mut operands: Vec<u64> = edges.to_vec();
-        operands.extend((0..200).map(|_| rng.gen_range(0..P31)));
-        for &a in &operands {
-            for &b in edges.iter().chain(&operands[..40]) {
-                let (wa, wb) = (a as u128, b as u128);
-                assert_eq!(f.add(a, b) as u128, (wa + wb) % p);
-                assert_eq!(f.sub(a, b) as u128, (wa + p - wb) % p);
-                assert_eq!(f.mul(a, b) as u128, wa * wb % p);
-            }
-            assert_eq!(f.neg(a) as u128, (p - a as u128) % p);
-            assert_eq!(f.reduce(a + P31), a);
-        }
-        for len in [0usize, 1, 2, 7, 64] {
-            let coefficients: Vec<u64> = (0..len)
-                .map(|i| {
-                    if i % 3 == 0 {
-                        P31 - 1
-                    } else {
-                        rng.gen_range(0..P31)
+        for p in PRIMES {
+            let f = PrimeField::new(p);
+            let wide = p as u128;
+            let edges = [0u64, 1, p / 2, p - 2, p - 1];
+            let mut operands = edges.to_vec();
+            operands.extend((0..200).map(|_| rng.gen_range(0..p)));
+            for &a in &operands {
+                for &b in edges.iter().chain(&operands[..40]) {
+                    let (wa, wb) = (a as u128, b as u128);
+                    assert_eq!(f.add(a, b) as u128, (wa + wb) % wide);
+                    assert_eq!(f.sub(a, b) as u128, (wa + wide - wb) % wide);
+                    assert_eq!(f.mul(a, b) as u128, wa * wb % wide);
+                    for &c in &edges {
+                        assert_eq!(
+                            f.mul_add(a, b, c) as u128,
+                            (wa * wb + c as u128) % wide,
+                            "p = {p}: {a}·{b} + {c}"
+                        );
                     }
-                })
-                .collect();
-            for &x in &operands[..20] {
-                let reference = coefficients
-                    .iter()
-                    .rev()
-                    .fold(0u128, |acc, &c| (acc * x as u128 + c as u128) % p);
-                assert_eq!(f.eval_poly(&coefficients, x) as u128, reference);
+                }
+                assert_eq!(f.neg(a) as u128, (wide - a as u128) % wide);
+                assert_eq!(f.reduce(a + p), a);
+            }
+            for len in [0usize, 1, 2, 7, 64] {
+                let coefficients: Vec<u64> = (0..len)
+                    .map(|i| {
+                        if i % 3 == 0 {
+                            p - 1
+                        } else {
+                            rng.gen_range(0..p)
+                        }
+                    })
+                    .collect();
+                for points in operands[..20].chunks_exact(LANES) {
+                    let reference = points.iter().map(|&x| {
+                        coefficients
+                            .iter()
+                            .rev()
+                            .fold(0u128, |acc, &c| (acc * x as u128 + c as u128) % wide)
+                            as u64
+                    });
+                    let points: [u64; LANES] = points.try_into().unwrap();
+                    assert!(f.eval_poly(&coefficients, points).into_iter().eq(reference));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn barrett_reductions_match_the_remainder() {
+        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(0xBA22);
+        for p in PRIMES {
+            let f = PrimeField::new(p);
+            let mut edges = vec![0, 1, p - 1, p, p + 1, 2 * p - 1, 2 * p, 1 << 62];
+            edges.extend([(1 << 63) - 1, 1 << 63, u64::MAX - 1, u64::MAX]);
+            // Around the multiples of p nearest 2⁶⁴, where the estimate
+            // can fall one short.
+            let top = u64::MAX / p * p;
+            edges.extend([top - 1, top, top - p, top - p + 1]);
+            let mut values = edges.clone();
+            values.extend((0..2_000).map(|_| rng.gen::<u64>()));
+            for &x in &values {
+                assert_eq!(f.reduce(x), x % p, "{x} mod {p}");
+            }
+            // `u128`s with an edge as one word and any value as the other,
+            // and Berlekamp–Massey's sums of thousands of products below p².
+            let wide = u128::from(p);
+            let mut wides = vec![(wide - 1) * (wide - 1) * 4_096, wide * wide * 600 - 1];
+            for &edge in &edges {
+                for &value in &values {
+                    let (edge, value) = (u128::from(edge), u128::from(value));
+                    wides.extend([edge << 64 | value, value << 64 | edge]);
+                }
+            }
+            for x in wides {
+                assert_eq!(u128::from(f.reduce_wide(x)), x % wide, "{x} mod {p}");
             }
         }
     }

@@ -6,7 +6,8 @@
 //! of its neighbourhood from which the entire graph can be reconstructed.
 //! This crate implements that substrate:
 //!
-//! * [`field`] — prime-field arithmetic (`F_p`, `p > n`),
+//! * [`field`] — prime-field arithmetic (`F_p`, `p > n`) with Barrett
+//!   reduction, so no field arithmetic runs a hardware divide,
 //! * [`sketch`] — linear power-sum sketches of vertex sets with exact
 //!   decoding via Newton's identities and locator-polynomial root finding,
 //! * [`mod@reconstruct`] — the encode/peel-decode pair implementing algorithm
@@ -17,7 +18,7 @@
 //!   summaries behind the sketch-based MST protocol.
 //!
 //! Both sketch types are built on one private power-sum core (the field
-//! choice, the ±1 update, merge and subtraction, the locator root scan,
+//! choice, the ±1 update, pointwise merge, the four-lane locator root scan,
 //! verify-by-re-sketch and the wire layout of the sums), and each owns its
 //! wire format: `write` puts the sketch on the blackboard, `read` parses it
 //! back (`None` when the payload runs short), and `encoded_bits` is the one

@@ -19,14 +19,19 @@
 //! system for the signs in closed form from the locator's quotients
 //! (`O(k²)`, no elimination). A final check that every sign is `±1` and a
 //! re-sketch of all `2k` sums reject every inconsistent input. A whole
-//! decode is `O(k² + m·k)` field operations. The root scan, the re-sketch,
+//! decode is `O(k² + m·k)` field operations, none of them a hardware
+//! divide: every product is reduced by the field's Barrett step, the root
+//! scan evaluates four candidates per pass as independent Horner chains,
+//! and each Berlekamp–Massey discrepancy is summed in `u128` and reduced
+//! once, by Barrett steps on its two words. The root scan, the re-sketch,
 //! the update and the wire layout of the sums are the ones
 //! [`PowerSumSketch`] uses, from the crate's shared power-sum core.
 //!
-//! Because the power-sum map is linear, merging two disjoint summaries,
-//! peeling a recovered part, and the incidence-cancellation above are all
-//! pointwise field operations ([`SignedPowerSumSketch::merge`] /
-//! [`SignedPowerSumSketch::subtract`]).
+//! Because the power-sum map is linear, merging two disjoint summaries and
+//! the incidence-cancellation above are pointwise field additions
+//! ([`SignedPowerSumSketch::merge`]); peeling a recovered element is an
+//! update of the opposite sign ([`SignedPowerSumSketch::remove`] of an
+//! added element).
 //!
 //! The sketch owns its wire format: [`SignedPowerSumSketch::write`],
 //! [`SignedPowerSumSketch::read`] and [`SignedPowerSumSketch::encoded_bits`],
@@ -135,16 +140,7 @@ impl SignedPowerSumSketch {
     ///
     /// Panics if the sketches have different parameters.
     pub fn merge(&mut self, other: &SignedPowerSumSketch) {
-        self.core.combine(&other.core, true);
-    }
-
-    /// Pointwise difference `self − other`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the sketches have different parameters.
-    pub fn subtract(&mut self, other: &SignedPowerSumSketch) {
-        self.core.combine(&other.core, false);
+        self.core.merge(&other.core);
     }
 
     /// Decodes the signed set by scanning the whole universe for roots.
@@ -265,39 +261,44 @@ impl SignedPowerSumSketch {
 /// `C(X) = 1 + c_1 X + … + c_L X^L` of the minimal recurrence
 /// `Σ_{i=0}^{L} c_i · s_{n-i} = 0` (with `c_0 = 1`) satisfied by the whole
 /// sequence. Returns the `L + 1` coefficients `[1, c_1, …, c_L]`.
+///
+/// A connection polynomial's degree never exceeds the order it was found
+/// at, so `previous` is kept at that length and each update runs over it
+/// alone. Each discrepancy sums at most `n` products below `2⁶²` in `u128`
+/// and is reduced once, with [`PrimeField::reduce_wide`].
 fn berlekamp_massey(f: PrimeField, sequence: &[u64]) -> Vec<u64> {
     let n = sequence.len();
     let mut current = vec![0u64; n + 1];
-    let mut previous = vec![0u64; n + 1];
     current[0] = 1;
-    previous[0] = 1;
+    let mut previous = vec![1u64];
     let mut order = 0usize; // L, the current recurrence order
     let mut gap = 1usize; // steps since `previous` last failed
     let mut last_discrepancy = 1u64;
     for i in 0..n {
-        let mut discrepancy = sequence[i];
-        for j in 1..=order {
-            discrepancy = f.add(discrepancy, f.mul(current[j], sequence[i - j]));
-        }
+        let discrepancy = current[1..=order]
+            .iter()
+            .zip(sequence[..i].iter().rev())
+            .fold(u128::from(sequence[i]), |sum, (&c, &s)| {
+                sum + u128::from(c) * u128::from(s)
+            });
+        let discrepancy = f.reduce_wide(discrepancy);
         if discrepancy == 0 {
             gap += 1;
             continue;
         }
-        let scale = f.mul(discrepancy, f.inv(last_discrepancy));
-        if 2 * order <= i {
-            let stale = current.clone();
-            for j in 0..=(n - gap) {
-                current[j + gap] = f.sub(current[j + gap], f.mul(scale, previous[j]));
+        let minus_scale = f.neg(f.mul(discrepancy, f.inv(last_discrepancy)));
+        let stale = (2 * order <= i).then(|| current[..=order].to_vec());
+        for (c, &b) in current[gap..].iter_mut().zip(&previous) {
+            *c = f.mul_add(minus_scale, b, *c);
+        }
+        match stale {
+            Some(stale) => {
+                order = i + 1 - order;
+                previous = stale;
+                last_discrepancy = discrepancy;
+                gap = 1;
             }
-            order = i + 1 - order;
-            previous = stale;
-            last_discrepancy = discrepancy;
-            gap = 1;
-        } else {
-            for j in 0..=(n - gap) {
-                current[j + gap] = f.sub(current[j + gap], f.mul(scale, previous[j]));
-            }
-            gap += 1;
+            None => gap += 1,
         }
     }
     current.truncate(order + 1);
@@ -334,12 +335,12 @@ fn solve_transposed_vandermonde(
             let mut paired = sums[t - 1];
             let mut q_at_root = 1u64;
             for j in (0..t - 1).rev() {
-                q = f.add(locator[j + 1], f.mul(r, q));
-                paired = f.add(paired, f.mul(q, sums[j]));
-                q_at_root = f.add(f.mul(q_at_root, r), q);
+                q = f.mul_add(r, q, locator[j + 1]);
+                paired = f.mul_add(q, sums[j], paired);
+                q_at_root = f.mul_add(q_at_root, r, q);
             }
             debug_assert_eq!(
-                f.add(locator[0], f.mul(r, q)),
+                f.mul_add(r, q, locator[0]),
                 0,
                 "r must be a root of the locator"
             );
@@ -415,6 +416,96 @@ mod tests {
         let (_, eliminated) = solve_both_ways(sketch)?;
         let coefficients: Option<Vec<u64>> = eliminated.into_iter().collect();
         sketch.verify_signs(&support, &coefficients?)
+    }
+
+    /// Berlekamp–Massey as it was before the lazily reduced discrepancy and
+    /// the shortened updates: every step reduced, every update over the
+    /// whole sequence. The oracle for [`berlekamp_massey`].
+    fn berlekamp_massey_oracle(f: PrimeField, sequence: &[u64]) -> Vec<u64> {
+        let n = sequence.len();
+        let mut current = vec![0u64; n + 1];
+        let mut previous = vec![0u64; n + 1];
+        current[0] = 1;
+        previous[0] = 1;
+        let mut order = 0usize; // L, the current recurrence order
+        let mut gap = 1usize; // steps since `previous` last failed
+        let mut last_discrepancy = 1u64;
+        for i in 0..n {
+            let mut discrepancy = sequence[i];
+            for j in 1..=order {
+                discrepancy = f.add(discrepancy, f.mul(current[j], sequence[i - j]));
+            }
+            if discrepancy == 0 {
+                gap += 1;
+                continue;
+            }
+            let scale = f.mul(discrepancy, f.inv(last_discrepancy));
+            if 2 * order <= i {
+                let stale = current.clone();
+                for j in 0..=(n - gap) {
+                    current[j + gap] = f.sub(current[j + gap], f.mul(scale, previous[j]));
+                }
+                order = i + 1 - order;
+                previous = stale;
+                last_discrepancy = discrepancy;
+                gap = 1;
+            } else {
+                for j in 0..=(n - gap) {
+                    current[j + gap] = f.sub(current[j + gap], f.mul(scale, previous[j]));
+                }
+                gap += 1;
+            }
+        }
+        current.truncate(order + 1);
+        current
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// The connection polynomial equals the oracle's on random
+        /// sequences of up to `2k` field elements (any recurrence order,
+        /// at small and large moduli) and on the `2k` sums of random
+        /// signed sets of up to `2k` elements, within and over capacity.
+        #[test]
+        fn berlekamp_massey_matches_the_oracle(
+            capacity in 1usize..40,
+            kind in 0u8..3,
+            seed in any::<u64>(),
+        ) {
+            let mut rng = ChaCha8Rng::seed_from_u64(seed);
+            let universe = match kind {
+                0 => 5,
+                1 => rng.gen_range(100..400),
+                _ => (1 << 30) - 40,
+            };
+            let sketch = |size: usize, rng: &mut ChaCha8Rng| {
+                let mut support = std::collections::BTreeSet::new();
+                while support.len() < size {
+                    support.insert(rng.gen_range(0..universe));
+                }
+                let mut sketch = SignedPowerSumSketch::new(universe, capacity);
+                for x in support {
+                    if rng.gen_bool(0.5) {
+                        sketch.add(x);
+                    } else {
+                        sketch.remove(x);
+                    }
+                }
+                sketch
+            };
+            let f = sketch(0, &mut rng).field();
+            let p = f.modulus();
+            let len = rng.gen_range(0..2 * capacity + 1);
+            let mut random: Vec<u64> = (0..len).map(|_| rng.gen_range(0..p)).collect();
+            if len > 0 && rng.gen_bool(0.3) {
+                random[rng.gen_range(0..len)] = p - 1;
+            }
+            prop_assert_eq!(berlekamp_massey(f, &random), berlekamp_massey_oracle(f, &random));
+            let size = rng.gen_range(0..(2 * capacity).min(universe as usize) + 1);
+            let sums = sketch(size, &mut rng).core.sums().to_vec();
+            prop_assert_eq!(berlekamp_massey(f, &sums), berlekamp_massey_oracle(f, &sums));
+        }
     }
 
     proptest! {
@@ -572,10 +663,8 @@ mod tests {
         b.add(31);
         a.merge(&b);
         assert_eq!(a.decode(), Some(vec![(12, 1), (31, 1)]));
-        let mut c = SignedPowerSumSketch::new(40, 3);
-        c.add(12);
-        c.add(31);
-        a.subtract(&c);
+        a.remove(12);
+        a.remove(31);
         assert!(a.is_zero());
     }
 
@@ -586,9 +675,7 @@ mod tests {
             sketch.add(x);
         }
         assert_eq!(sketch.decode(), None);
-        let mut peel = SignedPowerSumSketch::new(30, 3);
-        peel.add(4);
-        sketch.subtract(&peel);
+        sketch.remove(4);
         assert_eq!(sketch.decode(), Some(vec![(1, 1), (2, 1), (3, 1)]));
     }
 
