@@ -20,44 +20,44 @@ use clique_serve::{JobSpec, ServeError, Server, ServerConfig};
 #[derive(Clone, Debug, PartialEq)]
 pub struct ChaosReport {
     /// Label of the injected kind set (a single kind name or `"mixed"`).
-    pub kinds: String,
+    pub(crate) kinds: String,
     /// Injection rate in parts per million of deliveries.
-    pub rate_ppm: u32,
+    pub(crate) rate_ppm: u32,
     /// Jobs submitted.
-    pub jobs: usize,
+    pub(crate) jobs: usize,
     /// Jobs that came back `Ok`.
-    pub served: usize,
+    pub(crate) served: usize,
     /// Served records that matched the fault-free reference byte-for-byte.
-    pub served_identical: usize,
+    pub(crate) served_identical: usize,
     /// Served records that *diverged* from the reference — the harness
     /// exists to pin this at zero.
     pub silently_wrong: usize,
     /// Jobs that came back as a typed failure.
-    pub typed_failures: usize,
+    pub(crate) typed_failures: usize,
     /// Typed failures outside the classes chaos is allowed to produce
     /// (quarantine after transport faults/panics) — also pinned at zero.
     pub unexpected_failures: usize,
     /// Attempts that failed with a detected transport fault.
     pub faults_detected: u64,
     /// Re-executions beyond first attempts.
-    pub retries: u64,
+    pub(crate) retries: u64,
     /// Jobs that failed at least once and then succeeded on a retry.
     pub recovered: u64,
     /// Jobs that exhausted their retries and were quarantined.
-    pub quarantined: u64,
+    pub(crate) quarantined: u64,
 }
 
 impl ChaosReport {
     /// Fraction of damaged outcomes that surfaced as typed errors instead
     /// of silent corruption; `None` when the plan injected nothing.
-    pub fn detection_rate(&self) -> Option<f64> {
+    pub(crate) fn detection_rate(&self) -> Option<f64> {
         let damaged = self.faults_detected + self.silently_wrong as u64;
         (damaged > 0).then(|| self.faults_detected as f64 / damaged as f64)
     }
 
     /// Fraction of faulted jobs the retry layer brought back; `None` when
     /// no job ever faulted.
-    pub fn recovery_rate(&self) -> Option<f64> {
+    pub(crate) fn recovery_rate(&self) -> Option<f64> {
         let faulted = self.recovered + self.quarantined;
         (faulted > 0).then(|| self.recovered as f64 / faulted as f64)
     }
@@ -71,14 +71,14 @@ impl ChaosReport {
 
 /// The protocol pool the chaos sweep exercises: four registry protocols
 /// spanning both models and both input kinds.
-pub const CHAOS_PROTOCOLS: &[(&str, &str)] = &[
+pub(crate) const CHAOS_PROTOCOLS: &[(&str, &str)] = &[
     ("mst", "weighted_random_tree"),
     ("triangle-count", "erdos_renyi(p=0.5)"),
     ("apsp", "erdos_renyi(p=0.15)"),
     ("c4-turan-sketch", "erdos_renyi(p=0.15)"),
 ];
 
-/// Builds the job pool for one sweep: every [`CHAOS_PROTOCOLS`] entry at
+/// Builds the job pool for one sweep: every `CHAOS_PROTOCOLS` entry at
 /// every size and seed, bandwidth 8.
 pub fn chaos_job_pool(sizes: &[usize], seeds: &[u64]) -> Vec<JobSpec> {
     let mut specs = Vec::new();

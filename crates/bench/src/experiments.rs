@@ -66,7 +66,7 @@ fn log2_bandwidth(n: usize) -> usize {
 
 /// E1 — Theorem 2: bounded-depth circuits of separable gates are simulated
 /// in `O(depth)` rounds.
-pub fn e1_circuit_simulation(scale: Scale) -> ExperimentTable {
+pub(crate) fn e1_circuit_simulation(scale: Scale) -> ExperimentTable {
     let mut table = ExperimentTable::new(
         "E1",
         "circuit-to-clique simulation (Theorem 2)",
@@ -123,7 +123,7 @@ pub fn e1_circuit_simulation(scale: Scale) -> ExperimentTable {
 }
 
 /// E2 — the routing substrate: balanced demands route in O(1) rounds.
-pub fn e2_routing(scale: Scale) -> ExperimentTable {
+pub(crate) fn e2_routing(scale: Scale) -> ExperimentTable {
     let mut table = ExperimentTable::new(
         "E2",
         "balanced routing substrate (Lenzen [28] stand-in)",
@@ -178,7 +178,7 @@ pub fn e2_routing(scale: Scale) -> ExperimentTable {
 
 /// E3 — Section 2.1: triangle detection through matrix-multiplication
 /// circuits, against the trivial and DLP baselines.
-pub fn e3_triangle_matmul(scale: Scale) -> ExperimentTable {
+pub(crate) fn e3_triangle_matmul(scale: Scale) -> ExperimentTable {
     let mut table = ExperimentTable::new(
         "E3",
         "triangle detection via matrix multiplication (Section 2.1)",
@@ -233,7 +233,7 @@ pub fn e3_triangle_matmul(scale: Scale) -> ExperimentTable {
 }
 
 /// E4 — Theorem 7: subgraph detection with known Turán numbers.
-pub fn e4_subgraph_turan(scale: Scale) -> ExperimentTable {
+pub(crate) fn e4_subgraph_turan(scale: Scale) -> ExperimentTable {
     let mut table = ExperimentTable::new(
         "E4",
         "H-subgraph detection with Turán-derived sketches (Theorem 7)",
@@ -299,7 +299,7 @@ pub fn e4_subgraph_turan(scale: Scale) -> ExperimentTable {
 }
 
 /// E5 — Theorem 9 / Lemma 8: adaptive detection and degeneracy sampling.
-pub fn e5_adaptive(scale: Scale) -> ExperimentTable {
+pub(crate) fn e5_adaptive(scale: Scale) -> ExperimentTable {
     let mut table = ExperimentTable::new(
         "E5",
         "adaptive detection without knowing ex(n,H) (Theorem 9, Lemma 8)",
@@ -356,7 +356,7 @@ pub fn e5_adaptive(scale: Scale) -> ExperimentTable {
 }
 
 /// E6 — Theorem 15: K_ℓ detection needs Ω(n/b) broadcast rounds.
-pub fn e6_lower_bound_cliques(scale: Scale) -> ExperimentTable {
+pub(crate) fn e6_lower_bound_cliques(scale: Scale) -> ExperimentTable {
     let mut table = ExperimentTable::new(
         "E6",
         "K_ℓ-detection lower bound (Theorem 15 via Lemmas 13/14)",
@@ -395,7 +395,7 @@ pub fn e6_lower_bound_cliques(scale: Scale) -> ExperimentTable {
 }
 
 /// E7 — Theorem 19: C_ℓ detection needs Ω(ex(n, C_ℓ)/(n b)) rounds.
-pub fn e7_lower_bound_cycles(scale: Scale) -> ExperimentTable {
+pub(crate) fn e7_lower_bound_cycles(scale: Scale) -> ExperimentTable {
     let mut table = ExperimentTable::new(
         "E7",
         "C_ℓ-detection lower bound (Theorem 19 via Lemma 18)",
@@ -437,7 +437,7 @@ pub fn e7_lower_bound_cycles(scale: Scale) -> ExperimentTable {
 }
 
 /// E8 — Theorem 22: K_{ℓ,ℓ} detection needs Ω(√n/b) rounds.
-pub fn e8_lower_bound_bipartite(scale: Scale) -> ExperimentTable {
+pub(crate) fn e8_lower_bound_bipartite(scale: Scale) -> ExperimentTable {
     let mut table = ExperimentTable::new(
         "E8",
         "K_{ℓ,ℓ}-detection lower bound (Theorem 22 via Lemma 21)",
@@ -478,7 +478,7 @@ pub fn e8_lower_bound_bipartite(scale: Scale) -> ExperimentTable {
 
 /// E9 — Theorem 24 / Corollary 25: triangle detection vs 3-party NOF
 /// disjointness over Ruzsa–Szemerédi graphs.
-pub fn e9_triangle_nof(scale: Scale) -> ExperimentTable {
+pub(crate) fn e9_triangle_nof(scale: Scale) -> ExperimentTable {
     let mut table = ExperimentTable::new(
         "E9",
         "triangle-detection lower bound from 3-party NOF disjointness (Theorem 24, Corollary 25)",
@@ -521,7 +521,7 @@ pub fn e9_triangle_nof(scale: Scale) -> ExperimentTable {
 }
 
 /// E10 — the non-explicit counting lower bound and the trivial upper bound.
-pub fn e10_counting(_scale: Scale) -> ExperimentTable {
+pub(crate) fn e10_counting(_scale: Scale) -> ExperimentTable {
     let mut table = ExperimentTable::new(
         "E10",
         "non-explicit counting bound vs trivial upper bound",
@@ -545,7 +545,7 @@ pub fn e10_counting(_scale: Scale) -> ExperimentTable {
 }
 
 /// E11 — Claim 6: H-free graphs have degeneracy at most 4·ex(n,H)/n.
-pub fn e11_degeneracy_turan(scale: Scale) -> ExperimentTable {
+pub(crate) fn e11_degeneracy_turan(scale: Scale) -> ExperimentTable {
     let mut table = ExperimentTable::new(
         "E11",
         "degeneracy of H-free graphs (Claim 6)",
@@ -608,7 +608,7 @@ pub fn e11_degeneracy_turan(scale: Scale) -> ExperimentTable {
 }
 
 /// E12 — the Becker et al. reconstruction substrate.
-pub fn e12_sketch_reconstruction(scale: Scale) -> ExperimentTable {
+pub(crate) fn e12_sketch_reconstruction(scale: Scale) -> ExperimentTable {
     let mut table = ExperimentTable::new(
         "E12",
         "one-round reconstruction from degeneracy sketches (Becker et al. [2])",
@@ -655,7 +655,7 @@ pub fn e12_sketch_reconstruction(scale: Scale) -> ExperimentTable {
 /// E13 — the algebraic follow-up line (Censor-Hillel et al. / Le Gall):
 /// the 3D-partitioned distributed semiring matrix product and its
 /// consumers.
-pub fn e13_semiring_matmul(scale: Scale) -> ExperimentTable {
+pub(crate) fn e13_semiring_matmul(scale: Scale) -> ExperimentTable {
     let mut table = ExperimentTable::new(
         "E13",
         "O(n^{1/3})-round semiring matrix product and consumers (algebraic congested clique)",
@@ -817,7 +817,7 @@ fn serve_all(server: &mut Server, specs: &[JobSpec]) -> Vec<JobResult> {
 /// E14 — server fleet determinism: one fixed batch of registry jobs
 /// served cold at 1, 2 and 4 workers, with every served record pinned
 /// byte-identical to the 1-worker fleet's.
-pub fn e14_parallel_scaling(scale: Scale) -> ExperimentTable {
+pub(crate) fn e14_parallel_scaling(scale: Scale) -> ExperimentTable {
     let mut table = ExperimentTable::new(
         "E14",
         "server fleet determinism",
@@ -857,7 +857,7 @@ pub fn e14_parallel_scaling(scale: Scale) -> ExperimentTable {
 /// E15 — constant-round deterministic MST on graph sketches: phases (and
 /// hence rounds at `b = Θ(log n)`) stay flat as `n` grows on bounded-cut
 /// families, with a clique as the escalation contrast.
-pub fn e15_mst_sketches(scale: Scale) -> ExperimentTable {
+pub(crate) fn e15_mst_sketches(scale: Scale) -> ExperimentTable {
     let mut table = ExperimentTable::new(
         "E15",
         "deterministic MST on graph sketches (signed-incidence Borůvka)",
@@ -924,7 +924,7 @@ pub fn e15_mst_sketches(scale: Scale) -> ExperimentTable {
 
 /// E16 — serving layer: the sharded, caching job server returns transcripts
 /// byte-identical to direct `Runner` executions.
-pub fn e16_serve(scale: Scale) -> ExperimentTable {
+pub(crate) fn e16_serve(scale: Scale) -> ExperimentTable {
     let mut table = ExperimentTable::new(
         "E16",
         "serving layer: sharded caching job server vs direct runs",
@@ -994,7 +994,7 @@ pub fn e16_serve(scale: Scale) -> ExperimentTable {
 /// record is byte-identical to the fault-free reference or a clean typed
 /// error, and the retry layer's detection/recovery rates are tabulated
 /// against the injection rate.
-pub fn e17_chaos(scale: Scale) -> ExperimentTable {
+pub(crate) fn e17_chaos(scale: Scale) -> ExperimentTable {
     let mut table = ExperimentTable::new(
         "E17",
         "chaos: seeded fault injection vs detection and retry recovery",
@@ -1058,7 +1058,7 @@ pub fn e17_chaos(scale: Scale) -> ExperimentTable {
 /// E18 — the nnz-charged `SparseMatMul` (Le Gall) against the cubic 3D
 /// partition on sparse operands: rounds and bits at equal bandwidth with an
 /// oracle-equality column.
-pub fn e18_sparse_matmul(scale: Scale) -> ExperimentTable {
+pub(crate) fn e18_sparse_matmul(scale: Scale) -> ExperimentTable {
     let mut table = ExperimentTable::new(
         "E18",
         "sparse distributed matmul: the nnz-charged schedule vs the cubic partition",
@@ -1248,7 +1248,7 @@ pub const EXPERIMENTS: &[ExperimentEntry] = &[
 ];
 
 /// Looks up an experiment by id.
-pub fn find_experiment(id: &str) -> Option<&'static ExperimentEntry> {
+pub(crate) fn find_experiment(id: &str) -> Option<&'static ExperimentEntry> {
     EXPERIMENTS.iter().find(|entry| entry.id == id)
 }
 

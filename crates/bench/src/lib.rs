@@ -18,10 +18,7 @@ pub mod diff;
 pub mod experiments;
 pub mod table;
 
-pub use chaos::{chaos_job_pool, run_chaos_cell, ChaosReport, CHAOS_PROTOCOLS};
-pub use diff::{assert_protocol_matches_oracle, unweighted_grid, weighted_grid, LabeledCase};
-pub use experiments::{ExperimentEntry, Scale, EXPERIMENTS};
-pub use table::ExperimentTable;
+pub use experiments::{Scale, EXPERIMENTS};
 
 /// What an `experiments` invocation asks for.
 #[derive(Clone, Debug, PartialEq, Eq)]

@@ -4,20 +4,20 @@
 #[derive(Clone, Debug)]
 pub struct ExperimentTable {
     /// Experiment identifier (e.g. `"E4"`).
-    pub id: String,
+    pub(crate) id: String,
     /// Human-readable title.
-    pub title: String,
+    pub(crate) title: String,
     /// The paper claim being reproduced.
-    pub claim: String,
+    pub(crate) claim: String,
     /// Column headers.
-    pub headers: Vec<String>,
+    pub(crate) headers: Vec<String>,
     /// Rows (stringified cells).
-    pub rows: Vec<Vec<String>>,
+    pub(crate) rows: Vec<Vec<String>>,
 }
 
 impl ExperimentTable {
     /// Creates an empty table.
-    pub fn new(id: &str, title: &str, claim: &str, headers: &[&str]) -> Self {
+    pub(crate) fn new(id: &str, title: &str, claim: &str, headers: &[&str]) -> Self {
         Self {
             id: id.to_owned(),
             title: title.to_owned(),
@@ -32,7 +32,7 @@ impl ExperimentTable {
     /// # Panics
     ///
     /// Panics if the row width differs from the header width.
-    pub fn push_row(&mut self, cells: Vec<String>) {
+    pub(crate) fn push_row(&mut self, cells: Vec<String>) {
         assert_eq!(
             cells.len(),
             self.headers.len(),
@@ -108,7 +108,7 @@ fn json_string(s: &str) -> String {
 }
 
 /// Formats a float compactly.
-pub fn fmt_f64(x: f64) -> String {
+pub(crate) fn fmt_f64(x: f64) -> String {
     if x == 0.0 {
         "0".to_owned()
     } else if x.abs() >= 100.0 {

@@ -28,11 +28,6 @@ pub fn majority(n: usize) -> Circuit {
     single_gate(n, GateKind::Majority)
 }
 
-/// A single unweighted threshold gate `THR_t` over `n` inputs. Depth 1.
-pub fn threshold(n: usize, t: u64) -> Circuit {
-    single_gate(n, GateKind::Threshold(t))
-}
-
 fn single_gate(n: usize, kind: GateKind) -> Circuit {
     let mut c = Circuit::new();
     let xs = c.add_inputs(n);
@@ -146,13 +141,10 @@ mod tests {
     }
 
     #[test]
-    fn mod_and_threshold_and_majority() {
+    fn mod_and_majority() {
         let c = mod_m(6, 3);
         assert_eq!(c.evaluate(&bits_of(0b000111, 6)), vec![true]);
         assert_eq!(c.evaluate(&bits_of(0b000011, 6)), vec![false]);
-        let t = threshold(5, 2);
-        assert_eq!(t.evaluate(&bits_of(0b10001, 5)), vec![true]);
-        assert_eq!(t.evaluate(&bits_of(0b00001, 5)), vec![false]);
         let m = majority(5);
         assert_eq!(m.evaluate(&bits_of(0b00111, 5)), vec![true]);
         assert_eq!(m.evaluate(&bits_of(0b00011, 5)), vec![false]);

@@ -41,20 +41,14 @@ pub struct Gate {
 /// # Examples
 ///
 /// ```
-/// use clique_circuits::{Circuit, GateKind};
+/// use clique_circuits::builders;
 ///
-/// // (x0 AND x1) XOR x2
-/// let mut c = Circuit::new();
-/// let x0 = c.add_input();
-/// let x1 = c.add_input();
-/// let x2 = c.add_input();
-/// let and = c.add_gate(GateKind::And, &[x0, x1]);
-/// let out = c.add_gate(GateKind::Xor, &[and, x2]);
-/// c.mark_output(out);
-///
-/// assert_eq!(c.evaluate(&[true, true, false]), vec![true]);
-/// assert_eq!(c.depth(), 2);
-/// assert_eq!(c.wire_count(), 4);
+/// // One XOR gate over three inputs.
+/// let c = builders::parity(3);
+/// assert_eq!(c.evaluate(&[true, true, false]), vec![false]);
+/// assert_eq!(c.evaluate(&[true, true, true]), vec![true]);
+/// assert_eq!(c.depth(), 1);
+/// assert_eq!(c.wire_count(), 3);
 /// ```
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct Circuit {
@@ -65,12 +59,12 @@ pub struct Circuit {
 
 impl Circuit {
     /// Creates an empty circuit.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
     /// Adds an input gate and returns its id.
-    pub fn add_input(&mut self) -> GateId {
+    pub(crate) fn add_input(&mut self) -> GateId {
         let id = GateId(self.gates.len());
         self.gates.push(Gate {
             kind: GateKind::Input,
@@ -81,7 +75,7 @@ impl Circuit {
     }
 
     /// Adds `count` input gates and returns their ids.
-    pub fn add_inputs(&mut self, count: usize) -> Vec<GateId> {
+    pub(crate) fn add_inputs(&mut self, count: usize) -> Vec<GateId> {
         (0..count).map(|_| self.add_input()).collect()
     }
 
@@ -91,7 +85,7 @@ impl Circuit {
     ///
     /// Panics if an input id does not exist yet, or the fan-in is invalid for
     /// the gate kind.
-    pub fn add_gate(&mut self, kind: GateKind, inputs: &[GateId]) -> GateId {
+    pub(crate) fn add_gate(&mut self, kind: GateKind, inputs: &[GateId]) -> GateId {
         let id = GateId(self.gates.len());
         for input in inputs {
             assert!(
@@ -121,7 +115,7 @@ impl Circuit {
     /// # Panics
     ///
     /// Panics if the gate does not exist.
-    pub fn mark_output(&mut self, id: GateId) {
+    pub(crate) fn mark_output(&mut self, id: GateId) {
         assert!(id.index() < self.gates.len(), "unknown gate {id}");
         self.outputs.push(id);
     }
@@ -158,7 +152,7 @@ impl Circuit {
     }
 
     /// The fan-out of every gate.
-    pub fn fan_outs(&self) -> Vec<usize> {
+    pub(crate) fn fan_outs(&self) -> Vec<usize> {
         let mut out = vec![0usize; self.gates.len()];
         for gate in &self.gates {
             for input in &gate.inputs {
@@ -234,7 +228,7 @@ impl Circuit {
     /// # Panics
     ///
     /// Panics if `assignment.len()` differs from the number of inputs.
-    pub fn evaluate_all(&self, assignment: &[bool]) -> Vec<bool> {
+    pub(crate) fn evaluate_all(&self, assignment: &[bool]) -> Vec<bool> {
         let mut values = vec![false; self.gates.len()];
         self.evaluate_all_into(assignment, &mut values);
         values
@@ -248,7 +242,7 @@ impl Circuit {
     /// # Panics
     ///
     /// Panics if `assignment.len()` differs from the number of inputs.
-    pub fn evaluate_all_into(&self, assignment: &[bool], values: &mut Vec<bool>) {
+    pub(crate) fn evaluate_all_into(&self, assignment: &[bool], values: &mut Vec<bool>) {
         assert_eq!(
             assignment.len(),
             self.inputs.len(),

@@ -53,14 +53,14 @@ impl GateKind {
     /// Panics if the number of inputs is invalid for the gate kind
     /// (`Not` requires exactly one, `WeightedThreshold` requires one value
     /// per weight, `Input` takes none, `Mod(0)` is rejected at construction
-    /// sites via [`Self::validate_fan_in`]).
+    /// sites via `validate_fan_in`).
     pub fn eval(&self, inputs: &[bool]) -> bool {
         self.eval_iter(inputs.iter().copied())
     }
 
     /// Evaluates the gate on a stream of ordered input values without
     /// materialising them into a slice (the allocation-free path used by
-    /// [`crate::Circuit::evaluate_all`]).
+    /// `Circuit::evaluate_all`).
     ///
     /// # Panics
     ///
@@ -115,7 +115,7 @@ impl GateKind {
     }
 
     /// Checks that `fan_in` is a legal fan-in for this gate kind.
-    pub fn validate_fan_in(&self, fan_in: usize) -> bool {
+    pub(crate) fn validate_fan_in(&self, fan_in: usize) -> bool {
         match self {
             GateKind::Input | GateKind::Const(_) => fan_in == 0,
             GateKind::Not => fan_in == 1,
@@ -189,7 +189,7 @@ impl GateKind {
     }
 
     /// A short name used in debug output.
-    pub fn name(&self) -> String {
+    pub(crate) fn name(&self) -> String {
         match self {
             GateKind::Input => "IN".into(),
             GateKind::Const(v) => format!("CONST({})", u8::from(*v)),

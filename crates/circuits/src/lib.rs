@@ -38,9 +38,6 @@ pub mod circuit;
 pub mod gate;
 pub mod matmul;
 
-pub use circuit::{Circuit, Gate, GateId};
+pub use circuit::{Circuit, GateId};
 pub use clique_sim::linalg::BitMatrix;
 pub use gate::GateKind;
-pub use matmul::{
-    matmul_f2_naive, matmul_f2_reference, matmul_f2_scalar, strassen_matmul_f2, MatMulCircuit,
-};

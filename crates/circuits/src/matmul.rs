@@ -19,24 +19,16 @@ use crate::circuit::{Circuit, GateId};
 use crate::gate::GateKind;
 use clique_sim::linalg::BitMatrix;
 
-/// A matrix-multiplication circuit `C = A·B` over `F₂` together with the
-/// bookkeeping needed to feed it inputs and read its outputs.
+/// A matrix-multiplication circuit `C = A·B` over `F₂` and its dimension.
 ///
 /// Input order (for [`Circuit::evaluate`]): all of `A` row-major, then all of
-/// `B` row-major.
+/// `B` row-major. The outputs are the entries of `C`, row-major.
 #[derive(Clone, Debug)]
 pub struct MatMulCircuit {
     /// The underlying circuit.
     pub circuit: Circuit,
     /// Matrix dimension `d` (the product is `d × d`).
     pub dim: usize,
-    /// Gate ids of the entries of `A` (row-major).
-    pub a_inputs: Vec<GateId>,
-    /// Gate ids of the entries of `B` (row-major).
-    pub b_inputs: Vec<GateId>,
-    /// Gate ids of the entries of `C = A·B` (row-major), also marked as the
-    /// circuit outputs in this order.
-    pub c_outputs: Vec<GateId>,
 }
 
 impl MatMulCircuit {
@@ -72,13 +64,6 @@ impl MatMulCircuit {
         }
         out
     }
-
-    /// Evaluates the circuit on two packed matrices, returning `A·B` over
-    /// `F₂` as a packed `d × d` matrix.
-    pub fn multiply(&self, a: &BitMatrix, b: &BitMatrix) -> BitMatrix {
-        let flat = self.circuit.evaluate(&self.assignment(a, b));
-        BitMatrix::from_row_major(self.dim, self.dim, &flat)
-    }
 }
 
 /// The straightforward cubic circuit: `C[i][j] = ⊕_k A[i][k] ∧ B[k][j]`.
@@ -89,7 +74,6 @@ pub fn matmul_f2_naive(dim: usize) -> MatMulCircuit {
     let mut c = Circuit::new();
     let a_inputs = c.add_inputs(dim * dim);
     let b_inputs = c.add_inputs(dim * dim);
-    let mut c_outputs = Vec::with_capacity(dim * dim);
     for i in 0..dim {
         for j in 0..dim {
             let products: Vec<GateId> = (0..dim)
@@ -106,16 +90,9 @@ pub fn matmul_f2_naive(dim: usize) -> MatMulCircuit {
                 c.add_gate(GateKind::Xor, &products)
             };
             c.mark_output(entry);
-            c_outputs.push(entry);
         }
     }
-    MatMulCircuit {
-        circuit: c,
-        dim,
-        a_inputs,
-        b_inputs,
-        c_outputs,
-    }
+    MatMulCircuit { circuit: c, dim }
 }
 
 /// Strassen's recursive circuit over `F₂` (where subtraction equals
@@ -134,19 +111,13 @@ pub fn strassen_matmul_f2(dim: usize) -> MatMulCircuit {
     let mut c = Circuit::new();
     let a_inputs = c.add_inputs(dim * dim);
     let b_inputs = c.add_inputs(dim * dim);
-    let a = SquareIds::new(a_inputs.clone(), dim);
-    let b = SquareIds::new(b_inputs.clone(), dim);
+    let a = SquareIds::new(a_inputs, dim);
+    let b = SquareIds::new(b_inputs, dim);
     let product = strassen_rec(&mut c, &a, &b);
     for &id in &product.ids {
         c.mark_output(id);
     }
-    MatMulCircuit {
-        circuit: c,
-        dim,
-        a_inputs,
-        b_inputs,
-        c_outputs: product.ids,
-    }
+    MatMulCircuit { circuit: c, dim }
 }
 
 /// A square matrix of gate ids.
@@ -268,12 +239,6 @@ fn strassen_rec(c: &mut Circuit, a: &SquareIds, b: &SquareIds) -> SquareIds {
     SquareIds { ids, dim: d }
 }
 
-/// Reference `F₂` matrix product used in tests and by the protocol layer:
-/// the word-parallel [`BitMatrix::mul_f2`] kernel.
-pub fn matmul_f2_reference(a: &BitMatrix, b: &BitMatrix) -> BitMatrix {
-    a.mul_f2(b)
-}
-
 /// The retained bool-at-a-time `F₂` product: the oracle the packed kernel
 /// is property-tested against.
 pub fn matmul_f2_scalar(a: &[Vec<bool>], b: &[Vec<bool>]) -> Vec<Vec<bool>> {
@@ -298,6 +263,12 @@ mod tests {
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
 
+    /// Evaluates `circuit` on two packed matrices: `A·B` over `F₂`.
+    fn multiply(circuit: &MatMulCircuit, a: &BitMatrix, b: &BitMatrix) -> BitMatrix {
+        let flat = circuit.circuit.evaluate(&circuit.assignment(a, b));
+        BitMatrix::from_row_major(circuit.dim, circuit.dim, &flat)
+    }
+
     fn random_matrix(rng: &mut impl Rng, d: usize) -> BitMatrix {
         let rows: Vec<Vec<bool>> = (0..d)
             .map(|_| (0..d).map(|_| rng.gen_bool(0.5)).collect())
@@ -313,7 +284,7 @@ mod tests {
             for _ in 0..5 {
                 let a = random_matrix(&mut rng, d);
                 let b = random_matrix(&mut rng, d);
-                assert_eq!(circuit.multiply(&a, &b), matmul_f2_reference(&a, &b));
+                assert_eq!(multiply(&circuit, &a, &b), a.mul_f2(&b));
             }
         }
     }
@@ -328,12 +299,8 @@ mod tests {
             for _ in 0..5 {
                 let a = random_matrix(&mut rng, d);
                 let b = random_matrix(&mut rng, d);
-                let lifted = circuit.multiply(&a, &b);
-                assert_eq!(
-                    lifted,
-                    matmul_f2_reference(&a, &b),
-                    "Strassen mismatch at d = {d}"
-                );
+                let lifted = multiply(&circuit, &a, &b);
+                assert_eq!(lifted, a.mul_f2(&b), "Strassen mismatch at d = {d}");
                 assert_eq!(
                     lifted.to_rows(),
                     matmul_f2_scalar(&a.to_rows(), &b.to_rows()),
@@ -349,7 +316,7 @@ mod tests {
         for d in [1usize, 3, 7, 16, 65] {
             let a = random_matrix(&mut rng, d);
             let b = random_matrix(&mut rng, d);
-            let packed = matmul_f2_reference(&a, &b);
+            let packed = a.mul_f2(&b);
             let scalar = matmul_f2_scalar(&a.to_rows(), &b.to_rows());
             assert_eq!(packed.to_rows(), scalar, "mismatch at d = {d}");
         }
@@ -389,8 +356,8 @@ mod tests {
         let identity = BitMatrix::identity(d);
         let mut rng = ChaCha8Rng::seed_from_u64(43);
         let a = random_matrix(&mut rng, d);
-        assert_eq!(circuit.multiply(&a, &identity), a);
-        assert_eq!(circuit.multiply(&identity, &a), a);
+        assert_eq!(multiply(&circuit, &a, &identity), a);
+        assert_eq!(multiply(&circuit, &identity, &a), a);
     }
 
     #[test]
@@ -405,7 +372,7 @@ mod tests {
         let circuit = matmul_f2_naive(3);
         let bad = BitMatrix::zeros(3, 2);
         let good = BitMatrix::zeros(3, 3);
-        let _ = circuit.multiply(&bad, &good);
+        let _ = multiply(&circuit, &bad, &good);
     }
 
     #[test]

@@ -10,13 +10,6 @@
 //! bits than behaviours the player can exhibit. These quantities are
 //! provided here as explicit formulas (experiment E10).
 
-/// Bits a single player can receive in `rounds` rounds of
-/// `CLIQUE-UCAST(n, b)` (or `CLIQUE-BCAST`, where it is the whole
-/// blackboard).
-pub fn bits_receivable(n: usize, bandwidth: usize, rounds: u64) -> u64 {
-    rounds * (n.saturating_sub(1) as u64) * bandwidth as u64
-}
-
 /// The trivial upper bound: rounds for every player to ship its `n`-bit
 /// input to a single designated player, `⌈n/b⌉`.
 pub fn trivial_upper_bound_rounds(n: usize, bandwidth: usize) -> u64 {
@@ -46,20 +39,6 @@ pub fn counting_gap(n: usize, bandwidth: usize) -> f64 {
         f64::INFINITY
     } else {
         trivial_upper_bound_rounds(n, bandwidth) as f64 / lower
-    }
-}
-
-/// A tiny exhaustive demonstration of the counting argument, used by tests
-/// and experiment E10: the number of distinct behaviours a single receiving
-/// player can exhibit after seeing `budget` bits is `2^budget` (log₂ scale
-/// returned), while the number of Boolean functions of `k` unseen input bits
-/// is `2^{2^k}` (log₂ of log₂ returned as `k`). Whenever `budget < 2^k`
-/// some function is not computable.
-pub fn counting_argument_holds(budget_bits: u64, unseen_bits: u32) -> bool {
-    // 2^budget >= 2^(2^k) iff budget >= 2^k.
-    match 1u64.checked_shl(unseen_bits) {
-        Some(functions_log) => budget_bits < functions_log,
-        None => true, // 2^k overflows u64, certainly bigger than any budget
     }
 }
 
@@ -93,23 +72,6 @@ mod tests {
         assert!(counting_gap(4096, 1) < counting_gap(64, 1));
         assert!(counting_gap(4096, 1) < 1.01);
         assert!(counting_gap(1, 1).is_infinite());
-    }
-
-    #[test]
-    fn bits_receivable_scaling() {
-        assert_eq!(bits_receivable(10, 2, 3), 54);
-        assert_eq!(bits_receivable(1, 2, 3), 0);
-        assert_eq!(bits_receivable(10, 2, 0), 0);
-    }
-
-    #[test]
-    fn counting_argument_small_cases() {
-        // A player that has seen 7 bits cannot compute every function of 3
-        // unseen bits (there are 2^8 of them).
-        assert!(counting_argument_holds(7, 3));
-        assert!(!counting_argument_holds(8, 3));
-        assert!(counting_argument_holds(1000, 60));
-        assert!(counting_argument_holds(u64::MAX, 64));
     }
 
     #[test]

@@ -28,8 +28,8 @@ pub struct LowerBoundGraph {
     fixed_edges: Vec<(usize, usize)>,
     alice_edges: Vec<(usize, usize)>,
     bob_edges: Vec<(usize, usize)>,
+    /// The nodes Alice simulates; Bob simulates the rest.
     alice_nodes: Vec<usize>,
-    bob_nodes: Vec<usize>,
 }
 
 impl LowerBoundGraph {
@@ -48,34 +48,8 @@ impl LowerBoundGraph {
         self.alice_edges.len()
     }
 
-    /// The template edges that are present in every instance.
-    pub fn fixed_edges(&self) -> &[(usize, usize)] {
-        &self.fixed_edges
-    }
-
-    /// Alice's controlled edge for each element.
-    pub fn alice_edges(&self) -> &[(usize, usize)] {
-        &self.alice_edges
-    }
-
-    /// Bob's controlled edge for each element.
-    pub fn bob_edges(&self) -> &[(usize, usize)] {
-        &self.bob_edges
-    }
-
-    /// The nodes simulated by Alice (a superset of the endpoints of her
-    /// controlled edges).
-    pub fn alice_nodes(&self) -> &[usize] {
-        &self.alice_nodes
-    }
-
-    /// The nodes simulated by Bob.
-    pub fn bob_nodes(&self) -> &[usize] {
-        &self.bob_nodes
-    }
-
     /// The full template `G'` (all fixed and all player-controlled edges).
-    pub fn template_graph(&self) -> Graph {
+    pub(crate) fn template_graph(&self) -> Graph {
         let mut g = Graph::empty(self.n);
         for &(u, v) in self
             .fixed_edges
@@ -139,80 +113,6 @@ impl LowerBoundGraph {
     pub fn implied_congest_rounds(&self, bound: DisjointnessBound, bandwidth: usize) -> f64 {
         let cut = self.cut_size().max(1);
         bound.bits(self.elements() as u64) / (2.0 * cut as f64 * bandwidth as f64)
-    }
-
-    /// Checks the semantic property of Observation 11 on crafted and random
-    /// instances: the instantiated graph contains `H` exactly when the
-    /// instance is intersecting. Intended for moderate sizes (it runs a
-    /// subgraph-isomorphism search per instance).
-    ///
-    /// # Errors
-    ///
-    /// Returns a description of the first violated instance.
-    pub fn check_reduction_semantics<R: Rng + ?Sized>(
-        &self,
-        random_trials: usize,
-        rng: &mut R,
-    ) -> Result<(), String> {
-        let h = self.pattern.graph();
-        let m = self.elements();
-        let check = |inst: &DisjointnessInstance, what: &str| -> Result<(), String> {
-            let g = self.instantiate(inst);
-            let found = contains_subgraph(&g, &h);
-            let expected = !inst.is_disjoint();
-            if found != expected {
-                return Err(format!(
-                    "{what}: contains({}) = {found}, but instance {} disjoint",
-                    self.pattern,
-                    if inst.is_disjoint() { "is" } else { "is not" }
-                ));
-            }
-            Ok(())
-        };
-
-        // Crafted corner cases.
-        check(
-            &DisjointnessInstance::new(vec![false; m], vec![false; m]),
-            "empty/empty",
-        )?;
-        check(
-            &DisjointnessInstance::new(vec![true; m], vec![false; m]),
-            "full/empty",
-        )?;
-        check(
-            &DisjointnessInstance::new(vec![false; m], vec![true; m]),
-            "empty/full",
-        )?;
-        if m >= 2 {
-            // Complementary sets: heavily populated but still disjoint.
-            let x: Vec<bool> = (0..m).map(|k| k % 2 == 0).collect();
-            let y: Vec<bool> = (0..m).map(|k| k % 2 == 1).collect();
-            check(&DisjointnessInstance::new(x, y), "odd/even split")?;
-        }
-        check(
-            &DisjointnessInstance::new(vec![true; m], vec![true; m]),
-            "full/full",
-        )?;
-        for witness in [0, m / 2, m - 1] {
-            let mut x = vec![false; m];
-            let mut y = vec![false; m];
-            x[witness] = true;
-            y[witness] = true;
-            check(
-                &DisjointnessInstance::new(x, y),
-                &format!("single witness {witness}"),
-            )?;
-        }
-        // Random instances.
-        for t in 0..random_trials {
-            let inst = if t % 2 == 0 {
-                DisjointnessInstance::random_disjoint(m, rng)
-            } else {
-                DisjointnessInstance::random_single_intersection(m, rng)
-            };
-            check(&inst, &format!("random trial {t}"))?;
-        }
-        Ok(())
     }
 
     // ------------------------------------------------------------------
@@ -283,16 +183,10 @@ impl LowerBoundGraph {
             }
         }
 
+        // Alice simulates S1, S2 and every other universal and padding node;
+        // Bob simulates the rest.
         let mut alice_nodes: Vec<usize> = (0..2 * big_n).collect();
-        let mut bob_nodes: Vec<usize> = (2 * big_n..4 * big_n).collect();
-        // Split the universal and padding nodes evenly.
-        for (idx, v) in (universal_start..n).enumerate() {
-            if idx % 2 == 0 {
-                alice_nodes.push(v);
-            } else {
-                bob_nodes.push(v);
-            }
-        }
+        alice_nodes.extend((universal_start..n).step_by(2));
 
         Ok(Self {
             pattern: Pattern::Clique(l),
@@ -301,7 +195,6 @@ impl LowerBoundGraph {
             alice_edges,
             bob_edges,
             alice_nodes,
-            bob_nodes,
         })
     }
 
@@ -365,7 +258,6 @@ impl LowerBoundGraph {
         // Alice simulates VA plus the internal nodes of the first-half paths;
         // Bob simulates the rest, so the cut is small (O(N) path edges).
         let alice_nodes: Vec<usize> = (0..big_n).chain(2 * big_n..next_free).collect();
-        let bob_nodes: Vec<usize> = (big_n..2 * big_n).chain(next_free..n).collect();
 
         Ok(Self {
             pattern: Pattern::Cycle(l),
@@ -374,7 +266,6 @@ impl LowerBoundGraph {
             alice_edges,
             bob_edges,
             alice_nodes,
-            bob_nodes,
         })
     }
 
@@ -465,8 +356,6 @@ impl LowerBoundGraph {
 
         let mut alice_nodes: Vec<usize> = (0..big_n).collect();
         alice_nodes.extend(wl_start..wr_start);
-        let mut bob_nodes: Vec<usize> = (big_n..2 * big_n).collect();
-        bob_nodes.extend(wr_start..n);
 
         Ok(Self {
             pattern: Pattern::CompleteBipartite(l, m),
@@ -475,7 +364,6 @@ impl LowerBoundGraph {
             alice_edges,
             bob_edges,
             alice_nodes,
-            bob_nodes,
         })
     }
 }
@@ -562,14 +450,87 @@ mod tests {
         ChaCha8Rng::seed_from_u64(0x1B)
     }
 
+    /// Checks the semantic property of Observation 11 on crafted and random
+    /// instances: the instantiated graph contains `H` exactly when the
+    /// instance is intersecting. Intended for moderate sizes (it runs a
+    /// subgraph-isomorphism search per instance).
+    ///
+    /// # Errors
+    ///
+    /// Returns a description of the first violated instance.
+    fn check_reduction_semantics<R: Rng + ?Sized>(
+        lbg: &LowerBoundGraph,
+        random_trials: usize,
+        rng: &mut R,
+    ) -> Result<(), String> {
+        let h = lbg.pattern.graph();
+        let m = lbg.elements();
+        let check = |inst: &DisjointnessInstance, what: &str| -> Result<(), String> {
+            let g = lbg.instantiate(inst);
+            let found = contains_subgraph(&g, &h);
+            let expected = !inst.is_disjoint();
+            if found != expected {
+                return Err(format!(
+                    "{what}: contains({}) = {found}, but instance {} disjoint",
+                    lbg.pattern,
+                    if inst.is_disjoint() { "is" } else { "is not" }
+                ));
+            }
+            Ok(())
+        };
+
+        // Crafted corner cases.
+        check(
+            &DisjointnessInstance::new(vec![false; m], vec![false; m]),
+            "empty/empty",
+        )?;
+        check(
+            &DisjointnessInstance::new(vec![true; m], vec![false; m]),
+            "full/empty",
+        )?;
+        check(
+            &DisjointnessInstance::new(vec![false; m], vec![true; m]),
+            "empty/full",
+        )?;
+        if m >= 2 {
+            // Complementary sets: heavily populated but still disjoint.
+            let x: Vec<bool> = (0..m).map(|k| k % 2 == 0).collect();
+            let y: Vec<bool> = (0..m).map(|k| k % 2 == 1).collect();
+            check(&DisjointnessInstance::new(x, y), "odd/even split")?;
+        }
+        check(
+            &DisjointnessInstance::new(vec![true; m], vec![true; m]),
+            "full/full",
+        )?;
+        for witness in [0, m / 2, m - 1] {
+            let mut x = vec![false; m];
+            let mut y = vec![false; m];
+            x[witness] = true;
+            y[witness] = true;
+            check(
+                &DisjointnessInstance::new(x, y),
+                &format!("single witness {witness}"),
+            )?;
+        }
+        // Random instances.
+        for t in 0..random_trials {
+            let inst = if t % 2 == 0 {
+                DisjointnessInstance::random_disjoint(m, rng)
+            } else {
+                DisjointnessInstance::random_single_intersection(m, rng)
+            };
+            check(&inst, &format!("random trial {t}"))?;
+        }
+        Ok(())
+    }
+
     #[test]
     fn clique_lower_bound_graph_semantics() {
         let mut r = rng();
         for l in [4usize, 5, 6] {
             let lbg = LowerBoundGraph::for_clique(l, 30).unwrap();
             assert!(lbg.elements() >= 16, "too few elements for K{l}");
-            lbg.check_reduction_semantics(6, &mut r)
-                .unwrap_or_else(|e| panic!("K{l}: {e}"));
+            check_reduction_semantics(&lbg, 6, &mut r).unwrap_or_else(|e| panic!("K{l}: {e}"));
         }
     }
 
@@ -587,8 +548,7 @@ mod tests {
         for l in [4usize, 5, 6] {
             let lbg = LowerBoundGraph::for_cycle(l, 36, &mut r).unwrap();
             assert!(lbg.elements() >= 4, "too few elements for C{l}");
-            lbg.check_reduction_semantics(6, &mut r)
-                .unwrap_or_else(|e| panic!("C{l}: {e}"));
+            check_reduction_semantics(&lbg, 6, &mut r).unwrap_or_else(|e| panic!("C{l}: {e}"));
         }
     }
 
@@ -616,8 +576,7 @@ mod tests {
         for (l, m) in [(2usize, 2usize), (3, 3), (4, 4)] {
             let lbg = LowerBoundGraph::for_complete_bipartite(l, m, 44).unwrap();
             assert!(lbg.elements() >= 8, "too few elements for K{l},{m}");
-            lbg.check_reduction_semantics(6, &mut r)
-                .unwrap_or_else(|e| panic!("K{l},{m}: {e}"));
+            check_reduction_semantics(&lbg, 6, &mut r).unwrap_or_else(|e| panic!("K{l},{m}: {e}"));
         }
     }
 
@@ -660,16 +619,14 @@ mod tests {
             LowerBoundGraph::for_complete_bipartite(3, 3, 40).unwrap(),
         ];
         for lbg in graphs {
-            let alice: std::collections::HashSet<usize> =
-                lbg.alice_nodes().iter().copied().collect();
-            let bob: std::collections::HashSet<usize> = lbg.bob_nodes().iter().copied().collect();
-            assert!(alice.is_disjoint(&bob));
-            assert_eq!(alice.len() + bob.len(), lbg.vertex_count());
-            for &(u, v) in lbg.alice_edges() {
+            // Bob simulates every node Alice does not.
+            let alice: std::collections::HashSet<usize> = lbg.alice_nodes.iter().copied().collect();
+            assert!(alice.len() < lbg.vertex_count());
+            for &(u, v) in &lbg.alice_edges {
                 assert!(alice.contains(&u) && alice.contains(&v));
             }
-            for &(u, v) in lbg.bob_edges() {
-                assert!(bob.contains(&u) && bob.contains(&v));
+            for &(u, v) in &lbg.bob_edges {
+                assert!(!alice.contains(&u) && !alice.contains(&v));
             }
         }
     }

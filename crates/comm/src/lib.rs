@@ -48,8 +48,3 @@ pub mod disjointness;
 pub mod lbgraph;
 pub mod nof_reduction;
 pub mod reduction;
-
-pub use disjointness::{DisjointnessBound, DisjointnessInstance, NofDisjointnessInstance};
-pub use lbgraph::LowerBoundGraph;
-pub use nof_reduction::TriangleNofReduction;
-pub use reduction::{run_nof_reduction, run_two_party_reduction, DetectionRun, ReductionReport};

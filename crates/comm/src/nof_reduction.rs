@@ -20,7 +20,7 @@ use crate::disjointness::{DisjointnessBound, NofDisjointnessInstance};
 /// Which of the three NOF parties simulates which part of the tripartite
 /// Ruzsa–Szemerédi graph.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum NofParty {
+pub(crate) enum NofParty {
     /// Simulates part `A`; does not see the set `x_a`.
     Alice,
     /// Simulates part `B`; does not see the set `x_b`.
@@ -56,7 +56,7 @@ impl TriangleNofReduction {
     }
 
     /// Which party simulates the given vertex.
-    pub fn owner(&self, vertex: usize) -> NofParty {
+    pub(crate) fn owner(&self, vertex: usize) -> NofParty {
         let (a, b, _) = self.rs.parts();
         if a.contains(&vertex) {
             NofParty::Alice
@@ -76,7 +76,7 @@ impl TriangleNofReduction {
     /// # Panics
     ///
     /// Panics if the instance universe differs from [`Self::elements`].
-    pub fn instantiate(&self, instance: &NofDisjointnessInstance) -> Graph {
+    pub(crate) fn instantiate(&self, instance: &NofDisjointnessInstance) -> Graph {
         assert_eq!(
             instance.universe(),
             self.elements(),
@@ -107,25 +107,6 @@ impl TriangleNofReduction {
         g
     }
 
-    /// Verifies on each party's side that it can construct all edges incident
-    /// to its own vertices from the two sets it sees (the number-on-forehead
-    /// property that makes the simulation work).
-    pub fn parties_can_build_their_edges(&self) -> bool {
-        // An A-vertex is incident only to A×B edges (controlled by x_c,
-        // visible to Alice) and A×C edges (controlled by x_b, visible to
-        // Alice). Symmetrically for the others, so the property holds by
-        // construction; the check below re-derives it from the data.
-        self.rs.graph.edges().all(|(u, v)| {
-            let owners = (self.owner(u), self.owner(v));
-            !matches!(
-                owners,
-                (NofParty::Alice, NofParty::Alice)
-                    | (NofParty::Bob, NofParty::Bob)
-                    | (NofParty::Charlie, NofParty::Charlie)
-            )
-        })
-    }
-
     /// The round lower bound for triangle detection in `CLIQUE-BCAST(n, b)`
     /// implied by Theorem 24 under the given NOF disjointness bound:
     /// `bound(m(n)) / ((7/3)·n·b)` (the simulation writes `(7/3)·n·b` bits
@@ -142,6 +123,25 @@ mod tests {
     use clique_graphs::iso::has_triangle;
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
+
+    /// Verifies on each party's side that it can construct all edges incident
+    /// to its own vertices from the two sets it sees (the number-on-forehead
+    /// property that makes the simulation work).
+    fn parties_can_build_their_edges(red: &TriangleNofReduction) -> bool {
+        // An A-vertex is incident only to A×B edges (controlled by x_c,
+        // visible to Alice) and A×C edges (controlled by x_b, visible to
+        // Alice). Symmetrically for the others, so the property holds by
+        // construction; the check below re-derives it from the data.
+        red.rs.graph.edges().all(|(u, v)| {
+            let owners = (red.owner(u), red.owner(v));
+            !matches!(
+                owners,
+                (NofParty::Alice, NofParty::Alice)
+                    | (NofParty::Bob, NofParty::Bob)
+                    | (NofParty::Charlie, NofParty::Charlie)
+            )
+        })
+    }
 
     #[test]
     fn reduction_semantics_on_crafted_instances() {
@@ -202,7 +202,7 @@ mod tests {
     fn structure_and_bounds() {
         let red = TriangleNofReduction::new(40);
         assert_eq!(red.vertex_count(), 240);
-        assert!(red.parties_can_build_their_edges());
+        assert!(parties_can_build_their_edges(&red));
         assert!(red.elements() >= 40, "m(n) should grow with the parameter");
         let det = red.implied_bcast_rounds(DisjointnessBound::ThreePartyNofDeterministic, 1);
         let rand_bound = red.implied_bcast_rounds(DisjointnessBound::ThreePartyNofRandomized, 1);

@@ -33,15 +33,12 @@ pub struct DetectionRun {
 #[derive(Clone, Debug, PartialEq)]
 pub struct ReductionReport {
     /// Number of instances executed.
-    pub trials: usize,
+    pub(crate) trials: usize,
     /// Number of instances on which the detection answer matched the
     /// disjointness ground truth.
-    pub correct: usize,
+    pub(crate) correct: usize,
     /// Maximum rounds used by the detection protocol over the trials.
     pub max_rounds: u64,
-    /// The communication (in bits) of the simulated disjointness protocol:
-    /// `max_rounds · n · b`.
-    pub simulated_protocol_bits: u64,
     /// The size of the disjointness universe.
     pub elements: usize,
     /// The round lower bound implied by the stated disjointness bound.
@@ -52,13 +49,6 @@ impl ReductionReport {
     /// Returns `true` if every trial produced the correct answer.
     pub fn all_correct(&self) -> bool {
         self.correct == self.trials
-    }
-
-    /// Returns `true` if the simulated protocol respects the stated
-    /// disjointness lower bound (it must, unless the detection protocol is
-    /// buggy or the bound's constant is generous).
-    pub fn consistent_with(&self, bound: DisjointnessBound) -> bool {
-        self.simulated_protocol_bits as f64 >= bound.bits(self.elements as u64) || self.trials == 0
     }
 }
 
@@ -99,7 +89,6 @@ where
         trials,
         correct,
         max_rounds,
-        simulated_protocol_bits: max_rounds * lbg.vertex_count() as u64 * bandwidth as u64,
         elements: m,
         implied_round_lower_bound: lbg.implied_bcast_rounds(bound, bandwidth),
     }
@@ -139,7 +128,6 @@ where
         trials,
         correct,
         max_rounds,
-        simulated_protocol_bits: max_rounds * reduction.vertex_count() as u64 * bandwidth as u64,
         elements: m,
         implied_round_lower_bound: reduction.implied_bcast_rounds(bound, bandwidth),
     }
@@ -223,23 +211,5 @@ mod tests {
         // Half the instances are disjoint, so roughly half the answers are
         // wrong.
         assert!(report.correct < report.trials);
-    }
-
-    #[test]
-    fn report_consistency_check() {
-        let report = ReductionReport {
-            trials: 4,
-            correct: 4,
-            max_rounds: 10,
-            simulated_protocol_bits: 1000,
-            elements: 900,
-            implied_round_lower_bound: 2.0,
-        };
-        assert!(report.consistent_with(DisjointnessBound::TwoPartyDeterministic));
-        let tight = ReductionReport {
-            simulated_protocol_bits: 100,
-            ..report.clone()
-        };
-        assert!(!tight.consistent_with(DisjointnessBound::TwoPartyDeterministic));
     }
 }

@@ -3,7 +3,7 @@
 //!
 //! For most bipartite patterns `H` even the asymptotics of `ex(n, H)` are
 //! unknown, so the sketch capacity of Theorem 7 cannot be computed. The
-//! adaptive algorithm ([`AdaptiveDetection`]) instead samples nested
+//! adaptive algorithm (`AdaptiveDetection`) instead samples nested
 //! subgraphs `G_0 ⊇ G_1 ⊇ …` using one random `O(log n)`-bit value per node
 //! (Lemma 8 guarantees the degeneracy of `G_j` is concentrated around
 //! `2^{-j}` times that of `G`), and combines exponentially increasing
@@ -46,13 +46,13 @@ use crate::subgraph::SketchReconstruction;
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct AdaptiveAttempt {
     /// The reconstruction budget `k` used.
-    pub budget: usize,
+    pub(crate) budget: usize,
     /// The sampling level `j` attempted.
-    pub level: usize,
+    pub(crate) level: usize,
     /// Whether reconstruction succeeded.
-    pub success: bool,
+    pub(crate) success: bool,
     /// Rounds spent on this attempt.
-    pub rounds: u64,
+    pub(crate) rounds: u64,
 }
 
 /// The output of an adaptive detection run: the decision plus the full
@@ -66,12 +66,12 @@ pub struct AdaptiveOutput {
 }
 
 /// The full result of an adaptive detection run.
-pub type AdaptiveRun = RunOutcome<AdaptiveOutput>;
+pub(crate) type AdaptiveRun = RunOutcome<AdaptiveOutput>;
 
 /// Theorem 9 as a [`Protocol`]: adaptive `H`-subgraph detection through
 /// degeneracy sampling and doubling reconstruction budgets.
 #[derive(Debug)]
-pub struct AdaptiveDetection<'a, R: Rng + ?Sized> {
+pub(crate) struct AdaptiveDetection<'a, R: Rng + ?Sized> {
     graph: &'a Graph,
     pattern: &'a Pattern,
     rng: &'a mut R,
@@ -79,7 +79,7 @@ pub struct AdaptiveDetection<'a, R: Rng + ?Sized> {
 
 impl<'a, R: Rng + ?Sized> AdaptiveDetection<'a, R> {
     /// Prepares the protocol; `rng` drives the per-node sampling values.
-    pub fn new(graph: &'a Graph, pattern: &'a Pattern, rng: &'a mut R) -> Self {
+    pub(crate) fn new(graph: &'a Graph, pattern: &'a Pattern, rng: &'a mut R) -> Self {
         Self {
             graph,
             pattern,
@@ -171,7 +171,7 @@ impl<R: Rng + ?Sized> Protocol for AdaptiveDetection<'_, R> {
     }
 }
 
-/// Runs [`AdaptiveDetection`] in `CLIQUE-BCAST(n, b)`.
+/// Runs `AdaptiveDetection` in `CLIQUE-BCAST(n, b)`.
 ///
 /// # Errors
 ///

@@ -63,7 +63,7 @@ mod wire;
 
 pub use consumers::{compute_apsp, count_triangles, ApspProtocol, TriangleCount};
 pub use dense::{semiring_matmul, SemiringMatMul};
-pub use schedule::{MatMulSchedule, ScheduledMatMul, SPARSE_DENSITY_EIGHTHS};
+pub use schedule::{MatMulSchedule, ScheduledMatMul};
 pub use semiring::{Semiring, SemiringMatrix};
 pub use sparse::{sparse_matmul, SparseMatMul};
 

@@ -7,7 +7,7 @@ use super::*;
 /// from n = 56 on they never take more rounds (at n = 27 the one-bit
 /// semirings take 12 rounds against the cubic 10). No E18 point sits near
 /// the 1/8 threshold itself.
-pub const SPARSE_DENSITY_EIGHTHS: usize = 1;
+pub(crate) const SPARSE_DENSITY_EIGHTHS: usize = 1;
 
 /// Which distributed product a consumer runs: the cubic 3D partition, the
 /// nnz-charged sparse path, or an automatic choice from the operands'
@@ -15,7 +15,7 @@ pub const SPARSE_DENSITY_EIGHTHS: usize = 1;
 ///
 /// The dispatch rule is explicit (DESIGN.md "Sparse algebraic matmul"):
 /// `Auto` resolves to `Sparse` when the operands' density is at most
-/// [`SPARSE_DENSITY_EIGHTHS`]/8 and to `Cubic` otherwise.
+/// `SPARSE_DENSITY_EIGHTHS`/8 and to `Cubic` otherwise.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum MatMulSchedule {
     /// Always the cubic 3D-partitioned [`SemiringMatMul`].
@@ -40,7 +40,7 @@ impl MatMulSchedule {
     /// `Auto` applies the rule above; the explicit variants return
     /// themselves. Deterministic in public quantities plus the operand
     /// nnz, so every player resolves identically.
-    pub fn resolve(
+    pub(crate) fn resolve(
         self,
         a: &SemiringMatrix,
         b: &SemiringMatrix,

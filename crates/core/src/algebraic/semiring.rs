@@ -90,7 +90,7 @@ pub enum SemiringMatrix {
 
 impl SemiringMatrix {
     /// Number of rows.
-    pub fn rows(&self) -> usize {
+    pub(crate) fn rows(&self) -> usize {
         match self {
             SemiringMatrix::Bits(m) => m.rows(),
             SemiringMatrix::Ints(m) => m.rows(),
@@ -98,7 +98,7 @@ impl SemiringMatrix {
     }
 
     /// Number of columns.
-    pub fn cols(&self) -> usize {
+    pub(crate) fn cols(&self) -> usize {
         match self {
             SemiringMatrix::Bits(m) => m.cols(),
             SemiringMatrix::Ints(m) => m.cols(),
@@ -106,7 +106,7 @@ impl SemiringMatrix {
     }
 
     /// The entry at `(i, j)` widened to `u64` (0/1 for packed bits).
-    pub fn entry(&self, i: usize, j: usize) -> u64 {
+    pub(crate) fn entry(&self, i: usize, j: usize) -> u64 {
         match self {
             SemiringMatrix::Bits(m) => u64::from(m.get(i, j)),
             SemiringMatrix::Ints(m) => m.get(i, j),
@@ -230,7 +230,7 @@ impl SemiringMatrix {
     /// Number of entries that are not the semiring's additive identity —
     /// the "nonzeros" a [`SparseMatMul`] actually communicates (finite
     /// entries under `(min, +)`, set bits or nonzero integers elsewhere).
-    pub fn nnz(&self, semiring: Semiring) -> usize {
+    pub(crate) fn nnz(&self, semiring: Semiring) -> usize {
         match self {
             SemiringMatrix::Bits(m) => m.count_ones(),
             SemiringMatrix::Ints(m) => (0..m.rows())

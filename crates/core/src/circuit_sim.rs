@@ -56,19 +56,14 @@ impl InputPartition {
     }
 }
 
-/// The static plan of the simulation: gate ownership and derived parameters.
+/// The static plan of the simulation: gate ownership and heaviness.
 #[derive(Clone, Debug)]
-pub struct SimulationPlan {
-    /// Wire density `s = ⌈wires/n²⌉`.
-    pub wire_density: usize,
-    /// The heavy-gate threshold `2·n·s`.
-    pub heavy_threshold: usize,
+pub(crate) struct SimulationPlan {
     /// Owner of each gate.
-    pub owner: Vec<usize>,
-    /// Whether each gate is heavy.
-    pub heavy: Vec<bool>,
-    /// Number of heavy gates.
-    pub heavy_count: usize,
+    pub(crate) owner: Vec<usize>,
+    /// Whether each gate is heavy (weight at least `2·n·s`, where
+    /// `s = ⌈wires/n²⌉` is the wire density).
+    pub(crate) heavy: Vec<bool>,
 }
 
 /// Computes the gate-to-player assignment of Theorem 2.
@@ -76,7 +71,7 @@ pub struct SimulationPlan {
 /// # Panics
 ///
 /// Panics if `n_players == 0`.
-pub fn plan_simulation(circuit: &Circuit, n_players: usize) -> SimulationPlan {
+pub(crate) fn plan_simulation(circuit: &Circuit, n_players: usize) -> SimulationPlan {
     assert!(n_players > 0, "need at least one player");
     let s = circuit.wire_density(n_players);
     let threshold = 2 * n_players * s;
@@ -105,13 +100,7 @@ pub fn plan_simulation(circuit: &Circuit, n_players: usize) -> SimulationPlan {
             light_load[p] += w;
         }
     }
-    SimulationPlan {
-        wire_density: s,
-        heavy_threshold: threshold,
-        owner,
-        heavy,
-        heavy_count,
-    }
+    SimulationPlan { owner, heavy }
 }
 
 /// Theorem 2 as a [`Protocol`]: simulates a layered circuit of separable
@@ -492,9 +481,8 @@ mod tests {
     fn plan_respects_heavy_gate_limits() {
         let circuit = builders::parity(100);
         let plan = plan_simulation(&circuit, 10);
-        assert!(plan.heavy_count <= 10);
         // The single wide XOR gate has weight 101 > 2·n·s = 2·10·1 = 20.
-        assert_eq!(plan.heavy_count, 1);
+        assert_eq!(plan.heavy.iter().filter(|&&h| h).count(), 1);
         assert_eq!(plan.owner.len(), circuit.gate_count());
         // Heavy gates get distinct players.
         let heavy_owners: Vec<usize> = (0..circuit.gate_count())

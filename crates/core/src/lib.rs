@@ -14,7 +14,7 @@
 //!   separable summaries, balanced routing of light wires);
 //! * [`triangle`] — triangle detection in `CLIQUE-UCAST` through `F₂` matrix
 //!   multiplication circuits (Section 2.1,
-//!   [`triangle::MatMulTriangleDetection`]), plus the trivial and
+//!   [`triangle::detect_triangle_via_matmul`]), plus the trivial and
 //!   Dolev–Lenzen–Peled ([`triangle::DlpTriangleDetection`]) baselines;
 //! * [`algebraic`] — the `O(n^{1/3})`-round 3D-partitioned distributed
 //!   semiring matrix product ([`algebraic::SemiringMatMul`]; Censor-Hillel
@@ -29,7 +29,7 @@
 //!   ([`subgraph::SketchReconstruction`]) and the Theorem 7 upper bound
 //!   driven by Turán numbers ([`subgraph::TuranSketchDetection`]);
 //! * [`adaptive`] — the Theorem 9 adaptive detection algorithm that does not
-//!   need to know `ex(n, H)` ([`adaptive::AdaptiveDetection`]; degeneracy
+//!   need to know `ex(n, H)` ([`adaptive::detect_subgraph_adaptive`]; degeneracy
 //!   sampling, Lemma 8);
 //! * [`mst`] — deterministic minimum spanning forests on edge-incidence
 //!   sketches ([`mst::MstProtocol`]: Borůvka phases of sketch broadcast,
@@ -98,25 +98,14 @@ pub use clique_routing as routing;
 /// Re-export of the communication-complexity substrate (`clique-comm`).
 pub use clique_comm as comm;
 
-pub use adaptive::{detect_subgraph_adaptive, AdaptiveDetection, AdaptiveOutput, AdaptiveRun};
+pub use adaptive::detect_subgraph_adaptive;
 pub use algebraic::{
-    compute_apsp, count_triangles, semiring_matmul, ApspProtocol, Semiring, SemiringMatMul,
-    SemiringMatrix, TriangleCount,
+    compute_apsp, count_triangles, ApspProtocol, Semiring, SemiringMatMul, SemiringMatrix,
+    TriangleCount,
 };
-pub use circuit_sim::{
-    plan_simulation, simulate_circuit, CircuitSimulation, InputPartition, SimulationPlan,
-};
-pub use mst::{compute_msf, MsfOutput, MstProtocol};
-pub use outcome::{CircuitOutput, CircuitSimOutcome, Detection, DetectionOutcome};
-pub use registry::{
-    generate_input, InputKind, JobInput, ProtocolEntry, ProtocolRun, RunOptions, PROTOCOLS,
-};
-pub use subgraph::{
-    detect_subgraph_turan, run_reconstruction_protocol, Reconstruction, ReconstructionRun,
-    SketchReconstruction, TuranSketchDetection,
-};
-pub use triangle::{
-    detect_triangle_dlp, detect_triangle_trivial, detect_triangle_via_matmul, DlpTriangleDetection,
-    MatMulStrategy, MatMulTriangleDetection,
-};
-pub use trivial::{detect_by_full_broadcast, FullBroadcastDetection};
+pub use circuit_sim::{simulate_circuit, CircuitSimulation, InputPartition};
+pub use mst::{compute_msf, MstProtocol};
+pub use outcome::DetectionOutcome;
+pub use subgraph::{detect_subgraph_turan, TuranSketchDetection};
+pub use triangle::DlpTriangleDetection;
+pub use trivial::FullBroadcastDetection;

@@ -63,11 +63,11 @@ use clique_sketch::SignedPowerSumSketch;
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct MsfOutput {
     /// The forest edges as `(u, v, w)` with `u < v`, ascending by `(u, v)`.
-    pub edges: Vec<(usize, usize, u64)>,
+    pub(crate) edges: Vec<(usize, usize, u64)>,
     /// Sum of the raw weights of the forest edges.
     pub total_weight: u64,
     /// Number of connected components of the input graph.
-    pub components: usize,
+    pub(crate) components: usize,
     /// Number of sketch-broadcast phases (capacity levels) used.
     pub phases: usize,
     /// The sketch capacity of the last phase.
@@ -101,7 +101,7 @@ impl MsfOutput {
 /// let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(7);
 /// let g = weighted::weighted_cycle(32, 100, &mut rng);
 /// let run = compute_msf(&g, 4, 5).unwrap();
-/// assert_eq!(run.edges.len(), 31);
+/// assert_eq!(run.forest().edges.len(), 31);
 /// assert_eq!(run.phases, 1); // cycle cuts never exceed 2
 /// ```
 #[derive(Clone, Debug)]
@@ -388,6 +388,7 @@ pub fn edge_key_universe(n: usize, max_weight: u64) -> Option<u64> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::registry::{generate_input, InputKind, JobInput, WEIGHTED_FAMILIES};
     use clique_graphs::iso::minimum_spanning_forest;
     use clique_graphs::{generators, weighted};
     use rand::SeedableRng;
@@ -554,6 +555,69 @@ mod tests {
             // max_weight 3 on 14 nodes: collisions guaranteed.
             let graph = weighted::weighted_erdos_renyi(14, 0.35, 3, &mut rng);
             assert_matches_oracle(&graph, 4);
+        }
+    }
+
+    /// The forest and the done flag after every phase of one run.
+    type PhaseTrail = Vec<(Vec<(usize, usize, u64)>, bool)>;
+
+    /// Replays the protocol's phase loop with `candidates` as the decode
+    /// scan's key list.
+    fn replay_phases(protocol: &MstProtocol<'_>, candidates: &[u64]) -> PhaseTrail {
+        let n = protocol.graph.vertex_count();
+        let max_capacity = protocol.graph.edge_count().max(1);
+        let mut capacity = protocol.base_capacity.min(max_capacity);
+        let mut dsu = UnionFind::new(n);
+        let mut forest = Vec::new();
+        let mut trail = Vec::new();
+        loop {
+            let blackboard: Vec<SignedPowerSumSketch> = (0..n)
+                .map(|v| protocol.incidence_sketch(v, protocol.universe, capacity))
+                .collect();
+            let done = contract_to_exhaustion(&blackboard, candidates, n, &mut dsu, &mut forest);
+            trail.push((forest.clone(), done));
+            if done {
+                return trail;
+            }
+            assert!(
+                capacity < max_capacity,
+                "a full-capacity sketch decodes every cut"
+            );
+            capacity = (capacity * 2).min(max_capacity);
+        }
+    }
+
+    #[test]
+    fn edge_key_candidates_are_only_a_speed_up() {
+        // No node knows the graph's edge keys, so scanning only them must
+        // decide every phase exactly as scanning the whole key universe.
+        for family in WEIGHTED_FAMILIES {
+            for n in 2..=10 {
+                for seed in 1..=4 {
+                    for max_weight in [1, 7, 40] {
+                        let input =
+                            generate_input(InputKind::Weighted, family, n, seed, max_weight);
+                        let Some(JobInput::Weighted(graph)) = input else {
+                            panic!("{family} is a weighted family");
+                        };
+                        for base_capacity in [1, 2, 4] {
+                            let protocol = MstProtocol::new(&graph, base_capacity);
+                            let mut edge_keys: Vec<u64> = graph
+                                .edges()
+                                .map(|(u, v, _)| protocol.edge_key(u, v))
+                                .collect();
+                            edge_keys.sort_unstable();
+                            let all_keys: Vec<u64> = (0..protocol.universe).collect();
+                            assert_eq!(
+                                replay_phases(&protocol, &edge_keys),
+                                replay_phases(&protocol, &all_keys),
+                                "{family}, n = {n}, seed {seed}, max weight {max_weight}, \
+                                 base capacity {base_capacity}"
+                            );
+                        }
+                    }
+                }
+            }
         }
     }
 

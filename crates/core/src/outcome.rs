@@ -30,7 +30,7 @@ pub struct CircuitOutput {
     /// The player owning (and therefore knowing) each output, in output
     /// order — useful for protocols that post-process the outputs (e.g. the
     /// triangle-detection route of Section 2.1).
-    pub output_owners: Vec<usize>,
+    pub(crate) output_owners: Vec<usize>,
     /// Number of layers of the circuit (its depth).
     pub depth: usize,
 }
@@ -39,7 +39,7 @@ pub struct CircuitOutput {
 /// [`RunOutcome::max_phase_rounds`] is `O(1)` once the bandwidth reaches
 /// `Θ(b_sep + s)` (up to the header overhead discussed in
 /// [`crate::circuit_sim`]).
-pub type CircuitSimOutcome = RunOutcome<CircuitOutput>;
+pub(crate) type CircuitSimOutcome = RunOutcome<CircuitOutput>;
 
 #[cfg(test)]
 mod tests {

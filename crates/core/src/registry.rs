@@ -3,8 +3,7 @@
 //! server, the benchmark, tests), replacing per-binary match arms — adding
 //! a servable protocol is one [`PROTOCOLS`] row.
 //!
-//! An entry bundles a stable id, a one-line description, the input kind it
-//! consumes and a runner that executes the protocol on the model the paper
+//! An entry bundles a stable id, the input kind it consumes and a runner that executes the protocol on the model the paper
 //! states its bound for, returning the communication ledger plus a
 //! *canonical output digest* (fixed-key-order JSON, integers and booleans
 //! only). Two runs of the same `(protocol, input, bandwidth)` triple are
@@ -44,14 +43,6 @@ pub enum JobInput {
 }
 
 impl JobInput {
-    /// Which kind of input this is.
-    pub fn kind(&self) -> InputKind {
-        match self {
-            JobInput::Unweighted(_) => InputKind::Unweighted,
-            JobInput::Weighted(_) => InputKind::Weighted,
-        }
-    }
-
     /// Number of vertices (= players of the run).
     pub fn vertex_count(&self) -> usize {
         match self {
@@ -112,8 +103,6 @@ pub struct ProtocolRun {
 pub struct ProtocolEntry {
     /// Stable identifier used in job specs and CLIs.
     pub id: &'static str,
-    /// One-line description for `--list`-style output.
-    pub description: &'static str,
     /// The input kind the entry consumes.
     pub kind: InputKind,
     run: fn(&JobInput, &RunOptions) -> Result<ProtocolRun, SimError>,
@@ -136,51 +125,51 @@ impl ProtocolEntry {
 
 /// The registry: every protocol servable by id.
 pub const PROTOCOLS: &[ProtocolEntry] = &[
+    // Minimum spanning forest on edge-incidence sketches (CLIQUE-BCAST).
     ProtocolEntry {
         id: "mst",
-        description: "minimum spanning forest on edge-incidence sketches (CLIQUE-BCAST)",
         kind: InputKind::Weighted,
         run: run_mst,
     },
+    // Exact triangle counting via semiring matmul (CLIQUE-UCAST).
     ProtocolEntry {
         id: "triangle-count",
-        description: "exact triangle counting via semiring matmul (CLIQUE-UCAST)",
         kind: InputKind::Unweighted,
         run: run_triangle_count,
     },
+    // Triangle counting with auto matmul dispatch (cubic/sparse) (CLIQUE-UCAST).
     ProtocolEntry {
         id: "triangle-count-fast",
-        description: "triangle counting with auto matmul dispatch (cubic/sparse) (CLIQUE-UCAST)",
         kind: InputKind::Unweighted,
         run: run_triangle_count_fast,
     },
+    // All-pairs shortest paths by (min,+) squaring (CLIQUE-UCAST).
     ProtocolEntry {
         id: "apsp",
-        description: "all-pairs shortest paths by (min,+) squaring (CLIQUE-UCAST)",
         kind: InputKind::Unweighted,
         run: run_apsp,
     },
+    // APSP with auto matmul dispatch per squaring (cubic/sparse) (CLIQUE-UCAST).
     ProtocolEntry {
         id: "apsp-fast",
-        description: "APSP with auto matmul dispatch per squaring (cubic/sparse) (CLIQUE-UCAST)",
         kind: InputKind::Unweighted,
         run: run_apsp_fast,
     },
+    // C4 detection with degeneracy sketches, Theorem 7 (CLIQUE-BCAST).
     ProtocolEntry {
         id: "c4-turan-sketch",
-        description: "C4 detection with degeneracy sketches, Theorem 7 (CLIQUE-BCAST)",
         kind: InputKind::Unweighted,
         run: run_c4_turan,
     },
+    // C4 detection by broadcasting all rows, Section 3.1 (CLIQUE-BCAST).
     ProtocolEntry {
         id: "c4-full-broadcast",
-        description: "C4 detection by broadcasting all rows, Section 3.1 (CLIQUE-BCAST)",
         kind: InputKind::Unweighted,
         run: run_c4_full_broadcast,
     },
+    // Fault-tolerance probe: one-phase broadcast, deliberately panics on odd n (chaos testing).
     ProtocolEntry {
         id: "chaos-probe",
-        description: "fault-tolerance probe: one-phase broadcast, deliberately panics on odd n (chaos testing)",
         kind: InputKind::Unweighted,
         run: run_chaos_probe,
     },
@@ -425,7 +414,6 @@ mod tests {
     fn every_id_resolves_and_ids_are_unique() {
         for entry in PROTOCOLS {
             assert_eq!(find(entry.id).unwrap().id, entry.id);
-            assert!(!entry.description.is_empty());
         }
         let mut ids: Vec<&str> = PROTOCOLS.iter().map(|e| e.id).collect();
         ids.sort_unstable();

@@ -25,8 +25,6 @@ pub struct Reconstruction {
     /// The reconstructed graph, or the failure reason (degeneracy exceeded
     /// the sketch capacity).
     pub result: Result<Graph, DecodeError>,
-    /// The sketch capacity `k` used.
-    pub capacity: usize,
 }
 
 impl Reconstruction {
@@ -37,7 +35,7 @@ impl Reconstruction {
 }
 
 /// The result of running the reconstruction protocol `A(G, k)`.
-pub type ReconstructionRun = RunOutcome<Reconstruction>;
+pub(crate) type ReconstructionRun = RunOutcome<Reconstruction>;
 
 /// The Becker et al. \[2\] reconstruction protocol `A(G, k)` as a
 /// [`Protocol`]: one `O(k log n)`-bit broadcast per node, then a local
@@ -78,7 +76,6 @@ impl Protocol for SketchReconstruction<'_> {
             .collect::<Result<_, _>>()?;
         Ok(Reconstruction {
             result: decode_graph(&received),
-            capacity: self.capacity,
         })
     }
 }

@@ -7,7 +7,7 @@
 //! semiring, which Shamir's randomized reduction turns into a small number of
 //! `F₂` matrix products, which the Theorem 2 simulation evaluates in
 //! `O(depth)` rounds with bandwidth proportional to the circuit's wire
-//! density. [`MatMulTriangleDetection`] implements exactly that pipeline
+//! density. `MatMulTriangleDetection` implements exactly that pipeline
 //! with the two explicit circuit families available (naive cubic and
 //! Strassen), plus two baselines:
 //!
@@ -44,7 +44,7 @@ impl MatMulStrategy {
     /// the way to `1 × 1` blocks, so it rounds up to the next power of two;
     /// the naive circuit takes any dimension. Pad the input matrices to
     /// this dimension and pass it unchanged to [`Self::circuit`].
-    pub fn padded_dim(&self, n: usize) -> usize {
+    pub(crate) fn padded_dim(&self, n: usize) -> usize {
         match self {
             MatMulStrategy::Naive => n,
             MatMulStrategy::Strassen => n.next_power_of_two(),
@@ -60,7 +60,7 @@ impl MatMulStrategy {
     ///
     /// Panics for [`MatMulStrategy::Strassen`] if `dim` is not a power of
     /// two (i.e. was not produced by [`Self::padded_dim`]).
-    pub fn circuit(&self, dim: usize) -> MatMulCircuit {
+    pub(crate) fn circuit(&self, dim: usize) -> MatMulCircuit {
         match self {
             MatMulStrategy::Naive => matmul_f2_naive(dim),
             MatMulStrategy::Strassen => strassen_matmul_f2(dim),
@@ -99,7 +99,7 @@ pub fn detect_triangle_trivial(
 /// has no false positives and misses an existing triangle with probability
 /// at most `2^{-trials}`.
 #[derive(Debug)]
-pub struct MatMulTriangleDetection<'a, R: Rng + ?Sized> {
+pub(crate) struct MatMulTriangleDetection<'a, R: Rng + ?Sized> {
     graph: &'a Graph,
     strategy: MatMulStrategy,
     trials: usize,
@@ -112,7 +112,12 @@ impl<'a, R: Rng + ?Sized> MatMulTriangleDetection<'a, R> {
     /// # Panics
     ///
     /// Panics if `trials == 0`.
-    pub fn new(graph: &'a Graph, strategy: MatMulStrategy, trials: usize, rng: &'a mut R) -> Self {
+    pub(crate) fn new(
+        graph: &'a Graph,
+        strategy: MatMulStrategy,
+        trials: usize,
+        rng: &'a mut R,
+    ) -> Self {
         assert!(trials > 0, "at least one trial is required");
         Self {
             graph,
@@ -218,7 +223,7 @@ fn product_entries(product: &CircuitOutput, n: usize, dim: usize) -> Vec<Field> 
         .collect()
 }
 
-/// Runs [`MatMulTriangleDetection`] in `CLIQUE-UCAST(n, b)`.
+/// Runs `MatMulTriangleDetection` in `CLIQUE-UCAST(n, b)`.
 ///
 /// # Errors
 ///

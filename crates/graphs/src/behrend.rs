@@ -142,11 +142,9 @@ pub struct RuzsaSzemeredi {
     /// The underlying tripartite graph on `6m` vertices.
     pub graph: Graph,
     /// The designated edge-disjoint triangles `(a, b, c)` by vertex id.
-    pub triangles: Vec<(usize, usize, usize)>,
+    pub(crate) triangles: Vec<(usize, usize, usize)>,
     /// The parameter `m` (size of part `A`).
-    pub m: usize,
-    /// The Behrend set used.
-    pub behrend: Vec<u64>,
+    pub(crate) m: usize,
 }
 
 impl RuzsaSzemeredi {
@@ -171,7 +169,6 @@ impl RuzsaSzemeredi {
             graph,
             triangles,
             m,
-            behrend,
         }
     }
 
@@ -186,7 +183,7 @@ impl RuzsaSzemeredi {
     }
 
     /// Index lookup: for an edge of the graph, the unique designated triangle
-    /// containing it, as an index into [`Self::triangles`]. Returns `None`
+    /// containing it, as an index into the designated triangles. Returns `None`
     /// for pairs that are not edges.
     pub fn triangle_of_edge(&self, u: usize, v: usize) -> Option<usize> {
         // Every edge belongs to exactly one designated triangle, so a linear
@@ -260,7 +257,7 @@ mod tests {
     fn ruzsa_szemeredi_structure() {
         let rs = RuzsaSzemeredi::new(30);
         assert_eq!(rs.vertex_count(), 180);
-        assert_eq!(rs.triangle_count(), 30 * rs.behrend.len());
+        assert_eq!(rs.triangle_count(), 30 * behrend_set(30).len());
         // Every designated triangle is a triangle of the graph.
         for &(a, b, c) in &rs.triangles {
             assert!(rs.graph.has_edge(a, b));

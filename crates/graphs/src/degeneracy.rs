@@ -91,30 +91,6 @@ pub fn degeneracy(graph: &Graph) -> usize {
     degeneracy_ordering(graph).degeneracy
 }
 
-/// The `k`-core of the graph: the maximal induced subgraph of minimum degree
-/// at least `k`, returned as the set of vertices it contains (possibly empty).
-pub fn k_core(graph: &Graph, k: usize) -> Vec<usize> {
-    let n = graph.vertex_count();
-    let mut degree: Vec<usize> = (0..n).map(|v| graph.degree(v)).collect();
-    let mut removed = vec![false; n];
-    let mut queue: Vec<usize> = (0..n).filter(|&v| degree[v] < k).collect();
-    for &v in &queue {
-        removed[v] = true;
-    }
-    while let Some(v) = queue.pop() {
-        for &u in graph.neighbors(v) {
-            if !removed[u] {
-                degree[u] -= 1;
-                if degree[u] < k {
-                    removed[u] = true;
-                    queue.push(u);
-                }
-            }
-        }
-    }
-    (0..n).filter(|&v| !removed[v]).collect()
-}
-
 /// Verifies that `order` is an elimination ordering witnessing degeneracy at
 /// most `k`: every vertex has at most `k` neighbours appearing later.
 pub fn verify_elimination_order(graph: &Graph, order: &[usize], k: usize) -> bool {
@@ -181,23 +157,6 @@ mod tests {
     }
 
     #[test]
-    fn k_core_of_clique_plus_pendant() {
-        let mut g = generators::complete(4);
-        let mut h = Graph::empty(5);
-        for (u, v) in g.edges() {
-            h.add_edge(u, v);
-        }
-        h.add_edge(3, 4);
-        g = h;
-        let core3 = k_core(&g, 3);
-        assert_eq!(core3, vec![0, 1, 2, 3]);
-        let core4 = k_core(&g, 4);
-        assert!(core4.is_empty());
-        let core1 = k_core(&g, 1);
-        assert_eq!(core1.len(), 5);
-    }
-
-    #[test]
     fn verify_rejects_bad_orders() {
         let g = generators::complete(4);
         assert!(!verify_elimination_order(&g, &[0, 1, 2], 3));
@@ -223,10 +182,10 @@ mod tests {
         let n = g.vertex_count();
         let mut best = 0;
         for mask in 1u32..(1 << n) {
-            let verts: Vec<usize> = (0..n).filter(|&v| mask >> v & 1 == 1).collect();
-            let (sub, _) = g.induced_subgraph(&verts);
-            let min_deg = (0..sub.vertex_count())
-                .map(|v| sub.degree(v))
+            let inside = |v: usize| mask >> v & 1 == 1;
+            let min_deg = (0..n)
+                .filter(|&v| inside(v))
+                .map(|v| g.neighbors(v).iter().filter(|&&u| inside(u)).count())
                 .min()
                 .unwrap_or(0);
             best = best.max(min_deg);

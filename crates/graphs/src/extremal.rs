@@ -26,7 +26,7 @@ use crate::graph::Graph;
 use crate::iso::contains_subgraph;
 
 /// Returns `true` if `q` is prime.
-pub fn is_prime(q: usize) -> bool {
+pub(crate) fn is_prime(q: usize) -> bool {
     if q < 2 {
         return false;
     }
@@ -38,11 +38,6 @@ pub fn is_prime(q: usize) -> bool {
         d += 1;
     }
     true
-}
-
-/// The largest prime `p ≤ x`, or `None` if `x < 2`.
-pub fn largest_prime_at_most(x: usize) -> Option<usize> {
-    (2..=x).rev().find(|&p| is_prime(p))
 }
 
 /// Projective points of `PG(2, q)`: canonical representatives of nonzero
@@ -75,7 +70,7 @@ fn dot_mod(a: &[usize; 3], b: &[usize; 3], q: usize) -> usize {
 /// # Panics
 ///
 /// Panics if `q` is not prime.
-pub fn polarity_graph(q: usize) -> Graph {
+pub(crate) fn polarity_graph(q: usize) -> Graph {
     assert!(is_prime(q), "polarity graph requires a prime q, got {q}");
     let points = projective_points(q);
     let n = points.len();
@@ -97,7 +92,7 @@ pub fn polarity_graph(q: usize) -> Graph {
 /// # Panics
 ///
 /// Panics if `q` is not prime.
-pub fn projective_incidence_graph(q: usize) -> Graph {
+pub(crate) fn projective_incidence_graph(q: usize) -> Graph {
     assert!(is_prime(q), "incidence graph requires a prime q, got {q}");
     let points = projective_points(q);
     let lines = projective_points(q); // lines are also projective triples
@@ -219,9 +214,6 @@ mod tests {
         assert!(!is_prime(9));
         assert!(is_prime(13));
         assert!(!is_prime(91));
-        assert_eq!(largest_prime_at_most(1), None);
-        assert_eq!(largest_prime_at_most(10), Some(7));
-        assert_eq!(largest_prime_at_most(13), Some(13));
     }
 
     #[test]

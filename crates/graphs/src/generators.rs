@@ -95,20 +95,6 @@ pub fn erdos_renyi<R: Rng + ?Sized>(n: usize, p: f64, rng: &mut R) -> Graph {
     g
 }
 
-/// A random bipartite graph with sides `0..a` and `a..a+b` where every
-/// cross pair is an edge independently with probability `p`.
-pub fn random_bipartite<R: Rng + ?Sized>(a: usize, b: usize, p: f64, rng: &mut R) -> Graph {
-    let mut g = Graph::empty(a + b);
-    for u in 0..a {
-        for v in a..(a + b) {
-            if rng.gen_bool(p.clamp(0.0, 1.0)) {
-                g.add_edge(u, v);
-            }
-        }
-    }
-    g
-}
-
 /// A random graph with (roughly) bounded degeneracy: vertices are added one
 /// by one and each new vertex chooses up to `k` random earlier neighbours.
 ///
@@ -150,15 +136,6 @@ pub fn plant_copy<R: Rng + ?Sized>(
         g.add_edge(vertices[u], vertices[v]);
     }
     (g, vertices)
-}
-
-/// A perfect matching on `2k` vertices: edges `{2i, 2i+1}`.
-pub fn perfect_matching(k: usize) -> Graph {
-    let mut g = Graph::empty(2 * k);
-    for i in 0..k {
-        g.add_edge(2 * i, 2 * i + 1);
-    }
-    g
 }
 
 /// A uniformly random tree on `n` vertices (random attachment).
@@ -236,15 +213,6 @@ mod tests {
     }
 
     #[test]
-    fn random_bipartite_has_no_intra_side_edges() {
-        let mut r = rng();
-        let g = random_bipartite(10, 12, 0.5, &mut r);
-        for (u, v) in g.edges() {
-            assert!(u < 10 && v >= 10, "edge ({u},{v}) crosses sides");
-        }
-    }
-
-    #[test]
     fn bounded_degeneracy_generator_respects_bound() {
         use crate::degeneracy::degeneracy;
         let mut r = rng();
@@ -266,13 +234,6 @@ mod tests {
         for (u, v) in pattern.edges() {
             assert!(planted.has_edge(where_[u], where_[v]));
         }
-    }
-
-    #[test]
-    fn perfect_matching_has_degree_one() {
-        let m = perfect_matching(5);
-        assert_eq!(m.edge_count(), 5);
-        assert_eq!(m.max_degree(), 1);
     }
 
     #[test]

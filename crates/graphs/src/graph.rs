@@ -25,7 +25,6 @@ use clique_sim::linalg::BitMatrix;
 /// g.add_edge(1, 2);
 /// assert_eq!(g.edge_count(), 2);
 /// assert!(g.has_edge(1, 0));
-/// assert_eq!(g.degree(1), 2);
 /// assert_eq!(g.neighbors(1), &[0, 2]);
 /// ```
 #[derive(Clone, PartialEq, Eq, Default)]
@@ -66,11 +65,6 @@ impl Graph {
     /// Number of edges.
     pub fn edge_count(&self) -> usize {
         self.edges
-    }
-
-    /// Returns `true` if the graph has no vertices.
-    pub fn is_empty(&self) -> bool {
-        self.adj.is_empty()
     }
 
     /// Adds the undirected edge `{u, v}`. Returns `true` if the edge is new.
@@ -133,7 +127,7 @@ impl Graph {
     /// # Panics
     ///
     /// Panics if `u` is out of range.
-    pub fn degree(&self, u: usize) -> usize {
+    pub(crate) fn degree(&self, u: usize) -> usize {
         self.adj[u].len()
     }
 
@@ -148,11 +142,6 @@ impl Graph {
             .iter()
             .enumerate()
             .flat_map(|(u, list)| list.iter().filter(move |&&v| u < v).map(move |&v| (u, v)))
-    }
-
-    /// Iterates over all vertices.
-    pub fn vertices(&self) -> impl Iterator<Item = usize> {
-        0..self.vertex_count()
     }
 
     /// The adjacency row of `u` packed into a [`BitString`] of `n` bits
@@ -227,35 +216,8 @@ impl Graph {
         m
     }
 
-    /// The subgraph induced by `vertices`, relabelled to `0..vertices.len()`
-    /// in the given order. Returns the subgraph and the mapping from new
-    /// labels to original labels.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a vertex is out of range or listed twice.
-    pub fn induced_subgraph(&self, vertices: &[usize]) -> (Graph, Vec<usize>) {
-        let n = self.vertex_count();
-        let mut position = vec![usize::MAX; n];
-        for (new, &old) in vertices.iter().enumerate() {
-            assert!(old < n, "vertex {old} out of range");
-            assert!(position[old] == usize::MAX, "vertex {old} listed twice");
-            position[old] = new;
-        }
-        let mut sub = Graph::empty(vertices.len());
-        for (new_u, &old_u) in vertices.iter().enumerate() {
-            for &old_v in &self.adj[old_u] {
-                let new_v = position[old_v];
-                if new_v != usize::MAX && new_u < new_v {
-                    sub.add_edge(new_u, new_v);
-                }
-            }
-        }
-        (sub, vertices.to_vec())
-    }
-
     /// Keeps only the edges for which `keep` returns `true`.
-    pub fn filter_edges(&self, mut keep: impl FnMut(usize, usize) -> bool) -> Graph {
+    pub(crate) fn filter_edges(&self, mut keep: impl FnMut(usize, usize) -> bool) -> Graph {
         let mut g = Graph::empty(self.vertex_count());
         for (u, v) in self.edges() {
             if keep(u, v) {
@@ -266,8 +228,10 @@ impl Graph {
     }
 
     /// Returns `true` if the graph is connected (the empty graph and the
-    /// one-vertex graph are considered connected).
-    pub fn is_connected(&self) -> bool {
+    /// one-vertex graph are considered connected): the generator tests'
+    /// oracle.
+    #[cfg(test)]
+    pub(crate) fn is_connected(&self) -> bool {
         let n = self.vertex_count();
         if n <= 1 {
             return true;
@@ -317,7 +281,7 @@ impl Graph {
     }
 
     /// Returns `true` if the graph contains no odd cycle.
-    pub fn is_bipartite(&self) -> bool {
+    pub(crate) fn is_bipartite(&self) -> bool {
         self.bipartition().is_some()
     }
 }
@@ -429,16 +393,6 @@ mod tests {
     #[should_panic(expected = "below vertex count")]
     fn padded_adjacency_rejects_shrinking() {
         let _ = Graph::from_edges(4, &[(0, 1)]).adjacency_bitmatrix_padded(3);
-    }
-
-    #[test]
-    fn induced_subgraph_relabels() {
-        let g = Graph::from_edges(5, &[(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)]);
-        let (sub, map) = g.induced_subgraph(&[1, 2, 4]);
-        assert_eq!(sub.vertex_count(), 3);
-        assert_eq!(sub.edge_count(), 1);
-        assert!(sub.has_edge(0, 1)); // 1--2 in the original
-        assert_eq!(map, vec![1, 2, 4]);
     }
 
     #[test]

@@ -46,7 +46,7 @@ impl SampledSubgraphs {
     /// # Panics
     ///
     /// Panics if `values.len()` differs from the number of vertices.
-    pub fn from_values(graph: &Graph, values: Vec<u64>) -> Self {
+    pub(crate) fn from_values(graph: &Graph, values: Vec<u64>) -> Self {
         assert_eq!(
             values.len(),
             graph.vertex_count(),
@@ -73,7 +73,7 @@ impl SampledSubgraphs {
     /// # Panics
     ///
     /// Panics if `j > self.levels`.
-    pub fn level(&self, j: usize) -> Graph {
+    pub(crate) fn level(&self, j: usize) -> Graph {
         assert!(
             j <= self.levels,
             "level {j} out of range (ℓ = {})",
@@ -93,11 +93,6 @@ impl SampledSubgraphs {
     /// Lemma 8).
     pub fn level_degeneracies(&self) -> Vec<usize> {
         self.all_levels().iter().map(degeneracy).collect()
-    }
-
-    /// The input graph.
-    pub fn graph(&self) -> &Graph {
-        &self.graph
     }
 }
 

@@ -47,21 +47,11 @@ impl Pattern {
         }
     }
 
-    /// Number of vertices of the pattern.
-    pub fn vertex_count(&self) -> usize {
-        match self {
-            Pattern::Clique(l) | Pattern::Cycle(l) | Pattern::Path(l) => *l,
-            Pattern::CompleteBipartite(l, m) => l + m,
-            Pattern::Star(k) => k + 1,
-            Pattern::Custom(g) => g.vertex_count(),
-        }
-    }
-
     /// Returns `true` if the pattern is bipartite (contains no odd cycle).
     ///
     /// Non-bipartite patterns have `ex(n, H) = Θ(n²)`, for which Theorem 7
     /// gives only the trivial `O(n log n / b)` upper bound.
-    pub fn is_bipartite(&self) -> bool {
+    pub(crate) fn is_bipartite(&self) -> bool {
         match self {
             Pattern::Clique(l) => *l <= 2,
             Pattern::Cycle(l) => *l == 0 || l % 2 == 0,
@@ -71,7 +61,7 @@ impl Pattern {
     }
 
     /// Returns `true` if the pattern is a forest (`ex(n, H) = O(n)`).
-    pub fn is_forest(&self) -> bool {
+    pub(crate) fn is_forest(&self) -> bool {
         match self {
             Pattern::Clique(l) => *l <= 2,
             Pattern::Cycle(l) => *l < 3,
@@ -238,9 +228,6 @@ mod tests {
         assert_eq!(Pattern::CompleteBipartite(2, 3).graph().edge_count(), 6);
         assert_eq!(Pattern::Path(4).graph().edge_count(), 3);
         assert_eq!(Pattern::Star(6).graph().edge_count(), 6);
-        assert_eq!(Pattern::Clique(4).vertex_count(), 4);
-        assert_eq!(Pattern::CompleteBipartite(2, 3).vertex_count(), 5);
-        assert_eq!(Pattern::Star(6).vertex_count(), 7);
     }
 
     #[test]

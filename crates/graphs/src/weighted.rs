@@ -35,9 +35,8 @@ use crate::graph::Graph;
 /// ```
 /// use clique_graphs::weighted::WeightedGraph;
 ///
-/// let mut g = WeightedGraph::empty(4);
-/// g.add_edge(0, 1, 5);
-/// g.add_edge(2, 1, 5); // same raw weight: the (w, u, v) order breaks the tie
+/// // Same raw weight: the (w, u, v) order breaks the tie.
+/// let g = WeightedGraph::from_edges(4, &[(0, 1, 5), (2, 1, 5)]);
 /// assert_eq!(g.weight(1, 0), Some(5));
 /// assert!(g.edge_order_key(0, 1) < g.edge_order_key(1, 2));
 /// ```
@@ -86,7 +85,7 @@ impl WeightedGraph {
     /// # Panics
     ///
     /// Panics if an endpoint is out of range.
-    pub fn add_edge(&mut self, u: usize, v: usize, w: u64) -> bool {
+    pub(crate) fn add_edge(&mut self, u: usize, v: usize, w: u64) -> bool {
         if u == v {
             return false;
         }
@@ -215,11 +214,6 @@ impl UnionFind {
         self.size[big] += self.size[small];
         self.components -= 1;
         true
-    }
-
-    /// Returns `true` if `x` and `y` are in the same component.
-    pub fn connected(&mut self, x: usize, y: usize) -> bool {
-        self.find(x) == self.find(y)
     }
 
     /// Number of components.
@@ -375,8 +369,8 @@ mod tests {
         assert!(dsu.union(2, 3));
         assert!(dsu.union(1, 2));
         assert!(!dsu.union(0, 3));
-        assert!(dsu.connected(0, 3));
-        assert!(!dsu.connected(0, 5));
+        assert_eq!(dsu.find(0), dsu.find(3));
+        assert_ne!(dsu.find(0), dsu.find(5));
         assert_eq!(dsu.components(), 3);
     }
 

@@ -14,7 +14,7 @@ pub struct Packet {
     /// Originating player.
     pub src: NodeId,
     /// Destination player.
-    pub dst: NodeId,
+    pub(crate) dst: NodeId,
     /// Payload bits.
     pub payload: BitString,
 }
@@ -52,7 +52,7 @@ impl RoutingDemand {
     /// # Panics
     ///
     /// Panics if an endpoint is out of range or the packet is a self-message.
-    pub fn push(&mut self, packet: Packet) {
+    pub(crate) fn push(&mut self, packet: Packet) {
         assert!(
             packet.src.index() < self.n && packet.dst.index() < self.n,
             "packet endpoints out of range"
@@ -67,7 +67,7 @@ impl RoutingDemand {
     }
 
     /// The packets.
-    pub fn packets(&self) -> &[Packet] {
+    pub(crate) fn packets(&self) -> &[Packet] {
         &self.packets
     }
 
@@ -79,39 +79,6 @@ impl RoutingDemand {
     /// Returns `true` if there is nothing to route.
     pub fn is_empty(&self) -> bool {
         self.packets.is_empty()
-    }
-
-    /// Total payload bits.
-    pub fn total_bits(&self) -> u64 {
-        self.packets.iter().map(|p| p.payload.len() as u64).sum()
-    }
-
-    /// Per-player totals `(bits sent, bits received)`.
-    pub fn per_node_load(&self) -> Vec<(u64, u64)> {
-        let mut load = vec![(0u64, 0u64); self.n];
-        for p in &self.packets {
-            load[p.src.index()].0 += p.payload.len() as u64;
-            load[p.dst.index()].1 += p.payload.len() as u64;
-        }
-        load
-    }
-
-    /// Maximum over players of bits sent or received.
-    pub fn max_node_load(&self) -> u64 {
-        self.per_node_load()
-            .iter()
-            .map(|&(s, r)| s.max(r))
-            .max()
-            .unwrap_or(0)
-    }
-
-    /// Returns `true` if every player sends at most `limit` bits and receives
-    /// at most `limit` bits in total — the "balanced" precondition of
-    /// Lenzen's routing theorem with limit `Θ(n·b)`.
-    pub fn is_balanced(&self, limit: u64) -> bool {
-        self.per_node_load()
-            .iter()
-            .all(|&(s, r)| s <= limit && r <= limit)
     }
 }
 
@@ -127,9 +94,7 @@ mod tests {
     fn empty_demand() {
         let d = RoutingDemand::new(4);
         assert!(d.is_empty());
-        assert_eq!(d.total_bits(), 0);
-        assert_eq!(d.max_node_load(), 0);
-        assert!(d.is_balanced(0));
+        assert_eq!(d.len(), 0);
     }
 
     #[test]
@@ -140,13 +105,9 @@ mod tests {
         d.send(2, 1, payload(2));
         d.send(3, 0, payload(7));
         assert_eq!(d.len(), 4);
-        assert_eq!(d.total_bits(), 17);
-        let loads = d.per_node_load();
-        assert_eq!(loads[0], (8, 7));
-        assert_eq!(loads[1], (0, 10));
-        assert_eq!(d.max_node_load(), 10);
-        assert!(d.is_balanced(10));
-        assert!(!d.is_balanced(9));
+        assert!(!d.is_empty());
+        let bits: usize = d.packets().iter().map(|p| p.payload.len()).sum();
+        assert_eq!(bits, 17);
     }
 
     #[test]

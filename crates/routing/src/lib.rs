@@ -5,8 +5,7 @@
 //! by invoking Lenzen's deterministic routing theorem \[28\] as a black box.
 //! This crate provides that black box for the simulation:
 //!
-//! * [`demand::RoutingDemand`] — a demand as a list of packets with per-node
-//!   load accounting and the "balanced" predicate;
+//! * [`demand::RoutingDemand`] — a demand as a list of packets;
 //! * [`router::DirectRouter`] — the naive baseline (one hop, possibly
 //!   `Θ(n)` rounds for concentrated demands);
 //! * [`router::ValiantRouter`] — two-phase routing via random intermediaries;
@@ -16,8 +15,6 @@
 //!   balanced intermediary assignment, priced exactly from each packet's
 //!   endpoints and length, so it never takes more rounds than direct
 //!   delivery;
-//! * [`router::direct_round_bound`] — the rounds direct delivery charges,
-//!   framing included;
 //! * [`router::greedy_intermediaries`] — the balanced router's greedy
 //!   intermediary scan over `(src, dst, bits)` hops, which Theorem 2's
 //!   circuit simulation also runs on its one-bit wires.
@@ -32,7 +29,7 @@
 //!
 //! ```
 //! use clique_routing::demand::RoutingDemand;
-//! use clique_routing::router::{direct_round_bound, BalancedRouter, DirectRouter, RouteProtocol};
+//! use clique_routing::router::{BalancedRouter, DirectRouter, RouteProtocol};
 //! use clique_sim::prelude::*;
 //!
 //! # fn main() -> Result<(), SimError> {
@@ -49,8 +46,6 @@
 //!
 //! // The balanced two-phase schedule spreads the load over all links.
 //! assert!(balanced.rounds() < direct.rounds());
-//! // Direct delivery's cost is known before anything is sent.
-//! assert_eq!(direct_round_bound(&demand, 8), direct.rounds());
 //! # Ok(())
 //! # }
 //! ```
@@ -63,6 +58,6 @@ pub mod router;
 
 pub use demand::{Packet, RoutingDemand};
 pub use router::{
-    direct_round_bound, greedy_intermediaries, BalancedRouter, Delivered, DirectRouter,
-    RouteProtocol, Router, ValiantRouter,
+    greedy_intermediaries, BalancedRouter, Delivered, DirectRouter, RouteProtocol, Router,
+    ValiantRouter,
 };

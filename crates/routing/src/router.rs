@@ -550,7 +550,7 @@ fn two_phase_route(
 /// per link and round: `⌈max pair load / b⌉`, where a pair's load sums its
 /// packets' `[len, payload]` records, framing included. Reads only the
 /// demand's shape, in `O(packets + n)` time.
-pub fn direct_round_bound(demand: &RoutingDemand, bandwidth: usize) -> u64 {
+pub(crate) fn direct_round_bound(demand: &RoutingDemand, bandwidth: usize) -> u64 {
     let codec = PacketCodec::for_demand(demand);
     let hops: Vec<_> = demand
         .packets()

@@ -58,23 +58,8 @@ impl TranscriptCache {
         }
     }
 
-    /// The capacity bound.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    /// Number of cached records.
-    pub fn len(&self) -> usize {
-        self.map.len()
-    }
-
-    /// Whether the cache is empty.
-    pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
-    }
-
     /// The counters so far.
-    pub fn stats(&self) -> CacheStats {
+    pub(crate) fn stats(&self) -> CacheStats {
         self.stats
     }
 
@@ -134,7 +119,7 @@ mod tests {
         assert_eq!(cache.get("a").as_deref(), Some("1"));
         cache.insert("a".into(), "2".into());
         assert_eq!(cache.get("a").as_deref(), Some("2"));
-        assert_eq!(cache.len(), 1);
+        assert_eq!(cache.map.len(), 1);
         assert_eq!(
             cache.stats(),
             CacheStats {
@@ -154,7 +139,7 @@ mod tests {
         // Touch "a" so "b" becomes the eviction candidate.
         assert!(cache.get("a").is_some());
         cache.insert("c".into(), "3".into());
-        assert_eq!(cache.len(), 2);
+        assert_eq!(cache.map.len(), 2);
         assert_eq!(cache.stats().evictions, 1);
         assert!(cache.get("b").is_none(), "LRU entry was evicted");
         assert!(cache.get("a").is_some());

@@ -53,9 +53,8 @@ pub mod cache;
 pub mod server;
 pub mod spec;
 
-pub use cache::{CacheStats, TranscriptCache};
+pub use cache::TranscriptCache;
 pub use server::{
-    encode_record, fnv64, FaultStats, JobOutcome, JobResult, ServeError, Server, ServerConfig,
-    ServerStats,
+    encode_record, fnv64, JobOutcome, JobResult, ServeError, Server, ServerConfig, ServerStats,
 };
-pub use spec::{JobSpec, SpecParseError};
+pub use spec::JobSpec;

@@ -24,8 +24,8 @@
 //!   stays a pure function of the submission sequence.
 //! * **Quarantine** — a job that exhausts its retries is quarantined:
 //!   later submissions of the same key are answered immediately with
-//!   [`ServeError::Quarantined`] (carrying the original cause) until
-//!   [`Server::release_quarantined`].
+//!   [`ServeError::Quarantined`] (carrying the original cause) for the
+//!   server's lifetime.
 //! * **Cache degradation** — with [`ServerConfig::verify_hits`], a hit
 //!   that fails its byte-compare is replaced by the fresh recomputation,
 //!   which is served instead (counted in [`FaultStats::cache_divergences`]),
@@ -213,7 +213,7 @@ pub struct FaultStats {
     /// Attempts that failed with a detected transport fault.
     pub faults_detected: u64,
     /// Attempts that panicked and were isolated.
-    pub panics: u64,
+    pub(crate) panics: u64,
     /// Re-executions beyond each job's first attempt.
     pub retries: u64,
     /// Jobs that failed at least once and then succeeded on a retry.
@@ -221,7 +221,7 @@ pub struct FaultStats {
     /// Jobs moved to the quarantine list (retries exhausted).
     pub quarantined: u64,
     /// Submissions answered from the quarantine list without running.
-    pub quarantine_hits: u64,
+    pub(crate) quarantine_hits: u64,
     /// Verified cache hits that failed their byte-compare (entry replaced,
     /// fresh record served).
     pub cache_divergences: u64,
@@ -305,24 +305,6 @@ impl Server {
             cache: self.cache.stats(),
             faults: self.faults,
         }
-    }
-
-    /// The quarantined keys with the attempt count that exhausted each, in
-    /// sorted key order (deterministic).
-    pub fn quarantined(&self) -> Vec<(String, u32)> {
-        let mut keys: Vec<(String, u32)> = self
-            .quarantine
-            .iter()
-            .map(|(key, entry)| (key.clone(), entry.attempts))
-            .collect();
-        keys.sort();
-        keys
-    }
-
-    /// Releases `spec` from quarantine so the next submission runs again.
-    /// Returns whether the key was quarantined.
-    pub fn release_quarantined(&mut self, spec: &JobSpec) -> bool {
-        self.quarantine.remove(&spec.canonical_json()).is_some()
     }
 
     /// Chaos-testing seam: plants (or overwrites) a cache record for
@@ -871,7 +853,7 @@ mod tests {
         // wave had no room for.
         assert_eq!(stats.waves, 3);
 
-        // Quarantined keys are answered without running; release re-arms.
+        // Quarantined keys are answered without running.
         let again = server.submit_jobs(std::slice::from_ref(&probe));
         assert_eq!(again[0].attempts, 0);
         assert!(matches!(
@@ -879,9 +861,7 @@ mod tests {
             Err(ServeError::Quarantined { .. })
         ));
         assert_eq!(server.stats().faults.quarantine_hits, 1);
-        assert_eq!(server.quarantined().len(), 1);
-        assert!(server.release_quarantined(&probe));
-        assert!(server.quarantined().is_empty());
+        assert_eq!(server.quarantine.len(), 1);
     }
 
     #[test]

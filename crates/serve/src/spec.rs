@@ -123,9 +123,9 @@ impl JobSpec {
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct SpecParseError {
     /// Byte offset of the first deviation.
-    pub pos: usize,
+    pub(crate) pos: usize,
     /// What the canonical form requires at that offset.
-    pub expected: &'static str,
+    pub(crate) expected: &'static str,
 }
 
 impl fmt::Display for SpecParseError {

@@ -301,13 +301,8 @@ impl BitString {
         BitReader { bits: self, pos: 0 }
     }
 
-    /// Iterates over the bits as booleans.
-    pub fn iter(&self) -> impl Iterator<Item = bool> + '_ {
-        (0..self.len).map(move |i| self.bit(i))
-    }
-
     /// Concatenates `self` and `other` into a new bit string.
-    pub fn concat(&self, other: &BitString) -> BitString {
+    pub(crate) fn concat(&self, other: &BitString) -> BitString {
         let mut out = self.clone();
         out.extend_from(other);
         out
@@ -510,18 +505,13 @@ impl BitReader<'_> {
     }
 
     /// Number of bits remaining.
-    pub fn remaining(&self) -> usize {
+    pub(crate) fn remaining(&self) -> usize {
         self.bits.len() - self.pos
     }
 
     /// Returns `true` if no bits remain.
     pub fn is_exhausted(&self) -> bool {
         self.remaining() == 0
-    }
-
-    /// Current cursor position in bits.
-    pub fn position(&self) -> usize {
-        self.pos
     }
 }
 
@@ -623,10 +613,7 @@ mod tests {
         let b = BitString::from_bools(&[true, true, false]);
         let c = a.concat(&b);
         assert_eq!(c.len(), 5);
-        assert_eq!(
-            c.iter().collect::<Vec<_>>(),
-            vec![true, false, true, true, false]
-        );
+        assert_eq!(c.to_bools(), vec![true, false, true, true, false]);
         let mut d = a.clone();
         d.extend_from(&b);
         assert_eq!(c, d);
@@ -745,7 +732,7 @@ mod tests {
         let mut r = bs.reader();
         let mut calls = 0;
         assert_eq!(r.read_fields(4, 3, |_, _| calls += 1), None);
-        assert_eq!((calls, r.position()), (0, 0));
+        assert_eq!((calls, r.pos), (0, 0));
         assert_eq!(r.read_fields(usize::MAX, 2, |_, _| calls += 1), None);
         let mut got = Vec::new();
         assert_eq!(r.read_fields(3, 3, |_, v| got.push(v)), Some(()));
@@ -775,7 +762,7 @@ mod tests {
         let bs = BitString::from_bits(0b101, 3);
         let mut r = bs.reader();
         assert_eq!(r.read_words(4), None);
-        assert_eq!(r.position(), 0);
+        assert_eq!(r.pos, 0);
         assert_eq!(r.read_words(3), Some(vec![0b101]));
     }
 
@@ -827,7 +814,7 @@ mod tests {
         assert!(bs.bit(0) && bs.bit(149) && bs.bit(64));
         bs.toggle_bit(64);
         assert!(!bs.bit(64));
-        assert_eq!(bs.iter().filter(|&b| b).count(), 2);
+        assert_eq!(bs.to_bools().iter().filter(|&&b| b).count(), 2);
     }
 
     #[test]

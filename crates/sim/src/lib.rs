@@ -87,9 +87,9 @@ pub mod transport;
 /// Commonly used types, re-exported for convenience.
 pub mod prelude {
     pub use crate::bits::{bits_for_universe, BitReader, BitString};
-    pub use crate::lane::{DefaultLane, LANE_BITS};
+    pub use crate::lane::LANE_BITS;
     pub use crate::linalg::{BitMatrix, IntMatrix};
-    pub use crate::metrics::{Metrics, PhaseRecord};
+    pub use crate::metrics::Metrics;
     pub use crate::model::{CliqueConfig, CommMode, SimError};
     pub use crate::node::NodeId;
     pub use crate::outcome::RunOutcome;
@@ -97,21 +97,15 @@ pub mod prelude {
     pub use crate::protocol::{Protocol, Runner};
     pub use crate::session::Session;
     pub use crate::transport::{
-        FaultKind, FaultPlan, FaultyTransport, InMemoryTransport, Transport, TransportFault,
-        TransportKind,
+        FaultKind, FaultPlan, FaultyTransport, InMemoryTransport, Transport,
     };
 }
 
 pub use bits::BitString;
 pub use lane::DefaultLane;
-pub use linalg::BitMatrix;
 pub use metrics::Metrics;
-pub use model::{CliqueConfig, CommMode, SimError};
+pub use model::{CliqueConfig, SimError};
 pub use node::NodeId;
 pub use outcome::RunOutcome;
 pub use protocol::{Protocol, Runner};
 pub use session::Session;
-pub use transport::{
-    FaultKind, FaultPlan, FaultyTransport, InMemoryTransport, Transport, TransportFault,
-    TransportKind,
-};

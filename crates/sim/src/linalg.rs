@@ -129,11 +129,6 @@ impl BitMatrix {
         self.cols
     }
 
-    /// Returns `true` if the matrix has no cells.
-    pub fn is_empty(&self) -> bool {
-        self.rows == 0 || self.cols == 0
-    }
-
     /// The entry at `(i, j)`.
     ///
     /// # Panics
@@ -286,7 +281,7 @@ impl BitMatrix {
     }
 
     /// The transposed matrix.
-    pub fn transpose(&self) -> BitMatrix {
+    pub(crate) fn transpose(&self) -> BitMatrix {
         let mut out = BitMatrix::zeros(self.cols, self.rows);
         for i in 0..self.rows {
             for (wi, &word) in self.row_words(i).iter().enumerate() {
@@ -481,11 +476,6 @@ impl IntMatrix {
         self.cols
     }
 
-    /// Returns `true` if the matrix has no cells.
-    pub fn is_empty(&self) -> bool {
-        self.rows == 0 || self.cols == 0
-    }
-
     /// The entry at `(i, j)`.
     ///
     /// # Panics
@@ -545,7 +535,7 @@ impl IntMatrix {
 
     /// Returns `true` if every entry is 0 or 1 (the fast-kernel precondition
     /// of [`Self::mul_counting`]).
-    pub fn is_binary(&self) -> bool {
+    pub(crate) fn is_binary(&self) -> bool {
         self.data.iter().all(|&v| v <= 1)
     }
 
@@ -675,7 +665,7 @@ pub fn saturating_counting_add(a: u64, b: u64) -> u64 {
 
 /// `(min, +)` addition: [`IntMatrix::INFINITY`] absorbs, finite sums
 /// saturate strictly below it.
-pub fn min_plus_add(a: u64, b: u64) -> u64 {
+pub(crate) fn min_plus_add(a: u64, b: u64) -> u64 {
     if a == IntMatrix::INFINITY || b == IntMatrix::INFINITY {
         IntMatrix::INFINITY
     } else {

@@ -38,7 +38,7 @@ impl Metrics {
     }
 
     /// Merges metrics from a sub-execution (e.g. a nested protocol).
-    pub fn absorb(&mut self, other: &Metrics) {
+    pub(crate) fn absorb(&mut self, other: &Metrics) {
         self.rounds += other.rounds;
         self.total_bits += other.total_bits;
         self.messages += other.messages;

@@ -50,14 +50,13 @@ impl fmt::Display for CommMode {
 ///
 /// // CLIQUE-BCAST(64, log n) as used throughout Section 3 of the paper.
 /// let cfg = CliqueConfig::broadcast(64, 6);
-/// assert_eq!(cfg.n, 64);
 /// assert_eq!(cfg.bandwidth, 6);
 /// assert_eq!(cfg.mode, CommMode::Broadcast);
 /// ```
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct CliqueConfig {
     /// Number of players.
-    pub n: usize,
+    pub(crate) n: usize,
     /// Link bandwidth `b` in bits per round.
     pub bandwidth: usize,
     /// Unicast or broadcast use of the bandwidth.

@@ -56,11 +56,6 @@ impl<T> RunOutcome<T> {
         self.metrics.total_bits
     }
 
-    /// Total messages placed on the network.
-    pub fn messages(&self) -> u64 {
-        self.metrics.messages
-    }
-
     /// The maximum number of rounds charged to any single phase of the run.
     pub fn max_phase_rounds(&self) -> u64 {
         self.metrics
@@ -74,14 +69,6 @@ impl<T> RunOutcome<T> {
     /// Consumes the outcome, returning the output and dropping the metrics.
     pub fn into_output(self) -> T {
         self.output
-    }
-
-    /// Maps the output, keeping the metrics.
-    pub fn map<U>(self, f: impl FnOnce(T) -> U) -> RunOutcome<U> {
-        RunOutcome {
-            output: f(self.output),
-            metrics: self.metrics,
-        }
     }
 }
 
@@ -128,21 +115,18 @@ mod tests {
         let o = RunOutcome::new(true, metrics());
         assert_eq!(o.rounds(), 7);
         assert_eq!(o.total_bits(), 10);
-        assert_eq!(o.messages(), 4);
+        assert_eq!(o.metrics.messages, 4);
         assert_eq!(o.max_phase_rounds(), 5);
         assert!(*o);
     }
 
     #[test]
-    fn deref_and_map() {
+    fn deref_and_into_output() {
         struct Inner {
             value: u32,
         }
         let o = RunOutcome::new(Inner { value: 7 }, metrics());
         assert_eq!(o.value, 7);
-        let mapped = o.map(|inner| inner.value * 2);
-        assert_eq!(*mapped, 14);
-        assert_eq!(mapped.rounds(), 7);
-        assert_eq!(mapped.into_output(), 14);
+        assert_eq!(o.into_output().value, 7);
     }
 }

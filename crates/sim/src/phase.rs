@@ -48,11 +48,6 @@ impl PhaseOutbox {
         self.unicasts.push((dst, message));
     }
 
-    /// Returns `true` if nothing has been queued.
-    pub fn is_empty(&self) -> bool {
-        self.broadcast.is_none() && self.unicasts.is_empty()
-    }
-
     /// Decomposes the outbox for a [`Transport`](crate::transport::Transport)
     /// to deliver.
     pub(crate) fn into_parts(self) -> (Option<BitString>, Vec<(NodeId, BitString)>) {

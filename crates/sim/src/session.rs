@@ -77,11 +77,6 @@ impl Session {
         self.config.n
     }
 
-    /// Link bandwidth in bits per round.
-    pub fn bandwidth(&self) -> usize {
-        self.config.bandwidth
-    }
-
     /// Asserts the session has as many players as the protocol's input
     /// has vertices — the one-player-per-vertex layout every clique
     /// protocol on a graph input assumes.
@@ -220,7 +215,7 @@ impl Session {
     }
 
     /// Closes the session, returning the accumulated metrics.
-    pub fn into_metrics(self) -> Metrics {
+    pub(crate) fn into_metrics(self) -> Metrics {
         self.metrics
     }
 

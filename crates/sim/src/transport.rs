@@ -32,8 +32,8 @@
 //! [`FaultyTransport`] wraps any inner backend and injects a seeded
 //! [`FaultPlan`] schedule of per-`(round, sender, receiver)` message drops,
 //! bit flips, duplications and truncations. Each scheduled fault is applied
-//! to the message's integrity framing ([`frame`]: a 32-bit length plus a
-//! 64-bit FNV-1a checksum) and re-detected from the damage ([`unframe`]),
+//! to the message's integrity framing (`frame`: a 32-bit length plus a
+//! 64-bit FNV-1a checksum) and re-detected from the damage (`unframe`),
 //! so every injected fault surfaces as a typed error naming the damage
 //! class. Messages the plan leaves alone pass through to the inner backend
 //! untouched: an empty plan is byte-for-byte the bare inner transport.
@@ -179,16 +179,16 @@ impl fmt::Display for FaultKind {
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct TransportFault {
     /// The sender whose delivery failed.
-    pub sender: NodeId,
+    pub(crate) sender: NodeId,
     /// The addressed receiver (`None` for a broadcast).
-    pub receiver: Option<NodeId>,
+    pub(crate) receiver: Option<NodeId>,
     /// The damage class, as detected from the framing (not as scheduled).
-    pub kind: FaultKind,
+    pub(crate) kind: FaultKind,
 }
 
 impl TransportFault {
     /// The session-level error for a fault hit after `round` charged rounds.
-    pub fn at_round(self, round: u64) -> SimError {
+    pub(crate) fn at_round(self, round: u64) -> SimError {
         SimError::TransportFault {
             round,
             sender: self.sender,
@@ -220,7 +220,7 @@ const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
 /// Bits of the integrity header a [`frame`]d message carries: a 32-bit
 /// payload bit-length plus a 64-bit FNV-1a checksum.
-pub const FRAME_HEADER_BITS: usize = 96;
+pub(crate) const FRAME_HEADER_BITS: usize = 96;
 
 /// FNV-1a over the payload's canonical little-endian byte serialisation
 /// ([`BitString::to_le_bytes`] — `ceil(len / 8)` bytes, zero-padded past
@@ -239,7 +239,7 @@ fn payload_checksum(payload: &BitString) -> u64 {
 
 /// Wraps a payload in integrity framing: 32 length bits, 64 checksum bits,
 /// then the payload verbatim.
-pub fn frame(payload: &BitString) -> BitString {
+pub(crate) fn frame(payload: &BitString) -> BitString {
     let mut framed = BitString::with_capacity(FRAME_HEADER_BITS + payload.len());
     framed.push_bits(payload.len() as u64, 32);
     framed.push_bits(payload_checksum(payload), 64);
@@ -255,7 +255,7 @@ pub fn frame(payload: &BitString) -> BitString {
 /// # Errors
 ///
 /// The detected [`FaultKind`] when the framing does not verify.
-pub fn unframe(framed: &BitString) -> Result<BitString, FaultKind> {
+pub(crate) fn unframe(framed: &BitString) -> Result<BitString, FaultKind> {
     if framed.is_empty() {
         return Err(FaultKind::Drop);
     }
@@ -308,34 +308,15 @@ impl FaultPlan {
         }
     }
 
-    /// The empty schedule: injects nothing, ever.
-    pub fn none() -> Self {
-        Self {
-            seed: 0,
-            rate_ppm: 0,
-            kinds: 0,
-        }
-    }
-
     /// True when this plan can never fault a message (zero rate or no
     /// enabled kinds) — [`FaultyTransport`] then passes every delivery
     /// through untouched.
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.rate_ppm == 0 || self.kinds == 0
     }
 
-    /// The driving seed.
-    pub fn seed(&self) -> u64 {
-        self.seed
-    }
-
-    /// The per-message fault rate in parts per million.
-    pub fn rate_ppm(&self) -> u32 {
-        self.rate_ppm
-    }
-
     /// The enabled fault kinds, in [`INJECTABLE_FAULTS`] order.
-    pub fn kinds(&self) -> Vec<FaultKind> {
+    pub(crate) fn kinds(&self) -> Vec<FaultKind> {
         INJECTABLE_FAULTS
             .iter()
             .copied()
@@ -364,7 +345,7 @@ impl FaultPlan {
     /// `receiver` is `None` for a broadcast; `occurrence` distinguishes
     /// multiple unicasts on one `(sender, receiver)` link within one
     /// round/phase.
-    pub fn draw(
+    pub(crate) fn draw(
         &self,
         round: u64,
         sender: NodeId,
@@ -725,12 +706,14 @@ mod tests {
         // 256 messages at 25%: the seeded schedule must fault some but not
         // all of them (exact count pinned by determinism, not asserted).
         assert!(faulted > 0 && faulted < 256, "faulted {faulted}/256");
-        assert!(FaultPlan::none().draw(0, NodeId::new(0), None, 0).is_none());
+        assert!(FaultPlan::new(0, 0, &[])
+            .draw(0, NodeId::new(0), None, 0)
+            .is_none());
         assert!(FaultPlan::new(1, 0, &INJECTABLE_FAULTS).is_empty());
         assert!(FaultPlan::new(1, 500, &[]).is_empty());
         let salted = plan.salted(3);
-        assert_eq!(salted.rate_ppm(), plan.rate_ppm());
-        assert_ne!(salted.seed(), plan.seed());
+        assert_eq!(salted.rate_ppm, plan.rate_ppm);
+        assert_ne!(salted.seed, plan.seed);
         assert_eq!(plan.salted(3), plan.salted(3));
         assert_ne!(plan.salted(3), plan.salted(4));
     }
@@ -739,7 +722,7 @@ mod tests {
     fn empty_plan_wrapper_is_byte_identical_to_bare_inner() {
         let bare = phase_run(Box::new(InMemoryTransport));
         let wrapped = phase_run(Box::new(FaultyTransport::new(
-            FaultPlan::none(),
+            FaultPlan::new(0, 0, &[]),
             Box::new(InMemoryTransport),
         )));
         assert_eq!(bare, wrapped);
@@ -780,7 +763,7 @@ mod tests {
             received(&deliver(&mut InMemoryTransport).unwrap()),
             expected
         );
-        let mut empty = FaultyTransport::with_default_inner(FaultPlan::none());
+        let mut empty = FaultyTransport::with_default_inner(FaultPlan::new(0, 0, &[]));
         assert_eq!(received(&deliver(&mut empty).unwrap()), expected);
 
         // A saturated plan faults the first delivery, typed.

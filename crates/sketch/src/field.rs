@@ -6,11 +6,11 @@
 //! `1, …, k`, are well defined). All arithmetic is done on `u64` values with
 //! `p < 2³¹`, so products never overflow.
 //!
-//! **Reduced-operand contract.** [`PrimeField::add`], [`PrimeField::sub`],
-//! [`PrimeField::neg`], [`PrimeField::mul`] and the crate's Horner step
+//! **Reduced-operand contract.** `PrimeField::add`, `PrimeField::sub`,
+//! `PrimeField::neg`, `PrimeField::mul` and the crate's Horner step
 //! and polynomial evaluation take operands that are already field elements
 //! (`< p`) and return field elements; debug builds assert it.
-//! [`PrimeField::reduce`] is the entry point for raw integers (element
+//! `PrimeField::reduce` is the entry point for raw integers (element
 //! shifts, sums read off the wire), and the crate's wide reduction for
 //! `u128` sums of products.
 //!
@@ -46,7 +46,7 @@ impl PrimeField {
     /// # Panics
     ///
     /// Panics if `p` is not a prime below `2³¹`.
-    pub fn new(p: u64) -> Self {
+    pub(crate) fn new(p: u64) -> Self {
         assert!(
             (2..(1 << 31)).contains(&p),
             "modulus {p} out of supported range"
@@ -65,7 +65,7 @@ impl PrimeField {
     ///
     /// Panics unless `universe` and `k` are below `2³¹ − 1`, which keeps the
     /// prime below `2³¹`.
-    pub fn for_universe(universe: u64, k: u64) -> Self {
+    pub(crate) fn for_universe(universe: u64, k: u64) -> Self {
         let floor = universe.max(k).max(2).saturating_add(1);
         assert!(
             floor < 1 << 31,
@@ -75,7 +75,7 @@ impl PrimeField {
     }
 
     /// The modulus `p`.
-    pub fn modulus(&self) -> u64 {
+    pub(crate) fn modulus(&self) -> u64 {
         self.p
     }
 
@@ -85,7 +85,7 @@ impl PrimeField {
     }
 
     /// Reduces an arbitrary integer into the field.
-    pub fn reduce(&self, x: u64) -> u64 {
+    pub(crate) fn reduce(&self, x: u64) -> u64 {
         let estimate = ((u128::from(x) * u128::from(self.reciprocal)) >> 64) as u64;
         let r = x - estimate * self.p;
         if r >= self.p {
@@ -105,7 +105,7 @@ impl PrimeField {
     }
 
     /// Addition in `F_p` of two reduced operands.
-    pub fn add(&self, a: u64, b: u64) -> u64 {
+    pub(crate) fn add(&self, a: u64, b: u64) -> u64 {
         self.debug_assert_reduced(a, b);
         let sum = a + b;
         if sum >= self.p {
@@ -116,7 +116,7 @@ impl PrimeField {
     }
 
     /// Subtraction in `F_p` of two reduced operands.
-    pub fn sub(&self, a: u64, b: u64) -> u64 {
+    pub(crate) fn sub(&self, a: u64, b: u64) -> u64 {
         self.debug_assert_reduced(a, b);
         if a >= b {
             a - b
@@ -126,7 +126,7 @@ impl PrimeField {
     }
 
     /// Negation in `F_p` of a reduced operand.
-    pub fn neg(&self, a: u64) -> u64 {
+    pub(crate) fn neg(&self, a: u64) -> u64 {
         self.debug_assert_reduced(a, 0);
         if a == 0 {
             0
@@ -136,7 +136,7 @@ impl PrimeField {
     }
 
     /// Multiplication in `F_p` of two reduced operands (`a·b < p² < 2⁶²`).
-    pub fn mul(&self, a: u64, b: u64) -> u64 {
+    pub(crate) fn mul(&self, a: u64, b: u64) -> u64 {
         self.debug_assert_reduced(a, b);
         self.reduce(a * b)
     }
@@ -150,7 +150,7 @@ impl PrimeField {
     }
 
     /// Exponentiation `a^e` in `F_p`.
-    pub fn pow(&self, a: u64, mut e: u64) -> u64 {
+    pub(crate) fn pow(&self, a: u64, mut e: u64) -> u64 {
         let mut base = self.reduce(a);
         let mut acc = 1u64;
         while e > 0 {
@@ -169,7 +169,7 @@ impl PrimeField {
     /// # Panics
     ///
     /// Panics if `a ≡ 0 (mod p)`.
-    pub fn inv(&self, a: u64) -> u64 {
+    pub(crate) fn inv(&self, a: u64) -> u64 {
         assert!(self.reduce(a) != 0, "zero has no multiplicative inverse");
         self.pow(a, self.p - 2)
     }

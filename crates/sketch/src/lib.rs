@@ -53,7 +53,5 @@ pub mod reconstruct;
 pub mod signed;
 pub mod sketch;
 
-pub use field::PrimeField;
-pub use reconstruct::{decode_graph, encode_graph, reconstruct, DecodeError};
 pub use signed::SignedPowerSumSketch;
 pub use sketch::PowerSumSketch;

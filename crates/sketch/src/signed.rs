@@ -53,17 +53,19 @@ use crate::power_sums::PowerSums;
 /// ```
 /// use clique_sketch::signed::SignedPowerSumSketch;
 ///
+/// // Decoding scans the keys that can occur; here the whole universe.
+/// let keys: Vec<u64> = (0..100).collect();
 /// let mut sketch = SignedPowerSumSketch::new(100, 3);
 /// sketch.add(7);
 /// sketch.add(42);
 /// sketch.remove(13); // multiplicity −1, not an inverse of add
-/// assert_eq!(sketch.decode(), Some(vec![(7, 1), (13, -1), (42, 1)]));
+/// assert_eq!(sketch.decode_among(&keys), Some(vec![(7, 1), (13, -1), (42, 1)]));
 ///
 /// // Oppositely signed copies cancel: the heart of cut sketching.
 /// let mut mirror = SignedPowerSumSketch::new(100, 3);
 /// mirror.remove(7);
 /// sketch.merge(&mirror);
-/// assert_eq!(sketch.decode(), Some(vec![(13, -1), (42, 1)]));
+/// assert_eq!(sketch.decode_among(&keys), Some(vec![(13, -1), (42, 1)]));
 ///
 /// // On the wire: the 2k power sums.
 /// let payload = sketch.write();
@@ -92,13 +94,8 @@ impl SignedPowerSumSketch {
     }
 
     /// The sketch capacity `k` (maximum decodable support size).
-    pub fn capacity(&self) -> usize {
+    pub(crate) fn capacity(&self) -> usize {
         self.core.capacity()
-    }
-
-    /// The universe size.
-    pub fn universe(&self) -> u64 {
-        self.core.universe()
     }
 
     /// The underlying field.
@@ -111,7 +108,7 @@ impl SignedPowerSumSketch {
     /// most `2 · capacity` this happens *only* for the empty signed set:
     /// the `2k` power sums of ≤ 2k distinct nonzero field elements form a
     /// full-rank Vandermonde system, which has no nonzero kernel.
-    pub fn is_zero(&self) -> bool {
+    pub(crate) fn is_zero(&self) -> bool {
         self.core.is_zero()
     }
 
@@ -143,24 +140,26 @@ impl SignedPowerSumSketch {
         self.core.merge(&other.core);
     }
 
-    /// Decodes the signed set by scanning the whole universe for roots.
-    ///
-    /// Returns the `(element, sign)` pairs sorted by element, or `None`
-    /// when the sketch does not correspond to a signed set of at most
-    /// `capacity` elements with multiplicities `±1`.
-    pub fn decode(&self) -> Option<Vec<(u64, i8)>> {
-        self.decode_scan(0..self.universe())
+    /// Decodes the signed set by scanning the whole universe for roots:
+    /// the tests' oracle for [`Self::decode_among`].
+    #[cfg(test)]
+    pub(crate) fn decode(&self) -> Option<Vec<(u64, i8)>> {
+        self.decode_scan(0..self.core.universe())
     }
 
     /// Decodes the signed set, restricting the root scan to `candidates`.
     ///
-    /// Equivalent to [`Self::decode`] whenever the true support is a subset
-    /// of `candidates` (the verification step rejects any decode that does
-    /// not reproduce the sums, so a miss can only turn into `None`, never
-    /// into a wrong answer). Protocols use this to scan only the
-    /// polynomially many keys that can actually occur — e.g. the edge keys
-    /// of a graph — instead of the full universe; in the congested-clique
-    /// model the two are interchangeable, since local computation is free.
+    /// Returns the `(element, sign)` pairs sorted by element, or `None`
+    /// when the sketch does not correspond to a signed set of at most
+    /// `capacity` elements with multiplicities `±1` inside `candidates`.
+    /// A full scan of the universe gives the same answer whenever the true
+    /// support is a subset of `candidates` (the verification step rejects
+    /// any decode that does not reproduce the sums, so a miss can only turn
+    /// into `None`, never into a wrong answer). Protocols use this to scan
+    /// only the polynomially many keys that can actually occur — e.g. the
+    /// edge keys of a graph — instead of the full universe; in the
+    /// congested-clique model the two are interchangeable, since local
+    /// computation is free.
     ///
     /// `candidates` must be strictly increasing.
     pub fn decode_among(&self, candidates: &[u64]) -> Option<Vec<(u64, i8)>> {
@@ -388,7 +387,7 @@ mod tests {
     /// `Σ_i c_i r_i^j = p_j` (`j = 1, …, t`).
     fn solve_both_ways(sketch: &SignedPowerSumSketch) -> Option<(Vec<u64>, Vec<Option<u64>>)> {
         let (f, sums) = (sketch.core.field(), sketch.core.sums());
-        let (support, locator) = sketch.locate_support(0..sketch.universe())?;
+        let (support, locator) = sketch.locate_support(0..sketch.core.universe())?;
         let roots: Vec<u64> = support.iter().map(|&x| f.reduce(x + 1)).collect();
         let t = roots.len();
         let closed = solve_transposed_vandermonde(f, &roots, &locator, sums);
@@ -412,7 +411,7 @@ mod tests {
         if sketch.is_zero() {
             return Some(Vec::new());
         }
-        let (support, _) = sketch.locate_support(0..sketch.universe())?;
+        let (support, _) = sketch.locate_support(0..sketch.core.universe())?;
         let (_, eliminated) = solve_both_ways(sketch)?;
         let coefficients: Option<Vec<u64>> = eliminated.into_iter().collect();
         sketch.verify_signs(&support, &coefficients?)

@@ -27,22 +27,21 @@ use crate::power_sums::PowerSums;
 /// # Examples
 ///
 /// ```
-/// use clique_sketch::sketch::PowerSumSketch;
+/// use clique_graphs::Graph;
+/// use clique_sketch::reconstruct::{decode_graph, encode_graph};
+/// use clique_sketch::PowerSumSketch;
 ///
-/// let mut sketch = PowerSumSketch::new(100, 4);
-/// for x in [3u64, 17, 42] {
-///     sketch.add(x);
-/// }
-/// assert_eq!(sketch.decode(), Some(vec![3, 17, 42]));
-///
-/// sketch.remove(17);
-/// assert_eq!(sketch.decode(), Some(vec![3, 42]));
+/// // The path 0 - 1 - 2 has degeneracy 1: capacity-1 neighbourhood
+/// // sketches recover it.
+/// let g = Graph::from_edges(3, &[(0, 1), (1, 2)]);
+/// let sketches = encode_graph(&g, 1);
 ///
 /// // On the wire: the count, then the power sums.
-/// let payload = sketch.write();
-/// assert_eq!(payload.len(), sketch.encoded_bits());
-/// let read = PowerSumSketch::read(&mut payload.reader(), 100, 4);
-/// assert_eq!(read, Some(sketch));
+/// let payload = sketches[1].write();
+/// assert_eq!(payload.len(), sketches[1].encoded_bits());
+/// let read = PowerSumSketch::read(&mut payload.reader(), 3, 1);
+/// assert_eq!(read.as_ref(), Some(&sketches[1]));
+/// assert_eq!(decode_graph(&sketches), Ok(g));
 /// ```
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct PowerSumSketch {
@@ -68,17 +67,17 @@ impl PowerSumSketch {
     }
 
     /// The sketch capacity `k`.
-    pub fn capacity(&self) -> usize {
+    pub(crate) fn capacity(&self) -> usize {
         self.core.capacity()
     }
 
     /// Net number of elements currently sketched (insertions minus removals).
-    pub fn count(&self) -> i64 {
+    pub(crate) fn count(&self) -> i64 {
         self.count
     }
 
     /// Returns `true` if the sketch is identically zero (empty set).
-    pub fn is_zero(&self) -> bool {
+    pub(crate) fn is_zero(&self) -> bool {
         self.count == 0 && self.core.is_zero()
     }
 
@@ -87,7 +86,7 @@ impl PowerSumSketch {
     /// # Panics
     ///
     /// Panics if `x >= universe`.
-    pub fn add(&mut self, x: u64) {
+    pub(crate) fn add(&mut self, x: u64) {
         self.core.update(x, true);
         self.count += 1;
     }
@@ -97,7 +96,7 @@ impl PowerSumSketch {
     /// # Panics
     ///
     /// Panics if `x >= universe`.
-    pub fn remove(&mut self, x: u64) {
+    pub(crate) fn remove(&mut self, x: u64) {
         self.core.update(x, false);
         self.count -= 1;
     }
@@ -109,7 +108,7 @@ impl PowerSumSketch {
     /// happens exactly when the sketch does not correspond to a set of at
     /// most `capacity` distinct universe elements (e.g. the true set was
     /// larger than the capacity, or removals made it inconsistent).
-    pub fn decode(&self) -> Option<Vec<u64>> {
+    pub(crate) fn decode(&self) -> Option<Vec<u64>> {
         if self.count < 0 || self.count as usize > self.capacity() {
             return None;
         }

@@ -190,7 +190,7 @@ fn matmul_circuits_compose_with_the_simulation() {
         InputPartition::RoundRobin,
     )
     .unwrap();
-    let reference = matmul::matmul_f2_reference(&a, &b);
+    let reference = a.mul_f2(&b);
     let flat: Vec<bool> = reference.to_rows().into_iter().flatten().collect();
     assert_eq!(sim.outputs, flat);
 }

@@ -9,7 +9,7 @@
 use congested_clique::algebraic::{
     semiring_matmul, sparse_matmul, MatMulSchedule, ScheduledMatMul, Semiring, SemiringMatrix,
 };
-use congested_clique::circuits::matmul::{matmul_f2_reference, matmul_f2_scalar};
+use congested_clique::circuits::matmul::matmul_f2_scalar;
 use congested_clique::circuits::{builders, BitMatrix, Circuit, GateKind};
 use congested_clique::comm::disjointness::DisjointnessInstance;
 use congested_clique::comm::lbgraph::LowerBoundGraph;
@@ -157,7 +157,7 @@ proptest! {
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
         let a_rows: Vec<Vec<bool>> = (0..d).map(|_| (0..d).map(|_| rng.gen_bool(0.5)).collect()).collect();
         let b_rows: Vec<Vec<bool>> = (0..d).map(|_| (0..d).map(|_| rng.gen_bool(0.5)).collect()).collect();
-        let packed = matmul_f2_reference(&BitMatrix::from_rows(&a_rows), &BitMatrix::from_rows(&b_rows));
+        let packed = BitMatrix::from_rows(&a_rows).mul_f2(&BitMatrix::from_rows(&b_rows));
         prop_assert_eq!(packed.to_rows(), matmul_f2_scalar(&a_rows, &b_rows));
     }
 
