@@ -659,7 +659,7 @@ pub(crate) fn e13_semiring_matmul(scale: Scale) -> ExperimentTable {
     let mut table = ExperimentTable::new(
         "E13",
         "O(n^{1/3})-round semiring matrix product and consumers (algebraic congested clique)",
-        "the 3D-partitioned distributed product costs Õ(n^{1/3}/b) rounds for d = n: rounds·b/n^{1/3} stays within logarithmic drift across the grid (entry widths and packet framing contribute the log factors); TriangleCount reproduces iso::triangles exactly; repeated (min,+) squaring yields BFS distances",
+        "the 3D-partitioned distributed product costs Õ(n^{1/3}/b) rounds for d = n: rounds·b/n^{1/3} stays within logarithmic drift across the grid (entry widths contribute the log factors); TriangleCount reproduces iso::triangles exactly; repeated (min,+) squaring yields BFS distances",
         &[
             "what", "n", "b", "detail", "rounds", "total bits", "n^{1/3}/b",
             "rounds·b/n^{1/3}", "correct",

@@ -14,6 +14,8 @@
 //! * unweighted `THR_t` and `MAJ` — `O(log fan-in)`-separable,
 //! * weighted threshold gates — `O(log(total weight))`-separable.
 
+use clique_sim::bits::bits_for_universe;
+
 /// The Boolean function computed by a gate.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum GateKind {
@@ -133,10 +135,12 @@ impl GateKind {
             GateKind::Input | GateKind::Const(_) => 0,
             GateKind::And | GateKind::Or | GateKind::Not => 1,
             GateKind::Xor => 1,
-            GateKind::Mod(m) => bits_for(*m),
-            GateKind::Threshold(t) => bits_for((*t + 1).min(fan_in as u64 + 1)),
-            GateKind::Majority => bits_for(fan_in as u64 + 1),
-            GateKind::WeightedThreshold { threshold, .. } => bits_for(*threshold + 1),
+            GateKind::Mod(m) => bits_for_universe(*m).max(1),
+            GateKind::Threshold(t) => bits_for_universe((*t + 1).min(fan_in as u64 + 1)).max(1),
+            GateKind::Majority => bits_for_universe(fan_in as u64 + 1).max(1),
+            GateKind::WeightedThreshold { threshold, .. } => {
+                bits_for_universe(*threshold + 1).max(1)
+            }
         }
     }
 
@@ -202,14 +206,6 @@ impl GateKind {
             GateKind::Majority => "MAJ".into(),
             GateKind::WeightedThreshold { threshold, .. } => format!("WTHR{threshold}"),
         }
-    }
-}
-
-fn bits_for(universe: u64) -> usize {
-    if universe <= 1 {
-        1
-    } else {
-        (64 - (universe - 1).leading_zeros()) as usize
     }
 }
 

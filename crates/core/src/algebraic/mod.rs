@@ -37,10 +37,10 @@
 //! Four semirings are supported (see [`Semiring`]): the Boolean semiring
 //! `(∨, ∧)` and the field `F₂` over packed [`BitMatrix`] operands, and the
 //! counting `(+, ×)` and tropical `(min, +)` semirings over small-integer
-//! [`IntMatrix`] operands. Like the routers' packet framing, the wire width
-//! of an entry is derived from public quantities (the dimension and the
-//! global entry bounds of the operands), so both endpoints of every link
-//! agree on the format without extra communication.
+//! [`IntMatrix`] operands. The wire width of an entry is derived from public
+//! quantities (the dimension and the global entry bounds of the operands),
+//! so both endpoints of every link agree on the format without extra
+//! communication, and the router sends each payload bare.
 //!
 //! Host-side, the cube exchange moves whole row segments: the operands are
 //! cut once into their `g × g` blocks, and `EntryCodec` packs a block row

@@ -5,7 +5,7 @@ use super::*;
 /// measures operands of density about `2/n`: there the nnz-charged phases
 /// move fewer bits than the dense `d²`-charged ones at every point, and
 /// from n = 56 on they never take more rounds (at n = 27 the one-bit
-/// semirings take 12 rounds against the cubic 10). No E18 point sits near
+/// semirings take 10 rounds against the cubic 8). No E18 point sits near
 /// the 1/8 threshold itself.
 pub(crate) const SPARSE_DENSITY_EIGHTHS: usize = 1;
 

@@ -15,9 +15,10 @@ type SparseRecords = BTreeMap<(usize, usize), Vec<(usize, usize, u64)>>;
 /// `A[r][k] ⊗ B[k][c]`, folds them per output entry locally, and routes
 /// the surviving partials to the output row owners. Because payloads are
 /// data-dependent, records carry explicit count prefixes and index fields
-/// (widths derived from public row counts, like the routers' packet
-/// framing) — the fixed-width, data-oblivious layouts of the dense paths
-/// do not apply.
+/// (widths derived from public row counts) — the fixed-width,
+/// data-oblivious layouts of the dense paths do not apply. Each shipment
+/// holds at most one payload per ordered pair, so a link's bits are its
+/// payload and the router needs no length field to deliver it.
 ///
 /// Valid over **all four** semirings: the sparse path only reorders the
 /// same semiring additions the cubic path performs (the folds are

@@ -39,8 +39,8 @@ impl Partition {
 
 /// Fixed wire widths for matrix entries, derived from public quantities
 /// (the dimension and the operands' global entry bounds) so both endpoints
-/// agree on the framing — the same convention the routers' `PacketCodec`
-/// uses. Entries travel unsigned; `(min, +)` encodes
+/// agree on the layout without a header, as the routers split links by the
+/// demand's shape. Entries travel unsigned; `(min, +)` encodes
 /// [`IntMatrix::INFINITY`] as the all-ones pattern, and the widths are
 /// chosen so no finite entry collides with it.
 #[derive(Clone, Copy, Debug)]

@@ -246,6 +246,34 @@ impl Protocol for MstProtocol<'_> {
     type Output = MsfOutput;
 
     fn run(&mut self, session: &mut Session) -> Result<MsfOutput, SimError> {
+        self.run_phases(session, &self.edge_keys())
+    }
+}
+
+impl MstProtocol<'_> {
+    /// The decode scan's candidate list: the graph's edge keys, ascending.
+    ///
+    /// The decode scan only ever needs to test genuine edge keys: cut
+    /// elements are edges, and `decode_among` verifies every answer by
+    /// re-sketching, so restricting the (model-free) local root scan is a
+    /// pure simulation speed-up. The list is ordered data every node can
+    /// derive after the broadcast; candidate order never influences the
+    /// transcript.
+    fn edge_keys(&self) -> Vec<u64> {
+        let edges = self.graph.edges();
+        let mut keys: Vec<u64> = edges.map(|(u, v, _)| self.edge_key(u, v)).collect();
+        keys.sort_unstable();
+        keys
+    }
+
+    /// The phase loop of [`Protocol::run`], decoding against `candidates`.
+    ///
+    /// # Errors
+    ///
+    /// Propagates the session's errors and [`read_sketch`]'s, and returns
+    /// [`SimError::Stalled`] if a phase at full capacity leaves the forest
+    /// unfinished, which `candidates` missing a cut's key can cause.
+    fn run_phases(&self, session: &mut Session, candidates: &[u64]) -> Result<MsfOutput, SimError> {
         let n = self.graph.vertex_count();
         session.require_clique_of(n);
         let mut dsu = UnionFind::new(n);
@@ -255,21 +283,6 @@ impl Protocol for MstProtocol<'_> {
 
         if n > 1 {
             let universe = self.universe;
-            // The decode scan only ever needs to test genuine edge keys:
-            // cut elements are edges, and `decode_among` verifies every
-            // answer by re-sketching, so restricting the (model-free) local
-            // root scan is a pure simulation speed-up. The list is ordered
-            // data every node can derive after the broadcast; candidate
-            // order never influences the transcript.
-            let candidates: Vec<u64> = {
-                let mut keys: Vec<u64> = self
-                    .graph
-                    .edges()
-                    .map(|(u, v, _)| self.edge_key(u, v))
-                    .collect();
-                keys.sort_unstable();
-                keys
-            };
             let max_capacity = self.graph.edge_count().max(1);
             capacity = self.base_capacity.min(max_capacity);
 
@@ -294,7 +307,7 @@ impl Protocol for MstProtocol<'_> {
                     })
                     .collect::<Result<_, _>>()?;
                 let done =
-                    contract_to_exhaustion(&blackboard, &candidates, n, &mut dsu, &mut forest);
+                    contract_to_exhaustion(&blackboard, candidates, n, &mut dsu, &mut forest);
 
                 // One-bit all-done vote (identical at every node).
                 let votes: Vec<BitString> = (0..n)
@@ -304,10 +317,13 @@ impl Protocol for MstProtocol<'_> {
                 if done {
                     break;
                 }
-                debug_assert!(
-                    capacity < max_capacity,
-                    "a full-capacity sketch decodes every cut"
-                );
+                // A full-capacity sketch decodes every cut among the
+                // graph's edge keys, so only a short list ends here.
+                if capacity == max_capacity {
+                    return Err(SimError::Stalled {
+                        phase: format!("mst phase {phases} at capacity {capacity}"),
+                    });
+                }
                 capacity = (capacity * 2).min(max_capacity);
             }
         }
@@ -602,14 +618,9 @@ mod tests {
                         };
                         for base_capacity in [1, 2, 4] {
                             let protocol = MstProtocol::new(&graph, base_capacity);
-                            let mut edge_keys: Vec<u64> = graph
-                                .edges()
-                                .map(|(u, v, _)| protocol.edge_key(u, v))
-                                .collect();
-                            edge_keys.sort_unstable();
                             let all_keys: Vec<u64> = (0..protocol.universe).collect();
                             assert_eq!(
-                                replay_phases(&protocol, &edge_keys),
+                                replay_phases(&protocol, &protocol.edge_keys()),
                                 replay_phases(&protocol, &all_keys),
                                 "{family}, n = {n}, seed {seed}, max weight {max_weight}, \
                                  base capacity {base_capacity}"
@@ -619,6 +630,27 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn a_short_candidate_list_stalls_with_a_typed_error() {
+        // Every edge of a path is a bridge. Without one edge's key, the two
+        // sides never decode their shared cut, at any capacity: the real
+        // phase loop escalates 1, 2, 4 to the edge count 5, then stops.
+        let path: Vec<(usize, usize, u64)> = (0..5).map(|v| (v, v + 1, 3 + v as u64)).collect();
+        let graph = WeightedGraph::from_edges(6, &path);
+        let protocol = MstProtocol::new(&graph, 1);
+        let mut candidates = protocol.edge_keys();
+        candidates.remove(2);
+        let mut session = Session::new(CliqueConfig::broadcast(6, 4));
+        assert_eq!(
+            protocol.run_phases(&mut session, &candidates).unwrap_err(),
+            SimError::Stalled {
+                phase: "mst phase 4 at capacity 5".into()
+            }
+        );
+        // Eight phases ran: a sketch broadcast and a vote in each of four.
+        assert_eq!(session.metrics().phases.len(), 8);
     }
 
     #[test]

@@ -19,11 +19,14 @@
 //!   intermediary scan over `(src, dst, bits)` hops, which Theorem 2's
 //!   circuit simulation also runs on its one-bit wires.
 //!
-//! All routers charge their communication (including forwarding headers) to
-//! the caller's [`clique_sim::Session`], so experiment E2 can compare their
-//! measured round counts directly; [`router::RouteProtocol`] adapts any
-//! router into a [`clique_sim::Protocol`] runnable through a
-//! [`clique_sim::Runner`].
+//! All routers charge their communication to the caller's
+//! [`clique_sim::Session`], so experiment E2 can compare their measured
+//! round counts directly; [`router::RouteProtocol`] adapts any router into a
+//! [`clique_sim::Protocol`] runnable through a [`clique_sim::Runner`]. They
+//! send bare payloads, with no length fields or relay tags: receivers split
+//! each link by the demand's shape, which is honest where the shape is
+//! public or a demand has at most one packet per ordered pair (see the
+//! [`router`] module).
 //!
 //! # Examples
 //!

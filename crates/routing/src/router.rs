@@ -22,12 +22,32 @@
 //!   needs, and it never takes more rounds than [`DirectRouter`].
 //!
 //! All routers charge their communication to the caller's [`Session`] so
-//! that round and bit accounting (including forwarding headers) is exact;
-//! [`RouteProtocol`] adapts any router + demand pair into a
-//! [`Protocol`] runnable through
-//! [`Runner`].
+//! that round and bit accounting is exact; [`RouteProtocol`] adapts any
+//! router + demand pair into a [`Protocol`] runnable through [`Runner`].
+//!
+//! # Headerless delivery
+//!
+//! The routers send bare payloads: no length field and no relay tag. A
+//! demand's *shape* is each packet's `(src, dst, length)`, in demand order.
+//! Every receiver and relay splits each incoming link's payload by the
+//! shape, and by the intermediary assignment in a two-phase schedule. A
+//! link that carries more or fewer bits than its packets, or that the shape
+//! does not list, is a [`SimError::MalformedPayload`] naming its sender.
+//! Zero-length packets are delivered without being sent, and
+//! [`Delivered`] lists every destination's packets in demand order.
+//!
+//! Headerless delivery is honest where the receivers know the shape without
+//! being told:
+//! * the shape is public, as in Lenzen's theorem as Theorem 2,
+//!   Censor-Hillel et al. and the DLP check use it: both ends derive it
+//!   from public data;
+//! * or the demand has at most one packet per ordered pair, so a link's
+//!   payload is its packet, whatever its length. The sparse product's
+//!   data-dependent records are such a demand.
+//!
+//! The greedy assignment is a function of the shape, and Valiant's
+//! intermediaries are public coins, so relays need no tags either.
 
-use clique_sim::bits::bits_for_universe;
 use clique_sim::prelude::*;
 use rand::Rng;
 
@@ -96,83 +116,6 @@ impl<R: Router> Protocol for RouteProtocol<'_, R> {
     }
 }
 
-/// Field widths used to serialise packets on the wire.
-#[derive(Clone, Copy, Debug)]
-struct PacketCodec {
-    n: usize,
-    node_bits: usize,
-    len_bits: usize,
-}
-
-impl PacketCodec {
-    fn for_demand(demand: &RoutingDemand) -> Self {
-        let max_len = demand
-            .packets()
-            .iter()
-            .map(|p| p.payload.len())
-            .max()
-            .unwrap_or(0);
-        Self {
-            n: demand.n(),
-            node_bits: bits_for_universe(demand.n() as u64),
-            len_bits: bits_for_universe(max_len as u64 + 1).max(1),
-        }
-    }
-
-    /// The wire bits of one record carrying `len` payload bits: the length
-    /// field, the payload and, when `tagged`, the node tag.
-    fn record_bits(&self, tagged: bool, len: usize) -> u64 {
-        let tag = if tagged { self.node_bits } else { 0 };
-        (tag + self.len_bits + len) as u64
-    }
-
-    /// Appends `[node, len, payload]` (node omitted when `None`).
-    fn encode(&self, node: Option<NodeId>, payload: &BitString, out: &mut BitString) {
-        if let Some(node) = node {
-            out.push_bits(node.index() as u64, self.node_bits);
-        }
-        out.push_bits(payload.len() as u64, self.len_bits);
-        out.extend_from(payload);
-    }
-
-    /// Reads back one `[len, payload]` record sent by `sender` in `phase`;
-    /// the payload is copied a word at a time.
-    fn decode(
-        &self,
-        reader: &mut BitReader<'_>,
-        sender: NodeId,
-        phase: &str,
-    ) -> Result<BitString, SimError> {
-        let malformed = || malformed(sender, phase);
-        let len = reader.read_bits(self.len_bits).ok_or_else(malformed)? as usize;
-        let words = reader.read_words(len).ok_or_else(malformed)?;
-        Ok(BitString::from_words(&words, len))
-    }
-
-    /// Reads back one `[node, len, payload]` record sent by `sender` in
-    /// `phase`, rejecting a node id outside the clique.
-    fn decode_tagged(
-        &self,
-        reader: &mut BitReader<'_>,
-        sender: NodeId,
-        phase: &str,
-    ) -> Result<(NodeId, BitString), SimError> {
-        let node = reader
-            .read_bits(self.node_bits)
-            .map(|id| id as usize)
-            .filter(|&id| id < self.n)
-            .ok_or_else(|| malformed(sender, phase))?;
-        Ok((NodeId::new(node), self.decode(reader, sender, phase)?))
-    }
-}
-
-fn malformed(sender: NodeId, phase: &str) -> SimError {
-    SimError::MalformedPayload {
-        sender,
-        phase: phase.to_owned(),
-    }
-}
-
 /// Delivers every packet directly on the `(src, dst)` link.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct DirectRouter;
@@ -191,33 +134,156 @@ impl Router for DirectRouter {
     }
 }
 
-/// One hop: every packet travels on its own `(src, dst)` link as a
-/// `[len, payload]` record, charged as the phase `phase`.
+/// One hop: every packet travels on its own `(src, dst)` link, charged as
+/// the phase `phase`.
 fn direct_route(
     demand: &RoutingDemand,
     session: &mut Session,
     phase: &str,
 ) -> Result<Delivered, SimError> {
-    let n = demand.n();
-    let codec = PacketCodec::for_demand(demand);
-    let mut outs: Vec<PhaseOutbox> = (0..n).map(|_| PhaseOutbox::new()).collect();
-    for p in demand.packets() {
-        let mut wire = BitString::new();
-        codec.encode(None, &p.payload, &mut wire);
-        outs[p.src.index()].send(p.dst, wire);
+    let links = direct_links(demand);
+    let payloads = hop(session, phase, demand, &links, clones(demand))?;
+    Ok(deliver(demand, payloads))
+}
+
+/// One phase's `(sender, receiver)` pair for one packet. A packet whose
+/// two ends coincide stays where it is.
+type Link = (usize, usize);
+
+/// Every packet's `(src, dst)` link, in demand order.
+fn direct_links(demand: &RoutingDemand) -> Vec<Link> {
+    let packets = demand.packets().iter();
+    packets.map(|p| (p.src.index(), p.dst.index())).collect()
+}
+
+/// The send-side copy of every payload, taken from the borrowed demand as
+/// it is sent.
+fn clones(demand: &RoutingDemand) -> impl Iterator<Item = BitString> + '_ {
+    demand.packets().iter().map(|p| p.payload.clone())
+}
+
+/// The packets of `demand` carrying `payloads`, grouped by destination, in
+/// demand order.
+fn deliver(demand: &RoutingDemand, payloads: Vec<BitString>) -> Delivered {
+    let mut delivered: Delivered = vec![Vec::new(); demand.n()];
+    for (p, payload) in demand.packets().iter().zip(payloads) {
+        delivered[p.dst.index()].push(Packet::new(p.src, p.dst, payload));
     }
+    delivered
+}
+
+/// One phase of a route: packet `i`'s payload crosses `links[i]`, and every
+/// receiver splits each incoming link by the shape. Returns the payloads at
+/// their receivers, in demand order.
+///
+/// # Errors
+///
+/// Propagates the session's errors, and returns
+/// [`SimError::MalformedPayload`] naming the sender of a link that carries
+/// more or fewer bits than its packets, or that the shape does not list.
+fn hop(
+    session: &mut Session,
+    phase: &str,
+    demand: &RoutingDemand,
+    links: &[Link],
+    payloads: impl IntoIterator<Item = BitString>,
+) -> Result<Vec<BitString>, SimError> {
+    let (outs, held) = send(demand.n(), links, payloads);
     let inboxes = session.exchange(phase, outs)?;
-    let mut delivered: Delivered = vec![Vec::new(); n];
-    for (dst, inbox) in inboxes.iter().enumerate() {
-        for (src, wire) in inbox.unicasts() {
-            let mut reader = wire.reader();
-            while !reader.is_exhausted() {
-                let payload = codec.decode(&mut reader, src, phase)?;
-                delivered[dst].push(Packet::new(src, NodeId::new(dst), payload));
+    receive(demand, links, held, inboxes, phase)
+}
+
+/// The senders' half of a [`hop`]: each payload that crosses its link goes
+/// to its sender's outbox, in demand order. The rest are held in place:
+/// those whose ends coincide, and empty ones, which cost nothing unsent.
+fn send(
+    n: usize,
+    links: &[Link],
+    payloads: impl IntoIterator<Item = BitString>,
+) -> (Vec<PhaseOutbox>, Vec<BitString>) {
+    let mut outs: Vec<PhaseOutbox> = (0..n).map(|_| PhaseOutbox::new()).collect();
+    let held = links
+        .iter()
+        .zip(payloads)
+        .map(|(&(s, r), payload)| {
+            if s == r || payload.is_empty() {
+                return payload;
             }
+            outs[s].send(NodeId::new(r), payload);
+            BitString::new()
+        })
+        .collect();
+    (outs, held)
+}
+
+/// The receivers' half of a [`hop`]: each link listed by the shape moves
+/// out of its inbox. A link of one packet is that packet; a longer one is
+/// cut by its packets' lengths, in demand order. The payloads land in
+/// `held`, whose other entries stay as [`send`] left them.
+fn receive(
+    demand: &RoutingDemand,
+    links: &[Link],
+    mut held: Vec<BitString>,
+    mut inboxes: Vec<PhaseInbox>,
+    phase: &str,
+) -> Result<Vec<BitString>, SimError> {
+    let len = |i: usize| demand.packets()[i].payload.len();
+    let malformed = |sender: usize| SimError::MalformedPayload {
+        sender: NodeId::new(sender),
+        phase: phase.to_owned(),
+    };
+    for packets in crossings(demand, links).chunk_by(|&a, &b| links[a] == links[b]) {
+        let (s, r) = links[packets[0]];
+        let bits: usize = packets.iter().map(|&i| len(i)).sum();
+        let wire = inboxes[r]
+            .take_unicast(NodeId::new(s))
+            .filter(|wire| wire.len() == bits)
+            .ok_or_else(|| malformed(s))?;
+        if let &[i] = packets {
+            held[i] = wire;
+            continue;
+        }
+        let mut reader = wire.reader();
+        for &i in packets {
+            let words = reader.read_words(len(i)).ok_or_else(|| malformed(s))?;
+            held[i] = BitString::from_words(&words, len(i));
         }
     }
-    Ok(delivered)
+    // Every listed link has left its inbox, so whatever remains is unlisted.
+    match inboxes.iter().find_map(|inbox| inbox.unicasts().next()) {
+        Some((sender, _)) => Err(malformed(sender.index())),
+        None => Ok(held),
+    }
+}
+
+/// The packets of `demand` that cross their link (ends apart, at least one
+/// bit), grouped by link: receivers ascending, then senders ascending, each
+/// link's packets in demand order. Two stable bucket passes, `O(packets +
+/// n)`.
+fn crossings(demand: &RoutingDemand, links: &[Link]) -> Vec<usize> {
+    let crossing: Vec<usize> = (0..links.len())
+        .filter(|&i| links[i].0 != links[i].1 && !demand.packets()[i].payload.is_empty())
+        .collect();
+    let n = demand.n();
+    let by_sender = bucket_by(n, &crossing, |i| links[i].0);
+    bucket_by(n, &by_sender, |i| links[i].1)
+}
+
+/// `items` stably ordered by `key`, each key below `n`, in `O(items + n)`.
+fn bucket_by(n: usize, items: &[usize], key: impl Fn(usize) -> usize) -> Vec<usize> {
+    let mut next = vec![0usize; n + 1];
+    for &i in items {
+        next[key(i) + 1] += 1;
+    }
+    for k in 0..n {
+        next[k + 1] += next[k];
+    }
+    let mut sorted = vec![0; items.len()];
+    for &i in items {
+        sorted[next[key(i)]] = i;
+        next[key(i)] += 1;
+    }
+    sorted
 }
 
 /// Two-phase routing via uniformly random intermediaries (Valiant-style).
@@ -259,17 +325,17 @@ impl<R: Rng> Router for ValiantRouter<R> {
 /// [`DirectRouter`].
 ///
 /// Both costs are exact and read only the demand's shape — each packet's
-/// endpoints and length. They follow the session's rule: record bits summed
-/// per link, `⌈max / b⌉` rounds per phase. Ties go to direct delivery,
-/// which sends the [`DirectRouter`]'s records in one hop. Every call
-/// records two ledger phases, `route/balanced/phase1` and
+/// endpoints and length. They follow the session's rule: payload bits
+/// summed per link, `⌈max / b⌉` rounds per phase. Ties go to direct
+/// delivery, which sends the [`DirectRouter`]'s payloads in one hop. Every
+/// call records two ledger phases, `route/balanced/phase1` and
 /// `route/balanced/phase2`; after direct delivery the second is silent.
 ///
 /// The two-phase schedule is computed only when direct delivery costs more
-/// than the floor every two-phase schedule pays: the longest packet's
-/// tagged record crosses at least one link. A demand with at most one
-/// packet per ordered pair always meets that floor, so the dense algebraic
-/// exchanges, the DLP check and the sparse product never run the scan.
+/// than the floor every two-phase schedule pays: the longest packet
+/// crosses at least one link. A demand with at most one packet per ordered
+/// pair always meets that floor, so the dense algebraic exchanges, the DLP
+/// check and the sparse product never run the scan.
 ///
 /// The scan assigns packets in demand order: each gets the intermediary
 /// `w` that minimises the larger of its two link loads `(src, w)` and
@@ -339,71 +405,42 @@ fn plan(demand: &RoutingDemand, bandwidth: usize) -> (Schedule, u64) {
 }
 
 /// A lower bound on the rounds of every two-phase schedule of `demand`:
-/// the longest packet's tagged record crosses at least one link, in a
-/// phase of at least `⌈record / b⌉` rounds. Zero for an empty demand.
+/// the longest packet crosses at least one link, since its intermediary is
+/// not both its ends, in a phase of at least `⌈length / b⌉` rounds. Zero
+/// for an empty demand.
 fn two_phase_floor(demand: &RoutingDemand, bandwidth: usize) -> u64 {
-    let codec = PacketCodec::for_demand(demand);
-    demand
-        .packets()
-        .iter()
-        .map(|p| p.payload.len())
-        .max()
-        .map_or(0, |len| {
-            codec.record_bits(true, len).div_ceil(bandwidth as u64)
-        })
+    let longest = demand.packets().iter().map(|p| p.payload.len()).max();
+    (longest.unwrap_or(0) as u64).div_ceil(bandwidth as u64)
 }
 
 /// The rounds [`two_phase_route`] charges for `assignment`: each phase's
-/// heaviest link of tagged records, skipping the hops [`two_phase_route`]
-/// skips.
+/// heaviest link.
 fn two_phase_rounds(demand: &RoutingDemand, assignment: &[usize], bandwidth: usize) -> u64 {
-    let codec = PacketCodec::for_demand(demand);
-    let routed = || demand.packets().iter().zip(assignment);
-    let record = |p: &Packet| codec.record_bits(true, p.payload.len());
-    let first: Vec<_> = routed()
-        .filter(|&(p, &w)| w != p.src.index())
-        .map(|(p, &w)| (p.src.index(), w, record(p)))
-        .collect();
-    let second: Vec<_> = routed()
-        .filter(|&(p, &w)| w != p.dst.index())
-        .map(|(p, &w)| (w, p.dst.index(), record(p)))
-        .collect();
     let b = bandwidth as u64;
-    max_link_load(demand.n(), &first).div_ceil(b) + max_link_load(demand.n(), &second).div_ceil(b)
+    let [first, second] = two_phase_links(demand, assignment);
+    max_link_load(demand, &first).div_ceil(b) + max_link_load(demand, &second).div_ceil(b)
 }
 
-/// The heaviest link of one phase whose records are `hops`, each a
-/// `(sender, receiver, wire bits)` triple, by the session's rule: record
-/// bits summed per `(sender, receiver)`. The hops are bucketed by sender,
-/// so one `n`-word row holds a sender's loads and the cost is
-/// `O(hops + n)`.
-fn max_link_load(n: usize, hops: &[(usize, usize, u64)]) -> u64 {
-    let mut start = vec![0usize; n + 1];
-    for &(s, _, _) in hops {
-        start[s + 1] += 1;
-    }
-    for s in 0..n {
-        start[s + 1] += start[s];
-    }
-    let mut next = start.clone();
-    let mut by_sender = vec![(0usize, 0u64); hops.len()];
-    for &(s, r, bits) in hops {
-        by_sender[next[s]] = (r, bits);
-        next[s] += 1;
-    }
-    let mut row = vec![0u64; n];
-    let mut max = 0;
-    for bounds in start.windows(2) {
-        let bucket = &by_sender[bounds[0]..bounds[1]];
-        for &(r, bits) in bucket {
-            row[r] += bits;
-            max = max.max(row[r]);
-        }
-        for &(r, _) in bucket {
-            row[r] = 0;
-        }
-    }
-    max
+/// Every packet's link in each phase of a two-phase schedule: `(src, w)`,
+/// then `(w, dst)`, where `w` is its intermediary in `assignment`.
+fn two_phase_links(demand: &RoutingDemand, assignment: &[usize]) -> [Vec<Link>; 2] {
+    let routed = || demand.packets().iter().zip(assignment);
+    [
+        routed().map(|(p, &w)| (p.src.index(), w)).collect(),
+        routed().map(|(p, &w)| (w, p.dst.index())).collect(),
+    ]
+}
+
+/// The heaviest link of one phase in which packet `i` crosses `links[i]`,
+/// by the session's rule: payload bits summed per link. Costs `O(packets +
+/// n)`.
+fn max_link_load(demand: &RoutingDemand, links: &[Link]) -> u64 {
+    let len = |i: usize| demand.packets()[i].payload.len() as u64;
+    crossings(demand, links)
+        .chunk_by(|&a, &b| links[a] == links[b])
+        .map(|packets| packets.iter().map(|&i| len(i)).sum())
+        .max()
+        .unwrap_or(0)
 }
 
 /// Independent running minima the greedy scan keeps (lane `l` covers the
@@ -477,90 +514,28 @@ pub fn greedy_intermediaries(n: usize, hops: &[(usize, usize, u64)]) -> Vec<usiz
     assignment
 }
 
-/// Shared two-phase delivery: phase 1 sends each packet to its assigned
-/// intermediary (tagged with the final destination), phase 2 forwards it
-/// (tagged with the original source). Packets whose intermediary equals the
-/// source or the destination skip the redundant hop.
+/// Shared two-phase delivery: phase 1 carries each packet to its assigned
+/// intermediary, phase 2 forwards it to its destination. A packet whose
+/// intermediary is its source or its destination skips that hop.
 fn two_phase_route(
     demand: &RoutingDemand,
     assignment: &[usize],
     session: &mut Session,
     label: &str,
 ) -> Result<Delivered, SimError> {
-    let n = demand.n();
-    let codec = PacketCodec::for_demand(demand);
-    let mut delivered: Delivered = vec![Vec::new(); n];
-
-    // Phase 1: src -> intermediary, carrying the destination. Packets whose
-    // intermediary equals the source skip the first hop.
-    let mut outs: Vec<PhaseOutbox> = (0..n).map(|_| PhaseOutbox::new()).collect();
-    // Packets held by each intermediary before phase 2.
-    let mut relay: Vec<Vec<Packet>> = vec![Vec::new(); n];
-    for (p, &w) in demand.packets().iter().zip(assignment) {
-        if w == p.src.index() {
-            relay[w].push(p.clone());
-            continue;
-        }
-        let mut wire = BitString::new();
-        codec.encode(Some(p.dst), &p.payload, &mut wire);
-        outs[p.src.index()].send(NodeId::new(w), wire);
-    }
-    let phase1 = format!("{label}/phase1");
-    let inboxes = session.exchange(&phase1, outs)?;
-    for (w, inbox) in inboxes.iter().enumerate() {
-        for (src, wire) in inbox.unicasts() {
-            let mut reader = wire.reader();
-            while !reader.is_exhausted() {
-                let (dst, payload) = codec.decode_tagged(&mut reader, src, &phase1)?;
-                relay[w].push(Packet::new(src, dst, payload));
-            }
-        }
-    }
-
-    // Phase 2: intermediary -> dst, carrying the source. Packets already at
-    // their destination (the destination acted as the intermediary) are
-    // delivered without a second hop.
-    let mut outs: Vec<PhaseOutbox> = (0..n).map(|_| PhaseOutbox::new()).collect();
-    for (w, packets) in relay.iter().enumerate() {
-        for p in packets {
-            if p.dst.index() == w {
-                delivered[w].push(p.clone());
-                continue;
-            }
-            let mut wire = BitString::new();
-            codec.encode(Some(p.src), &p.payload, &mut wire);
-            outs[w].send(p.dst, wire);
-        }
-    }
-    let phase2 = format!("{label}/phase2");
-    let inboxes2 = session.exchange(&phase2, outs)?;
-    for (dst, inbox) in inboxes2.iter().enumerate() {
-        for (relay_node, wire) in inbox.unicasts() {
-            let mut reader = wire.reader();
-            while !reader.is_exhausted() {
-                let (src, payload) = codec.decode_tagged(&mut reader, relay_node, &phase2)?;
-                delivered[dst].push(Packet::new(src, NodeId::new(dst), payload));
-            }
-        }
-    }
-    Ok(delivered)
+    let [first, second] = two_phase_links(demand, assignment);
+    let (phase1, phase2) = (format!("{label}/phase1"), format!("{label}/phase2"));
+    let relayed = hop(session, &phase1, demand, &first, clones(demand))?;
+    let payloads = hop(session, &phase2, demand, &second, relayed)?;
+    Ok(deliver(demand, payloads))
 }
 
 /// The rounds the [`DirectRouter`] charges for `demand` at `bandwidth` bits
 /// per link and round: `⌈max pair load / b⌉`, where a pair's load sums its
-/// packets' `[len, payload]` records, framing included. Reads only the
-/// demand's shape, in `O(packets + n)` time.
+/// packets' payload bits. Reads only the demand's shape, in `O(packets +
+/// n)` time.
 pub(crate) fn direct_round_bound(demand: &RoutingDemand, bandwidth: usize) -> u64 {
-    let codec = PacketCodec::for_demand(demand);
-    let hops: Vec<_> = demand
-        .packets()
-        .iter()
-        .map(|p| {
-            let bits = codec.record_bits(false, p.payload.len());
-            (p.src.index(), p.dst.index(), bits)
-        })
-        .collect();
-    max_link_load(demand.n(), &hops).div_ceil(bandwidth as u64)
+    max_link_load(demand, &direct_links(demand)).div_ceil(bandwidth as u64)
 }
 
 #[cfg(test)]
@@ -672,6 +647,9 @@ mod tests {
             let direct = route_metrics(&mut DirectRouter, &demand, bandwidth);
             prop_assert!(balanced.rounds <= direct.rounds);
             prop_assert_eq!(direct_round_bound(&demand, bandwidth), direct.rounds);
+            // Zero-length packets are delivered without being sent.
+            let sent = demand.packets().iter().filter(|p| !p.payload.is_empty()).count();
+            prop_assert_eq!(direct.messages, sent as u64);
             let (schedule, planned) = plan(&demand, bandwidth);
             prop_assert_eq!(planned, balanced.rounds);
             // The floor bounds the greedy schedule, and the shortcut decides
@@ -692,62 +670,85 @@ mod tests {
                 );
                 prop_assert_eq!(balanced.phases[1].rounds + balanced.phases[1].bits, 0);
             }
+            // Two-phase pricing holds for any assignment: replay Valiant's
+            // draws.
+            let valiant = route_metrics(
+                &mut ValiantRouter::new(ChaCha8Rng::seed_from_u64(seed)),
+                &demand,
+                bandwidth,
+            );
+            let mut draws = ChaCha8Rng::seed_from_u64(seed);
+            let assignment: Vec<usize> =
+                demand.packets().iter().map(|_| draws.gen_range(0..n)).collect();
+            prop_assert_eq!(two_phase_rounds(&demand, &assignment, bandwidth), valiant.rounds);
         }
     }
+
+    /// What the receivers read in one phase of `demand` over `links` whose
+    /// senders send `payloads`, plus `junk` on one link when given.
+    fn tampered_hop(
+        demand: &RoutingDemand,
+        links: &[Link],
+        payloads: Vec<BitString>,
+        junk: Option<(Link, BitString)>,
+    ) -> Result<Vec<BitString>, SimError> {
+        let (mut outs, held) = send(demand.n(), links, payloads);
+        if let Some(((s, r), junk)) = junk {
+            outs[s].send(NodeId::new(r), junk);
+        }
+        let mut session = Session::new(CliqueConfig::unicast(demand.n(), 8));
+        receive(demand, links, held, session.exchange(PHASE, outs)?, PHASE)
+    }
+
+    /// The phase label of [`tampered_hop`].
+    const PHASE: &str = "route/test";
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
-        /// Records off the wire: every proper prefix of a
-        /// `[node, len, payload]` or `[len, payload]` record is
-        /// `MalformedPayload`. With 1–3 bits flipped anywhere in a stream
-        /// of records, reading the records back never panics: each read
-        /// yields a record, a tagged one naming a node of the clique, or
-        /// `MalformedPayload`.
+        /// Receivers read links by the shape alone, under the direct
+        /// schedule and in both phases of the greedy two-phase schedule and
+        /// of a Valiant assignment. A link cut short, a link extended by
+        /// 1–64 junk bits and a payload on a link the shape does not list
+        /// are each `MalformedPayload` naming the link's sender, never a
+        /// panic.
         #[test]
-        fn tampered_records_never_panic(
-            n in 2usize..40,
-            packets in 1usize..24,
+        fn tampered_links_are_typed_errors(
+            n in 2usize..24,
+            packets in 1usize..80,
             max_len in 0usize..130,
+            shape in 0u8..4,
             seed in any::<u64>(),
         ) {
-            let demand = random_demand(n, packets, max_len, 0, seed);
-            let codec = PacketCodec::for_demand(&demand);
-            let (sender, phase) = (NodeId::new(1), "route/fuzz");
-            let rejected = Err(malformed(sender, phase));
-            let (mut tagged, mut bare) = (BitString::new(), BitString::new());
-            for packet in demand.packets() {
-                let (mut with_tag, mut without) = (BitString::new(), BitString::new());
-                codec.encode(Some(packet.dst), &packet.payload, &mut with_tag);
-                codec.encode(None, &packet.payload, &mut without);
-                for cut in 0..with_tag.len() {
-                    let prefix = BitString::from_words(with_tag.words(), cut);
-                    let read = codec.decode_tagged(&mut prefix.reader(), sender, phase);
-                    prop_assert_eq!(read.map(|_| ()), rejected.clone());
+            let demand = random_demand(n, packets, max_len, shape, seed);
+            let mut rng = ChaCha8Rng::seed_from_u64(seed ^ 0x7A3E);
+            let valiant: Vec<usize> = demand.packets().iter().map(|_| rng.gen_range(0..n)).collect();
+            let [greedy1, greedy2] = two_phase_links(&demand, &greedy_assignment(&demand));
+            let [valiant1, valiant2] = two_phase_links(&demand, &valiant);
+            let rejected = |sender: usize| {
+                let phase = PHASE.to_owned();
+                Err(SimError::MalformedPayload { sender: NodeId::new(sender), phase })
+            };
+            for links in [direct_links(&demand), greedy1, greedy2, valiant1, valiant2] {
+                let read = |payloads, junk| tampered_hop(&demand, &links, payloads, junk);
+                let honest: Vec<BitString> = clones(&demand).collect();
+                prop_assert_eq!(read(honest.clone(), None), Ok(honest.clone()));
+                let junk = BitString::from_bits(rng.gen(), rng.gen_range(1..65));
+                let crossing = crossings(&demand, &links);
+                if let Some(&i) = crossing.get(rng.gen_range(0..crossing.len().max(1))) {
+                    let mut short = honest.clone();
+                    let cut = rng.gen_range(0..short[i].len());
+                    short[i] = BitString::from_words(short[i].words(), cut);
+                    prop_assert_eq!(read(short, None), rejected(links[i].0));
+                    let extended = read(honest.clone(), Some((links[i], junk.clone())));
+                    prop_assert_eq!(extended, rejected(links[i].0));
                 }
-                for cut in 0..without.len() {
-                    let prefix = BitString::from_words(without.words(), cut);
-                    let read = codec.decode(&mut prefix.reader(), sender, phase);
-                    prop_assert_eq!(read.map(|_| ()), rejected.clone());
-                }
-                tagged.extend_from(&with_tag);
-                bare.extend_from(&without);
-            }
-
-            let mut rng = ChaCha8Rng::seed_from_u64(seed ^ 0xF11B);
-            for stream in [&mut tagged, &mut bare] {
-                for _ in 0..rng.gen_range(1..4) {
-                    stream.toggle_bit(rng.gen_range(0..stream.len()));
-                }
-            }
-            let (mut tagged, mut bare) = (tagged.reader(), bare.reader());
-            for _ in demand.packets() {
-                match codec.decode_tagged(&mut tagged, sender, phase) {
-                    Ok((node, _)) => prop_assert!(node.index() < n),
-                    Err(error) => prop_assert_eq!(Err(error), rejected.clone()),
-                }
-                if let Err(error) = codec.decode(&mut bare, sender, phase) {
-                    prop_assert_eq!(Err(error), rejected.clone());
+                let start = rng.gen_range(0..n * n);
+                let unlisted = (start..start + n * n)
+                    .map(|l| (l / n % n, l % n))
+                    .find(|&(s, r)| s != r && crossing.iter().all(|&i| links[i] != (s, r)));
+                if let Some(link) = unlisted {
+                    prop_assert_eq!(read(honest, Some((link, junk))), rejected(link.0));
                 }
             }
         }
@@ -779,24 +780,17 @@ mod tests {
         d
     }
 
+    /// Every packet of `demand` arrives at its destination, and each
+    /// destination lists its packets in demand order.
     fn check_delivery(demand: &RoutingDemand, delivered: &Delivered) {
-        let n = demand.n();
-        // Multisets of (src, dst, payload) must match.
-        let mut expected: Vec<(usize, usize, String)> = demand
-            .packets()
-            .iter()
-            .map(|p| (p.src.index(), p.dst.index(), p.payload.to_string()))
-            .collect();
-        let mut actual: Vec<(usize, usize, String)> = (0..n)
-            .flat_map(|dst| {
-                delivered[dst]
-                    .iter()
-                    .map(move |p| (p.src.index(), dst, p.payload.to_string()))
-            })
-            .collect();
-        expected.sort();
-        actual.sort();
-        assert_eq!(expected, actual, "delivered packets differ from the demand");
+        let mut expected: Delivered = vec![Vec::new(); demand.n()];
+        for p in demand.packets() {
+            expected[p.dst.index()].push(p.clone());
+        }
+        assert_eq!(
+            delivered, &expected,
+            "delivered packets differ from the demand"
+        );
     }
 
     /// Routes `demand` at bandwidth `b`, checks the delivery and returns
@@ -813,40 +807,20 @@ mod tests {
     }
 
     #[test]
-    fn all_routers_deliver_balanced_demands() {
-        let demand = all_to_all(8, 4);
-        assert!(run_router(&mut DirectRouter, &demand, 8) >= 1);
-        assert!(run_router(&mut BalancedRouter, &demand, 8) >= 1);
-        let mut valiant = ValiantRouter::new(ChaCha8Rng::seed_from_u64(7));
-        assert!(run_router(&mut valiant, &demand, 8) >= 1);
-    }
-
-    #[test]
-    fn all_routers_deliver_concentrated_demands() {
-        let demand = concentrated(8, 24, 4);
-        assert!(run_router(&mut DirectRouter, &demand, 8) >= 1);
-        assert!(run_router(&mut BalancedRouter, &demand, 8) >= 1);
-        let mut valiant = ValiantRouter::new(ChaCha8Rng::seed_from_u64(8));
-        assert!(run_router(&mut valiant, &demand, 8) >= 1);
-    }
-
-    #[test]
     fn balanced_router_beats_direct_on_concentrated_demands() {
-        // Node 0 sends n·b bits to node 1: direct needs ≈ n rounds; a
+        // Node 0 sends n·b bits to node 1: direct needs n rounds; a
         // two-phase balanced schedule spreads the packets over the n links of
-        // node 0 and the n links of node 1 and needs O(1) rounds (with the
-        // header overhead, a small constant).
+        // node 0 and the n links of node 1, one packet per link and phase.
         let n = 16;
         let b = 8;
         let demand = concentrated(n, n, b);
         let direct_rounds = run_router(&mut DirectRouter, &demand, b);
         let balanced_rounds = run_router(&mut BalancedRouter, &demand, b);
-        // Direct delivery pays at least the raw payload load on the (0,1)
-        // link (n packets of b bits over a b-bit link = n rounds), plus
-        // framing.
-        assert!(direct_rounds >= n as u64);
+        // Direct delivery pays the whole load on the (0,1) link: n packets
+        // of b bits over a b-bit link.
+        assert_eq!(direct_rounds, n as u64);
         assert!(
-            balanced_rounds <= 6,
+            balanced_rounds <= 2,
             "balanced router took {balanced_rounds} rounds"
         );
         assert!(balanced_rounds * 2 < direct_rounds);
@@ -884,10 +858,9 @@ mod tests {
         // With n packets spread over n random intermediaries the max link
         // load is O(log n / log log n) packets w.h.p. For n = 32 the load of
         // the fullest bin exceeds 8 with probability < 10⁻³, and each packet
-        // costs at most two rounds per phase with framing, so 32 rounds is a
-        // safe cap — while still far below the ≥ 2·n rounds direct delivery
-        // pays on this demand.
-        assert!(rounds <= 32, "valiant took {rounds} rounds");
+        // costs one round on each of its links, so 16 rounds is a safe cap —
+        // while still half the n rounds direct delivery pays on this demand.
+        assert!(rounds <= 16, "valiant took {rounds} rounds");
         let direct_rounds = run_router(&mut DirectRouter, &demand, b);
         assert!(
             rounds < direct_rounds,
@@ -896,64 +869,19 @@ mod tests {
     }
 
     #[test]
-    fn truncated_records_are_typed_errors() {
-        // n = 5 needs 3-bit node tags, so tags 5..=7 are out of range.
-        let mut demand = RoutingDemand::new(5);
-        demand.send(0, 1, payload(0b1011, 9));
-        let codec = PacketCodec::for_demand(&demand);
-        let sender = NodeId::new(2);
-        let expected = Err(SimError::MalformedPayload {
-            sender,
-            phase: "route/test".into(),
-        });
-        let mut wire = BitString::new();
-        codec.encode(Some(NodeId::new(3)), &payload(0b1011, 9), &mut wire);
-        let (node, body) = codec
-            .decode_tagged(&mut wire.reader(), sender, "route/test")
-            .unwrap();
-        assert_eq!((node, body), (NodeId::new(3), payload(0b1011, 9)));
-        // Every proper prefix is rejected: inside the node tag, the length
-        // field, or the payload.
-        for cut in 0..wire.len() {
-            let prefix = BitString::from_words(wire.words(), cut);
-            assert_eq!(
-                codec
-                    .decode_tagged(&mut prefix.reader(), sender, "route/test")
-                    .map(|_| ()),
-                expected,
-                "prefix of {cut} bits"
-            );
-        }
-        let mut bare = BitString::new();
-        codec.encode(None, &payload(0b1011, 9), &mut bare);
-        let prefix = BitString::from_words(bare.words(), bare.len() - 1);
-        assert_eq!(
-            codec
-                .decode(&mut prefix.reader(), sender, "route/test")
-                .map(|_| ()),
-            expected
-        );
-        // A tag naming a node outside the clique is malformed too.
-        let mut stray = BitString::new();
-        stray.push_bits(6, codec.node_bits);
-        codec.encode(None, &payload(1, 1), &mut stray);
-        assert_eq!(
-            codec
-                .decode_tagged(&mut stray.reader(), sender, "route/test")
-                .map(|_| ()),
-            expected
-        );
-    }
-
-    #[test]
     fn zero_length_payloads_are_delivered() {
         let mut demand = RoutingDemand::new(4);
         demand.send(0, 1, BitString::new());
         demand.send(2, 3, BitString::from_bits(1, 1));
-        let delivered = Runner::new(CliqueConfig::unicast(4, 4))
+        let run = Runner::new(CliqueConfig::unicast(4, 4))
             .execute(&mut RouteProtocol::new(BalancedRouter, &demand))
-            .unwrap()
-            .into_output();
+            .unwrap();
+        // Only the one-bit packet travels.
+        assert_eq!(
+            (run.rounds(), run.total_bits(), run.metrics.messages),
+            (1, 1, 1)
+        );
+        let delivered = run.into_output();
         assert_eq!(delivered[1].len(), 1);
         assert_eq!(delivered[1][0].payload.len(), 0);
         assert_eq!(delivered[3].len(), 1);

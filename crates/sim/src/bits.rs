@@ -259,7 +259,7 @@ impl BitString {
     }
 
     /// Appends all bits of `other` (word-at-a-time).
-    pub fn extend_from(&mut self, other: &BitString) {
+    pub(crate) fn extend_from(&mut self, other: &BitString) {
         self.push_words(&other.words, other.len);
     }
 

@@ -129,6 +129,10 @@ pub enum SimError {
     /// is the node that sent it and `phase` the label of the phase that
     /// delivered it. Protocols return this instead of trusting wire data.
     MalformedPayload { sender: NodeId, phase: String },
+    /// A protocol phase ended without the progress its analysis promises,
+    /// and the protocol has no escalation left to try. `phase` names the
+    /// phase. A run returns this instead of repeating the phase forever.
+    Stalled { phase: String },
 }
 
 impl fmt::Display for SimError {
@@ -158,6 +162,9 @@ impl fmt::Display for SimError {
             },
             SimError::MalformedPayload { sender, phase } => {
                 write!(f, "malformed payload from {sender} in phase {phase:?}")
+            }
+            SimError::Stalled { phase } => {
+                write!(f, "phase {phase:?} stalled with no escalation left")
             }
         }
     }

@@ -103,6 +103,12 @@ impl PhaseInbox {
         self.unicasts.get(sender.index()).and_then(|m| m.as_ref())
     }
 
+    /// Moves the (concatenated) unicast payload received from `sender` out
+    /// of the inbox, so a reader that keeps it whole copies no bits.
+    pub fn take_unicast(&mut self, sender: NodeId) -> Option<BitString> {
+        self.unicasts.get_mut(sender.index()).and_then(Option::take)
+    }
+
     /// Iterates over `(sender, payload)` pairs of broadcasts received.
     pub fn broadcasts(&self) -> impl Iterator<Item = (NodeId, &BitString)> {
         self.broadcasts

@@ -27,6 +27,8 @@
 
 use std::fmt;
 
+use clique_sim::bits::bits_for_universe;
+
 /// Points [`PrimeField::eval_poly`] evaluates per call, as independent
 /// Horner chains.
 pub(crate) const LANES: usize = 4;
@@ -81,7 +83,7 @@ impl PrimeField {
 
     /// Number of bits needed to transmit a field element.
     pub fn element_bits(&self) -> usize {
-        clique_element_bits(self.p)
+        bits_for_universe(self.p)
     }
 
     /// Reduces an arbitrary integer into the field.
@@ -201,10 +203,6 @@ impl fmt::Display for PrimeField {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "F_{}", self.p)
     }
-}
-
-fn clique_element_bits(p: u64) -> usize {
-    (64 - (p - 1).leading_zeros()) as usize
 }
 
 /// Below this bound the Miller–Rabin [`WITNESSES`] decide primality

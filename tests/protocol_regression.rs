@@ -7,7 +7,9 @@
 //! means the redesign changed the *accounting semantics*, not just the API,
 //! and must be investigated. The full records of the Theorem 2 runs
 //! (circuits and the Section 2.1 pipeline) were captured while the circuit
-//! simulation still wrote each of its phases by hand.
+//! simulation still wrote each of its phases by hand. The routed pins (the
+//! routers, DLP, and the cubic and sparse products) were re-pinned once
+//! when the routers stopped sending length fields and relay tags.
 
 use congested_clique::adaptive::detect_subgraph_adaptive;
 use congested_clique::circuits::builders;
@@ -125,13 +127,13 @@ fn dlp_triangle_detection_matches_pre_redesign_counts() {
     let outcome = detect_triangle_dlp(&g, 4).unwrap();
     assert_eq!(
         (outcome.contains, outcome.rounds(), outcome.total_bits()),
-        (true, 7, 4671)
+        (true, 6, 3546)
     );
     let config = CliqueConfig::unicast(24, 4);
     let direct = Runner::new(config)
         .execute(&mut DlpTriangleDetection::new(&g))
         .unwrap();
-    assert_eq!((direct.rounds(), direct.total_bits()), (7, 4671));
+    assert_eq!((direct.rounds(), direct.total_bits()), (6, 3546));
 }
 
 #[test]
@@ -328,12 +330,12 @@ fn routers_match_pre_redesign_counts() {
     let direct = runner
         .execute(&mut RouteProtocol::new(DirectRouter, &demand))
         .unwrap();
-    assert_eq!((direct.rounds(), direct.total_bits()), (23, 180));
+    assert_eq!((direct.rounds(), direct.total_bits()), (15, 120));
 
     let balanced = runner
         .execute(&mut RouteProtocol::new(BalancedRouter, &demand))
         .unwrap();
-    assert_eq!((balanced.rounds(), balanced.total_bits()), (4, 448));
+    assert_eq!((balanced.rounds(), balanced.total_bits()), (2, 224));
 
     let valiant = runner
         .execute(&mut RouteProtocol::new(
@@ -341,7 +343,7 @@ fn routers_match_pre_redesign_counts() {
             &demand,
         ))
         .unwrap();
-    assert_eq!((valiant.rounds(), valiant.total_bits()), (8, 432));
+    assert_eq!((valiant.rounds(), valiant.total_bits()), (4, 216));
 }
 
 /// The canonical served record of a run whose output prints as JSON
@@ -376,25 +378,25 @@ fn cubic_matmul_records_match_pinned_bytes() {
     // ship multi-bit entries and the all-ones INFINITY sentinel.
     assert_eq!(
         registry_record("triangle-count", "erdos_renyi(p=0.5)", 100, 1, 9),
-        "{\"output\":{\"triangles\":20428},\"rounds\":24,\"total_bits\":442329,\
+        "{\"output\":{\"triangles\":20428},\"rounds\":22,\"total_bits\":414700,\
          \"messages\":4442,\"max_link_bits_per_round\":9,\"phases\":5,\
-         \"phase_digest\":\"e6b294011208b917\"}"
+         \"phase_digest\":\"8885f677cebde15c\"}"
     );
     // The 100 × 100 distance matrix is pinned through a digest of the
     // whole record; the ledger tail is spelled out.
     let apsp = registry_record("apsp", "erdos_renyi(p=0.15)", 100, 1, 9);
     assert!(
         apsp.ends_with(
-            "},\"rounds\":72,\"total_bits\":990295,\"messages\":13326,\
+            "},\"rounds\":68,\"total_bits\":897925,\"messages\":13326,\
              \"max_link_bits_per_round\":9,\"phases\":15,\
-             \"phase_digest\":\"5951815068cbc13e\"}"
+             \"phase_digest\":\"5cce0e79407df32c\"}"
         ),
         "apsp ledger moved: {}",
         &apsp[apsp.rfind("},\"rounds\"").unwrap_or(0)..]
     );
     assert_eq!(
         congested_clique::serve::fnv64(apsp.as_bytes()),
-        0x8fd5_f917_5be0_849d
+        0xbaeb_27fa_84d1_e7c3
     );
 }
 
@@ -420,16 +422,16 @@ fn cubic_matmul_uneven_partition_records_match_pinned_bytes() {
         (
             &f2,
             Semiring::F2,
-            "\"rounds\":17,\"total_bits\":31777,\"messages\":1246,\
+            "\"rounds\":14,\"total_bits\":24768,\"messages\":1246,\
              \"max_link_bits_per_round\":4,\"phases\":4,\
-             \"phase_digest\":\"08810f3a41f34804\"}",
+             \"phase_digest\":\"1cbe05c40cf4dadb\"}",
         ),
         (
             &counting,
             Semiring::Counting,
-            "\"rounds\":58,\"total_bits\":108225,\"messages\":1246,\
+            "\"rounds\":54,\"total_bits\":99036,\"messages\":1246,\
              \"max_link_bits_per_round\":4,\"phases\":4,\
-             \"phase_digest\":\"8e212d446a626fd7\"}",
+             \"phase_digest\":\"0321cc4bb5cff6ce\"}",
         ),
     ] {
         let outcome = Runner::new(CliqueConfig::unicast(56, 4))
@@ -462,5 +464,5 @@ fn sparse_matmul_schedule_matches_pinned_counts() {
         .unwrap();
     let local = adj.as_bits().unwrap().mul_bool(adj.as_bits().unwrap());
     assert_eq!(sparse.as_bits().unwrap(), &local);
-    assert_eq!((sparse.rounds(), sparse.total_bits()), (21, 6436));
+    assert_eq!((sparse.rounds(), sparse.total_bits()), (18, 5296));
 }
