@@ -36,7 +36,14 @@
 //!    a low-cut component available — paths, cycles, trees, stars, sparse
 //!    random graphs — finish in a *single* phase at any size, which is the
 //!    constant-round plateau experiment E15 measures; a clique forces
-//!    `Θ(log(n/k))` escalations and serves as the contrast row.
+//!    `Θ(log(n/k))` escalations and serves as the contrast row. Every
+//!    capacity is at most the edge count, which is below `n²` and so below
+//!    the key universe and the field's modulus: the field is the same at
+//!    every level, and a capacity-`k` sketch's `2k` sums are the first of
+//!    its `4k` at the next. Each node lists its signed incident keys once
+//!    per run and *grows* its sketch ([`SignedPowerSumSketch::grow`]),
+//!    computing only the new sums. The wire is unchanged: every level
+//!    still broadcasts all of its sums.
 //!
 //! Determinism note: the protocol is deterministic end to end — ties are
 //! impossible under the `(w, u, v)` order, the contraction loop visits
@@ -139,14 +146,23 @@ impl<'a> MstProtocol<'a> {
         w * n * n + (a as u64) * n + b as u64
     }
 
-    /// Node `v`'s incidence sketch at the given capacity: every incident
-    /// edge key, signed `+1` when `v` is the smaller endpoint and `−1`
-    /// when it is the larger — local knowledge only.
-    fn incidence_sketch(&self, v: usize, universe: u64, capacity: usize) -> SignedPowerSumSketch {
-        let mut sketch = SignedPowerSumSketch::new(universe, capacity);
-        for (u, _) in self.graph.weighted_neighbors(v) {
-            let key = self.edge_key(v, u);
-            if v < u {
+    /// Node `v`'s signed incident keys, the set its sketch holds: every
+    /// incident edge key, signed `+1` when `v` is the smaller endpoint and
+    /// `−1` when it is the larger — local knowledge only.
+    fn incident_keys(&self, v: usize) -> Vec<(u64, i8)> {
+        self.graph
+            .weighted_neighbors(v)
+            .map(|(u, _)| (self.edge_key(v, u), if v < u { 1 } else { -1 }))
+            .collect()
+    }
+
+    /// Node `v`'s incidence sketch at `capacity`, built from scratch one
+    /// key at a time: the reference for the sketches the phase loop grows.
+    #[cfg(test)]
+    fn incidence_sketch(&self, v: usize, capacity: usize) -> SignedPowerSumSketch {
+        let mut sketch = SignedPowerSumSketch::new(self.universe, capacity);
+        for (key, sign) in self.incident_keys(v) {
+            if sign > 0 {
                 sketch.add(key);
             } else {
                 sketch.remove(key);
@@ -163,11 +179,36 @@ fn unpack_key(key: u64, n: u64) -> (usize, usize, u64) {
     ((rest / n) as usize, (rest % n) as usize, w)
 }
 
-/// One full Borůvka contraction from the blackboard of published vertex
-/// sketches — the computation every node performs identically. Components
-/// are summed, decoded against the (public-order) candidate key list, and
-/// merged on their minimum cut key until no component makes progress.
-/// Returns `true` when every component decoded an empty cut (forest done).
+/// Sums the published vertex sketches, taken one at a time in vertex
+/// order, into one sketch per current component (linearity: each sum
+/// sketches exactly its component's cut). Entry `r` holds the sum of the
+/// component rooted at `r`, so no second copy of the blackboard is made.
+///
+/// # Errors
+///
+/// The first error among `sketches`.
+fn component_sums(
+    sketches: impl Iterator<Item = Result<SignedPowerSumSketch, SimError>>,
+    n: usize,
+    dsu: &mut UnionFind,
+) -> Result<Vec<Option<SignedPowerSumSketch>>, SimError> {
+    let mut component: Vec<Option<SignedPowerSumSketch>> = vec![None; n];
+    for (v, incidence) in sketches.enumerate() {
+        let incidence = incidence?;
+        match &mut component[dsu.find(v)] {
+            Some(sum) => sum.merge(&incidence),
+            empty => *empty = Some(incidence),
+        }
+    }
+    Ok(component)
+}
+
+/// One full Borůvka contraction from the component sums of the published
+/// vertex sketches ([`component_sums`]) — the computation every node
+/// performs identically. Components are decoded against the (public-order)
+/// candidate key list and merged on their minimum cut key until no
+/// component makes progress. Returns `true` when every component decoded
+/// an empty cut (forest done).
 ///
 /// A component whose decode fails, or yields an edge that does not cross
 /// its cut, is *stalled*: its sketch and its membership change only when
@@ -176,22 +217,12 @@ fn unpack_key(key: u64, n: u64) -> (usize, usize, u64) {
 /// merges, their order and the forest are those of re-decoding every
 /// component on every pass.
 fn contract_to_exhaustion(
-    blackboard: &[SignedPowerSumSketch],
+    mut component: Vec<Option<SignedPowerSumSketch>>,
     candidates: &[u64],
-    n: usize,
     dsu: &mut UnionFind,
     forest: &mut Vec<(usize, usize, u64)>,
 ) -> bool {
-    // Sum the member sketches of every current component (linearity: the
-    // result sketches exactly the component's cut).
-    let mut component: Vec<Option<SignedPowerSumSketch>> = vec![None; n];
-    for (v, incidence) in blackboard.iter().enumerate() {
-        let root = dsu.find(v);
-        match &mut component[root] {
-            Some(sketch) => sketch.merge(incidence),
-            None => component[root] = Some(incidence.clone()),
-        }
-    }
+    let n = component.len();
     let mut finished = vec![false; n];
     let mut stalled = vec![false; n];
     loop {
@@ -282,32 +313,44 @@ impl MstProtocol<'_> {
         let mut capacity = 0usize;
 
         if n > 1 {
-            let universe = self.universe;
             let max_capacity = self.graph.edge_count().max(1);
             capacity = self.base_capacity.min(max_capacity);
+            // Each node's signed incident keys and its sketch of them, kept
+            // from level to level: escalation grows the sketches.
+            let incidence: Vec<Vec<(u64, i8)>> = (0..n).map(|v| self.incident_keys(v)).collect();
+            let empty = SignedPowerSumSketch::new(self.universe, capacity);
+            let mut sketches: Vec<SignedPowerSumSketch> = incidence
+                .iter()
+                .map(|keys| {
+                    let mut sketch = empty.clone();
+                    sketch.add_all(keys);
+                    sketch
+                })
+                .collect();
 
             loop {
                 phases += 1;
                 // One sketch broadcast per node at the current capacity.
-                let sketches: Vec<SignedPowerSumSketch> = (0..n)
-                    .map(|v| self.incidence_sketch(v, universe, capacity))
-                    .collect();
                 let messages: Vec<BitString> =
                     sketches.iter().map(SignedPowerSumSketch::write).collect();
                 let inboxes = session.broadcast_all(SKETCH_PHASE, &messages)?;
+                drop(messages);
 
                 // Every node now holds the same blackboard (own sketch plus
                 // the n−1 received ones) and contracts identically; the
                 // simulation performs the shared computation once, from
-                // node 0's inbox.
-                let blackboard: Vec<SignedPowerSumSketch> = (0..n)
-                    .map(|v| match v {
-                        0 => Ok(sketches[0].clone()),
-                        _ => read_sketch(&inboxes[0], v, universe, capacity),
-                    })
-                    .collect::<Result<_, _>>()?;
-                let done =
-                    contract_to_exhaustion(&blackboard, candidates, n, &mut dsu, &mut forest);
+                // node 0's inbox, reading each sketch in node 0's field
+                // straight into its component's sum. The messages and the
+                // inboxes go before the contraction: besides the nodes'
+                // own sketches, only the component sums hold the level.
+                let own = &sketches[0];
+                let blackboard = (0..n).map(|v| match v {
+                    0 => Ok(own.clone()),
+                    _ => read_sketch(&inboxes[0], v, own),
+                });
+                let component = component_sums(blackboard, n, &mut dsu)?;
+                drop(inboxes);
+                let done = contract_to_exhaustion(component, candidates, &mut dsu, &mut forest);
 
                 // One-bit all-done vote (identical at every node).
                 let votes: Vec<BitString> = (0..n)
@@ -325,6 +368,9 @@ impl MstProtocol<'_> {
                     });
                 }
                 capacity = (capacity * 2).min(max_capacity);
+                for (sketch, keys) in sketches.iter_mut().zip(&incidence) {
+                    sketch.grow(capacity, keys);
+                }
             }
         }
 
@@ -343,8 +389,9 @@ impl MstProtocol<'_> {
 /// Label of the incidence-sketch broadcast.
 const SKETCH_PHASE: &str = "broadcast incidence sketches";
 
-/// Reads the capacity-`capacity` sketch `sender` published on the
-/// blackboard ([`SignedPowerSumSketch::read`]).
+/// Reads the sketch `sender` published on the blackboard, of the same
+/// universe, capacity and field as the reader's own `shape`
+/// ([`SignedPowerSumSketch::read_like`]).
 ///
 /// # Errors
 ///
@@ -353,13 +400,12 @@ const SKETCH_PHASE: &str = "broadcast incidence sketches";
 fn read_sketch(
     inbox: &PhaseInbox,
     sender: usize,
-    universe: u64,
-    capacity: usize,
+    shape: &SignedPowerSumSketch,
 ) -> Result<SignedPowerSumSketch, SimError> {
     let sender = NodeId::new(sender);
     inbox
         .broadcast_from(sender)
-        .and_then(|bits| SignedPowerSumSketch::read(&mut bits.reader(), universe, capacity))
+        .and_then(|bits| SignedPowerSumSketch::read_like(&mut bits.reader(), shape))
         .ok_or_else(|| SimError::MalformedPayload {
             sender,
             phase: SKETCH_PHASE.to_owned(),
@@ -446,8 +492,8 @@ mod tests {
         let mut rng = ChaCha8Rng::seed_from_u64(0x5EE7);
         let graph = weighted::weighted_cycle(6, 20, &mut rng);
         let protocol = MstProtocol::new(&graph, 2);
-        let (universe, capacity) = (protocol.universe, 2);
-        let sketch = protocol.incidence_sketch(1, universe, capacity);
+        let shape = &SignedPowerSumSketch::new(protocol.universe, 2);
+        let sketch = protocol.incidence_sketch(1, 2);
         let payload = sketch.write();
         let short = BitString::from_words(payload.words(), payload.len() - 1);
         let malformed = |sender| {
@@ -463,10 +509,10 @@ mod tests {
                 .unwrap()
         };
         let inbox = &inboxes(payload)[0];
-        assert_eq!(read_sketch(inbox, 1, universe, capacity), Ok(sketch));
-        assert_eq!(read_sketch(inbox, 2, universe, capacity), malformed(2));
+        assert_eq!(read_sketch(inbox, 1, shape), Ok(sketch));
+        assert_eq!(read_sketch(inbox, 2, shape), malformed(2));
         let inbox = &inboxes(short)[0];
-        assert_eq!(read_sketch(inbox, 1, universe, capacity), malformed(1));
+        assert_eq!(read_sketch(inbox, 1, shape), malformed(1));
     }
 
     #[test]
@@ -574,11 +620,13 @@ mod tests {
         }
     }
 
-    /// The forest and the done flag after every phase of one run.
-    type PhaseTrail = Vec<(Vec<(usize, usize, u64)>, bool)>;
+    /// The capacity, the forest and the done flag after every phase of one
+    /// run.
+    type PhaseTrail = Vec<(usize, Vec<(usize, usize, u64)>, bool)>;
 
     /// Replays the protocol's phase loop with `candidates` as the decode
-    /// scan's key list.
+    /// scan's key list, rebuilding every sketch from scratch at every
+    /// level.
     fn replay_phases(protocol: &MstProtocol<'_>, candidates: &[u64]) -> PhaseTrail {
         let n = protocol.graph.vertex_count();
         let max_capacity = protocol.graph.edge_count().max(1);
@@ -587,11 +635,10 @@ mod tests {
         let mut forest = Vec::new();
         let mut trail = Vec::new();
         loop {
-            let blackboard: Vec<SignedPowerSumSketch> = (0..n)
-                .map(|v| protocol.incidence_sketch(v, protocol.universe, capacity))
-                .collect();
-            let done = contract_to_exhaustion(&blackboard, candidates, n, &mut dsu, &mut forest);
-            trail.push((forest.clone(), done));
+            let blackboard = (0..n).map(|v| Ok(protocol.incidence_sketch(v, capacity)));
+            let component = component_sums(blackboard, n, &mut dsu).unwrap();
+            let done = contract_to_exhaustion(component, candidates, &mut dsu, &mut forest);
+            trail.push((capacity, forest.clone(), done));
             if done {
                 return trail;
             }
@@ -603,10 +650,10 @@ mod tests {
         }
     }
 
-    #[test]
-    fn edge_key_candidates_are_only_a_speed_up() {
-        // No node knows the graph's edge keys, so scanning only them must
-        // decide every phase exactly as scanning the whole key universe.
+    /// Runs `check` on the protocol of every differential grid point: the
+    /// registry's weighted families at n = 2..=10, seeds 1..=4, maximum
+    /// weights 1, 7 and 40 and base capacities 1, 2 and 4.
+    fn for_each_grid_protocol(mut check: impl FnMut(&MstProtocol<'_>, &str)) {
         for family in WEIGHTED_FAMILIES {
             for n in 2..=10 {
                 for seed in 1..=4 {
@@ -617,19 +664,62 @@ mod tests {
                             panic!("{family} is a weighted family");
                         };
                         for base_capacity in [1, 2, 4] {
-                            let protocol = MstProtocol::new(&graph, base_capacity);
-                            let all_keys: Vec<u64> = (0..protocol.universe).collect();
-                            assert_eq!(
-                                replay_phases(&protocol, &protocol.edge_keys()),
-                                replay_phases(&protocol, &all_keys),
+                            let context = format!(
                                 "{family}, n = {n}, seed {seed}, max weight {max_weight}, \
                                  base capacity {base_capacity}"
                             );
+                            check(&MstProtocol::new(&graph, base_capacity), &context);
                         }
                     }
                 }
             }
         }
+    }
+
+    #[test]
+    fn edge_key_candidates_are_only_a_speed_up() {
+        // No node knows the graph's edge keys, so scanning only them must
+        // decide every phase exactly as scanning the whole key universe.
+        for_each_grid_protocol(|protocol, context| {
+            let all_keys: Vec<u64> = (0..protocol.universe).collect();
+            assert_eq!(
+                replay_phases(protocol, &protocol.edge_keys()),
+                replay_phases(protocol, &all_keys),
+                "{context}"
+            );
+        });
+    }
+
+    /// The phase loop, which grows each node's sketch from level to level,
+    /// ends as the replay that rebuilds every sketch at every level: the
+    /// same forest after the same number of phases, at the same capacity.
+    fn assert_grown_run_matches_the_rebuilt_replay(protocol: &MstProtocol<'_>, context: &str) {
+        let candidates = protocol.edge_keys();
+        let trail = replay_phases(protocol, &candidates);
+        let (capacity, forest, done) = trail.last().expect("a phase runs");
+        assert!(done, "{context}");
+        let mut forest = forest.clone();
+        forest.sort_unstable();
+        let n = protocol.graph.vertex_count();
+        let mut session = Session::new(CliqueConfig::broadcast(n, 4));
+        let run = protocol.run_phases(&mut session, &candidates).unwrap();
+        assert_eq!(
+            (run.edges, run.phases, run.final_capacity),
+            (forest, trail.len(), *capacity),
+            "{context}"
+        );
+    }
+
+    #[test]
+    fn grown_sketches_decide_every_phase_as_rebuilt_ones() {
+        for_each_grid_protocol(assert_grown_run_matches_the_rebuilt_replay);
+        // A clique from capacity 1: singleton cuts of 15 need capacity 16,
+        // four escalations away.
+        let mut rng = ChaCha8Rng::seed_from_u64(0x6E0);
+        let graph = weighted::weighted_complete(16, 40, &mut rng);
+        let protocol = MstProtocol::new(&graph, 1);
+        assert!(replay_phases(&protocol, &protocol.edge_keys()).len() >= 5);
+        assert_grown_run_matches_the_rebuilt_replay(&protocol, "weighted K16, base capacity 1");
     }
 
     #[test]

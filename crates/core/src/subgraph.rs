@@ -67,11 +67,12 @@ impl Protocol for SketchReconstruction<'_> {
         let inboxes = session.broadcast_all(SKETCH_PHASE, &messages)?;
 
         // Node 0 (like every node) decodes the blackboard. It combines the
-        // received sketches with its own.
+        // received sketches, read in its own sketch's field, with its own.
+        let own = &sketches[0];
         let received: Vec<PowerSumSketch> = (0..n)
             .map(|v| match v {
-                0 => Ok(sketches[0].clone()),
-                _ => read_sketch(&inboxes[0], v, n, self.capacity),
+                0 => Ok(own.clone()),
+                _ => read_sketch(&inboxes[0], v, own),
             })
             .collect::<Result<_, _>>()?;
         Ok(Reconstruction {
@@ -104,7 +105,8 @@ pub fn run_reconstruction_protocol(
 /// The phase label of the sketch broadcast.
 const SKETCH_PHASE: &str = "broadcast neighbourhood sketches";
 
-/// Reads the sketch `sender` broadcast ([`PowerSumSketch::read`]).
+/// Reads the sketch `sender` broadcast, of the same universe, capacity and
+/// field as the reader's own `shape` ([`PowerSumSketch::read_like`]).
 ///
 /// # Errors
 ///
@@ -113,13 +115,12 @@ const SKETCH_PHASE: &str = "broadcast neighbourhood sketches";
 fn read_sketch(
     inbox: &PhaseInbox,
     sender: usize,
-    n: usize,
-    capacity: usize,
+    shape: &PowerSumSketch,
 ) -> Result<PowerSumSketch, SimError> {
     let sender = NodeId::new(sender);
     inbox
         .broadcast_from(sender)
-        .and_then(|bits| PowerSumSketch::read(&mut bits.reader(), n as u64, capacity))
+        .and_then(|bits| PowerSumSketch::read_like(&mut bits.reader(), shape))
         .ok_or_else(|| SimError::MalformedPayload {
             sender,
             phase: SKETCH_PHASE.to_owned(),
@@ -293,6 +294,7 @@ mod tests {
     #[test]
     fn truncated_or_missing_sketches_are_typed_errors() {
         let (n, capacity) = (3, 2);
+        let shape = &PowerSumSketch::new(n as u64, capacity);
         let sketch = encode_graph(&generators::path(n), capacity).swap_remove(1);
         let payload = sketch.write();
         let short = BitString::from_words(payload.words(), payload.len() - 1);
@@ -304,9 +306,9 @@ mod tests {
         };
         // Node 2 publishes nothing (an empty message is never broadcast).
         let inbox = blackboard(&[BitString::new(), payload, BitString::new()]);
-        assert_eq!(read_sketch(&inbox, 1, n, capacity), Ok(sketch));
-        assert_eq!(read_sketch(&inbox, 2, n, capacity), malformed(2));
+        assert_eq!(read_sketch(&inbox, 1, shape), Ok(sketch));
+        assert_eq!(read_sketch(&inbox, 2, shape), malformed(2));
         let inbox = blackboard(&[BitString::new(), short, BitString::new()]);
-        assert_eq!(read_sketch(&inbox, 1, n, capacity), malformed(1));
+        assert_eq!(read_sketch(&inbox, 1, shape), malformed(1));
     }
 }

@@ -29,9 +29,12 @@ use std::fmt;
 
 use clique_sim::bits::bits_for_universe;
 
-/// Points [`PrimeField::eval_poly`] evaluates per call, as independent
-/// Horner chains.
-pub(crate) const LANES: usize = 4;
+/// Independent chains the sketch kernels run side by side: the points
+/// [`PrimeField::eval_poly`] evaluates per call, and the elements whose
+/// power chains the power-sum accumulation advances together. Each chain
+/// waits on its own multiply and reduction, so eight of them keep the
+/// multiplier busy where one would stall on every product.
+pub(crate) const LANES: usize = 8;
 
 /// A prime field `F_p` with `p < 2³¹`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -391,10 +394,17 @@ mod tests {
     #[test]
     fn polynomial_evaluation() {
         let f = PrimeField::new(97);
-        // 3 + 2x + x^2 at x = 5, 0, 96, 1 -> 38, 3, 2, 6.
-        assert_eq!(f.eval_poly(&[3, 2, 1], [5, 0, 96, 1]), [38, 3, 2, 6]);
-        assert_eq!(f.eval_poly(&[], [5, 0, 96, 1]), [0; LANES]);
-        assert_eq!(f.eval_poly(&[7], [5, 0, 96, 1]), [7; LANES]);
+        // One point per lane, among them both ends of the field.
+        let mut points: [u64; LANES] = std::array::from_fn(|i| (5 + 30 * i as u64) % 97);
+        points[1] = 0;
+        points[LANES - 1] = 96;
+        // 3 + 2x + x^2, e.g. 38 at 5, 3 at 0 and 2 at 96.
+        let expected = points.map(|x| (3 + 2 * x + x * x) % 97);
+        assert_eq!(expected[..2], [38, 3]);
+        assert_eq!(expected[LANES - 1], 2);
+        assert_eq!(f.eval_poly(&[3, 2, 1], points), expected);
+        assert_eq!(f.eval_poly(&[], points), [0; LANES]);
+        assert_eq!(f.eval_poly(&[7], points), [7; LANES]);
     }
 
     /// Primes from the smallest to the largest a field accepts: `2³¹ − 1`
@@ -438,7 +448,7 @@ mod tests {
                         }
                     })
                     .collect();
-                for points in operands[..20].chunks_exact(LANES) {
+                for points in operands[..3 * LANES].chunks_exact(LANES) {
                     let reference = points.iter().map(|&x| {
                         coefficients
                             .iter()

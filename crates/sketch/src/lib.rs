@@ -18,11 +18,13 @@
 //!   summaries behind the sketch-based MST protocol.
 //!
 //! Both sketch types are built on one private power-sum core (the field
-//! choice, the ±1 update, pointwise merge, the four-lane locator root scan,
-//! verify-by-re-sketch and the wire layout of the sums), and each owns its
-//! wire format: `write` puts the sketch on the blackboard, `read` parses it
-//! back (`None` when the payload runs short), and `encoded_bits` is the one
-//! statement of its size.
+//! choice, the lane-parallel accumulation of a whole set, growth to a
+//! larger capacity, the ±1 update that peels one element, pointwise merge,
+//! the lane-parallel locator root scan, verify-by-re-sketch and the wire
+//! layout of the sums), and each owns its wire format: `write` puts the
+//! sketch on the blackboard, `read_like` parses it back in the field of a
+//! same-shape sketch the reader holds (`None` when the payload runs short),
+//! and `encoded_bits` is the one statement of its size.
 //!
 //! # Examples
 //!

@@ -55,7 +55,7 @@ impl std::error::Error for DecodeError {}
 
 /// Encodes the neighbourhood sketches of every node of `graph` with capacity
 /// `k` (the messages of algorithm `A(G, k)`): node `v`'s sketch has
-/// universe `n` and count `deg(v)`.
+/// universe `n` and count `deg(v)`. All share one field, found once.
 ///
 /// # Panics
 ///
@@ -64,12 +64,11 @@ pub fn encode_graph(graph: &Graph, k: usize) -> Vec<PowerSumSketch> {
     let n = graph.vertex_count();
     assert!(n > 0, "cannot sketch the empty graph");
     assert!(k > 0, "sketch capacity must be positive");
+    let empty = PowerSumSketch::new(n as u64, k);
     (0..n)
         .map(|v| {
-            let mut sketch = PowerSumSketch::new(n as u64, k);
-            for &u in graph.neighbors(v) {
-                sketch.add(u as u64);
-            }
+            let mut sketch = empty.clone();
+            sketch.add_all(graph.neighbors(v).iter().map(|&u| u as u64));
             sketch
         })
         .collect()
@@ -209,6 +208,27 @@ mod tests {
     }
 
     #[test]
+    fn encoding_equals_adding_one_neighbour_at_a_time() {
+        let mut rng = ChaCha8Rng::seed_from_u64(23);
+        for _ in 0..6 {
+            let graph = generators::erdos_renyi(30, 0.3, &mut rng);
+            for k in [1, 5, 12] {
+                let reference: Vec<PowerSumSketch> = (0..30)
+                    .map(|v| {
+                        let mut sketch = PowerSumSketch::new(30, k);
+                        graph
+                            .neighbors(v)
+                            .iter()
+                            .for_each(|&u| sketch.add(u as u64));
+                        sketch
+                    })
+                    .collect();
+                assert_eq!(encode_graph(&graph, k), reference);
+            }
+        }
+    }
+
+    #[test]
     fn a_tampered_degree_is_rejected_not_misdecoded() {
         let graph = generators::cycle(10);
         let mut sketches = encode_graph(&graph, 2);
@@ -224,11 +244,13 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
-        /// Payloads off the wire: intact ones reconstruct the graph exactly
-        /// when `k` reaches its degeneracy, and every proper prefix reads as
-        /// `None`. With 1–3 bits flipped in up to three payloads, nothing
-        /// panics and whatever decodes is sound: a decoded set re-sketches
-        /// to its sketch, and a reconstructed graph to all of them.
+        /// Payloads off the wire: the shaped read equals the plain one,
+        /// intact payloads read back exactly and reconstruct the graph
+        /// when `k` reaches its degeneracy, and every proper prefix reads
+        /// as `None`. With 1–3 bits flipped in up to three payloads,
+        /// nothing panics and whatever decodes is sound: a decoded set
+        /// re-sketches to its sketch, and a reconstructed graph to all of
+        /// them.
         #[test]
         fn tampered_payloads_never_panic_or_misdecode(
             n in 2usize..40,
@@ -240,17 +262,22 @@ mod tests {
             // Capacities on both sides of the degeneracy.
             let d = degeneracy(&graph);
             let k = rng.gen_range(1..d + 3);
+            let shape = PowerSumSketch::new(n as u64, k);
             let read = |payload: &BitString| {
-                PowerSumSketch::read(&mut payload.reader(), n as u64, k)
+                let read = PowerSumSketch::read(&mut payload.reader(), n as u64, k);
+                let like = PowerSumSketch::read_like(&mut payload.reader(), &shape);
+                assert_eq!(like, read, "the shaped read differs");
+                read
             };
-            let mut payloads: Vec<BitString> =
-                encode_graph(&graph, k).iter().map(PowerSumSketch::write).collect();
+            let encoded = encode_graph(&graph, k);
+            let mut payloads: Vec<BitString> = encoded.iter().map(PowerSumSketch::write).collect();
             let read_all = |payloads: &[BitString]| -> Vec<PowerSumSketch> {
                 payloads.iter().map(|payload| read(payload).unwrap()).collect()
             };
+            let intact = read_all(&payloads);
+            prop_assert_eq!(&intact, &encoded);
             let expected = if k >= d { Ok(&graph) } else { Err(()) };
-            let intact = decode_graph(&read_all(&payloads));
-            prop_assert_eq!(intact.as_ref().map_err(|_| ()), expected);
+            prop_assert_eq!(decode_graph(&intact).as_ref().map_err(|_| ()), expected);
 
             let victim = &payloads[rng.gen_range(0..n)];
             for cut in 0..victim.len() {

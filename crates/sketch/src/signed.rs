@@ -21,21 +21,28 @@
 //! re-sketch of all `2k` sums reject every inconsistent input. A whole
 //! decode is `O(k² + m·k)` field operations, none of them a hardware
 //! divide: every product is reduced by the field's Barrett step, the root
-//! scan evaluates four candidates per pass as independent Horner chains,
-//! and each Berlekamp–Massey discrepancy is summed in `u128` and reduced
-//! once, by Barrett steps on its two words. The root scan, the re-sketch,
-//! the update and the wire layout of the sums are the ones
-//! [`PowerSumSketch`] uses, from the crate's shared power-sum core.
+//! scan evaluates eight candidates per pass as independent Horner chains
+//! and stops once the roots it found and the candidates it has left cannot
+//! reach the locator's degree, and each Berlekamp–Massey discrepancy is
+//! summed in `u128` and reduced once, by Barrett steps on its two words.
+//! The root scan, the re-sketch, the set accumulation and the wire layout
+//! of the sums are the ones [`PowerSumSketch`] uses, from the crate's
+//! shared power-sum core.
 //!
 //! Because the power-sum map is linear, merging two disjoint summaries and
 //! the incidence-cancellation above are pointwise field additions
 //! ([`SignedPowerSumSketch::merge`]); peeling a recovered element is an
 //! update of the opposite sign ([`SignedPowerSumSketch::remove`] of an
-//! added element).
+//! added element). A whole signed set is added in one lane-parallel pass
+//! ([`SignedPowerSumSketch::add_all`]), and because the field is the same at
+//! every capacity below its modulus, a sketch of capacity `k` holds the
+//! first `2k` sums of the same set at any larger capacity:
+//! [`SignedPowerSumSketch::grow`] computes only the new ones.
 //!
 //! The sketch owns its wire format: [`SignedPowerSumSketch::write`],
-//! [`SignedPowerSumSketch::read`] and [`SignedPowerSumSketch::encoded_bits`],
-//! its size.
+//! [`SignedPowerSumSketch::read_like`], which takes the field from a sketch
+//! of the same shape the reader holds, and
+//! [`SignedPowerSumSketch::encoded_bits`], its size.
 //!
 //! [`PowerSumSketch`]: crate::sketch::PowerSumSketch
 
@@ -67,10 +74,22 @@ use crate::power_sums::PowerSums;
 /// sketch.merge(&mirror);
 /// assert_eq!(sketch.decode_among(&keys), Some(vec![(13, -1), (42, 1)]));
 ///
-/// // On the wire: the 2k power sums.
+/// // A whole signed set in one pass, grown to a larger capacity.
+/// let mut bulk = SignedPowerSumSketch::new(100, 3);
+/// let set = [(13, -1), (42, 1)];
+/// bulk.add_all(&set);
+/// assert_eq!(bulk, sketch);
+/// bulk.grow(6, &set);
+/// let mut fresh = SignedPowerSumSketch::new(100, 6);
+/// fresh.add_all(&set);
+/// assert_eq!(bulk, fresh);
+///
+/// // On the wire: the 2k power sums, read back in the field of a sketch
+/// // of the same shape.
 /// let payload = sketch.write();
 /// assert_eq!(payload.len(), sketch.encoded_bits());
-/// let read = SignedPowerSumSketch::read(&mut payload.reader(), 100, 3);
+/// let shape = SignedPowerSumSketch::new(100, 3);
+/// let read = SignedPowerSumSketch::read_like(&mut payload.reader(), &shape);
 /// assert_eq!(read, Some(sketch));
 /// ```
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -130,6 +149,40 @@ impl SignedPowerSumSketch {
         self.core.update(x, false);
     }
 
+    /// Adds every `(element, ±1)` of `set`, as [`Self::add`] and
+    /// [`Self::remove`] would one at a time, in one lane-parallel pass over
+    /// the sums. `set` has the shape [`Self::decode_among`] returns, and
+    /// elements may repeat.
+    ///
+    /// # Panics
+    ///
+    /// Panics if an element is outside the universe or a sign is not `±1`.
+    pub fn add_all(&mut self, set: &[(u64, i8)]) {
+        self.core.accumulate(0, set.iter().map(positive));
+    }
+
+    /// Grows this sketch of the signed `set` to `capacity`: the result
+    /// equals a fresh sketch of `set` at `capacity`. While `capacity` stays
+    /// below the modulus the field is unchanged and the `2k` sums held are
+    /// the new sketch's first ones, so only the `2·capacity − 2k` new sums
+    /// are computed, with one exponentiation per element for its starting
+    /// power; a capacity that reaches the modulus rebuilds the sketch in its
+    /// larger field.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `capacity` is below the current capacity, an element is
+    /// outside the universe or a sign is not `±1`. Debug builds also check
+    /// that the sketch held is `set`'s.
+    pub fn grow(&mut self, capacity: usize, set: &[(u64, i8)]) {
+        debug_assert!(
+            self.core.reproduced_by(set.iter().map(positive)),
+            "grow needs the sketch of the set it grows"
+        );
+        self.core
+            .grow(capacity, 2 * capacity, set.iter().map(positive));
+    }
+
     /// Pointwise sum `self + other`: the sketch of the multiplicity-wise
     /// sum of the two signed sets (linearity).
     ///
@@ -144,7 +197,7 @@ impl SignedPowerSumSketch {
     /// the tests' oracle for [`Self::decode_among`].
     #[cfg(test)]
     pub(crate) fn decode(&self) -> Option<Vec<(u64, i8)>> {
-        self.decode_scan(0..self.core.universe())
+        self.decode_scan(self.core.elements())
     }
 
     /// Decodes the signed set, restricting the root scan to `candidates`.
@@ -174,7 +227,10 @@ impl SignedPowerSumSketch {
     /// scan of the locator polynomial over the `m` candidates (`O(m·k)`),
     /// the closed-form sign solve (`O(k²)`), and the ±1 and full re-sketch
     /// checks (`O(k²)`) — `O(k² + m·k)` in all.
-    fn decode_scan(&self, candidates: impl IntoIterator<Item = u64>) -> Option<Vec<(u64, i8)>> {
+    fn decode_scan(
+        &self,
+        candidates: impl ExactSizeIterator<Item = u64>,
+    ) -> Option<Vec<(u64, i8)>> {
         if self.is_zero() {
             return Some(Vec::new());
         }
@@ -193,7 +249,7 @@ impl SignedPowerSumSketch {
     /// distinct roots among the candidates.
     fn locate_support(
         &self,
-        candidates: impl IntoIterator<Item = u64>,
+        candidates: impl ExactSizeIterator<Item = u64>,
     ) -> Option<(Vec<u64>, Vec<u64>)> {
         // Minimal linear recurrence of the sum sequence. A signed set
         // {(x_i, c_i)} has p_j = Σ_i (c_i r_i) r_i^(j-1) with r_i = x_i + 1
@@ -239,14 +295,12 @@ impl SignedPowerSumSketch {
         bits
     }
 
-    /// Reads the sketch [`Self::write`] put at the front of `reader`,
-    /// reducing every power sum mod `p`; `None` if the reader runs short.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `capacity == 0` or `universe == 0`.
-    pub fn read(reader: &mut BitReader<'_>, universe: u64, capacity: usize) -> Option<Self> {
-        let core = PowerSums::new(universe, capacity, 2 * capacity).read(reader)?;
+    /// Reads the sketch [`Self::write`] put at the front of `reader`, with
+    /// the universe, capacity and field of `shape`, a sketch the reader
+    /// already holds (so no prime is searched for), reducing every power
+    /// sum mod `p`; `None` if the reader runs short.
+    pub fn read_like(reader: &mut BitReader<'_>, shape: &Self) -> Option<Self> {
+        let core = shape.core.zeroed().read(reader)?;
         Some(Self { core })
     }
 
@@ -254,6 +308,28 @@ impl SignedPowerSumSketch {
     pub fn encoded_bits(&self) -> usize {
         self.core.encoded_bits()
     }
+
+    /// [`Self::read_like`] with the field searched for from `universe` and
+    /// `capacity`: the tests' reference for the shaped read.
+    #[cfg(test)]
+    pub(crate) fn read(reader: &mut BitReader<'_>, universe: u64, capacity: usize) -> Option<Self> {
+        let core = PowerSums::new(universe, capacity, 2 * capacity).read(reader)?;
+        Some(Self { core })
+    }
+}
+
+/// A signed-set entry as the power-sum core takes it: the element and
+/// whether its multiplicity is `+1`.
+///
+/// # Panics
+///
+/// Panics if the multiplicity is not `±1`.
+fn positive(&(x, sign): &(u64, i8)) -> (u64, bool) {
+    assert!(
+        sign == 1 || sign == -1,
+        "multiplicity {sign} of {x} is not ±1"
+    );
+    (x, sign > 0)
 }
 
 /// Berlekamp–Massey over `F_p`: the connection polynomial
@@ -387,7 +463,7 @@ mod tests {
     /// `Σ_i c_i r_i^j = p_j` (`j = 1, …, t`).
     fn solve_both_ways(sketch: &SignedPowerSumSketch) -> Option<(Vec<u64>, Vec<Option<u64>>)> {
         let (f, sums) = (sketch.core.field(), sketch.core.sums());
-        let (support, locator) = sketch.locate_support(0..sketch.core.universe())?;
+        let (support, locator) = sketch.locate_support(sketch.core.elements())?;
         let roots: Vec<u64> = support.iter().map(|&x| f.reduce(x + 1)).collect();
         let t = roots.len();
         let closed = solve_transposed_vandermonde(f, &roots, &locator, sums);
@@ -411,7 +487,7 @@ mod tests {
         if sketch.is_zero() {
             return Some(Vec::new());
         }
-        let (support, _) = sketch.locate_support(0..sketch.core.universe())?;
+        let (support, _) = sketch.locate_support(sketch.core.elements())?;
         let (_, eliminated) = solve_both_ways(sketch)?;
         let coefficients: Option<Vec<u64>> = eliminated.into_iter().collect();
         sketch.verify_signs(&support, &coefficients?)
@@ -566,11 +642,12 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
-        /// Payloads off the wire: every proper prefix reads as `None`. A
-        /// payload with 1–3 bits flipped, or one of random field values,
-        /// still reads, and `decode_among` never panics on it. Whatever
-        /// decodes is sound: the signed set re-sketches to the sketch it
-        /// came from.
+        /// Payloads off the wire: the shaped read equals the plain one,
+        /// intact payloads read back exactly, and every proper prefix reads
+        /// as `None`. A payload with 1–3 bits flipped, or one of random
+        /// field values, still reads, and `decode_among` never panics on
+        /// it. Whatever decodes is sound: the signed set re-sketches to the
+        /// sketch it came from.
         #[test]
         fn tampered_payloads_never_panic_or_misdecode(
             capacity in 1usize..12,
@@ -590,11 +667,16 @@ mod tests {
                     sketch.remove(x);
                 }
             }
+            let shape = SignedPowerSumSketch::new(universe, capacity);
             let read = |payload: &BitString| {
-                SignedPowerSumSketch::read(&mut payload.reader(), universe, capacity)
+                let read = SignedPowerSumSketch::read(&mut payload.reader(), universe, capacity);
+                let like = SignedPowerSumSketch::read_like(&mut payload.reader(), &shape);
+                assert_eq!(like, read, "the shaped read differs");
+                read
             };
 
             let payload = sketch.write();
+            prop_assert_eq!(read(&payload).as_ref(), Some(&sketch));
             for cut in 0..payload.len() {
                 prop_assert_eq!(read(&BitString::from_words(payload.words(), cut)), None);
             }
@@ -610,14 +692,8 @@ mod tests {
             for tampered in [flipped, random] {
                 let tampered = read(&tampered).expect("a full-length payload reads");
                 if let Some(set) = tampered.decode_among(&candidates) {
-                    let mut check = SignedPowerSumSketch::new(universe, capacity);
-                    for &(x, sign) in &set {
-                        if sign > 0 {
-                            check.add(x);
-                        } else {
-                            check.remove(x);
-                        }
-                    }
+                    let mut check = shape.clone();
+                    check.add_all(&set);
                     prop_assert_eq!(&check, &tampered);
                 }
             }

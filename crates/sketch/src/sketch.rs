@@ -12,10 +12,14 @@
 //!
 //! Sketches are linear: adding or removing an element updates every power sum
 //! in `O(k)` time, which is what allows the graph-reconstruction decoder to
-//! "peel" recovered edges out of the remaining sketches.
+//! "peel" recovered edges out of the remaining sketches. A whole
+//! neighbourhood is added in one lane-parallel pass of the shared
+//! power-sum core.
 //!
 //! The sketch owns its wire format: [`PowerSumSketch::write`],
-//! [`PowerSumSketch::read`] and [`PowerSumSketch::encoded_bits`], its size.
+//! [`PowerSumSketch::read_like`], which takes the field from a sketch of
+//! the same shape the reader holds, and [`PowerSumSketch::encoded_bits`],
+//! its size.
 
 use clique_sim::bits::{bits_for_universe, BitReader, BitString};
 
@@ -36,10 +40,11 @@ use crate::power_sums::PowerSums;
 /// let g = Graph::from_edges(3, &[(0, 1), (1, 2)]);
 /// let sketches = encode_graph(&g, 1);
 ///
-/// // On the wire: the count, then the power sums.
+/// // On the wire: the count, then the power sums, read back in the field
+/// // of a sketch of the same shape.
 /// let payload = sketches[1].write();
 /// assert_eq!(payload.len(), sketches[1].encoded_bits());
-/// let read = PowerSumSketch::read(&mut payload.reader(), 3, 1);
+/// let read = PowerSumSketch::read_like(&mut payload.reader(), &sketches[0]);
 /// assert_eq!(read.as_ref(), Some(&sketches[1]));
 /// assert_eq!(decode_graph(&sketches), Ok(g));
 /// ```
@@ -81,17 +86,31 @@ impl PowerSumSketch {
         self.count == 0 && self.core.is_zero()
     }
 
-    /// Adds element `x` to the sketch.
+    /// Adds element `x` to the sketch: the tests' one-at-a-time reference
+    /// for [`Self::add_all`].
     ///
     /// # Panics
     ///
     /// Panics if `x >= universe`.
+    #[cfg(test)]
     pub(crate) fn add(&mut self, x: u64) {
         self.core.update(x, true);
         self.count += 1;
     }
 
-    /// Removes element `x` from the sketch (the inverse of [`Self::add`]).
+    /// Adds every element of `set` (elements may repeat), as many one-element
+    /// additions would, in one lane-parallel pass over the sums.
+    ///
+    /// # Panics
+    ///
+    /// Panics if an element is outside the universe.
+    pub(crate) fn add_all(&mut self, set: impl ExactSizeIterator<Item = u64>) {
+        self.count += set.len() as i64;
+        self.core.accumulate(0, set.map(|x| (x, true)));
+    }
+
+    /// Removes element `x` from the sketch, as the decoder peels a
+    /// recovered edge (the inverse of adding it).
     ///
     /// # Panics
     ///
@@ -148,7 +167,7 @@ impl PowerSumSketch {
         }
 
         // Roots among the (shifted) universe, kept only if they re-sketch.
-        let roots = self.core.roots(&coeffs, 0..self.core.universe())?;
+        let roots = self.core.roots(&coeffs, self.core.elements())?;
         let set = roots.iter().map(|&r| (r, true));
         self.core.reproduced_by(set).then_some(roots)
     }
@@ -173,15 +192,13 @@ impl PowerSumSketch {
         bits
     }
 
-    /// Reads the sketch [`Self::write`] put at the front of `reader`,
-    /// reducing every power sum mod `p`; `None` if the reader runs short.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `capacity == 0` or `universe == 0`.
-    pub fn read(reader: &mut BitReader<'_>, universe: u64, capacity: usize) -> Option<Self> {
-        let count = reader.read_bits(count_bits(universe))? as i64;
-        let core = PowerSums::new(universe, capacity, capacity).read(reader)?;
+    /// Reads the sketch [`Self::write`] put at the front of `reader`, with
+    /// the universe, capacity and field of `shape`, a sketch the reader
+    /// already holds (so no prime is searched for), reducing every power
+    /// sum mod `p`; `None` if the reader runs short.
+    pub fn read_like(reader: &mut BitReader<'_>, shape: &Self) -> Option<Self> {
+        let count = reader.read_bits(count_bits(shape.core.universe()))? as i64;
+        let core = shape.core.zeroed().read(reader)?;
         Some(Self { core, count })
     }
 
@@ -189,6 +206,15 @@ impl PowerSumSketch {
     /// Becker et al.
     pub fn encoded_bits(&self) -> usize {
         count_bits(self.core.universe()) + self.core.encoded_bits()
+    }
+
+    /// [`Self::read_like`] with the field searched for from `universe` and
+    /// `capacity`: the tests' reference for the shaped read.
+    #[cfg(test)]
+    pub(crate) fn read(reader: &mut BitReader<'_>, universe: u64, capacity: usize) -> Option<Self> {
+        let count = reader.read_bits(count_bits(universe))? as i64;
+        let core = PowerSums::new(universe, capacity, capacity).read(reader)?;
+        Some(Self { core, count })
     }
 }
 
