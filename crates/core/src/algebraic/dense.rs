@@ -43,26 +43,34 @@ impl CubeExchange {
     }
 
     /// Step 1: the row owners' input shipment. Each payload `v → w`
-    /// carries `v`'s rows of `A_{ik}`, then its rows of `B_{kj}`.
+    /// carries `v`'s run of rows of `A_{ik}`, then its run of `B_{kj}`; a
+    /// cube's payloads go out in ascending `v`.
     fn input_demand(&self) -> RoutingDemand {
         let mut demand = RoutingDemand::new(self.part.n);
+        let width = self.codec.input;
         for (i, j, k) in self.cubes() {
             let w = self.part.cube_node(i, j, k);
-            let mut payloads: BTreeMap<usize, BitString> = BTreeMap::new();
-            for (block, row_block) in self.inputs(i, j, k) {
-                for (bi, r) in self.part.block(row_block).enumerate() {
-                    let v = self.part.row_owner(r);
-                    // Own rows need no routing; zero-width rows carry
-                    // nothing.
-                    if v != w && block.cols() > 0 {
-                        let buf = payloads.entry(v).or_default();
+            let inputs = self.inputs(i, j, k);
+            // The two blocks' owner runs, merged by owner.
+            let mut runs = inputs.map(|(_, row_block)| self.part.owner_runs(row_block).peekable());
+            while let Some(v) = runs.iter_mut().filter_map(|r| Some(r.peek()?.0)).min() {
+                let taken = runs
+                    .each_mut()
+                    .map(|r| r.next_if(|&(u, _)| u == v).map_or(0..0, |(_, run)| run));
+                if v == w {
+                    continue; // own rows need no routing
+                }
+                let mut payload = BitString::new();
+                for ((block, _), run) in inputs.iter().zip(taken) {
+                    for bi in run {
                         self.codec
-                            .encode_row(block, bi, block.cols(), self.codec.input, buf);
+                            .encode_row(block, bi, block.cols(), width, &mut payload);
                     }
                 }
-            }
-            for (v, payload) in payloads {
-                demand.send(v, w, payload);
+                // Zero-width rows carry nothing, so no payload is empty.
+                if !payload.is_empty() {
+                    demand.send(v, w, payload);
+                }
             }
         }
         demand
@@ -75,22 +83,23 @@ impl CubeExchange {
     ///
     /// [`SimError::MalformedPayload`] for a missing or truncated segment.
     fn multiply(&self, delivered: &Delivered) -> Result<Vec<SemiringMatrix>, SimError> {
+        let width = self.codec.input;
         self.cubes()
             .map(|(i, j, k)| {
                 let w = self.part.cube_node(i, j, k);
-                let mut inbox = readers(&delivered[w]);
+                let mut inbox = Readers::new(&delivered[w]);
                 let [a, b] = self.inputs(i, j, k).map(|(source, row_block)| {
                     let mut block = source.zeros_like(source.rows(), source.cols());
-                    for (bi, r) in self.part.block(row_block).enumerate() {
-                        let v = self.part.row_owner(r);
+                    for (v, run) in self.part.owner_runs(row_block) {
                         if v == w {
-                            block.copy_row(bi, source, bi);
+                            run.for_each(|bi| block.copy_row(bi, source, bi));
                         } else if block.cols() > 0 {
                             let reader =
-                                inbox.get_mut(&v).ok_or_else(|| malformed(v, INPUT_PHASE))?;
-                            let width = self.codec.input;
-                            self.codec
-                                .decode_row(reader, &mut block, bi, width, v, INPUT_PHASE)?;
+                                inbox.get_mut(v).ok_or_else(|| malformed(v, INPUT_PHASE))?;
+                            for bi in run {
+                                let codec = &self.codec;
+                                codec.decode_row(reader, &mut block, bi, width, v, INPUT_PHASE)?;
+                            }
                         }
                     }
                     Ok::<_, SimError>(block)
@@ -101,33 +110,36 @@ impl CubeExchange {
     }
 
     /// Step 3: the cube nodes' partial shipment, one payload per output
-    /// row owner. Partial row `bi` of cube `(i, j, ·)` is output row
-    /// `block(i).start + bi` over the columns `block(j)`; rows a cube node
-    /// owns itself fold into `output` in place.
+    /// row owner: its run of partial rows. Partial row `bi` of cube
+    /// `(i, j, ·)` is output row `block(i).start + bi` over the columns
+    /// `block(j)`; rows a cube node owns itself fold into `output` in place.
     fn partial_demand(
         &self,
         partials: &[SemiringMatrix],
         output: &mut SemiringMatrix,
     ) -> RoutingDemand {
         let mut demand = RoutingDemand::new(self.part.n);
+        let (semiring, width) = (self.codec.semiring, self.codec.partial);
         for ((i, j, k), partial) in self.cubes().zip(partials) {
             let (w, cols) = (self.part.cube_node(i, j, k), self.part.block(j));
             if cols.is_empty() {
                 continue; // a cube without columns has no partial to ship
             }
-            let mut payloads: BTreeMap<usize, BitString> = BTreeMap::new();
-            for (bi, r) in self.part.block(i).enumerate() {
-                let v = self.part.row_owner(r);
+            let first_row = self.part.block(i).start;
+            for (v, run) in self.part.owner_runs(i) {
                 if v == w {
-                    output.fold_row(self.codec.semiring, r, cols.start, partial, bi, cols.len());
+                    for bi in run {
+                        let r = first_row + bi;
+                        output.fold_row(semiring, r, cols.start, partial, bi, cols.len());
+                    }
                 } else {
-                    let buf = payloads.entry(v).or_default();
-                    self.codec
-                        .encode_row(partial, bi, cols.len(), self.codec.partial, buf);
+                    let mut payload = BitString::new();
+                    for bi in run {
+                        self.codec
+                            .encode_row(partial, bi, cols.len(), width, &mut payload);
+                    }
+                    demand.send(w, v, payload);
                 }
-            }
-            for (v, payload) in payloads {
-                demand.send(w, v, payload);
             }
         }
         demand
@@ -144,9 +156,13 @@ impl CubeExchange {
         delivered: &Delivered,
         output: &mut SemiringMatrix,
     ) -> Result<(), SimError> {
-        let mut inbox: Vec<_> = delivered.iter().map(|packets| readers(packets)).collect();
+        let mut inbox: Vec<_> = delivered
+            .iter()
+            .map(|packets| Readers::new(packets))
+            .collect();
         // A one-row scratch block holds each segment until it is folded.
         let mut segment = output.zeros_like(1, 0);
+        let (semiring, width) = (self.codec.semiring, self.codec.partial);
         for (i, j, k) in self.cubes() {
             let (w, cols) = (self.part.cube_node(i, j, k), self.part.block(j));
             if cols.is_empty() {
@@ -155,16 +171,16 @@ impl CubeExchange {
             if segment.cols() != cols.len() {
                 segment = output.zeros_like(1, cols.len());
             }
-            for r in self.part.block(i) {
-                let v = self.part.row_owner(r);
-                if v != w {
-                    let reader = inbox[v]
-                        .get_mut(&w)
-                        .ok_or_else(|| malformed(w, PARTIAL_PHASE))?;
-                    let width = self.codec.partial;
+            let first_row = self.part.block(i).start;
+            for (v, run) in self.part.owner_runs(i).filter(|&(v, _)| v != w) {
+                let reader = inbox[v]
+                    .get_mut(w)
+                    .ok_or_else(|| malformed(w, PARTIAL_PHASE))?;
+                for bi in run {
                     self.codec
                         .decode_row(reader, &mut segment, 0, width, w, PARTIAL_PHASE)?;
-                    output.fold_row(self.codec.semiring, r, cols.start, &segment, 0, cols.len());
+                    let r = first_row + bi;
+                    output.fold_row(semiring, r, cols.start, &segment, 0, cols.len());
                 }
             }
         }

@@ -67,7 +67,7 @@ pub use schedule::{MatMulSchedule, ScheduledMatMul};
 pub use semiring::{Semiring, SemiringMatrix};
 pub use sparse::{sparse_matmul, SparseMatMul};
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::ops::Range;
 
 use clique_graphs::Graph;
@@ -79,7 +79,7 @@ use clique_sim::prelude::*;
 #[cfg(test)]
 use tests::*;
 use wire::{
-    malformed, readers, EntryCodec, Partition, INPUT_PHASE, PARTIAL_PHASE, SPARSE_INPUT_PHASE,
+    malformed, EntryCodec, Partition, Readers, INPUT_PHASE, PARTIAL_PHASE, SPARSE_INPUT_PHASE,
     SPARSE_PARTIAL_PHASE,
 };
 

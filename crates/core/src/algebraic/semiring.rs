@@ -63,13 +63,13 @@ impl Semiring {
 
     /// A block's local product on the serial word-parallel kernels.
     /// Counting operands whose entries are all 0/1 arrive packed and
-    /// multiply by AND+popcount.
+    /// multiply on byte counters ([`BitMatrix::counting_product`]).
     pub(super) fn product(&self, a: &SemiringMatrix, b: &SemiringMatrix) -> SemiringMatrix {
         use SemiringMatrix::{Bits, Ints};
         match (self, a, b) {
             (Semiring::Boolean, Bits(a), Bits(b)) => Bits(a.mul_bool(b)),
             (Semiring::F2, Bits(a), Bits(b)) => Bits(a.mul_f2(b)),
-            (Semiring::Counting, Bits(a), Bits(b)) => Ints(a.popcount_product(b)),
+            (Semiring::Counting, Bits(a), Bits(b)) => Ints(a.counting_product(b)),
             (Semiring::Counting, Ints(a), Ints(b)) => Ints(a.mul_counting(b)),
             (Semiring::MinPlus, Ints(a), Ints(b)) => Ints(a.mul_min_plus(b)),
             _ => unreachable!("operand representation checked in SemiringMatMul::new"),

@@ -131,9 +131,9 @@ impl Protocol for SparseMatMul<'_> {
                     }
                 }
             }
-            let mut inbox = readers(&delivered[w]);
+            let mut inbox = Readers::new(&delivered[w]);
             for v in 0..n {
-                let Some(reader) = inbox.get_mut(&v) else {
+                let Some(reader) = inbox.get_mut(v) else {
                     continue; // no nonzeros from v (empty payloads unsent)
                 };
                 let bound = (owned[v].len() * owned[w].len()) as u64;
@@ -206,9 +206,9 @@ impl Protocol for SparseMatMul<'_> {
         let delivered = BalancedRouter.route(&demand, session)?;
 
         for (v, packets) in delivered.iter().enumerate() {
-            let mut inbox = readers(packets);
+            let mut inbox = Readers::new(packets);
             for w in 0..n {
-                let Some(reader) = inbox.get_mut(&w) else {
+                let Some(reader) = inbox.get_mut(w) else {
                     continue;
                 };
                 let bound = (owned[v].len() * d) as u64;

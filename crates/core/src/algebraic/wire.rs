@@ -31,6 +31,24 @@ impl Partition {
         r * self.n / self.d
     }
 
+    /// Row block `t` in runs of rows that share one owner, as `(owner,
+    /// run)` pairs in ascending owner order, each run in block-local row
+    /// indices. [`Self::row_owner`] never decreases in `r`, and owner `v`'s
+    /// rows end before row `⌈(v + 1)·d / n⌉`.
+    pub(super) fn owner_runs(&self, t: usize) -> impl Iterator<Item = (usize, Range<usize>)> + '_ {
+        let rows = self.block(t);
+        let mut next = rows.start;
+        std::iter::from_fn(move || {
+            (next < rows.end).then(|| {
+                let v = self.row_owner(next);
+                let end = ((v + 1) * self.d).div_ceil(self.n).min(rows.end);
+                let run = next - rows.start..end - rows.start;
+                next = end;
+                (v, run)
+            })
+        })
+    }
+
     /// The player computing cube `(i, j, k)`.
     pub(super) fn cube_node(&self, i: usize, j: usize, k: usize) -> usize {
         (i * self.g + j) * self.g + k
@@ -224,12 +242,30 @@ pub(super) fn malformed(sender: usize, phase: &str) -> SimError {
     }
 }
 
-/// Per-source readers over the logical payloads one player received.
-pub(super) fn readers(packets: &[Packet]) -> HashMap<usize, BitReader<'_>> {
-    packets
-        .iter()
-        .map(|p| (p.src.index(), p.payload.reader()))
-        .collect()
+/// Per-source readers over the logical payloads one player received, in
+/// ascending source order.
+pub(super) struct Readers<'a>(Vec<(usize, BitReader<'a>)>);
+
+impl<'a> Readers<'a> {
+    /// Readers over `packets`, found by binary search. The dense and sparse
+    /// shipments deliver in ascending source order already; any other list
+    /// is sorted once.
+    pub(super) fn new(packets: &'a [Packet]) -> Self {
+        let mut readers: Vec<_> = packets
+            .iter()
+            .map(|p| (p.src.index(), p.payload.reader()))
+            .collect();
+        if !readers.is_sorted_by_key(|&(src, _)| src) {
+            readers.sort_by_key(|&(src, _)| src);
+        }
+        Self(readers)
+    }
+
+    /// The reader over the payload `src` sent, if it sent one.
+    pub(super) fn get_mut(&mut self, src: usize) -> Option<&mut BitReader<'a>> {
+        let at = self.0.binary_search_by_key(&src, |&(s, _)| s).ok()?;
+        Some(&mut self.0[at].1)
+    }
 }
 
 #[cfg(test)]

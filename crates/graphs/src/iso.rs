@@ -44,6 +44,21 @@ pub fn find_subgraph(host: &Graph, pattern: &Graph) -> Option<Vec<usize>> {
 /// Lists the triangles of `graph` as sorted vertex triples.
 pub fn triangles(graph: &Graph) -> Vec<(usize, usize, usize)> {
     let mut out = Vec::new();
+    for_each_triangle(graph, |u, v, w| out.push((u, v, w)));
+    out
+}
+
+/// Number of triangles in `graph`, counted in the walk [`triangles`]
+/// lists them with, without holding the list.
+pub fn triangle_count(graph: &Graph) -> u64 {
+    let mut count = 0;
+    for_each_triangle(graph, |_, _, _| count += 1);
+    count
+}
+
+/// Calls `visit(u, v, w)` on every triangle `u < v < w` of `graph`, in
+/// lexicographic order.
+fn for_each_triangle(graph: &Graph, mut visit: impl FnMut(usize, usize, usize)) {
     for u in 0..graph.vertex_count() {
         let nu = graph.neighbors(u);
         for (i, &v) in nu.iter().enumerate() {
@@ -52,17 +67,11 @@ pub fn triangles(graph: &Graph) -> Vec<(usize, usize, usize)> {
             }
             for &w in &nu[i + 1..] {
                 if w > v && graph.has_edge(v, w) {
-                    out.push((u, v, w));
+                    visit(u, v, w);
                 }
             }
         }
     }
-    out
-}
-
-/// Number of triangles in `graph`.
-pub fn triangle_count(graph: &Graph) -> u64 {
-    triangles(graph).len() as u64
 }
 
 /// Returns `true` if `graph` contains a triangle.
@@ -366,6 +375,7 @@ mod tests {
                 .filter(|&(a, b, c)| g.has_edge(a, b) && g.has_edge(b, c) && g.has_edge(a, c))
                 .count();
             assert_eq!(triangle_count(&g), brute as u64);
+            assert_eq!(triangle_count(&g), triangles(&g).len() as u64);
         }
     }
 

@@ -10,11 +10,11 @@
 //! [`BitMatrix::mul_f2`] multiplies over `F₂`: for every set bit
 //! `A[i][k]`, it XORs row `k` of `B` into the accumulator row, one word at
 //! a time. [`BitMatrix::mul_bool`] (OR/AND) and
-//! [`BitMatrix::popcount_product`] (AND+popcount counting product) serve
-//! the Boolean and counting semirings of the algebraic protocols, and
-//! [`IntMatrix`] carries the small-integer `(+, ×)` and `(min, +)` semiring
-//! operands with block extraction and transpose helpers for 3D-partitioned
-//! distributed products.
+//! [`BitMatrix::counting_product`] (the counting product of 0/1 matrices,
+//! summed in byte counters) serve the Boolean and counting semirings of the
+//! algebraic protocols, and [`IntMatrix`] carries the small-integer
+//! `(+, ×)` and `(min, +)` semiring operands with block extraction for
+//! 3D-partitioned distributed products.
 //!
 //! Every product runs serially on the calling thread: the model charges a
 //! player's local product nothing, and a protocol run is serial. Packing is a
@@ -281,6 +281,7 @@ impl BitMatrix {
     }
 
     /// The transposed matrix.
+    #[cfg(test)]
     pub(crate) fn transpose(&self) -> BitMatrix {
         let mut out = BitMatrix::zeros(self.cols, self.rows);
         for i in 0..self.rows {
@@ -349,14 +350,66 @@ impl BitMatrix {
     }
 
     /// The matrix product over the counting semiring `(+, ×)` of two 0/1
-    /// matrices: `C[i][j] = |{k : A[i][k] ∧ B[k][j]}|`, computed as the
-    /// popcount of `row_i(A) ∧ row_j(Bᵀ)` — [`LANE_BITS`] multiply-adds per
-    /// AND+popcount pair.
+    /// matrices: `C[i][j] = |{k : A[i][k] ∧ B[k][j]}|`.
+    ///
+    /// The kernel walks `B` one strip of [`LANE_BITS`] columns at a time.
+    /// It spreads each row's strip once into byte-wide counters, so that
+    /// one lane addition advances one column count per byte of the lane.
+    /// Each set bit `A[i][k]` then adds the spread row `k` into row `i`'s
+    /// counters, which are flushed into the output before any byte could
+    /// pass 255. No step counts bits, so the kernel needs no popcount
+    /// instruction.
     ///
     /// # Panics
     ///
     /// Panics if `self.cols() != rhs.rows()`.
-    pub fn popcount_product(&self, rhs: &BitMatrix) -> IntMatrix {
+    pub fn counting_product(&self, rhs: &BitMatrix) -> IntMatrix {
+        assert_eq!(
+            self.cols, rhs.rows,
+            "inner dimensions differ: {} vs {}",
+            self.cols, rhs.rows
+        );
+        let mut out = IntMatrix::zeros(self.rows, rhs.cols);
+        if out.data.is_empty() {
+            return out;
+        }
+        let mut spread = vec![0; rhs.rows * COUNTER_LANES];
+        for strip in 0..rhs.words_per_row {
+            let first = strip * LANE_BITS;
+            let width = (rhs.cols - first).min(LANE_BITS);
+            for (k, lanes) in spread.chunks_exact_mut(COUNTER_LANES).enumerate() {
+                let word = rhs.data[k * rhs.words_per_row + strip];
+                for (t, lane) in lanes.iter_mut().enumerate() {
+                    *lane = (word >> t) & BYTE_ONES;
+                }
+            }
+            for (i, out_row) in out.data.chunks_exact_mut(rhs.cols).enumerate() {
+                let out_strip = &mut out_row[first..first + width];
+                let mut counters = [0; COUNTER_LANES];
+                for (wi, &word) in self.row_words(i).iter().enumerate() {
+                    if wi > 0 && wi % WORDS_PER_FLUSH == 0 {
+                        flush_counters(&mut counters, out_strip);
+                    }
+                    let mut bits = word;
+                    while bits != 0 {
+                        let k = wi * LANE_BITS + bits.trailing_zeros() as usize;
+                        bits &= bits - 1;
+                        let row = &spread[k * COUNTER_LANES..(k + 1) * COUNTER_LANES];
+                        for (c, &s) in counters.iter_mut().zip(row) {
+                            *c += s;
+                        }
+                    }
+                }
+                flush_counters(&mut counters, out_strip);
+            }
+        }
+        out
+    }
+
+    /// The counting product as the popcount of `row_i(A) ∧ row_j(Bᵀ)`: the
+    /// kernel [`Self::counting_product`] replaced, kept as its reference.
+    #[cfg(test)]
+    pub(crate) fn popcount_product(&self, rhs: &BitMatrix) -> IntMatrix {
         assert_eq!(
             self.cols, rhs.rows,
             "inner dimensions differ: {} vs {}",
@@ -379,6 +432,29 @@ impl BitMatrix {
         }
         out
     }
+}
+
+/// Lanes of byte counters that hold one strip of [`LANE_BITS`] columns in
+/// [`BitMatrix::counting_product`]: lane `t` counts the columns `c` with
+/// `c % COUNTER_LANES == t`, column `c` in byte `c / COUNTER_LANES`.
+const COUNTER_LANES: usize = u8::BITS as usize;
+
+/// The lane with the low bit of every byte set: masking a strip shifted
+/// right by `t` with it spreads counter lane `t`.
+const BYTE_ONES: DefaultLane = DefaultLane::MAX / u8::MAX as DefaultLane;
+
+/// Words of an `A` row whose set bits one flush of the byte counters can
+/// take: each adds at most one per byte, and a byte holds 255.
+const WORDS_PER_FLUSH: usize = u8::MAX as usize / LANE_BITS;
+
+/// Adds a strip's byte counters into its `out` entries (at most
+/// [`LANE_BITS`] of them) and clears the counters.
+fn flush_counters(counters: &mut [DefaultLane; COUNTER_LANES], out: &mut [u64]) {
+    for (c, o) in out.iter_mut().enumerate() {
+        let shift = c / COUNTER_LANES * u8::BITS as usize;
+        *o += (counters[c % COUNTER_LANES] >> shift) & DefaultLane::from(u8::MAX);
+    }
+    *counters = [0; COUNTER_LANES];
 }
 
 impl fmt::Debug for BitMatrix {
@@ -597,10 +673,9 @@ impl IntMatrix {
     }
 
     /// The matrix product over the counting semiring `(+, ×)`, saturating
-    /// just below [`Self::INFINITY`]. 0/1 operands dispatch to the
-    /// word-parallel AND+popcount kernel
-    /// ([`BitMatrix::popcount_product`]); general entries use the schoolbook
-    /// triple loop.
+    /// just below [`Self::INFINITY`]. 0/1 operands are packed and dispatch
+    /// to the byte-counter kernel ([`BitMatrix::counting_product`]); general
+    /// entries use the schoolbook triple loop.
     ///
     /// # Panics
     ///
@@ -612,7 +687,7 @@ impl IntMatrix {
             self.cols, rhs.rows
         );
         if self.is_binary() && rhs.is_binary() {
-            return self.to_bitmatrix().popcount_product(&rhs.to_bitmatrix());
+            return self.to_bitmatrix().counting_product(&rhs.to_bitmatrix());
         }
         let mut out = IntMatrix::zeros(self.rows, rhs.cols);
         for (r, out_row) in out.data.chunks_mut(rhs.cols.max(1)).enumerate() {
@@ -687,6 +762,10 @@ impl fmt::Debug for IntMatrix {
 
 #[cfg(test)]
 mod tests {
+    use proptest::prelude::*;
+    use rand::{Rng, SeedableRng};
+    use rand_chacha::ChaCha8Rng;
+
     use super::*;
 
     /// The bool-at-a-time product the packed kernels must agree with.
@@ -894,7 +973,7 @@ mod tests {
     }
 
     #[test]
-    fn popcount_product_counts_witnesses() {
+    fn counting_product_counts_witnesses() {
         for (ra, c, cb, seed) in [
             (1usize, 1usize, 1usize, 41u64),
             (6, 65, 7, 42),
@@ -903,13 +982,52 @@ mod tests {
         ] {
             let a = pseudo_random(ra, c, seed);
             let b = pseudo_random(c, cb, seed + 50);
-            let got = a.popcount_product(&b);
+            let got = a.counting_product(&b);
             for i in 0..ra {
                 for j in 0..cb {
                     let expected = (0..c).filter(|&k| a.get(i, k) && b.get(k, j)).count() as u64;
                     assert_eq!(got.get(i, j), expected, "({i},{j})");
                 }
             }
+        }
+    }
+
+    /// A `rows × cols` matrix whose entries are set with probability
+    /// `ones / 4`, drawn from `seed`.
+    fn random_with_density(rows: usize, cols: usize, ones: u32, seed: u64) -> BitMatrix {
+        let mut rng = ChaCha8Rng::seed_from_u64(seed);
+        let mut m = BitMatrix::zeros(rows, cols);
+        for i in 0..rows {
+            for j in 0..cols {
+                m.set(i, j, rng.gen_range(0..4u32) < ones);
+            }
+        }
+        m
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        /// The byte-counter kernel against the AND+popcount kernel it
+        /// replaced. The inner dimensions include rows of more than 255
+        /// set bits (300 and 1,000 columns at full density), which need a
+        /// flush mid-row; the output widths include ones that are not a
+        /// multiple of 8 or of the lane, and zero.
+        #[test]
+        fn counting_product_matches_the_popcount_reference(
+            rows in 0usize..7,
+            inner_pick in 0usize..8,
+            inner_free in 0usize..200,
+            cols_pick in 0usize..6,
+            cols_free in 0usize..150,
+            ones in 0u32..5,
+            seed in any::<u64>(),
+        ) {
+            let inner = [0, 1, 7, LANE_BITS, LANE_BITS + 1, 300, 1_000, inner_free][inner_pick];
+            let cols = [0, 1, 9, LANE_BITS, 2 * LANE_BITS + 3, cols_free][cols_pick];
+            let a = random_with_density(rows, inner, ones, seed);
+            let b = random_with_density(inner, cols, ones, seed ^ 0x5EED);
+            prop_assert_eq!(a.counting_product(&b), a.popcount_product(&b));
         }
     }
 
@@ -950,8 +1068,8 @@ mod tests {
     }
 
     #[test]
-    fn counting_product_popcount_path_matches_triple_loop() {
-        // 0/1 operands dispatch to the AND+popcount kernel; force the
+    fn counting_product_packed_path_matches_triple_loop() {
+        // 0/1 operands dispatch to the byte-counter kernel; force the
         // schoolbook path via a non-binary clone and compare.
         let a = pseudo_random_ints(6, 67, 1, 61);
         let b = pseudo_random_ints(67, 5, 1, 62);

@@ -18,7 +18,7 @@
 //! `clique-core` are structured so that per-node state is only updated from
 //! delivered inboxes.
 
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use crate::bits::BitString;
 use crate::model::{CliqueConfig, CommMode, SimError};
@@ -57,72 +57,108 @@ impl PhaseOutbox {
 
 /// Messages delivered to one node at the end of a phase.
 ///
-/// Broadcast payloads are [`Arc`]-shared across the `n - 1` receiving
-/// inboxes, so a phase delivers each broadcast by cloning a pointer per
-/// receiver instead of the message bits.
+/// Every inbox of a phase reads one shared blackboard, which holds each
+/// sender's broadcast once and which an inbox reads past its owner's slot.
+/// Unicasts are kept as a list in ascending sender order, one entry per
+/// sender that addressed this node, so an inbox holds what arrived rather
+/// than a slot per player.
 #[derive(Clone, Debug, Default)]
 pub struct PhaseInbox {
-    broadcasts: Vec<Option<Arc<BitString>>>,
-    unicasts: Vec<Option<BitString>>,
+    /// The receiving player, who does not receive its own broadcast.
+    owner: NodeId,
+    /// The phase's broadcasts, one slot per sender, shared by all of its
+    /// inboxes.
+    blackboard: Arc<[OnceLock<BitString>]>,
+    /// `(sender, payload)` in ascending sender order; a taken payload
+    /// leaves `None`.
+    unicasts: Vec<(NodeId, Option<BitString>)>,
+}
+
+/// The `n` empty inboxes of one phase: one blackboard of `arrivals.len()`
+/// slots that all of them share, and inbox `i`'s unicast list sized for
+/// `arrivals[i]` deliveries.
+pub(crate) fn phase_inboxes(arrivals: &[usize]) -> Vec<PhaseInbox> {
+    let blackboard: Arc<[OnceLock<BitString>]> = arrivals.iter().map(|_| OnceLock::new()).collect();
+    arrivals
+        .iter()
+        .enumerate()
+        .map(|(i, &count)| PhaseInbox {
+            owner: NodeId::new(i),
+            blackboard: Arc::clone(&blackboard),
+            unicasts: Vec::with_capacity(count),
+        })
+        .collect()
 }
 
 impl PhaseInbox {
-    /// An inbox with no deliveries, for a model with `n` players.
-    pub(crate) fn empty(n: usize) -> Self {
-        Self {
-            broadcasts: vec![None; n],
-            unicasts: vec![None; n],
-        }
-    }
-
-    /// Stores one receiver's share of `sender`'s broadcast (transports hand
-    /// each receiver either a clone of one shared [`Arc`] or its own copy).
-    pub(crate) fn deliver_broadcast(&mut self, sender: NodeId, payload: Arc<BitString>) {
-        self.broadcasts[sender.index()] = Some(payload);
+    /// Posts `sender`'s broadcast on the blackboard this inbox shares with
+    /// every other inbox of its phase, so all of them read it without a
+    /// copy. A sender posts at most once per phase.
+    pub(crate) fn post_broadcast(&self, sender: NodeId, payload: BitString) {
+        let fresh = self.blackboard[sender.index()].set(payload).is_ok();
+        debug_assert!(fresh, "{sender} posted two broadcasts in one phase");
     }
 
     /// Appends a unicast payload from `sender`; multiple deliveries within
     /// a phase are concatenated in arrival order.
     pub(crate) fn deliver_unicast(&mut self, sender: NodeId, payload: BitString) {
-        let slot = &mut self.unicasts[sender.index()];
-        match slot {
-            Some(existing) => existing.extend_from(&payload),
-            None => *slot = Some(payload),
+        let at = match self.unicasts.last() {
+            // Senders deliver in ascending order, so a new one goes last.
+            Some(&(last, _)) if last < sender => self.unicasts.len(),
+            _ => self.unicasts.partition_point(|&(s, _)| s < sender),
+        };
+        match self.unicasts.get_mut(at) {
+            Some((s, slot)) if *s == sender => {
+                slot.get_or_insert_with(BitString::new)
+                    .extend_from(&payload);
+            }
+            _ => self.unicasts.insert(at, (sender, Some(payload))),
         }
+    }
+
+    /// The entry of `sender` in the unicast list, if it delivered any.
+    fn unicast_slot(&self, sender: NodeId) -> Option<usize> {
+        self.unicasts
+            .binary_search_by_key(&sender, |&(s, _)| s)
+            .ok()
     }
 
     /// The broadcast written by `sender` during the phase, if any.
     pub fn broadcast_from(&self, sender: NodeId) -> Option<&BitString> {
-        self.broadcasts
-            .get(sender.index())
-            .and_then(|m| m.as_deref())
+        if sender == self.owner {
+            return None;
+        }
+        self.blackboard.get(sender.index()).and_then(OnceLock::get)
     }
 
     /// The (concatenated) unicast payload received from `sender`, if any.
     pub fn unicast_from(&self, sender: NodeId) -> Option<&BitString> {
-        self.unicasts.get(sender.index()).and_then(|m| m.as_ref())
+        let at = self.unicast_slot(sender)?;
+        self.unicasts[at].1.as_ref()
     }
 
     /// Moves the (concatenated) unicast payload received from `sender` out
     /// of the inbox, so a reader that keeps it whole copies no bits.
     pub fn take_unicast(&mut self, sender: NodeId) -> Option<BitString> {
-        self.unicasts.get_mut(sender.index()).and_then(Option::take)
+        let at = self.unicast_slot(sender)?;
+        self.unicasts[at].1.take()
     }
 
     /// Iterates over `(sender, payload)` pairs of broadcasts received.
     pub fn broadcasts(&self) -> impl Iterator<Item = (NodeId, &BitString)> {
-        self.broadcasts
+        let owner = self.owner.index();
+        self.blackboard
             .iter()
             .enumerate()
-            .filter_map(|(i, m)| m.as_deref().map(|m| (NodeId::new(i), m)))
+            .filter(move |&(i, _)| i != owner)
+            .filter_map(|(i, slot)| slot.get().map(|m| (NodeId::new(i), m)))
     }
 
     /// Iterates over `(sender, payload)` pairs of unicasts received.
     pub fn unicasts(&self) -> impl Iterator<Item = (NodeId, &BitString)> {
         self.unicasts
             .iter()
-            .enumerate()
-            .filter_map(|(i, m)| m.as_ref().map(|m| (NodeId::new(i), m)))
+            .filter_map(|(s, m)| m.as_ref().map(|m| (*s, m)))
     }
 }
 
@@ -138,8 +174,12 @@ pub(crate) struct SenderSummary {
     pub(crate) messages: u64,
 }
 
-/// Validates one sender's outbox and computes its [`SenderSummary`].
-/// `dest_load` is caller-provided scratch (reset here) sized to `config.n`.
+/// Validates one sender's outbox and computes its [`SenderSummary`],
+/// touching only the destinations the sender addresses.
+///
+/// `dest_load` is caller-provided scratch of `config.n` zeros, left zero
+/// again on return. `arrivals[dst]` counts the unicasts addressed to `dst`
+/// (the size of its inbox's list); an invalid outbox adds nothing to it.
 ///
 /// # Errors
 ///
@@ -148,28 +188,37 @@ pub(crate) fn summarize_outbox(
     config: &CliqueConfig,
     sender: NodeId,
     out: &PhaseOutbox,
-    dest_load: &mut Vec<u64>,
+    dest_load: &mut [u64],
+    arrivals: &mut [usize],
 ) -> Result<SenderSummary, SimError> {
     let n = config.n;
-    dest_load.clear();
-    dest_load.resize(n, 0);
-    let mut summary = SenderSummary::default();
+    for (dst, _) in &out.unicasts {
+        if config.mode == CommMode::Broadcast {
+            return Err(SimError::UnicastInBroadcastModel { sender });
+        } else if dst.index() >= n {
+            return Err(SimError::InvalidNode { node: *dst, n });
+        } else if *dst == sender {
+            return Err(SimError::SelfMessage { node: sender });
+        }
+    }
 
+    let mut summary = SenderSummary::default();
+    // The load a broadcast puts on each link this sender uses.
+    let mut broadcast_load = 0;
     if let Some(msg) = &out.broadcast {
         let len = msg.len() as u64;
         match config.mode {
             CommMode::Broadcast => {
                 summary.bits += len;
-                summary.max_load = summary.max_load.max(len);
+                summary.max_load = len;
             }
             CommMode::Unicast => {
                 // A broadcast in the unicast model occupies every outgoing
                 // link: one to each of the other n - 1 players.
                 summary.bits += len * (n as u64 - 1);
-                for (dst, load) in dest_load.iter_mut().enumerate() {
-                    if dst != sender.index() {
-                        *load += len;
-                    }
+                if n > 1 {
+                    broadcast_load = len;
+                    summary.max_load = len;
                 }
             }
         }
@@ -179,33 +228,222 @@ pub(crate) fn summarize_outbox(
     }
 
     for (dst, msg) in &out.unicasts {
-        if config.mode == CommMode::Broadcast {
-            return Err(SimError::UnicastInBroadcastModel { sender });
-        } else if dst.index() >= n {
-            return Err(SimError::InvalidNode { node: *dst, n });
-        } else if *dst == sender {
-            return Err(SimError::SelfMessage { node: sender });
-        }
         let len = msg.len() as u64;
         dest_load[dst.index()] += len;
+        arrivals[dst.index()] += 1;
         summary.bits += len;
         if len > 0 {
             summary.messages += 1;
         }
     }
-
-    if config.mode == CommMode::Unicast {
-        if let Some(load) = dest_load.iter().copied().max() {
-            summary.max_load = summary.max_load.max(load);
-        }
+    // A link's first visit reads its whole load and clears it.
+    for (dst, _) in &out.unicasts {
+        let load = std::mem::take(&mut dest_load[dst.index()]);
+        summary.max_load = summary.max_load.max(broadcast_load + load);
     }
     Ok(summary)
 }
 
 #[cfg(test)]
 mod tests {
+    use proptest::prelude::*;
+    use rand::{Rng, SeedableRng};
+    use rand_chacha::ChaCha8Rng;
+
     use super::*;
     use crate::session::Session;
+
+    /// The dense inbox the shared-blackboard one replaced: one slot per
+    /// player for broadcasts and one for unicasts.
+    #[derive(Clone, Default)]
+    struct DenseInbox {
+        broadcasts: Vec<Option<BitString>>,
+        unicasts: Vec<Option<BitString>>,
+    }
+
+    /// Delivers a valid phase into dense inboxes, sender by sender: each
+    /// broadcast into every other player's slot, each unicast appended to
+    /// its receiver's slot for the sender.
+    fn dense_delivery(outs: &[PhaseOutbox]) -> Vec<DenseInbox> {
+        let n = outs.len();
+        let empty = DenseInbox {
+            broadcasts: vec![None; n],
+            unicasts: vec![None; n],
+        };
+        let mut inboxes = vec![empty; n];
+        for (sender, out) in outs.iter().enumerate() {
+            if let Some(msg) = &out.broadcast {
+                for (dst, inbox) in inboxes.iter_mut().enumerate() {
+                    if dst != sender {
+                        inbox.broadcasts[sender] = Some(msg.clone());
+                    }
+                }
+            }
+            for (dst, msg) in &out.unicasts {
+                let slot = &mut inboxes[dst.index()].unicasts[sender];
+                slot.get_or_insert_with(BitString::new).extend_from(msg);
+            }
+        }
+        inboxes
+    }
+
+    /// One valid sender's `(max load, bits, messages)` by the per-link
+    /// arithmetic the sparse accounting replaced: the load on each of the
+    /// sender's `n` links, broadcast included.
+    fn per_link_summary(config: &CliqueConfig, sender: usize, out: &PhaseOutbox) -> [u64; 3] {
+        let n = config.n;
+        let mut load = vec![0u64; n];
+        let (mut max_load, mut bits, mut messages) = (0, 0, 0);
+        if let Some(msg) = &out.broadcast {
+            let len = msg.len() as u64;
+            match config.mode {
+                CommMode::Broadcast => {
+                    bits += len;
+                    max_load = len;
+                }
+                CommMode::Unicast => {
+                    bits += len * (n as u64 - 1);
+                    for (dst, l) in load.iter_mut().enumerate() {
+                        if dst != sender {
+                            *l += len;
+                        }
+                    }
+                }
+            }
+            messages += u64::from(len > 0);
+        }
+        for (dst, msg) in &out.unicasts {
+            load[dst.index()] += msg.len() as u64;
+            bits += msg.len() as u64;
+            messages += u64::from(!msg.is_empty());
+        }
+        if config.mode == CommMode::Unicast {
+            max_load = max_load.max(load.into_iter().max().unwrap_or(0));
+        }
+        [max_load, bits, messages]
+    }
+
+    fn random_bits(rng: &mut ChaCha8Rng, max_len: usize) -> BitString {
+        (0..rng.gen_range(0..max_len + 1))
+            .map(|_| rng.gen_bool(0.5))
+            .collect()
+    }
+
+    /// A valid phase: some senders stay silent, the others broadcast or
+    /// not and, in the unicast model, send 0–6 unicasts, repeats on one
+    /// link and zero-length payloads included.
+    fn random_phase(config: &CliqueConfig, rng: &mut ChaCha8Rng) -> Vec<PhaseOutbox> {
+        let n = config.n;
+        (0..n)
+            .map(|sender| {
+                let mut out = PhaseOutbox::new();
+                if rng.gen_bool(0.25) {
+                    return out;
+                }
+                if rng.gen_bool(0.5) {
+                    out.broadcast(random_bits(rng, 90));
+                }
+                if config.mode == CommMode::Unicast && n > 1 {
+                    let mut last = None;
+                    for _ in 0..rng.gen_range(0..7) {
+                        let dst = match last {
+                            Some(dst) if rng.gen_bool(0.3) => dst,
+                            _ => (sender + rng.gen_range(1..n)) % n,
+                        };
+                        last = Some(dst);
+                        out.send(NodeId::new(dst), random_bits(rng, 40));
+                    }
+                }
+                out
+            })
+            .collect()
+    }
+
+    /// Runs a random phase of `config` drawn from `seed` and checks every
+    /// inbox accessor against the dense reference and the phase's charge
+    /// against the per-link arithmetic.
+    fn check_random_phase(config: CliqueConfig, seed: u64) {
+        let (n, bandwidth) = (config.n, config.bandwidth as u64);
+        let mut rng = ChaCha8Rng::seed_from_u64(seed);
+        let outs = random_phase(&config, &mut rng);
+        let expected = dense_delivery(&outs);
+        let [mut max_load, mut bits, mut messages] = [0u64; 3];
+        for (sender, out) in outs.iter().enumerate() {
+            let [load, b, m] = per_link_summary(&config, sender, out);
+            max_load = max_load.max(load);
+            bits += b;
+            messages += m;
+        }
+
+        let mut session = Session::new(config);
+        let mut inboxes = session.exchange("random", outs).unwrap();
+        let record = &session.metrics().phases[0];
+        assert_eq!(
+            (
+                record.rounds,
+                record.bits,
+                record.messages,
+                record.max_link_bits_per_round
+            ),
+            (
+                max_load.div_ceil(bandwidth),
+                bits,
+                messages,
+                max_load.min(bandwidth)
+            )
+        );
+
+        let in_order = |slots: &[Option<BitString>]| -> Vec<(NodeId, BitString)> {
+            let slots = slots.iter().enumerate();
+            slots
+                .filter_map(|(s, m)| Some((NodeId::new(s), m.clone()?)))
+                .collect()
+        };
+        let owned = |(s, m): (NodeId, &BitString)| (s, m.clone());
+        for (inbox, dense) in inboxes.iter_mut().zip(&expected) {
+            for s in 0..n {
+                let sender = NodeId::new(s);
+                assert_eq!(inbox.broadcast_from(sender), dense.broadcasts[s].as_ref());
+                assert_eq!(inbox.unicast_from(sender), dense.unicasts[s].as_ref());
+            }
+            let broadcasts: Vec<_> = inbox.broadcasts().map(owned).collect();
+            assert_eq!(broadcasts, in_order(&dense.broadcasts));
+            let unicasts: Vec<_> = inbox.unicasts().map(owned).collect();
+            assert_eq!(unicasts, in_order(&dense.unicasts));
+            for s in 0..n {
+                let sender = NodeId::new(s);
+                assert_eq!(inbox.take_unicast(sender), dense.unicasts[s].clone());
+                assert_eq!(inbox.take_unicast(sender), None);
+                assert_eq!(inbox.unicast_from(sender), None);
+            }
+            assert_eq!(inbox.unicasts().count(), 0);
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// Random phases in both models read the same through every inbox
+        /// accessor as through the dense reference, and are charged what
+        /// the per-link arithmetic charges. Every case also runs a lone
+        /// player, whose broadcast reaches no link.
+        #[test]
+        fn phases_match_the_dense_reference(
+            n in 2usize..41,
+            unicast in any::<bool>(),
+            bandwidth in 1usize..20,
+            seed in any::<u64>(),
+        ) {
+            for n in [1, n] {
+                let config = if unicast {
+                    CliqueConfig::unicast(n, bandwidth)
+                } else {
+                    CliqueConfig::broadcast(n, bandwidth)
+                };
+                check_random_phase(config, seed);
+            }
+        }
+    }
 
     fn broadcast_out(value: u64, width: usize) -> PhaseOutbox {
         let mut out = PhaseOutbox::new();

@@ -15,7 +15,7 @@ use crate::metrics::{Metrics, PhaseRecord};
 use crate::model::{CliqueConfig, SimError};
 use crate::node::NodeId;
 use crate::outcome::RunOutcome;
-use crate::phase::{summarize_outbox, PhaseInbox, PhaseOutbox};
+use crate::phase::{phase_inboxes, summarize_outbox, PhaseInbox, PhaseOutbox};
 use crate::protocol::Protocol;
 use crate::transport::Transport;
 
@@ -39,7 +39,8 @@ use crate::transport::Transport;
 pub struct Session {
     config: CliqueConfig,
     metrics: Metrics,
-    /// Per-destination load scratch, reused across senders and phases.
+    /// Per-destination load scratch, reused across senders and phases and
+    /// all zero between them.
     dest_load: Vec<u64>,
     /// The message-delivery backend. Accounting never touches it, so the
     /// ledger is identical under every backend.
@@ -140,11 +141,21 @@ impl Session {
 
         // Pass 1 — validation and load accounting, in ascending sender
         // order, so the first sender with a model violation reports it.
+        // Each sender touches only the links it uses; `arrivals` counts
+        // the unicasts each inbox will receive.
         let mut max_load = 0u64;
         let mut total_bits = 0u64;
         let mut messages = 0u64;
+        let mut arrivals = vec![0usize; n];
+        self.dest_load.resize(n, 0);
         for (i, out) in outs.iter().enumerate() {
-            let summary = summarize_outbox(&self.config, NodeId::new(i), out, &mut self.dest_load)?;
+            let summary = summarize_outbox(
+                &self.config,
+                NodeId::new(i),
+                out,
+                &mut self.dest_load,
+                &mut arrivals,
+            )?;
             max_load = max_load.max(summary.max_load);
             total_bits += summary.bits;
             messages += summary.messages;
@@ -152,10 +163,11 @@ impl Session {
 
         // Pass 2 — delivery through the transport, strictly in ascending
         // sender order. The ledger was fully computed in pass 1, so the
-        // backend cannot affect the accounting; the default in-memory
-        // backend moves payloads and Arc-shares broadcasts (one allocation
-        // per broadcast, a pointer clone per receiver).
-        let mut inboxes: Vec<PhaseInbox> = (0..n).map(|_| PhaseInbox::empty(n)).collect();
+        // backend cannot affect the accounting. The inboxes share one
+        // blackboard, on which the default in-memory backend posts each
+        // broadcast once, and each unicast list is sized from pass 1's
+        // count, so a phase allocates for what it carries.
+        let mut inboxes = phase_inboxes(&arrivals);
         for (i, out) in outs.into_iter().enumerate() {
             self.transport
                 .deliver_phase(&self.config, NodeId::new(i), out, &mut inboxes)

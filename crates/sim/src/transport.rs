@@ -13,9 +13,9 @@
 //! charges.
 //!
 //! One backend ships with the simulator, [`InMemoryTransport`]: unicasts
-//! are moved into the receiving inbox, broadcasts are [`Arc`]-shared (one
-//! allocation per broadcast, a pointer clone per receiver). Receivers only
-//! see broadcasts through `&BitString` accessors, so no protocol can
+//! are moved into the receiving inbox, and each broadcast is posted once on
+//! the phase's blackboard, which every inbox of the phase shares. Receivers
+//! only see broadcasts through `&BitString` accessors, so no protocol can
 //! observe the sharing. [`FaultyTransport`] wraps it for fault injection,
 //! and a session can carry any other [`Transport`] through
 //! [`Session::set_transport`](crate::session::Session::set_transport) or
@@ -530,8 +530,9 @@ impl Transport for FaultyTransport {
     }
 }
 
-/// The zero-copy backend: unicasts move, broadcasts are [`Arc`]-shared
-/// across receivers.
+/// The zero-copy backend: unicasts move into their receiver's inbox, and
+/// each broadcast is posted once on the blackboard all inboxes of the phase
+/// share.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct InMemoryTransport;
 
@@ -572,12 +573,7 @@ impl Transport for InMemoryTransport {
     ) -> Result<(), TransportFault> {
         let (broadcast, unicasts) = outbox.into_parts();
         if let Some(msg) = broadcast {
-            let shared = Arc::new(msg);
-            for (dst, inbox) in inboxes.iter_mut().enumerate() {
-                if dst != sender.index() {
-                    inbox.deliver_broadcast(sender, Arc::clone(&shared));
-                }
-            }
+            inboxes[sender.index()].post_broadcast(sender, msg);
         }
         for (dst, msg) in unicasts {
             inboxes[dst.index()].deliver_unicast(sender, msg);

@@ -340,7 +340,9 @@ fn positive(&(x, sign): &(u64, i8)) -> (u64, bool) {
 /// A connection polynomial's degree never exceeds the order it was found
 /// at, so `previous` is kept at that length and each update runs over it
 /// alone. Each discrepancy sums at most `n` products below `2⁶²` in `u128`
-/// and is reduced once, with [`PrimeField::reduce_wide`].
+/// and is reduced once, with [`PrimeField::reduce_wide`]. The discrepancy
+/// `previous` was kept at is inverted once, when the order grows, rather
+/// than at every step that updates `current`.
 fn berlekamp_massey(f: PrimeField, sequence: &[u64]) -> Vec<u64> {
     let n = sequence.len();
     let mut current = vec![0u64; n + 1];
@@ -348,7 +350,9 @@ fn berlekamp_massey(f: PrimeField, sequence: &[u64]) -> Vec<u64> {
     let mut previous = vec![1u64];
     let mut order = 0usize; // L, the current recurrence order
     let mut gap = 1usize; // steps since `previous` last failed
-    let mut last_discrepancy = 1u64;
+                          // The discrepancy at which `previous` was kept, by its inverse: it
+                          // changes only when the order grows.
+    let mut last_inverse = 1u64;
     for i in 0..n {
         let discrepancy = current[1..=order]
             .iter()
@@ -361,7 +365,7 @@ fn berlekamp_massey(f: PrimeField, sequence: &[u64]) -> Vec<u64> {
             gap += 1;
             continue;
         }
-        let minus_scale = f.neg(f.mul(discrepancy, f.inv(last_discrepancy)));
+        let minus_scale = f.neg(f.mul(discrepancy, last_inverse));
         let stale = (2 * order <= i).then(|| current[..=order].to_vec());
         for (c, &b) in current[gap..].iter_mut().zip(&previous) {
             *c = f.mul_add(minus_scale, b, *c);
@@ -370,7 +374,7 @@ fn berlekamp_massey(f: PrimeField, sequence: &[u64]) -> Vec<u64> {
             Some(stale) => {
                 order = i + 1 - order;
                 previous = stale;
-                last_discrepancy = discrepancy;
+                last_inverse = f.inv(discrepancy);
                 gap = 1;
             }
             None => gap += 1,
