@@ -3,12 +3,16 @@ use super::*;
 /// The cube exchange of the 3D partition. The players hold the rows of two
 /// `part.d`-dimensional operands under `part`'s row-owner map, tile the
 /// product cube over `g³` cube nodes, and send each cube's partial to the
-/// owners of its output rows.
+/// owners of its output rows, in three steps: the input shipment, the cube
+/// nodes' multiply-and-ship, and the owners' fold. The cube nodes multiply
+/// one cube at a time and put each partial on the wire before the next, so
+/// one partial block is alive at a time.
 ///
 /// Every node walks the cubes in the canonical `(i, j, k)` order and packs
 /// a payload's rows ascending, entries in column order — a layout both
 /// sides derive from public quantities alone. A zero-width row is never
-/// sent, so no payload is empty.
+/// sent, so no payload is empty, and a receiver whose walk leaves bits of a
+/// payload unread rejects it.
 struct CubeExchange {
     /// The 3D tiling of the operands over the session's players.
     part: Partition,
@@ -76,52 +80,35 @@ impl CubeExchange {
         demand
     }
 
-    /// Step 2: every cube node rebuilds its two blocks from the delivered
-    /// payloads (plus its own rows) and multiplies them.
+    /// Step 2: cube by cube in canonical order, the cube node rebuilds its
+    /// two blocks from the delivered payloads (plus its own rows),
+    /// multiplies them and ships the partial. Partial row `bi` of cube
+    /// `(i, j, ·)` is output row `block(i).start + bi` over the columns
+    /// `block(j)`. Rows the cube node owns fold into `output` in place;
+    /// every other owner's run of partial rows is one payload of the
+    /// returned partial demand.
     ///
     /// # Errors
     ///
-    /// [`SimError::MalformedPayload`] for a missing or truncated segment.
-    fn multiply(&self, delivered: &Delivered) -> Result<Vec<SemiringMatrix>, SimError> {
-        let width = self.codec.input;
-        self.cubes()
-            .map(|(i, j, k)| {
-                let w = self.part.cube_node(i, j, k);
-                let mut inbox = Readers::new(&delivered[w]);
-                let [a, b] = self.inputs(i, j, k).map(|(source, row_block)| {
-                    let mut block = source.zeros_like(source.rows(), source.cols());
-                    for (v, run) in self.part.owner_runs(row_block) {
-                        if v == w {
-                            run.for_each(|bi| block.copy_row(bi, source, bi));
-                        } else if block.cols() > 0 {
-                            let reader =
-                                inbox.get_mut(v).ok_or_else(|| malformed(v, INPUT_PHASE))?;
-                            for bi in run {
-                                let codec = &self.codec;
-                                codec.decode_row(reader, &mut block, bi, width, v, INPUT_PHASE)?;
-                            }
-                        }
-                    }
-                    Ok::<_, SimError>(block)
-                });
-                Ok(self.codec.semiring.product(&a?, &b?))
-            })
-            .collect()
-    }
-
-    /// Step 3: the cube nodes' partial shipment, one payload per output
-    /// row owner: its run of partial rows. Partial row `bi` of cube
-    /// `(i, j, ·)` is output row `block(i).start + bi` over the columns
-    /// `block(j)`; rows a cube node owns itself fold into `output` in place.
-    fn partial_demand(
+    /// [`SimError::MalformedPayload`] for a missing or truncated segment,
+    /// or a payload with bits the cube node's walk does not read.
+    fn multiply_and_ship(
         &self,
-        partials: &[SemiringMatrix],
+        delivered: &Delivered,
         output: &mut SemiringMatrix,
-    ) -> RoutingDemand {
+    ) -> Result<RoutingDemand, SimError> {
         let mut demand = RoutingDemand::new(self.part.n);
         let (semiring, width) = (self.codec.semiring, self.codec.partial);
-        for ((i, j, k), partial) in self.cubes().zip(partials) {
-            let (w, cols) = (self.part.cube_node(i, j, k), self.part.block(j));
+        for (i, j, k) in self.cubes() {
+            let w = self.part.cube_node(i, j, k);
+            let mut inbox = Readers::new(&delivered[w]);
+            let [a, b] = self
+                .inputs(i, j, k)
+                .map(|(source, row_block)| self.rebuild(source, row_block, w, &mut inbox));
+            let (a, b) = (a?, b?);
+            inbox.finish(INPUT_PHASE)?;
+            let partial = semiring.product(&a, &b);
+            let cols = self.part.block(j);
             if cols.is_empty() {
                 continue; // a cube without columns has no partial to ship
             }
@@ -130,27 +117,57 @@ impl CubeExchange {
                 if v == w {
                     for bi in run {
                         let r = first_row + bi;
-                        output.fold_row(semiring, r, cols.start, partial, bi, cols.len());
+                        output.fold_row(semiring, r, cols.start, &partial, bi, cols.len());
                     }
                 } else {
-                    let mut payload = BitString::new();
+                    let mut payload = BitString::with_capacity(run.len() * cols.len() * width);
                     for bi in run {
                         self.codec
-                            .encode_row(partial, bi, cols.len(), width, &mut payload);
+                            .encode_row(&partial, bi, cols.len(), width, &mut payload);
                     }
                     demand.send(w, v, payload);
                 }
             }
         }
-        demand
+        Ok(demand)
     }
 
-    /// Step 4: the output row owners fold the delivered partial rows,
-    /// walking them in the order step 3 wrote them.
+    /// Cube node `w`'s copy of the input block `source` of row block
+    /// `row_block`: its own rows copied, every other owner's run read from
+    /// that owner's payload in `inbox`.
     ///
     /// # Errors
     ///
     /// [`SimError::MalformedPayload`] for a missing or truncated segment.
+    fn rebuild(
+        &self,
+        source: &SemiringMatrix,
+        row_block: usize,
+        w: usize,
+        inbox: &mut Readers<'_>,
+    ) -> Result<SemiringMatrix, SimError> {
+        let mut block = source.zeros_like(source.rows(), source.cols());
+        for (v, run) in self.part.owner_runs(row_block) {
+            if v == w {
+                run.for_each(|bi| block.copy_row(bi, source, bi));
+            } else if block.cols() > 0 {
+                let reader = inbox.get_mut(v).ok_or_else(|| malformed(v, INPUT_PHASE))?;
+                for bi in run {
+                    let codec = &self.codec;
+                    codec.decode_row(reader, &mut block, bi, codec.input, v, INPUT_PHASE)?;
+                }
+            }
+        }
+        Ok(block)
+    }
+
+    /// Step 3: the output row owners fold the delivered partial rows
+    /// straight into `output`, walking them in the order step 2 wrote them.
+    ///
+    /// # Errors
+    ///
+    /// [`SimError::MalformedPayload`] for a missing or truncated segment,
+    /// or a payload with bits the owner's walk does not read.
     fn fold_partials(
         &self,
         delivered: &Delivered,
@@ -160,16 +177,10 @@ impl CubeExchange {
             .iter()
             .map(|packets| Readers::new(packets))
             .collect();
-        // A one-row scratch block holds each segment until it is folded.
-        let mut segment = output.zeros_like(1, 0);
-        let (semiring, width) = (self.codec.semiring, self.codec.partial);
         for (i, j, k) in self.cubes() {
             let (w, cols) = (self.part.cube_node(i, j, k), self.part.block(j));
             if cols.is_empty() {
                 continue;
-            }
-            if segment.cols() != cols.len() {
-                segment = output.zeros_like(1, cols.len());
             }
             let first_row = self.part.block(i).start;
             for (v, run) in self.part.owner_runs(i).filter(|&(v, _)| v != w) {
@@ -177,14 +188,15 @@ impl CubeExchange {
                     .get_mut(w)
                     .ok_or_else(|| malformed(w, PARTIAL_PHASE))?;
                 for bi in run {
-                    self.codec
-                        .decode_row(reader, &mut segment, 0, width, w, PARTIAL_PHASE)?;
                     let r = first_row + bi;
-                    output.fold_row(semiring, r, cols.start, &segment, 0, cols.len());
+                    self.codec
+                        .fold_row(reader, output, r, cols.clone(), w, PARTIAL_PHASE)?;
                 }
             }
         }
-        Ok(())
+        inbox
+            .into_iter()
+            .try_for_each(|readers| readers.finish(PARTIAL_PHASE))
     }
 }
 
@@ -196,11 +208,11 @@ impl CubeExchange {
 /// Player `v` holds rows `r` with `row_owner(r) = v` of both inputs (for
 /// `d = n` this is the standard "player `i` knows row `i`" input
 /// convention) and ends up holding the same rows of the output; the
-/// returned matrix is the assembled whole. The product runs in four steps:
-/// the input shipment to the cube nodes, their local block products, the
-/// partial shipment to the output row owners, and the owners' fold. Both
-/// shipments carry one payload per player pair, so the router sends them
-/// directly.
+/// returned matrix is the assembled whole. The product runs in three
+/// steps: the input shipment to the cube nodes; the cube nodes' local
+/// block products, each shipped to the output row owners as soon as it is
+/// computed; and the owners' fold. Both shipments carry one payload per
+/// player pair, so the router sends them directly.
 ///
 /// # Examples
 ///
@@ -273,11 +285,11 @@ impl Protocol for SemiringMatMul<'_> {
             let part = Partition::new(session.n(), d);
             let codec = EntryCodec::new(self.semiring, self.a, self.b, part.max_block_len());
             let cube = CubeExchange::new(part, codec, [self.a, self.b]);
-            let delivered = BalancedRouter.route(&cube.input_demand(), session)?;
-            let partials = cube.multiply(&delivered)?;
-            let demand = cube.partial_demand(&partials, &mut output);
-            let delivered = BalancedRouter.route(&demand, session)?;
-            cube.fold_partials(&delivered, &mut output)?;
+            let inputs = BalancedRouter.route(cube.input_demand(), session)?;
+            let demand = cube.multiply_and_ship(&inputs, &mut output)?;
+            drop(inputs); // read in full: free it before the partials travel
+            let partials = BalancedRouter.route(demand, session)?;
+            cube.fold_partials(&partials, &mut output)?;
         }
         Ok(output)
     }
@@ -350,6 +362,49 @@ mod tests {
             let expected = semiring.product(&a, &b);
             let d = a.rows();
             assert_eq!(*outcome, expected, "{} d = {d} on n = {n}", semiring.name());
+        }
+    }
+
+    #[test]
+    fn unread_rows_are_typed_errors() {
+        // n = d = 27: cube side 3, blocks of 9 rows and one row per player.
+        // One extra row on one routed payload, of the inputs and then of
+        // the partials, is rejected naming that payload's sender, for
+        // packed and for integer partials.
+        let d = 27;
+        // Appends a row of `cols` zero entries to `packet`; returns its sender.
+        let extra = |packet: &mut Packet, cols, width| {
+            packet.payload.push_fields(&vec![0; cols], width);
+            packet.src.index()
+        };
+        for semiring in [Semiring::Boolean, Semiring::Counting] {
+            let a = SemiringMatrix::Bits(random_bitmatrix(d, 41));
+            let part = Partition::new(d, d);
+            let codec = EntryCodec::new(semiring, &a, &a, part.max_block_len());
+            let cube = CubeExchange::new(part, codec, [&a, &a]);
+            let mut output = SemiringMatrix::identity_filled(semiring, d, d);
+            let mut session = Session::new(CliqueConfig::unicast(d, 4));
+            let mut inputs = BalancedRouter
+                .route(cube.input_demand(), &mut session)
+                .unwrap();
+            let demand = cube.multiply_and_ship(&inputs, &mut output).unwrap();
+            let mut partials = BalancedRouter.route(demand, &mut session).unwrap();
+            cube.fold_partials(&partials, &mut output.clone()).unwrap();
+
+            let sender = extra(&mut inputs[5][0], 9, codec.input);
+            assert_eq!(
+                cube.multiply_and_ship(&inputs, &mut output).unwrap_err(),
+                malformed(sender, INPUT_PHASE),
+                "{} inputs",
+                semiring.name()
+            );
+            let sender = extra(&mut partials[5][0], 9, codec.partial);
+            assert_eq!(
+                cube.fold_partials(&partials, &mut output).unwrap_err(),
+                malformed(sender, PARTIAL_PHASE),
+                "{} partials",
+                semiring.name()
+            );
         }
     }
 

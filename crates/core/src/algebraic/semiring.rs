@@ -42,6 +42,19 @@ impl Semiring {
         }
     }
 
+    /// Folds `word`, up to a lane of packed entries, into the packed `row`
+    /// from column `col` on with the bitwise Boolean or `F₂` addition:
+    /// shifted into place when `col` is not lane-aligned, and spilling into
+    /// the next lane. Every set bit of `word` must land inside the row.
+    pub(super) fn fold_lane(&self, row: &mut [u64], col: usize, word: u64) {
+        let (at, shift) = (col / LANE_BITS, col % LANE_BITS);
+        row[at] = self.combine(row[at], word << shift);
+        if shift > 0 && word >> (LANE_BITS - shift) != 0 {
+            let spill = word >> (LANE_BITS - shift);
+            row[at + 1] = self.combine(row[at + 1], spill);
+        }
+    }
+
     /// The additive identity ("zero"): [`IntMatrix::INFINITY`] under
     /// `(min, +)`, 0 elsewhere. The sparse path never communicates it.
     pub(super) fn identity(&self) -> u64 {
@@ -195,18 +208,11 @@ impl SemiringMatrix {
     ) {
         match (self, src) {
             (SemiringMatrix::Bits(m), SemiringMatrix::Bits(s)) => {
-                let (word0, shift) = (col0 / LANE_BITS, col0 % LANE_BITS);
                 let row = m.row_words_mut(r);
                 let words = &s.row_words(si)[..len.div_ceil(LANE_BITS)];
                 for (t, &word) in words.iter().enumerate() {
                     let word = word & mask_low(len - t * LANE_BITS);
-                    row[word0 + t] = semiring.combine(row[word0 + t], word << shift);
-                    // Bits past `len` are masked off, so a nonzero spill
-                    // always lands inside the row.
-                    if shift > 0 && word >> (LANE_BITS - shift) != 0 {
-                        let spill = word >> (LANE_BITS - shift);
-                        row[word0 + t + 1] = semiring.combine(row[word0 + t + 1], spill);
-                    }
+                    semiring.fold_lane(row, col0 + t * LANE_BITS, word);
                 }
             }
             (SemiringMatrix::Ints(m), SemiringMatrix::Ints(s)) => {

@@ -112,7 +112,7 @@ impl Protocol for SparseMatMul<'_> {
             }
             demand.send(v, w, payload);
         }
-        let delivered = BalancedRouter.route(&demand, session)?;
+        let delivered = BalancedRouter.route(demand, session)?;
 
         // Local compute at each inner-index owner: assemble the nonzero
         // columns of A, cross them with the owned nonzero rows of B, and
@@ -154,6 +154,7 @@ impl Protocol for SparseMatMul<'_> {
                         .push((owned[v].start + rl, value[0]));
                 }
             }
+            inbox.finish(SPARSE_INPUT_PHASE)?;
             let mut partials: BTreeMap<(usize, usize), u64> = BTreeMap::new();
             for (k, col) in columns {
                 for c in 0..d {
@@ -203,7 +204,7 @@ impl Protocol for SparseMatMul<'_> {
                 demand.send(w, v, payload);
             }
         }
-        let delivered = BalancedRouter.route(&demand, session)?;
+        let delivered = BalancedRouter.route(demand, session)?;
 
         for (v, packets) in delivered.iter().enumerate() {
             let mut inbox = Readers::new(packets);
@@ -226,6 +227,7 @@ impl Protocol for SparseMatMul<'_> {
                     output.combine_entry(self.semiring, owned[v].start + rl, c, value[0]);
                 }
             }
+            inbox.finish(SPARSE_PARTIAL_PHASE)?;
         }
         Ok(output)
     }

@@ -196,6 +196,61 @@ impl EntryCodec {
         }
     }
 
+    /// Folds the next segment `sender` routed in `phase` into row `r` of
+    /// `output` over the columns `cols`, with the semiring addition and no
+    /// intermediate row: packed rows a lane at a time, integer rows as each
+    /// `width`-bit entry is read, by an addition chosen once per segment.
+    /// Under `(min, +)` the all-ones sentinel is INFINITY, the additive
+    /// identity, and leaves its entry as it is.
+    ///
+    /// # Errors
+    ///
+    /// [`SimError::MalformedPayload`] if the segment is truncated.
+    pub(super) fn fold_row(
+        &self,
+        reader: &mut BitReader<'_>,
+        output: &mut SemiringMatrix,
+        r: usize,
+        cols: Range<usize>,
+        sender: usize,
+        phase: &str,
+    ) -> Result<(), SimError> {
+        let width = self.partial;
+        let read = match output {
+            SemiringMatrix::Bits(m) => {
+                let row = m.row_words_mut(r);
+                (cols.start..cols.end)
+                    .step_by(LANE_BITS)
+                    .try_for_each(|col| {
+                        let word = reader.read_bits((cols.end - col).min(LANE_BITS))?;
+                        self.semiring.fold_lane(row, col, word);
+                        Some(())
+                    })
+            }
+            SemiringMatrix::Ints(m) => {
+                let out = &mut m.row_mut(r)[cols];
+                let len = out.len();
+                match self.semiring {
+                    Semiring::MinPlus => {
+                        let sentinel = mask_low(width);
+                        reader.read_fields(len, width, |t, raw| {
+                            if raw != sentinel {
+                                out[t] = out[t].min(raw);
+                            }
+                        })
+                    }
+                    Semiring::Counting => reader.read_fields(len, width, |t, raw| {
+                        out[t] = saturating_counting_add(out[t], raw);
+                    }),
+                    Semiring::Boolean | Semiring::F2 => {
+                        unreachable!("Boolean and F₂ outputs are packed")
+                    }
+                }
+            }
+        };
+        read.ok_or_else(|| malformed(sender, phase))
+    }
+
     /// Overwrites row `i` of `block` with the next segment `sender` routed
     /// in `phase` (the inverse of [`Self::encode_row`] over a whole row).
     ///
@@ -265,6 +320,16 @@ impl<'a> Readers<'a> {
     pub(super) fn get_mut(&mut self, src: usize) -> Option<&mut BitReader<'a>> {
         let at = self.0.binary_search_by_key(&src, |&(s, _)| s).ok()?;
         Some(&mut self.0[at].1)
+    }
+
+    /// Ends the receiver's walk over the payloads of `phase`. A payload
+    /// with bits left unread carries more than the layout both ends derive,
+    /// so it is a [`SimError::MalformedPayload`] naming its sender.
+    pub(super) fn finish(self, phase: &str) -> Result<(), SimError> {
+        match self.0.iter().find(|(_, reader)| !reader.is_exhausted()) {
+            Some(&(src, _)) => Err(malformed(src, phase)),
+            None => Ok(()),
+        }
     }
 }
 

@@ -306,7 +306,7 @@ impl Protocol for DlpTriangleDetection<'_> {
                 demand.send(v, checker, bits);
             }
         }
-        let delivered = BalancedRouter.route(&demand, session)?;
+        let delivered = BalancedRouter.route(demand, session)?;
 
         // Checkers look for a triangle inside their triple. Every checker
         // derives its own flag from its local view only — no checker may

@@ -4,7 +4,9 @@
 //! *balanced* demand — every player sends at most `O(n·s)` bits in total and
 //! receives at most `O(n·s)` bits in total, though possibly very unevenly
 //! across pairs — in `O(1)` rounds, citing Lenzen's routing theorem \[28\].
-//! [`RoutingDemand`] describes such a demand as a list of packets.
+//! [`RoutingDemand`] describes such a demand as a list of packets, kept as
+//! their shape (each packet's ends and length) and, in the same order,
+//! their payloads, so a router splits it without touching a payload.
 
 use clique_sim::prelude::*;
 
@@ -26,59 +28,71 @@ impl Packet {
     }
 }
 
+/// A demand's public shape: each packet's `(src, dst)` ends and payload
+/// length, in demand order.
+#[derive(Clone, Debug, Default)]
+pub(crate) struct Shape {
+    /// Number of players.
+    pub(crate) n: usize,
+    /// Every packet's `(src, dst)`.
+    pub(crate) ends: Vec<(usize, usize)>,
+    /// Every packet's payload length in bits.
+    pub(crate) lens: Vec<usize>,
+}
+
 /// A collection of packets to be delivered on an `n`-player clique.
 #[derive(Clone, Debug, Default)]
 pub struct RoutingDemand {
-    n: usize,
-    packets: Vec<Packet>,
+    shape: Shape,
+    /// Every packet's payload, in demand order.
+    payloads: Vec<BitString>,
 }
 
 impl RoutingDemand {
     /// Creates an empty demand for `n` players.
     pub fn new(n: usize) -> Self {
         Self {
-            n,
-            packets: Vec::new(),
+            shape: Shape {
+                n,
+                ..Shape::default()
+            },
+            payloads: Vec::new(),
         }
     }
 
     /// Number of players.
     pub fn n(&self) -> usize {
-        self.n
+        self.shape.n
     }
 
-    /// Adds a packet.
+    /// Adds a packet of `payload` from `src` to `dst`.
     ///
     /// # Panics
     ///
     /// Panics if an endpoint is out of range or the packet is a self-message.
-    pub(crate) fn push(&mut self, packet: Packet) {
-        assert!(
-            packet.src.index() < self.n && packet.dst.index() < self.n,
-            "packet endpoints out of range"
-        );
-        assert_ne!(packet.src, packet.dst, "self-messages need no routing");
-        self.packets.push(packet);
-    }
-
-    /// Convenience: adds a packet from raw parts.
     pub fn send(&mut self, src: usize, dst: usize, payload: BitString) {
-        self.push(Packet::new(NodeId::new(src), NodeId::new(dst), payload));
+        let n = self.shape.n;
+        assert!(src < n && dst < n, "packet endpoints out of range");
+        assert_ne!(src, dst, "self-messages need no routing");
+        self.shape.ends.push((src, dst));
+        self.shape.lens.push(payload.len());
+        self.payloads.push(payload);
     }
 
-    /// The packets.
-    pub(crate) fn packets(&self) -> &[Packet] {
-        &self.packets
+    /// Splits the demand into its shape and its payloads, which a route
+    /// then moves from sender to receiver.
+    pub(crate) fn split(self) -> (Shape, Vec<BitString>) {
+        (self.shape, self.payloads)
     }
 
     /// Number of packets.
     pub fn len(&self) -> usize {
-        self.packets.len()
+        self.payloads.len()
     }
 
     /// Returns `true` if there is nothing to route.
     pub fn is_empty(&self) -> bool {
-        self.packets.is_empty()
+        self.payloads.is_empty()
     }
 }
 
@@ -106,8 +120,10 @@ mod tests {
         d.send(3, 0, payload(7));
         assert_eq!(d.len(), 4);
         assert!(!d.is_empty());
-        let bits: usize = d.packets().iter().map(|p| p.payload.len()).sum();
-        assert_eq!(bits, 17);
+        let (shape, payloads) = d.split();
+        assert_eq!(shape.ends, [(0, 1), (0, 1), (2, 1), (3, 0)]);
+        assert_eq!(shape.lens, [5, 3, 2, 7]);
+        assert_eq!(payloads.iter().map(BitString::len).sum::<usize>(), 17);
     }
 
     #[test]

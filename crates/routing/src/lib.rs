@@ -22,11 +22,13 @@
 //! All routers charge their communication to the caller's
 //! [`clique_sim::Session`], so experiment E2 can compare their measured
 //! round counts directly; [`router::RouteProtocol`] adapts any router into a
-//! [`clique_sim::Protocol`] runnable through a [`clique_sim::Runner`]. They
-//! send bare payloads, with no length fields or relay tags: receivers split
-//! each link by the demand's shape, which is honest where the shape is
-//! public or a demand has at most one packet per ordered pair (see the
-//! [`router`] module).
+//! [`clique_sim::Protocol`] runnable through a [`clique_sim::Runner`]. A
+//! route consumes its demand and moves each payload from sender to
+//! receiver; `RouteProtocol` borrows its demand and routes a clone per
+//! run. The routers send bare payloads, with no length fields or relay
+//! tags: receivers split each link by the demand's shape, which is honest
+//! where the shape is public or a demand has at most one packet per
+//! ordered pair (see the [`router`] module).
 //!
 //! # Examples
 //!

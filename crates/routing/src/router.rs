@@ -47,11 +47,21 @@
 //!
 //! The greedy assignment is a function of the shape, and Valiant's
 //! intermediaries are public coins, so relays need no tags either.
+//!
+//! # Moving payloads
+//!
+//! A route consumes its demand. The demand splits into its shape and its
+//! payloads, and each payload moves from its sender's outbox to its
+//! receiver's inbox, through the relay in a two-phase schedule, and into
+//! [`Delivered`]; a link of one packet is never copied. [`RouteProtocol`]
+//! borrows its demand, so it routes a clone on every run. Each hop orders
+//! the links it uses once, receivers ascending and then senders ascending,
+//! and every receiver walks its inbox in that order once.
 
 use clique_sim::prelude::*;
 use rand::Rng;
 
-use crate::demand::{Packet, RoutingDemand};
+use crate::demand::{Packet, RoutingDemand, Shape};
 
 /// Packets delivered to each destination (indexed by destination player).
 pub type Delivered = Vec<Vec<Packet>>;
@@ -59,7 +69,8 @@ pub type Delivered = Vec<Vec<Packet>>;
 /// A routing algorithm on the unicast congested clique.
 pub trait Router {
     /// Delivers every packet of `demand`, charging all communication to
-    /// `session`. Returns the packets grouped by destination.
+    /// `session`. Returns the packets grouped by destination. The route
+    /// consumes the demand and moves each payload to its destination.
     ///
     /// # Errors
     ///
@@ -67,7 +78,7 @@ pub trait Router {
     /// session was configured with a broadcast-only model).
     fn route(
         &mut self,
-        demand: &RoutingDemand,
+        demand: RoutingDemand,
         session: &mut Session,
     ) -> Result<Delivered, SimError>;
 
@@ -80,7 +91,7 @@ pub trait Router {
 impl<R: Router + ?Sized> Router for Box<R> {
     fn route(
         &mut self,
-        demand: &RoutingDemand,
+        demand: RoutingDemand,
         session: &mut Session,
     ) -> Result<Delivered, SimError> {
         (**self).route(demand, session)
@@ -94,7 +105,8 @@ impl<R: Router + ?Sized> Router for Box<R> {
 /// Adapts a [`Router`] plus a demand into a
 /// [`Protocol`] whose output is the
 /// delivered packets, so routing runs under
-/// [`Runner`] like any other protocol.
+/// [`Runner`] like any other protocol. A route consumes its demand, so
+/// every run routes a clone of the borrowed one.
 #[derive(Clone, Debug)]
 pub struct RouteProtocol<'a, R> {
     router: R,
@@ -112,7 +124,7 @@ impl<R: Router> Protocol for RouteProtocol<'_, R> {
     type Output = Delivered;
 
     fn run(&mut self, session: &mut Session) -> Result<Delivered, SimError> {
-        self.router.route(self.demand, session)
+        self.router.route(self.demand.clone(), session)
     }
 }
 
@@ -123,10 +135,12 @@ pub struct DirectRouter;
 impl Router for DirectRouter {
     fn route(
         &mut self,
-        demand: &RoutingDemand,
+        demand: RoutingDemand,
         session: &mut Session,
     ) -> Result<Delivered, SimError> {
-        direct_route(demand, session, "route/direct")
+        let (shape, payloads) = demand.split();
+        let order = crossings(&shape, &shape.ends);
+        direct_route(&shape, &order, payloads, session, "route/direct")
     }
 
     fn name(&self) -> &'static str {
@@ -135,46 +149,37 @@ impl Router for DirectRouter {
 }
 
 /// One hop: every packet travels on its own `(src, dst)` link, charged as
-/// the phase `phase`.
+/// the phase `phase`. `order` is the link order of that hop
+/// ([`crossings`]).
 fn direct_route(
-    demand: &RoutingDemand,
+    shape: &Shape,
+    order: &[usize],
+    payloads: Vec<BitString>,
     session: &mut Session,
     phase: &str,
 ) -> Result<Delivered, SimError> {
-    let links = direct_links(demand);
-    let payloads = hop(session, phase, demand, &links, clones(demand))?;
-    Ok(deliver(demand, payloads))
+    let payloads = hop(session, phase, shape, &shape.ends, order, payloads)?;
+    Ok(deliver(shape, payloads))
 }
 
 /// One phase's `(sender, receiver)` pair for one packet. A packet whose
 /// two ends coincide stays where it is.
 type Link = (usize, usize);
 
-/// Every packet's `(src, dst)` link, in demand order.
-fn direct_links(demand: &RoutingDemand) -> Vec<Link> {
-    let packets = demand.packets().iter();
-    packets.map(|p| (p.src.index(), p.dst.index())).collect()
-}
-
-/// The send-side copy of every payload, taken from the borrowed demand as
-/// it is sent.
-fn clones(demand: &RoutingDemand) -> impl Iterator<Item = BitString> + '_ {
-    demand.packets().iter().map(|p| p.payload.clone())
-}
-
-/// The packets of `demand` carrying `payloads`, grouped by destination, in
+/// The packets of `shape` carrying `payloads`, grouped by destination, in
 /// demand order.
-fn deliver(demand: &RoutingDemand, payloads: Vec<BitString>) -> Delivered {
-    let mut delivered: Delivered = vec![Vec::new(); demand.n()];
-    for (p, payload) in demand.packets().iter().zip(payloads) {
-        delivered[p.dst.index()].push(Packet::new(p.src, p.dst, payload));
+fn deliver(shape: &Shape, payloads: Vec<BitString>) -> Delivered {
+    let mut delivered: Delivered = vec![Vec::new(); shape.n];
+    for (&(s, d), payload) in shape.ends.iter().zip(payloads) {
+        delivered[d].push(Packet::new(NodeId::new(s), NodeId::new(d), payload));
     }
     delivered
 }
 
 /// One phase of a route: packet `i`'s payload crosses `links[i]`, and every
-/// receiver splits each incoming link by the shape. Returns the payloads at
-/// their receivers, in demand order.
+/// receiver splits each incoming link by the shape, walking the links in
+/// `order` ([`crossings`]). Returns the payloads at their receivers, in
+/// demand order.
 ///
 /// # Errors
 ///
@@ -184,89 +189,94 @@ fn deliver(demand: &RoutingDemand, payloads: Vec<BitString>) -> Delivered {
 fn hop(
     session: &mut Session,
     phase: &str,
-    demand: &RoutingDemand,
+    shape: &Shape,
     links: &[Link],
-    payloads: impl IntoIterator<Item = BitString>,
+    order: &[usize],
+    mut payloads: Vec<BitString>,
 ) -> Result<Vec<BitString>, SimError> {
-    let (outs, held) = send(demand.n(), links, payloads);
+    let outs = send(shape.n, links, &mut payloads);
     let inboxes = session.exchange(phase, outs)?;
-    receive(demand, links, held, inboxes, phase)
+    receive(shape, links, order, &mut payloads, inboxes, phase)?;
+    Ok(payloads)
 }
 
-/// The senders' half of a [`hop`]: each payload that crosses its link goes
-/// to its sender's outbox, in demand order. The rest are held in place:
-/// those whose ends coincide, and empty ones, which cost nothing unsent.
-fn send(
-    n: usize,
-    links: &[Link],
-    payloads: impl IntoIterator<Item = BitString>,
-) -> (Vec<PhaseOutbox>, Vec<BitString>) {
+/// The senders' half of a [`hop`]: each payload that crosses its link
+/// moves to its sender's outbox, in demand order, and leaves an empty
+/// string behind. The rest stay in place: those whose ends coincide, and
+/// empty ones, which cost nothing unsent.
+fn send(n: usize, links: &[Link], payloads: &mut [BitString]) -> Vec<PhaseOutbox> {
     let mut outs: Vec<PhaseOutbox> = (0..n).map(|_| PhaseOutbox::new()).collect();
-    let held = links
-        .iter()
-        .zip(payloads)
-        .map(|(&(s, r), payload)| {
-            if s == r || payload.is_empty() {
-                return payload;
-            }
-            outs[s].send(NodeId::new(r), payload);
-            BitString::new()
-        })
-        .collect();
-    (outs, held)
+    for (&(s, r), payload) in links.iter().zip(payloads) {
+        if s != r && !payload.is_empty() {
+            outs[s].send(NodeId::new(r), std::mem::take(payload));
+        }
+    }
+    outs
 }
 
-/// The receivers' half of a [`hop`]: each link listed by the shape moves
-/// out of its inbox. A link of one packet is that packet; a longer one is
-/// cut by its packets' lengths, in demand order. The payloads land in
-/// `held`, whose other entries stay as [`send`] left them.
+/// The receivers' half of a [`hop`]: every receiver walks its inbox, in
+/// ascending sender order, in lockstep with its links in `order`, and each
+/// link moves out of the inbox into `payloads`. A link of one packet is
+/// that packet; a longer one is cut by its packets' lengths, in demand
+/// order. The other entries of `payloads` stay as [`send`] left them.
 fn receive(
-    demand: &RoutingDemand,
+    shape: &Shape,
     links: &[Link],
-    mut held: Vec<BitString>,
-    mut inboxes: Vec<PhaseInbox>,
+    order: &[usize],
+    payloads: &mut [BitString],
+    inboxes: Vec<PhaseInbox>,
     phase: &str,
-) -> Result<Vec<BitString>, SimError> {
-    let len = |i: usize| demand.packets()[i].payload.len();
+) -> Result<(), SimError> {
     let malformed = |sender: usize| SimError::MalformedPayload {
         sender: NodeId::new(sender),
         phase: phase.to_owned(),
     };
-    for packets in crossings(demand, links).chunk_by(|&a, &b| links[a] == links[b]) {
-        let (s, r) = links[packets[0]];
-        let bits: usize = packets.iter().map(|&i| len(i)).sum();
-        let wire = inboxes[r]
-            .take_unicast(NodeId::new(s))
-            .filter(|wire| wire.len() == bits)
-            .ok_or_else(|| malformed(s))?;
-        if let &[i] = packets {
-            held[i] = wire;
-            continue;
+    let mut listed = order.chunk_by(|&a, &b| links[a] == links[b]).peekable();
+    for (r, inbox) in inboxes.into_iter().enumerate() {
+        let mut arrived = inbox.into_unicasts();
+        while let Some(packets) = listed.next_if(|packets| links[packets[0]].1 == r) {
+            let s = links[packets[0]].0;
+            let wire = match arrived.next() {
+                Some((sender, wire)) if sender.index() == s => wire,
+                // A sender before `s` arrived on a link the shape does not
+                // list.
+                Some((sender, _)) if sender.index() < s => return Err(malformed(sender.index())),
+                // Nothing arrived on the listed link.
+                _ => return Err(malformed(s)),
+            };
+            let bits: usize = packets.iter().map(|&i| shape.lens[i]).sum();
+            if wire.len() != bits {
+                return Err(malformed(s));
+            }
+            if let &[i] = packets {
+                payloads[i] = wire;
+                continue;
+            }
+            let mut reader = wire.reader();
+            for &i in packets {
+                let len = shape.lens[i];
+                let words = reader.read_words(len).ok_or_else(|| malformed(s))?;
+                payloads[i] = BitString::from_words(&words, len);
+            }
         }
-        let mut reader = wire.reader();
-        for &i in packets {
-            let words = reader.read_words(len(i)).ok_or_else(|| malformed(s))?;
-            held[i] = BitString::from_words(&words, len(i));
+        // Every listed link of `r` has been read, so the rest is unlisted.
+        if let Some((sender, _)) = arrived.next() {
+            return Err(malformed(sender.index()));
         }
     }
-    // Every listed link has left its inbox, so whatever remains is unlisted.
-    match inboxes.iter().find_map(|inbox| inbox.unicasts().next()) {
-        Some((sender, _)) => Err(malformed(sender.index())),
-        None => Ok(held),
-    }
+    Ok(())
 }
 
-/// The packets of `demand` that cross their link (ends apart, at least one
+/// The packets of `shape` that cross their link (ends apart, at least one
 /// bit), grouped by link: receivers ascending, then senders ascending, each
 /// link's packets in demand order. Two stable bucket passes, `O(packets +
 /// n)`.
-fn crossings(demand: &RoutingDemand, links: &[Link]) -> Vec<usize> {
+fn crossings(shape: &Shape, links: &[Link]) -> Vec<usize> {
     let crossing: Vec<usize> = (0..links.len())
-        .filter(|&i| links[i].0 != links[i].1 && !demand.packets()[i].payload.is_empty())
+        .filter(|&i| links[i].0 != links[i].1 && shape.lens[i] > 0)
         .collect();
-    let n = demand.n();
-    let by_sender = bucket_by(n, &crossing, |i| links[i].0);
-    bucket_by(n, &by_sender, |i| links[i].1)
+    let by_sender = bucket_by(shape.n, &crossing, |i| links[i].0);
+    bucket_by(shape.n, &by_sender, |i| links[i].1)
 }
 
 /// `items` stably ordered by `key`, each key below `n`, in `O(items + n)`.
@@ -302,16 +312,15 @@ impl<R: Rng> ValiantRouter<R> {
 impl<R: Rng> Router for ValiantRouter<R> {
     fn route(
         &mut self,
-        demand: &RoutingDemand,
+        demand: RoutingDemand,
         session: &mut Session,
     ) -> Result<Delivered, SimError> {
-        let n = demand.n();
-        let assignment: Vec<usize> = demand
-            .packets()
-            .iter()
-            .map(|_| self.rng.gen_range(0..n))
+        let (shape, payloads) = demand.split();
+        let assignment: Vec<usize> = (0..shape.ends.len())
+            .map(|_| self.rng.gen_range(0..shape.n))
             .collect();
-        two_phase_route(demand, &assignment, session, "route/valiant")
+        let hops = TwoHops::new(&shape, &assignment);
+        two_phase_route(&shape, &hops, payloads, session, "route/valiant")
     }
 
     fn name(&self) -> &'static str {
@@ -360,17 +369,21 @@ const MAX_GREEDY_BITS: u64 = 1 << 31;
 impl Router for BalancedRouter {
     fn route(
         &mut self,
-        demand: &RoutingDemand,
+        demand: RoutingDemand,
         session: &mut Session,
     ) -> Result<Delivered, SimError> {
         let label = "route/balanced";
-        match plan(demand, session.config().bandwidth).0 {
+        let (shape, payloads) = demand.split();
+        // Direct delivery's link order prices it and, if it wins, routes it.
+        let direct = crossings(&shape, &shape.ends);
+        match plan(&shape, &direct, session.config().bandwidth).0 {
             Schedule::Direct => {
-                let delivered = direct_route(demand, session, &format!("{label}/phase1"))?;
+                let phase1 = format!("{label}/phase1");
+                let delivered = direct_route(&shape, &direct, payloads, session, &phase1)?;
                 session.charge_rounds(&format!("{label}/phase2"), 0);
                 Ok(delivered)
             }
-            Schedule::TwoPhase(assignment) => two_phase_route(demand, &assignment, session, label),
+            Schedule::TwoPhase(hops) => two_phase_route(&shape, &hops, payloads, session, label),
         }
     }
 
@@ -385,60 +398,70 @@ enum Schedule {
     /// Every packet on its own link, as the [`DirectRouter`] sends it.
     Direct,
     /// Two hops through each packet's greedily assigned intermediary.
-    TwoPhase(Vec<usize>),
+    TwoPhase(TwoHops),
 }
 
-/// The [`BalancedRouter`]'s schedule for `demand` at `bandwidth` bits per
-/// link and round, with the rounds it charges.
-fn plan(demand: &RoutingDemand, bandwidth: usize) -> (Schedule, u64) {
-    let direct = direct_round_bound(demand, bandwidth);
-    if direct <= two_phase_floor(demand, bandwidth) {
+/// The [`BalancedRouter`]'s schedule for `shape` at `bandwidth` bits per
+/// link and round, with the rounds it charges. `direct` is the direct
+/// hop's link order ([`crossings`]).
+fn plan(shape: &Shape, direct: &[usize], bandwidth: usize) -> (Schedule, u64) {
+    let direct = max_link_load(shape, &shape.ends, direct).div_ceil(bandwidth as u64);
+    if direct <= two_phase_floor(shape, bandwidth) {
         return (Schedule::Direct, direct);
     }
-    let assignment = greedy_assignment(demand);
-    let two_phase = two_phase_rounds(demand, &assignment, bandwidth);
+    let hops = TwoHops::new(shape, &greedy_assignment(shape));
+    let two_phase = hops.rounds(shape, bandwidth);
     if direct <= two_phase {
         (Schedule::Direct, direct)
     } else {
-        (Schedule::TwoPhase(assignment), two_phase)
+        (Schedule::TwoPhase(hops), two_phase)
     }
 }
 
-/// A lower bound on the rounds of every two-phase schedule of `demand`:
-/// the longest packet crosses at least one link, since its intermediary is
-/// not both its ends, in a phase of at least `⌈length / b⌉` rounds. Zero
-/// for an empty demand.
-fn two_phase_floor(demand: &RoutingDemand, bandwidth: usize) -> u64 {
-    let longest = demand.packets().iter().map(|p| p.payload.len()).max();
-    (longest.unwrap_or(0) as u64).div_ceil(bandwidth as u64)
+/// A lower bound on the rounds of every two-phase schedule of `shape`: the
+/// longest packet crosses at least one link, since its intermediary is not
+/// both its ends, in a phase of at least `⌈length / b⌉` rounds. Zero for an
+/// empty demand.
+fn two_phase_floor(shape: &Shape, bandwidth: usize) -> u64 {
+    let longest = shape.lens.iter().max();
+    (longest.copied().unwrap_or(0) as u64).div_ceil(bandwidth as u64)
 }
 
-/// The rounds [`two_phase_route`] charges for `assignment`: each phase's
-/// heaviest link.
-fn two_phase_rounds(demand: &RoutingDemand, assignment: &[usize], bandwidth: usize) -> u64 {
-    let b = bandwidth as u64;
-    let [first, second] = two_phase_links(demand, assignment);
-    max_link_load(demand, &first).div_ceil(b) + max_link_load(demand, &second).div_ceil(b)
+/// The two hops of a two-phase schedule: packet `i` crosses `links[0][i]`
+/// = `(src, w)`, then `links[1][i]` = `(w, dst)`, where `w` is its
+/// intermediary; `orders[h]` is hop `h`'s link order ([`crossings`]).
+#[derive(Debug, PartialEq)]
+struct TwoHops {
+    links: [Vec<Link>; 2],
+    orders: [Vec<usize>; 2],
 }
 
-/// Every packet's link in each phase of a two-phase schedule: `(src, w)`,
-/// then `(w, dst)`, where `w` is its intermediary in `assignment`.
-fn two_phase_links(demand: &RoutingDemand, assignment: &[usize]) -> [Vec<Link>; 2] {
-    let routed = || demand.packets().iter().zip(assignment);
-    [
-        routed().map(|(p, &w)| (p.src.index(), w)).collect(),
-        routed().map(|(p, &w)| (w, p.dst.index())).collect(),
-    ]
+impl TwoHops {
+    /// The hops of `shape` through the intermediaries in `assignment`.
+    fn new(shape: &Shape, assignment: &[usize]) -> Self {
+        let routed = || shape.ends.iter().zip(assignment);
+        let links: [Vec<Link>; 2] = [
+            routed().map(|(&(s, _), &w)| (s, w)).collect(),
+            routed().map(|(&(_, d), &w)| (w, d)).collect(),
+        ];
+        let orders = links.each_ref().map(|links| crossings(shape, links));
+        Self { links, orders }
+    }
+
+    /// The rounds [`two_phase_route`] charges: each hop's heaviest link.
+    fn rounds(&self, shape: &Shape, bandwidth: usize) -> u64 {
+        let load = |h: usize| max_link_load(shape, &self.links[h], &self.orders[h]);
+        (0..2).map(|h| load(h).div_ceil(bandwidth as u64)).sum()
+    }
 }
 
 /// The heaviest link of one phase in which packet `i` crosses `links[i]`,
-/// by the session's rule: payload bits summed per link. Costs `O(packets +
-/// n)`.
-fn max_link_load(demand: &RoutingDemand, links: &[Link]) -> u64 {
-    let len = |i: usize| demand.packets()[i].payload.len() as u64;
-    crossings(demand, links)
+/// by the session's rule: payload bits summed per link, read off the
+/// phase's link order `order` ([`crossings`]) in `O(packets)`.
+fn max_link_load(shape: &Shape, links: &[Link], order: &[usize]) -> u64 {
+    order
         .chunk_by(|&a, &b| links[a] == links[b])
-        .map(|packets| packets.iter().map(|&i| len(i)).sum())
+        .map(|packets| packets.iter().map(|&i| shape.lens[i] as u64).sum())
         .max()
         .unwrap_or(0)
 }
@@ -448,15 +471,16 @@ fn max_link_load(demand: &RoutingDemand, links: &[Link]) -> u64 {
 /// not wait on each other.
 const SCAN_LANES: usize = 4;
 
-/// The [`BalancedRouter`]'s intermediary for every packet of `demand`, in
+/// The [`BalancedRouter`]'s intermediary for every packet of `shape`, in
 /// demand order: the greedy scan over each packet's `(src, dst, length)`.
-fn greedy_assignment(demand: &RoutingDemand) -> Vec<usize> {
-    let hops: Vec<_> = demand
-        .packets()
+fn greedy_assignment(shape: &Shape) -> Vec<usize> {
+    let hops: Vec<_> = shape
+        .ends
         .iter()
-        .map(|p| (p.src.index(), p.dst.index(), p.payload.len() as u64))
+        .zip(&shape.lens)
+        .map(|(&(s, d), &len)| (s, d, len as u64))
         .collect();
-    greedy_intermediaries(demand.n(), &hops)
+    greedy_intermediaries(shape.n, &hops)
 }
 
 /// The greedy intermediary scan of the [`BalancedRouter`], over `hops` on
@@ -518,24 +542,18 @@ pub fn greedy_intermediaries(n: usize, hops: &[(usize, usize, u64)]) -> Vec<usiz
 /// intermediary, phase 2 forwards it to its destination. A packet whose
 /// intermediary is its source or its destination skips that hop.
 fn two_phase_route(
-    demand: &RoutingDemand,
-    assignment: &[usize],
+    shape: &Shape,
+    hops: &TwoHops,
+    payloads: Vec<BitString>,
     session: &mut Session,
     label: &str,
 ) -> Result<Delivered, SimError> {
-    let [first, second] = two_phase_links(demand, assignment);
+    let [first, second] = &hops.links;
+    let [first_order, second_order] = &hops.orders;
     let (phase1, phase2) = (format!("{label}/phase1"), format!("{label}/phase2"));
-    let relayed = hop(session, &phase1, demand, &first, clones(demand))?;
-    let payloads = hop(session, &phase2, demand, &second, relayed)?;
-    Ok(deliver(demand, payloads))
-}
-
-/// The rounds the [`DirectRouter`] charges for `demand` at `bandwidth` bits
-/// per link and round: `⌈max pair load / b⌉`, where a pair's load sums its
-/// packets' payload bits. Reads only the demand's shape, in `O(packets +
-/// n)` time.
-pub(crate) fn direct_round_bound(demand: &RoutingDemand, bandwidth: usize) -> u64 {
-    max_link_load(demand, &direct_links(demand)).div_ceil(bandwidth as u64)
+    let relayed = hop(session, &phase1, shape, first, first_order, payloads)?;
+    let payloads = hop(session, &phase2, shape, second, second_order, relayed)?;
+    Ok(deliver(shape, payloads))
 }
 
 #[cfg(test)]
@@ -549,18 +567,29 @@ mod tests {
         BitString::from_bits(tag, bits)
     }
 
+    /// The shape of `demand`, which stays whole.
+    fn shape_of(demand: &RoutingDemand) -> Shape {
+        demand.clone().split().0
+    }
+
+    /// The rounds the [`DirectRouter`] charges for `shape` at `bandwidth`
+    /// bits per link and round: `⌈max pair load / b⌉`, where a pair's load
+    /// sums its packets' payload bits.
+    fn direct_round_bound(shape: &Shape, bandwidth: usize) -> u64 {
+        let order = crossings(shape, &shape.ends);
+        max_link_load(shape, &shape.ends, &order).div_ceil(bandwidth as u64)
+    }
+
     /// The greedy assignment as first written: nested per-node load
     /// tables, the `(down[w][dst])` column walk, and the packet's length
     /// added to both candidate loads before comparing.
-    fn reference_assignment(demand: &RoutingDemand) -> Vec<usize> {
-        let n = demand.n();
+    fn reference_assignment(shape: &Shape) -> Vec<usize> {
+        let n = shape.n;
         let mut up_load = vec![vec![0u64; n]; n]; // (src, w)
         let mut down_load = vec![vec![0u64; n]; n]; // (w, dst)
-        let mut assignment = Vec::with_capacity(demand.len());
-        for p in demand.packets() {
-            let s = p.src.index();
-            let d = p.dst.index();
-            let bits = p.payload.len() as u64;
+        let mut assignment = Vec::with_capacity(shape.ends.len());
+        for (&(s, d), &len) in shape.ends.iter().zip(&shape.lens) {
+            let bits = len as u64;
             let mut best_w = 0usize;
             let mut best_key = (u64::MAX, u64::MAX);
             for w in 0..n {
@@ -629,8 +658,8 @@ mod tests {
             shape in 0u8..4,
             seed in any::<u64>(),
         ) {
-            let demand = random_demand(n, packets, max_len, shape, seed);
-            prop_assert_eq!(greedy_assignment(&demand), reference_assignment(&demand));
+            let shape = shape_of(&random_demand(n, packets, max_len, shape, seed));
+            prop_assert_eq!(greedy_assignment(&shape), reference_assignment(&shape));
         }
 
         #[test]
@@ -646,20 +675,24 @@ mod tests {
             let balanced = route_metrics(&mut BalancedRouter, &demand, bandwidth);
             let direct = route_metrics(&mut DirectRouter, &demand, bandwidth);
             prop_assert!(balanced.rounds <= direct.rounds);
-            prop_assert_eq!(direct_round_bound(&demand, bandwidth), direct.rounds);
+            let demand_shape = shape_of(&demand);
+            prop_assert_eq!(direct_round_bound(&demand_shape, bandwidth), direct.rounds);
             // Zero-length packets are delivered without being sent.
-            let sent = demand.packets().iter().filter(|p| !p.payload.is_empty()).count();
+            let sent = demand_shape.lens.iter().filter(|&&len| len > 0).count();
             prop_assert_eq!(direct.messages, sent as u64);
-            let (schedule, planned) = plan(&demand, bandwidth);
+            let order = crossings(&demand_shape, &demand_shape.ends);
+            let (schedule, planned) = plan(&demand_shape, &order, bandwidth);
             prop_assert_eq!(planned, balanced.rounds);
             // The floor bounds the greedy schedule, and the shortcut decides
             // as the full comparison does.
-            let two_phase = two_phase_rounds(&demand, &greedy_assignment(&demand), bandwidth);
-            prop_assert!(two_phase_floor(&demand, bandwidth) <= two_phase);
+            let greedy = TwoHops::new(&demand_shape, &greedy_assignment(&demand_shape));
+            let two_phase = greedy.rounds(&demand_shape, bandwidth);
+            let floor = two_phase_floor(&demand_shape, bandwidth);
+            prop_assert!(floor <= two_phase);
             let full = direct.rounds <= two_phase;
             prop_assert_eq!(schedule == Schedule::Direct, full);
             prop_assert!(
-                shape != 3 || direct.rounds <= two_phase_floor(&demand, bandwidth),
+                shape != 3 || direct.rounds <= floor,
                 "one packet per pair routes directly without the scan"
             );
             prop_assert_eq!(balanced.phases.len(), 2);
@@ -678,26 +711,29 @@ mod tests {
                 bandwidth,
             );
             let mut draws = ChaCha8Rng::seed_from_u64(seed);
-            let assignment: Vec<usize> =
-                demand.packets().iter().map(|_| draws.gen_range(0..n)).collect();
-            prop_assert_eq!(two_phase_rounds(&demand, &assignment, bandwidth), valiant.rounds);
+            let assignment: Vec<usize> = (0..demand.len()).map(|_| draws.gen_range(0..n)).collect();
+            let hops = TwoHops::new(&demand_shape, &assignment);
+            prop_assert_eq!(hops.rounds(&demand_shape, bandwidth), valiant.rounds);
         }
     }
 
     /// What the receivers read in one phase of `demand` over `links` whose
     /// senders send `payloads`, plus `junk` on one link when given.
     fn tampered_hop(
-        demand: &RoutingDemand,
+        shape: &Shape,
         links: &[Link],
-        payloads: Vec<BitString>,
+        mut payloads: Vec<BitString>,
         junk: Option<(Link, BitString)>,
     ) -> Result<Vec<BitString>, SimError> {
-        let (mut outs, held) = send(demand.n(), links, payloads);
+        let mut outs = send(shape.n, links, &mut payloads);
         if let Some(((s, r), junk)) = junk {
             outs[s].send(NodeId::new(r), junk);
         }
-        let mut session = Session::new(CliqueConfig::unicast(demand.n(), 8));
-        receive(demand, links, held, session.exchange(PHASE, outs)?, PHASE)
+        let mut session = Session::new(CliqueConfig::unicast(shape.n, 8));
+        let inboxes = session.exchange(PHASE, outs)?;
+        let order = crossings(shape, links);
+        receive(shape, links, &order, &mut payloads, inboxes, PHASE)?;
+        Ok(payloads)
     }
 
     /// The phase label of [`tampered_hop`].
@@ -720,21 +756,20 @@ mod tests {
             shape in 0u8..4,
             seed in any::<u64>(),
         ) {
-            let demand = random_demand(n, packets, max_len, shape, seed);
+            let (shape, honest) = random_demand(n, packets, max_len, shape, seed).split();
             let mut rng = ChaCha8Rng::seed_from_u64(seed ^ 0x7A3E);
-            let valiant: Vec<usize> = demand.packets().iter().map(|_| rng.gen_range(0..n)).collect();
-            let [greedy1, greedy2] = two_phase_links(&demand, &greedy_assignment(&demand));
-            let [valiant1, valiant2] = two_phase_links(&demand, &valiant);
+            let valiant: Vec<usize> = honest.iter().map(|_| rng.gen_range(0..n)).collect();
+            let [greedy1, greedy2] = TwoHops::new(&shape, &greedy_assignment(&shape)).links;
+            let [valiant1, valiant2] = TwoHops::new(&shape, &valiant).links;
             let rejected = |sender: usize| {
                 let phase = PHASE.to_owned();
                 Err(SimError::MalformedPayload { sender: NodeId::new(sender), phase })
             };
-            for links in [direct_links(&demand), greedy1, greedy2, valiant1, valiant2] {
-                let read = |payloads, junk| tampered_hop(&demand, &links, payloads, junk);
-                let honest: Vec<BitString> = clones(&demand).collect();
+            for links in [shape.ends.clone(), greedy1, greedy2, valiant1, valiant2] {
+                let read = |payloads, junk| tampered_hop(&shape, &links, payloads, junk);
                 prop_assert_eq!(read(honest.clone(), None), Ok(honest.clone()));
                 let junk = BitString::from_bits(rng.gen(), rng.gen_range(1..65));
-                let crossing = crossings(&demand, &links);
+                let crossing = crossings(&shape, &links);
                 if let Some(&i) = crossing.get(rng.gen_range(0..crossing.len().max(1))) {
                     let mut short = honest.clone();
                     let cut = rng.gen_range(0..short[i].len());
@@ -748,7 +783,7 @@ mod tests {
                     .map(|l| (l / n % n, l % n))
                     .find(|&(s, r)| s != r && crossing.iter().all(|&i| links[i] != (s, r)));
                 if let Some(link) = unlisted {
-                    prop_assert_eq!(read(honest, Some((link, junk))), rejected(link.0));
+                    prop_assert_eq!(read(honest.clone(), Some((link, junk))), rejected(link.0));
                 }
             }
         }
@@ -783,9 +818,10 @@ mod tests {
     /// Every packet of `demand` arrives at its destination, and each
     /// destination lists its packets in demand order.
     fn check_delivery(demand: &RoutingDemand, delivered: &Delivered) {
-        let mut expected: Delivered = vec![Vec::new(); demand.n()];
-        for p in demand.packets() {
-            expected[p.dst.index()].push(p.clone());
+        let (shape, payloads) = demand.clone().split();
+        let mut expected: Delivered = vec![Vec::new(); shape.n];
+        for (&(s, d), payload) in shape.ends.iter().zip(payloads) {
+            expected[d].push(Packet::new(NodeId::new(s), NodeId::new(d), payload));
         }
         assert_eq!(
             delivered, &expected,
@@ -797,7 +833,9 @@ mod tests {
     /// the ledger.
     fn route_metrics<R: Router>(router: &mut R, demand: &RoutingDemand, b: usize) -> Metrics {
         let mut session = Session::new(CliqueConfig::unicast(demand.n(), b));
-        let delivered = router.route(demand, &mut session).expect("routing failed");
+        let delivered = router
+            .route(demand.clone(), &mut session)
+            .expect("routing failed");
         check_delivery(demand, &delivered);
         session.metrics().clone()
     }
@@ -837,7 +875,8 @@ mod tests {
         }
         for (demand, b) in cases {
             let rounds = run_router(&mut DirectRouter, &demand, b);
-            assert_eq!(direct_round_bound(&demand, b), rounds, "n = {}", demand.n());
+            let bound = direct_round_bound(&shape_of(&demand), b);
+            assert_eq!(bound, rounds, "n = {}", demand.n());
         }
     }
 

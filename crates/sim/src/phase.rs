@@ -69,9 +69,8 @@ pub struct PhaseInbox {
     /// The phase's broadcasts, one slot per sender, shared by all of its
     /// inboxes.
     blackboard: Arc<[OnceLock<BitString>]>,
-    /// `(sender, payload)` in ascending sender order; a taken payload
-    /// leaves `None`.
-    unicasts: Vec<(NodeId, Option<BitString>)>,
+    /// `(sender, payload)` in ascending sender order.
+    unicasts: Vec<(NodeId, BitString)>,
 }
 
 /// The `n` empty inboxes of one phase: one blackboard of `arrivals.len()`
@@ -108,19 +107,9 @@ impl PhaseInbox {
             _ => self.unicasts.partition_point(|&(s, _)| s < sender),
         };
         match self.unicasts.get_mut(at) {
-            Some((s, slot)) if *s == sender => {
-                slot.get_or_insert_with(BitString::new)
-                    .extend_from(&payload);
-            }
-            _ => self.unicasts.insert(at, (sender, Some(payload))),
+            Some((s, message)) if *s == sender => message.extend_from(&payload),
+            _ => self.unicasts.insert(at, (sender, payload)),
         }
-    }
-
-    /// The entry of `sender` in the unicast list, if it delivered any.
-    fn unicast_slot(&self, sender: NodeId) -> Option<usize> {
-        self.unicasts
-            .binary_search_by_key(&sender, |&(s, _)| s)
-            .ok()
     }
 
     /// The broadcast written by `sender` during the phase, if any.
@@ -133,15 +122,11 @@ impl PhaseInbox {
 
     /// The (concatenated) unicast payload received from `sender`, if any.
     pub fn unicast_from(&self, sender: NodeId) -> Option<&BitString> {
-        let at = self.unicast_slot(sender)?;
-        self.unicasts[at].1.as_ref()
-    }
-
-    /// Moves the (concatenated) unicast payload received from `sender` out
-    /// of the inbox, so a reader that keeps it whole copies no bits.
-    pub fn take_unicast(&mut self, sender: NodeId) -> Option<BitString> {
-        let at = self.unicast_slot(sender)?;
-        self.unicasts[at].1.take()
+        let at = self
+            .unicasts
+            .binary_search_by_key(&sender, |&(s, _)| s)
+            .ok()?;
+        Some(&self.unicasts[at].1)
     }
 
     /// Iterates over `(sender, payload)` pairs of broadcasts received.
@@ -154,11 +139,17 @@ impl PhaseInbox {
             .filter_map(|(i, slot)| slot.get().map(|m| (NodeId::new(i), m)))
     }
 
-    /// Iterates over `(sender, payload)` pairs of unicasts received.
+    /// Iterates over `(sender, payload)` pairs of unicasts received, in
+    /// ascending sender order.
     pub fn unicasts(&self) -> impl Iterator<Item = (NodeId, &BitString)> {
-        self.unicasts
-            .iter()
-            .filter_map(|(s, m)| m.as_ref().map(|m| (*s, m)))
+        self.unicasts.iter().map(|(s, m)| (*s, m))
+    }
+
+    /// Moves the `(sender, payload)` pairs of unicasts received out of the
+    /// inbox, in ascending sender order, so a reader that keeps a payload
+    /// whole copies no bits.
+    pub fn into_unicasts(self) -> impl Iterator<Item = (NodeId, BitString)> {
+        self.unicasts.into_iter()
     }
 }
 
@@ -376,7 +367,7 @@ mod tests {
         }
 
         let mut session = Session::new(config);
-        let mut inboxes = session.exchange("random", outs).unwrap();
+        let inboxes = session.exchange("random", outs).unwrap();
         let record = &session.metrics().phases[0];
         assert_eq!(
             (
@@ -400,7 +391,7 @@ mod tests {
                 .collect()
         };
         let owned = |(s, m): (NodeId, &BitString)| (s, m.clone());
-        for (inbox, dense) in inboxes.iter_mut().zip(&expected) {
+        for (inbox, dense) in inboxes.into_iter().zip(&expected) {
             for s in 0..n {
                 let sender = NodeId::new(s);
                 assert_eq!(inbox.broadcast_from(sender), dense.broadcasts[s].as_ref());
@@ -410,13 +401,8 @@ mod tests {
             assert_eq!(broadcasts, in_order(&dense.broadcasts));
             let unicasts: Vec<_> = inbox.unicasts().map(owned).collect();
             assert_eq!(unicasts, in_order(&dense.unicasts));
-            for s in 0..n {
-                let sender = NodeId::new(s);
-                assert_eq!(inbox.take_unicast(sender), dense.unicasts[s].clone());
-                assert_eq!(inbox.take_unicast(sender), None);
-                assert_eq!(inbox.unicast_from(sender), None);
-            }
-            assert_eq!(inbox.unicasts().count(), 0);
+            let moved: Vec<_> = inbox.into_unicasts().collect();
+            assert_eq!(moved, in_order(&dense.unicasts));
         }
     }
 

@@ -401,6 +401,19 @@ fn cubic_matmul_records_match_pinned_bytes() {
 }
 
 #[test]
+fn tc_dense_job_record_matches_pinned_bytes() {
+    // The benchmark's tc-dense job: n = 512 gives cube side g = 8, a
+    // 60,928-packet cube shipment and a 32,256-packet return shipment of
+    // counting partials, then the count broadcast.
+    assert_eq!(
+        registry_record("triangle-count", "erdos_renyi(p=0.5)", 512, 1, 9),
+        "{\"output\":{\"triangles\":2809704},\"rounds\":68,\"total_bits\":23579136,\
+         \"messages\":93696,\"max_link_bits_per_round\":9,\"phases\":5,\
+         \"phase_digest\":\"1145af845fd41ef1\"}"
+    );
+}
+
+#[test]
 fn cubic_matmul_uneven_partition_records_match_pinned_bytes() {
     use congested_clique::algebraic::{Semiring, SemiringMatMul, SemiringMatrix};
 
