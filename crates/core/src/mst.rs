@@ -50,19 +50,25 @@
 //! components in ascending representative order, and a protocol run is
 //! serial (DESIGN.md, Concurrency).
 //!
-//! Decoding guarantees: a component cut of size at most `k` decodes
-//! exactly; any cut of size at most `2k` is *detected* as over-capacity
-//! (the `2k` published power sums of ≤ 2k distinct elements form a
-//! full-rank Vandermonde system). Beyond `2k` a false decode would require
-//! a signed set of ≤ `k` genuine edge keys to reproduce all `2k` power
-//! sums *and* survive the crossing-edge check below; the differential
-//! oracle grid pins that this never bites on the test families, and any
-//! residual miss is caught by escalation, not by a wrong output.
+//! Decoding guarantees: a component cut of at most `k` edges decodes
+//! exactly. Every capacity is below the key universe, so the field's
+//! modulus exceeds `2k`, and a cut with at most `k` edges of each sign
+//! decodes exactly or is detected as over-capacity: by Newton's identities
+//! no other signed set of at most `k` keys shares its `2k` power sums. A
+//! cut with more than `k` edges of one sign can share its sums with a
+//! signed set of at most `k` keys and decode to it
+//! ([`SignedPowerSumSketch`]'s docs give three keys that do at capacity
+//! 2). Such a false decode stalls the component when its minimum key does
+//! not cross the cut (the crossing-edge check below); when it does cross,
+//! the contraction would merge along it. Only the differential oracle
+//! grids show that this does not happen on the tested families.
 
 use clique_graphs::iso::SpanningForest;
 use clique_graphs::weighted::UnionFind;
 use clique_graphs::WeightedGraph;
 use clique_sim::prelude::*;
+use clique_sketch::field::PrimeField;
+use clique_sketch::signed::CandidateTable;
 use clique_sketch::SignedPowerSumSketch;
 
 /// The output of [`MstProtocol`]: the minimum spanning forest plus the
@@ -205,10 +211,10 @@ fn component_sums(
 
 /// One full Borůvka contraction from the component sums of the published
 /// vertex sketches ([`component_sums`]) — the computation every node
-/// performs identically. Components are decoded against the (public-order)
-/// candidate key list and merged on their minimum cut key until no
-/// component makes progress. Returns `true` when every component decoded
-/// an empty cut (forest done).
+/// performs identically. Components are decoded against the
+/// (public-order) candidate table and merged on their minimum cut key
+/// until no component makes progress. Returns `true` when every component
+/// decoded an empty cut (forest done).
 ///
 /// A component whose decode fails, or yields an edge that does not cross
 /// its cut, is *stalled*: its sketch and its membership change only when
@@ -218,7 +224,7 @@ fn component_sums(
 /// component on every pass.
 fn contract_to_exhaustion(
     mut component: Vec<Option<SignedPowerSumSketch>>,
-    candidates: &[u64],
+    candidates: &CandidateTable,
     dsu: &mut UnionFind,
     forest: &mut Vec<(usize, usize, u64)>,
 ) -> bool {
@@ -232,7 +238,7 @@ fn contract_to_exhaustion(
                 continue;
             }
             let sketch = component[r].as_ref().expect("every root has a sketch");
-            let Some(cut) = sketch.decode_among(candidates) else {
+            let Some(cut) = sketch.decode_in(candidates) else {
                 stalled[r] = true; // cut larger than capacity: wait for a merge or escalation
                 continue;
             };
@@ -241,7 +247,7 @@ fn contract_to_exhaustion(
                 continue;
             }
             // Minimum key = tie-broken lightest outgoing edge, safe by the
-            // cut property (decode_among returns keys ascending).
+            // cut property (decode_in returns keys ascending).
             let (u, v, w) = unpack_key(cut[0].0, n as u64);
             let (ru, rv) = (dsu.find(u), dsu.find(v));
             if (ru == r) == (rv == r) {
@@ -282,19 +288,27 @@ impl Protocol for MstProtocol<'_> {
 }
 
 impl MstProtocol<'_> {
-    /// The decode scan's candidate list: the graph's edge keys, ascending.
+    /// The decode scan's candidate table: the graph's edge keys, ascending,
+    /// each with its first four powers in the sketch field, built once per
+    /// run for every decode of every level (the field is the same at every
+    /// capacity).
     ///
     /// The decode scan only ever needs to test genuine edge keys: cut
-    /// elements are edges, and `decode_among` verifies every answer by
-    /// re-sketching, so restricting the (model-free) local root scan is a
-    /// pure simulation speed-up. The list is ordered data every node can
-    /// derive after the broadcast; candidate order never influences the
-    /// transcript.
-    fn edge_keys(&self) -> Vec<u64> {
+    /// elements are edges, and a restricted scan returns the full scan's
+    /// answer or `None` ([`SignedPowerSumSketch::decode_among`]), so
+    /// restricting the (model-free) local root scan is a pure simulation
+    /// speed-up. The list is ordered data every node can derive after the
+    /// broadcast; candidate order never influences the transcript.
+    fn edge_keys(&self) -> CandidateTable {
         let edges = self.graph.edges();
         let mut keys: Vec<u64> = edges.map(|(u, v, _)| self.edge_key(u, v)).collect();
         keys.sort_unstable();
-        keys
+        CandidateTable::new(self.sketch_field(), &keys)
+    }
+
+    /// The field a run sketches in, at every capacity.
+    fn sketch_field(&self) -> PrimeField {
+        SignedPowerSumSketch::new(self.universe, 1).field()
     }
 
     /// The phase loop of [`Protocol::run`], decoding against `candidates`.
@@ -304,7 +318,11 @@ impl MstProtocol<'_> {
     /// Propagates the session's errors and [`read_sketch`]'s, and returns
     /// [`SimError::Stalled`] if a phase at full capacity leaves the forest
     /// unfinished, which `candidates` missing a cut's key can cause.
-    fn run_phases(&self, session: &mut Session, candidates: &[u64]) -> Result<MsfOutput, SimError> {
+    fn run_phases(
+        &self,
+        session: &mut Session,
+        candidates: &CandidateTable,
+    ) -> Result<MsfOutput, SimError> {
         let n = self.graph.vertex_count();
         session.require_clique_of(n);
         let mut dsu = UnionFind::new(n);
@@ -625,9 +643,8 @@ mod tests {
     type PhaseTrail = Vec<(usize, Vec<(usize, usize, u64)>, bool)>;
 
     /// Replays the protocol's phase loop with `candidates` as the decode
-    /// scan's key list, rebuilding every sketch from scratch at every
-    /// level.
-    fn replay_phases(protocol: &MstProtocol<'_>, candidates: &[u64]) -> PhaseTrail {
+    /// scan's keys, rebuilding every sketch from scratch at every level.
+    fn replay_phases(protocol: &MstProtocol<'_>, candidates: &CandidateTable) -> PhaseTrail {
         let n = protocol.graph.vertex_count();
         let max_capacity = protocol.graph.edge_count().max(1);
         let mut capacity = protocol.base_capacity.min(max_capacity);
@@ -682,6 +699,7 @@ mod tests {
         // decide every phase exactly as scanning the whole key universe.
         for_each_grid_protocol(|protocol, context| {
             let all_keys: Vec<u64> = (0..protocol.universe).collect();
+            let all_keys = CandidateTable::new(protocol.sketch_field(), &all_keys);
             assert_eq!(
                 replay_phases(protocol, &protocol.edge_keys()),
                 replay_phases(protocol, &all_keys),
@@ -730,8 +748,12 @@ mod tests {
         let path: Vec<(usize, usize, u64)> = (0..5).map(|v| (v, v + 1, 3 + v as u64)).collect();
         let graph = WeightedGraph::from_edges(6, &path);
         let protocol = MstProtocol::new(&graph, 1);
-        let mut candidates = protocol.edge_keys();
-        candidates.remove(2);
+        let mut keys: Vec<u64> = path
+            .iter()
+            .map(|&(u, v, _)| protocol.edge_key(u, v))
+            .collect();
+        keys.remove(2);
+        let candidates = CandidateTable::new(protocol.sketch_field(), &keys);
         let mut session = Session::new(CliqueConfig::broadcast(6, 4));
         assert_eq!(
             protocol.run_phases(&mut session, &candidates).unwrap_err(),

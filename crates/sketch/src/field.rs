@@ -24,17 +24,31 @@
 //! (`acc·x + c < p² < 2⁶²`) each cost one reduction, and a `u128` sum of
 //! products costs three and a Horner step. The sketch decoders spend
 //! nearly all their time in these.
+//!
+//! **Four coefficients per reduction.** Since a reduction is exact for
+//! every `u64`, a sum of reduced products needs reducing only before it
+//! could overflow. The blocked Horner step
+//! `acc·x⁴ + c₃x³ + c₂x² + c₁x + c₀` of reduced operands is at most
+//! `4(p−1)² + (p−1)`, below `2⁶⁴` for every modulus a field accepts
+//! (`p ≤ 2³¹ − 1`), so the crate's blocked evaluation takes four
+//! coefficients per reduction from each point's first four powers: four
+//! multiplies and one reduction, about 1.5 multiplies per coefficient
+//! where the Horner step costs three.
 
 use std::fmt;
 
 use clique_sim::bits::bits_for_universe;
 
 /// Independent chains the sketch kernels run side by side: the points
-/// [`PrimeField::eval_poly`] evaluates per call, and the elements whose
-/// power chains the power-sum accumulation advances together. Each chain
-/// waits on its own multiply and reduction, so eight of them keep the
-/// multiplier busy where one would stall on every product.
+/// [`PrimeField::eval_poly`] and [`PrimeField::eval_blocked`] evaluate per
+/// call, and the elements whose power chains the power-sum accumulation
+/// advances together. Each chain waits on its own multiply and reduction,
+/// so eight of them keep the multiplier busy where one would stall on
+/// every product.
 pub(crate) const LANES: usize = 8;
+
+/// A point as [`PrimeField::eval_blocked`] reads it: `[x, x², x³, x⁴]`.
+pub(crate) type Powers = [u64; 4];
 
 /// A prime field `F_p` with `p < 2³¹`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -179,6 +193,37 @@ impl PrimeField {
         self.pow(a, self.p - 2)
     }
 
+    /// The inverses of nonzero reduced `values` with one Fermat inversion
+    /// (Montgomery's trick): the running products, the inverse of the last,
+    /// and one pass back that peels each factor off it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a value is zero.
+    pub(crate) fn inv_all(&self, values: &[u64]) -> Vec<u64> {
+        let mut inverses = Vec::with_capacity(values.len());
+        let mut product = 1u64;
+        for &v in values {
+            inverses.push(product);
+            product = self.mul(product, v);
+        }
+        // `inverse` is (v₀ ⋯ v_i)⁻¹ on entry to step i, and `inverses[i]`
+        // holds v₀ ⋯ v_{i−1}.
+        let mut inverse = self.inv(product);
+        for (slot, &v) in inverses.iter_mut().zip(values).rev() {
+            *slot = self.mul(inverse, *slot);
+            inverse = self.mul(inverse, v);
+        }
+        inverses
+    }
+
+    /// The first four powers `[x, x², x³, x⁴]` of a reduced `x`: a point as
+    /// [`Self::eval_blocked`] reads it.
+    pub(crate) fn powers(&self, x: u64) -> Powers {
+        let square = self.mul(x, x);
+        [x, square, self.mul(square, x), self.mul(square, square)]
+    }
+
     /// Evaluates the polynomial with the given reduced coefficients
     /// (constant term first) at each of the [`LANES`] reduced `points`, by
     /// Horner's rule. The chains are independent, so the multiplies of one
@@ -191,6 +236,57 @@ impl PrimeField {
             }
         }
         acc
+    }
+
+    /// [`Self::eval_poly`] four coefficients per reduction: evaluates the
+    /// polynomial with the given reduced coefficients (constant term first)
+    /// at each of the [`LANES`] points, given by their reduced [`Powers`].
+    /// The top `len mod 4` coefficients start each chain, summed against
+    /// the same powers, and every block of four below them is one step
+    /// `acc·x⁴ + c₃x³ + c₂x² + c₁x + c₀` with one reduction (the module
+    /// docs bound it below `2⁶⁴`).
+    pub(crate) fn eval_blocked(
+        &self,
+        coefficients: &[u64],
+        points: &[Powers; LANES],
+    ) -> [u64; LANES] {
+        debug_assert!(
+            coefficients
+                .iter()
+                .chain(points.as_flattened())
+                .all(|&c| c < self.p),
+            "operands not reduced mod {}",
+            self.p
+        );
+        let (blocks, head) = coefficients.as_chunks::<4>();
+        let mut acc: [u64; LANES] = std::array::from_fn(|lane| {
+            let [x, square, ..] = points[lane];
+            match *head {
+                [] => 0,
+                [c0] => c0,
+                [c0, c1] => self.reduce(c1 * x + c0),
+                [c0, c1, c2] => self.reduce(c2 * square + c1 * x + c0),
+                _ => unreachable!("a remainder of chunks of four"),
+            }
+        });
+        for &[c0, c1, c2, c3] in blocks.iter().rev() {
+            for (acc, &[x, square, cube, fourth]) in acc.iter_mut().zip(points) {
+                *acc = self.reduce(*acc * fourth + c3 * cube + c2 * square + c1 * x + c0);
+            }
+        }
+        acc
+    }
+
+    /// [`Self::eval_blocked`] at every point of `points`, [`LANES`] at a
+    /// time, padding a short last chunk with zeros whose values it drops.
+    pub(crate) fn eval_blocked_at(&self, coefficients: &[u64], points: &[Powers]) -> Vec<u64> {
+        let mut values = Vec::with_capacity(points.len());
+        for chunk in points.chunks(LANES) {
+            let mut lanes = [[0; 4]; LANES];
+            lanes[..chunk.len()].copy_from_slice(chunk);
+            values.extend_from_slice(&self.eval_blocked(coefficients, &lanes)[..chunk.len()]);
+        }
+        values
     }
 
     fn debug_assert_reduced(&self, a: u64, b: u64) {
@@ -382,6 +478,19 @@ mod tests {
         for a in 1..101u64 {
             assert_eq!(f.mul(a, f.inv(a)), 1);
         }
+        // The batch inversion agrees with one inversion per value, at every
+        // length from none to all of them.
+        let values: Vec<u64> = (1..101).rev().collect();
+        for len in 0..=values.len() {
+            let one_by_one: Vec<u64> = values[..len].iter().map(|&a| f.inv(a)).collect();
+            assert_eq!(f.inv_all(&values[..len]), one_by_one);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "no multiplicative inverse")]
+    fn batch_inversion_of_zero_panics() {
+        let _ = PrimeField::new(101).inv_all(&[3, 0, 5]);
     }
 
     #[test]
@@ -459,6 +568,57 @@ mod tests {
                     let points: [u64; LANES] = points.try_into().unwrap();
                     assert!(f.eval_poly(&coefficients, points).into_iter().eq(reference));
                 }
+            }
+        }
+    }
+
+    #[test]
+    fn blocked_evaluation_matches_the_u128_reference() {
+        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(0xB10C);
+        for p in PRIMES {
+            let f = PrimeField::new(p);
+            let wide = u128::from(p);
+            let reference = |coefficients: &[u64], x: u64| {
+                let step = |acc: u128, &c: &u64| (acc * u128::from(x) + u128::from(c)) % wide;
+                coefficients.iter().rev().fold(0, step) as u64
+            };
+            // Degrees 0–40 and the empty polynomial. At p − 1 everywhere
+            // each block sum is at its bound, where an overflow would panic
+            // in a debug build.
+            for len in 0..=41 {
+                for extreme in [false, true] {
+                    let draw = |rng: &mut rand_chacha::ChaCha8Rng| {
+                        if extreme {
+                            p - 1
+                        } else {
+                            rng.gen_range(0..p)
+                        }
+                    };
+                    let coefficients: Vec<u64> = (0..len).map(|_| draw(&mut rng)).collect();
+                    let mut points: [u64; LANES] = std::array::from_fn(|_| draw(&mut rng));
+                    if !extreme {
+                        points[..3].copy_from_slice(&[0, 1, p - 1]);
+                    }
+                    let expected = points.map(|x| reference(&coefficients, x));
+                    let powers = points.map(|x| f.powers(x));
+                    assert_eq!(
+                        f.eval_blocked(&coefficients, &powers),
+                        expected,
+                        "p = {p}, {len} coefficients"
+                    );
+                    assert_eq!(f.eval_poly(&coefficients, points), expected);
+                }
+            }
+            // Every point count through two chunks and a partial third.
+            let coefficients: Vec<u64> = (0..13).map(|_| rng.gen_range(0..p)).collect();
+            let points: Vec<u64> = (0..2 * LANES + 1).map(|_| rng.gen_range(0..p)).collect();
+            let powers: Vec<Powers> = points.iter().map(|&x| f.powers(x)).collect();
+            for len in 0..=points.len() {
+                let expected: Vec<u64> = points[..len]
+                    .iter()
+                    .map(|&x| reference(&coefficients, x))
+                    .collect();
+                assert_eq!(f.eval_blocked_at(&coefficients, &powers[..len]), expected);
             }
         }
     }

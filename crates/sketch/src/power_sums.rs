@@ -12,10 +12,31 @@
 //! sum once per chunk, and the root scan evaluates the locator at that
 //! many candidates per pass, stopping as soon as the roots found and the
 //! candidates left can no longer reach its degree.
+//!
+//! The root scan comes in two forms that share that loop. The table scan
+//! ([`PowerSums::roots_in`]) reads the first four powers of each
+//! candidate's shifted value from a table, whole chunks at a time, and
+//! evaluates the locator four coefficients per reduction
+//! ([`PrimeField::eval_blocked`]): a caller that decodes many times
+//! against one candidate list builds its powers once. The streamed scan
+//! ([`PowerSums::roots`]) takes bare elements and evaluates each chunk as
+//! that many Horner chains ([`PrimeField::eval_poly`]), with no powers to
+//! compute.
 
 use clique_sim::bits::{BitReader, BitString};
 
-use crate::field::{PrimeField, LANES};
+use crate::field::{Powers, PrimeField, LANES};
+
+/// The table [`PowerSums::roots_in`] scans: the [`Powers`] of each
+/// element's shifted value `x + 1` in `field`, in chunks of [`LANES`], the
+/// last one padded with zeros so every chunk is evaluated in place.
+pub(crate) fn power_table(field: PrimeField, elements: &[u64]) -> Vec<[Powers; LANES]> {
+    let mut table = vec![[[0; 4]; LANES]; elements.len().div_ceil(LANES)];
+    for (slot, &x) in table.as_flattened_mut().iter_mut().zip(elements) {
+        *slot = field.powers(field.reduce(x + 1));
+    }
+    table
+}
 
 /// The fields stay private: `field` is derived from `universe` and
 /// `capacity`, and every sum is reduced mod its modulus.
@@ -218,40 +239,47 @@ impl PowerSums {
     /// exactly as many as its degree — as soon as there are more, and as
     /// soon as the roots found and the candidates left fall short of it.
     ///
-    /// The candidates stream in chunks of [`LANES`], each evaluated as
-    /// that many independent Horner chains. A short last chunk is padded
-    /// with the element `0` and its padded lanes are ignored.
+    /// The streamed scan: the candidates stream in chunks of [`LANES`],
+    /// each evaluated as that many independent Horner chains. A short last
+    /// chunk is padded with the element `0` and its padded lanes are
+    /// ignored.
     pub(crate) fn roots(
         &self,
         locator: &[u64],
         mut candidates: impl ExactSizeIterator<Item = u64>,
     ) -> Option<Vec<u64>> {
         let f = self.field;
-        let degree = locator.len() - 1;
-        let mut roots = Vec::with_capacity(degree);
-        while roots.len() + candidates.len() >= degree {
+        scan(locator.len() - 1, candidates.len(), |_| {
             let mut chunk = [0u64; LANES];
-            let mut filled = 0;
-            while filled < LANES {
-                let Some(x) = candidates.next() else { break };
+            for (slot, x) in chunk.iter_mut().zip(&mut candidates) {
                 debug_assert!(x < self.universe, "candidate outside universe");
-                chunk[filled] = x;
-                filled += 1;
+                *slot = x;
             }
-            if filled == 0 {
-                break;
-            }
-            let values = f.eval_poly(locator, chunk.map(|x| f.reduce(x + 1)));
-            for (&x, &value) in chunk[..filled].iter().zip(&values) {
-                if value == 0 {
-                    roots.push(x);
-                    if roots.len() > degree {
-                        return None;
-                    }
-                }
-            }
-        }
-        (roots.len() == degree).then_some(roots)
+            (chunk, f.eval_poly(locator, chunk.map(|x| f.reduce(x + 1))))
+        })
+    }
+
+    /// [`Self::roots`] over the first `len` candidates of their
+    /// [`power_table`] in this field, by position: the table scan, one
+    /// blocked evaluation per chunk straight from the table and no other
+    /// arithmetic.
+    pub(crate) fn roots_in(
+        &self,
+        locator: &[u64],
+        table: &[[Powers; LANES]],
+        len: usize,
+    ) -> Option<Vec<usize>> {
+        debug_assert!(
+            len <= table.len() * LANES,
+            "the table holds every candidate"
+        );
+        scan(locator.len() - 1, len, |start| {
+            let positions = std::array::from_fn(|lane| start + lane);
+            (
+                positions,
+                self.field.eval_blocked(locator, &table[start / LANES]),
+            )
+        })
     }
 
     /// Whether the signed set `(x, positive)` has exactly these sums — the
@@ -279,6 +307,35 @@ impl PowerSums {
     pub(crate) fn encoded_bits(&self) -> usize {
         self.sums.len() * self.field.element_bits()
     }
+}
+
+/// The loop both root scans share: `eval(start)` gives the candidates at
+/// positions `start..start + LANES` of a list of `len` and the locator's
+/// value at each, lanes past the end being padding it ignores, and the
+/// candidates where it vanishes are the roots, in list order. `None` once
+/// there are more roots than `degree`, and once the roots found and the
+/// candidates left fall short of it.
+fn scan<T: Copy>(
+    degree: usize,
+    len: usize,
+    mut eval: impl FnMut(usize) -> ([T; LANES], [u64; LANES]),
+) -> Option<Vec<T>> {
+    let mut roots = Vec::with_capacity(degree);
+    let mut start = 0;
+    while start < len && roots.len() + (len - start) >= degree {
+        let (candidates, values) = eval(start);
+        let filled = LANES.min(len - start);
+        for (&x, &value) in candidates[..filled].iter().zip(&values) {
+            if value == 0 {
+                roots.push(x);
+                if roots.len() > degree {
+                    return None;
+                }
+            }
+        }
+        start += filled;
+    }
+    (roots.len() == degree).then_some(roots)
 }
 
 #[cfg(test)]
@@ -431,6 +488,48 @@ mod tests {
             let (roots, taken) = counted_roots(&sums, &locator, candidates);
             assert_eq!(roots, scalar_roots(f, &locator, candidates));
             assert!(taken <= len);
+        }
+    }
+
+    /// [`PowerSums::roots_in`] over a table of the `candidates` in `sums`'
+    /// field, by element.
+    fn table_roots(sums: &PowerSums, locator: &[u64], candidates: &[u64]) -> Option<Vec<u64>> {
+        let table = power_table(sums.field(), candidates);
+        let roots = sums.roots_in(locator, &table, candidates.len())?;
+        Some(roots.into_iter().map(|i| candidates[i]).collect())
+    }
+
+    #[test]
+    fn table_scan_matches_the_streamed_scan() {
+        let mut rng = ChaCha8Rng::seed_from_u64(0x7AB1E);
+        let universe = 8 * LANES as u64;
+        let sums = PowerSums::new(universe, 4, 8);
+        let f = sums.field();
+        // Every list length through two full chunks and a partial third,
+        // and locators of degree 1 to 16, with roots in and out of the
+        // list.
+        for len in 0..=2 * LANES + 1 {
+            for _ in 0..300 {
+                let mut candidates: Vec<u64> = (0..universe).collect();
+                candidates.shuffle(&mut rng);
+                candidates.truncate(len);
+                candidates.sort_unstable();
+                let mut pool = candidates.clone();
+                pool.extend((0..4).map(|_| rng.gen_range(0..universe)));
+                pool.sort_unstable();
+                pool.dedup();
+                pool.shuffle(&mut rng);
+                let degree = rng.gen_range(1..pool.len().min(2 * LANES) + 1);
+                let locator = locator_of(f, &pool[..degree]);
+                let streamed = sums.roots(&locator, candidates.iter().copied());
+                assert_eq!(streamed, scalar_roots(f, &locator, &candidates));
+                assert_eq!(
+                    table_roots(&sums, &locator, &candidates),
+                    streamed,
+                    "candidates {candidates:?}, roots {:?}",
+                    &pool[..degree]
+                );
+            }
         }
     }
 

@@ -13,21 +13,48 @@
 //!
 //! Decoding no longer gets a support size for free (the signed count can be
 //! zero for a nonempty set), so it runs Berlekamp–Massey on the `2k` sums
-//! to find the minimal linear recurrence (`O(k²)`), reads the support off
-//! the roots of its characteristic (locator) polynomial by scanning the `m`
-//! candidate elements (`O(m·k)`), and solves the transposed Vandermonde
-//! system for the signs in closed form from the locator's quotients
-//! (`O(k²)`, no elimination). A final check that every sign is `±1` and a
-//! re-sketch of all `2k` sums reject every inconsistent input. A whole
-//! decode is `O(k² + m·k)` field operations, none of them a hardware
-//! divide: every product is reduced by the field's Barrett step, the root
-//! scan evaluates eight candidates per pass as independent Horner chains
-//! and stops once the roots it found and the candidates it has left cannot
-//! reach the locator's degree, and each Berlekamp–Massey discrepancy is
-//! summed in `u128` and reduced once, by Barrett steps on its two words.
+//! to find the minimal linear recurrence, reads the support off the roots
+//! of its characteristic (locator) polynomial by scanning the `m`
+//! candidate elements, and solves the transposed Vandermonde system for
+//! the signs in closed form (Forney's formula, no elimination). A final
+//! check that every sign is `±1` and a re-sketch of all `2k` sums reject
+//! every inconsistent input. A whole decode is `O(k² + m·k)` field
+//! operations, none of them a hardware divide, every product reduced by
+//! the field's Barrett step. Stage by stage, for a locator of degree
+//! `t ≤ k`:
+//!
+//! * **Berlekamp–Massey**, `O(k²)`: each discrepancy is summed in `u128`
+//!   and reduced once, by Barrett steps on its two words.
+//! * **Root scan**, `O(m·t)`: the locator is evaluated at eight
+//!   candidates per pass, and the scan stops once the roots it found and
+//!   the candidates it has left cannot reach `t`. Against a
+//!   [`CandidateTable`], which holds each candidate's first four powers
+//!   for a caller that decodes many sketches against one key list
+//!   ([`SignedPowerSumSketch::decode_in`]), that is four coefficients per
+//!   reduction, about `m·t/4` reductions;
+//!   [`SignedPowerSumSketch::decode_among`] runs Horner chains, one
+//!   reduction per coefficient.
+//! * **Sign solve**, `O(t²)`: one numerator polynomial summed in `u128`
+//!   (`t` wide reductions), it and the locator's derivative evaluated at
+//!   all `t` roots four coefficients per reduction from the roots' powers
+//!   (the table's, or computed for the `t` roots a stream found), and one
+//!   batch inversion for all denominators.
+//! * **Verify**, `O(k·t)`: the `±1` check and a re-sketch of the `2k`
+//!   sums by the lane-parallel accumulation.
+//!
 //! The root scan, the re-sketch, the set accumulation and the wire layout
 //! of the sums are the ones [`PowerSumSketch`] uses, from the crate's
 //! shared power-sum core.
+//!
+//! **What decoding guarantees.** A signed set of at most `k` entries
+//! decodes exactly. When the modulus exceeds `2k`, a signed set with at
+//! most `k` entries of each sign decodes exactly or to `None`: by Newton's
+//! identities no other signed set of at most `k` entries shares its `2k`
+//! sums. A set with more than `k` entries of one sign can share them with
+//! a set of at most `k` entries and decode to it: in `F₁₀₁`, the shifted
+//! values 5, 16, 31, 71 and 79 are the roots of `X⁵ − 95`, so their first
+//! four power sums vanish, and a capacity-2 sketch of `+4, +15, +30`
+//! decodes to `−70, −78`.
 //!
 //! Because the power-sum map is linear, merging two disjoint summaries and
 //! the incidence-cancellation above are pointwise field additions
@@ -48,8 +75,8 @@
 
 use clique_sim::bits::{BitReader, BitString};
 
-use crate::field::PrimeField;
-use crate::power_sums::PowerSums;
+use crate::field::{Powers, PrimeField, LANES};
+use crate::power_sums::{power_table, PowerSums};
 
 /// A linear sketch of a signed set over `{0, …, universe-1}` (multiplicities
 /// in `{−1, 0, +1}`) that can be decoded exactly while at most `capacity`
@@ -197,7 +224,7 @@ impl SignedPowerSumSketch {
     /// the tests' oracle for [`Self::decode_among`].
     #[cfg(test)]
     pub(crate) fn decode(&self) -> Option<Vec<(u64, i8)>> {
-        self.decode_scan(self.core.elements())
+        self.decode_streamed(self.core.elements())
     }
 
     /// Decodes the signed set, restricting the root scan to `candidates`.
@@ -205,14 +232,19 @@ impl SignedPowerSumSketch {
     /// Returns the `(element, sign)` pairs sorted by element, or `None`
     /// when the sketch does not correspond to a signed set of at most
     /// `capacity` elements with multiplicities `±1` inside `candidates`.
-    /// A full scan of the universe gives the same answer whenever the true
-    /// support is a subset of `candidates` (the verification step rejects
-    /// any decode that does not reproduce the sums, so a miss can only turn
-    /// into `None`, never into a wrong answer). Protocols use this to scan
-    /// only the polynomially many keys that can actually occur — e.g. the
-    /// edge keys of a graph — instead of the full universe; in the
-    /// congested-clique model the two are interchangeable, since local
-    /// computation is free.
+    /// A restricted scan returns the full scan's answer or `None`: the
+    /// locator's roots among `candidates` are among its roots in the
+    /// universe, so a list that misses one finds too few and answers
+    /// `None`. That answer is the true signed set under the guarantee the
+    /// module docs state, and can be a different set of at most `capacity`
+    /// entries beyond it. Protocols use this to scan only the polynomially
+    /// many keys that can actually occur — e.g. the edge keys of a graph —
+    /// instead of the full universe; in the congested-clique model the two
+    /// are interchangeable, since local computation is free.
+    ///
+    /// The scan runs Horner chains over the candidates;
+    /// [`Self::decode_in`] scans a table of their powers built once, four
+    /// coefficients per reduction.
     ///
     /// `candidates` must be strictly increasing.
     pub fn decode_among(&self, candidates: &[u64]) -> Option<Vec<(u64, i8)>> {
@@ -220,37 +252,63 @@ impl SignedPowerSumSketch {
             candidates.windows(2).all(|w| w[0] < w[1]),
             "candidates must be strictly increasing"
         );
-        self.decode_scan(candidates.iter().copied())
+        self.decode_streamed(candidates.iter().copied())
     }
 
-    /// The decoder: Berlekamp–Massey on the `2k` sums (`O(k²)`), a root
-    /// scan of the locator polynomial over the `m` candidates (`O(m·k)`),
-    /// the closed-form sign solve (`O(k²)`), and the ±1 and full re-sketch
-    /// checks (`O(k²)`) — `O(k² + m·k)` in all.
-    fn decode_scan(
+    /// [`Self::decode_among`] the keys of `table`, evaluating the locator
+    /// four coefficients per reduction from their stored powers: the same
+    /// answer, for a caller that decodes many sketches against one key
+    /// list.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `table` was built in another field.
+    pub fn decode_in(&self, table: &CandidateTable) -> Option<Vec<(u64, i8)>> {
+        assert_eq!(
+            table.field,
+            self.field(),
+            "candidate table built in another field"
+        );
+        self.decode_with(|core, locator| {
+            let roots = core.roots_in(locator, &table.powers, table.keys.len())?;
+            let powers = table.powers.as_flattened();
+            Some(roots.iter().map(|&i| (table.keys[i], powers[i])).unzip())
+        })
+    }
+
+    /// The decoder over bare candidates: the streamed root scan, then the
+    /// roots' powers for the sign solve.
+    fn decode_streamed(
         &self,
         candidates: impl ExactSizeIterator<Item = u64>,
+    ) -> Option<Vec<(u64, i8)>> {
+        let f = self.field();
+        self.decode_with(|core, locator| {
+            let support = core.roots(locator, candidates)?;
+            let powers = support.iter().map(|&x| f.powers(f.reduce(x + 1))).collect();
+            Some((support, powers))
+        })
+    }
+
+    /// The decoder, with `scan` finding the locator's roots, as elements
+    /// and their [`Powers`]: the stages the module docs cost out.
+    fn decode_with(
+        &self,
+        scan: impl FnOnce(&PowerSums, &[u64]) -> Option<(Vec<u64>, Vec<Powers>)>,
     ) -> Option<Vec<(u64, i8)>> {
         if self.is_zero() {
             return Some(Vec::new());
         }
-        let (support, locator) = self.locate_support(candidates)?;
-        let f = self.core.field();
-        let roots: Vec<u64> = support.iter().map(|&x| f.reduce(x + 1)).collect();
-        let coefficients = solve_transposed_vandermonde(f, &roots, &locator, self.core.sums());
+        let locator = self.locator()?;
+        let (support, roots) = scan(&self.core, &locator)?;
+        let coefficients = solve_signs(self.field(), &locator, self.core.sums(), &roots);
         self.verify_signs(&support, &coefficients)
     }
 
-    /// Finds the support of a nonzero sketch: the elements whose shifted
-    /// values are the roots of the locator polynomial. Returns the support
-    /// (ascending, in candidate order) and the locator polynomial
-    /// `Π_i (X − r_i)`, constant term first; `None` when the recurrence
-    /// order exceeds the capacity or the locator does not split into
-    /// distinct roots among the candidates.
-    fn locate_support(
-        &self,
-        candidates: impl ExactSizeIterator<Item = u64>,
-    ) -> Option<(Vec<u64>, Vec<u64>)> {
+    /// The monic locator polynomial `Π_i (X − r_i)` of a nonzero sketch,
+    /// constant term first; `None` when the recurrence order exceeds the
+    /// capacity.
+    fn locator(&self) -> Option<Vec<u64>> {
         // Minimal linear recurrence of the sum sequence. A signed set
         // {(x_i, c_i)} has p_j = Σ_i (c_i r_i) r_i^(j-1) with r_i = x_i + 1
         // distinct and nonzero and c_i r_i ≠ 0, so the minimal recurrence
@@ -262,12 +320,8 @@ impl SignedPowerSumSketch {
         if t == 0 || t > self.capacity() {
             return None;
         }
-
-        // Characteristic polynomial X^t · C(1/X), constant term first: the
-        // monic locator polynomial.
-        let locator: Vec<u64> = connection.iter().rev().copied().collect();
-        let support = self.core.roots(&locator, candidates)?;
-        Some((support, locator))
+        // Characteristic polynomial X^t · C(1/X), constant term first.
+        Some(connection.into_iter().rev().collect())
     }
 
     /// Accepts the solved multiplicities only if every one is `±1` and the
@@ -315,6 +369,40 @@ impl SignedPowerSumSketch {
     pub(crate) fn read(reader: &mut BitReader<'_>, universe: u64, capacity: usize) -> Option<Self> {
         let core = PowerSums::new(universe, capacity, 2 * capacity).read(reader)?;
         Some(Self { core })
+    }
+}
+
+/// Candidate keys for [`SignedPowerSumSketch::decode_in`], ascending, each
+/// stored with the first four powers of its shifted value `x + 1` in one
+/// sketch field: the root scan reads them instead of computing them, and
+/// the sign solve reads the roots' powers from it too. Built once, it
+/// serves every decode of every sketch in that field, at any capacity
+/// below the modulus (40 bytes per key).
+#[derive(Clone, Debug)]
+pub struct CandidateTable {
+    field: PrimeField,
+    keys: Vec<u64>,
+    /// The keys' [`power_table`] in `field`.
+    powers: Vec<[Powers; LANES]>,
+}
+
+impl CandidateTable {
+    /// The table of `keys` in `field`, the field of the sketches it will
+    /// decode ([`SignedPowerSumSketch::field`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `keys` are strictly increasing.
+    pub fn new(field: PrimeField, keys: &[u64]) -> Self {
+        assert!(
+            keys.windows(2).all(|w| w[0] < w[1]),
+            "candidate keys must be strictly increasing"
+        );
+        Self {
+            field,
+            keys: keys.to_vec(),
+            powers: power_table(field, keys),
+        }
     }
 }
 
@@ -385,17 +473,54 @@ fn berlekamp_massey(f: PrimeField, sequence: &[u64]) -> Vec<u64> {
 }
 
 /// Solves the transposed Vandermonde system `Σ_i c_i r_i^j = p_j`
-/// (`j = 1, …, t`) for the multiplicities `c_i`, given the `t` distinct
-/// nonzero roots of the monic locator polynomial `P = Π_i (X − r_i)`
-/// (coefficients constant term first) and at least `t` power sums.
+/// (`j = 1, …, t`) for the multiplicities `c_i`, given the [`Powers`] of
+/// the `t` distinct nonzero roots `r_i` of the monic locator polynomial
+/// `P = Σ_l a_l X^l` (coefficients constant term first) and at least `t`
+/// power sums, by Forney's closed form
+/// `c_i = N(r_i) / (r_i · P′(r_i))`, `N_m = Σ_{l=m+1}^{t} a_l · p_{l−m}`.
 ///
-/// Synthetic division gives `Q_i = P / (X − r_i) = Σ_j q_ij X^j`, which
-/// vanishes at every root but `r_i`. Pairing equation `j + 1` with `q_ij`
-/// therefore isolates one unknown:
-/// `Σ_j q_ij p_{j+1} = Σ_l c_l r_l Q_i(r_l) = c_i r_i Q_i(r_i)`, and
-/// `Q_i(r_i) = P'(r_i) ≠ 0` because the roots are distinct. Each root costs
-/// `O(t)` field operations plus one inversion, `O(t²)` in all — the system
-/// is nonsingular, so this is the unique solution elimination would find.
+/// `Q_i = P / (X − r_i) = Σ_j q_j X^j` vanishes at every root but `r_i`,
+/// so pairing equation `j + 1` with `q_j` isolates one unknown:
+/// `Σ_j q_j p_{j+1} = c_i r_i Q_i(r_i)`, and `Q_i(r_i) = P′(r_i) ≠ 0`
+/// because the roots are distinct. Synthetic division gives
+/// `q_j = Σ_{l>j} a_l r_i^{l−j−1}`, which turns the paired sum into
+/// `N(r_i)`: one polynomial for every root. `N` costs `O(t²)` products
+/// summed in `u128` and one wide reduction per coefficient, `N` and `P′`
+/// are evaluated at the roots four coefficients per reduction, and one
+/// batch inversion serves every denominator. The system is nonsingular, so
+/// this is the unique solution elimination would find.
+fn solve_signs(f: PrimeField, locator: &[u64], sums: &[u64], roots: &[Powers]) -> Vec<u64> {
+    let t = roots.len();
+    debug_assert_eq!(locator.len(), t + 1, "locator degree must match the roots");
+    debug_assert_eq!(locator[t], 1, "locator must be monic");
+    let numerator: Vec<u64> = (0..t)
+        .map(|m| {
+            let paired = locator[m + 1..]
+                .iter()
+                .zip(sums)
+                .fold(0u128, |sum, (&a, &p)| sum + u128::from(a) * u128::from(p));
+            f.reduce_wide(paired)
+        })
+        .collect();
+    // P′'s coefficients l·a_l, with l ≤ t ≤ capacity below the modulus.
+    let derivative: Vec<u64> = (1..=t).map(|l| f.mul(l as u64, locator[l])).collect();
+    let denominators: Vec<u64> = f
+        .eval_blocked_at(&derivative, roots)
+        .into_iter()
+        .zip(roots)
+        .map(|(derivative, &[r, ..])| f.mul(r, derivative))
+        .collect();
+    f.eval_blocked_at(&numerator, roots)
+        .into_iter()
+        .zip(f.inv_all(&denominators))
+        .map(|(numerator, inverse)| f.mul(numerator, inverse))
+        .collect()
+}
+
+/// The transposed Vandermonde solve by one synthetic division per root:
+/// `O(t)` Horner steps and one Fermat inversion per root. The tests'
+/// reference for [`solve_signs`].
+#[cfg(test)]
 fn solve_transposed_vandermonde(
     f: PrimeField,
     roots: &[u64],
@@ -462,18 +587,25 @@ mod tests {
         Some((0..t).map(|i| matrix[i][t]).collect())
     }
 
+    /// The support a scan of the whole universe locates, and its locator.
+    fn locate_support(sketch: &SignedPowerSumSketch) -> Option<(Vec<u64>, Vec<u64>)> {
+        let locator = sketch.locator()?;
+        let support = sketch.core.roots(&locator, sketch.core.elements())?;
+        Some((support, locator))
+    }
+
     /// The multiplicities of the located support, solved both ways: by the
     /// closed form and by elimination on the explicit system
     /// `Σ_i c_i r_i^j = p_j` (`j = 1, …, t`).
     fn solve_both_ways(sketch: &SignedPowerSumSketch) -> Option<(Vec<u64>, Vec<Option<u64>>)> {
         let (f, sums) = (sketch.core.field(), sketch.core.sums());
-        let (support, locator) = sketch.locate_support(sketch.core.elements())?;
-        let roots: Vec<u64> = support.iter().map(|&x| f.reduce(x + 1)).collect();
+        let (support, locator) = locate_support(sketch)?;
+        let roots: Vec<Powers> = support.iter().map(|&x| f.powers(f.reduce(x + 1))).collect();
         let t = roots.len();
-        let closed = solve_transposed_vandermonde(f, &roots, &locator, sums);
+        let closed = solve_signs(f, &locator, sums, &roots);
         let mut matrix = vec![vec![0u64; t + 1]; t];
         for (j, row) in matrix.iter_mut().enumerate() {
-            for (i, &r) in roots.iter().enumerate() {
+            for (i, &[r, ..]) in roots.iter().enumerate() {
                 row[i] = f.pow(r, (j + 1) as u64);
             }
             row[t] = sums[j];
@@ -491,7 +623,7 @@ mod tests {
         if sketch.is_zero() {
             return Some(Vec::new());
         }
-        let (support, _) = sketch.locate_support(sketch.core.elements())?;
+        let (support, _) = locate_support(sketch)?;
         let (_, eliminated) = solve_both_ways(sketch)?;
         let coefficients: Option<Vec<u64>> = eliminated.into_iter().collect();
         sketch.verify_signs(&support, &coefficients?)
@@ -646,6 +778,74 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
+        /// The closed form equals the synthetic-division reference on any
+        /// `t` distinct nonzero roots and any `t` to `2t` sums, at small
+        /// moduli and at the largest a field accepts.
+        #[test]
+        fn closed_form_solve_matches_synthetic_division(
+            t in 1usize..48,
+            kind in 0u8..3,
+            seed in any::<u64>(),
+        ) {
+            let mut rng = ChaCha8Rng::seed_from_u64(seed);
+            let universe = match kind {
+                0 => 60,
+                1 => rng.gen_range(100..5_000),
+                _ => (1 << 31) - 3,
+            };
+            let f = SignedPowerSumSketch::new(universe, t).field();
+            let p = f.modulus();
+            let mut roots = std::collections::BTreeSet::new();
+            while roots.len() < t {
+                roots.insert(if rng.gen_bool(0.1) { p - 1 } else { rng.gen_range(1..p) });
+            }
+            let mut roots: Vec<u64> = roots.into_iter().collect();
+            roots.shuffle(&mut rng);
+            let mut locator = vec![1u64];
+            for &r in &roots {
+                let mut next = vec![0u64; locator.len() + 1];
+                for (i, &c) in locator.iter().enumerate() {
+                    next[i + 1] = f.add(next[i + 1], c);
+                    next[i] = f.sub(next[i], f.mul(r, c));
+                }
+                locator = next;
+            }
+            let sums: Vec<u64> = (0..rng.gen_range(t..2 * t + 1))
+                .map(|_| rng.gen_range(0..p))
+                .collect();
+            let powers: Vec<Powers> = roots.iter().map(|&r| f.powers(r)).collect();
+            prop_assert_eq!(
+                solve_signs(f, &locator, &sums, &powers),
+                solve_transposed_vandermonde(f, &roots, &locator, &sums)
+            );
+        }
+
+        /// With the modulus above `2k`, a signed set of `k + 1` to `2k`
+        /// entries with at most `k` of each sign never decodes: no set of
+        /// at most `k` entries shares its `2k` sums (Newton's identities).
+        #[test]
+        fn over_capacity_sets_with_at_most_k_of_each_sign_never_decode(
+            capacity in 1usize..7,
+            seed in any::<u64>(),
+        ) {
+            let mut rng = ChaCha8Rng::seed_from_u64(seed);
+            let universe = rng.gen_range(2 * capacity as u64..200);
+            let size = rng.gen_range(capacity + 1..2 * capacity + 1);
+            let positives = rng.gen_range(size - capacity..capacity + 1);
+            let mut elements: Vec<u64> = (0..universe).collect();
+            elements.shuffle(&mut rng);
+            let mut sketch = SignedPowerSumSketch::new(universe, capacity);
+            for (i, &x) in elements[..size].iter().enumerate() {
+                if i < positives {
+                    sketch.add(x);
+                } else {
+                    sketch.remove(x);
+                }
+            }
+            prop_assert!(sketch.field().modulus() > 2 * capacity as u64);
+            prop_assert_eq!(sketch.decode(), None);
+        }
+
         /// Payloads off the wire: the shaped read equals the plain one,
         /// intact payloads read back exactly, and every proper prefix reads
         /// as `None`. A payload with 1–3 bits flipped, or one of random
@@ -781,6 +981,26 @@ mod tests {
         // A candidate list missing part of the support fails verification
         // instead of mis-decoding.
         assert_eq!(sketch.decode_among(&[11, 42, 60]), None);
+    }
+
+    #[test]
+    fn over_capacity_sets_can_share_their_sums_with_a_smaller_set() {
+        // In F_101 the shifted values 5, 16, 31, 71 and 79 are the roots of
+        // X⁵ − 95, so their first four power sums vanish: three positive
+        // keys share a capacity-2 sketch with two negative ones.
+        let mut sketch = SignedPowerSumSketch::new(99, 2);
+        assert_eq!(sketch.field().modulus(), 101);
+        for x in [4, 15, 30] {
+            sketch.add(x);
+        }
+        let keys: Vec<u64> = (0..99).collect();
+        let false_decode = Some(vec![(70, -1), (78, -1)]);
+        assert_eq!(sketch.decode(), false_decode);
+        assert_eq!(sketch.decode_among(&keys), false_decode);
+        let table = CandidateTable::new(sketch.field(), &keys);
+        assert_eq!(sketch.decode_in(&table), false_decode);
+        // A restricted scan gives the full scan's answer or `None`.
+        assert_eq!(sketch.decode_among(&[4, 15, 30]), None);
     }
 
     #[test]

@@ -298,6 +298,23 @@ fn escalating_mst_matches_pinned_counts() {
         (run.metrics.rounds, run.metrics.total_bits),
         (6425, 4_309_248)
     );
+    // The whole served record: the 95-edge forest and the capacity
+    // diagnostics through a digest, the ledger and phase-trail digest
+    // spelled out.
+    let record = congested_clique::serve::encode_record(&run.output, &run.metrics);
+    assert!(
+        record.ends_with(
+            "},\"rounds\":6425,\"total_bits\":4309248,\"messages\":1536,\
+             \"max_link_bits_per_round\":7,\"phases\":16,\
+             \"phase_digest\":\"575370d015c5f392\"}"
+        ),
+        "mst-dense ledger moved: {}",
+        &record[record.rfind("},\"rounds\"").unwrap_or(0)..]
+    );
+    assert_eq!(
+        congested_clique::serve::fnv64(record.as_bytes()),
+        0x5fb1_1d53_8a52_72d7
+    );
     let direct = compute_msf(g, registry::MST_BASE_CAPACITY, 7).unwrap();
     assert_eq!(direct.forest(), oracle);
     assert_eq!(
